@@ -14,8 +14,11 @@
 //!   [`PagedDoc::deep_clone`]: copy every page, apply, publish.
 //!
 //! The cow series must stay near-flat in document size while the clone
-//! baseline grows linearly. `--smoke` runs a tiny scale once (CI guard
-//! that the binary keeps working).
+//! baseline grows linearly: the full run asserts that the cow commit
+//! grows less than 3x across its 48x range of document sizes while the
+//! pages touched stay constant (what is left is pointer work per page —
+//! dropping the superseded version — not tuple work). `--smoke` runs a
+//! tiny scale once (CI guard that the binary keeps working).
 
 use mbxq_bench::paper_page_config;
 use mbxq_storage::{InsertPosition, PagedDoc, TreeView};
@@ -67,6 +70,8 @@ fn main() {
 
     let mut json = String::from("[\n");
     let mut first = true;
+    // (cow commit ns, pages touched) per scale, for the flatness check.
+    let mut cow_series: Vec<(u128, usize)> = Vec::new();
     for &scale in scales {
         let xml = generate(&XMarkConfig::scaled(scale, 42));
         let bytes = xml.len();
@@ -133,6 +138,7 @@ fn main() {
                 "COW commit must keep some pages shared ({touched}/{total})"
             );
         }
+        cow_series.push((cow_ns, touched));
 
         if !first {
             json.push_str(",\n");
@@ -148,6 +154,16 @@ fn main() {
         );
     }
     json.push_str("\n]\n");
+    if let [(small_ns, small_touched), .., (large_ns, _)] = cow_series[..] {
+        assert!(
+            cow_series.iter().all(|&(_, t)| t == small_touched),
+            "pages touched must not depend on document size: {cow_series:?}"
+        );
+        assert!(
+            large_ns < 3 * small_ns,
+            "COW commit grew {small_ns} -> {large_ns} ns across the scale range (limit 3x)"
+        );
+    }
     if smoke {
         // Don't clobber the committed full-scale dataset with one tiny
         // smoke row (CI and developers run --smoke from the repo root).

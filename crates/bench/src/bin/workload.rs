@@ -248,7 +248,7 @@ fn run_cell(
                             t.set_attribute(anchor, &mbxq_xml::QName::local("featured"), "yes")
                         } else {
                             // Delete the anchor item.
-                            let r = t.delete(anchor);
+                            let r = t.delete(anchor).map(drop);
                             if r.is_ok() {
                                 staged.push((false, anchor_id));
                                 staged_deletes += 1;

@@ -7,7 +7,7 @@
 //! algorithms must preserve; property tests run it after every random
 //! update sequence.
 
-use crate::paged::{PagedDoc, NO_NODE};
+use crate::paged::{PagedDoc, NO_LEVEL, NO_NODE};
 use crate::types::StorageError;
 use crate::view::TreeView;
 use crate::Result;
@@ -17,6 +17,8 @@ use crate::Result;
 /// * the `pageOffset` permutation is consistent in both directions;
 /// * unused runs are encoded exactly (forward lengths and backward
 ///   indexes), never crossing page boundaries;
+/// * every page's level summary equals the minimum level of its used
+///   slots (no bound for a page without any);
 /// * `used_count` matches the bitmap;
 /// * `node→pos` and the `node` column are inverse on live nodes, and no
 ///   two slots share a node id;
@@ -41,10 +43,30 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         )));
     }
 
-    // Run encodings, page by page (physical order is fine here).
+    if doc.page_min_level.len() != doc.pages.num_pages() {
+        return Err(corrupt(format!(
+            "{} level summaries for {} pages",
+            doc.page_min_level.len(),
+            doc.pages.num_pages()
+        )));
+    }
+
+    // Run encodings and level summaries, page by page (physical order
+    // is fine here).
     let mut used_count = 0u64;
     for page in 0..doc.pages.num_pages() {
         let base = page * page_size;
+        let min_level = (base..base + page_size)
+            .filter(|&pos| doc.used[pos])
+            .map(|pos| u32::from(doc.level[pos]))
+            .min()
+            .unwrap_or(NO_LEVEL);
+        if doc.page_min_level[page] != min_level {
+            return Err(corrupt(format!(
+                "page {page}: level summary {} (expected {min_level})",
+                doc.page_min_level[page]
+            )));
+        }
         let mut i = base;
         while i < base + page_size {
             if doc.used[i] {
@@ -473,6 +495,13 @@ mod tests {
     fn detects_corrupted_node_map() {
         let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
         d.set_node_pos(0, Some(5));
+        assert!(check_paged(&d).is_err());
+    }
+
+    #[test]
+    fn detects_corrupted_level_summary() {
+        let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
+        d.page_min_level[1] = 3; // page 1 holds h (level 2), i, j
         assert!(check_paged(&d).is_err());
     }
 

@@ -16,6 +16,27 @@
 //! attribute table refers to node ids instead of pre values (Figure 6),
 //! so attribute rows never need maintenance when positions shift.
 //!
+//! # Per-page level summaries
+//!
+//! `size` counts *used* descendants only, so with ≈20 % of every page
+//! unused the staircase hop `pre + size + 1` lands short of a region's
+//! end by the region's unused slots, and finding a parent means walking
+//! back over every preceding sibling subtree. Done slot by slot, both
+//! walks cost O(document) near the root — which every structural update
+//! pays (the ancestor size deltas walk `parent_of` to the root). The
+//! document therefore keeps, per logical page, the **minimum level of
+//! the page's used slots** (4 bytes; "no bound" for a page with none),
+//! rebuilt in the same per-page pass that rebuilds the unused-run
+//! encodings. [`TreeView::region_end`] scans the rest of the page the
+//! hop landed in for the first used slot with `level <= level(pre)`,
+//! then skips whole pages whose summary is above `level(pre)` in
+//! logical order through the `pageOffset` table, then scans inside the
+//! first page that can hold the boundary; [`TreeView::parent_of`] is the
+//! mirror image going backward. Both are O(pages spanned + page size) —
+//! the order of the `pageOffset` splice the paper already accepts —
+//! and a position is *computed* from a small aggregate instead of
+//! *found* by walking tuples.
+//!
 //! # Copy-on-write column layout
 //!
 //! Every column is a [`CowVec`]/[`CowNullable`]: logical pages of values
@@ -42,6 +63,9 @@ use std::sync::Arc;
 pub(crate) const NO_NAME: u32 = u32::MAX;
 /// Sentinel stored in the `node` column of unused tuples.
 pub(crate) const NO_NODE: u64 = u64::MAX;
+/// Level summary of a page with no used slot: "no bound" — above every
+/// real level, so both region walks skip the page.
+pub(crate) const NO_LEVEL: u32 = u32::MAX;
 
 /// Staged tuple data, used while shredding and while preparing inserts.
 #[derive(Debug, Clone, Copy)]
@@ -79,6 +103,12 @@ pub struct PagedDoc {
     pub(crate) node: CowVec<u64>,
     /// The `pageOffset` table: logical order of physical pages.
     pub(crate) pages: PageMap,
+    /// Per-page **level summary**, indexed by physical page: the minimum
+    /// `level` over the page's used slots ([`NO_LEVEL`] when it has
+    /// none). Maintained by [`PagedDoc::rebuild_runs_in_page`], the one
+    /// hook every page mutation ends in; `region_end`/`parent_of` skip
+    /// whole pages on it (see the module docs).
+    pub(crate) page_min_level: CowVec<u32>,
     /// node id → physical pos (NULL = deleted node).
     pub(crate) node_pos: CowNullable<u64>,
     // ---- attribute table, keyed by node id (Figure 6) ----
@@ -299,6 +329,7 @@ impl PagedDoc {
             value: CowVec::new(cfg.page_size),
             node: CowVec::new(cfg.page_size),
             pages: PageMap::new(cfg.page_size),
+            page_min_level: CowVec::new(SIDE_PAGE),
             node_pos: CowNullable::new(SIDE_PAGE),
             attr_node: CowVec::new(SIDE_PAGE),
             attr_qn: CowVec::new(SIDE_PAGE),
@@ -436,6 +467,7 @@ impl PagedDoc {
         self.name.resize(new_len, 0);
         self.value.resize(new_len, NO_NAME);
         self.node.resize(new_len, NO_NODE);
+        self.page_min_level.push(NO_LEVEL);
     }
 
     /// Writes a staged tuple at physical position `pos`.
@@ -473,17 +505,20 @@ impl PagedDoc {
         self.level[pos] = 0;
     }
 
-    /// Recomputes the unused-run encodings of one physical page: for each
-    /// unused slot, `size` = remaining consecutive unused slots in the
-    /// page including itself, `name` = 1-based index within the run
-    /// (backward skip support). Runs never cross page boundaries — page
+    /// Recomputes the derived per-page state of one physical page: the
+    /// unused-run encodings — for each unused slot, `size` = remaining
+    /// consecutive unused slots in the page including itself, `name` =
+    /// 1-based index within the run (backward skip support) — and the
+    /// page's level summary. Runs never cross page boundaries — page
     /// maintenance stays local to the touched page.
     pub(crate) fn rebuild_runs_in_page(&mut self, page: usize) {
         let base = page * self.cfg.page_size;
         let end = base + self.cfg.page_size;
+        let mut min_level = NO_LEVEL;
         let mut i = base;
         while i < end {
             if self.used[i] {
+                min_level = min_level.min(u32::from(self.level[i]));
                 i += 1;
                 continue;
             }
@@ -497,6 +532,11 @@ impl PagedDoc {
                 self.name[pos] = (k + 1) as u32;
                 self.node[pos] = NO_NODE;
             }
+        }
+        // Compare first: an unchanged summary must not privatize its
+        // (shared, copy-on-write) summary page.
+        if self.page_min_level[page] != min_level {
+            self.page_min_level[page] = min_level;
         }
     }
 
@@ -515,6 +555,51 @@ impl PagedDoc {
         self.attr_qn.push(qn);
         self.attr_prop.push(prop);
         self.attr_index.push_row(node, row);
+    }
+
+    /// First used slot at or after view position `from` whose level is
+    /// `<= lvl` — where a region of that level ends — or `pre_end()`.
+    /// Pages whose level summary is above `lvl` are skipped without
+    /// looking at their slots.
+    fn next_used_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
+        let page_size = self.cfg.page_size;
+        let mut offset = from as usize & (page_size - 1);
+        for lp in (from >> self.shift) as usize..self.pages.num_pages() {
+            let phys = self.pages.logical_to_physical(lp).expect("page in range");
+            if self.page_min_level[phys] <= u32::from(lvl) {
+                let (start, end) = (phys * page_size + offset, (phys + 1) * page_size);
+                let used = self.used.run_at(start, end);
+                let levels = self.level.run_at(start, end);
+                if let Some(i) = (0..used.len()).find(|&i| used[i] && levels[i] <= lvl) {
+                    return ((lp << self.shift) + offset + i) as u64;
+                }
+            }
+            offset = 0;
+        }
+        self.pre_end()
+    }
+
+    /// Last used slot before view position `before` whose level is
+    /// `< lvl` — the parent of a level-`lvl` node at `before` — skipping
+    /// whole pages on their level summary like
+    /// [`PagedDoc::next_used_at_level_or_above`].
+    fn prev_used_below_level(&self, before: u64, lvl: u16) -> Option<u64> {
+        let page_size = self.cfg.page_size;
+        let last = before.checked_sub(1)?;
+        let mut len = (last as usize & (page_size - 1)) + 1;
+        for lp in (0..=(last >> self.shift) as usize).rev() {
+            let phys = self.pages.logical_to_physical(lp).ok()?;
+            if self.page_min_level[phys] < u32::from(lvl) {
+                let start = phys * page_size;
+                let used = self.used.run_at(start, start + len);
+                let levels = self.level.run_at(start, start + len);
+                if let Some(i) = (0..used.len()).rev().find(|&i| used[i] && levels[i] < lvl) {
+                    return Some(((lp << self.shift) + i) as u64);
+                }
+            }
+            len = page_size;
+        }
+        None
     }
 
     // ------------------------------------------------------------------
@@ -613,7 +698,7 @@ impl PagedDoc {
             table_bytes: self.size.len() * (8 + 2 + 1 + 1 + 4 + 4 + 8)
                 + self.node_pos.len() * 9
                 + self.attr_node.len() * (8 + 4 + 4)
-                + self.pages.num_pages() * 8,
+                + self.pages.num_pages() * (8 + 4),
         }
     }
 
@@ -699,6 +784,7 @@ impl PagedDoc {
             value: self.value.deep_clone(),
             node: self.node.deep_clone(),
             pages: self.pages.clone(),
+            page_min_level: self.page_min_level.deep_clone(),
             node_pos: self.node_pos.deep_clone(),
             attr_node: self.attr_node.deep_clone(),
             attr_qn: self.attr_qn.deep_clone(),
@@ -868,6 +954,30 @@ impl TreeView for PagedDoc {
 
     fn text_degree_stats(&self, qn: QnId) -> Option<crate::values::DegreeStats> {
         Some(self.content_index.text_degree_stats(qn))
+    }
+
+    /// O(pages spanned + page size): hop over the region by `size`
+    /// (exact when the region has no unused slot, short otherwise —
+    /// `size` counts used tuples only), then finish on the page level
+    /// summaries instead of one small subtree at a time.
+    fn region_end(&self, pre: u64) -> u64 {
+        let Some(pos) = self.pos_of_pre(pre).filter(|&pos| self.used[pos]) else {
+            return pre + 1;
+        };
+        let lvl = self.level[pos];
+        let boundary = self.next_used_at_level_or_above(pre + self.size[pos] + 1, lvl);
+        // Every used slot in `pre+1..boundary` is a descendant; the
+        // region ends behind the last of them.
+        self.prev_used_at_or_before(boundary - 1)
+            .map_or(pre + 1, |last| last + 1)
+    }
+
+    /// O(pages spanned + page size) on the page level summaries.
+    fn parent_of(&self, pre: u64) -> Option<u64> {
+        match self.level(pre)? {
+            0 => None,
+            lvl => self.prev_used_below_level(pre, lvl),
+        }
     }
 
     fn pre_chunk(&self, pre: u64, end: u64) -> Option<crate::view::PreChunk<'_>> {

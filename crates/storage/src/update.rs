@@ -15,7 +15,14 @@
 //! Physical work is proportional to the update volume plus at most one
 //! page rewrite — never to the document size; the reports returned by
 //! each operation expose the touched-tuple counts so the benchmarks can
-//! verify that claim against the naive baseline.
+//! verify that claim against the naive baseline. That holds for the
+//! *navigation* an update does as well as for its writes: resolving the
+//! insert point (`region_end`) and walking the ancestor chain for the
+//! size deltas (`parent_of`, once per ancestor) run on the per-page
+//! level summaries of [`crate::paged`] — O(pages spanned + page size)
+//! each, not a slot-by-slot walk that near the root covers the whole
+//! document. Every page an update rewrites ends in
+//! `rebuild_runs_in_page`, which refreshes that page's summary.
 
 use crate::paged::{PagedDoc, Tuple};
 use crate::types::{Kind, NodeId, StorageError};

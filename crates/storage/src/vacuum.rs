@@ -14,7 +14,7 @@
 //! state the paper designed the indirection for).
 
 use crate::names::NameIndex;
-use crate::paged::{name_index_base, PagedDoc, Tuple, SIDE_PAGE};
+use crate::paged::{name_index_base, PagedDoc, Tuple, NO_LEVEL, SIDE_PAGE};
 use crate::types::PageConfig;
 use crate::view::TreeView;
 use crate::Result;
@@ -69,6 +69,7 @@ impl PagedDoc {
         self.name = CowVec::filled(cfg.page_size, slots, 0);
         self.value = CowVec::filled(cfg.page_size, slots, u32::MAX);
         self.node = CowVec::filled(cfg.page_size, slots, u64::MAX);
+        self.page_min_level = CowVec::filled(SIDE_PAGE, n_pages, NO_LEVEL);
 
         // Preserve the node-id space (ids above the rebuilt set stay
         // NULL, e.g. ids of deleted nodes).

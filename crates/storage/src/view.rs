@@ -16,6 +16,18 @@
 //! unused slots *including the slot itself*, so `pre + size(pre)` lands on
 //! the first slot after the run — an O(1) skip, as required for staircase
 //! join "to skip over unused tuples quickly" (§3).
+//!
+//! # Region navigation
+//!
+//! [`TreeView::region_end`] and [`TreeView::parent_of`] have default
+//! implementations that only use the per-slot accessors: exact on every
+//! schema, and cheap on a dense one (`pre + size + 1` *is* the region
+//! end). With unused slots the hop lands short by the region's holes and
+//! the default finishes slot run by slot run — O(unused slots in the
+//! region), and `parent_of` is O(preceding slots). The paged schema
+//! therefore overrides both on a per-page level summary (see
+//! [`crate::paged`]); the defaults remain the implementation of the
+//! chunk-less schemas and the reference the tests compare against.
 
 use crate::types::{Kind, NodeId, ValueRef};
 use crate::values::{DegreeStats, NumRange, PropId, QnId, TextProbe, ValuePool};
@@ -317,7 +329,8 @@ pub trait TreeView: Sync {
     /// stretch the span), never *past* a non-descendant, so a level check
     /// on the next used slot keeps the walk correct: on hole-free regions
     /// this is O(right-spine), and each hole run costs one extra O(1)
-    /// skip.
+    /// skip — O(unused slots in the region) when every page carries
+    /// free space, which is why [`crate::PagedDoc`] overrides it.
     fn region_end(&self, pre: u64) -> u64 {
         let Some(lvl) = self.level(pre) else {
             return pre + 1;
@@ -339,7 +352,9 @@ pub trait TreeView: Sync {
     }
 
     /// The parent of the used node at `pre`: the nearest preceding used
-    /// slot with a smaller level.
+    /// slot with a smaller level. The default walks back one used slot
+    /// at a time (O(preceding siblings' subtrees));
+    /// [`crate::PagedDoc`] overrides it.
     fn parent_of(&self, pre: u64) -> Option<u64> {
         let lvl = self.level(pre)?;
         if lvl == 0 {

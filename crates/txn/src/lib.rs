@@ -35,7 +35,13 @@
 //! stores every column as shared copy-on-write pages
 //! (`mbxq_bat::CowVec`), so `clone` copies page *pointers* and each
 //! staged operation privatizes exactly the column pages it writes, plus
-//! the pages holding the delta-adjusted ancestor sizes. The critical
+//! the pages holding the delta-adjusted ancestor sizes. A transaction
+//! pays for that once: its private workspace (a clone of the begin
+//! snapshot that every staging call updates through [`op::Op::apply`])
+//! *is* its ops applied to the version it began on, so commit publishes
+//! the workspace itself whenever that version is still the current one,
+//! and re-applies the ops onto a clone of the current version only when
+//! another publish intervened. The critical
 //! section is therefore proportional to the update volume, never to the
 //! document: publishing swaps page pointers under the short global lock,
 //! and every reader snapshot keeps sharing all untouched pages with the
@@ -51,9 +57,11 @@
 //! publish** — nothing else. A commit runs three phases:
 //!
 //! ```text
-//!  phase 1 · SPECULATE   no global lock.  COW-clone the committed
-//!                        version (stamp S), apply the redo ops
-//!                        (privatizing only their pages), validate.
+//!  phase 1 · SPECULATE   no global lock.  Read the committed version
+//!                        (stamp S). If the transaction began on S, its
+//!                        workspace is the speculated version; else
+//!                        COW-clone S and apply the redo ops
+//!                        (privatizing only their pages). Validate.
 //!  phase 2 · LOG         no global lock.  Group-commit WAL append:
 //!                        the first committer to arrive leads a batch
 //!                        flush (one I/O for every record that queued
@@ -299,6 +307,17 @@ pub struct CommitInfo {
     pub ancestors_touched: u64,
 }
 
+impl CommitInfo {
+    /// Adds one applied op's `(inserted, deleted, ancestors_touched)`
+    /// (the result of [`op::Op::apply`]).
+    pub(crate) fn count(&mut self, (inserted, deleted, ancestors): (u64, u64, u64)) {
+        self.ops += 1;
+        self.inserted += inserted;
+        self.deleted += deleted;
+        self.ancestors_touched += ancestors;
+    }
+}
+
 /// Counters of the per-shard plan cache (see [`Shard::plan_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -402,6 +421,18 @@ mod tests {
                 ..StoreConfig::default()
             },
         )
+    }
+
+    /// Commits a one-element append under the node `path` selects, in
+    /// its own transaction — an interleaved publish for tests that need
+    /// the version stamp to move under a staged transaction.
+    fn commit_elsewhere(s: &Store, path: &str) {
+        let mut t = s.begin();
+        let target = t.select(&XPath::parse(path).unwrap()).unwrap();
+        let frag = Document::parse_fragment("<elsewhere/>").unwrap();
+        t.insert(InsertPosition::LastChildOf(target[0]), &frag)
+            .unwrap();
+        t.commit().unwrap();
     }
 
     /// The plan cache's adaptive memory: an Auto query records
@@ -658,10 +689,14 @@ mod tests {
         let person = t.select(&XPath::parse("//person").unwrap()).unwrap();
         t.set_attribute(person[0], &mbxq_xml::QName::local("vip"), "yes")
             .unwrap();
-        // Sabotage the redo list with an op that cannot apply.
+        // Sabotage the redo list with an op that cannot apply — behind
+        // the workspace's back, so only a commit that re-applies the
+        // list can trip over it: a commit on another page in between
+        // moves the version stamp and forces exactly that.
         t.ops.push(Op::Delete {
             node: NodeId(99_999),
         });
+        commit_elsewhere(&s, "//asia");
         assert!(s.locked_pages() > 0);
         let err = t.commit().unwrap_err();
         assert!(matches!(err, TxnError::Storage(_)), "got {err}");
@@ -693,6 +728,8 @@ mod tests {
             .unwrap();
         let dup = t.ops[0].clone();
         t.ops.push(dup);
+        // The workspace never saw the duplicate: force the re-apply path.
+        commit_elsewhere(&s, "//asia");
         let err = t.commit().unwrap_err();
         assert!(
             matches!(
@@ -725,6 +762,179 @@ mod tests {
         // An attribute write touches no base-table column at all: every
         // tree page stays shared.
         assert_eq!(shared, total, "attribute set must not touch tree pages");
+    }
+
+    /// A single writer's commit publishes its workspace: the pages the
+    /// transaction privatized while staging are the published ones, no
+    /// page is privatized a second time — in both pipelines.
+    #[test]
+    fn single_writer_commit_publishes_the_workspace() {
+        for pipeline in [CommitPipeline::Short, CommitPipeline::LongLock] {
+            let s = store_with(AncestorLockMode::Delta, pipeline);
+            let before = s.snapshot();
+            let mut t = s.begin();
+            let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
+            let frag = Document::parse_fragment("<item><sub/></item>").unwrap();
+            t.insert(InsertPosition::LastChildOf(africa[0]), &frag)
+                .unwrap();
+            // A clone shares every page with the workspace it came from.
+            let workspace = t.view().clone();
+            let info = t.commit().unwrap();
+            assert_eq!((info.ops, info.inserted), (1, 2), "{pipeline:?}");
+            assert!(info.ancestors_touched >= 3, "africa, regions, site");
+            let after = s.snapshot();
+            let (shared, total) = after.shared_pages_with(&workspace);
+            assert_eq!(shared, total, "{pipeline:?}: commit re-applied the ops");
+            let (shared, total) = after.shared_pages_with(&before);
+            assert!(shared < total, "the insert did touch tree pages");
+            mbxq_storage::invariants::check_paged(after.as_ref()).unwrap();
+        }
+    }
+
+    /// A publish between `begin` and `commit` invalidates the workspace
+    /// as the next version: the commit re-applies its ops onto the
+    /// fresh master, and both updates survive.
+    #[test]
+    fn interleaved_commit_takes_the_reapply_path() {
+        let s = store(AncestorLockMode::Delta);
+        let mut t = s.begin();
+        let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
+        let frag = Document::parse_fragment("<late/>").unwrap();
+        t.insert(InsertPosition::LastChildOf(africa[0]), &frag)
+            .unwrap();
+        let workspace = t.view().clone();
+        commit_elsewhere(&s, "//asia");
+        let info = t.commit().unwrap();
+        assert_eq!((info.ops, info.inserted), (1, 1));
+        let after = s.snapshot();
+        let live = to_xml(after.as_ref()).unwrap();
+        assert!(live.contains("<late/>") && live.contains("<elsewhere/>"));
+        assert!(!to_xml(&workspace).unwrap().contains("<elsewhere/>"));
+        let (shared, total) = after.shared_pages_with(&workspace);
+        assert!(shared < total, "the workspace must not have been published");
+        assert_eq!(TreeView::size(after.as_ref(), 0), 16);
+        mbxq_storage::invariants::check_paged(after.as_ref()).unwrap();
+    }
+
+    /// A staging call that fails may leave the workspace changed with no
+    /// op recorded; such a workspace is never published — the commit
+    /// re-applies the recorded ops onto a clean clone.
+    #[test]
+    fn failed_staging_call_disqualifies_the_workspace() {
+        let s = store(AncestorLockMode::Delta);
+        let mut t = s.begin();
+        let text = t.select(&XPath::parse("//name/text()").unwrap()).unwrap();
+        t.update_value(text[0], "Eve").unwrap();
+        // Renaming a text node is refused by the storage layer.
+        assert!(t.rename(text[0], &mbxq_xml::QName::local("x")).is_err());
+        let workspace = t.view().clone();
+        t.commit().unwrap();
+        let after = s.snapshot();
+        assert!(to_xml(after.as_ref()).unwrap().contains("Eve"));
+        let (shared, total) = after.shared_pages_with(&workspace);
+        assert!(shared < total, "the workspace must not have been published");
+        let recovered =
+            recover::recover(DOC, PageConfig::new(8, 75).unwrap(), &s.wal_raw().unwrap()).unwrap();
+        assert_eq!(to_xml(&recovered).unwrap(), to_xml(after.as_ref()).unwrap());
+    }
+
+    /// `WriteTxn` is a `TreeView` over its current view: every trait
+    /// method — the per-slot accessors, the index probes, and the
+    /// navigation helpers a schema may override — must answer exactly as
+    /// `view()` does, before and after the workspace exists.
+    #[test]
+    fn write_txn_forwards_every_tree_view_method() {
+        fn assert_forwards(t: &WriteTxn<'_>) {
+            let v = t.view();
+            assert_eq!(t.pre_end(), v.pre_end());
+            assert_eq!(TreeView::used_count(t), v.used_count());
+            assert_eq!(t.root_pre(), v.root_pre());
+            assert_eq!(t.has_content_index(), v.has_content_index());
+            assert!(std::ptr::eq(t.pool(), v.pool()));
+            // One slot past the end exercises the out-of-range arms.
+            for pre in 0..=v.pre_end() {
+                assert_eq!(t.level(pre), v.level(pre), "level({pre})");
+                assert_eq!(TreeView::size(t, pre), TreeView::size(v, pre));
+                assert_eq!(t.kind(pre), v.kind(pre));
+                assert_eq!(t.name_id(pre), v.name_id(pre));
+                assert_eq!(t.value_ref(pre), v.value_ref(pre));
+                assert_eq!(t.node_id(pre), v.node_id(pre));
+                assert_eq!(t.back_run(pre), v.back_run(pre));
+                assert_eq!(t.attributes(pre), v.attributes(pre));
+                assert_eq!(t.is_used(pre), v.is_used(pre));
+                assert_eq!(t.next_used_at_or_after(pre), v.next_used_at_or_after(pre));
+                assert_eq!(t.prev_used_at_or_before(pre), v.prev_used_at_or_before(pre));
+                assert_eq!(t.region_end(pre), v.region_end(pre), "region_end({pre})");
+                assert_eq!(t.parent_of(pre), v.parent_of(pre), "parent_of({pre})");
+                assert_eq!(t.string_value(pre), v.string_value(pre));
+                let id = mbxq_xml::QName::local("id");
+                assert_eq!(t.attribute_value(pre, &id), v.attribute_value(pre, &id));
+                match (t.pre_chunk(pre, v.pre_end()), v.pre_chunk(pre, v.pre_end())) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert_eq!((a.pre, a.used, a.kinds), (b.pre, b.used, b.kinds));
+                        assert_eq!((a.levels, a.names), (b.levels, b.names));
+                        assert_eq!((a.sizes, a.values), (b.sizes, b.values));
+                    }
+                    (a, b) => panic!("pre_chunk({pre}): {a:?} vs {b:?}"),
+                }
+            }
+            let all = mbxq_storage::NumRange::at_least(f64::NEG_INFINITY, true);
+            for qn in (0..v.pool().qname_count() as u32).map(mbxq_storage::QnId) {
+                assert_eq!(t.elements_named(qn), v.elements_named(qn));
+                assert_eq!(t.elements_named_count(qn), v.elements_named_count(qn));
+                assert_eq!(t.attr_degree_stats(qn), v.attr_degree_stats(qn));
+                assert_eq!(t.text_degree_stats(qn), v.text_degree_stats(qn));
+                assert_eq!(
+                    t.nodes_with_attr_value_range(qn, &all),
+                    v.nodes_with_attr_value_range(qn, &all)
+                );
+                assert_eq!(
+                    t.nodes_with_attr_value_range_count(qn, &all),
+                    v.nodes_with_attr_value_range_count(qn, &all)
+                );
+                assert_eq!(
+                    t.elements_with_text_range(qn, &all),
+                    v.elements_with_text_range(qn, &all)
+                );
+                assert_eq!(
+                    t.elements_with_text_range_count(qn, &all),
+                    v.elements_with_text_range_count(qn, &all)
+                );
+                for value in ["p0", "p9", "Ann", "7", ""] {
+                    assert_eq!(
+                        t.nodes_with_attr_value(qn, value),
+                        v.nodes_with_attr_value(qn, value)
+                    );
+                    assert_eq!(
+                        t.nodes_with_attr_value_count(qn, value),
+                        v.nodes_with_attr_value_count(qn, value)
+                    );
+                    assert_eq!(
+                        t.elements_with_text(qn, value),
+                        v.elements_with_text(qn, value)
+                    );
+                    assert_eq!(
+                        t.elements_with_text_count(qn, value),
+                        v.elements_with_text_count(qn, value)
+                    );
+                }
+            }
+        }
+
+        let s = store(AncestorLockMode::Delta);
+        let mut t = s.begin();
+        assert_forwards(&t); // no workspace yet: the begin snapshot
+        let people = t.select(&XPath::parse("/site/people").unwrap()).unwrap();
+        let frag =
+            Document::parse_fragment("<person id=\"p9\"><age>7</age><!--c--></person>").unwrap();
+        t.insert(InsertPosition::LastChildOf(people[0]), &frag)
+            .unwrap();
+        let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
+        t.delete(africa[0]).unwrap();
+        assert!(!std::ptr::eq(t.view(), t.snapshot()), "workspace exists");
+        assert_forwards(&t);
+        t.abort();
     }
 
     #[test]

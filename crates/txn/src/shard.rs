@@ -203,15 +203,23 @@ impl Shard {
     /// Begins a write transaction.
     pub fn begin(&self) -> WriteTxn<'_> {
         let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
+        // Epoch is read BEFORE the snapshot: vacuum publishes before
+        // bumping, so observing the new epoch implies the snapshot
+        // read below sees the new layout (never new-epoch/old-doc).
+        let epoch = self.layout_epoch.load(Ordering::Acquire);
+        let base = self.version.load();
         WriteTxn {
             shard: self,
             id,
-            // Epoch is read BEFORE the snapshot: vacuum publishes before
-            // bumping, so observing the new epoch implies the snapshot
-            // read below sees the new layout (never new-epoch/old-doc).
-            epoch: self.layout_epoch.load(Ordering::Acquire),
-            snapshot: self.snapshot(),
+            epoch,
+            base_stamp: base.stamp,
+            snapshot: base.doc.clone(),
             work: None,
+            work_diverged: false,
+            staged: CommitInfo {
+                txn: id,
+                ..CommitInfo::default()
+            },
             ops: Vec::new(),
             finished: false,
         }
@@ -557,14 +565,33 @@ pub struct WriteTxn<'s> {
     /// The shard's layout epoch at begin time (see
     /// `Shard::layout_epoch`).
     epoch: u64,
+    /// Publish stamp of the version `snapshot` was read from.
+    base_stamp: u64,
     snapshot: Arc<PagedDoc>,
     /// Private working copy — the paper's copy-on-write view. Created on
     /// the first update so that later operations (and XUpdate commands)
     /// of the same transaction see earlier ones; readers and other
-    /// transactions never see it.
+    /// transactions never see it. It is exactly `ops` applied in order
+    /// to a clone of `snapshot` (every staging call goes through
+    /// [`Op::apply`]), so commit publishes it as is when no other
+    /// version was published since `base_stamp`.
     work: Option<Box<PagedDoc>>,
+    /// A staging call failed on the workspace: it may have changed the
+    /// workspace without an op being recorded, so the workspace is no
+    /// longer `ops` applied to `snapshot` and commit must re-apply.
+    work_diverged: bool,
+    /// Commit statistics of the ops staged so far.
+    staged: CommitInfo,
     pub(crate) ops: Vec<Op>,
     finished: bool,
+}
+
+/// A transaction's workspace handed to commit as the already-applied
+/// next version — valid on top of the version stamped `stamp` only.
+struct Speculated {
+    stamp: u64,
+    doc: PagedDoc,
+    info: CommitInfo,
 }
 
 impl WriteTxn<'_> {
@@ -594,6 +621,23 @@ impl WriteTxn<'_> {
             self.work = Some(Box::new((*self.snapshot).clone()));
         }
         self.work.as_mut().expect("just materialized")
+    }
+
+    /// Applies `op` to the workspace and records it for the WAL and for
+    /// a commit-time re-apply. Returns `(inserted, deleted,
+    /// ancestors_touched)`.
+    fn stage(&mut self, op: Op) -> Result<(u64, u64, u64)> {
+        match op.apply(self.work_mut()) {
+            Ok(counts) => {
+                self.staged.count(counts);
+                self.ops.push(op);
+                Ok(counts)
+            }
+            Err(e) => {
+                self.work_diverged = true;
+                Err(e)
+            }
+        }
     }
 
     /// Evaluates an XPath selection against the transaction's view,
@@ -652,19 +696,18 @@ impl WriteTxn<'_> {
         // of this op allocates identically.
         let n = subtree.tuple_count();
         let first_node = self.shard.next_node.fetch_add(n, Ordering::Relaxed);
-        self.work_mut()
-            .insert_with_base(position, subtree, first_node)?;
-        self.ops.push(Op::Insert {
+        self.stage(Op::Insert {
             position,
             subtree: subtree.clone(),
             first_node,
-        });
+        })?;
         Ok(())
     }
 
     /// Stages and locally applies a structural delete (write-locking
-    /// every page the target's region spans).
-    pub fn delete(&mut self, target: NodeId) -> Result<()> {
+    /// every page the target's region spans). Returns the number of
+    /// tuples deleted.
+    pub fn delete(&mut self, target: NodeId) -> Result<u64> {
         let pre = self.view().node_to_pre(target)?;
         let end = self.view().region_end(pre);
         let shift = self.view().config().page_size.trailing_zeros();
@@ -676,30 +719,27 @@ impl WriteTxn<'_> {
         }
         self.lock_ancestors_if_exclusive(target)?;
         self.verify_layout()?;
-        self.work_mut().delete(target)?;
-        self.ops.push(Op::Delete { node: target });
-        Ok(())
+        let (_, deleted, _) = self.stage(Op::Delete { node: target })?;
+        Ok(deleted)
     }
 
     /// Stages and locally applies a value update.
     pub fn update_value(&mut self, target: NodeId, value: &str) -> Result<()> {
         self.lock_for_write(target)?;
-        self.work_mut().update_value(target, value)?;
-        self.ops.push(Op::UpdateValue {
+        self.stage(Op::UpdateValue {
             node: target,
             value: value.to_string(),
-        });
+        })?;
         Ok(())
     }
 
     /// Stages and locally applies an element rename.
     pub fn rename(&mut self, target: NodeId, name: &mbxq_xml::QName) -> Result<()> {
         self.lock_for_write(target)?;
-        self.work_mut().rename(target, name)?;
-        self.ops.push(Op::Rename {
+        self.stage(Op::Rename {
             node: target,
             name: name.clone(),
-        });
+        })?;
         Ok(())
     }
 
@@ -711,23 +751,21 @@ impl WriteTxn<'_> {
         value: &str,
     ) -> Result<()> {
         self.lock_for_write(target)?;
-        self.work_mut().set_attribute(target, name, value)?;
-        self.ops.push(Op::SetAttr {
+        self.stage(Op::SetAttr {
             node: target,
             name: name.clone(),
             value: value.to_string(),
-        });
+        })?;
         Ok(())
     }
 
     /// Stages and locally applies an attribute removal.
     pub fn remove_attribute(&mut self, target: NodeId, name: &mbxq_xml::QName) -> Result<()> {
         self.lock_for_write(target)?;
-        self.work_mut().remove_attribute(target, name)?;
-        self.ops.push(Op::RemoveAttr {
+        self.stage(Op::RemoveAttr {
             node: target,
             name: name.clone(),
-        });
+        })?;
         Ok(())
     }
 
@@ -781,14 +819,27 @@ impl WriteTxn<'_> {
         let shard = self.shard;
         let id = self.id;
         let ops = std::mem::take(&mut self.ops);
-        let result = Self::commit_ops(shard, id, &ops);
+        let work = match self.work.take() {
+            Some(doc) if !self.work_diverged => Some(Speculated {
+                stamp: self.base_stamp,
+                doc: *doc,
+                info: self.staged,
+            }),
+            _ => None,
+        };
+        let result = Self::commit_ops(shard, id, &ops, work);
         self.finished = true;
         shard.locks.release_all(id);
         result
     }
 
     /// The fallible commit body; lock release is handled by the caller.
-    fn commit_ops(shard: &Shard, id: TxnId, ops: &[Op]) -> Result<CommitInfo> {
+    fn commit_ops(
+        shard: &Shard,
+        id: TxnId,
+        ops: &[Op],
+        work: Option<Speculated>,
+    ) -> Result<CommitInfo> {
         if ops.is_empty() {
             return Ok(CommitInfo {
                 txn: id,
@@ -796,8 +847,25 @@ impl WriteTxn<'_> {
             });
         }
         match shard.config.pipeline {
-            CommitPipeline::Short => Self::commit_ops_short(shard, id, ops),
-            CommitPipeline::LongLock => Self::commit_ops_long(shard, id, ops),
+            CommitPipeline::Short => Self::commit_ops_short(shard, id, ops, work),
+            CommitPipeline::LongLock => Self::commit_ops_long(shard, id, ops, work),
+        }
+    }
+
+    /// The version this commit publishes on top of `base`: the
+    /// transaction's workspace when `base` is still the version it began
+    /// on — the workspace *is* the ops applied to a clone of it, already
+    /// paid for during staging — else the ops re-applied to a clone of
+    /// `base` ([`WriteTxn::apply_to_clone`]).
+    fn speculate(
+        base: &Version,
+        id: TxnId,
+        ops: &[Op],
+        work: Option<Speculated>,
+    ) -> Result<(PagedDoc, CommitInfo)> {
+        match work {
+            Some(w) if w.stamp == base.stamp => Ok((w.doc, w.info)),
+            _ => Self::apply_to_clone(&base.doc, id, ops),
         }
     }
 
@@ -812,15 +880,11 @@ impl WriteTxn<'_> {
     fn apply_to_clone(base: &PagedDoc, id: TxnId, ops: &[Op]) -> Result<(PagedDoc, CommitInfo)> {
         let mut info = CommitInfo {
             txn: id,
-            ops: ops.len(),
             ..CommitInfo::default()
         };
         let mut new_doc = base.clone();
         for op in ops {
-            let (ins, del, anc) = op.apply(&mut new_doc)?;
-            info.inserted += ins;
-            info.deleted += del;
-            info.ancestors_touched += anc;
+            info.count(op.apply(&mut new_doc)?);
         }
         Ok((new_doc, info))
     }
@@ -840,14 +904,21 @@ impl WriteTxn<'_> {
 
     /// The [`CommitPipeline::Short`] commit: speculate → group-log →
     /// stamp-checked publish (see the crate docs).
-    fn commit_ops_short(shard: &Shard, id: TxnId, ops: &[Op]) -> Result<CommitInfo> {
+    fn commit_ops_short(
+        shard: &Shard,
+        id: TxnId,
+        ops: &[Op],
+        work: Option<Speculated>,
+    ) -> Result<CommitInfo> {
         // ---- phase 1: speculation, no global lock ----
-        // COW page privatization and validation run against the version
-        // current *now*, keyed by its stamp. Failures on this path (a
-        // redo op that cannot apply, a validation veto) abort the
-        // transaction before anything reached the log.
+        // The speculated version is keyed by the stamp of the version
+        // current *now*: the workspace if that is still the version the
+        // transaction began on (no second apply, no second set of page
+        // privatizations), else a COW re-apply onto it. Failures on this
+        // path (a redo op that cannot apply, a validation veto) abort
+        // the transaction before anything reached the log.
         let base = shard.version.load();
-        let (mut new_doc, mut info) = Self::apply_to_clone(&base.doc, id, ops)?;
+        let (mut new_doc, mut info) = Self::speculate(&base, id, ops, work)?;
         Self::validate(shard, &new_doc)?;
 
         // ---- phase 2: group-commit WAL append, no global lock ----
@@ -912,11 +983,16 @@ impl WriteTxn<'_> {
     /// behavior, everything under one global lock — apply, validation,
     /// a solo WAL append, publish. Writers serialize on log I/O here;
     /// the `workload` benchmark measures exactly that difference.
-    fn commit_ops_long(shard: &Shard, id: TxnId, ops: &[Op]) -> Result<CommitInfo> {
+    fn commit_ops_long(
+        shard: &Shard,
+        id: TxnId,
+        ops: &[Op],
+        work: Option<Speculated>,
+    ) -> Result<CommitInfo> {
         let _gate = shard.pipeline_gate.read().unwrap();
         let _global = shard.commit_lock.lock().unwrap();
         let current = shard.version.load();
-        let (new_doc, info) = Self::apply_to_clone(&current.doc, id, ops)?;
+        let (new_doc, info) = Self::speculate(&current, id, ops, work)?;
         Self::validate(shard, &new_doc)?;
         shard.wal.lock().unwrap().append(&WalRecord::Commit {
             txn: id,
@@ -1021,6 +1097,21 @@ impl mbxq_storage::TreeView for WriteTxn<'_> {
     ) -> Option<u64> {
         self.view().elements_with_text_range_count(qn, range)
     }
+    fn attr_degree_stats(&self, attr: mbxq_storage::QnId) -> Option<mbxq_storage::DegreeStats> {
+        self.view().attr_degree_stats(attr)
+    }
+    fn text_degree_stats(&self, qn: mbxq_storage::QnId) -> Option<mbxq_storage::DegreeStats> {
+        self.view().text_degree_stats(qn)
+    }
+    fn pre_chunk(&self, pre: u64, end: u64) -> Option<mbxq_storage::PreChunk<'_>> {
+        self.view().pre_chunk(pre, end)
+    }
+    fn region_end(&self, pre: u64) -> u64 {
+        self.view().region_end(pre)
+    }
+    fn parent_of(&self, pre: u64) -> Option<u64> {
+        self.view().parent_of(pre)
+    }
 }
 
 fn demote(e: TxnError) -> StorageError {
@@ -1041,22 +1132,7 @@ impl mbxq_xupdate::UpdateTarget for WriteTxn<'_> {
     }
 
     fn xu_delete(&mut self, target: NodeId) -> mbxq_storage::Result<u64> {
-        let pre = self.view().node_to_pre(target)?;
-        let lvl = self.view().level(pre).unwrap_or(0);
-        let _ = lvl;
-        // Count the victims before deleting (for the summary).
-        let end = self.view().region_end(pre);
-        let mut count = 0u64;
-        let mut p = pre;
-        while let Some(q) = self.view().next_used_at_or_after(p) {
-            if q >= end {
-                break;
-            }
-            count += 1;
-            p = q + 1;
-        }
-        self.delete(target).map_err(demote)?;
-        Ok(count)
+        self.delete(target).map_err(demote)
     }
 
     fn xu_update_value(&mut self, target: NodeId, value: &str) -> mbxq_storage::Result<()> {

@@ -7,7 +7,7 @@
 //! panic message).
 #![allow(dead_code)] // each test binary uses a subset
 
-use mbxq::{Node, PageConfig};
+use mbxq::{Node, PageConfig, PagedDoc, TreeView};
 
 /// Page configurations exercised by cross-schema tests: tiny pages force
 /// many page boundaries; big pages exercise the single-page paths.
@@ -132,4 +132,46 @@ pub fn sectioned_xml(sections: usize, per: usize, body: &str) -> String {
     }
     xml.push_str("</root>");
     xml
+}
+
+/// A paged document seen through the [`TreeView`] **defaults**: only the
+/// per-slot accessors are forwarded, so `region_end`, `parent_of` and
+/// every other derived helper run the trait's slot-by-slot reference
+/// walks instead of [`PagedDoc`]'s page-summary overrides.
+pub struct DefaultWalk<'a>(pub &'a PagedDoc);
+
+impl TreeView for DefaultWalk<'_> {
+    fn pre_end(&self) -> u64 {
+        self.0.pre_end()
+    }
+    fn level(&self, pre: u64) -> Option<u16> {
+        self.0.level(pre)
+    }
+    fn size(&self, pre: u64) -> u64 {
+        TreeView::size(self.0, pre)
+    }
+    fn kind(&self, pre: u64) -> Option<mbxq_storage::Kind> {
+        self.0.kind(pre)
+    }
+    fn name_id(&self, pre: u64) -> Option<mbxq_storage::QnId> {
+        self.0.name_id(pre)
+    }
+    fn value_ref(&self, pre: u64) -> Option<mbxq_storage::ValueRef> {
+        self.0.value_ref(pre)
+    }
+    fn node_id(&self, pre: u64) -> Option<mbxq::NodeId> {
+        self.0.node_id(pre)
+    }
+    fn back_run(&self, pre: u64) -> u64 {
+        self.0.back_run(pre)
+    }
+    fn attributes(&self, pre: u64) -> Vec<(mbxq_storage::QnId, mbxq_storage::PropId)> {
+        self.0.attributes(pre)
+    }
+    fn pool(&self) -> &mbxq_storage::ValuePool {
+        self.0.pool()
+    }
+    fn used_count(&self) -> u64 {
+        self.0.used_count()
+    }
 }

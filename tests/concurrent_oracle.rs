@@ -61,7 +61,7 @@ fn run_writer(store: &Store, seed: u64, writer: usize, section: usize, txns: usi
                     // Delete one of this writer's own earlier inserts
                     // (never another writer's, so a successful commit
                     // can't invalidate a concurrent schedule's target).
-                    Ok(v) if !v.is_empty() => t.delete(v[rng.below(v.len())]),
+                    Ok(v) if !v.is_empty() => t.delete(v[rng.below(v.len())]).map(drop),
                     Ok(_) => Ok(()),
                     Err(e) => Err(e),
                 },

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{rand_name, rand_text, rand_tree, TestRng};
+use common::{rand_name, rand_text, rand_tree, DefaultWalk, TestRng};
 use mbxq::{InsertPosition, NaiveDoc, Node, PageConfig, PagedDoc, QName, TreeView};
 use mbxq_storage::serialize::to_xml;
 
@@ -149,4 +149,104 @@ fn paged_equals_naive_under_random_updates() {
         // Final occupancy accounting.
         assert_eq!(up.used_count(), nv.used_count());
     }
+}
+
+/// What a [`summaries_equal_default_walks`] check saw, so the test can
+/// prove it exercised the shapes the page summaries must get right.
+#[derive(Debug, Default)]
+struct ShapesSeen {
+    empty_pages: usize,
+    overflow_inserts: usize,
+    regions_ending_on_a_page_boundary: usize,
+    regions_ending_at_document_end: usize,
+}
+
+/// `PagedDoc::region_end`/`parent_of` (page level summaries) must equal
+/// the trait-default slot walks for every used `pre`, and the deep
+/// checker must accept every page's summary.
+fn assert_summaries_match(up: &PagedDoc, seen: &mut ShapesSeen, context: &str) {
+    mbxq_storage::invariants::check_paged(up).unwrap_or_else(|e| panic!("{context}: {e}"));
+    let reference = DefaultWalk(up);
+    let page_size = up.config().page_size as u64;
+    let mut p = 0;
+    while let Some(q) = up.next_used_at_or_after(p) {
+        let end = up.region_end(q);
+        assert_eq!(end, reference.region_end(q), "{context}: region_end({q})");
+        assert_eq!(
+            up.parent_of(q),
+            reference.parent_of(q),
+            "{context}: parent_of({q})"
+        );
+        if end == up.pre_end() {
+            seen.regions_ending_at_document_end += 1;
+        } else if end % page_size == 0 {
+            seen.regions_ending_on_a_page_boundary += 1;
+        }
+        p = q + 1;
+    }
+    seen.empty_pages += (0..up.stats().pages)
+        .filter(|&page| up.free_in_page(page) as u64 == page_size)
+        .count();
+}
+
+/// Seeded property test for the per-page level summaries: random
+/// insert / delete / vacuum / checkpoint-reload batches over small and
+/// completely filled pages, checked after every step against the
+/// default walks.
+#[test]
+fn summaries_equal_default_walks() {
+    let mut seen = ShapesSeen::default();
+    for case in 0..48u64 {
+        let mut rng = TestRng::new(0x5A11 + case);
+        let cfg = [
+            PageConfig::new(4, 50).unwrap(),
+            PageConfig::new(4, 100).unwrap(),
+            PageConfig::new(8, 75).unwrap(),
+            PageConfig::new(16, 100).unwrap(),
+            PageConfig::new(64, 80).unwrap(),
+        ][rng.below(5)];
+        let mut up = PagedDoc::from_tree(&rand_tree(&mut rng, 4, 4), cfg).expect("shred paged");
+        assert_summaries_match(&up, &mut seen, &format!("case {case}: fresh"));
+        for step in 0..(4 + rng.below(12)) {
+            let context = format!("case {case} step {step}");
+            let target = nth_node(&up, rng.below(1 << 16)).expect("document is never empty");
+            match rng.below(10) {
+                0..=4 => {
+                    let sub = rand_tree(&mut rng, 3, 4);
+                    let position = match rng.below(3) {
+                        0 => InsertPosition::Before(target),
+                        1 => InsertPosition::After(target),
+                        _ => InsertPosition::LastChildOf(target),
+                    };
+                    // Sibling inserts at the root and children of
+                    // non-elements are refused; nothing changes then.
+                    if let Ok(r) = up.insert(position, &sub) {
+                        seen.overflow_inserts += r.pages_added.min(1);
+                    }
+                }
+                5..=7 => {
+                    let _ = up.delete(target); // the root is refused
+                }
+                8 => {
+                    up.vacuum().expect("vacuum");
+                }
+                _ => {
+                    up = PagedDoc::from_checkpoint_dump(
+                        &up.checkpoint_dump(),
+                        cfg,
+                        up.node_alloc_end(),
+                    )
+                    .expect("checkpoint reload");
+                }
+            }
+            assert_summaries_match(&up, &mut seen, &context);
+        }
+    }
+    assert!(
+        seen.empty_pages > 0
+            && seen.overflow_inserts > 0
+            && seen.regions_ending_on_a_page_boundary > 0
+            && seen.regions_ending_at_document_end > 0,
+        "the seeds no longer reach every shape: {seen:?}"
+    );
 }
