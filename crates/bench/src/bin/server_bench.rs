@@ -17,7 +17,7 @@ use mbxq_server::{Client, Server, ServerConfig};
 use mbxq_txn::{Catalog, CatalogConfig, StoreConfig};
 use mbxq_xmark::rng::StdRng;
 use mbxq_xmark::{generate, XMarkConfig, QUERY_PATHS};
-use mbxq_xpath::{Bindings, Value};
+use mbxq_xpath::{Bindings, EvalOptions, EvalStats, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,6 +100,54 @@ fn run_client(
     }
     let _ = cl.goodbye();
     log
+}
+
+/// Structural guard on the point-lookup path — counters, not timings,
+/// so a regression fails here (and in CI's smoke run) rather than in a
+/// benchmark: the parameterised lookup must run as a content-index
+/// probe, never the scan, and a storm of more distinct literal texts
+/// than the plan cache holds must end without a single eviction (they
+/// are one query shape, hence one cached plan).
+fn assert_point_lookups_stay_prepared(cat: &Catalog, client: &mut Client) {
+    let doc = DOCS[0];
+    let mut b = Bindings::new();
+    b.set("id", Value::Str("item0".into()));
+    let stats = EvalStats::default();
+    let hit = cat
+        .query_nodes_opts(
+            doc,
+            "//item[@id = $id]",
+            &EvalOptions::new().bindings(&b).stats(&stats),
+        )
+        .expect("parameterised point lookup");
+    assert_eq!(hit.len(), 1, "item0 exists exactly once");
+    assert!(
+        stats.value_probe_steps.get() >= 1 && stats.value_scan_steps.get() == 0,
+        "`//item[@id = $id]` must probe the content index (probe steps {}, scan steps {})",
+        stats.value_probe_steps.get(),
+        stats.value_scan_steps.get()
+    );
+    let before = cat.plan_cache_stats();
+    const STORM: usize = 1280; // 1.25x the per-shard plan-cache capacity
+    for n in 0..STORM {
+        client
+            .query_nodes(doc, &format!("//item[@id = \"item{n}\"]"), None)
+            .expect("literal point lookup");
+    }
+    let after = cat.plan_cache_stats();
+    assert_eq!(
+        after.evictions, before.evictions,
+        "a literal storm must not evict (plan cache {before:?} -> {after:?})"
+    );
+    assert!(
+        after.misses <= before.misses + 1,
+        "{STORM} literal texts of one shape are at most one compile ({before:?} -> {after:?})"
+    );
+    println!(
+        "point lookups: probe steps {}, scan steps 0; {STORM} literal texts -> {} compile(s), 0 evictions",
+        stats.value_probe_steps.get(),
+        after.misses - before.misses
+    );
 }
 
 /// Replaces any previous server rows in `BENCH_workload.json` with
@@ -239,6 +287,7 @@ fn main() {
     let writes: usize = by_class.get("write_burst").map_or(0, |v| v.len());
     assert_eq!(markers, writes, "every acknowledged write is visible");
     assert!(writes > 0 || write_conflicts > 0, "writers must have run");
+    assert_point_lookups_stay_prepared(&cat, &mut check);
     drop(check);
     server.shutdown();
 

@@ -69,7 +69,9 @@ pub struct Shard {
     /// locks: a held lock blocks vacuum, so an unchanged epoch at that
     /// point proves the lock's page numbering is current.
     layout_epoch: AtomicU64,
-    /// Compiled-plan cache for [`Shard::query`], keyed by query text,
+    /// Compiled-plan cache for [`Shard::query`], keyed by query *shape*
+    /// ([`mbxq_xpath::QueryShape`]: the text with whitespace normalized
+    /// and comparison-operand string literals lifted to parameters),
     /// with LRU eviction of single entries at the cap.
     plans: Mutex<PlanCache>,
     plan_hits: AtomicU64,
@@ -108,6 +110,15 @@ struct CachedPlan {
     feedback: Arc<mbxq_xpath::PlanFeedback>,
     /// [`PlanCache::tick`] of the most recent use (LRU victim choice).
     last_used: u64,
+}
+
+/// What [`Shard::cached_plan`] hands one request: the shared plan and
+/// feedback store of the text's shape, and the shape itself — which
+/// still holds the literal values this particular text carries.
+struct Prepared {
+    plan: Arc<XPath>,
+    feedback: Arc<mbxq_xpath::PlanFeedback>,
+    shape: mbxq_xpath::QueryShape,
 }
 
 impl Shard {
@@ -362,9 +373,11 @@ impl Shard {
     }
 
     /// Evaluates an XPath query against the committed version through
-    /// the per-shard **plan cache**: the first use of a query text
+    /// the per-shard **plan cache**: the first use of a query *shape*
     /// compiles it (parse → logical plan → rewrite → physical plan),
-    /// later uses reuse the compiled plan. Entries are invalidated by
+    /// later uses — the same text, or any text differing only in
+    /// whitespace and compared-against string literals — reuse the
+    /// compiled plan. Entries are invalidated by
     /// the layout epoch, so a [`Shard::vacuum`] forces recompilation.
     /// Evaluation runs on a lock-free [`Shard::snapshot`].
     pub fn query(&self, text: &str) -> Result<mbxq_xpath::Value> {
@@ -411,10 +424,16 @@ impl Shard {
         text: &str,
         opts: &mbxq_xpath::EvalOptions<'_>,
     ) -> Result<mbxq_xpath::Value> {
-        let (plan, feedback) = self.cached_plan(text)?;
+        let prepared = self.cached_plan(text)?;
         let root: Vec<u64> = snapshot.root_pre().into_iter().collect();
-        let opts = self.inject_pool(*opts).or_feedback(&feedback);
-        Ok(plan.eval_opts(snapshot, &root, &opts)?)
+        // The literals this text carries where the shared plan has
+        // parameters, layered over the caller's own bindings.
+        let bound = prepared.shape.bindings(opts.bindings_ref());
+        let mut opts = self.inject_pool(*opts).or_feedback(&prepared.feedback);
+        if let Some(b) = &bound {
+            opts = opts.bindings(b);
+        }
+        Ok(prepared.plan.eval_opts(snapshot, &root, &opts)?)
     }
 
     /// [`Shard::query_nodes_opts`] against a caller-held snapshot (see
@@ -426,9 +445,7 @@ impl Shard {
         text: &str,
         opts: &mbxq_xpath::EvalOptions<'_>,
     ) -> Result<Vec<NodeId>> {
-        let (plan, feedback) = self.cached_plan(text)?;
-        let opts = self.inject_pool(*opts).or_feedback(&feedback);
-        let pres = plan.select_from_root_opts(snapshot, &opts)?;
+        let pres = self.query_on(snapshot, text, opts)?.into_node_set(text)?;
         pres.iter()
             .map(|&p| snapshot.pre_to_node(p).map_err(TxnError::from))
             .collect()
@@ -457,37 +474,59 @@ impl Shard {
         }
     }
 
-    /// Entries beyond which the plan cache evicts. Interpolated query
-    /// texts (`…[@id="personN"]…` per request) would otherwise grow the
-    /// map without bound for the shard's lifetime.
+    /// Entries beyond which the plan cache evicts. One entry serves a
+    /// whole query *shape*, so per-request string keys
+    /// (`…[@id = "personN"]…`) no longer count against it; what still
+    /// could grow the map without bound for the shard's lifetime is a
+    /// client generating distinct shapes — element names, numeric
+    /// literals or function arguments that vary per request.
     const PLAN_CACHE_CAP: usize = 1024;
 
-    /// The compiled plan for `text`, from the cache when its epoch is
-    /// current, freshly compiled (and cached) otherwise. At the cap the
-    /// cache evicts **single entries, least-recently-used first** (a
-    /// stale-epoch entry is preferred as the victim — it can never hit
-    /// again), so a hot query survives any storm of one-shot texts.
-    fn cached_plan(&self, text: &str) -> Result<(Arc<XPath>, Arc<mbxq_xpath::PlanFeedback>)> {
+    /// The compiled plan for `text`'s shape, from the cache when its
+    /// epoch is current, freshly compiled (and cached) otherwise. The
+    /// key is [`mbxq_xpath::QueryShape::key`]: the token-normalized text
+    /// with every string literal that is a direct operand of a
+    /// comparison lifted to a synthetic parameter, so the N texts of
+    /// one shape are one entry and one compile, and the bound-parameter
+    /// form and the literal form run the same kind of plan. There is no
+    /// exact-text path in front of it — every lookup lexes the text
+    /// (well under a microsecond for a point query) and keys on the
+    /// shape. At the cap the cache evicts **single entries,
+    /// least-recently-used first** (a stale-epoch entry is preferred as
+    /// the victim — it can never hit again), so a hot query survives
+    /// any storm of one-shot shapes.
+    fn cached_plan(&self, text: &str) -> Result<Prepared> {
+        let shape = mbxq_xpath::QueryShape::of(text)?;
         let epoch = self.layout_epoch();
         {
             let mut plans = self.plans.lock().unwrap();
             plans.tick += 1;
             let tick = plans.tick;
-            if let Some(entry) = plans.map.get_mut(text) {
+            if let Some(entry) = plans.map.get_mut(shape.key()) {
                 if entry.epoch == epoch {
                     entry.last_used = tick;
                     self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((entry.plan.clone(), entry.feedback.clone()));
+                    return Ok(Prepared {
+                        plan: entry.plan.clone(),
+                        feedback: entry.feedback.clone(),
+                        shape,
+                    });
                 }
             }
         }
         // Compile OUTSIDE the lock: a slow compile must not serialize
-        // concurrent queries for unrelated (cached) texts. Racing
-        // compilers of the same text both succeed; last insert wins.
+        // concurrent queries for unrelated (cached) shapes. Racing
+        // compilers of the same shape both succeed; last insert wins.
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(XPath::parse(text)?);
+        // A text that does not parse reports the error of the text as
+        // written, not of its lifted form.
+        let plan = Arc::new(
+            shape
+                .compile()
+                .map_err(|e| XPath::parse(text).err().unwrap_or(e))?,
+        );
         let mut plans = self.plans.lock().unwrap();
-        while plans.map.len() >= Self::PLAN_CACHE_CAP && !plans.map.contains_key(text) {
+        while plans.map.len() >= Self::PLAN_CACHE_CAP && !plans.map.contains_key(shape.key()) {
             // Victim: any stale-epoch entry, else the LRU one. An O(n)
             // scan over ≤ cap entries, paid only on an insert at the
             // cap — the hit path stays O(1).
@@ -508,7 +547,7 @@ impl Shard {
         let tick = plans.tick;
         let feedback = Arc::new(mbxq_xpath::PlanFeedback::new());
         plans.map.insert(
-            text.to_string(),
+            shape.key().to_string(),
             CachedPlan {
                 epoch,
                 plan: plan.clone(),
@@ -516,17 +555,23 @@ impl Shard {
                 last_used: tick,
             },
         );
-        Ok((plan, feedback))
+        Ok(Prepared {
+            plan,
+            feedback,
+            shape,
+        })
     }
 
-    /// The recorded multi-predicate feedback for a cached query text:
-    /// estimated vs observed candidate cardinality per step, in
-    /// execution order. `None` when the text was never compiled (or its
-    /// entry was evicted / epoch-invalidated).
+    /// The recorded multi-predicate feedback for a cached query (looked
+    /// up by `text`'s shape, like every cache access): estimated vs
+    /// observed candidate cardinality per step, in execution order.
+    /// `None` when the shape was never compiled (or its entry was
+    /// evicted / epoch-invalidated).
     pub fn plan_feedback(&self, text: &str) -> Option<Vec<mbxq_xpath::StepFeedback>> {
+        let shape = mbxq_xpath::QueryShape::of(text).ok()?;
         let epoch = self.layout_epoch();
         let plans = self.plans.lock().unwrap();
-        let entry = plans.map.get(text)?;
+        let entry = plans.map.get(shape.key())?;
         if entry.epoch != epoch {
             return None;
         }
@@ -536,10 +581,19 @@ impl Shard {
     /// Explains the compiled physical plan for `text`, annotated with
     /// this shard's recorded estimated-vs-observed cardinalities for
     /// every multi-predicate step (compiling and caching the plan if
-    /// needed) — the adaptive-execution introspection surface.
+    /// needed) — the adaptive-execution introspection surface. When the
+    /// text's literals were lifted, the first line names the shape key
+    /// the plan is cached under (and shared through).
     pub fn explain_query(&self, text: &str) -> Result<String> {
-        let (plan, feedback) = self.cached_plan(text)?;
-        Ok(plan.explain_physical_annotated(&feedback.snapshot()))
+        let prepared = self.cached_plan(text)?;
+        let plan = prepared
+            .plan
+            .explain_physical_annotated(&prepared.feedback.snapshot());
+        Ok(if prepared.shape.lifted() > 0 {
+            format!("cached as {}\n{plan}", prepared.shape.key())
+        } else {
+            plan
+        })
     }
 
     /// Plan-cache counters.

@@ -50,6 +50,32 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// The operator with its operands swapped (`a < b` ⇔ `b > a`).
+    pub fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
+
+    /// The operator as written in a query.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "!=",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {

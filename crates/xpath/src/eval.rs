@@ -16,7 +16,7 @@
 use crate::ast::{ArithOp, CmpOp};
 use crate::par::{self, ParChoice, WorkerPool};
 use crate::physical::{PhysPred, PhysRel, PhysScalar, StepStrategy};
-use crate::plan::{ValueCmp, ValuePred, ValueSource};
+use crate::plan::{Operand, ValuePred, ValueSource};
 use crate::{
     AxisChoice, Bindings, EvalStats, MultiChoice, MultiStrategy, PlanFeedback, ReplanMode, Result,
     StepFeedback, ValueChoice, XPathError,
@@ -25,7 +25,7 @@ use mbxq_axes::{
     descendant_scan_ranges, exists_step, in_range_mask, intersect_sorted, range_semijoin,
     scan_ranges_arm, simd_compiled, step_lifted_with, Axis, ContextSeq, KernelArm, NodeTest,
 };
-use mbxq_storage::{DegreeStats, QnId, TreeView};
+use mbxq_storage::{DegreeStats, NumRange, QnId, TreeView};
 use std::cell::Cell;
 use std::sync::Mutex;
 
@@ -110,6 +110,20 @@ impl Value {
 
     fn is_set(&self) -> bool {
         matches!(self, Value::Nodes(_) | Value::Attrs(_))
+    }
+
+    /// The tree-node set this value is (pre ranks, document order), or
+    /// the "expected a node set" error naming the query `source`.
+    pub fn into_node_set(self, source: &str) -> Result<Vec<u64>> {
+        match self {
+            Value::Nodes(ns) => Ok(ns),
+            other => Err(XPathError::Eval {
+                message: format!(
+                    "expression '{source}' yields {} — expected a node set",
+                    other.type_name()
+                ),
+            }),
+        }
     }
 }
 
@@ -218,17 +232,7 @@ pub(crate) fn compare<V: TreeView + ?Sized>(view: &V, op: CmpOp, a: &Value, b: &
                 }
             }
         }
-        (false, true) => {
-            let flipped = match op {
-                CmpOp::Eq => CmpOp::Eq,
-                CmpOp::Ne => CmpOp::Ne,
-                CmpOp::Lt => CmpOp::Gt,
-                CmpOp::Le => CmpOp::Ge,
-                CmpOp::Gt => CmpOp::Lt,
-                CmpOp::Ge => CmpOp::Le,
-            };
-            compare(view, flipped, b, a)
-        }
+        (false, true) => compare(view, op.flipped(), b, a),
         (false, false) => match (a, b) {
             (Value::Boolean(_), _) | (_, Value::Boolean(_)) => {
                 num_cmp(a.to_boolean() as u8 as f64, b.to_boolean() as u8 as f64)
@@ -702,10 +706,9 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         match s {
             PhysScalar::Literal(v) => Ok(Lifted::Const(Value::Str(v.clone()))),
             PhysScalar::Number(x) => Ok(Lifted::Const(Value::Number(*x))),
-            PhysScalar::Var(name) => Ok(Lifted::Const(crate::interp::lookup_var(
-                name,
-                self.bindings,
-            )?)),
+            PhysScalar::Var(name) => Ok(Lifted::Const(
+                crate::interp::lookup_var(name, self.bindings)?.clone(),
+            )),
             PhysScalar::Const(inner) => {
                 // Loop-invariant hoisting, now an explicit plan marker:
                 // evaluate once in a context-free domain, broadcast.
@@ -1609,11 +1612,63 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
 
     // -- value-probe steps ---------------------------------------------
 
-    /// One value-predicate step (`PhysRel::ValueProbe`): per execution,
-    /// choose between the content-index probe + range semijoin and the
-    /// scalar scan from the posting-list estimate vs the context's
-    /// region sizes (same model as the element-name index, since the
-    /// probe's semijoin half is identical).
+    /// Resolves a predicate's slot against this execution's bindings —
+    /// once, at the top of the step, so everything below (estimates,
+    /// the cost model, the probe, the scan mask) runs on a plain key
+    /// and cannot tell a bound parameter from a literal. A string is an
+    /// equality key under `=` and its `number()` under an order
+    /// operator; a number is an interval; `NaN` on either route matches
+    /// nothing (every XPath comparison with `NaN` is false). A boolean,
+    /// node-set or attribute-set binding has no key form and keeps
+    /// XPath's general comparison. An unbound parameter is the usual
+    /// `unbound variable` error.
+    fn resolve<'s>(&'s self, pred: &'s ValuePred) -> Result<Resolved<'s>> {
+        enum Key<'k> {
+            Str(&'k str),
+            Num(f64),
+        }
+        let key = match &pred.operand {
+            Operand::Str(s) => Key::Str(s),
+            Operand::Num(n) => Key::Num(*n),
+            Operand::Param(name) => match crate::interp::lookup_var(name, self.bindings)? {
+                Value::Str(s) => Key::Str(s),
+                Value::Number(n) => Key::Num(*n),
+                other => return Ok(Resolved::General(other)),
+            },
+        };
+        let cmp = match (pred.op, key) {
+            (CmpOp::Eq, Key::Str(s)) => ValueCmp::Eq(s),
+            (op, key) => {
+                let n = match key {
+                    Key::Str(s) => str_to_number(s),
+                    Key::Num(n) => n,
+                };
+                if n.is_nan() {
+                    return Ok(Resolved::Never);
+                }
+                ValueCmp::InRange(match op {
+                    CmpOp::Eq => NumRange::exactly(n),
+                    CmpOp::Gt => NumRange::at_least(n, false),
+                    CmpOp::Ge => NumRange::at_least(n, true),
+                    CmpOp::Lt => NumRange::at_most(n, false),
+                    CmpOp::Le => NumRange::at_most(n, true),
+                    CmpOp::Ne => unreachable!("the rewriter never lowers `!=`"),
+                })
+            }
+        };
+        Ok(Resolved::Key(KeyPred {
+            source: &pred.source,
+            cmp,
+        }))
+    }
+
+    /// One value-predicate step (`PhysRel::ValueProbe`): resolve the
+    /// slot, then choose between the content-index probe + range
+    /// semijoin and the scalar scan from the resolved key's posting
+    /// count vs the context's region sizes (same model as the
+    /// element-name index, since the probe's semijoin half is
+    /// identical). The choice is per execution *and* per key: a hot
+    /// key bound to the same cached plan steers to the scan.
     fn value_probe_step(
         &self,
         ctx: &ContextSeq,
@@ -1624,6 +1679,16 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         if ctx.is_empty() {
             return Ok(ContextSeq::new());
         }
+        let pred = match self.resolve(pred)? {
+            Resolved::Key(k) => k,
+            Resolved::Never => return Ok(ContextSeq::new()),
+            Resolved::General(bound) => {
+                self.count_value_step(false);
+                let cands = self.scan_candidates(ctx, axis, test);
+                let keep = self.general_pred_mask(&cands.pres, pred, bound);
+                return Ok(cands.retain_rows(&keep));
+            }
+        };
         let use_probe = if !self.view.has_content_index() {
             false
         } else {
@@ -1631,22 +1696,24 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 ValueChoice::ForceProbe => true,
                 ValueChoice::ForceScan => false,
                 ValueChoice::Auto => {
-                    self.index_cheaper(ctx, axis, self.value_probe_estimate(test, pred))
+                    self.index_cheaper(ctx, axis, self.value_probe_estimate(test, &pred))
                 }
             }
         };
         self.count_value_step(use_probe);
         if !use_probe {
-            return Ok(self.value_scan(ctx, axis, test, pred));
+            let cands = self.scan_candidates(ctx, axis, test);
+            let keep = self.value_pred_mask(&cands.pres, &pred);
+            return Ok(cands.retain_rows(&keep));
         }
-        let cands = self.value_probe_candidates(test, pred);
+        let cands = self.value_probe_candidates(test, &pred);
         Ok(self.semijoin_rel(ctx, &cands, axis))
     }
 
     /// Upper-bound match count from the content index's estimators
     /// (complex-content candidates included — each costs a verify).
     /// A name that was never interned matches nothing: estimate 0.
-    fn value_probe_estimate(&self, test: &NodeTest, pred: &ValuePred) -> u64 {
+    fn value_probe_estimate(&self, test: &NodeTest, pred: &KeyPred<'_>) -> u64 {
         match &pred.source {
             ValueSource::Attr(a) => match self.view.pool().lookup_qname(a) {
                 None => 0,
@@ -1666,7 +1733,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
 
     /// Estimated `text_probe_hits` cardinality for elements named
     /// `name` (exact arm + complex remainder).
-    fn text_count(&self, name: &mbxq_xml::QName, cmp: &ValueCmp) -> u64 {
+    fn text_count(&self, name: &mbxq_xml::QName, cmp: &ValueCmp<'_>) -> u64 {
         let Some(qn) = self.view.pool().lookup_qname(name) else {
             return 0;
         };
@@ -1680,7 +1747,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// The probe arm's candidate list: document-ordered, deduplicated
     /// pre ranks of elements satisfying `test` + `pred`. Only called
     /// when the view has a content index.
-    fn value_probe_candidates(&self, test: &NodeTest, pred: &ValuePred) -> Vec<u64> {
+    fn value_probe_candidates(&self, test: &NodeTest, pred: &KeyPred<'_>) -> Vec<u64> {
         let pool = self.view.pool();
         match &pred.source {
             ValueSource::Attr(a) => {
@@ -1728,7 +1795,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// Elements named `name` whose string value satisfies `cmp`: the
     /// exact index arm merged with the verified complex-content
     /// remainder (both document-ordered).
-    fn text_probe_hits(&self, name: &mbxq_xml::QName, cmp: &ValueCmp) -> Vec<u64> {
+    fn text_probe_hits(&self, name: &mbxq_xml::QName, cmp: &ValueCmp<'_>) -> Vec<u64> {
         let Some(qn) = self.view.pool().lookup_qname(name) else {
             return Vec::new();
         };
@@ -1746,38 +1813,56 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     }
 
     /// Whether the string value of the node at `pre` satisfies `cmp`.
-    fn string_value_matches(&self, pre: u64, cmp: &ValueCmp) -> bool {
+    fn string_value_matches(&self, pre: u64, cmp: &ValueCmp<'_>) -> bool {
         cmp_value(&self.view.string_value(pre), cmp)
     }
 
-    /// The scan arm: the plain axis step (itself cost-annotated when
-    /// the test is a name) followed by direct per-candidate predicate
-    /// evaluation — observably the `Step` + `Filter` pair the lowering
-    /// replaced.
-    fn value_scan(
-        &self,
-        ctx: &ContextSeq,
-        axis: Axis,
-        test: &NodeTest,
-        pred: &ValuePred,
-    ) -> ContextSeq {
+    /// The candidate half of the scan arm: the plain axis step (itself
+    /// cost-annotated when the test is a name). Followed by a
+    /// per-candidate mask it is observably the `Step` + `Filter` pair
+    /// the lowering replaced.
+    fn scan_candidates(&self, ctx: &ContextSeq, axis: Axis, test: &NodeTest) -> ContextSeq {
         let strategy = match test {
             NodeTest::Name(n) => StepStrategy::Cost(n.clone()),
             _ => StepStrategy::Staircase,
         };
-        let cands = self.step_relation(ctx, axis, test, &strategy);
-        if cands.is_empty() {
-            return cands;
-        }
-        let keep = self.value_pred_mask(&cands.pres, pred);
-        cands.retain_rows(&keep)
+        self.step_relation(ctx, axis, test, &strategy)
+    }
+
+    /// Per-candidate verification of a predicate whose parameter is
+    /// bound to a boolean, node set or attribute set: the candidate's
+    /// source as the node/attribute set the filter form would build,
+    /// compared against the bound value under XPath's general rules.
+    fn general_pred_mask(&self, pres: &[u64], pred: &ValuePred, bound: &Value) -> Vec<bool> {
+        let pool = self.view.pool();
+        let source_of = |p: u64| -> Value {
+            match &pred.source {
+                ValueSource::SelfValue => Value::Nodes(vec![p]),
+                ValueSource::Attr(a) => Value::Attrs(
+                    pool.lookup_qname(a)
+                        .filter(|&aqn| self.view.attributes(p).iter().any(|&(qn, _)| qn == aqn))
+                        .map(|aqn| (p, aqn))
+                        .into_iter()
+                        .collect(),
+                ),
+                ValueSource::Child(c) => Value::Nodes(match pool.lookup_qname(c) {
+                    None => Vec::new(),
+                    Some(cqn) => mbxq_axes::children(self.view, p)
+                        .filter(|&ch| self.view.name_id(ch) == Some(cqn))
+                        .collect(),
+                }),
+            }
+        };
+        pres.iter()
+            .map(|&p| compare(self.view, pred.op, &source_of(p), bound))
+            .collect()
     }
 
     /// Per-candidate verification of one recognized value predicate:
     /// `keep[i]` iff the node at `pres[i]` satisfies `pred`. The
     /// columnar half of the scan arm and the residual-verify pass of
     /// multi-predicate steps.
-    fn value_pred_mask(&self, pres: &[u64], pred: &ValuePred) -> Vec<bool> {
+    fn value_pred_mask(&self, pres: &[u64], pred: &KeyPred<'_>) -> Vec<bool> {
         let pool = self.view.pool();
         match (&pred.source, &pred.cmp) {
             // Numeric range tests gather the parsed values into one
@@ -1878,7 +1963,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// guarantee: a plan ranked safe is safe). An `observed` list
     /// length recorded by a previous execution overrides the
     /// statistics — replans correct from evidence, not re-guesses.
-    fn multi_pred_bound(&self, test: &NodeTest, pred: &ValuePred, observed: Option<u64>) -> u64 {
+    fn multi_pred_bound(&self, test: &NodeTest, pred: &KeyPred<'_>, observed: Option<u64>) -> u64 {
         if let Some(n) = observed {
             return n;
         }
@@ -1888,8 +1973,8 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
 
     /// The degree-statistics half of [`Exec::multi_pred_bound`];
     /// `u64::MAX` when the view keeps no statistics for the source.
-    fn degree_cap(&self, test: &NodeTest, pred: &ValuePred) -> u64 {
-        fn cap_of(stats: DegreeStats, cmp: &ValueCmp) -> u64 {
+    fn degree_cap(&self, test: &NodeTest, pred: &KeyPred<'_>) -> u64 {
+        fn cap_of(stats: DegreeStats, cmp: &ValueCmp<'_>) -> u64 {
             match cmp {
                 ValueCmp::Eq(_) => stats.max_postings,
                 ValueCmp::InRange(_) => stats.total_postings,
@@ -1932,7 +2017,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         choice: MultiChoice,
         ctx: &ContextSeq,
         test: &NodeTest,
-        preds: &[ValuePred],
+        preds: &[KeyPred<'_>],
         pred_obs: &[Option<u64>],
     ) -> (MultiStrategy, u64) {
         let bounds: Vec<u64> = preds
@@ -1981,11 +2066,18 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         }
     }
 
-    /// One multi-predicate step (`PhysRel::MultiProbe`): decide a
-    /// strategy (reused from plan feedback, replanned, or derived
-    /// fresh — see [`crate::ReplanMode`]), execute it, and record the
-    /// estimated-vs-observed candidate cardinality back into the
-    /// feedback store.
+    /// One multi-predicate step (`PhysRel::MultiProbe`): resolve every
+    /// slot, decide a strategy (reused from plan feedback, replanned,
+    /// or derived fresh — see [`crate::ReplanMode`]), execute it, and
+    /// record the estimated-vs-observed candidate cardinality back into
+    /// the feedback store.
+    ///
+    /// A step with a **parameter** slot always derives its strategy
+    /// fresh from this execution's per-key counts (one count probe per
+    /// predicate): a strategy or posting-list length recorded under a
+    /// different key says nothing about this one, and replaying it is
+    /// how a rare-key plan would end up intersecting a hot key's list.
+    /// Its feedback row is still written, for `explain_query`.
     fn multi_probe_step(
         &self,
         ctx: &ContextSeq,
@@ -2003,7 +2095,22 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 .multi_probe_steps
                 .set(stats.multi_probe_steps.get() + 1);
         }
-        let recorded = self.feedback.and_then(|f| f.step(seq));
+        let mut keyed: Vec<KeyPred<'_>> = Vec::with_capacity(preds.len());
+        let mut general: Vec<(&ValuePred, &Value)> = Vec::new();
+        for pred in preds {
+            match self.resolve(pred)? {
+                Resolved::Key(k) => keyed.push(k),
+                // One predicate nothing satisfies empties the conjunction.
+                Resolved::Never => return Ok(ContextSeq::new()),
+                Resolved::General(bound) => general.push((pred, bound)),
+            }
+        }
+        let late_bound = preds.iter().any(|p| matches!(p.operand, Operand::Param(_)));
+        let recorded = if late_bound {
+            None
+        } else {
+            self.feedback.and_then(|f| f.step(seq))
+        };
         // The per-step value override composes: forcing the scalar scan
         // or the index probe for single-predicate steps forces the
         // matching multi-predicate arm too, so the existing scan/probe
@@ -2014,11 +2121,12 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
             (m, _) => m,
         };
         let mut replanned = false;
-        let (strategy, estimated) = if !self.view.has_content_index() {
-            // No index: every arm degenerates to the scan.
+        let (strategy, estimated) = if !general.is_empty() || !self.view.has_content_index() {
+            // No index, or a predicate with no key form: every arm
+            // degenerates to the scan.
             (MultiStrategy::Scan, 0)
         } else if choice != MultiChoice::Auto {
-            self.choose_multi(choice, ctx, test, preds, &[])
+            self.choose_multi(choice, ctx, test, &keyed, &[])
         } else {
             match (&recorded, self.replan) {
                 (Some(r), ReplanMode::Skip) => (r.strategy.clone(), r.estimated),
@@ -2027,13 +2135,13 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 }
                 (Some(r), ReplanMode::Default) => {
                     replanned = true;
-                    self.choose_multi(choice, ctx, test, preds, &r.pred_lists)
+                    self.choose_multi(choice, ctx, test, &keyed, &r.pred_lists)
                 }
                 (Some(_), ReplanMode::Force) => {
                     replanned = true;
-                    self.choose_multi(choice, ctx, test, preds, &[])
+                    self.choose_multi(choice, ctx, test, &keyed, &[])
                 }
-                (None, _) => self.choose_multi(choice, ctx, test, preds, &[]),
+                (None, _) => self.choose_multi(choice, ctx, test, &keyed, &[]),
             }
         };
         if replanned {
@@ -2045,16 +2153,19 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let observed;
         let out = match &strategy {
             MultiStrategy::Scan => {
-                let step_strategy = match test {
-                    NodeTest::Name(n) => StepStrategy::Cost(n.clone()),
-                    _ => StepStrategy::Staircase,
-                };
-                let mut cands = self.step_relation(ctx, axis, test, &step_strategy);
-                for pred in preds {
+                let mut cands = self.scan_candidates(ctx, axis, test);
+                for pred in &keyed {
                     if cands.is_empty() {
                         break;
                     }
                     let keep = self.value_pred_mask(&cands.pres, pred);
+                    cands = cands.retain_rows(&keep);
+                }
+                for (pred, bound) in &general {
+                    if cands.is_empty() {
+                        break;
+                    }
+                    let keep = self.general_pred_mask(&cands.pres, pred, bound);
                     cands = cands.retain_rows(&keep);
                 }
                 // The scan produces context-joined rows directly, so
@@ -2064,30 +2175,10 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 cands
             }
             MultiStrategy::Probe(prefix) => {
-                let lists: Vec<Vec<u64>> = prefix
-                    .iter()
-                    .map(|&i| {
-                        let l = self.value_probe_candidates(test, &preds[i]);
-                        pred_lists[i] = Some(l.len() as u64);
-                        l
-                    })
-                    .collect();
-                let mut cands: Vec<u64> = if lists.len() == 1 {
-                    lists.into_iter().next().unwrap()
-                } else {
-                    let refs: Vec<&[u64]> = lists.iter().map(Vec::as_slice).collect();
-                    self.note_simd();
-                    let inter = intersect_sorted(&refs, self.kernel);
-                    if let Some(stats) = self.stats {
-                        stats
-                            .intersect_rows
-                            .set(stats.intersect_rows.get() + inter.len() as u64);
-                    }
-                    inter
-                };
+                let mut cands = self.intersect_prefix(test, &keyed, prefix, &mut pred_lists);
                 // Residual verification: predicates outside the
                 // intersection prefix, applied per candidate.
-                for (i, pred) in preds.iter().enumerate() {
+                for (i, pred) in keyed.iter().enumerate() {
                     if prefix.contains(&i) || cands.is_empty() {
                         continue;
                     }
@@ -2140,6 +2231,45 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
             }
         }
         Ok(out)
+    }
+
+    /// The probe arm's candidate set: the posting lists of `prefix`
+    /// (predicate indices, cheapest first) materialized **in that
+    /// order** and intersected — stopping at the first empty list,
+    /// which empties the intersection whatever the later ones hold.
+    /// With exact per-key counts the cheapest list of a point predicate
+    /// is usually zero or one rows long, so a miss touches one index
+    /// and a hit reads the longer lists only when it must. Each
+    /// materialized list's length lands in `pred_lists`; lists never
+    /// read stay `None`.
+    fn intersect_prefix(
+        &self,
+        test: &NodeTest,
+        preds: &[KeyPred<'_>],
+        prefix: &[usize],
+        pred_lists: &mut [Option<u64>],
+    ) -> Vec<u64> {
+        let mut lists: Vec<Vec<u64>> = Vec::with_capacity(prefix.len());
+        for &i in prefix {
+            let l = self.value_probe_candidates(test, &preds[i]);
+            pred_lists[i] = Some(l.len() as u64);
+            if l.is_empty() {
+                return Vec::new();
+            }
+            lists.push(l);
+        }
+        if lists.len() == 1 {
+            return lists.pop().expect("one list");
+        }
+        let refs: Vec<&[u64]> = lists.iter().map(Vec::as_slice).collect();
+        self.note_simd();
+        let inter = intersect_sorted(&refs, self.kernel);
+        if let Some(stats) = self.stats {
+            stats
+                .intersect_rows
+                .set(stats.intersect_rows.get() + inter.len() as u64);
+        }
+        inter
     }
 
     fn probe(&self, name: &mbxq_xml::QName) -> Option<Vec<u64>> {
@@ -2314,12 +2444,41 @@ fn keep_flags(v: &Lifted, pos: Option<&[f64]>, n: usize) -> Vec<bool> {
     }
 }
 
-/// Whether a string value satisfies a recognized value comparison —
+/// The **resolved** form of a [`ValuePred`]'s slot — what the index
+/// and the scan mask actually compare against. Exists only inside one
+/// step execution ([`Exec::resolve`] builds it from the plan's operand
+/// and this execution's bindings).
+enum ValueCmp<'a> {
+    /// String equality against this key.
+    Eq(&'a str),
+    /// Numeric interval membership.
+    InRange(NumRange),
+}
+
+/// A value predicate with a resolved key: the argument of the
+/// estimators, the index probe and the columnar scan mask.
+struct KeyPred<'a> {
+    source: &'a ValueSource,
+    cmp: ValueCmp<'a>,
+}
+
+/// What a predicate's slot resolved to for this execution.
+enum Resolved<'a> {
+    /// A string key or numeric interval — both arms available.
+    Key(KeyPred<'a>),
+    /// A `NaN` operand: no value satisfies the comparison.
+    Never,
+    /// A boolean, node-set or attribute-set binding: scan arm only,
+    /// under XPath's general comparison rules.
+    General(&'a Value),
+}
+
+/// Whether a string value satisfies a resolved value comparison —
 /// the scalar twin of the content-index probe (`Eq` is XPath string
 /// equality; ranges go through [`str_to_number`]).
-fn cmp_value(v: &str, cmp: &ValueCmp) -> bool {
+fn cmp_value(v: &str, cmp: &ValueCmp<'_>) -> bool {
     match cmp {
-        ValueCmp::Eq(lit) => v == lit,
+        ValueCmp::Eq(lit) => v == *lit,
         ValueCmp::InRange(r) => r.contains(str_to_number(v)),
     }
 }
@@ -2406,6 +2565,59 @@ fn rel_out_type(r: &RelOut) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A forced-intersect step whose cheapest list is empty answers
+    /// from that one index: the second posting list is never read.
+    #[test]
+    fn intersect_stops_at_the_first_empty_list() {
+        let doc = mbxq_storage::ReadOnlyDoc::parse_str(
+            r#"<r><p id="a"><n>x</n></p><p id="b"><n>x</n></p><p id="c"><n>y</n></p></r>"#,
+        )
+        .unwrap();
+        let exec = Exec {
+            view: &doc,
+            bindings: None,
+            choice: AxisChoice::Auto,
+            value_choice: ValueChoice::Auto,
+            stats: None,
+            pool: None,
+            par: ParChoice::ForceSequential,
+            threads: 1,
+            morsel_rows: 0,
+            kernel: KernelArm::Scalar,
+            multi_choice: MultiChoice::ForceIntersect,
+            replan: ReplanMode::Default,
+            feedback: None,
+            multi_seq: Cell::new(0),
+        };
+        let test = NodeTest::Name(mbxq_xml::QName::local("p"));
+        let id = ValueSource::Attr(mbxq_xml::QName::local("id"));
+        let n = ValueSource::Child(mbxq_xml::QName::local("n"));
+        let pred = |source, key| KeyPred {
+            source,
+            cmp: ValueCmp::Eq(key),
+        };
+        let ctx = ContextSeq::single_iter(vec![0]);
+        // `@id = "zz"` matches nothing and ranks first (bound 0).
+        let preds = [pred(&n, "x"), pred(&id, "zz")];
+        let (strategy, _) =
+            exec.choose_multi(MultiChoice::ForceIntersect, &ctx, &test, &preds, &[]);
+        let MultiStrategy::Probe(prefix) = strategy else {
+            panic!("forced intersect must probe")
+        };
+        assert_eq!(prefix, [1, 0], "cheapest list first");
+        let mut lists = vec![None; 2];
+        assert!(exec
+            .intersect_prefix(&test, &preds, &prefix, &mut lists)
+            .is_empty());
+        assert_eq!(lists, [None, Some(0)], "the `n` index was never touched");
+        // With a hit on the first list the second one is read.
+        let preds = [pred(&n, "x"), pred(&id, "b")];
+        let mut lists = vec![None; 2];
+        let hits = exec.intersect_prefix(&test, &preds, &[1, 0], &mut lists);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(lists, [Some(2), Some(1)]);
+    }
 
     #[test]
     fn format_number_integers_without_point() {

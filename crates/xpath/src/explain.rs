@@ -8,7 +8,7 @@
 //! cost-chosen pair).
 
 use crate::physical::{PhysPred, PhysRel, PhysScalar, StepStrategy};
-use crate::plan::{AggKind, Pred, Rel, Scalar, ValueCmp, ValuePred, ValueSource};
+use crate::plan::{AggKind, Operand, Pred, Rel, Scalar, ValuePred, ValueSource};
 use crate::{MultiStrategy, StepFeedback};
 use mbxq_axes::{Axis, NodeTest};
 use std::fmt::Write as _;
@@ -41,22 +41,21 @@ fn test_name(test: &NodeTest) -> String {
     }
 }
 
-/// `[@id = "x"]` / `[. in (50, +∞)]`-style rendering of a recognized
-/// value predicate.
+/// `[@id = "x"]` / `[@id = $id]` / `[. > 50]` rendering of a
+/// recognized value predicate — the comparison as written (source on
+/// the left), with a parameter slot shown by name.
 fn value_pred_label(pred: &ValuePred) -> String {
     let source = match &pred.source {
         ValueSource::SelfValue => ".".to_string(),
         ValueSource::Attr(a) => format!("@{a}"),
         ValueSource::Child(c) => c.to_string(),
     };
-    match &pred.cmp {
-        ValueCmp::Eq(v) => format!("[{source} = {v:?}]"),
-        ValueCmp::InRange(r) => {
-            let lo = if r.lo_incl { "[" } else { "(" };
-            let hi = if r.hi_incl { "]" } else { ")" };
-            format!("[{source} in {lo}{}, {}{hi}]", r.lo, r.hi)
-        }
-    }
+    let operand = match &pred.operand {
+        Operand::Str(v) => format!("{v:?}"),
+        Operand::Num(n) => n.to_string(),
+        Operand::Param(name) => format!("${name}"),
+    };
+    format!("[{source} {} {operand}]", pred.op.symbol())
 }
 
 struct Printer<'a> {

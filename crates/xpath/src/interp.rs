@@ -65,7 +65,7 @@ pub(crate) fn eval_expr<V: TreeView + ?Sized>(
         }
         Expr::Literal(s) => Ok(Value::Str(s.clone())),
         Expr::Number(n) => Ok(Value::Number(*n)),
-        Expr::Var(name) => lookup_var(name, bnd),
+        Expr::Var(name) => lookup_var(name, bnd).cloned(),
         Expr::Call(name, args) => {
             if name == "position" || name == "last" {
                 return Err(XPathError::Eval {
@@ -84,8 +84,8 @@ pub(crate) fn eval_expr<V: TreeView + ?Sized>(
 
 /// Resolves `$name` against the bindings, with the `unbound variable`
 /// error when absent.
-pub(crate) fn lookup_var(name: &str, bnd: Option<&Bindings>) -> Result<Value> {
-    bnd.and_then(|b| b.get(name).cloned())
+pub(crate) fn lookup_var<'a>(name: &str, bnd: Option<&'a Bindings>) -> Result<&'a Value> {
+    bnd.and_then(|b| b.get(name))
         .ok_or_else(|| XPathError::Eval {
             message: format!("unbound variable ${name}"),
         })
@@ -428,7 +428,7 @@ fn eval_lifted<V: TreeView + ?Sized>(
         }
         Expr::Literal(s) => Ok(Lifted::Const(Value::Str(s.clone()))),
         Expr::Number(x) => Ok(Lifted::Const(Value::Number(*x))),
-        Expr::Var(name) => Ok(Lifted::Const(lookup_var(name, bnd)?)),
+        Expr::Var(name) => Ok(Lifted::Const(lookup_var(name, bnd)?.clone())),
         Expr::Call(name, args) => eval_call_lifted(view, name, args, ctx, pred, bnd),
         Expr::Path(p) => eval_path_lifted(view, p, ctx, pred, bnd),
     }

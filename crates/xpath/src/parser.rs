@@ -21,11 +21,13 @@ use crate::{Result, XPathError};
 use mbxq_axes::{Axis, NodeTest};
 use mbxq_xml::QName;
 
-pub(crate) fn parse(tokens: &[Token], src: &str) -> Result<Expr> {
+/// Parses a token stream; `src_len` is the length of the text it was
+/// lexed from (the offset reported for errors at end of input).
+pub(crate) fn parse(tokens: &[Token], src_len: usize) -> Result<Expr> {
     let mut p = Parser {
         tokens,
         pos: 0,
-        src_len: src.len(),
+        src_len,
     };
     let expr = p.expr()?;
     if p.pos != tokens.len() {

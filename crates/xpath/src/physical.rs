@@ -104,9 +104,12 @@ pub enum PhysRel {
         name: QName,
     },
     /// Value-predicate step: `axis::test` from the context restricted
-    /// to candidates satisfying `pred`. Carries its own strategy slot,
-    /// decided **per execution** from live statistics: the content
-    /// index's posting-list estimate vs the context's region sizes —
+    /// to candidates satisfying `pred`. The predicate's operand is a
+    /// slot ([`crate::plan::Operand`]) resolved against the bindings at
+    /// the top of each execution; the strategy is then decided **per
+    /// execution and per key** from live statistics: the content
+    /// index's posting-list estimate for the resolved key vs the
+    /// context's region sizes —
     /// either a content-index probe + range semijoin, or the scalar
     /// scan (step + per-candidate predicate evaluation) it replaced.
     /// Forceable via [`crate::ValueChoice`]; counted in
@@ -122,7 +125,8 @@ pub enum PhysRel {
         pred: ValuePred,
     },
     /// Multi-predicate value step: `axis::test` from the context with
-    /// **all** of `preds` conjoined. The strategy is decided per
+    /// **all** of `preds` conjoined. Slots resolve as for
+    /// [`PhysRel::ValueProbe`]; the strategy is decided per
     /// execution from the pessimistic degree-bound estimator
     /// (per-index max/avg-postings statistics): rank the indexable
     /// predicates by their cardinality bound, then choose between a
@@ -343,7 +347,9 @@ mod tests {
 
     fn phys(src: &str) -> PhysScalar {
         let tokens = lexer::lex(src).unwrap();
-        lower(&rewrite(compile(&parser::parse(&tokens, src).unwrap())))
+        lower(&rewrite(compile(
+            &parser::parse(&tokens, src.len()).unwrap(),
+        )))
     }
 
     fn strip(s: &PhysScalar) -> &PhysScalar {

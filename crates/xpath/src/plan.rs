@@ -22,7 +22,6 @@
 
 use crate::ast::{ArithOp, CmpOp, Expr, PathExpr, StepTest};
 use mbxq_axes::{Axis, NodeTest};
-use mbxq_storage::NumRange;
 use mbxq_xml::QName;
 
 /// What a [`Rel::ValueProbe`] compares — the candidate value source,
@@ -37,23 +36,39 @@ pub enum ValueSource {
     Child(QName),
 }
 
-/// How a [`Rel::ValueProbe`] compares its source against the literal.
+/// The value side of a [`ValuePred`] comparison: a **slot** that is
+/// either a constant written in the query or a parameter bound when the
+/// plan executes. The executor resolves every slot once, at the top of
+/// the probed step, into a string-equality key or a numeric interval;
+/// the bound value's type picks the arm through the shared
+/// [`mbxq_storage::xpath_number`], so probe and scan agree on which
+/// strings are numbers whichever way the key arrived.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ValueCmp {
-    /// String equality (`= "lit"`).
-    Eq(String),
-    /// Numeric interval membership (`= n`, `<`, `<=`, `>`, `>=`).
-    InRange(NumRange),
+pub enum Operand {
+    /// A string literal (`= "lit"`; an order operator takes its
+    /// `number()`, and a literal that is no number matches nothing).
+    Str(String),
+    /// A numeric literal (`= 9`, `> 50`).
+    Num(f64),
+    /// A `$name` parameter, looked up in the bindings at execution
+    /// time. A string or number binding resolves like the literal of
+    /// that type; a boolean, node-set or attribute-set binding takes
+    /// the scan arm with XPath's general comparison rules.
+    Param(String),
 }
 
 /// A statically recognized value predicate — the argument of the
-/// content-index probe operator.
+/// content-index probe operator: `source op operand`, with the value
+/// source on the left (the rewriter flips mirrored comparisons).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValuePred {
     /// Where each candidate's value comes from.
     pub source: ValueSource,
-    /// The comparison against the literal.
-    pub cmp: ValueCmp,
+    /// `=`, `<`, `<=`, `>` or `>=` (`!=` is never lowered: it is not
+    /// the complement of `=` under XPath's existential set semantics).
+    pub op: CmpOp,
+    /// What the source is compared against.
+    pub operand: Operand,
 }
 
 /// Aggregates over a relational subplan (the `Agg` operator).
@@ -144,10 +159,11 @@ pub enum Rel {
     /// Content-index probe: the elements matching `axis::test` from the
     /// context that additionally satisfy a statically recognized value
     /// predicate. Produced by the rewriter from `Filter`-over-`Step`
-    /// shapes (`//item[@id = "x"]`, `//price[. > 50]`,
-    /// `//person[name = "Alice"]`); executes as either a value-index
-    /// probe + range semijoin or the scalar scan it replaced, chosen
-    /// per execution ([`crate::physical`]).
+    /// shapes (`//item[@id = "x"]`, `//item[@id = $id]`,
+    /// `//price[. > 50]`, `//person[name = "Alice"]`); executes as
+    /// either a value-index probe + range semijoin or the scalar scan
+    /// it replaced, chosen per execution from the resolved key's live
+    /// posting count ([`crate::physical`]).
     ValueProbe {
         /// Context relation.
         input: Box<Rel>,
@@ -514,7 +530,7 @@ mod tests {
 
     fn plan(src: &str) -> Scalar {
         let tokens = lexer::lex(src).unwrap();
-        compile(&parser::parse(&tokens, src).unwrap())
+        compile(&parser::parse(&tokens, src.len()).unwrap())
     }
 
     #[test]

@@ -24,15 +24,24 @@
 //!    scope of `//x[1]`.
 //!
 //! 5. **Value-predicate lowering** — a pushed-down filter whose
-//!    predicate is a statically recognizable comparison against a
-//!    literal (`[@a = "lit"]`, `[. = "lit"]`, `[child = "lit"]`, and
-//!    `<`/`<=`/`>`/`>=` against numeric literals) sitting directly on
-//!    an indexable step becomes a [`Rel::ValueProbe`]: the content
-//!    index serves the value lookup and a range semijoin restores the
-//!    structural relationship. Positional predicates never reach this
-//!    rule — pushdown (which gates on `position()`/`last()`-freedom and
-//!    non-numeric static type) runs first, so anything positional is
-//!    still attached to its step.
+//!    predicate is a statically recognizable comparison of a
+//!    candidate-relative value source against a **slot** — a string
+//!    literal, a numeric literal or a `$param` (`[@a = "lit"]`,
+//!    `[. = $v]`, `[child = 9]`, and `<`/`<=`/`>`/`>=` likewise) —
+//!    sitting directly on an indexable step becomes a
+//!    [`Rel::ValueProbe`]: the content index serves the value lookup
+//!    and a range semijoin restores the structural relationship. The
+//!    rule reads only the operand's *kind*, never its value: the
+//!    executor resolves the slot when the step runs (string →
+//!    equality key, or `number()` for an order operator; number →
+//!    interval; any other bound type → the scan arm with the general
+//!    comparison), so a parameter bound at execution time and a literal
+//!    written in the text take the same path, and the probe-vs-scan
+//!    choice is made from the resolved key's live posting count.
+//!    Positional predicates never reach this rule — pushdown (which
+//!    gates on `position()`/`last()`-freedom and non-numeric static
+//!    type) runs first, so anything positional is still attached to its
+//!    step.
 //!
 //! The final pass wraps maximal loop-invariant subtrees in explicit
 //! `Const` markers — the plan-level replacement for the interpreter's
@@ -40,9 +49,8 @@
 //! what evaluates once per query rather than once per iteration.
 
 use crate::ast::CmpOp;
-use crate::plan::{self, AggKind, Pred, Rel, Scalar, ValueCmp, ValuePred, ValueSource};
+use crate::plan::{self, AggKind, Operand, Pred, Rel, Scalar, ValuePred, ValueSource};
 use mbxq_axes::{Axis, NodeTest};
-use mbxq_storage::NumRange;
 
 /// Rewrites a compiled logical plan (all rule families + hoisting).
 pub fn rewrite(s: Scalar) -> Scalar {
@@ -104,7 +112,7 @@ fn count_comparison(op: CmpOp, a: &Scalar, b: &Scalar) -> Option<Scalar> {
     // Normalize to `count(e) <op> n`.
     let (op, rel, n) = match (a, b) {
         (Scalar::Agg(AggKind::Count, rel), Scalar::Number(n)) => (op, rel, *n),
-        (Scalar::Number(n), Scalar::Agg(AggKind::Count, rel)) => (flip(op), rel, *n),
+        (Scalar::Number(n), Scalar::Agg(AggKind::Count, rel)) => (op.flipped(), rel, *n),
         _ => return None,
     };
     let exists = || Scalar::Agg(AggKind::Exists, rel.clone());
@@ -122,17 +130,6 @@ fn count_comparison(op: CmpOp, a: &Scalar, b: &Scalar) -> Option<Scalar> {
         CmpOp::Lt if n == 1.0 => Some(not_exists()),
         CmpOp::Le if n == 0.0 => Some(not_exists()),
         _ => None,
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
     }
 }
 
@@ -249,7 +246,7 @@ fn rw_rel(r: Rel) -> Rel {
 
 /// Builds a pushed-down row filter — lowering it into a
 /// [`Rel::ValueProbe`] when the input is a predicate-free indexable
-/// step and the predicate is a recognizable literal comparison
+/// step and the predicate is a recognizable slot comparison
 /// (rule 5 of the module docs). Because pushdown folds a step's
 /// predicates through here one at a time, a *second* recognizable
 /// predicate lands on the just-built `ValueProbe` and upgrades it to a
@@ -340,49 +337,41 @@ fn make_filter(input: Rel, pred: Scalar) -> Rel {
 }
 
 /// Recognizes a lowerable value predicate: a comparison between a
-/// candidate-relative value source and a literal. `test` is the probed
-/// step's node test — text-content sources need a concrete element name
-/// to key the index; attribute sources are keyed by the attribute name
-/// alone, so `*[@a = "x"]` lowers too.
+/// candidate-relative value source and a slot (literal or parameter),
+/// on either side. `test` is the probed step's node test — text-content
+/// sources need a concrete element name to key the index; attribute
+/// sources are keyed by the attribute name alone, so `*[@a = "x"]`
+/// lowers too.
 fn value_pred_of(pred: &Scalar, test: &NodeTest) -> Option<ValuePred> {
     let Scalar::Compare(op, a, b) = pred else {
         return None;
     };
-    recognize_sides(*op, a, b, test).or_else(|| recognize_sides(flip(*op), b, a, test))
+    recognize_sides(*op, a, b, test).or_else(|| recognize_sides(op.flipped(), b, a, test))
 }
 
 fn recognize_sides(op: CmpOp, lhs: &Scalar, rhs: &Scalar, test: &NodeTest) -> Option<ValuePred> {
+    // `!=` keeps XPath's existential set semantics in the scalar path
+    // (it is NOT the complement of `=`).
+    if op == CmpOp::Ne {
+        return None;
+    }
     let source = source_of(lhs)?;
     match (&source, test) {
         (ValueSource::Attr(_), NodeTest::Name(_) | NodeTest::AnyElement) => {}
         (_, NodeTest::Name(_)) => {}
         _ => return None,
     }
-    // Order comparisons always go through numbers in XPath 1.0, so a
-    // string literal only qualifies if it parses (a NaN literal keeps
-    // the scalar path — it compares false everywhere anyway).
-    let num = |s: &Scalar| -> Option<f64> {
-        match s {
-            Scalar::Number(n) => Some(*n),
-            Scalar::Literal(v) => {
-                let n = mbxq_storage::xpath_number(v);
-                (!n.is_nan()).then_some(n)
-            }
-            _ => None,
-        }
-    };
-    let cmp = match (op, rhs) {
-        (CmpOp::Eq, Scalar::Literal(v)) => ValueCmp::Eq(v.clone()),
-        (CmpOp::Eq, Scalar::Number(n)) => ValueCmp::InRange(NumRange::exactly(*n)),
-        (CmpOp::Gt, r) => ValueCmp::InRange(NumRange::at_least(num(r)?, false)),
-        (CmpOp::Ge, r) => ValueCmp::InRange(NumRange::at_least(num(r)?, true)),
-        (CmpOp::Lt, r) => ValueCmp::InRange(NumRange::at_most(num(r)?, false)),
-        (CmpOp::Le, r) => ValueCmp::InRange(NumRange::at_most(num(r)?, true)),
-        // `!=` keeps XPath's existential set semantics in the scalar
-        // path (it is NOT the complement of `=`).
+    let operand = match rhs {
+        Scalar::Literal(v) => Operand::Str(v.clone()),
+        Scalar::Number(n) => Operand::Num(*n),
+        Scalar::Var(name) => Operand::Param(name.clone()),
         _ => return None,
     };
-    Some(ValuePred { source, cmp })
+    Some(ValuePred {
+        source,
+        op,
+        operand,
+    })
 }
 
 /// The candidate-relative value sources a probe can serve.
@@ -636,7 +625,7 @@ mod tests {
 
     fn rewritten(src: &str) -> Scalar {
         let tokens = lexer::lex(src).unwrap();
-        rewrite(compile(&parser::parse(&tokens, src).unwrap()))
+        rewrite(compile(&parser::parse(&tokens, src.len()).unwrap()))
     }
 
     /// Strips Const markers for shape assertions.
@@ -733,6 +722,18 @@ mod tests {
         );
     }
 
+    /// The single `ValueProbe` a source compiles to, or a panic.
+    fn probe_of(src: &str) -> ValuePred {
+        let plan = rewritten(src);
+        let Scalar::Nodes(rel) = strip(&plan) else {
+            panic!("{src}")
+        };
+        let Rel::ValueProbe { pred, .. } = &**rel else {
+            panic!("{src}: expected a value probe, got {rel:?}")
+        };
+        pred.clone()
+    }
+
     #[test]
     fn value_predicates_lower_to_probes() {
         // Attribute equality.
@@ -745,47 +746,59 @@ mod tests {
         };
         assert_eq!(*axis, Axis::Descendant);
         assert!(matches!(&pred.source, ValueSource::Attr(a) if a.local == "id"));
-        assert!(matches!(&pred.cmp, ValueCmp::Eq(v) if v == "item42"));
-        // Self comparison, numeric range, literal on the left (flip).
-        for (src, lo_incl) in [("//price[. > 50]", false), ("//price[50 <= .]", true)] {
-            let plan = rewritten(src);
-            let Scalar::Nodes(rel) = strip(&plan) else {
-                panic!()
-            };
-            let Rel::ValueProbe { pred, .. } = &**rel else {
-                panic!("{src}: expected a value probe, got {rel:?}")
-            };
+        assert_eq!(pred.op, CmpOp::Eq);
+        assert_eq!(pred.operand, Operand::Str("item42".into()));
+        // Self comparison, numeric operand, literal on the left (flip).
+        for (src, op) in [
+            ("//price[. > 50]", CmpOp::Gt),
+            ("//price[50 <= .]", CmpOp::Ge),
+        ] {
+            let pred = probe_of(src);
             assert!(matches!(&pred.source, ValueSource::SelfValue), "{src}");
-            let ValueCmp::InRange(r) = &pred.cmp else {
-                panic!("{src}")
-            };
-            assert_eq!((r.lo, r.lo_incl), (50.0, lo_incl), "{src}");
+            assert_eq!((pred.op, &pred.operand), (op, &Operand::Num(50.0)), "{src}");
         }
         // Child comparison.
-        let plan = rewritten("//person[name = \"Alice\"]");
-        let Scalar::Nodes(rel) = strip(&plan) else {
-            panic!()
-        };
-        let Rel::ValueProbe { pred, .. } = &**rel else {
-            panic!("expected a value probe, got {rel:?}")
-        };
+        let pred = probe_of("//person[name = \"Alice\"]");
         assert!(matches!(&pred.source, ValueSource::Child(c) if c.local == "name"));
         // `*[@a = ...]` lowers too (attribute probes need no element
         // name).
-        let plan = rewritten("//*[@id = \"x\"]");
+        probe_of("//*[@id = \"x\"]");
+        // A parameter lowers exactly where a literal does: every
+        // source, either side, equality and order operators.
+        let v = Operand::Param("v".into());
+        for (src, op) in [
+            ("//item[@id = $v]", CmpOp::Eq),
+            ("//item[$v = @id]", CmpOp::Eq),
+            ("//price[. = $v]", CmpOp::Eq),
+            ("//price[. > $v]", CmpOp::Gt),
+            ("//price[$v < .]", CmpOp::Gt),
+            ("//person[name = $v]", CmpOp::Eq),
+            ("//person[age <= $v]", CmpOp::Le),
+            ("//*[@id = $v]", CmpOp::Eq),
+        ] {
+            let pred = probe_of(src);
+            assert_eq!((pred.op, &pred.operand), (op, &v), "{src}");
+        }
+        // A literal and a parameter on one step fold into a multi-probe.
+        let plan = rewritten("//person[@id = \"p1\"][name = $n]");
         let Scalar::Nodes(rel) = strip(&plan) else {
             panic!()
         };
-        assert!(matches!(&**rel, Rel::ValueProbe { .. }), "got {rel:?}");
+        let Rel::MultiProbe { preds, .. } = &**rel else {
+            panic!("expected a multi-probe, got {rel:?}")
+        };
+        assert_eq!(preds[0].operand, Operand::Str("p1".into()));
+        assert_eq!(preds[1].operand, Operand::Param("n".into()));
     }
 
     #[test]
     fn unsupported_value_shapes_stay_filters() {
-        // `!=`, non-literal operands, positional predicates, `*[. = x]`.
+        // `!=`, non-slot operands, positional predicates, `*[. = x]`.
         for src in [
             "//price[. != \"50\"]",
-            "//item[@id = $v]",
+            "//item[@id = concat($v, \"x\")]",
             "//*[. = \"x\"]",
+            "//*[. = $v]",
             "//price[. > name]",
         ] {
             let plan = rewritten(src);
@@ -810,13 +823,18 @@ mod tests {
 
     #[test]
     fn variables_hoist_inside_comparisons() {
-        let plan = rewritten("item[@id = $want]");
+        // `!=` never lowers, so the comparison stays a pushed-down
+        // filter with the variable as a plain (invariant) leaf.
+        let plan = rewritten("item[@id != $want]");
         let Scalar::Nodes(rel) = strip(&plan) else {
             panic!()
         };
         let Rel::Filter { pred, .. } = &**rel else {
             panic!("non-positional comparison should push down, got {rel:?}")
         };
-        assert!(matches!(&**pred, Scalar::Compare(..)));
+        let Scalar::Compare(CmpOp::Ne, _, rhs) = &**pred else {
+            panic!("got {pred:?}")
+        };
+        assert_eq!(**rhs, Scalar::Var("want".into()));
     }
 }

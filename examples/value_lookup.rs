@@ -1,16 +1,23 @@
 //! Point lookups by `@id` against a **live** transactional store:
-//! readers resolve `//item[@id = "itemN"]` on lock-free snapshots while
-//! writer threads keep committing attribute and text updates, and the
-//! per-evaluation [`EvalStats`] counters show which arm — content-index
-//! probe or scalar scan — each lookup actually took.
+//! readers resolve `//item[@id = $id]` — one prepared text, the id
+//! bound per request — on lock-free snapshots while writer threads keep
+//! committing attribute and text updates, and the per-evaluation
+//! [`EvalStats`] counters show which arm — content-index probe or
+//! scalar scan — each lookup actually took. The bound form and the
+//! literal form (`//item[@id = "itemN"]`) run the same kind of plan; the
+//! plan cache keys on the query's shape, so either way the whole run
+//! compiles the lookup once.
 //!
 //! Run with `cargo run --release --example value_lookup`.
 
 use mbxq::{PageConfig, PagedDoc, Store, StoreConfig, TreeView, Wal};
 use mbxq_xmark::{generate, XMarkConfig};
-use mbxq_xpath::{EvalOptions, EvalStats, ValueChoice, XPath};
+use mbxq_xpath::{Bindings, EvalOptions, EvalStats, Value, ValueChoice, XPath};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// The one query text every reader sends.
+const LOOKUP: &str = "//item[@id = $id]";
 
 fn main() {
     let xml = generate(&XMarkConfig::scaled(0.01, 7));
@@ -96,9 +103,10 @@ fn main() {
                 let mut i = reader;
                 while !stop.load(Ordering::Relaxed) {
                     let stats = EvalStats::default();
-                    let opts = EvalOptions::new().stats(&stats);
-                    let path = format!("//item[@id = \"item{}\"]", i % total_items);
-                    let found = store.query_nodes_opts(&path, &opts).unwrap();
+                    let mut id = Bindings::new();
+                    id.set("id", Value::Str(format!("item{}", i % total_items)));
+                    let opts = EvalOptions::new().bindings(&id).stats(&stats);
+                    let found = store.query_nodes_opts(LOOKUP, &opts).unwrap();
                     assert!(found.len() <= 1, "ids are unique");
                     lookups.fetch_add(1, Ordering::Relaxed);
                     probe_steps.fetch_add(stats.value_probe_steps.get(), Ordering::Relaxed);
@@ -140,12 +148,11 @@ fn main() {
         ValueChoice::Auto,
     ] {
         let stats = EvalStats::default();
-        let opts = EvalOptions::new().value(value).stats(&stats);
+        let mut id = Bindings::new();
+        id.set("id", Value::Str(target_id.into()));
+        let opts = EvalOptions::new().bindings(&id).value(value).stats(&stats);
         let t0 = Instant::now();
-        let rows = store
-            .query_nodes_opts(&format!("//item[@id = \"{target_id}\"]"), &opts)
-            .unwrap()
-            .len();
+        let rows = store.query_nodes_opts(LOOKUP, &opts).unwrap().len();
         println!(
             "  {value:?}: {rows} row(s) in {:?} ({} probe / {} scan steps)",
             t0.elapsed(),

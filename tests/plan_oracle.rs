@@ -7,9 +7,14 @@
 //! (cost-chosen, forced staircase, forced index); multi-predicate
 //! queries additionally cross every forced multi-probe strategy
 //! (scan / best-probe / intersect / cost) with every replan mode over
-//! a shared feedback store. The planned result must equal the
-//! interpreter's on the same view — same node sets, same values, or
-//! both failing. Afterwards, random update batches hit the paged view
+//! a shared feedback store. Every query with a literal beside a
+//! comparison operator also runs as its **parameterised twin** (the
+//! literal replaced by a bound `$pN`), and one cached plan is executed
+//! with a rare and a hot key in alternation to show that nothing
+//! recorded under one key steers the other. The planned result must
+//! equal the interpreter's on the same view — same node sets, same
+//! values, or both failing. Afterwards, random update batches hit the
+//! paged view
 //! and the comparison repeats, with the element-name index and the
 //! per-index degree statistics cross-checked against a full scan (both
 //! must stay consistent under inserts, deletes and renames).
@@ -21,8 +26,8 @@ use mbxq::{
     InsertPosition, Kind, NaiveDoc, Node, PageConfig, PagedDoc, QName, ReadOnlyDoc, TreeView,
 };
 use mbxq_xpath::{
-    AxisChoice, Bindings, EvalOptions, MultiChoice, PlanFeedback, ReplanMode, Value, ValueChoice,
-    XPath,
+    AxisChoice, Bindings, EvalOptions, EvalStats, MultiChoice, MultiStrategy, PlanFeedback,
+    ReplanMode, Value, ValueChoice, XPath,
 };
 
 /// NaN-tolerant value equality (`NaN != NaN` under `PartialEq`, but the
@@ -105,6 +110,91 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
             ),
         }
     }
+}
+
+/// The parameterised twin of a query: every string or number literal
+/// standing directly beside a comparison operator becomes `$p0`, `$p1`,
+/// … bound to the literal's value. `None` when the query has no such
+/// literal. (A test-local scanner on purpose — the plan cache's own
+/// lifting is what the twins are checked *against*, indirectly, through
+/// the interpreter.)
+fn parameterize(q: &str) -> Option<(String, Vec<(String, Value)>)> {
+    #[derive(PartialEq)]
+    enum Tok {
+        Literal(Value),
+        Cmp,
+        Other,
+    }
+    // Non-blank pieces as (kind, char range).
+    let chars: Vec<char> = q.chars().collect();
+    let word = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
+    let mut toks: Vec<(Tok, usize, usize)> = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        let mut j = i + 1;
+        let tok = if c.is_whitespace() {
+            i += 1;
+            continue;
+        } else if c == '"' {
+            j = (i + 1..chars.len()).find(|&j| chars[j] == '"')? + 1;
+            Tok::Literal(Value::Str(chars[i + 1..j - 1].iter().collect()))
+        } else if c.is_ascii_digit() {
+            while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '.') {
+                j += 1;
+            }
+            let text: String = chars[i..j].iter().collect();
+            Tok::Literal(Value::Number(text.parse().ok()?))
+        } else if matches!(c, '=' | '<' | '>') || (c == '!' && chars.get(j) == Some(&'=')) {
+            if chars.get(j) == Some(&'=') {
+                j += 1;
+            }
+            Tok::Cmp
+        } else {
+            // A name swallows its digits (`item2` holds no literal).
+            while word(c) && j < chars.len() && word(chars[j]) {
+                j += 1;
+            }
+            Tok::Other
+        };
+        toks.push((tok, i, j));
+        i = j;
+    }
+    let mut bound = Vec::new();
+    let mut out = String::new();
+    let mut copied = 0;
+    for k in 0..toks.len() {
+        let beside_cmp = (k > 0 && toks[k - 1].0 == Tok::Cmp)
+            || toks.get(k + 1).is_some_and(|t| t.0 == Tok::Cmp);
+        let (Tok::Literal(value), start, end) = &toks[k] else {
+            continue;
+        };
+        if !beside_cmp {
+            continue;
+        }
+        out.extend(&chars[copied..*start]);
+        out.push_str(&format!("$p{}", bound.len()));
+        bound.push((format!("p{}", bound.len()), value.clone()));
+        copied = *end;
+    }
+    out.extend(&chars[copied..]);
+    (!bound.is_empty()).then_some((out, bound))
+}
+
+/// Checks `q` and, where it has one, its parameterised twin.
+fn check_with_twin<V: TreeView>(view: &V, q: &str, bindings: &Bindings, seed_info: &str) {
+    let xp = XPath::parse(q).unwrap_or_else(|e| panic!("corpus query '{q}' failed to parse: {e}"));
+    check_query(view, &xp, bindings, seed_info);
+    let Some((twin, bound)) = parameterize(q) else {
+        return;
+    };
+    let xp = XPath::parse(&twin)
+        .unwrap_or_else(|e| panic!("twin '{twin}' of '{q}' failed to parse: {e}"));
+    let mut b = bindings.clone();
+    for (name, value) in bound {
+        b.set(name, value);
+    }
+    check_query(view, &xp, &b, &format!("{seed_info} twin of '{q}'"));
 }
 
 /// The generated query corpus: paths over the small shared name
@@ -221,12 +311,8 @@ fn planned_execution_matches_interpreter_across_schemas() {
         );
 
         for q in query_corpus(&mut rng) {
-            let xp = match XPath::parse(&q) {
-                Ok(xp) => xp,
-                Err(e) => panic!("corpus query '{q}' failed to parse: {e}"),
-            };
-            check_query(&ro, &xp, &bindings, &format!("seed {seed} (ro)"));
-            check_query(&nv, &xp, &bindings, &format!("seed {seed} (naive)"));
+            check_with_twin(&ro, &q, &bindings, &format!("seed {seed} (ro)"));
+            check_with_twin(&nv, &q, &bindings, &format!("seed {seed} (naive)"));
             // Paged: `$set` holds *ro* pres, which differ from paged
             // pres — use a paged-local binding instead.
             let mut up_bindings = bindings.clone();
@@ -234,9 +320,168 @@ fn planned_execution_matches_interpreter_across_schemas() {
                 "set",
                 Value::Nodes(up.root_pre().into_iter().collect::<Vec<u64>>()),
             );
-            check_query(&up, &xp, &up_bindings, &format!("seed {seed} (paged)"));
+            check_with_twin(&up, &q, &up_bindings, &format!("seed {seed} (paged)"));
         }
     }
+}
+
+/// The twin generator itself: literals beside comparison operators are
+/// replaced, everything else is left alone, and the twins of the
+/// value-predicate corpus really are the lowered, late-bound form.
+#[test]
+fn twins_are_the_late_bound_form() {
+    let (twin, bound) = parameterize("//a[@x = \"t\"][b > 2]/c[7 <= .]").unwrap();
+    assert_eq!(twin, "//a[@x = $p0][b > $p1]/c[$p2 <= .]");
+    assert_eq!(
+        bound,
+        [
+            ("p0".to_string(), Value::Str("t".into())),
+            ("p1".to_string(), Value::Number(2.0)),
+            ("p2".to_string(), Value::Number(7.0)),
+        ]
+    );
+    assert!(parameterize("//item2[1]/b[contains(., \"x\")]").is_none());
+    let mut lowered = 0;
+    for q in query_corpus(&mut TestRng::new(1)) {
+        let Some((twin, _)) = parameterize(&q) else {
+            continue;
+        };
+        let direct = XPath::parse(&q).unwrap().explain();
+        let explained = XPath::parse(&twin).unwrap().explain();
+        if direct.contains("-probe") {
+            assert!(
+                explained.contains("-probe") && explained.contains("$p0"),
+                "twin '{twin}' of '{q}' must lower like it:\n{explained}"
+            );
+            lowered += 1;
+        }
+    }
+    assert!(lowered >= 25, "only {lowered} value-predicate twins");
+}
+
+/// One plan, many keys: a cached plan executed with a rare and a hot key
+/// in alternation — under every forced strategy and replan mode, over
+/// one shared feedback store — returns the interpreter's answer every
+/// time, and under `Auto` each key picks its own arm: the hot key (most
+/// of the index's postings, far more than the small context subtree
+/// holds) scans, the rare key probes. Nothing recorded under one key is
+/// replayed under the other.
+#[test]
+fn one_cached_plan_picks_its_arm_per_key() {
+    // A small `s` subtree (one rare row, one hot row, forty cold ones:
+    // big enough that a one-row probe beats scanning it, far smaller
+    // than the hot key's posting list) and 500 hot rows elsewhere.
+    let mut xml = String::from("<r><s><a x=\"rare\"><b>rare</b></a><a x=\"hot\"><b>hot</b></a>");
+    for _ in 0..40 {
+        xml.push_str("<a x=\"cold\"><b>cold</b></a>");
+    }
+    xml.push_str("</s><t>");
+    for _ in 0..500 {
+        xml.push_str("<a x=\"hot\"><b>hot</b></a>");
+    }
+    xml.push_str("</t></r>");
+    let ro = ReadOnlyDoc::parse_str(&xml).unwrap();
+    let up = PagedDoc::parse_str(&xml, PageConfig::new(64, 75).unwrap()).unwrap();
+
+    fn run<V: TreeView>(view: &V, name: &str) {
+        let root: Vec<u64> = view.root_pre().into_iter().collect();
+        let bind = |p: &str, q: &str| {
+            let mut b = Bindings::new();
+            b.set("p", Value::Str(p.into()));
+            b.set("q", Value::Str(q.into()));
+            b
+        };
+        let keys = [
+            ("rare", 1usize),
+            ("hot", 1),
+            ("rare", 1),
+            ("none", 0),
+            ("hot", 1),
+        ];
+
+        // Single predicate: the arm follows the key.
+        let single = XPath::parse("/r/s//a[@x = $p]").unwrap();
+        for choice in [
+            ValueChoice::Auto,
+            ValueChoice::ForceScan,
+            ValueChoice::ForceProbe,
+        ] {
+            for (key, hits) in keys {
+                let b = bind(key, key);
+                let stats = EvalStats::default();
+                let opts = EvalOptions::new().bindings(&b).value(choice).stats(&stats);
+                let got = single.eval_opts(view, &root, &opts).unwrap();
+                let want = single.eval_interpreted_with(view, &root, &b).unwrap();
+                assert_eq!(got, want, "{name}: $p = {key} under {choice:?}");
+                assert!(matches!(&got, Value::Nodes(ns) if ns.len() == hits));
+                if choice == ValueChoice::Auto {
+                    let arms = (stats.value_probe_steps.get(), stats.value_scan_steps.get());
+                    let want_arms = if key == "hot" { (0, 1) } else { (1, 0) };
+                    assert_eq!(arms, want_arms, "{name}: $p = {key} took the wrong arm");
+                }
+            }
+        }
+
+        // Two predicates over one shared feedback store.
+        let multi = XPath::parse("/r/s//a[@x = $p][b = $q]").unwrap();
+        let feedback = PlanFeedback::new();
+        for (choice, replan) in [
+            (MultiChoice::Auto, ReplanMode::Default),
+            (MultiChoice::Auto, ReplanMode::Skip),
+            (MultiChoice::Auto, ReplanMode::Force),
+            (MultiChoice::ForceScan, ReplanMode::Default),
+            (MultiChoice::ForceBestProbe, ReplanMode::Default),
+            (MultiChoice::ForceIntersect, ReplanMode::Skip),
+        ] {
+            for (key, hits) in keys {
+                let b = bind(key, key);
+                let stats = EvalStats::default();
+                let opts = EvalOptions::new()
+                    .bindings(&b)
+                    .multi(choice)
+                    .replan(replan)
+                    .feedback(&feedback)
+                    .stats(&stats);
+                let got = multi.eval_opts(view, &root, &opts).unwrap();
+                let want = multi.eval_interpreted_with(view, &root, &b).unwrap();
+                assert_eq!(got, want, "{name}: {key} under {choice:?}/{replan:?}");
+                assert!(matches!(&got, Value::Nodes(ns) if ns.len() == hits));
+                assert_eq!(
+                    stats.replans.get(),
+                    0,
+                    "a late-bound step derives, never replans"
+                );
+                if choice == MultiChoice::Auto {
+                    let fb = feedback.snapshot();
+                    let hot = key == "hot";
+                    assert_eq!(
+                        fb[0].strategy == MultiStrategy::Scan,
+                        hot,
+                        "{name}: {key} under {replan:?} ran {:?}",
+                        fb[0].strategy
+                    );
+                    if !hot {
+                        // Exact per-key counts: the rare list is 0 or 1
+                        // long, never the hot key's 501.
+                        assert!(fb[0].estimated <= 1, "{name}: {key}: {:?}", fb[0]);
+                    }
+                }
+            }
+        }
+        // Mixed: a rare `$p` with a hot `$q` probes `$p` and verifies
+        // `$q` per candidate — the hot list is never materialized.
+        let b = bind("rare", "hot");
+        let opts = EvalOptions::new().bindings(&b).feedback(&feedback);
+        assert_eq!(
+            multi.eval_opts(view, &root, &opts).unwrap(),
+            Value::Nodes(Vec::new())
+        );
+        let fb = feedback.snapshot();
+        assert_eq!(fb[0].strategy, MultiStrategy::Probe(vec![0]));
+        assert_eq!(fb[0].pred_lists, [Some(1), None]);
+    }
+    run(&ro, "ro");
+    run(&up, "paged");
 }
 
 /// The paged comparison repeated across random update batches, with the

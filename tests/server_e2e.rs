@@ -9,7 +9,7 @@
 use mbxq::{Catalog, CatalogConfig, NodeId, PageConfig, StoreConfig};
 use mbxq_server::{Client, QueryReply, QuerySpec, QueryTarget, Server, ServerConfig};
 use mbxq_xmark::XMarkConfig;
-use mbxq_xpath::{Bindings, EvalOptions, Value};
+use mbxq_xpath::{Bindings, EvalOptions, EvalStats, Value};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -393,5 +393,83 @@ fn stats_opcode_reports_pool_and_kernel_counters() {
         "the forced intersection produced rows that must be counted"
     );
     assert!(st2.replans >= st1.replans, "replans are cumulative");
+    cl.goodbye().unwrap();
+}
+
+/// The prepared form is the fast form, and every literal text is a
+/// prepared query: over TCP, `//item[@id = $id]` with a binding, the
+/// same lookup with the literal spliced in, and any number of further
+/// literals return the same nodes — and the `Stats` opcode shows the
+/// literal texts sharing **one** compile (the `$id` text is a shape of
+/// its own: a user parameter keeps its name in the key). Structural, not
+/// timed: the executor counters prove the index probe ran and the scan
+/// did not.
+#[test]
+fn bound_and_literal_point_lookups_share_the_probe_path() {
+    let cat = xmark_catalog();
+    let server = Server::start(cat.clone(), ServerConfig::default()).unwrap();
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let doc = DOCS[0];
+    let bound_form = |cl: &mut Client, n: usize| {
+        let mut b = Bindings::new();
+        b.set("id", Value::Str(format!("item{n}")));
+        cl.query_nodes(doc, "//item[@id = $id]", Some(&b)).unwrap()
+    };
+
+    let st0 = cl.stats().unwrap();
+    let bound = bound_form(&mut cl, 3);
+    assert_eq!(bound.len(), 1, "item3 exists exactly once");
+    let st1 = cl.stats().unwrap();
+    assert_eq!(st1.plan_misses, st0.plan_misses + 1, "the `$id` shape");
+
+    let literal = cl
+        .query_nodes(doc, "//item[@id = \"item3\"]", None)
+        .unwrap();
+    assert_eq!(literal, bound);
+    let st2 = cl.stats().unwrap();
+    assert_eq!(st2.plan_misses, st1.plan_misses + 1, "the literal shape");
+
+    // Second and later literals — other keys, other spacing, a miss.
+    for i in 0..40 {
+        let n = i % 8; // the tiny corpus has only a handful of items
+        let text = format!("//item[ @id=\"item{n}\" ]{}", " ".repeat(i % 3));
+        let got = cl.query_nodes(doc, &text, None).unwrap();
+        assert_eq!(got, bound_form(&mut cl, n), "{text}");
+        assert_eq!(got.len(), 1, "{text}");
+    }
+    assert!(cl
+        .query_nodes(doc, "//item[@id = \"no such item\"]", None)
+        .unwrap()
+        .is_empty());
+    let st3 = cl.stats().unwrap();
+    assert_eq!(
+        (st3.plan_misses, st3.plan_entries, st3.plan_evictions),
+        (st2.plan_misses, st2.plan_entries, 0),
+        "every literal text after the first is a cache hit on one entry"
+    );
+    assert!(st3.plan_hits >= st2.plan_hits + 81);
+
+    // The same two forms in-process, with the executor's counters: one
+    // content-index probe each, no scan.
+    for (text, bindings) in [
+        ("//item[@id = $id]", {
+            let mut b = Bindings::new();
+            b.set("id", Value::Str("item3".into()));
+            Some(b)
+        }),
+        ("//item[@id = \"item3\"]", None),
+    ] {
+        let stats = EvalStats::default();
+        let mut opts = EvalOptions::new().stats(&stats);
+        if let Some(b) = &bindings {
+            opts = opts.bindings(b);
+        }
+        assert_eq!(cat.query_nodes_opts(doc, text, &opts).unwrap(), bound);
+        assert_eq!(
+            (stats.value_probe_steps.get(), stats.value_scan_steps.get()),
+            (1, 0),
+            "{text} must probe, not scan"
+        );
+    }
     cl.goodbye().unwrap();
 }
