@@ -22,8 +22,9 @@
 //!   the PR 6 baseline).
 //! * [`KernelArm::Simd`] — explicit data parallelism. Compiled with the
 //!   `simd` cargo feature on `x86_64`, this arm runs SSE2 intrinsics:
-//!   kind and liveness columns are compared 16 bytes per instruction
-//!   ([`Kind`] is `#[repr(u8)]`, see [`PreChunk::kinds_bytes`]), name
+//!   the kind-byte column is compared 16 bytes per instruction — one
+//!   compare tests kind *and* liveness, because an unused slot's byte
+//!   ([`Kind::UNUSED`]) equals no kind ([`PreChunk::kinds`]) — name
 //!   columns 4 ids per instruction, and the numeric value comparisons
 //!   behind `ValueProbe` scan arms ([`in_range_mask`]) 2 doubles per
 //!   instruction. Without the feature (or off x86_64) the *same arm*
@@ -86,7 +87,7 @@ pub const fn simd_compiled() -> bool {
     cfg!(all(feature = "simd", target_arch = "x86_64"))
 }
 
-/// Byte lanes per vector in the kind/liveness filters of the compiled
+/// Byte lanes per vector in the kind-byte filters of the compiled
 /// [`KernelArm::Simd`] arm: 16 (one SSE2 register) when vector
 /// instructions are live, 1 otherwise. Benchmarks gate their speedup
 /// assertions on this.
@@ -135,24 +136,18 @@ impl Probe {
     }
 }
 
-/// Appends `chunk.pre + i` for every live slot `i` passing `pred`,
-/// with the liveness branch hoisted out of the dense (read-only) case.
+/// Appends `chunk.pre + i` for every slot `i` whose kind byte passes
+/// `pred`. Liveness is the kind byte's business: a predicate comparing
+/// against a [`Kind`] rejects unused slots by construction.
 #[inline]
-fn emit_matching(chunk: &PreChunk<'_>, out: &mut Vec<u64>, mut pred: impl FnMut(usize) -> bool) {
-    match chunk.used {
-        None => {
-            for i in 0..chunk.len() {
-                if pred(i) {
-                    out.push(chunk.pre + i as u64);
-                }
-            }
-        }
-        Some(used) => {
-            for (i, &live) in used.iter().enumerate().take(chunk.len()) {
-                if live && pred(i) {
-                    out.push(chunk.pre + i as u64);
-                }
-            }
+fn emit_matching(
+    chunk: &PreChunk<'_>,
+    out: &mut Vec<u64>,
+    mut pred: impl FnMut(usize, u8) -> bool,
+) {
+    for (i, &kind) in chunk.kinds.iter().enumerate() {
+        if pred(i, kind) {
+            out.push(chunk.pre + i as u64);
         }
     }
 }
@@ -167,13 +162,13 @@ mod vector {
     use core::arch::x86_64::*;
 
     /// Appends `pre + i` for every slot with `kinds[i] == want_kind`,
-    /// optionally `names[i] == want_name`, optionally `used[i] != 0`.
-    /// SSE2: kind and liveness bytes 16 lanes per compare, names 4 ids
-    /// per compare, hits extracted from a 16-bit movemask.
+    /// optionally `names[i] == want_name`. SSE2: kind bytes 16 lanes per
+    /// compare (unused slots carry a byte equal to no kind, so this is
+    /// the liveness test too), names 4 ids per compare, hits extracted
+    /// from a 16-bit movemask.
     pub(super) fn filter(
         kinds: &[u8],
         names: &[u32],
-        used: Option<&[u8]>,
         want_kind: u8,
         want_name: Option<u32>,
         pre: u64,
@@ -188,15 +183,9 @@ mod vector {
         // (`loadu`), matching the chunk's no-alignment guarantee.
         unsafe {
             let kv = _mm_set1_epi8(want_kind as i8);
-            let zero = _mm_setzero_si128();
             while i + 16 <= len {
                 let kb = _mm_loadu_si128(kinds.as_ptr().add(i) as *const __m128i);
                 let mut m = _mm_movemask_epi8(_mm_cmpeq_epi8(kb, kv)) as u32 & 0xffff;
-                if let Some(u) = used {
-                    let ub = _mm_loadu_si128(u.as_ptr().add(i) as *const __m128i);
-                    let dead = _mm_movemask_epi8(_mm_cmpeq_epi8(ub, zero)) as u32;
-                    m &= !dead & 0xffff;
-                }
                 if m != 0 {
                     if let Some(w) = want_name {
                         let nv = _mm_set1_epi32(w as i32);
@@ -220,26 +209,25 @@ mod vector {
         }
         // Partial tail lanes: plain scalar.
         while i < len {
-            let live = used.is_none_or(|u| u[i] != 0);
-            if live && kinds[i] == want_kind && want_name.is_none_or(|w| names[i] == w) {
+            if kinds[i] == want_kind && want_name.is_none_or(|w| names[i] == w) {
                 out.push(pre + i as u64);
             }
             i += 1;
         }
     }
 
-    /// Appends `pre + i` for every live slot (`used[i] != 0`) — the
-    /// `node()` probe over a sparse chunk.
-    pub(super) fn filter_used(used: &[u8], pre: u64, out: &mut Vec<u64>) {
-        let len = used.len();
+    /// Appends `pre + i` for every live slot (`kinds[i] != dead`) — the
+    /// `node()` probe.
+    pub(super) fn filter_live(kinds: &[u8], dead: u8, pre: u64, out: &mut Vec<u64>) {
+        let len = kinds.len();
         let mut i = 0usize;
         // SAFETY: as in `filter` — bounded unaligned loads.
         unsafe {
-            let zero = _mm_setzero_si128();
+            let dv = _mm_set1_epi8(dead as i8);
             while i + 16 <= len {
-                let ub = _mm_loadu_si128(used.as_ptr().add(i) as *const __m128i);
-                let dead = _mm_movemask_epi8(_mm_cmpeq_epi8(ub, zero)) as u32;
-                let mut m = !dead & 0xffff;
+                let kb = _mm_loadu_si128(kinds.as_ptr().add(i) as *const __m128i);
+                let is_dead = _mm_movemask_epi8(_mm_cmpeq_epi8(kb, dv)) as u32;
+                let mut m = !is_dead & 0xffff;
                 while m != 0 {
                     let bit = m.trailing_zeros() as usize;
                     out.push(pre + (i + bit) as u64);
@@ -249,7 +237,7 @@ mod vector {
             }
         }
         while i < len {
-            if used[i] != 0 {
+            if kinds[i] != dead {
                 out.push(pre + i as u64);
             }
             i += 1;
@@ -306,56 +294,45 @@ mod vector {
 /// the `simd` feature is off or the target is not x86_64.
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 mod vector {
-    /// See the SSE2 twin: kind/name/liveness filter, here as a 4-wide
+    /// See the SSE2 twin: kind/name filter, here as a 4-wide
     /// hand-unrolled scalar loop.
     pub(super) fn filter(
         kinds: &[u8],
         names: &[u32],
-        used: Option<&[u8]>,
         want_kind: u8,
         want_name: Option<u32>,
         pre: u64,
         out: &mut Vec<u64>,
     ) {
-        let len = kinds.len();
-        let slot = |i: usize, out: &mut Vec<u64>| {
-            let live = used.is_none_or(|u| u[i] != 0);
-            if live && kinds[i] == want_kind && want_name.is_none_or(|w| names[i] == w) {
+        unrolled(kinds.len(), |i| {
+            if kinds[i] == want_kind && want_name.is_none_or(|w| names[i] == w) {
                 out.push(pre + i as u64);
             }
-        };
-        let mut i = 0usize;
-        while i + 4 <= len {
-            slot(i, out);
-            slot(i + 1, out);
-            slot(i + 2, out);
-            slot(i + 3, out);
-            i += 4;
-        }
-        while i < len {
-            slot(i, out);
-            i += 1;
-        }
+        });
     }
 
     /// See the SSE2 twin: liveness filter, 4-wide unrolled.
-    pub(super) fn filter_used(used: &[u8], pre: u64, out: &mut Vec<u64>) {
-        let len = used.len();
-        let slot = |i: usize, out: &mut Vec<u64>| {
-            if used[i] != 0 {
+    pub(super) fn filter_live(kinds: &[u8], dead: u8, pre: u64, out: &mut Vec<u64>) {
+        unrolled(kinds.len(), |i| {
+            if kinds[i] != dead {
                 out.push(pre + i as u64);
             }
-        };
+        });
+    }
+
+    /// Calls `slot(i)` for `i` in `0..len`, four per loop iteration.
+    #[inline]
+    fn unrolled(len: usize, mut slot: impl FnMut(usize)) {
         let mut i = 0usize;
         while i + 4 <= len {
-            slot(i, out);
-            slot(i + 1, out);
-            slot(i + 2, out);
-            slot(i + 3, out);
+            slot(i);
+            slot(i + 1);
+            slot(i + 2);
+            slot(i + 3);
             i += 4;
         }
         while i < len {
-            slot(i, out);
+            slot(i);
             i += 1;
         }
     }
@@ -488,8 +465,7 @@ fn scan_resolved<V: TreeView + ?Sized>(
 
 /// One chunk through the probe, dispatched by kernel arm. `Slow`
 /// probes always take the per-slot path (they read per-node data the
-/// columns don't carry); the dense `AnyNode` probe has no comparison
-/// to vectorize and emits directly.
+/// columns don't carry).
 fn filter_chunk<V: TreeView + ?Sized>(
     view: &V,
     chunk: &PreChunk<'_>,
@@ -498,51 +474,39 @@ fn filter_chunk<V: TreeView + ?Sized>(
     arm: KernelArm,
     out: &mut Vec<u64>,
 ) {
-    if let Probe::Slow = probe {
-        return emit_matching(chunk, out, |i| test.matches(view, chunk.pre + i as u64));
-    }
-    match arm {
-        KernelArm::Scalar => match probe {
-            Probe::Elem(want) => emit_matching(chunk, out, |i| {
-                chunk.kinds[i] == Kind::Element && chunk.names[i] == *want
-            }),
-            Probe::AnyElement => emit_matching(chunk, out, |i| chunk.kinds[i] == Kind::Element),
-            Probe::OfKind(k) => emit_matching(chunk, out, |i| chunk.kinds[i] == *k),
-            Probe::AnyNode => emit_matching(chunk, out, |_| true),
-            Probe::Slow | Probe::Empty => unreachable!(),
-        },
-        KernelArm::Simd => {
-            let kinds = chunk.kinds_bytes();
-            let used = chunk.used_bytes();
-            match probe {
-                Probe::Elem(want) => vector::filter(
-                    kinds,
-                    chunk.names,
-                    used,
-                    Kind::Element as u8,
-                    Some(*want),
-                    chunk.pre,
-                    out,
-                ),
-                Probe::AnyElement => vector::filter(
-                    kinds,
-                    chunk.names,
-                    used,
-                    Kind::Element as u8,
-                    None,
-                    chunk.pre,
-                    out,
-                ),
-                Probe::OfKind(k) => {
-                    vector::filter(kinds, chunk.names, used, *k as u8, None, chunk.pre, out)
-                }
-                Probe::AnyNode => match used {
-                    Some(u) => vector::filter_used(u, chunk.pre, out),
-                    None => out.extend((0..chunk.len() as u64).map(|i| chunk.pre + i)),
-                },
-                Probe::Slow | Probe::Empty => unreachable!(),
+    let (want_kind, want_name) = match probe {
+        Probe::Elem(want) => (Kind::Element, Some(*want)),
+        Probe::AnyElement => (Kind::Element, None),
+        Probe::OfKind(k) => (*k, None),
+        Probe::AnyNode => {
+            return match arm {
+                KernelArm::Scalar => emit_matching(chunk, out, |_, k| k != Kind::UNUSED),
+                KernelArm::Simd => vector::filter_live(chunk.kinds, Kind::UNUSED, chunk.pre, out),
             }
         }
+        Probe::Slow => {
+            return emit_matching(chunk, out, |i, k| {
+                k != Kind::UNUSED && test.matches(view, chunk.pre + i as u64)
+            })
+        }
+        Probe::Empty => unreachable!("empty probes never scan"),
+    };
+    let want_kind = want_kind as u8;
+    match arm {
+        KernelArm::Scalar => match want_name {
+            Some(want) => {
+                emit_matching(chunk, out, |i, k| k == want_kind && chunk.names[i] == want)
+            }
+            None => emit_matching(chunk, out, |_, k| k == want_kind),
+        },
+        KernelArm::Simd => vector::filter(
+            chunk.kinds,
+            chunk.names,
+            want_kind,
+            want_name,
+            chunk.pre,
+            out,
+        ),
     }
 }
 

@@ -5,29 +5,29 @@
 //! pages start out shared with the base table, and the OS transparently
 //! replaces each page the transaction writes with a private copy, so the
 //! base table is never altered before commit. [`CowVec`] is the explicit
-//! in-memory equivalent: a column stored as a vector of
+//! in-memory equivalent for an append-mostly column: a vector of
 //! reference-counted pages. Cloning the column clones only the page
 //! *pointers* (O(#pages) refcount bumps, no tuple data); the first write
 //! to a page through a given clone privatizes just that page
 //! ([`Arc::make_mut`]). Two clones therefore share every page neither of
-//! them has written — exactly the structural sharing that makes a
-//! transaction commit O(touched pages) instead of O(document).
+//! them has written.
 //!
-//! [`CowNullable`] layers a validity bitmap over a [`CowVec`], giving the
-//! `node→pos` map the same sharing discipline.
+//! The document's base table has its own page type (one allocation per
+//! logical page, `mbxq-storage`'s `Page`); `CowVec` backs the side
+//! tables that are not divided into logical pages — the `node→pos` map
+//! and the attribute table.
 
-use crate::{BatError, Oid, Result};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// A column of `T` values stored as shared, individually copy-on-write
 /// pages.
 ///
-/// Every page except the last holds exactly `page_size` values; the last
-/// page may be shorter, so `push` is supported for append-mostly columns
-/// (like the attribute table). Reads go through [`Index`]; writes go
-/// through [`IndexMut`], which privatizes the containing page on first
-/// touch if it is shared with another clone.
+/// Every page except the last holds exactly `page_size` values; the
+/// column grows by [`CowVec::push`]. Reads go through [`Index`] (or the
+/// bounds-checked [`CowVec::get`]); writes go through [`IndexMut`], which
+/// privatizes the containing page on first touch if it is shared with
+/// another clone.
 #[derive(Debug, Clone)]
 pub struct CowVec<T> {
     page_size: usize,
@@ -57,13 +57,6 @@ impl<T: Clone> CowVec<T> {
         }
     }
 
-    /// Creates a column of `len` copies of `fill`.
-    pub fn filled(page_size: usize, len: usize, fill: T) -> Self {
-        let mut v = CowVec::new(page_size);
-        v.resize(len, fill);
-        v
-    }
-
     /// Number of values in the column.
     pub fn len(&self) -> usize {
         self.len
@@ -72,11 +65,6 @@ impl<T: Clone> CowVec<T> {
     /// Whether the column holds no values.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The page size the column was created with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Number of pages currently backing the column.
@@ -93,23 +81,6 @@ impl<T: Clone> CowVec<T> {
         Some(&self.pages[i >> self.shift][i & self.mask])
     }
 
-    /// The longest contiguous slice starting at index `i` and ending at
-    /// or before `end` — at most one page, since pages are independently
-    /// allocated. Batch kernels walk a column as a handful of slice
-    /// loops instead of per-index page arithmetic; the returned slice is
-    /// never empty for `i < min(end, len)`.
-    #[inline]
-    pub fn run_at(&self, i: usize, end: usize) -> &[T] {
-        let end = end.min(self.len);
-        if i >= end {
-            return &[];
-        }
-        let page = &self.pages[i >> self.shift];
-        let off = i & self.mask;
-        let take = (end - i).min(page.len() - off);
-        &page[off..off + take]
-    }
-
     /// Appends one value, growing the (possibly short) last page.
     pub fn push(&mut self, value: T) {
         let slot = self.len & self.mask;
@@ -123,47 +94,12 @@ impl<T: Clone> CowVec<T> {
         self.len += 1;
     }
 
-    /// Resizes to `new_len` values, filling new slots with `fill`.
-    ///
-    /// Growth touches only the (partial) last page plus freshly created
-    /// pages; fully shared interior pages stay shared. Shrinking drops
-    /// whole pages and truncates the new last page.
-    pub fn resize(&mut self, new_len: usize, fill: T) {
-        if new_len >= self.len {
-            // Top up the short last page first.
-            while self.len < new_len && self.len & self.mask != 0 {
-                Arc::make_mut(self.pages.last_mut().expect("partial page exists"))
-                    .push(fill.clone());
-                self.len += 1;
-            }
-            while self.len < new_len {
-                let count = (new_len - self.len).min(self.page_size);
-                self.pages.push(Arc::new(vec![fill.clone(); count]));
-                self.len += count;
-            }
-        } else {
-            let keep_pages = new_len.div_ceil(self.page_size);
-            self.pages.truncate(keep_pages);
-            let last_len = new_len - (keep_pages.saturating_sub(1)) * self.page_size;
-            if let Some(last) = self.pages.last_mut() {
-                if last.len() > last_len {
-                    Arc::make_mut(last).truncate(last_len);
-                }
-            }
-            self.len = new_len;
-        }
-    }
-
     /// Iterates the values in index order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         self.pages.iter().flat_map(|p| p.iter())
     }
 
     /// Number of pages physically shared (same allocation) with `other`.
-    ///
-    /// The commit-cost benchmark and the MVCC tests use this to verify
-    /// that publishing a new version kept everything but the touched
-    /// pages shared with the previous version.
     pub fn shared_pages_with(&self, other: &CowVec<T>) -> usize {
         self.pages
             .iter()
@@ -176,15 +112,12 @@ impl<T: Clone> CowVec<T> {
     /// baseline the copy-on-write layout replaces. Benchmarks only.
     pub fn deep_clone(&self) -> Self {
         CowVec {
-            page_size: self.page_size,
-            shift: self.shift,
-            mask: self.mask,
-            len: self.len,
             pages: self
                 .pages
                 .iter()
                 .map(|p| Arc::new(p.as_ref().clone()))
                 .collect(),
+            ..*self
         }
     }
 }
@@ -208,159 +141,36 @@ impl<T: Clone> IndexMut<usize> for CowVec<T> {
     }
 }
 
-/// A nullable column over shared copy-on-write pages: a dense value
-/// [`CowVec`] plus a validity bitmap (one bit per tuple), the COW
-/// equivalent of [`crate::NullableBat`].
-///
-/// Backs the `node→pos` map of the paged schema, whose head is the dense
-/// node-id sequence starting at 0 and whose NULL entries mark deleted
-/// nodes.
-#[derive(Debug, Clone)]
-pub struct CowNullable<T> {
-    values: CowVec<T>,
-    /// One bit per tuple; set = valid (non-NULL).
-    valid: CowVec<u64>,
-}
-
-impl<T: Copy + Default> CowNullable<T> {
-    /// Creates an empty nullable column with value pages of `page_size`.
-    pub fn new(page_size: usize) -> Self {
-        CowNullable {
-            values: CowVec::new(page_size),
-            valid: CowVec::new(page_size),
-        }
-    }
-
-    /// Number of tuples (including NULL ones).
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the column holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// One-past-the-last head oid (the head sequence starts at 0).
-    pub fn hseqend(&self) -> Oid {
-        self.values.len() as Oid
-    }
-
-    /// Appends a (possibly NULL) tuple, returning its head oid.
-    pub fn append(&mut self, value: Option<T>) -> Oid {
-        let idx = self.values.len();
-        self.values.push(value.unwrap_or_default());
-        if idx / 64 >= self.valid.len() {
-            self.valid.push(0);
-        }
-        if value.is_some() {
-            self.valid[idx / 64] |= 1 << (idx % 64);
-        }
-        idx as Oid
-    }
-
-    /// Positional lookup. `Ok(None)` means the tuple exists but is NULL.
-    #[inline]
-    pub fn get(&self, oid: Oid) -> Result<Option<T>> {
-        let idx = self.index_of(oid)?;
-        if self.is_valid_idx(idx) {
-            Ok(Some(self.values[idx]))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Sets the tuple at `oid` to a new (possibly NULL) value.
-    pub fn set(&mut self, oid: Oid, value: Option<T>) -> Result<()> {
-        let idx = self.index_of(oid)?;
-        match value {
-            Some(v) => {
-                self.values[idx] = v;
-                self.valid[idx / 64] |= 1 << (idx % 64);
-            }
-            None => {
-                // Only the bitmap bit is cleared: reads check validity
-                // before consulting the value, so leaving the stale
-                // value in place keeps the (shared) value page untouched
-                // — a NULLing delete privatizes one bitmap page, not a
-                // full value page.
-                self.valid[idx / 64] &= !(1 << (idx % 64));
-            }
-        }
-        Ok(())
-    }
-
-    /// Iterates `(oid, Option<value>)` in head order.
-    pub fn iter(&self) -> impl Iterator<Item = (Oid, Option<T>)> + '_ {
-        (0..self.len()).map(move |idx| {
-            let v = if self.is_valid_idx(idx) {
-                Some(self.values[idx])
-            } else {
-                None
-            };
-            (idx as Oid, v)
-        })
-    }
-
-    /// Value pages physically shared with `other` (bitmap pages not
-    /// counted; they follow the same sharing discipline).
-    pub fn shared_pages_with(&self, other: &CowNullable<T>) -> usize {
-        self.values.shared_pages_with(&other.values)
-    }
-
-    /// Number of value pages backing the column.
-    pub fn num_pages(&self) -> usize {
-        self.values.num_pages()
-    }
-
-    /// A clone with every page privately copied (benchmark baseline).
-    pub fn deep_clone(&self) -> Self {
-        CowNullable {
-            values: self.values.deep_clone(),
-            valid: self.valid.deep_clone(),
-        }
-    }
-
-    #[inline]
-    fn index_of(&self, oid: Oid) -> Result<usize> {
-        let idx = oid as usize;
-        if idx < self.values.len() {
-            Ok(idx)
-        } else {
-            Err(BatError::OutOfRange {
-                oid,
-                seqbase: 0,
-                count: self.values.len(),
-            })
-        }
-    }
-
-    #[inline]
-    fn is_valid_idx(&self, idx: usize) -> bool {
-        (self.valid[idx / 64] >> (idx % 64)) & 1 == 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn filled<T: Clone>(page_size: usize, len: usize, fill: T) -> CowVec<T> {
+        let mut v = CowVec::new(page_size);
+        for _ in 0..len {
+            v.push(fill.clone());
+        }
+        v
+    }
+
     #[test]
     fn reads_and_writes_round_trip() {
-        let mut v = CowVec::filled(4, 10, 0u32);
+        let mut v = filled(4, 10, 0u32);
         for i in 0..10 {
             v[i] = i as u32 * 10;
         }
         for i in 0..10 {
             assert_eq!(v[i], i as u32 * 10);
         }
+        assert_eq!(v.get(9), Some(&90));
         assert_eq!(v.get(10), None);
         assert_eq!(v.num_pages(), 3);
+        assert_eq!(v.iter().copied().sum::<u32>(), 450);
     }
 
     #[test]
     fn clones_share_pages_until_written() {
-        let mut a = CowVec::filled(4, 12, 1u64);
+        let mut a = filled(4, 12, 1u64);
         let b = a.clone();
         assert_eq!(a.shared_pages_with(&b), 3);
         a[5] = 99; // page 1 privatized
@@ -373,7 +183,7 @@ mod tests {
 
     #[test]
     fn writing_the_same_page_twice_privatizes_once() {
-        let mut a = CowVec::filled(8, 16, 0u8);
+        let mut a = filled(8, 16, 0u8);
         let b = a.clone();
         a[0] = 1;
         a[1] = 2;
@@ -398,71 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn resize_grows_and_shrinks() {
-        let mut v = CowVec::filled(4, 3, 7u32);
-        v.resize(10, 9);
-        assert_eq!(v.len(), 10);
-        assert_eq!(v[2], 7);
-        assert_eq!(v[3], 9);
-        assert_eq!(v[9], 9);
-        v.resize(2, 0);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.get(2), None);
-        // Regrowing refills with the new fill value.
-        v.resize(5, 4);
-        assert_eq!(v[2], 4);
-        assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![7, 7, 4, 4, 4]);
-    }
-
-    #[test]
     fn deep_clone_shares_nothing() {
-        let a = CowVec::filled(4, 8, 1u64);
+        let a = filled(4, 8, 1u64);
         let b = a.deep_clone();
         assert_eq!(a.shared_pages_with(&b), 0);
         assert_eq!(b[7], 1);
-    }
-
-    #[test]
-    fn nullable_round_trip() {
-        let mut n = CowNullable::new(4);
-        n.append(Some(5u64));
-        n.append(None);
-        n.append(Some(7));
-        assert_eq!(n.get(0), Ok(Some(5)));
-        assert_eq!(n.get(1), Ok(None));
-        assert_eq!(n.get(2), Ok(Some(7)));
-        assert!(n.get(3).is_err());
-        n.set(0, None).unwrap();
-        n.set(1, Some(9)).unwrap();
-        assert_eq!(n.get(0), Ok(None));
-        assert_eq!(n.get(1), Ok(Some(9)));
-        assert_eq!(n.hseqend(), 3);
-    }
-
-    #[test]
-    fn nullable_bitmap_spans_word_boundaries() {
-        let mut n = CowNullable::new(64);
-        for i in 0..200u32 {
-            n.append(if i % 3 == 0 { None } else { Some(i) });
-        }
-        for i in 0..200u64 {
-            let expect = if i % 3 == 0 { None } else { Some(i as u32) };
-            assert_eq!(n.get(i).unwrap(), expect, "at {i}");
-        }
-        let nulls = n.iter().filter(|(_, v)| v.is_none()).count();
-        assert_eq!(nulls, (0..200).filter(|i| i % 3 == 0).count());
-    }
-
-    #[test]
-    fn nullable_clones_share_until_set() {
-        let mut a = CowNullable::new(4);
-        for i in 0..12u64 {
-            a.append(Some(i));
-        }
-        let b = a.clone();
-        assert_eq!(a.shared_pages_with(&b), 3);
-        a.set(5, Some(99)).unwrap();
-        assert_eq!(a.shared_pages_with(&b), 2);
-        assert_eq!(b.get(5), Ok(Some(5)));
     }
 }

@@ -14,31 +14,20 @@
 //!
 //! * [`VoidBat`] — a BAT with a virtual dense head (`seqbase ..`) and a
 //!   typed tail; supports positional select and positional join.
-//! * [`NullableBat`] — same, but the tail may contain NULLs (needed for the
-//!   `level` column, where `NULL` marks unused tuples, and for the
-//!   `node→pos` map, where `NULL` marks deleted nodes).
 //! * [`PageMap`] — the *logical page order* indirection of §3: physical
 //!   pages of a base table presented in a different logical order, which is
 //!   how MonetDB's adaptive memory-mapping primitive makes appended
 //!   overflow pages appear "halfway" in the `pre/size/level` view.
-//! * [`delta`] — differential lists (MonetDB's delta tables) used by the
-//!   transaction layer to isolate updates and propagate them at commit.
-//! * [`cow`] — page-granular copy-on-write columns ([`CowVec`],
-//!   [`CowNullable`]), the in-memory equivalent of MonetDB's
-//!   copy-on-write memory maps: clones share every page until one side
-//!   writes it, so publishing a new document version costs O(touched
-//!   pages).
+//! * [`cow`] — page-granular copy-on-write columns ([`CowVec`]), the
+//!   in-memory equivalent of MonetDB's copy-on-write memory maps for
+//!   the side tables: clones share every page until one side writes it.
 
 pub mod cow;
-pub mod delta;
 pub mod pagemap;
 
-mod nullable;
 mod voidbat;
 
-pub use cow::{CowNullable, CowVec};
-pub use delta::{DeltaList, DeltaOp};
-pub use nullable::NullableBat;
+pub use cow::CowVec;
 pub use pagemap::{PageId, PageMap};
 pub use voidbat::VoidBat;
 

@@ -18,7 +18,12 @@
 //! grows less than 3x across its 48x range of document sizes while the
 //! pages touched stay constant (what is left is pointer work per page —
 //! dropping the superseded version — not tuple work). `--smoke` runs a
-//! tiny scale once (CI guard that the binary keeps working).
+//! tiny scale once and checks the layout *structurally*, without
+//! timing: after one value-update commit the versions compare one
+//! `Page` per logical page (`total == pages` — a regression to
+//! per-column sharing would count several) and differ in at most two
+//! (a regression to privatising more than the touched page fails CI
+//! here rather than in a benchmark).
 
 use mbxq_bench::paper_page_config;
 use mbxq_storage::{InsertPosition, PagedDoc, TreeView};
@@ -67,6 +72,7 @@ fn main() {
     let frag_xml = r#"<person id="bench"><name>B</name></person>"#;
     let frag = Document::parse_fragment(frag_xml).unwrap();
     let path = XPath::parse("/site/people").unwrap();
+    let name_text = XPath::parse("/site/people/person[1]/name/text()").unwrap();
 
     let mut json = String::from("[\n");
     let mut first = true;
@@ -80,7 +86,22 @@ fn main() {
         let pages = doc.stats().pages;
         let store = Store::open(doc, Wal::in_memory(), store_config());
 
-        // One instrumented commit: how many column pages did publishing
+        if smoke {
+            let before = store.snapshot();
+            let mut t = store.begin();
+            let names = t.select(&name_text).unwrap();
+            t.update_value(names[0], "renamed").unwrap();
+            t.commit().unwrap();
+            let (shared, total) = store.snapshot().shared_pages_with(&before);
+            assert_eq!(total, pages, "versions share Pages, one per logical page");
+            assert!(
+                total - shared <= 2,
+                "a value update privatised {} of {total} pages",
+                total - shared
+            );
+        }
+
+        // One instrumented commit: how many pages did publishing
         // actually privatize?
         let before = store.snapshot();
         {

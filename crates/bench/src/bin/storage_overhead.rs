@@ -33,7 +33,7 @@ fn main() {
         // 20% of each page unused, the paged table holds used/0.8 slots.
         let slot_ovh = (stats.capacity as f64 / stats.used as f64 - 1.0) * 100.0;
         // Byte overhead additionally includes the node column and the
-        // node→pos table (our slots are also wider: 64-bit sizes/ids).
+        // node→pos table (slot widths are equal: 19 B in both schemas).
         let byte_ovh = (stats.table_bytes as f64 / ro_bytes as f64 - 1.0) * 100.0;
         println!(
             "{:>8} {:>10} | {:>9} {:>9} {:>+9.1}% | {:>12} {:>12} {:>+9.1}%",
@@ -49,6 +49,6 @@ fn main() {
         assert_eq!(ro.used_count(), stats.used);
     }
     println!("\npaper claim: ~+25% slots at fill factor 80 (the 'slot ovh' column),");
-    println!("plus the extra node column and node/pos table ('byte ovh' adds those");
-    println!("and our wider 64-bit sizes/node ids).");
+    println!("plus the extra node column and node/pos table ('byte ovh' adds those;");
+    println!("both schemas store 19 B per slot: 32-bit sizes pay for the node id).");
 }

@@ -16,7 +16,8 @@
 //! configured fill factor. Strings travel length-prefixed (`len:bytes`),
 //! the same escaping-free convention as the WAL op encoding.
 
-use crate::paged::{PagedDoc, Tuple};
+use crate::page::{check_addressable, checked_level, narrow, Tuple, NO_NAME};
+use crate::paged::PagedDoc;
 use crate::types::{Kind, PageConfig, StorageError};
 use crate::values::QnId;
 use crate::view::TreeView;
@@ -95,14 +96,20 @@ impl PagedDoc {
         }
         let mut p = 0u64;
         while let Some(q) = self.next_used_at_or_after(p) {
-            let pos = self.pos_of_pre(q).expect("used slot resolves");
-            let node = self.node[pos];
-            let lvl = self.level[pos];
-            match self.kind[pos] {
+            let (page, i) = self.slot(q).expect("used slot resolves");
+            let Tuple {
+                node,
+                level: lvl,
+                kind,
+                name,
+                value,
+                ..
+            } = page.read(i);
+            match kind {
                 Kind::Element => {
                     let name = self
                         .pool
-                        .qname(QnId(self.name[pos]))
+                        .qname(QnId(name))
                         .map(QName::to_string)
                         .unwrap_or_default();
                     let _ = write!(out, "E {node} {lvl} ");
@@ -110,18 +117,17 @@ impl PagedDoc {
                 }
                 Kind::Text => {
                     let _ = write!(out, "T {node} {lvl} ");
-                    put_str(&mut out, self.pool.text(self.value[pos]).unwrap_or(""));
+                    put_str(&mut out, self.pool.text(value).unwrap_or(""));
                 }
                 Kind::Comment => {
                     let _ = write!(out, "M {node} {lvl} ");
-                    put_str(&mut out, self.pool.comment(self.value[pos]).unwrap_or(""));
+                    put_str(&mut out, self.pool.comment(value).unwrap_or(""));
                 }
                 Kind::ProcessingInstruction => {
-                    let (target, data) = self.pool.instruction(self.value[pos]).unwrap_or(("", ""));
-                    let (target, data) = (target.to_string(), data.to_string());
+                    let (target, data) = self.pool.instruction(value).unwrap_or(("", ""));
                     let _ = write!(out, "P {node} {lvl} ");
-                    put_str(&mut out, &target);
-                    put_str(&mut out, &data);
+                    put_str(&mut out, target);
+                    put_str(&mut out, data);
                 }
             }
             p = q + 1;
@@ -130,8 +136,7 @@ impl PagedDoc {
         // order is the attribute order).
         let mut p = 0u64;
         while let Some(q) = self.next_used_at_or_after(p) {
-            let pos = self.pos_of_pre(q).expect("used slot resolves");
-            let node = self.node[pos];
+            let node = self.node_id(q).expect("used slot has a node id").0;
             if let Some(rows) = self.attr_index.get(node) {
                 for &r in rows {
                     let name = self
@@ -139,14 +144,10 @@ impl PagedDoc {
                         .qname(self.attr_qn[r as usize])
                         .map(QName::to_string)
                         .unwrap_or_default();
-                    let value = self
-                        .pool
-                        .prop(self.attr_prop[r as usize])
-                        .unwrap_or("")
-                        .to_string();
+                    let value = self.pool.prop(self.attr_prop[r as usize]).unwrap_or("");
                     let _ = write!(out, "A {node} ");
                     put_str(&mut out, &name);
-                    put_str(&mut out, &value);
+                    put_str(&mut out, value);
                 }
             }
             p = q + 1;
@@ -161,6 +162,7 @@ impl PagedDoc {
     /// exactly where the checkpointed store left off.
     pub fn from_checkpoint_dump(dump: &str, cfg: PageConfig, alloc_end: u64) -> Result<Self> {
         let mut doc = Self::empty(cfg)?;
+        check_addressable("node ids", alloc_end)?;
         let mut staged: Vec<Tuple> = Vec::new();
         let mut attrs = Vec::new();
         let mut rest = dump;
@@ -190,24 +192,25 @@ impl PagedDoc {
                 .and_then(|t| t.parse::<u64>().ok())
                 .ok_or_else(|| bad("checkpoint tuple lacks a node id"))?;
             let level = next_tok(&mut rest)
-                .and_then(|t| t.parse::<u16>().ok())
+                .and_then(|t| t.parse::<usize>().ok())
                 .ok_or_else(|| bad("checkpoint tuple lacks a level"))?;
+            let level = checked_level(level)?;
             let (kind, name, value) = match tag {
                 "E" => {
                     let name = take_str(&mut rest)
                         .and_then(QName::parse)
                         .ok_or_else(|| bad("checkpoint element carries a bad name"))?;
-                    (Kind::Element, doc.pool.intern_qname(&name).0, u32::MAX)
+                    (Kind::Element, doc.pool.intern_qname(&name).0, NO_NAME)
                 }
                 "T" => {
                     let text =
                         take_str(&mut rest).ok_or_else(|| bad("checkpoint text lacks a value"))?;
-                    (Kind::Text, u32::MAX, doc.pool.intern_text(text))
+                    (Kind::Text, NO_NAME, doc.pool.intern_text(text))
                 }
                 "M" => {
                     let c = take_str(&mut rest)
                         .ok_or_else(|| bad("checkpoint comment lacks a value"))?;
-                    (Kind::Comment, u32::MAX, doc.pool.intern_comment(c))
+                    (Kind::Comment, NO_NAME, doc.pool.intern_comment(c))
                 }
                 "P" => {
                     let target = take_str(&mut rest)
@@ -217,7 +220,7 @@ impl PagedDoc {
                         .ok_or_else(|| bad("checkpoint instruction lacks data"))?;
                     (
                         Kind::ProcessingInstruction,
-                        u32::MAX,
+                        NO_NAME,
                         doc.pool.intern_instruction(&target, data),
                     )
                 }
@@ -234,7 +237,7 @@ impl PagedDoc {
                 kind,
                 name,
                 value,
-                node,
+                node: narrow("node ids", node)?,
             });
         }
         if staged.is_empty() {
@@ -283,22 +286,10 @@ impl PagedDoc {
                 return Err(bad(format!("checkpoint node id {} duplicated", t.node)));
             }
         }
-        for _ in 0..alloc_end {
-            doc.node_pos.append(None);
-        }
-        let fill = cfg.fill_target();
-        for chunk in staged.chunks(fill) {
-            let page = doc.append_physical_page();
-            let base = page * cfg.page_size;
-            for (i, t) in chunk.iter().enumerate() {
-                doc.write_tuple(base + i, *t);
-                doc.node_pos.set(t.node, Some((base + i) as u64))?;
-            }
-            doc.rebuild_runs_in_page(page);
-        }
-        doc.used_count = staged.len() as u64;
+        doc.reserve_node_ids(alloc_end)?;
+        doc.lay_out_appended(&staged)?;
         for (node, qn, prop) in attrs {
-            if doc.node_pos.get(node).ok().flatten().is_none() {
+            if doc.pos_of_node(node).is_none() {
                 return Err(bad(format!("checkpoint attr row for dead node {node}")));
             }
             doc.push_attr(node, qn, prop);
@@ -384,6 +375,33 @@ mod tests {
         let back = round_trip(&d);
         assert!(back.node_to_pre(a).is_err(), "deleted id must stay NULL");
         assert_eq!(back.node_alloc_end(), d.node_alloc_end());
+    }
+
+    /// The dump format did not change with the page layout: a dump
+    /// written by the eight-column layout (captured from the commit
+    /// before `Page` existed — document identity, a deleted id, adjacent
+    /// text tuples, every node kind, attributes with separators) loads,
+    /// passes the invariant check and re-dumps byte for byte.
+    #[test]
+    fn a_dump_written_by_the_previous_layout_loads() {
+        const PARENT_DUMP: &str = "D 8:auctions E 0 0 4:site E 1 1 4:item T 2 2 6:hello  \
+            T 4 2 6: world M 5 1 4:note P 6 1 2:pi 4:data E 7 1 4:item E 8 2 5:price \
+            T 9 3 2:50 E 10 2 3:bid T 11 3 4:4.50 A 0 1:a 1:1 A 1 2:id 2:i0 A 7 2:id 2:i1 \
+            A 10 3:who 3:x y ";
+        assert_eq!(checkpoint_dump_identity(PARENT_DUMP), Some("auctions"));
+        let d = PagedDoc::from_checkpoint_dump(PARENT_DUMP, cfg(), 12).unwrap();
+        crate::invariants::check_paged(&d).unwrap();
+        assert_eq!(
+            to_xml(&d).unwrap(),
+            "<site a=\"1\"><item id=\"i0\">hello  world</item><!--note--><?pi data?>\
+             <item id=\"i1\"><price>50</price><bid who=\"x y\">4.50</bid></item></site>"
+        );
+        assert_eq!(d.node_alloc_end(), 12);
+        assert!(
+            d.node_to_pre(crate::NodeId(3)).is_err(),
+            "deleted id stays dead"
+        );
+        assert_eq!(d.checkpoint_dump_named(Some("auctions")), PARENT_DUMP);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! lengths, and the view (logical page order) printed alongside the
 //! physical layout when they differ.
 
+use crate::page::Tuple;
 use crate::paged::PagedDoc;
 use crate::types::Kind;
 use crate::view::TreeView;
@@ -18,33 +19,36 @@ impl PagedDoc {
         let _ = writeln!(
             out,
             "pos/size/level table ({} pages of {ps} slots)",
-            self.pages.num_pages()
+            self.pages.len()
         );
         let _ = writeln!(
             out,
             "{:>6} {:>6} {:>6} {:>6}  content",
             "pos", "size", "level", "node"
         );
-        for page in 0..self.pages.num_pages() {
-            let logical = self.pages.physical_to_logical(page).expect("page exists");
-            let _ = writeln!(out, "-- physical page {page} (logical {logical}) --");
+        for (phys, page) in self.pages.iter().enumerate() {
+            let logical = self.map.physical_to_logical(phys).expect("page exists");
+            let _ = writeln!(out, "-- physical page {phys} (logical {logical}) --");
             for slot in 0..ps {
-                let pos = page * ps + slot;
-                if self.used[pos] {
+                let pos = phys * ps + slot;
+                if page.is_used(slot) {
                     let _ = writeln!(
                         out,
                         "{:>6} {:>6} {:>6} {:>6}  {}",
                         pos,
-                        self.size[pos],
-                        self.level[pos],
-                        self.node[pos],
-                        self.describe_pos(pos),
+                        page.sizes()[slot],
+                        page.levels()[slot],
+                        page.nodes()[slot],
+                        self.describe(&page.read(slot)),
                     );
                 } else {
                     let _ = writeln!(
                         out,
                         "{:>6} {:>6}   NULL      -  (unused, run {} fwd / {} back)",
-                        pos, self.size[pos], self.size[pos], self.name[pos],
+                        pos,
+                        page.sizes()[slot],
+                        page.sizes()[slot],
+                        page.names()[slot],
                     );
                 }
             }
@@ -68,7 +72,7 @@ impl PagedDoc {
                         TreeView::size(self, pre),
                         lvl,
                         "  ".repeat(lvl as usize),
-                        self.describe_pos(self.pos_of_pre(pre).expect("in range")),
+                        self.describe(&self.slot(pre).map(|(p, i)| p.read(i)).expect("used")),
                     );
                 }
                 None => {
@@ -84,28 +88,28 @@ impl PagedDoc {
         out
     }
 
-    /// One-line description of the tuple at physical `pos`.
-    fn describe_pos(&self, pos: usize) -> String {
-        match self.kind[pos] {
+    /// One-line description of a used tuple.
+    fn describe(&self, t: &Tuple) -> String {
+        match t.kind {
             Kind::Element => {
                 let name = self
                     .pool
-                    .qname(crate::values::QnId(self.name[pos]))
+                    .qname(crate::values::QnId(t.name))
                     .map(|q| q.to_string())
                     .unwrap_or_else(|| "?".into());
                 format!("<{name}>")
             }
             Kind::Text => {
-                let t = self.pool.text(self.value[pos]).unwrap_or("?");
-                format!("text {:?}", truncate(t, 24))
+                let text = self.pool.text(t.value).unwrap_or("?");
+                format!("text {:?}", truncate(text, 24))
             }
             Kind::Comment => {
-                let t = self.pool.comment(self.value[pos]).unwrap_or("?");
-                format!("<!--{}-->", truncate(t, 20))
+                let text = self.pool.comment(t.value).unwrap_or("?");
+                format!("<!--{}-->", truncate(text, 20))
             }
             Kind::ProcessingInstruction => {
-                let (t, _) = self.pool.instruction(self.value[pos]).unwrap_or(("?", ""));
-                format!("<?{t}?>")
+                let (target, _) = self.pool.instruction(t.value).unwrap_or(("?", ""));
+                format!("<?{target}?>")
             }
         }
     }

@@ -7,19 +7,23 @@
 //! algorithms must preserve; property tests run it after every random
 //! update sequence.
 
-use crate::paged::{PagedDoc, NO_LEVEL, NO_NODE};
-use crate::types::StorageError;
+use crate::page::{NO_NODE, NULL_LEVEL};
+use crate::paged::PagedDoc;
+use crate::types::{Kind, StorageError};
 use crate::view::TreeView;
 use crate::Result;
 
 /// Checks all representation invariants of a [`PagedDoc`].
 ///
-/// * the `pageOffset` permutation is consistent in both directions;
+/// * the `pageOffset` permutation is consistent in both directions and
+///   covers exactly the pages that exist, each of the configured size;
+/// * a slot is unused in `level` (NULL) iff it is in `kind` (the unused
+///   byte), and unused slots carry no node id;
 /// * unused runs are encoded exactly (forward lengths and backward
 ///   indexes), never crossing page boundaries;
 /// * every page's level summary equals the minimum level of its used
-///   slots (no bound for a page without any);
-/// * `used_count` matches the bitmap;
+///   slots (NULL for a page without any);
+/// * `used_count` matches the used slots;
 /// * `node→pos` and the `node` column are inverse on live nodes, and no
 ///   two slots share a node id;
 /// * the used tuples in view order form a well-shaped tree: the first has
@@ -31,69 +35,85 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         StorageError::Corrupt { message }
     }
 
-    if !doc.pages.check_consistency() {
+    if !doc.map.check_consistency() {
         return Err(corrupt("pageOffset permutation inconsistent".into()));
     }
     let page_size = doc.cfg.page_size;
-    let slots = doc.size.len();
-    if slots != doc.pages.num_pages() * page_size {
+    if doc.pages.len() != doc.map.num_pages() {
         return Err(corrupt(format!(
-            "column length {slots} does not cover {} pages of {page_size}",
-            doc.pages.num_pages()
+            "{} pages stored but pageOffset covers {}",
+            doc.pages.len(),
+            doc.map.num_pages()
         )));
     }
 
-    if doc.page_min_level.len() != doc.pages.num_pages() {
-        return Err(corrupt(format!(
-            "{} level summaries for {} pages",
-            doc.page_min_level.len(),
-            doc.pages.num_pages()
-        )));
-    }
-
-    // Run encodings and level summaries, page by page (physical order
-    // is fine here).
+    // Per-page state: liveness agreement, run encodings and level
+    // summaries (physical order is fine here); node→pos bijectivity on
+    // live nodes along the way.
     let mut used_count = 0u64;
-    for page in 0..doc.pages.num_pages() {
-        let base = page * page_size;
-        let min_level = (base..base + page_size)
-            .filter(|&pos| doc.used[pos])
-            .map(|pos| u32::from(doc.level[pos]))
-            .min()
-            .unwrap_or(NO_LEVEL);
-        if doc.page_min_level[page] != min_level {
+    let mut seen = std::collections::HashMap::new();
+    for (phys, page) in doc.pages.iter().enumerate() {
+        if page.slots() != page_size {
             return Err(corrupt(format!(
-                "page {page}: level summary {} (expected {min_level})",
-                doc.page_min_level[page]
+                "page {phys} holds {} slots, not {page_size}",
+                page.slots()
             )));
         }
-        let mut i = base;
-        while i < base + page_size {
-            if doc.used[i] {
+        let (levels, kinds) = (page.levels(), page.kinds());
+        let min_level = levels.iter().copied().min().unwrap_or(NULL_LEVEL);
+        if page.min_level() != min_level {
+            return Err(corrupt(format!(
+                "page {phys}: level summary {} (expected {min_level})",
+                page.min_level()
+            )));
+        }
+        let mut i = 0;
+        while i < page_size {
+            let pos = phys * page_size + i;
+            if page.is_used(i) != Kind::from_byte(kinds[i]).is_some() {
+                return Err(corrupt(format!(
+                    "slot {pos}: level {} but kind byte {}",
+                    levels[i], kinds[i]
+                )));
+            }
+            if page.is_used(i) {
                 used_count += 1;
+                let node = u64::from(page.nodes()[i]);
+                if let Some(prev) = seen.insert(node, pos) {
+                    return Err(corrupt(format!(
+                        "node id {node} appears at positions {prev} and {pos}"
+                    )));
+                }
+                if doc.pos_of_node(node).map(|p| p as usize) != Some(pos) {
+                    return Err(corrupt(format!(
+                        "node→pos for node {node} is {:?}, tuple sits at {pos}",
+                        doc.pos_of_node(node)
+                    )));
+                }
                 i += 1;
                 continue;
             }
             let run_start = i;
-            while i < base + page_size && !doc.used[i] {
+            while i < page_size && !page.is_used(i) {
                 i += 1;
             }
-            for (k, pos) in (run_start..i).enumerate() {
-                if doc.size[pos] != (i - pos) as u64 {
+            for (k, slot) in (run_start..i).enumerate() {
+                let pos = phys * page_size + slot;
+                if page.sizes()[slot] as usize != i - slot {
                     return Err(corrupt(format!(
                         "unused slot {pos}: forward run {} (expected {})",
-                        doc.size[pos],
-                        i - pos
+                        page.sizes()[slot],
+                        i - slot
                     )));
                 }
-                if doc.name[pos] != (k + 1) as u32 {
+                if page.names()[slot] as usize != k + 1 {
                     return Err(corrupt(format!(
                         "unused slot {pos}: backward index {} (expected {})",
-                        doc.name[pos],
+                        page.names()[slot],
                         k + 1
                     )));
                 }
-                if doc.node[pos] != NO_NODE {
+                if page.nodes()[slot] != NO_NODE {
                     return Err(corrupt(format!(
                         "unused slot {pos} still carries a node id"
                     )));
@@ -103,35 +123,13 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
     }
     if used_count != doc.used_count {
         return Err(corrupt(format!(
-            "used_count {} but bitmap has {used_count}",
+            "used_count {} but the pages hold {used_count} used slots",
             doc.used_count
         )));
     }
-
-    // node→pos bijectivity on live nodes.
-    let mut seen = std::collections::HashMap::new();
-    for pos in 0..slots {
-        if doc.used[pos] {
-            let node = doc.node[pos];
-            if let Some(prev) = seen.insert(node, pos) {
-                return Err(corrupt(format!(
-                    "node id {node} appears at positions {prev} and {pos}"
-                )));
-            }
-            match doc.node_pos.get(node) {
-                Ok(Some(p)) if p == pos as u64 => {}
-                other => {
-                    return Err(corrupt(format!(
-                        "node→pos for node {node} is {other:?}, tuple sits at {pos}"
-                    )))
-                }
-            }
-        }
-    }
-    for (node, entry) in doc.node_pos.iter() {
-        if let Some(pos) = entry {
-            let pos = pos as usize;
-            if pos >= slots || !doc.used[pos] || doc.node[pos] != node {
+    for node in 0..doc.node_alloc_end() {
+        if let Some(pos) = doc.pos_of_node(node) {
+            if seen.get(&node) != Some(&(pos as usize)) {
                 return Err(corrupt(format!(
                     "node→pos entry for node {node} points at bad slot {pos}"
                 )));
@@ -244,7 +242,7 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         let mut names: Vec<QnId> = Vec::new();
         let mut p = 0u64;
         while let Some(q) = doc.next_used_at_or_after(p) {
-            if doc.kind(q) == Some(crate::types::Kind::Element) {
+            if doc.kind(q) == Some(Kind::Element) {
                 let qn = doc.name_id(q).expect("element has a name");
                 names.push(qn);
                 match doc.content_state(q) {
@@ -435,13 +433,10 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
 
     // Attribute index points at live nodes and matching rows.
     for (node, rows) in doc.attr_index.iter() {
-        match doc.node_pos.get(node) {
-            Ok(Some(_)) => {}
-            _ => {
-                return Err(corrupt(format!(
-                    "attribute index entry for dead node {node}"
-                )))
-            }
+        if doc.pos_of_node(node).is_none() {
+            return Err(corrupt(format!(
+                "attribute index entry for dead node {node}"
+            )));
         }
         for &r in rows {
             if r as usize >= doc.attr_node.len() || doc.attr_node[r as usize] != node {
@@ -487,28 +482,45 @@ mod tests {
     #[test]
     fn detects_corrupted_size() {
         let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
-        d.size[0] = 3; // root claims 3 descendants instead of 9
+        d.page_mut(0).cols_mut().sizes[0] = 3; // root claims 3 descendants instead of 9
         assert!(check_paged(&d).is_err());
     }
 
     #[test]
     fn detects_corrupted_node_map() {
         let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
-        d.set_node_pos(0, Some(5));
+        d.node_pos[0] = 5;
         assert!(check_paged(&d).is_err());
     }
 
     #[test]
     fn detects_corrupted_level_summary() {
         let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
-        d.page_min_level[1] = 3; // page 1 holds h (level 2), i, j
-        assert!(check_paged(&d).is_err());
+        // Page 1 holds h (level 2), i, j: clearing h without rebuilding
+        // leaves the summary at 2 over levels {3, 3}.
+        d.page_mut(1).clear_slot(0);
+        d.node_pos[7] = crate::page::NO_POS;
+        d.used_count -= 1;
+        assert!(matches!(
+            check_paged(&d),
+            Err(StorageError::Corrupt { message }) if message.contains("level summary")
+        ));
+    }
+
+    #[test]
+    fn detects_liveness_disagreement() {
+        let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
+        d.page_mut(0).cols_mut().kinds[1] = Kind::UNUSED; // level still says used
+        assert!(matches!(
+            check_paged(&d),
+            Err(StorageError::Corrupt { message }) if message.contains("kind byte")
+        ));
     }
 
     #[test]
     fn detects_corrupted_run() {
         let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
-        d.size[7] = 99; // slot 7 is the unused tail of page 0
+        d.page_mut(0).cols_mut().sizes[7] = 99; // slot 7 is the unused tail of page 0
         assert!(check_paged(&d).is_err());
     }
 }

@@ -10,7 +10,8 @@
 //!   unused tuples, a `pageOffset` table giving the logical page order, and
 //!   a `node→pos` map; `pre` numbers exist only in the *view* obtained by
 //!   reading the pages in logical order, so structural updates never
-//!   rewrite them.
+//!   rewrite them. [`page`] is one such logical page: every column of its
+//!   slots in one copy-on-write allocation.
 //! * [`update`] — structural insert (cases 2a/2b of Figure 7) and delete
 //!   on the paged schema.
 //! * [`naive`] — the strawman the paper argues against: structural updates
@@ -42,6 +43,7 @@ pub mod dump;
 pub mod invariants;
 pub mod naive;
 pub(crate) mod names;
+pub mod page;
 pub mod paged;
 pub mod readonly;
 pub mod serialize;

@@ -23,60 +23,65 @@
 //! end by the region's unused slots, and finding a parent means walking
 //! back over every preceding sibling subtree. Done slot by slot, both
 //! walks cost O(document) near the root — which every structural update
-//! pays (the ancestor size deltas walk `parent_of` to the root). The
-//! document therefore keeps, per logical page, the **minimum level of
-//! the page's used slots** (4 bytes; "no bound" for a page with none),
-//! rebuilt in the same per-page pass that rebuilds the unused-run
-//! encodings. [`TreeView::region_end`] scans the rest of the page the
-//! hop landed in for the first used slot with `level <= level(pre)`,
-//! then skips whole pages whose summary is above `level(pre)` in
-//! logical order through the `pageOffset` table, then scans inside the
-//! first page that can hold the boundary; [`TreeView::parent_of`] is the
-//! mirror image going backward. Both are O(pages spanned + page size) —
-//! the order of the `pageOffset` splice the paper already accepts —
-//! and a position is *computed* from a small aggregate instead of
-//! *found* by walking tuples.
+//! pays (the ancestor size deltas walk `parent_of` to the root). Every
+//! page therefore carries, in its header, the **minimum level of its
+//! used slots** ("no bound" for a page with none), rebuilt in the same
+//! per-page pass that rebuilds the unused-run encodings.
+//! [`TreeView::region_end`] scans the rest of the page the hop landed in
+//! for the first used slot with `level <= level(pre)`, then skips whole
+//! pages whose summary is above `level(pre)` in logical order through
+//! the `pageOffset` table, then scans inside the first page that can
+//! hold the boundary; [`TreeView::parent_of`] is the mirror image going
+//! backward. Both are O(pages spanned + page size) — the order of the
+//! `pageOffset` splice the paper already accepts — and a position is
+//! *computed* from a small aggregate instead of *found* by walking
+//! tuples.
 //!
-//! # Copy-on-write column layout
+//! # Copy-on-write page layout
 //!
-//! Every column is a [`CowVec`]/[`CowNullable`]: logical pages of values
-//! behind shared reference-counted pointers. `PagedDoc::clone` therefore
-//! copies only page *pointers* (plus the pool's and attribute index's
-//! small deltas), and a write privatizes exactly the page it lands in.
+//! The base table is `pages: Vec<Arc<Page>>`, indexed by physical page
+//! id: one [`Page`] per logical page, and a `Page` **owns that page's
+//! slice of every column** — `size`, `level`, `kind`, `name`, `value`,
+//! `node` and the level summary — in a single allocation
+//! ([`crate::page`]; 19 bytes per slot).
+//!
+//! * **What a clone copies.** `PagedDoc::clone` copies one pointer and
+//!   bumps one reference count *per page* (plus the `pageOffset` table,
+//!   the side tables' page pointers and the pool's and indexes' small
+//!   deltas); all tuple data stays shared with the clone until one side
+//!   writes it. Dropping a version is the same walk in reverse.
+//! * **What a write copies.** A write privatises the one `Page` it lands
+//!   in (`Page::make_mut`: one allocation, one `memcpy` of ≈19 B × page
+//!   size) the first time this version touches it — all columns at once,
+//!   since they are one block. A value update privatises exactly one
+//!   page; an insert that fits its page privatises that page plus the
+//!   pages holding its delta-adjusted ancestors.
+//! * **Where the swizzle happens.** `pre → (page, offset)` is resolved
+//!   **once** per access (`PagedDoc::slot`: one `pageOffset` lookup,
+//!   one pointer), after which every column of the slot — or, for the
+//!   batch kernels' [`TreeView::pre_chunk`] and the region walks, of the
+//!   whole page run — is indexed directly. That is the paper's
+//!   `pageOffset` design: the indirection is per page, not per column
+//!   per tuple.
+//!
 //! This is the in-memory equivalent of MonetDB's copy-on-write memory
 //! maps (§3.2): a transaction commit builds its new version by cloning
 //! the current one and applying its operations, paying O(pages touched +
 //! ancestors delta-adjusted) instead of O(document), and publishes it by
-//! swapping one `Arc` under the store's short global lock.
+//! swapping one `Arc` under the store's short global lock. The side
+//! tables that are not divided into logical pages (`node→pos`, the
+//! attribute table) are [`CowVec`]s with the same sharing discipline.
 
 use crate::names::NameIndex;
+use crate::page::{check_addressable, checked_level, narrow, Page, Tuple, NO_NAME, NO_POS};
 use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
-use mbxq_bat::{CowNullable, CowVec, PageMap};
+use mbxq_bat::{CowVec, PageMap};
 use mbxq_xml::{Document, Node};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Sentinel stored in the `name` column of non-element used tuples.
-pub(crate) const NO_NAME: u32 = u32::MAX;
-/// Sentinel stored in the `node` column of unused tuples.
-pub(crate) const NO_NODE: u64 = u64::MAX;
-/// Level summary of a page with no used slot: "no bound" — above every
-/// real level, so both region walks skip the page.
-pub(crate) const NO_LEVEL: u32 = u32::MAX;
-
-/// Staged tuple data, used while shredding and while preparing inserts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tuple {
-    pub size: u64,
-    pub level: u16,
-    pub kind: Kind,
-    pub name: u32,
-    pub value: u32,
-    pub node: u64,
-}
 
 /// Page size (in entries) of the COW columns that are *not* divided
 /// into logical document pages: the `node→pos` map and the attribute
@@ -91,26 +96,13 @@ pub(crate) const SIDE_PAGE: usize = 1024;
 pub struct PagedDoc {
     pub(crate) cfg: PageConfig,
     pub(crate) shift: u32,
-    // ---- base table, indexed by physical pos ----
-    pub(crate) size: CowVec<u64>,
-    pub(crate) level: CowVec<u16>,
-    /// Whether the slot holds a node (`level = NULL` ⇔ `!used`).
-    pub(crate) used: CowVec<bool>,
-    pub(crate) kind: CowVec<Kind>,
-    /// `qn` id for elements; 1-based backward run index for unused slots.
-    pub(crate) name: CowVec<u32>,
-    pub(crate) value: CowVec<u32>,
-    pub(crate) node: CowVec<u64>,
+    /// The base table, indexed by physical page id; physical position
+    /// `pos` is slot `pos & (page_size - 1)` of page `pos >> shift`.
+    pub(crate) pages: Vec<Arc<Page>>,
     /// The `pageOffset` table: logical order of physical pages.
-    pub(crate) pages: PageMap,
-    /// Per-page **level summary**, indexed by physical page: the minimum
-    /// `level` over the page's used slots ([`NO_LEVEL`] when it has
-    /// none). Maintained by [`PagedDoc::rebuild_runs_in_page`], the one
-    /// hook every page mutation ends in; `region_end`/`parent_of` skip
-    /// whole pages on it (see the module docs).
-    pub(crate) page_min_level: CowVec<u32>,
-    /// node id → physical pos (NULL = deleted node).
-    pub(crate) node_pos: CowNullable<u64>,
+    pub(crate) map: PageMap,
+    /// node id → physical pos ([`NO_POS`] = deleted node).
+    pub(crate) node_pos: CowVec<u32>,
     // ---- attribute table, keyed by node id (Figure 6) ----
     pub(crate) attr_node: CowVec<u64>,
     pub(crate) attr_qn: CowVec<QnId>,
@@ -243,7 +235,9 @@ pub(crate) fn name_index_base(staged: &[Tuple]) -> HashMap<QnId, Vec<u64>> {
     let mut base: HashMap<QnId, Vec<u64>> = HashMap::new();
     for t in staged {
         if t.kind == Kind::Element {
-            base.entry(QnId(t.name)).or_default().push(t.node);
+            base.entry(QnId(t.name))
+                .or_default()
+                .push(u64::from(t.node));
         }
     }
     base
@@ -260,7 +254,8 @@ pub struct PagedStats {
     pub used: u64,
     /// Unused slots.
     pub unused: u64,
-    /// Approximate bytes of the tree + node/pos + attr tables.
+    /// Bytes of the base table + `pageOffset` + node/pos + attr tables,
+    /// from the widths of the columns as stored.
     pub table_bytes: usize,
 }
 
@@ -280,28 +275,14 @@ impl PagedDoc {
     pub fn from_tree(root: &Node, cfg: PageConfig) -> Result<Self> {
         let mut doc = Self::empty(cfg)?;
         // Stage the whole tuple stream first (sizes require postorder),
-        // then lay out page by page.
-        let mut staged = Vec::with_capacity(root.tuple_count() as usize);
+        // then lay out page by page. Node ids are allocated in document
+        // order, so at shredding time node == pos-rank (§3.1).
+        let count = root.tuple_count();
+        doc.reserve_node_ids(count)?;
+        let mut staged = Vec::with_capacity(count as usize);
         let mut attrs = Vec::new();
-        doc.stage_subtree(root, 0, &mut staged, &mut attrs);
-        let fill = cfg.fill_target();
-        for chunk in staged.chunks(fill) {
-            let page = doc.append_physical_page();
-            let base = page * cfg.page_size;
-            for (i, t) in chunk.iter().enumerate() {
-                doc.write_tuple(base + i, *t);
-                doc.node_pos.append(Some((base + i) as u64));
-            }
-            doc.rebuild_runs_in_page(page);
-        }
-        if staged.is_empty() {
-            // An element-only root always stages at least one tuple, so
-            // this cannot happen for parsed documents.
-            return Err(StorageError::InvalidTarget {
-                message: "cannot shred an empty tree".into(),
-            });
-        }
-        doc.used_count = staged.len() as u64;
+        doc.stage_subtree_with_base(root, 0, 0, &mut staged, &mut attrs)?;
+        doc.lay_out_appended(&staged)?;
         for (node, qn, prop) in attrs {
             doc.push_attr(node, qn, prop);
         }
@@ -321,16 +302,9 @@ impl PagedDoc {
         Ok(PagedDoc {
             cfg,
             shift: cfg.page_size.trailing_zeros(),
-            size: CowVec::new(cfg.page_size),
-            level: CowVec::new(cfg.page_size),
-            used: CowVec::new(cfg.page_size),
-            kind: CowVec::new(cfg.page_size),
-            name: CowVec::new(cfg.page_size),
-            value: CowVec::new(cfg.page_size),
-            node: CowVec::new(cfg.page_size),
-            pages: PageMap::new(cfg.page_size),
-            page_min_level: CowVec::new(SIDE_PAGE),
-            node_pos: CowNullable::new(SIDE_PAGE),
+            pages: Vec::new(),
+            map: PageMap::new(cfg.page_size),
+            node_pos: CowVec::new(SIDE_PAGE),
             attr_node: CowVec::new(SIDE_PAGE),
             attr_qn: CowVec::new(SIDE_PAGE),
             attr_prop: CowVec::new(SIDE_PAGE),
@@ -344,26 +318,13 @@ impl PagedDoc {
 
     /// One past the highest allocated node id.
     pub fn node_alloc_end(&self) -> u64 {
-        self.node_pos.hseqend()
+        self.node_pos.len() as u64
     }
 
-    /// Recursively stages `node` and its subtree with ids continuing the
-    /// current allocation; returns the number of staged tuples. Node ids
-    /// are allocated in document order, so at shredding time node ==
-    /// pos-rank (§3.1).
-    pub(crate) fn stage_subtree(
-        &mut self,
-        node: &Node,
-        level: u16,
-        out: &mut Vec<Tuple>,
-        attrs: &mut Vec<(u64, QnId, PropId)>,
-    ) -> u64 {
-        let base = self.node_pos.hseqend();
-        self.stage_subtree_with_base(node, level, base, out, attrs)
-    }
-
-    /// Recursively stages `node` and its subtree with ids starting at
-    /// `base + out.len()`.
+    /// Recursively stages `node` and its subtree at `level` with node
+    /// ids `base + out.len()…`; returns the number of staged tuples.
+    /// Fails — before anything is laid out — when a node id would leave
+    /// the addressable range or a level the `level` column.
     pub(crate) fn stage_subtree_with_base(
         &mut self,
         node: &Node,
@@ -371,9 +332,9 @@ impl PagedDoc {
         base: u64,
         out: &mut Vec<Tuple>,
         attrs: &mut Vec<(u64, QnId, PropId)>,
-    ) -> u64 {
-        let node_id = base + out.len() as u64;
-        match node {
+    ) -> Result<u32> {
+        let node_id = narrow("node ids", base + out.len() as u64)?;
+        let (kind, name, value) = match node {
             Node::Element {
                 name,
                 attributes,
@@ -392,160 +353,115 @@ impl PagedDoc {
                 for (aname, avalue) in attributes {
                     let aqn = self.pool.intern_qname(aname);
                     let prop = self.pool.intern_prop(avalue);
-                    attrs.push((node_id, aqn, prop));
+                    attrs.push((u64::from(node_id), aqn, prop));
                 }
                 let mut sz = 0;
-                for c in children {
-                    sz += self.stage_subtree_with_base(c, level + 1, base, out, attrs);
+                if !children.is_empty() {
+                    let child_level = checked_level(usize::from(level) + 1)?;
+                    for c in children {
+                        sz += self.stage_subtree_with_base(c, child_level, base, out, attrs)?;
+                    }
                 }
                 out[idx].size = sz;
-                sz + 1
+                return Ok(sz + 1);
             }
-            Node::Text(t) => {
-                let v = self.pool.intern_text(t);
-                out.push(Tuple {
-                    size: 0,
-                    level,
-                    kind: Kind::Text,
-                    name: NO_NAME,
-                    value: v,
-                    node: node_id,
-                });
-                1
-            }
-            Node::Comment(c) => {
-                let v = self.pool.intern_comment(c);
-                out.push(Tuple {
-                    size: 0,
-                    level,
-                    kind: Kind::Comment,
-                    name: NO_NAME,
-                    value: v,
-                    node: node_id,
-                });
-                1
-            }
-            Node::ProcessingInstruction { target, data } => {
-                let v = self.pool.intern_instruction(target, data);
-                out.push(Tuple {
-                    size: 0,
-                    level,
-                    kind: Kind::ProcessingInstruction,
-                    name: NO_NAME,
-                    value: v,
-                    node: node_id,
-                });
-                1
-            }
-        }
+            Node::Text(t) => (Kind::Text, NO_NAME, self.pool.intern_text(t)),
+            Node::Comment(c) => (Kind::Comment, NO_NAME, self.pool.intern_comment(c)),
+            Node::ProcessingInstruction { target, data } => (
+                Kind::ProcessingInstruction,
+                NO_NAME,
+                self.pool.intern_instruction(target, data),
+            ),
+        };
+        out.push(Tuple {
+            size: 0,
+            level,
+            kind,
+            name,
+            value,
+            node: node_id,
+        });
+        Ok(1)
     }
 
     /// Appends a fresh physical page (all slots unused) at the end of the
-    /// logical order, growing every base column. Returns its physical id.
-    pub(crate) fn append_physical_page(&mut self) -> usize {
-        let page = self.pages.append_page();
-        self.grow_columns();
-        page
+    /// logical order. Returns its physical id.
+    pub(crate) fn append_physical_page(&mut self) -> Result<usize> {
+        self.check_room_for_page()?;
+        self.pages.push(Page::unused(self.cfg.page_size));
+        Ok(self.map.append_page())
     }
 
     /// Appends a fresh physical page spliced into the logical order at
     /// logical index `at` (case 2b of Figure 7). Returns its physical id.
     pub(crate) fn splice_physical_page(&mut self, at: usize) -> Result<usize> {
-        let page = self.pages.insert_page_at(at)?;
-        self.grow_columns();
+        self.check_room_for_page()?;
+        let page = self.map.insert_page_at(at)?;
+        self.pages.push(Page::unused(self.cfg.page_size));
         Ok(page)
     }
 
-    fn grow_columns(&mut self) {
-        // Column lengths are always a page multiple, so growth appends
-        // fresh private pages and never touches shared ones.
-        let new_len = self.size.len() + self.cfg.page_size;
-        self.size.resize(new_len, 0);
-        self.level.resize(new_len, 0);
-        self.used.resize(new_len, false);
-        self.kind.resize(new_len, Kind::Element);
-        self.name.resize(new_len, 0);
-        self.value.resize(new_len, NO_NAME);
-        self.node.resize(new_len, NO_NODE);
-        self.page_min_level.push(NO_LEVEL);
+    /// Every page enters the document through here, so a physical
+    /// position always fits the `node→pos` column.
+    fn check_room_for_page(&self) -> Result<()> {
+        check_addressable(
+            "slots",
+            (self.pages.len() as u64 + 1) * self.cfg.page_size as u64,
+        )
     }
 
-    /// Writes a staged tuple at physical position `pos`.
-    pub(crate) fn write_tuple(&mut self, pos: usize, t: Tuple) {
-        self.size[pos] = t.size;
-        self.level[pos] = t.level;
-        self.used[pos] = true;
-        self.kind[pos] = t.kind;
-        self.name[pos] = t.name;
-        self.value[pos] = t.value;
-        self.node[pos] = t.node;
-    }
-
-    /// Reads the staged form of the used tuple at physical `pos`.
-    pub(crate) fn read_tuple(&self, pos: usize) -> Tuple {
-        debug_assert!(self.used[pos]);
-        Tuple {
-            size: self.size[pos],
-            level: self.level[pos],
-            kind: self.kind[pos],
-            name: self.name[pos],
-            value: self.value[pos],
-            node: self.node[pos],
+    /// Grows the `node→pos` table to `end` entries ([`NO_POS`] until the
+    /// caller places the nodes). Every node id enters the document
+    /// through here, so an id always fits the `node` column.
+    pub(crate) fn reserve_node_ids(&mut self, end: u64) -> Result<()> {
+        check_addressable("node ids", end)?;
+        while self.node_alloc_end() < end {
+            self.node_pos.push(NO_POS);
         }
+        Ok(())
     }
 
-    /// Marks physical `pos` unused. Run encodings must be rebuilt for the
-    /// page afterwards.
-    pub(crate) fn clear_slot(&mut self, pos: usize) {
-        self.used[pos] = false;
-        self.node[pos] = NO_NODE;
-        self.size[pos] = 0;
-        self.name[pos] = 0;
-        self.value[pos] = NO_NAME;
-        self.level[pos] = 0;
+    /// Lays the document-ordered `tuples` out into fresh pages appended
+    /// at the logical end, each filled to the fill target, pointing
+    /// their `node→pos` entries at them (shredding, checkpoint load,
+    /// vacuum).
+    pub(crate) fn lay_out_appended(&mut self, tuples: &[Tuple]) -> Result<()> {
+        for chunk in tuples.chunks(self.cfg.fill_target()) {
+            let phys = self.append_physical_page()?;
+            self.rewrite_page(phys, chunk.iter());
+        }
+        self.used_count += tuples.len() as u64;
+        Ok(())
     }
 
-    /// Recomputes the derived per-page state of one physical page: the
-    /// unused-run encodings — for each unused slot, `size` = remaining
-    /// consecutive unused slots in the page including itself, `name` =
-    /// 1-based index within the run (backward skip support) — and the
-    /// page's level summary. Runs never cross page boundaries — page
-    /// maintenance stays local to the touched page.
-    pub(crate) fn rebuild_runs_in_page(&mut self, page: usize) {
-        let base = page * self.cfg.page_size;
-        let end = base + self.cfg.page_size;
-        let mut min_level = NO_LEVEL;
-        let mut i = base;
-        while i < end {
-            if self.used[i] {
-                min_level = min_level.min(u32::from(self.level[i]));
-                i += 1;
-                continue;
-            }
-            let run_start = i;
-            while i < end && !self.used[i] {
-                i += 1;
-            }
-            let run_end = i;
-            for (k, pos) in (run_start..run_end).enumerate() {
-                self.size[pos] = (run_end - pos) as u64;
-                self.name[pos] = (k + 1) as u32;
-                self.node[pos] = NO_NODE;
+    /// Replaces the content of physical page `phys` with `tuples` in its
+    /// leading slots (the rest unused), points their `node→pos` entries
+    /// at the new positions and rebuilds the page's run encodings and
+    /// level summary. Returns how many `node→pos` entries changed.
+    pub(crate) fn rewrite_page<'a>(
+        &mut self,
+        phys: usize,
+        tuples: impl Iterator<Item = &'a Tuple>,
+    ) -> u64 {
+        let base = u32::try_from(phys << self.shift).expect("pages are added within the limit");
+        let page = Page::make_mut(&mut self.pages[phys]);
+        page.clear();
+        let mut moved = 0;
+        for ((i, pos), t) in (0..).zip(base..).zip(tuples) {
+            page.write(i, t);
+            let entry = t.node as usize;
+            if self.node_pos[entry] != pos {
+                self.node_pos[entry] = pos;
+                moved += 1;
             }
         }
-        // Compare first: an unchanged summary must not privatize its
-        // (shared, copy-on-write) summary page.
-        if self.page_min_level[page] != min_level {
-            self.page_min_level[page] = min_level;
-        }
+        page.rebuild_runs();
+        moved
     }
 
     /// Number of unused slots on physical page `page`.
     pub fn free_in_page(&self, page: usize) -> usize {
-        let base = page * self.cfg.page_size;
-        (base..base + self.cfg.page_size)
-            .filter(|&p| !self.used[p])
-            .count()
+        self.pages[page].free()
     }
 
     /// Adds an attribute row for `node`.
@@ -557,20 +473,49 @@ impl PagedDoc {
         self.attr_index.push_row(node, row);
     }
 
+    /// `(physical page, offset)` of view position `pre` — the
+    /// `pageOffset` swizzle, done once per access.
+    #[inline]
+    pub(crate) fn locate(&self, pre: u64) -> Option<(usize, usize)> {
+        let phys = self
+            .map
+            .logical_to_physical((pre >> self.shift) as usize)
+            .ok()?;
+        Some((phys, pre as usize & (self.cfg.page_size - 1)))
+    }
+
+    /// The page holding view position `pre` and the slot's offset in it.
+    #[inline]
+    pub(crate) fn slot(&self, pre: u64) -> Option<(&Page, usize)> {
+        let (phys, i) = self.locate(pre)?;
+        Some((&self.pages[phys], i))
+    }
+
+    /// Like [`PagedDoc::slot`], but only for a slot holding a node.
+    #[inline]
+    pub(crate) fn used_slot(&self, pre: u64) -> Option<(&Page, usize)> {
+        self.slot(pre).filter(|&(page, i)| page.is_used(i))
+    }
+
+    /// Write access to physical page `phys`, privatising it on the first
+    /// touch through this version.
+    #[inline]
+    pub(crate) fn page_mut(&mut self, phys: usize) -> &mut Page {
+        Page::make_mut(&mut self.pages[phys])
+    }
+
     /// First used slot at or after view position `from` whose level is
     /// `<= lvl` — where a region of that level ends — or `pre_end()`.
     /// Pages whose level summary is above `lvl` are skipped without
-    /// looking at their slots.
+    /// looking at their slots. (Unused slots are NULL — above every
+    /// level — in the `level` column, so the scan needs no liveness
+    /// test.)
     fn next_used_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
-        let page_size = self.cfg.page_size;
-        let mut offset = from as usize & (page_size - 1);
-        for lp in (from >> self.shift) as usize..self.pages.num_pages() {
-            let phys = self.pages.logical_to_physical(lp).expect("page in range");
-            if self.page_min_level[phys] <= u32::from(lvl) {
-                let (start, end) = (phys * page_size + offset, (phys + 1) * page_size);
-                let used = self.used.run_at(start, end);
-                let levels = self.level.run_at(start, end);
-                if let Some(i) = (0..used.len()).find(|&i| used[i] && levels[i] <= lvl) {
+        let mut offset = from as usize & (self.cfg.page_size - 1);
+        for lp in (from >> self.shift) as usize..self.map.num_pages() {
+            let page = &self.pages[self.map.logical_to_physical(lp).expect("page in range")];
+            if page.min_level() <= lvl {
+                if let Some(i) = page.levels()[offset..].iter().position(|&l| l <= lvl) {
                     return ((lp << self.shift) + offset + i) as u64;
                 }
             }
@@ -584,20 +529,16 @@ impl PagedDoc {
     /// whole pages on their level summary like
     /// [`PagedDoc::next_used_at_level_or_above`].
     fn prev_used_below_level(&self, before: u64, lvl: u16) -> Option<u64> {
-        let page_size = self.cfg.page_size;
         let last = before.checked_sub(1)?;
-        let mut len = (last as usize & (page_size - 1)) + 1;
+        let mut len = (last as usize & (self.cfg.page_size - 1)) + 1;
         for lp in (0..=(last >> self.shift) as usize).rev() {
-            let phys = self.pages.logical_to_physical(lp).ok()?;
-            if self.page_min_level[phys] < u32::from(lvl) {
-                let start = phys * page_size;
-                let used = self.used.run_at(start, start + len);
-                let levels = self.level.run_at(start, start + len);
-                if let Some(i) = (0..used.len()).rev().find(|&i| used[i] && levels[i] < lvl) {
+            let page = &self.pages[self.map.logical_to_physical(lp).ok()?];
+            if page.min_level() < lvl {
+                if let Some(i) = page.levels()[..len].iter().rposition(|&l| l < lvl) {
                     return Some(((lp << self.shift) + i) as u64);
                 }
             }
-            len = page_size;
+            len = self.cfg.page_size;
         }
         None
     }
@@ -611,33 +552,28 @@ impl PagedDoc {
         self.cfg
     }
 
+    /// Physical position of the live node `node`.
+    #[inline]
+    pub(crate) fn pos_of_node(&self, node: u64) -> Option<u32> {
+        let pos = *self.node_pos.get(usize::try_from(node).ok()?)?;
+        (pos != NO_POS).then_some(pos)
+    }
+
     /// Translates a node id to its current pre rank, via the `node→pos`
     /// table and the `pageOffset` swizzle (§3.1).
     pub fn node_to_pre(&self, node: NodeId) -> Result<u64> {
         let pos = self
-            .node_pos
-            .get(node.0)
-            .map_err(|_| StorageError::BadNode { node })?
+            .pos_of_node(node.0)
             .ok_or(StorageError::BadNode { node })?;
-        Ok(self.pages.pos_to_pre(pos)?)
+        Ok(self.map.pos_to_pre(u64::from(pos))?)
     }
 
     /// Translates a pre rank to the node id stored there.
     pub fn pre_to_node(&self, pre: u64) -> Result<NodeId> {
-        let pos = self.pages.pre_to_pos(pre)? as usize;
-        if !self.used[pos] {
-            return Err(StorageError::BadPre {
-                pre,
-                context: "resolving a node id",
-            });
-        }
-        Ok(NodeId(self.node[pos]))
-    }
-
-    /// Physical position of a view position.
-    #[inline]
-    pub(crate) fn pos_of_pre(&self, pre: u64) -> Option<usize> {
-        self.pages.pre_to_pos(pre).ok().map(|p| p as usize)
+        self.node_id(pre).ok_or(StorageError::BadPre {
+            pre,
+            context: "resolving a node id",
+        })
     }
 
     /// Mutable access to the value pool.
@@ -683,36 +619,25 @@ impl PagedDoc {
 
     /// `node id → current pre`, `None` for dead ids.
     fn node_pre_opt(&self, node: u64) -> Option<u64> {
-        let pos = self.node_pos.get(node).ok().flatten()?;
-        self.pages.pos_to_pre(pos).ok()
+        self.map.pos_to_pre(u64::from(self.pos_of_node(node)?)).ok()
     }
 
     /// Occupancy statistics.
     pub fn stats(&self) -> PagedStats {
-        let capacity = self.size.len() as u64;
+        use std::mem::size_of;
+        let capacity = self.pre_end();
+        let per_page = Page::header_bytes() + size_of::<Arc<Page>>() + 2 * size_of::<usize>();
         PagedStats {
-            pages: self.pages.num_pages(),
+            pages: self.pages.len(),
             capacity,
             used: self.used_count,
             unused: capacity - self.used_count,
-            table_bytes: self.size.len() * (8 + 2 + 1 + 1 + 4 + 4 + 8)
-                + self.node_pos.len() * 9
-                + self.attr_node.len() * (8 + 4 + 4)
-                + self.pages.num_pages() * (8 + 4),
+            table_bytes: capacity as usize * Page::bytes_per_slot()
+                + self.pages.len() * per_page
+                + self.node_pos.len() * size_of::<u32>()
+                + self.attr_node.len()
+                    * (size_of::<u64>() + size_of::<QnId>() + size_of::<PropId>()),
         }
-    }
-
-    /// Allocates a fresh immutable node id (appending a NULL `node→pos`
-    /// entry that the caller must fill).
-    pub(crate) fn alloc_node_id(&mut self) -> u64 {
-        self.node_pos.append(None)
-    }
-
-    /// Updates the `node→pos` entry of `node` after its tuple moved.
-    pub(crate) fn set_node_pos(&mut self, node: u64, pos: Option<u64>) {
-        self.node_pos
-            .set(node, pos)
-            .expect("node id allocated before use");
     }
 
     /// Rebuilds the attribute columns from the live index entries,
@@ -746,26 +671,18 @@ impl PagedDoc {
         self.attr_index = AttrIndex::from_base(index);
     }
 
-    /// `(shared, total)` page counts across the seven base-table columns
-    /// against another version of the same document. After a
-    /// copy-on-write commit, `total - shared` is exactly the number of
-    /// column pages the commit privatized.
+    /// `(shared, total)` [`Page`] counts against another version of the
+    /// same document. After a copy-on-write commit, `total - shared` is
+    /// exactly the number of logical pages the commit privatised (pages
+    /// it appended included).
     pub fn shared_pages_with(&self, other: &PagedDoc) -> (usize, usize) {
-        let shared = self.size.shared_pages_with(&other.size)
-            + self.level.shared_pages_with(&other.level)
-            + self.used.shared_pages_with(&other.used)
-            + self.kind.shared_pages_with(&other.kind)
-            + self.name.shared_pages_with(&other.name)
-            + self.value.shared_pages_with(&other.value)
-            + self.node.shared_pages_with(&other.node);
-        let total = self.size.num_pages()
-            + self.level.num_pages()
-            + self.used.num_pages()
-            + self.kind.num_pages()
-            + self.name.num_pages()
-            + self.value.num_pages()
-            + self.node.num_pages();
-        (shared, total)
+        let shared = self
+            .pages
+            .iter()
+            .zip(&other.pages)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        (shared, self.pages.len())
     }
 
     /// A copy sharing **no** storage with `self` — what `clone` used to
@@ -776,15 +693,8 @@ impl PagedDoc {
         PagedDoc {
             cfg: self.cfg,
             shift: self.shift,
-            size: self.size.deep_clone(),
-            level: self.level.deep_clone(),
-            used: self.used.deep_clone(),
-            kind: self.kind.deep_clone(),
-            name: self.name.deep_clone(),
-            value: self.value.deep_clone(),
-            node: self.node.deep_clone(),
-            pages: self.pages.clone(),
-            page_min_level: self.page_min_level.deep_clone(),
+            pages: self.pages.iter().map(|p| p.deep_clone()).collect(),
+            map: self.map.clone(),
             node_pos: self.node_pos.deep_clone(),
             attr_node: self.attr_node.deep_clone(),
             attr_qn: self.attr_qn.deep_clone(),
@@ -800,76 +710,54 @@ impl PagedDoc {
 
 impl TreeView for PagedDoc {
     fn pre_end(&self) -> u64 {
-        self.size.len() as u64
+        (self.pages.len() as u64) << self.shift
     }
 
     fn level(&self, pre: u64) -> Option<u16> {
-        let pos = self.pos_of_pre(pre)?;
-        if self.used[pos] {
-            Some(self.level[pos])
-        } else {
-            None
-        }
+        let (page, i) = self.used_slot(pre)?;
+        Some(page.levels()[i])
     }
 
     fn size(&self, pre: u64) -> u64 {
-        match self.pos_of_pre(pre) {
-            Some(pos) => self.size[pos],
-            None => 0,
-        }
+        self.slot(pre)
+            .map_or(0, |(page, i)| u64::from(page.sizes()[i]))
     }
 
     fn kind(&self, pre: u64) -> Option<Kind> {
-        let pos = self.pos_of_pre(pre)?;
-        if self.used[pos] {
-            Some(self.kind[pos])
-        } else {
-            None
-        }
+        let (page, i) = self.slot(pre)?;
+        page.kind(i)
     }
 
     fn name_id(&self, pre: u64) -> Option<QnId> {
-        let pos = self.pos_of_pre(pre)?;
-        if self.used[pos] && self.kind[pos] == Kind::Element {
-            Some(QnId(self.name[pos]))
-        } else {
-            None
-        }
+        let (page, i) = self.slot(pre)?;
+        (page.kind(i) == Some(Kind::Element)).then(|| QnId(page.names()[i]))
     }
 
     fn value_ref(&self, pre: u64) -> Option<ValueRef> {
-        let pos = self.pos_of_pre(pre)?;
-        if self.used[pos] && self.kind[pos] != Kind::Element {
-            Some(ValueRef(self.value[pos]))
-        } else {
-            None
+        let (page, i) = self.slot(pre)?;
+        match page.kind(i)? {
+            Kind::Element => None,
+            _ => Some(ValueRef(page.values()[i])),
         }
     }
 
     fn node_id(&self, pre: u64) -> Option<NodeId> {
-        let pos = self.pos_of_pre(pre)?;
-        if self.used[pos] {
-            Some(NodeId(self.node[pos]))
-        } else {
-            None
-        }
+        let (page, i) = self.used_slot(pre)?;
+        Some(NodeId(u64::from(page.nodes()[i])))
     }
 
     fn back_run(&self, pre: u64) -> u64 {
-        match self.pos_of_pre(pre) {
-            Some(pos) if !self.used[pos] => self.name[pos] as u64,
+        match self.slot(pre) {
+            Some((page, i)) if !page.is_used(i) => u64::from(page.names()[i]),
             _ => 0,
         }
     }
 
     fn attributes(&self, pre: u64) -> Vec<(QnId, PropId)> {
-        let Some(pos) = self.pos_of_pre(pre) else {
+        let Some(NodeId(node)) = self.node_id(pre) else {
             return Vec::new();
         };
-        if !self.used[pos] {
-            return Vec::new();
-        }
-        match self.attr_index.get(self.node[pos]) {
+        match self.attr_index.get(node) {
             Some(rows) => rows
                 .iter()
                 .map(|&r| (self.attr_qn[r as usize], self.attr_prop[r as usize]))
@@ -956,16 +844,38 @@ impl TreeView for PagedDoc {
         Some(self.content_index.text_degree_stats(qn))
     }
 
+    fn next_used_at_or_after(&self, pre: u64) -> Option<u64> {
+        let mut p = pre;
+        while let Some((page, i)) = self.slot(p) {
+            if page.is_used(i) {
+                return Some(p);
+            }
+            p += u64::from(page.sizes()[i]);
+        }
+        None
+    }
+
+    fn prev_used_at_or_before(&self, pre: u64) -> Option<u64> {
+        let mut p = pre.min(self.pre_end().checked_sub(1)?);
+        loop {
+            let (page, i) = self.slot(p)?;
+            if page.is_used(i) {
+                return Some(p);
+            }
+            p = p.checked_sub(u64::from(page.names()[i]))?;
+        }
+    }
+
     /// O(pages spanned + page size): hop over the region by `size`
     /// (exact when the region has no unused slot, short otherwise —
     /// `size` counts used tuples only), then finish on the page level
     /// summaries instead of one small subtree at a time.
     fn region_end(&self, pre: u64) -> u64 {
-        let Some(pos) = self.pos_of_pre(pre).filter(|&pos| self.used[pos]) else {
+        let Some((page, i)) = self.used_slot(pre) else {
             return pre + 1;
         };
-        let lvl = self.level[pos];
-        let boundary = self.next_used_at_level_or_above(pre + self.size[pos] + 1, lvl);
+        let hop = pre + u64::from(page.sizes()[i]) + 1;
+        let boundary = self.next_used_at_level_or_above(hop, page.levels()[i]);
         // Every used slot in `pre+1..boundary` is a descendant; the
         // region ends behind the last of them.
         self.prev_used_at_or_before(boundary - 1)
@@ -981,29 +891,21 @@ impl TreeView for PagedDoc {
     }
 
     fn pre_chunk(&self, pre: u64, end: u64) -> Option<crate::view::PreChunk<'_>> {
-        let total = self.pre_end();
-        if pre >= total {
-            return None;
-        }
         // Physical positions are contiguous only within one logical
-        // page (every page occupies exactly `page_size` column slots;
-        // the PageMap permutes whole pages), so the chunk stops at the
-        // page boundary and the caller loops.
+        // page (the PageMap permutes whole pages), so the chunk stops at
+        // the page boundary and the caller loops.
+        let (page, i) = self.slot(pre)?;
         let page_end = ((pre >> self.shift) + 1) << self.shift;
-        let chunk_end = end.min(total).min(page_end);
-        if pre >= chunk_end {
+        if pre >= end {
             return None;
         }
-        let pos = self.pos_of_pre(pre)?;
-        let len = (chunk_end - pre) as usize;
+        let j = i + (end.min(page_end) - pre) as usize;
         Some(crate::view::PreChunk {
             pre,
-            used: Some(self.used.run_at(pos, pos + len)),
-            kinds: self.kind.run_at(pos, pos + len),
-            levels: self.level.run_at(pos, pos + len),
-            names: self.name.run_at(pos, pos + len),
-            sizes: self.size.run_at(pos, pos + len),
-            values: self.value.run_at(pos, pos + len),
+            kinds: &page.kinds()[i..j],
+            levels: &page.levels()[i..j],
+            names: &page.names()[i..j],
+            values: &page.values()[i..j],
         })
     }
 }
@@ -1140,6 +1042,159 @@ mod tests {
         let cfg = PageConfig::new(4, 50).unwrap(); // fill 2 per page
         let d = PagedDoc::parse_str("<a>x<b>y</b>z</a>", cfg).unwrap();
         assert_eq!(d.string_value(0), "xyz");
+    }
+
+    // ---- the layout contract: what a clone shares, what a write copies ----
+
+    /// Physical pages of `new` not shared with `old`.
+    fn privatised(new: &PagedDoc, old: &PagedDoc) -> Vec<usize> {
+        (0..new.pages.len())
+            .filter(|&p| {
+                old.pages
+                    .get(p)
+                    .is_none_or(|o| !Arc::ptr_eq(o, &new.pages[p]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_fresh_clone_shares_every_page() {
+        let d = figure4_doc();
+        let c = d.clone();
+        let n = d.stats().pages;
+        assert_eq!(c.shared_pages_with(&d), (n, n));
+        assert_eq!(d.deep_clone().shared_pages_with(&d), (0, n));
+        // One reference per version, per page — and nothing else holds on.
+        assert!(d.pages.iter().all(|p| Arc::strong_count(p) == 2));
+        drop(c);
+        assert!(d.pages.iter().all(|p| Arc::strong_count(p) == 1));
+    }
+
+    #[test]
+    fn a_value_update_privatises_exactly_one_page() {
+        let base = PagedDoc::parse_str(
+            "<a><b>one</b><c>two</c><d>three</d><e>four</e></a>",
+            PageConfig::new(4, 75).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(base.stats().pages, 3);
+        let mut d = base.clone();
+        // a b "one" _ | c "two" d _ | "three" e "four" _
+        let four = d.pre_to_node(10).unwrap();
+        d.update_value(four, "4").unwrap();
+        assert_eq!(privatised(&d, &base), [2]);
+        assert_eq!(d.shared_pages_with(&base), (2, 3));
+        assert_eq!(
+            Arc::strong_count(&base.pages[0]),
+            2,
+            "untouched: still shared"
+        );
+        assert_eq!(
+            Arc::strong_count(&base.pages[2]),
+            1,
+            "touched: base's alone"
+        );
+        crate::invariants::check_paged(&d).unwrap();
+        crate::invariants::check_paged(&base).unwrap();
+        assert_eq!(base.string_value(0), "onetwothreefour");
+        assert_eq!(d.string_value(0), "onetwothree4");
+    }
+
+    #[test]
+    fn an_in_page_insert_privatises_its_page_and_its_ancestors_pages() {
+        // Page size 8, fill 4: a b c d | e f g h | i j k l — the target
+        // `k` (page 2) has ancestors i (page 2) and a (page 0); page 1
+        // holds neither.
+        let base = PagedDoc::parse_str(
+            "<a><b/><c/><d/><e/><f/><g/><h/><i><j/><k/><l/></i></a>",
+            PageConfig::new(8, 50).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(base.stats().pages, 3);
+        let mut d = base.clone();
+        let k = d.pre_to_node(18).unwrap();
+        let sub = Document::parse_fragment("<new/>").unwrap();
+        let report = d
+            .insert(crate::InsertPosition::LastChildOf(k), &sub)
+            .unwrap();
+        assert_eq!(report.case, crate::InsertCase::WithinPage);
+        assert_eq!(report.ancestors_updated, 3); // k, i, a
+        assert_eq!(privatised(&d, &base), [0, 2]);
+        crate::invariants::check_paged(&d).unwrap();
+    }
+
+    #[test]
+    fn table_bytes_counts_the_columns_as_stored() {
+        use std::mem::size_of;
+        let d = figure4_doc(); // no attributes
+        let st = d.stats();
+        let column_widths = size_of::<u32>() // size
+            + size_of::<u16>() // level
+            + size_of::<u8>() // kind
+            + 3 * size_of::<u32>(); // name, value, node
+        assert_eq!(column_widths, 19);
+        let side = d.node_alloc_end() as usize * size_of::<u32>();
+        // Header, the (fat) page pointer, both directions of pageOffset.
+        let per_page = 2 * size_of::<u32>() + size_of::<Arc<Page>>() + 2 * size_of::<usize>();
+        assert_eq!(
+            st.table_bytes - side - st.pages * per_page,
+            st.capacity as usize * column_widths
+        );
+    }
+
+    #[test]
+    fn ids_and_positions_beyond_the_addressable_range_are_refused() {
+        let too_many = (1u64 << 32) - 1;
+        let too_large = |what| StorageError::TooLarge {
+            what,
+            count: too_many,
+        };
+        let mut d = figure4_doc();
+        let g = d.pre_to_node(6).unwrap();
+        let sub = Document::parse_fragment("<k/>").unwrap();
+        // Ids `2³²−2..2³²−1` would make 2³²−1 node ids.
+        assert_eq!(
+            d.insert_with_base(crate::InsertPosition::LastChildOf(g), &sub, too_many - 1),
+            Err(too_large("node ids"))
+        );
+        assert_eq!(d.reserve_node_ids(too_many), Err(too_large("node ids")));
+        assert_eq!(
+            PagedDoc::from_checkpoint_dump("E 0 0 1:a ", d.config(), too_many).unwrap_err(),
+            too_large("node ids")
+        );
+        // Nothing was allocated on the way to the error.
+        assert_eq!(d.node_alloc_end(), 10);
+        crate::invariants::check_paged(&d).unwrap();
+        // 2³²−2 is the last count that fits; a page more would not.
+        assert!(crate::page::check_addressable("slots", too_many - 1).is_ok());
+        assert_eq!(
+            crate::page::check_addressable("slots", too_many),
+            Err(too_large("slots"))
+        );
+    }
+
+    #[test]
+    fn staging_refuses_levels_the_column_cannot_hold() {
+        let mut d = figure4_doc();
+        let (mut out, mut attrs) = (Vec::new(), Vec::new());
+        let two_deep = Document::parse_fragment("<x><y/></x>").unwrap();
+        // x at the deepest level is fine alone …
+        let leaf = Document::parse_fragment("<x/>").unwrap();
+        assert_eq!(
+            d.stage_subtree_with_base(&leaf, 65_534, 100, &mut out, &mut attrs),
+            Ok(1)
+        );
+        // … but its child would need level 65 535, the NULL of unused
+        // slots: nesting depth 65 536.
+        assert_eq!(
+            d.stage_subtree_with_base(&two_deep, 65_534, 100, &mut out, &mut attrs),
+            Err(StorageError::TooDeep { depth: 65_536 })
+        );
+        // Checkpoint load applies the same limit.
+        assert_eq!(
+            PagedDoc::from_checkpoint_dump("E 0 65535 1:a ", d.config(), 5).unwrap_err(),
+            StorageError::TooDeep { depth: 65_536 }
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! thereafter — exactly "the storage scheme used until now in
 //! MonetDB/XQuery, … a read-only solution" (§2.2).
 
+use crate::page::checked_level;
 use crate::types::{Kind, NodeId, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
@@ -66,7 +67,7 @@ impl ReadOnlyDoc {
                 Event::StartElement { name, attributes } => {
                     let pre = emitted;
                     emitted += 1;
-                    let level = stack.len() as u16;
+                    let level = checked_level(stack.len())?;
                     let qn = doc.pool.intern_qname(&name);
                     doc.name_index.entry(qn).or_default().push(pre);
                     doc.push_tuple(0, level, Kind::Element, qn.0, u32::MAX);
@@ -84,19 +85,19 @@ impl ReadOnlyDoc {
                     *doc.size.find_mut(pre)? = emitted - opened_at;
                 }
                 Event::Text(t) => {
-                    let level = stack.len() as u16;
+                    let level = checked_level(stack.len())?;
                     let v = doc.pool.intern_text(&t);
                     doc.push_tuple(0, level, Kind::Text, u32::MAX, v);
                     emitted += 1;
                 }
                 Event::Comment(c) => {
-                    let level = stack.len() as u16;
+                    let level = checked_level(stack.len())?;
                     let v = doc.pool.intern_comment(&c);
                     doc.push_tuple(0, level, Kind::Comment, u32::MAX, v);
                     emitted += 1;
                 }
                 Event::ProcessingInstruction { target, data } => {
-                    let level = stack.len() as u16;
+                    let level = checked_level(stack.len())?;
                     let v = doc.pool.intern_instruction(&target, &data);
                     doc.push_tuple(0, level, Kind::ProcessingInstruction, u32::MAX, v);
                     emitted += 1;
@@ -136,7 +137,7 @@ impl ReadOnlyDoc {
                 }
                 let mut sz = 0;
                 for c in children {
-                    sz += self.shred_node(c, level + 1)?;
+                    sz += self.shred_node(c, checked_level(usize::from(level) + 1)?)?;
                 }
                 *self.size.find_mut(pre)? = sz;
                 Ok(sz + 1)
@@ -342,8 +343,9 @@ impl TreeView for ReadOnlyDoc {
         if pre >= total {
             return None;
         }
-        // The dense schema is one contiguous allocation: the whole
-        // requested range comes back as a single chunk, every slot live.
+        // The dense schema is one contiguous allocation per column: the
+        // whole requested range comes back as a single chunk, every
+        // slot live.
         let lo = pre as usize;
         let hi = end.min(total) as usize;
         if lo >= hi {
@@ -351,11 +353,9 @@ impl TreeView for ReadOnlyDoc {
         }
         Some(crate::view::PreChunk {
             pre,
-            used: None,
-            kinds: &self.kind.tail()[lo..hi],
+            kinds: Kind::bytes(&self.kind.tail()[lo..hi]),
             levels: &self.level.tail()[lo..hi],
             names: &self.name.tail()[lo..hi],
-            sizes: &self.size.tail()[lo..hi],
             values: &self.value.tail()[lo..hi],
         })
     }
@@ -465,6 +465,20 @@ mod tests {
             assert_eq!(TreeView::level(&d1, p), TreeView::level(&d2, p));
             assert_eq!(d1.kind(p), d2.kind(p));
         }
+    }
+
+    /// Levels are `u16` with the last value reserved (the paged schema's
+    /// NULL): the streaming shredder reports the depth instead of
+    /// wrapping.
+    #[test]
+    fn nesting_beyond_the_level_column_is_an_error() {
+        let nested = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        let deepest = ReadOnlyDoc::parse_str(&nested(65_535)).unwrap();
+        assert_eq!(TreeView::level(&deepest, 65_534), Some(65_534));
+        assert_eq!(
+            ReadOnlyDoc::parse_str(&nested(65_536)).unwrap_err(),
+            StorageError::TooDeep { depth: 65_536 }
+        );
     }
 
     #[test]

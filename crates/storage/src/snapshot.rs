@@ -8,9 +8,11 @@
 //! so no crates.io `arc-swap`): readers [`ArcCell::load`] the current
 //! `Arc` with a handful of atomic operations and **no lock, ever** — no
 //! mutex, no rwlock, no unbounded spin on the read side; publishers
-//! [`ArcCell::store`] swap the pointer and then wait out only the
+//! [`ArcCell::store`] swap the pointer, wait out only the
 //! (instruction-scale) windows of readers that might still be cloning
-//! the **old** value.
+//! the **old** value, and hand that value back — so a publisher holding
+//! a lock around the store can drop the superseded version (a walk over
+//! every page's reference count) *after* releasing it.
 //!
 //! # How the race is closed
 //!
@@ -27,8 +29,8 @@
 //!   that will retire the value it is about to read), and deregisters
 //!   after cloning the `Arc`;
 //! * a publisher swaps the pointer, bumps the epoch, and then waits for
-//!   the **previous** epoch's slot to drain before releasing the old
-//!   value. Readers arriving meanwhile register in the *new* slot and
+//!   the **previous** epoch's slot to drain before reclaiming the cell's
+//!   reference to the old value. Readers arriving meanwhile register in the *new* slot and
 //!   never delay it — the wait covers exactly the readers that could
 //!   have seen the old pointer, so it is bounded by their few-
 //!   instruction windows even under a sustained snapshot storm.
@@ -110,12 +112,22 @@ impl<T> ArcCell<T> {
         arc
     }
 
-    /// Atomically replaces the value, releasing the cell's reference to
-    /// the previous one once no in-flight `load` can still touch it.
-    /// Only readers that raced this exact publication are waited on;
-    /// later loads register against the new epoch and never delay it.
-    pub fn store(&self, value: Arc<T>) {
-        let _serialized = self.publish.lock().unwrap();
+    /// Atomically replaces the value and returns the previous one (the
+    /// cell's own reference to it, reclaimed once no in-flight `load`
+    /// can still touch it). Only readers that raced this exact
+    /// publication are waited on; later loads register against the new
+    /// epoch and never delay it.
+    ///
+    /// Dropping the returned `Arc` may tear the superseded value down
+    /// (it is the last reference when no reader pinned it), so the cell
+    /// releases its publisher mutex first, and a caller that publishes
+    /// under a lock of its own should release that lock before dropping.
+    #[must_use = "drop the superseded value outside any lock held around the store"]
+    pub fn store(&self, value: Arc<T>) -> Arc<T> {
+        let _serialized = self
+            .publish
+            .lock()
+            .expect("publishers never panic mid-store");
         let new = Arc::into_raw(value).cast_mut();
         let old = self.ptr.swap(new, Ordering::SeqCst);
         let prev_epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -135,9 +147,10 @@ impl<T> ArcCell<T> {
         // SAFETY: `old` came from `Arc::into_raw`; we reclaim the strong
         // reference the cell owned. Every load that could still clone
         // `old` has deregistered from the drained slot (and a clone
-        // strictly precedes its deregistration), so dropping this
-        // reference can no longer race a clone of a dead Arc.
-        drop(unsafe { Arc::from_raw(old) });
+        // strictly precedes its deregistration), so whenever the caller
+        // drops this reference it can no longer race a clone of a dead
+        // Arc.
+        unsafe { Arc::from_raw(old) }
     }
 
     /// Consumes the cell, returning the held value.
@@ -174,16 +187,34 @@ mod tests {
     fn load_returns_current_value() {
         let cell = ArcCell::new(Arc::new(7u64));
         assert_eq!(*cell.load(), 7);
-        cell.store(Arc::new(8));
+        assert_eq!(*cell.store(Arc::new(8)), 7);
         assert_eq!(*cell.load(), 8);
         assert_eq!(*cell.into_inner(), 8);
+    }
+
+    /// `store` hands the superseded value back instead of dropping it:
+    /// it is the previous value, and the *last* reference to it exactly
+    /// when no reader holds a snapshot — so the caller decides where the
+    /// teardown runs.
+    #[test]
+    fn store_returns_the_previous_value_as_its_last_reference() {
+        let cell = ArcCell::new(Arc::new(String::from("v0")));
+        let old = cell.store(Arc::new(String::from("v1")));
+        assert_eq!(*old, "v0");
+        assert_eq!(Arc::strong_count(&old), 1, "nobody pinned v0");
+        let pinned = cell.load();
+        let old = cell.store(Arc::new(String::from("v2")));
+        assert!(Arc::ptr_eq(&old, &pinned));
+        assert_eq!(Arc::strong_count(&old), 2, "the reader still holds v1");
+        drop(pinned);
+        assert_eq!(Arc::strong_count(&old), 1);
     }
 
     #[test]
     fn old_snapshots_stay_alive_after_store() {
         let cell = ArcCell::new(Arc::new(String::from("v0")));
         let pinned = cell.load();
-        cell.store(Arc::new(String::from("v1")));
+        drop(cell.store(Arc::new(String::from("v1"))));
         assert_eq!(*pinned, "v0");
         assert_eq!(*cell.load(), "v1");
     }
@@ -212,7 +243,7 @@ mod tests {
             }
             s.spawn(|| {
                 for i in 2..2_000u64 {
-                    cell.store(Arc::new((i, i * 2)));
+                    drop(cell.store(Arc::new((i, i * 2))));
                 }
             });
         });
@@ -241,7 +272,7 @@ mod tests {
             // Every store must return; 500 of them back-to-back while
             // readers never pause.
             for i in 1..=500u64 {
-                cell.store(Arc::new(i));
+                drop(cell.store(Arc::new(i)));
             }
             stop.store(true, Ordering::Relaxed);
         });
@@ -259,14 +290,14 @@ mod tests {
             let (a2, b2) = (a.clone(), b.clone());
             s.spawn(move || {
                 for i in 0..1_000 {
-                    a2.store(Arc::new(i));
+                    drop(a2.store(Arc::new(i)));
                     std::hint::black_box(b2.load());
                 }
             });
             let (a3, b3) = (a.clone(), b.clone());
             s.spawn(move || {
                 for i in 0..1_000 {
-                    b3.store(Arc::new(100 + i));
+                    drop(b3.store(Arc::new(100 + i)));
                     std::hint::black_box(a3.load());
                 }
             });

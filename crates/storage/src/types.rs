@@ -15,6 +15,34 @@ pub enum Kind {
     ProcessingInstruction = 3,
 }
 
+impl Kind {
+    /// The byte an **unused slot** carries in a kind-byte column
+    /// ([`crate::PreChunk::kinds`]): equal to no kind, so comparing a
+    /// kind byte against a wanted kind tests liveness in the same step.
+    pub const UNUSED: u8 = u8::MAX;
+
+    /// The kind a column byte encodes; `None` for [`Kind::UNUSED`].
+    #[inline]
+    pub fn from_byte(byte: u8) -> Option<Kind> {
+        match byte {
+            0 => Some(Kind::Element),
+            1 => Some(Kind::Text),
+            2 => Some(Kind::Comment),
+            3 => Some(Kind::ProcessingInstruction),
+            _ => None,
+        }
+    }
+
+    /// A kind column as its bytes (every one a live kind).
+    #[inline]
+    pub fn bytes(kinds: &[Kind]) -> &[u8] {
+        const _: () = assert!(std::mem::size_of::<Kind>() == 1);
+        // SAFETY: Kind is #[repr(u8)] with size and alignment 1, so a
+        // &[Kind] reinterprets losslessly as &[u8] of the same length.
+        unsafe { std::slice::from_raw_parts(kinds.as_ptr().cast(), kinds.len()) }
+    }
+}
+
 /// Immutable per-node identifier.
 ///
 /// "We decided to give each node a unique node number that never changes
@@ -118,6 +146,20 @@ pub enum StorageError {
         /// Description of the violated invariant.
         message: String,
     },
+    /// A shard would outgrow what its 32-bit positions and node ids can
+    /// address (2³²−2 slots, 2³²−2 node ids).
+    TooLarge {
+        /// What would overflow ("slots", "node ids", …).
+        what: &'static str,
+        /// The count or value that does not fit.
+        count: u64,
+    },
+    /// A document nests deeper than the `level` column can record
+    /// (65 535 levels; the last `u16` is the NULL of unused slots).
+    TooDeep {
+        /// The nesting depth that was reached.
+        depth: u64,
+    },
 }
 
 impl core::fmt::Display for StorageError {
@@ -131,6 +173,14 @@ impl core::fmt::Display for StorageError {
             StorageError::InvalidTarget { message } => write!(f, "invalid target: {message}"),
             StorageError::Kernel(m) => write!(f, "column kernel: {m}"),
             StorageError::Corrupt { message } => write!(f, "storage corrupt: {message}"),
+            StorageError::TooLarge { what, count } => write!(
+                f,
+                "{count} {what} exceed what one shard can address (at most 4294967294)"
+            ),
+            StorageError::TooDeep { depth } => write!(
+                f,
+                "document nested {depth} deep; at most 65535 levels are supported"
+            ),
         }
     }
 }

@@ -22,9 +22,10 @@
 //! level summaries of [`crate::paged`] — O(pages spanned + page size)
 //! each, not a slot-by-slot walk that near the root covers the whole
 //! document. Every page an update rewrites ends in
-//! `rebuild_runs_in_page`, which refreshes that page's summary.
+//! `Page::rebuild_runs`, which refreshes that page's summary.
 
-use crate::paged::{PagedDoc, Tuple};
+use crate::page::{checked_level, Tuple, NO_POS};
+use crate::paged::PagedDoc;
 use crate::types::{Kind, NodeId, StorageError};
 use crate::values::QnId;
 use crate::view::TreeView;
@@ -130,17 +131,17 @@ impl PagedDoc {
         // Stage the new tuples and their attribute rows; attribute rows
         // are keyed by node id, so they can be added independently of
         // physical placement (Figure 6).
-        let mut staged = Vec::with_capacity(subtree.tuple_count() as usize);
-        let mut attrs = Vec::new();
-        self.stage_subtree_with_base(subtree, base_level, first_node, &mut staged, &mut attrs);
-        let n = staged.len() as u64;
         // Materialize the node→pos entries (NULL until placed below),
-        // padding any reservation gap with NULL entries.
-        while self.node_alloc_end() < first_node + n {
-            self.alloc_node_id();
-        }
+        // padding any reservation gap with NULL entries; this is also
+        // the check that the new ids are addressable.
+        let count = subtree.tuple_count();
+        self.reserve_node_ids(first_node.saturating_add(count))?;
+        let mut staged = Vec::with_capacity(count as usize);
+        let mut attrs = Vec::new();
+        self.stage_subtree_with_base(subtree, base_level, first_node, &mut staged, &mut attrs)?;
+        let n = staged.len() as u64;
         for t in &staged {
-            if self.node_pos.get(t.node).ok().flatten().is_some() {
+            if self.node_pos[t.node as usize] != NO_POS {
                 return Err(StorageError::InvalidTarget {
                     message: format!("node id {} already in use", t.node),
                 });
@@ -156,7 +157,7 @@ impl PagedDoc {
         // and classify them for the content index.
         for t in &staged {
             if t.kind == Kind::Element {
-                self.name_index.add(QnId(t.name), t.node);
+                self.name_index.add(QnId(t.name), u64::from(t.node));
             }
         }
         self.register_staged_content(&staged);
@@ -166,7 +167,7 @@ impl PagedDoc {
             Some(p) => Some(self.pre_to_node(p)?),
             None => None,
         };
-        let new_root_node = staged[0].node;
+        let new_root_node = u64::from(staged[0].node);
 
         let report = self.place_tuples(insert_pre, &staged)?;
         self.used_count += n;
@@ -229,12 +230,12 @@ impl PagedDoc {
         let mut attrs_removed = 0u64;
         let mut pages = std::collections::BTreeSet::new();
         for &v in &victims {
-            let pos = self.pos_of_pre(v).expect("victim is in range");
-            let node = self.node[pos];
-            if self.kind[pos] == Kind::Element {
-                self.name_index.remove(QnId(self.name[pos]), node);
-                self.content_index
-                    .remove_element(QnId(self.name[pos]), node);
+            let (phys, i) = self.locate(v).expect("victim is in range");
+            let t = self.pages[phys].read(i);
+            let node = u64::from(t.node);
+            if t.kind == Kind::Element {
+                self.name_index.remove(QnId(t.name), node);
+                self.content_index.remove_element(QnId(t.name), node);
             }
             if let Some(rows) = self.attr_index.remove(node) {
                 attrs_removed += rows.len() as u64;
@@ -246,12 +247,12 @@ impl PagedDoc {
                 // is authoritative. (MonetDB similarly leaves deletions
                 // to be vacuumed.)
             }
-            self.set_node_pos(node, None);
-            self.clear_slot(pos);
-            pages.insert(pos >> self.shift);
+            self.node_pos[t.node as usize] = NO_POS;
+            self.page_mut(phys).clear_slot(i);
+            pages.insert(phys);
         }
-        for &page in &pages {
-            self.rebuild_runs_in_page(page);
+        for &phys in &pages {
+            self.page_mut(phys).rebuild_runs();
         }
         let m = victims.len() as u64;
         self.used_count -= m;
@@ -285,14 +286,12 @@ impl PagedDoc {
 
     /// Replaces the content of the text/comment/instruction node `target`.
     pub fn update_value(&mut self, target: NodeId, new_value: &str) -> Result<()> {
-        let pre = self.node_to_pre(target)?;
-        let pos = self
-            .pos_of_pre(pre)
-            .ok_or(StorageError::BadNode { node: target })?;
+        let (pre, phys, i) = self.locate_node(target)?;
+        let old = self.pages[phys].read(i);
         // A text edit changes the direct parent's string value; capture
         // its content state before the write (comment/PI edits never
         // contribute to string values, so only text needs this).
-        let parent_content = if self.kind[pos] == Kind::Text {
+        let parent_content = if old.kind == Kind::Text {
             match self.parent_of(pre) {
                 Some(pp) => Some((self.pre_to_node(pp)?, pp, self.content_state(pp))),
                 None => None,
@@ -300,13 +299,13 @@ impl PagedDoc {
         } else {
             None
         };
-        let v = match self.kind[pos] {
+        let v = match old.kind {
             Kind::Text => self.pool.intern_text(new_value),
             Kind::Comment => self.pool.intern_comment(new_value),
             Kind::ProcessingInstruction => {
                 let (target_str, _) = self
                     .pool
-                    .instruction(self.value[pos])
+                    .instruction(old.value)
                     .map(|(t, d)| (t.to_string(), d.to_string()))
                     .unwrap_or_default();
                 self.pool.intern_instruction(&target_str, new_value)
@@ -319,7 +318,7 @@ impl PagedDoc {
                 })
             }
         };
-        self.value[pos] = v;
+        self.page_mut(phys).cols_mut().values[i] = v;
         if let Some((pnode, pp, before)) = parent_content {
             // A value update never shifts pres, so `pp` is still valid.
             let after = self.content_state(pp);
@@ -330,19 +329,17 @@ impl PagedDoc {
 
     /// Renames the element `target` (XUpdate `rename`).
     pub fn rename(&mut self, target: NodeId, name: &QName) -> Result<()> {
-        let pre = self.node_to_pre(target)?;
-        let pos = self
-            .pos_of_pre(pre)
-            .ok_or(StorageError::BadNode { node: target })?;
-        if self.kind[pos] != Kind::Element {
+        let (pre, phys, i) = self.locate_node(target)?;
+        let t = self.pages[phys].read(i);
+        if t.kind != Kind::Element {
             return Err(StorageError::InvalidTarget {
                 message: "rename targets an element".into(),
             });
         }
         let qn = self.pool.intern_qname(name);
-        let old = QnId(self.name[pos]);
+        let old = QnId(t.name);
         if old != qn {
-            let node = self.node[pos];
+            let node = target.0;
             self.name_index.remove(old, node);
             self.name_index.add(qn, node);
             // The content key is name-independent; move it between
@@ -350,25 +347,22 @@ impl PagedDoc {
             let key = self.content_state(pre).and_then(|(_, k)| k);
             self.content_index
                 .rename_element(old, qn, key.as_deref(), node);
+            self.page_mut(phys).cols_mut().names[i] = qn.0;
         }
-        self.name[pos] = qn.0;
         Ok(())
     }
 
     /// Sets (adds or replaces) an attribute on the element `target`.
     pub fn set_attribute(&mut self, target: NodeId, name: &QName, value: &str) -> Result<()> {
         let pre = self.node_to_pre(target)?;
-        let pos = self
-            .pos_of_pre(pre)
-            .ok_or(StorageError::BadNode { node: target })?;
-        if self.kind[pos] != Kind::Element {
+        if self.kind(pre) != Some(Kind::Element) {
             return Err(StorageError::InvalidTarget {
                 message: "attributes can only be set on elements".into(),
             });
         }
         let qn = self.pool.intern_qname(name);
         let prop = self.pool.intern_prop(value);
-        let node = self.node[pos];
+        let node = target.0;
         if let Some(rows) = self.attr_index.get(node) {
             for &r in rows {
                 if self.attr_qn[r as usize] == qn {
@@ -387,11 +381,8 @@ impl PagedDoc {
     /// Removes an attribute from the element `target`. Returns whether an
     /// attribute was actually removed.
     pub fn remove_attribute(&mut self, target: NodeId, name: &QName) -> Result<bool> {
-        let pre = self.node_to_pre(target)?;
-        let pos = self
-            .pos_of_pre(pre)
-            .ok_or(StorageError::BadNode { node: target })?;
-        let node = self.node[pos];
+        self.node_to_pre(target)?;
+        let node = target.0;
         let Some(qn) = self.pool.lookup_qname(name) else {
             return Ok(false);
         };
@@ -420,11 +411,7 @@ impl PagedDoc {
     /// child, so simple elements cost O(direct children) and complex
     /// ones exit early.
     pub(crate) fn content_state(&self, pre: u64) -> ContentState {
-        let pos = self.pos_of_pre(pre)?;
-        if !self.used[pos] || self.kind[pos] != Kind::Element {
-            return None;
-        }
-        let qn = QnId(self.name[pos]);
+        let qn = self.name_id(pre)?;
         let end = self.region_end(pre);
         let mut text = String::new();
         let mut p = pre + 1;
@@ -432,10 +419,10 @@ impl PagedDoc {
             if q >= end {
                 break;
             }
-            let qpos = self.pos_of_pre(q).expect("used slot resolves");
-            match self.kind[qpos] {
-                Kind::Element => return Some((qn, None)),
-                Kind::Text => text.push_str(self.pool.text(self.value[qpos]).unwrap_or("")),
+            let (page, i) = self.slot(q).expect("used slot resolves");
+            match page.kind(i) {
+                Some(Kind::Element) => return Some((qn, None)),
+                Some(Kind::Text) => text.push_str(self.pool.text(page.values()[i]).unwrap_or("")),
                 _ => {} // comments/PIs contribute no string value
             }
             p = q + 1;
@@ -485,7 +472,7 @@ impl PagedDoc {
                     }
                     stack.push(Frame {
                         level: t.level,
-                        node: t.node,
+                        node: u64::from(t.node),
                         qn: t.name,
                         has_elem_child: false,
                         text: String::new(),
@@ -508,18 +495,15 @@ impl PagedDoc {
 
     /// Applies a size delta to the used tuple at `pre`.
     pub(crate) fn add_size_delta(&mut self, pre: u64, delta: i64) -> Result<()> {
-        let pos = self.pos_of_pre(pre).ok_or(StorageError::BadPre {
+        let (phys, i) = self.locate(pre).ok_or(StorageError::BadPre {
             pre,
             context: "applying a size delta",
         })?;
-        let new = self.size[pos] as i64 + delta;
-        if new < 0 {
-            return Err(StorageError::Corrupt {
-                message: format!("size of pre {pre} would become negative"),
-            });
-        }
-        self.size[pos] = new as u64;
-        Ok(())
+        self.page_mut(phys)
+            .add_size(i, delta)
+            .ok_or_else(|| StorageError::Corrupt {
+                message: format!("size of pre {pre} would leave its range"),
+            })
     }
 
     /// Resolves an [`InsertPosition`] to `(insert_pre, parent_pre,
@@ -557,7 +541,7 @@ impl PagedDoc {
                         message: "only elements can take children".into(),
                     });
                 }
-                Ok((self.region_end(pre), Some(pre), lvl + 1))
+                Ok((self.region_end(pre), Some(pre), child_lvl(lvl)?))
             }
             InsertPosition::ChildAt(t, k) => {
                 let pre = self.node_to_pre(t)?;
@@ -568,6 +552,7 @@ impl PagedDoc {
                     });
                 }
                 // Walk to the k-th child; falling off the end appends.
+                let child = child_lvl(lvl)?;
                 let end = self.region_end(pre);
                 let mut seen = 0usize;
                 let mut p = pre + 1;
@@ -575,15 +560,15 @@ impl PagedDoc {
                     if q >= end {
                         break;
                     }
-                    if self.level(q) == Some(lvl + 1) {
+                    if self.level(q) == Some(child) {
                         if seen == k {
-                            return Ok((q, Some(pre), lvl + 1));
+                            return Ok((q, Some(pre), child));
                         }
                         seen += 1;
                     }
                     p = self.region_end(q);
                 }
-                Ok((end, Some(pre), lvl + 1))
+                Ok((end, Some(pre), child))
             }
         }
     }
@@ -591,7 +576,6 @@ impl PagedDoc {
     /// Places `staged` tuples at view position `insert_pre`, running case
     /// 2a or 2b of Figure 7. Returns a partial report (ancestor fields
     /// filled by the caller).
-    #[allow(clippy::explicit_counter_loop)] // cursor spans several loops
     fn place_tuples(&mut self, insert_pre: u64, staged: &[Tuple]) -> Result<InsertReport> {
         let page_size = self.cfg.page_size;
         let n = staged.len();
@@ -599,125 +583,77 @@ impl PagedDoc {
         // Inserting at the very end of the view gets a fresh page first,
         // so the offset arithmetic below is uniform.
         let insert_pre = if insert_pre >= self.pre_end() {
-            let lp = self.pages.num_pages();
-            self.append_physical_page();
+            let lp = self.map.num_pages();
+            self.append_physical_page()?;
             (lp << self.shift) as u64
         } else {
             insert_pre
         };
 
         let target_logical = (insert_pre >> self.shift) as usize;
-        let phys = self.pages.logical_to_physical(target_logical)?;
-        let base = phys * page_size;
-        let offset = (insert_pre & (page_size as u64 - 1)) as usize;
+        let (phys, offset) = self.locate(insert_pre).ok_or(StorageError::BadPre {
+            pre: insert_pre,
+            context: "placing inserted tuples",
+        })?;
 
         // Partition the page's used tuples around the insert point.
-        let mut before: Vec<Tuple> = Vec::new();
-        let mut after: Vec<Tuple> = Vec::new();
-        for pos in base..base + page_size {
-            if self.used[pos] {
-                if pos - base < offset {
-                    before.push(self.read_tuple(pos));
-                } else {
-                    after.push(self.read_tuple(pos));
-                }
-            }
-        }
+        let page = &self.pages[phys];
+        let used = |range: std::ops::Range<usize>| -> Vec<Tuple> {
+            range
+                .filter(|&i| page.is_used(i))
+                .map(|i| page.read(i))
+                .collect()
+        };
+        let (before, after) = (used(0..offset), used(offset..page_size));
 
-        if before.len() + after.len() + n <= page_size {
+        let (case, moved, pages_added) = if before.len() + after.len() + n <= page_size {
             // ---- Case 2a: rewrite the single page. ----
             // Compacting interior holes while we are here is free: the
             // view's semantics depend only on the order of used tuples.
-            let mut moved = 0u64;
-            for pos in base..base + page_size {
-                self.clear_slot(pos);
-            }
-            let mut cursor = base;
-            for t in before.iter().chain(staged.iter()).chain(after.iter()) {
-                self.write_tuple(cursor, *t);
-                match self.node_pos.get(t.node) {
-                    Ok(Some(old)) if old == cursor as u64 => {}
-                    _ => {
-                        self.set_node_pos(t.node, Some(cursor as u64));
-                        moved += 1;
-                    }
-                }
-                cursor += 1;
-            }
-            self.rebuild_runs_in_page(phys);
-            Ok(InsertReport {
-                case: InsertCase::WithinPage,
-                inserted: n as u64,
-                moved: moved - n as u64, // new tuples are not "moved"
-                pages_added: 0,
-                ancestors_updated: 0,
-                new_root_pre: 0,
-            })
+            let moved = self.rewrite_page(phys, before.iter().chain(staged).chain(&after));
+            (InsertCase::WithinPage, moved, 0)
         } else {
             // ---- Case 2b: fill the page, spill into spliced pages. ----
-            let mut moved = 0u64;
-            let mut sequence: Vec<Tuple> = Vec::with_capacity(n + after.len());
-            sequence.extend_from_slice(staged);
-            sequence.extend_from_slice(&after);
-
-            for pos in base..base + page_size {
-                self.clear_slot(pos);
-            }
-            let mut cursor = base;
-            for t in &before {
-                self.write_tuple(cursor, *t);
-                if self.node_pos.get(t.node) != Ok(Some(cursor as u64)) {
-                    self.set_node_pos(t.node, Some(cursor as u64));
-                    moved += 1;
-                }
-                cursor += 1;
-            }
+            let sequence = [staged, &after].concat();
             // Fill the target page completely (the paper puts k into the
             // last free slot of page 0 before spilling l and m).
-            let head = (page_size - before.len()).min(sequence.len());
-            for t in &sequence[..head] {
-                self.write_tuple(cursor, *t);
-                if self.node_pos.get(t.node) != Ok(Some(cursor as u64)) {
-                    self.set_node_pos(t.node, Some(cursor as u64));
-                    moved += 1;
-                }
-                cursor += 1;
-            }
-            self.rebuild_runs_in_page(phys);
+            let (head, rest) = sequence.split_at((page_size - before.len()).min(sequence.len()));
+            let mut moved = self.rewrite_page(phys, before.iter().chain(head));
 
             // Spill the remainder into fresh pages spliced after the
             // target page, each filled to the configured fill target so
             // future inserts nearby find free space again.
-            let fill = self.cfg.fill_target();
             let mut pages_added = 0usize;
-            let mut rest = &sequence[head..];
-            let mut splice_at = target_logical + 1;
-            while !rest.is_empty() {
-                let chunk_len = rest.len().min(fill);
-                let new_phys = self.splice_physical_page(splice_at)?;
-                let nbase = new_phys * page_size;
-                for (i, t) in rest[..chunk_len].iter().enumerate() {
-                    self.write_tuple(nbase + i, *t);
-                    if self.node_pos.get(t.node) != Ok(Some((nbase + i) as u64)) {
-                        self.set_node_pos(t.node, Some((nbase + i) as u64));
-                        moved += 1;
-                    }
-                }
-                self.rebuild_runs_in_page(new_phys);
-                rest = &rest[chunk_len..];
-                splice_at += 1;
+            for chunk in rest.chunks(self.cfg.fill_target()) {
                 pages_added += 1;
+                let new_phys = self.splice_physical_page(target_logical + pages_added)?;
+                moved += self.rewrite_page(new_phys, chunk.iter());
             }
-            Ok(InsertReport {
-                case: InsertCase::PageOverflow,
-                inserted: n as u64,
-                moved: moved - n as u64,
-                pages_added,
-                ancestors_updated: 0,
-                new_root_pre: 0,
-            })
-        }
+            (InsertCase::PageOverflow, moved, pages_added)
+        };
+        Ok(InsertReport {
+            case,
+            inserted: n as u64,
+            moved: moved - n as u64, // new tuples are not "moved"
+            pages_added,
+            ancestors_updated: 0,
+            new_root_pre: 0,
+        })
     }
+
+    /// `(pre, physical page, offset)` of the live node `target`.
+    fn locate_node(&self, target: NodeId) -> Result<(u64, usize, usize)> {
+        let pos = self
+            .pos_of_node(target.0)
+            .ok_or(StorageError::BadNode { node: target })? as usize;
+        let pre = self.map.pos_to_pre(pos as u64)?;
+        Ok((pre, pos >> self.shift, pos & (self.cfg.page_size - 1)))
+    }
+}
+
+/// The level of a child of a level-`lvl` node, or the depth error.
+fn child_lvl(lvl: u16) -> Result<u16> {
+    checked_level(usize::from(lvl) + 1)
 }
 
 #[cfg(test)]

@@ -14,11 +14,10 @@
 //! state the paper designed the indirection for).
 
 use crate::names::NameIndex;
-use crate::paged::{name_index_base, PagedDoc, Tuple, NO_LEVEL, SIDE_PAGE};
+use crate::paged::{name_index_base, PagedDoc};
 use crate::types::PageConfig;
 use crate::view::TreeView;
 use crate::Result;
-use mbxq_bat::{CowNullable, CowVec, PageMap};
 
 /// Outcome statistics of a vacuum run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,57 +41,33 @@ impl PagedDoc {
     /// attributes and the value pool are preserved; only positions (and
     /// therefore pre ranks' *physical* backing) change.
     pub fn vacuum_into(&mut self, cfg: PageConfig) -> Result<VacuumReport> {
-        PageConfig::new(cfg.page_size, cfg.fill_percent)?;
-        let pages_before = self.pages.num_pages();
-        let capacity_before = self.size.len() as u64;
+        // Validates `cfg` and gives the fresh, empty layout to move into.
+        let fresh = PagedDoc::empty(cfg)?;
+        let pages_before = self.pages.len();
+        let capacity_before = self.pre_end();
 
         // Collect live tuples in view (document) order.
-        let mut live: Vec<Tuple> = Vec::with_capacity(self.used_count as usize);
+        let mut live = Vec::with_capacity(self.used_count as usize);
         let mut p = 0u64;
         while let Some(q) = self.next_used_at_or_after(p) {
-            let pos = self.pos_of_pre(q).expect("used slot resolves");
-            live.push(self.read_tuple(pos));
+            let (page, i) = self.slot(q).expect("used slot resolves");
+            live.push(page.read(i));
             p = q + 1;
         }
 
-        // Fresh layout.
-        let fill = cfg.fill_target();
-        let n_pages = live.len().div_ceil(fill).max(1);
-        let mut pages = PageMap::new(cfg.page_size);
-        let slots = n_pages * cfg.page_size;
+        // Fresh layout; the node-id space is preserved (ids above the
+        // rebuilt set stay NULL, e.g. ids of deleted nodes).
+        let alloc_end = self.node_alloc_end();
         self.cfg = cfg;
-        self.shift = cfg.page_size.trailing_zeros();
-        self.size = CowVec::filled(cfg.page_size, slots, 0);
-        self.level = CowVec::filled(cfg.page_size, slots, 0);
-        self.used = CowVec::filled(cfg.page_size, slots, false);
-        self.kind = CowVec::filled(cfg.page_size, slots, crate::types::Kind::Element);
-        self.name = CowVec::filled(cfg.page_size, slots, 0);
-        self.value = CowVec::filled(cfg.page_size, slots, u32::MAX);
-        self.node = CowVec::filled(cfg.page_size, slots, u64::MAX);
-        self.page_min_level = CowVec::filled(SIDE_PAGE, n_pages, NO_LEVEL);
-
-        // Preserve the node-id space (ids above the rebuilt set stay
-        // NULL, e.g. ids of deleted nodes).
-        let alloc_end = self.node_pos.hseqend();
-        let mut node_pos = CowNullable::new(SIDE_PAGE);
-        for _ in 0..alloc_end {
-            node_pos.append(None);
-        }
-
-        for (i, chunk) in live.chunks(fill).enumerate() {
-            let page = pages.append_page();
-            debug_assert_eq!(page, i);
-            let base = page * cfg.page_size;
-            for (j, t) in chunk.iter().enumerate() {
-                self.write_tuple(base + j, *t);
-                node_pos.set(t.node, Some((base + j) as u64))?;
-            }
-        }
-        self.pages = pages;
-        self.node_pos = node_pos;
-        for page in 0..n_pages {
-            self.rebuild_runs_in_page(page);
-        }
+        self.shift = fresh.shift;
+        self.pages = fresh.pages;
+        self.map = fresh.map;
+        self.node_pos = fresh.node_pos;
+        self.used_count = 0;
+        self.reserve_node_ids(alloc_end)?;
+        self.lay_out_appended(&live)?;
+        let n_pages = self.pages.len();
+        let slots = self.pre_end();
 
         // Drop attribute rows orphaned by deletes (they were left in the
         // columns as dead space), renumbering the survivors, and fold
@@ -112,7 +87,7 @@ impl PagedDoc {
             pages_before,
             pages_after: n_pages,
             tuples_moved: live.len() as u64,
-            slots_reclaimed: capacity_before.saturating_sub(slots as u64),
+            slots_reclaimed: capacity_before.saturating_sub(slots),
             attr_rows_reclaimed,
         })
     }
@@ -125,10 +100,10 @@ impl PagedDoc {
     /// Fraction of allocated slots holding live tuples (0.0–1.0); a
     /// trigger metric for vacuum scheduling.
     pub fn occupancy(&self) -> f64 {
-        if self.size.is_empty() {
+        if self.pages.is_empty() {
             return 1.0;
         }
-        self.used_count as f64 / self.size.len() as f64
+        self.used_count as f64 / self.pre_end() as f64
     }
 }
 

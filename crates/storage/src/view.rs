@@ -40,25 +40,27 @@ use crate::values::{DegreeStats, NumRange, PropId, QnId, TextProbe, ValuePool};
 /// range scans, value comparisons, string-value assembly) run tight
 /// slice loops instead of one virtual call + page swizzle per slot.
 /// All slices have the same length; index `i` describes pre rank
-/// `pre + i`. A slot is *live* iff [`PreChunk::live`] — the `names` and
-/// `values` columns hold unrelated bookkeeping for dead slots (the
-/// paged schema stores backward run lengths in `names`), so kernels
-/// must gate on liveness (and on `kinds`) before trusting them.
+/// `pre + i`. A slot is *live* iff its kind byte is a [`Kind`]
+/// ([`PreChunk::live`]); unused slots read [`Kind::UNUSED`] there and
+/// hold unrelated bookkeeping in `names` (the paged schema stores
+/// backward run lengths), so kernels test the kind byte — which tests
+/// liveness in the same compare — before trusting the other columns.
 #[derive(Debug, Clone, Copy)]
 pub struct PreChunk<'a> {
     /// Pre rank of the first slot in the chunk.
     pub pre: u64,
-    /// Per-slot liveness; `None` means every slot is used (dense schema).
-    pub used: Option<&'a [bool]>,
-    /// Node kinds (unspecified for unused slots).
-    pub kinds: &'a [Kind],
-    /// Tree depths (unspecified for unused slots).
+    /// Node kinds as bytes (`Kind as u8`); [`Kind::UNUSED`] for unused
+    /// slots. Bytes, so a vector kernel compares 16 lanes per
+    /// instruction. No *alignment* is guaranteed (chunks start at
+    /// arbitrary offsets inside a page), so kernels use unaligned
+    /// loads; what **is** guaranteed is that a chunk never spans a page
+    /// boundary — every column slice is contiguous memory of one page.
+    pub kinds: &'a [u8],
+    /// Tree depths (`u16::MAX` for unused slots).
     pub levels: &'a [u16],
     /// `qn` ids for elements; `u32::MAX` for non-element used slots.
-    /// Unused slots hold the backward run index — check liveness first.
+    /// Unused slots hold the backward run index — check the kind first.
     pub names: &'a [u32],
-    /// Subtree sizes (used) or remaining run lengths (unused).
-    pub sizes: &'a [u64],
     /// Value-table references for non-elements; `u32::MAX` for elements.
     pub values: &'a [u32],
 }
@@ -80,38 +82,7 @@ impl PreChunk<'_> {
     /// Whether slot `i` holds a document node.
     #[inline]
     pub fn live(&self, i: usize) -> bool {
-        match self.used {
-            Some(u) => u[i],
-            None => true,
-        }
-    }
-
-    /// The `kinds` column as raw bytes — the layout guarantee the SIMD
-    /// chunk kernels build on. [`Kind`] is `#[repr(u8)]`, so the column
-    /// can be compared 16 lanes at a time with byte-wide vector
-    /// instructions. No *alignment* is guaranteed beyond the element
-    /// size (chunks start at arbitrary slice offsets inside a page), so
-    /// kernels must use unaligned loads; what **is** guaranteed is that
-    /// a chunk never spans a page boundary — every column slice is
-    /// contiguous memory of one page.
-    #[inline]
-    pub fn kinds_bytes(&self) -> &[u8] {
-        const _: () = assert!(std::mem::size_of::<Kind>() == 1);
-        // SAFETY: Kind is #[repr(u8)] with size and alignment 1, so a
-        // &[Kind] reinterprets losslessly as &[u8] of the same length.
-        unsafe { std::slice::from_raw_parts(self.kinds.as_ptr() as *const u8, self.kinds.len()) }
-    }
-
-    /// The liveness column as raw bytes (`1` = live, `0` = unused), or
-    /// `None` for dense schemas. `bool` is guaranteed to be one byte
-    /// holding exactly `0x00`/`0x01`, so the mask combines directly
-    /// with byte-compare results in the vector kernels.
-    #[inline]
-    pub fn used_bytes(&self) -> Option<&[u8]> {
-        self.used.map(|u| {
-            // SAFETY: bool is one byte with the values 0 and 1.
-            unsafe { std::slice::from_raw_parts(u.as_ptr() as *const u8, u.len()) }
-        })
+        self.kinds[i] != Kind::UNUSED
     }
 }
 
@@ -404,7 +375,7 @@ pub trait TreeView: Sync {
                         continue;
                     };
                     for i in 0..chunk.len() {
-                        if chunk.live(i) && chunk.kinds[i] == Kind::Text {
+                        if chunk.kinds[i] == Kind::Text as u8 {
                             if let Some(t) = self.pool().text(chunk.values[i]) {
                                 out.push_str(t);
                             }

@@ -32,10 +32,11 @@
 //! # O(touched-pages) commits
 //!
 //! The new version is **not** a deep copy. [`mbxq_storage::PagedDoc`]
-//! stores every column as shared copy-on-write pages
-//! (`mbxq_bat::CowVec`), so `clone` copies page *pointers* and each
-//! staged operation privatizes exactly the column pages it writes, plus
-//! the pages holding the delta-adjusted ancestor sizes. A transaction
+//! stores its base table as one shared copy-on-write
+//! [`mbxq_storage::page::Page`] per logical page, so `clone` copies one
+//! pointer per page and each staged operation privatizes exactly the
+//! pages it writes, plus the pages holding the delta-adjusted ancestor
+//! sizes. A transaction
 //! pays for that once: its private workspace (a clone of the begin
 //! snapshot that every staging call updates through [`op::Op::apply`])
 //! *is* its ops applied to the version it began on, so commit publishes
@@ -872,9 +873,8 @@ mod tests {
                 match (t.pre_chunk(pre, v.pre_end()), v.pre_chunk(pre, v.pre_end())) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {
-                        assert_eq!((a.pre, a.used, a.kinds), (b.pre, b.used, b.kinds));
-                        assert_eq!((a.levels, a.names), (b.levels, b.names));
-                        assert_eq!((a.sizes, a.values), (b.sizes, b.values));
+                        assert_eq!((a.pre, a.kinds, a.levels), (b.pre, b.kinds, b.levels));
+                        assert_eq!((a.names, a.values), (b.names, b.values));
                     }
                     (a, b) => panic!("pre_chunk({pre}): {a:?} vs {b:?}"),
                 }

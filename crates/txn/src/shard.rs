@@ -200,15 +200,20 @@ impl Shard {
         self.group.stats()
     }
 
-    /// Publishes `doc` as the next version. Caller MUST hold
-    /// `commit_lock` (publishes are serialized; the cell itself only
-    /// protects readers).
-    fn publish_locked(&self, doc: PagedDoc) {
+    /// Publishes `doc` as the next version and returns the superseded
+    /// one. Caller MUST hold `commit_lock` (publishes are serialized;
+    /// the cell itself only protects readers) and MUST drop the returned
+    /// version only after releasing it: when no reader pins the old
+    /// version this is its last reference, and tearing a document down
+    /// (one reference count per page) has no business inside the one
+    /// section the commit pipeline keeps short.
+    #[must_use = "drop the superseded version after releasing commit_lock"]
+    fn publish_locked(&self, doc: PagedDoc) -> Arc<Version> {
         let stamp = self.version.load().stamp + 1;
         self.version.store(Arc::new(Version {
             stamp,
             doc: Arc::new(doc),
-        }));
+        }))
     }
 
     /// Begins a write transaction.
@@ -295,7 +300,7 @@ impl Shard {
         // in-flight commit. (Lock order: gate, then commit lock; the
         // commit path uses the same order.)
         let _gate = self.pipeline_gate.write().unwrap();
-        let _global = self.commit_lock.lock().unwrap();
+        let global = self.commit_lock.lock().unwrap();
         let doc = self.snapshot();
         let record = WalRecord::Checkpoint {
             alloc_end: doc.node_alloc_end(),
@@ -319,12 +324,17 @@ impl Shard {
         compacted.compact_attr_index();
         compacted.compact_name_index();
         compacted.compact_content_index();
-        self.publish_locked(compacted);
-        Ok(CheckpointInfo {
+        let superseded = self.publish_locked(compacted);
+        let info = CheckpointInfo {
             nodes: doc.used_count(),
             wal_bytes_before,
             wal_bytes_after: wal.len_bytes(),
-        })
+        };
+        drop(wal);
+        drop(global);
+        // Teardown of the uncompacted version, outside the commit lock.
+        drop((superseded, doc));
+        Ok(info)
     }
 
     /// Reorganizes the document's pages at the configured fill factor
@@ -338,7 +348,7 @@ impl Shard {
     /// per-shard maintenance — other documents of the same catalog are
     /// untouched.
     pub fn vacuum(&self) -> Result<mbxq_storage::VacuumReport> {
-        let _global = self.commit_lock.lock().unwrap();
+        let global = self.commit_lock.lock().unwrap();
         // Freeze the lock table for the whole rebuild-publish-bump
         // sequence: the freeze verifies no lock is held *and* prevents
         // any acquisition while page numbers are in flux, closing the
@@ -353,12 +363,14 @@ impl Shard {
             let current = self.snapshot();
             let mut new_doc = (*current).clone();
             let report = new_doc.vacuum()?;
-            self.publish_locked(new_doc);
+            let superseded = self.publish_locked(new_doc);
             self.layout_epoch.fetch_add(1, Ordering::AcqRel);
-            Ok(report)
+            Ok((report, superseded, current))
         })();
         self.locks.unfreeze();
-        result
+        drop(global);
+        // The old layout's teardown runs here, outside the commit lock.
+        result.map(|(report, ..)| report)
     }
 
     /// Fraction of allocated slots holding live tuples in the committed
@@ -924,7 +936,7 @@ impl WriteTxn<'_> {
     }
 
     /// Applies the redo ops to a copy-on-write clone of `base`: only the
-    /// column pages the ops touch are privatized, everything else stays
+    /// pages the ops touch are privatized, everything else stays
     /// shared with `base` (and with every reader snapshot). Node ids pin
     /// the targets, so ops staged against the begin-time snapshot apply
     /// correctly to any later master version — other transactions'
@@ -982,7 +994,7 @@ impl WriteTxn<'_> {
         // one I/O, followers wait on the flush ticket. A crash or I/O
         // failure here means the transaction never happened — the record
         // is torn (recovery drops it) and nothing was published.
-        let _gate = shard.pipeline_gate.read().unwrap();
+        let gate = shard.pipeline_gate.read().unwrap();
         shard.group.submit(
             &shard.wal,
             WalRecord::Commit {
@@ -1010,7 +1022,7 @@ impl WriteTxn<'_> {
         // such a failure panics loudly instead of lying about the
         // durability outcome. All *abortable* failures (inapplicable
         // ops, validation vetoes) happened in phase 1, before the log.
-        let _global = shard.commit_lock.lock().unwrap();
+        let global = shard.commit_lock.lock().unwrap();
         let current = shard.version.load();
         if current.stamp != base.stamp {
             let (re_doc, re_info) =
@@ -1029,7 +1041,11 @@ impl WriteTxn<'_> {
             new_doc = re_doc;
             info = re_info;
         }
-        shard.publish_locked(new_doc);
+        let superseded = shard.publish_locked(new_doc);
+        drop((global, gate));
+        // The superseded version's teardown (this is its last reference
+        // when no reader pins it) runs outside the critical section.
+        drop((superseded, current, base));
         Ok(info)
     }
 
@@ -1044,7 +1060,7 @@ impl WriteTxn<'_> {
         work: Option<Speculated>,
     ) -> Result<CommitInfo> {
         let _gate = shard.pipeline_gate.read().unwrap();
-        let _global = shard.commit_lock.lock().unwrap();
+        let global = shard.commit_lock.lock().unwrap();
         let current = shard.version.load();
         let (new_doc, info) = Self::speculate(&current, id, ops, work)?;
         Self::validate(shard, &new_doc)?;
@@ -1052,7 +1068,9 @@ impl WriteTxn<'_> {
             txn: id,
             ops: ops.to_vec(),
         })?;
-        shard.publish_locked(new_doc);
+        let superseded = shard.publish_locked(new_doc);
+        drop(global);
+        drop((superseded, current));
         Ok(info)
     }
 
