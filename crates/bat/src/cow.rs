@@ -107,19 +107,6 @@ impl<T: Clone> CowVec<T> {
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
-
-    /// A clone with every page privately copied — the "clone the world"
-    /// baseline the copy-on-write layout replaces. Benchmarks only.
-    pub fn deep_clone(&self) -> Self {
-        CowVec {
-            pages: self
-                .pages
-                .iter()
-                .map(|p| Arc::new(p.as_ref().clone()))
-                .collect(),
-            ..*self
-        }
-    }
 }
 
 impl<T: Clone> Index<usize> for CowVec<T> {
@@ -205,13 +192,5 @@ mod tests {
         assert_eq!(w.len(), 6);
         assert_eq!(v[6], 6);
         assert_eq!(v.shared_pages_with(&w), 1);
-    }
-
-    #[test]
-    fn deep_clone_shares_nothing() {
-        let a = filled(4, 8, 1u64);
-        let b = a.deep_clone();
-        assert_eq!(a.shared_pages_with(&b), 0);
-        assert_eq!(b[7], 1);
     }
 }

@@ -45,8 +45,8 @@ pub use mbxq_storage::{
     StorageError, TreeView,
 };
 pub use mbxq_txn::{
-    wal::Wal, AncestorLockMode, Catalog, CatalogConfig, CommitInfo, CommitPipeline, DocMatches,
-    GroupCommitStats, PoolStats, QueryPool, Shard, Store, StoreConfig, TxnError, WriteTxn,
+    wal::Wal, AncestorLockMode, Catalog, CatalogConfig, CommitInfo, DocMatches, GroupCommitStats,
+    PoolStats, QueryPool, Shard, StoreConfig, TxnError, WriteTxn,
 };
 pub use mbxq_xml::{Document as XmlDocument, Node, QName};
 pub use mbxq_xpath::{Value, XPath, XPathError};
@@ -149,7 +149,7 @@ pub type Result<T> = std::result::Result<T, DbError>;
 
 enum DocHandle {
     ReadOnly(Arc<ReadOnlyDoc>),
-    Updatable(Arc<Store>),
+    Updatable(Arc<Shard>),
 }
 
 /// The result of a query: each item serialized to text (elements as XML,
@@ -179,7 +179,7 @@ impl Database {
             StorageMode::ReadOnly => DocHandle::ReadOnly(Arc::new(ReadOnlyDoc::parse_str(xml)?)),
             StorageMode::Updatable { page, ancestors } => {
                 let doc = PagedDoc::parse_str(xml, page)?;
-                let store = Store::open(
+                let store = Shard::open(
                     doc,
                     Wal::in_memory(),
                     StoreConfig {
@@ -207,13 +207,13 @@ impl Database {
         let doc = PagedDoc::parse_str(xml, page)?;
         self.docs.insert(
             name.to_string(),
-            DocHandle::Updatable(Arc::new(Store::open(doc, wal, config))),
+            DocHandle::Updatable(Arc::new(Shard::open(doc, wal, config))),
         );
         Ok(())
     }
 
     /// Registers an already-open transactional store under `name`.
-    pub fn attach_store(&mut self, name: &str, store: Arc<Store>) {
+    pub fn attach_store(&mut self, name: &str, store: Arc<Shard>) {
         self.docs
             .insert(name.to_string(), DocHandle::Updatable(store));
     }
@@ -268,7 +268,7 @@ impl Database {
 
     /// Access to the transactional store of an updateable document, for
     /// explicit multi-operation transactions.
-    pub fn store(&self, name: &str) -> Result<Arc<Store>> {
+    pub fn store(&self, name: &str) -> Result<Arc<Shard>> {
         match self.handle(name)? {
             DocHandle::ReadOnly(_) => Err(DbError::ReadOnlyDocument {
                 name: name.to_string(),

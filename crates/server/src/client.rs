@@ -1,6 +1,6 @@
 //! The blocking client: connect + handshake, one request/response pair
 //! at a time, cursor draining helpers. Used by the end-to-end tests and
-//! by `server_bench`.
+//! the `mbxq-bench` server workloads.
 
 use crate::proto::{self, QuerySpec, QueryTarget, Request, Response, ServerStats, UpdateSummary};
 use crate::{NetError, Result};

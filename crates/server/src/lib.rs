@@ -37,7 +37,9 @@
 //! ids, not physical pre ranks), answers with a cursor header (cursor
 //! id, document list, total row count), and the client pages the rows
 //! out in fixed-size `Fetch` frames. A cursor closes on its final page,
-//! on an explicit close, or with the session.
+//! on an explicit close, or with the session; a session may hold 64
+//! open at once, and the next node-set query is refused with
+//! [`ErrorCode::TooManyCursors`] until one closes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,13 +24,15 @@
 
 use crate::{NetError, Result};
 use mbxq_storage::QnId;
-use mbxq_xpath::{AxisChoice, ParChoice, Value, ValueChoice};
+use mbxq_xpath::Value;
 
 /// The connection-setup magic. Both handshake directions start with it.
 pub const MAGIC: [u8; 4] = *b"MBXQ";
 
-/// The one protocol version this build speaks.
-pub const VERSION: u32 = 1;
+/// The one protocol version this build speaks. Version 1 carried three
+/// execution-strategy bytes in every `Query` frame; a client offering
+/// only 1 gets the handshake's no-overlap answer.
+pub const VERSION: u32 = 2;
 
 /// Default cap on a single frame's payload length.
 pub const MAX_FRAME_DEFAULT: usize = 64 << 20;
@@ -55,6 +57,9 @@ pub enum ErrorCode {
     UnknownCursor = 7,
     /// The frame's length prefix exceeds the server's limit.
     FrameTooLarge = 8,
+    /// The session already holds the maximum number of open cursors;
+    /// fetch one to its end or close one first.
+    TooManyCursors = 9,
 }
 
 impl ErrorCode {
@@ -68,6 +73,7 @@ impl ErrorCode {
             6 => ErrorCode::Txn,
             7 => ErrorCode::UnknownCursor,
             8 => ErrorCode::FrameTooLarge,
+            9 => ErrorCode::TooManyCursors,
             _ => return None,
         })
     }
@@ -84,8 +90,9 @@ pub enum QueryTarget {
     Collection(Vec<String>),
 }
 
-/// One query request: target, XPath text, `$name` bindings, strategy
-/// overrides, and the cursor page size for node-set results.
+/// One query request: target, XPath text, `$name` bindings, and the
+/// cursor page size for node-set results. How the query runs is the
+/// server's decision, made per execution from observed statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// What to evaluate against.
@@ -94,26 +101,17 @@ pub struct QuerySpec {
     pub text: String,
     /// `$name` bindings, rebuilt into [`mbxq_xpath::Bindings`] server-side.
     pub bindings: Vec<(String, Value)>,
-    /// Axis-strategy override.
-    pub axis: AxisChoice,
-    /// Value-predicate strategy override.
-    pub value: ValueChoice,
-    /// Parallelism policy.
-    pub par: ParChoice,
     /// Rows per cursor page (`0` = server default).
     pub page_size: u32,
 }
 
 impl QuerySpec {
-    /// A default-strategy spec for `text` against `target`.
+    /// A spec for `text` against `target`: no bindings, default page size.
     pub fn new(target: QueryTarget, text: impl Into<String>) -> QuerySpec {
         QuerySpec {
             target,
             text: text.into(),
             bindings: Vec::new(),
-            axis: AxisChoice::default(),
-            value: ValueChoice::default(),
-            par: ParChoice::default(),
             page_size: 0,
         }
     }
@@ -464,57 +462,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn axis_to_u8(a: AxisChoice) -> u8 {
-    match a {
-        AxisChoice::Auto => 0,
-        AxisChoice::ForceStaircase => 1,
-        AxisChoice::ForceIndex => 2,
-    }
-}
-
-fn axis_from_u8(v: u8) -> Option<AxisChoice> {
-    Some(match v {
-        0 => AxisChoice::Auto,
-        1 => AxisChoice::ForceStaircase,
-        2 => AxisChoice::ForceIndex,
-        _ => return None,
-    })
-}
-
-fn value_to_u8(v: ValueChoice) -> u8 {
-    match v {
-        ValueChoice::Auto => 0,
-        ValueChoice::ForceScan => 1,
-        ValueChoice::ForceProbe => 2,
-    }
-}
-
-fn value_from_u8(v: u8) -> Option<ValueChoice> {
-    Some(match v {
-        0 => ValueChoice::Auto,
-        1 => ValueChoice::ForceScan,
-        2 => ValueChoice::ForceProbe,
-        _ => return None,
-    })
-}
-
-fn par_to_u8(p: ParChoice) -> u8 {
-    match p {
-        ParChoice::Auto => 0,
-        ParChoice::ForceSequential => 1,
-        ParChoice::ForceParallel => 2,
-    }
-}
-
-fn par_from_u8(v: u8) -> Option<ParChoice> {
-    Some(match v {
-        0 => ParChoice::Auto,
-        1 => ParChoice::ForceSequential,
-        2 => ParChoice::ForceParallel,
-        _ => return None,
-    })
-}
-
 impl Request {
     /// Serializes this request into one frame payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -550,9 +497,6 @@ impl Request {
                     put_str(&mut out, name);
                     put_value(&mut out, value);
                 }
-                out.push(axis_to_u8(q.axis));
-                out.push(value_to_u8(q.value));
-                out.push(par_to_u8(q.par));
                 put_u32(&mut out, q.page_size);
             }
             Request::XUpdate { doc, script } => {
@@ -610,21 +554,11 @@ impl Request {
                     let value = r.value()?;
                     bindings.push((name, value));
                 }
-                let axis = axis_from_u8(r.u8()?);
-                let value = value_from_u8(r.u8()?);
-                let par = par_from_u8(r.u8()?);
-                let page_size = r.u32()?;
-                let (Some(axis), Some(value), Some(par)) = (axis, value, par) else {
-                    return r.err("unknown strategy choice");
-                };
                 Request::Query(QuerySpec {
                     target,
                     text,
                     bindings,
-                    axis,
-                    value,
-                    par,
-                    page_size,
+                    page_size: r.u32()?,
                 })
             }
             0x06 => Request::XUpdate {
@@ -852,9 +786,6 @@ mod tests {
             ("ns".to_string(), Value::Nodes(vec![1, 2, 3])),
             ("at".to_string(), Value::Attrs(vec![(9, QnId(4))])),
         ];
-        spec.axis = AxisChoice::ForceIndex;
-        spec.value = ValueChoice::ForceScan;
-        spec.par = ParChoice::ForceSequential;
         spec.page_size = 128;
         roundtrip_req(Request::Query(spec));
         roundtrip_req(Request::Query(QuerySpec::new(QueryTarget::All, "//x")));

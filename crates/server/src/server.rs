@@ -81,6 +81,11 @@ impl Default for ServerConfig {
 const DEFAULT_PAGE_ROWS: u32 = 1024;
 /// Hard cap on rows per cursor page (12 bytes/row → ≤ ~768 KiB frames).
 const MAX_PAGE_ROWS: u32 = 65536;
+/// Open cursors one session may hold. A cursor owns its fully
+/// materialised rows until the last `Fetch` or a `CloseCursor`, so
+/// without a cap a client that only sends `Query` grows server memory
+/// until it disconnects.
+const MAX_OPEN_CURSORS: usize = 64;
 /// How often a parked read re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
@@ -591,12 +596,7 @@ fn handle_query_stats(
     for (name, value) in &spec.bindings {
         bindings.set(name.clone(), value.clone());
     }
-    let opts = EvalOptions::new()
-        .bindings(&bindings)
-        .axis(spec.axis)
-        .value(spec.value)
-        .par(spec.par)
-        .stats(stats);
+    let opts = EvalOptions::new().bindings(&bindings).stats(stats);
     let page = if spec.page_size == 0 {
         DEFAULT_PAGE_ROWS
     } else {
@@ -732,6 +732,12 @@ fn open_cursor(
     rows: Vec<(u32, u64)>,
     page: usize,
 ) -> Reply {
+    if session.cursors.len() >= MAX_OPEN_CURSORS {
+        return Reply::err(
+            ErrorCode::TooManyCursors,
+            format!("session already holds {MAX_OPEN_CURSORS} open cursors; drain or close one"),
+        );
+    }
     let total = rows.len() as u64;
     let cursor = session.next_cursor;
     session.next_cursor = session.next_cursor.wrapping_add(1);

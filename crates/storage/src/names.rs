@@ -182,14 +182,6 @@ impl NameIndex {
             .map(|d| d.added.len() + d.removed.len())
             .sum()
     }
-
-    /// A clone sharing no storage (the clone-the-world baseline).
-    pub(crate) fn deep_clone(&self) -> NameIndex {
-        NameIndex {
-            base: Arc::new((*self.base).clone()),
-            delta: self.delta.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +251,5 @@ mod tests {
         let idx = NameIndex::from_base(base);
         let snap = idx.clone();
         assert!(Arc::ptr_eq(&idx.base, &snap.base), "clone must share");
-        let deep = idx.deep_clone();
-        assert!(!Arc::ptr_eq(&idx.base, &deep.base));
     }
 }

@@ -212,14 +212,6 @@ impl AttrIndex {
         self.base = Arc::new(base);
     }
 
-    /// A clone sharing no storage (the clone-the-world baseline).
-    pub(crate) fn deep_clone(&self) -> AttrIndex {
-        AttrIndex {
-            base: Arc::new((*self.base).clone()),
-            delta: self.delta.clone(),
-        }
-    }
-
     fn rows_entry(&mut self, node: u64) -> &mut Vec<u32> {
         let base = &self.base;
         self.delta
@@ -684,28 +676,6 @@ impl PagedDoc {
             .count();
         (shared, self.pages.len())
     }
-
-    /// A copy sharing **no** storage with `self` — what `clone` used to
-    /// mean before the copy-on-write layout. The commit-cost benchmark
-    /// uses it as the clone-the-world baseline; it is never on a
-    /// production path.
-    pub fn deep_clone(&self) -> PagedDoc {
-        PagedDoc {
-            cfg: self.cfg,
-            shift: self.shift,
-            pages: self.pages.iter().map(|p| p.deep_clone()).collect(),
-            map: self.map.clone(),
-            node_pos: self.node_pos.deep_clone(),
-            attr_node: self.attr_node.deep_clone(),
-            attr_qn: self.attr_qn.deep_clone(),
-            attr_prop: self.attr_prop.deep_clone(),
-            attr_index: self.attr_index.deep_clone(),
-            name_index: self.name_index.deep_clone(),
-            content_index: self.content_index.deep_clone(),
-            pool: self.pool.deep_clone(),
-            used_count: self.used_count,
-        }
-    }
 }
 
 impl TreeView for PagedDoc {
@@ -1063,7 +1033,6 @@ mod tests {
         let c = d.clone();
         let n = d.stats().pages;
         assert_eq!(c.shared_pages_with(&d), (n, n));
-        assert_eq!(d.deep_clone().shared_pages_with(&d), (0, n));
         // One reference per version, per page — and nothing else holds on.
         assert!(d.pages.iter().all(|p| Arc::strong_count(p) == 2));
         drop(c);

@@ -166,18 +166,6 @@ impl<K: Clone + Eq + Hash> Interner<K> {
         self.base = Arc::new(set);
     }
 
-    /// A clone sharing nothing with `self` (benchmark baseline).
-    fn deep_clone(&self) -> Interner<K> {
-        Interner {
-            base: Arc::new(InternSet {
-                values: self.base.values.clone(),
-                index: self.base.index.clone(),
-            }),
-            delta_values: self.delta_values.clone(),
-            delta_index: self.delta_index.clone(),
-        }
-    }
-
     /// Sums `per` over all interned values (heap accounting).
     fn approx_heap(&self, per: impl Fn(&K) -> usize) -> usize {
         self.base
@@ -305,18 +293,6 @@ impl ValuePool {
             + self.texts.delta_values.len()
             + self.comments.delta_values.len()
             + self.instructions.delta_values.len()
-    }
-
-    /// A pool sharing no storage with `self` — the clone-the-world
-    /// baseline for the commit-cost benchmark.
-    pub fn deep_clone(&self) -> ValuePool {
-        ValuePool {
-            qnames: self.qnames.deep_clone(),
-            props: self.props.deep_clone(),
-            texts: self.texts.deep_clone(),
-            comments: self.comments.deep_clone(),
-            instructions: self.instructions.deep_clone(),
-        }
     }
 
     /// Approximate heap footprint (for the storage-overhead experiment).
@@ -729,18 +705,6 @@ impl ValueIndex {
         }
         s
     }
-
-    /// A clone sharing no storage (the clone-the-world baseline).
-    fn deep_clone(&self) -> ValueIndex {
-        ValueIndex {
-            base: Arc::new(ValueBase {
-                exact: self.base.exact.clone(),
-                numeric: self.base.numeric.clone(),
-                stats: self.base.stats.clone(),
-            }),
-            delta: self.delta.clone(),
-        }
-    }
 }
 
 /// The content index: attribute values + element text content, each
@@ -933,15 +897,6 @@ impl ContentIndex {
     /// Entries added/tombstoned since the last compaction (diagnostic).
     pub(crate) fn delta_len(&self) -> usize {
         self.attrs.delta_len() + self.texts.delta_len() + self.complex.delta_len()
-    }
-
-    /// A clone sharing no storage (the clone-the-world baseline).
-    pub(crate) fn deep_clone(&self) -> ContentIndex {
-        ContentIndex {
-            attrs: self.attrs.deep_clone(),
-            texts: self.texts.deep_clone(),
-            complex: self.complex.deep_clone(),
-        }
     }
 
     /// Builds a compacted index by scanning a whole document view — the
@@ -1265,7 +1220,5 @@ mod tests {
         };
         let snap = idx.clone();
         assert!(Arc::ptr_eq(&idx.attrs.base, &snap.attrs.base));
-        let deep = idx.deep_clone();
-        assert!(!Arc::ptr_eq(&idx.attrs.base, &deep.attrs.base));
     }
 }

@@ -21,8 +21,8 @@ use crate::wal::{Wal, WalError, WalRecord};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 
-/// Cumulative group-commit counters (diagnostics; the workload benchmark
-/// and the concurrency tests read them to prove batching happened).
+/// Cumulative group-commit counters (diagnostics; `mbxq-bench` and the
+/// concurrency tests read them to prove batching happened).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
     /// Flush batches written (each is one log I/O).
@@ -47,7 +47,7 @@ struct State {
     stats: GroupCommitStats,
 }
 
-/// The group-commit coordinator. One per [`crate::Store`].
+/// The group-commit coordinator. One per [`crate::Shard`].
 #[derive(Default)]
 pub struct GroupCommit {
     state: Mutex<State>,

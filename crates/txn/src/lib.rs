@@ -53,9 +53,9 @@
 //!
 //! # The short-publish commit pipeline
 //!
-//! With the default [`CommitPipeline::Short`], the global commit lock
-//! covers **only the version-stamp recheck and the pointer-swap
-//! publish** — nothing else. A commit runs three phases:
+//! The global commit lock covers **only the version-stamp recheck and
+//! the pointer-swap publish** — nothing else. A commit runs three
+//! phases:
 //!
 //! ```text
 //!  phase 1 · SPECULATE   no global lock.  Read the committed version
@@ -86,9 +86,7 @@
 //! (page-disjoint, hence commutative) commits in the opposite order of
 //! their publishes; replaying the log still reproduces the published
 //! state exactly, which `tests/concurrent_oracle.rs` checks property-
-//! style. [`CommitPipeline::LongLock`] preserves the old
-//! everything-under-one-lock path as the ablation baseline for the
-//! `workload` benchmark.
+//! style.
 //!
 //! # Checkpointing
 //!
@@ -116,9 +114,8 @@ pub use group::GroupCommitStats;
 pub use pool::{PoolStats, QueryPool};
 pub use shard::{Shard, WriteTxn};
 
-use mbxq_storage::{PagedDoc, StorageError};
+use mbxq_storage::StorageError;
 use std::time::Duration;
-use wal::Wal;
 
 /// How a write transaction treats the pages of its targets' ancestors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,21 +126,6 @@ pub enum AncestorLockMode {
     /// The strawman: write-lock every ancestor's page (the root's page is
     /// an ancestor page of every node, so all writers serialize).
     Exclusive,
-}
-
-/// Which commit pipeline the store runs (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitPipeline {
-    /// The concurrent pipeline: COW apply + validation speculate outside
-    /// any global lock against a version stamp, the WAL append rides a
-    /// group-commit batch, and the global lock covers only the stamp
-    /// recheck + pointer-swap publish.
-    Short,
-    /// The serial baseline (the pre-group-commit behavior): one global
-    /// lock held across apply, validation, the WAL append *and* publish,
-    /// so concurrent committers serialize on log I/O. Kept for the
-    /// `workload` benchmark ablation.
-    LongLock,
 }
 
 /// Transaction identifiers.
@@ -265,9 +247,6 @@ pub struct StoreConfig {
     /// "XML document validation" stage of Figure 8). Expensive; on by
     /// default in tests, off in benchmarks.
     pub validate_on_commit: bool,
-    /// Commit critical-section layout ([`CommitPipeline::Short`] unless
-    /// the serial baseline is explicitly requested).
-    pub pipeline: CommitPipeline,
     /// Threads for morsel-parallel query execution (`0` or `1` =
     /// sequential, no pool). The store lazily spawns one shared
     /// [`mbxq_xpath::WorkerPool`] of this width on the first query and
@@ -286,7 +265,6 @@ impl Default for StoreConfig {
             ancestor_mode: AncestorLockMode::Delta,
             lock_timeout: Duration::from_secs(5),
             validate_on_commit: false,
-            pipeline: CommitPipeline::Short,
             query_threads: 0,
             morsel_overhead_ns: None,
         }
@@ -344,57 +322,13 @@ pub struct CheckpointInfo {
     pub wal_bytes_after: usize,
 }
 
-/// A transactional, versioned XML document store — the single-document
-/// compatibility facade over one [`Shard`].
-///
-/// `Store` derefs to its shard, so the entire shard API — snapshots,
-/// write transactions, queries, checkpoint/vacuum, statistics — is
-/// available on it unchanged. The shard owns a private [`QueryPool`];
-/// multi-document deployments use a [`Catalog`] instead, whose shards
-/// all share one pool.
-pub struct Store {
-    shard: Shard,
-}
-
-impl Store {
-    /// Opens a store over an already-shredded document.
-    pub fn open(doc: PagedDoc, wal: Wal, config: StoreConfig) -> Store {
-        Store {
-            shard: Shard::open(doc, wal, config),
-        }
-    }
-
-    /// Unwraps the compatibility facade into the [`Shard`] it holds.
-    /// Consuming shard operations (like [`Shard::into_parts`]) live
-    /// here, since a consuming call cannot travel through `Deref`.
-    pub fn into_shard(self) -> Shard {
-        self.shard
-    }
-
-    /// Tears the store down into its document and WAL.
-    #[deprecated(note = "use Catalog::export for catalog documents, \
-                Store::into_shard().into_parts() to keep this shape, or \
-                Shard::wal_raw when only the log bytes are needed")]
-    pub fn into_parts(self) -> (PagedDoc, Wal) {
-        self.shard.into_parts()
-    }
-}
-
-impl std::ops::Deref for Store {
-    type Target = Shard;
-
-    fn deref(&self) -> &Shard {
-        &self.shard
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::Op;
-    use crate::wal::WalRecord;
+    use crate::wal::{Wal, WalRecord};
     use mbxq_storage::serialize::to_xml;
-    use mbxq_storage::{InsertPosition, NodeId, PageConfig, TreeView};
+    use mbxq_storage::{InsertPosition, NodeId, PageConfig, PagedDoc, TreeView};
     use mbxq_xml::Document;
     use mbxq_xpath::XPath;
 
@@ -405,20 +339,15 @@ mod tests {
     /// tests need.
     const DOC: &str = r#"<site><people><person id="p0"><name>Ann</name></person></people><regions><africa><m1/><m2/><m3/><m4/><m5/></africa><asia><n1/><n2/></asia></regions></site>"#;
 
-    fn store(mode: AncestorLockMode) -> Store {
-        store_with(mode, CommitPipeline::Short)
-    }
-
-    fn store_with(mode: AncestorLockMode, pipeline: CommitPipeline) -> Store {
+    fn store(mode: AncestorLockMode) -> Shard {
         let doc = PagedDoc::parse_str(DOC, PageConfig::new(8, 75).unwrap()).unwrap();
-        Store::open(
+        Shard::open(
             doc,
             Wal::in_memory(),
             StoreConfig {
                 ancestor_mode: mode,
                 lock_timeout: Duration::from_millis(200),
                 validate_on_commit: true,
-                pipeline,
                 ..StoreConfig::default()
             },
         )
@@ -427,7 +356,7 @@ mod tests {
     /// Commits a one-element append under the node `path` selects, in
     /// its own transaction — an interleaved publish for tests that need
     /// the version stamp to move under a staged transaction.
-    fn commit_elsewhere(s: &Store, path: &str) {
+    fn commit_elsewhere(s: &Shard, path: &str) {
         let mut t = s.begin();
         let target = t.select(&XPath::parse(path).unwrap()).unwrap();
         let frag = Document::parse_fragment("<elsewhere/>").unwrap();
@@ -600,25 +529,6 @@ mod tests {
         }
     }
 
-    /// Both pipelines must produce the same committed state (the
-    /// LongLock baseline exists only for the benchmark ablation).
-    #[test]
-    fn pipelines_commit_identically() {
-        let mut results = Vec::new();
-        for pipeline in [CommitPipeline::Short, CommitPipeline::LongLock] {
-            let s = store_with(AncestorLockMode::Delta, pipeline);
-            let mut t = s.begin();
-            let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
-            let frag = Document::parse_fragment("<item><sub/></item>").unwrap();
-            t.insert(InsertPosition::LastChildOf(africa[0]), &frag)
-                .unwrap();
-            let info = t.commit().unwrap();
-            assert_eq!(info.inserted, 2, "{pipeline:?}");
-            results.push(to_xml(s.snapshot().as_ref()).unwrap());
-        }
-        assert_eq!(results[0], results[1]);
-    }
-
     /// Two transactions staged against the same base version and
     /// committed concurrently: whichever publishes second must detect
     /// the stamp change and re-apply onto the fresh master, so both
@@ -767,29 +677,27 @@ mod tests {
 
     /// A single writer's commit publishes its workspace: the pages the
     /// transaction privatized while staging are the published ones, no
-    /// page is privatized a second time — in both pipelines.
+    /// page is privatized a second time.
     #[test]
     fn single_writer_commit_publishes_the_workspace() {
-        for pipeline in [CommitPipeline::Short, CommitPipeline::LongLock] {
-            let s = store_with(AncestorLockMode::Delta, pipeline);
-            let before = s.snapshot();
-            let mut t = s.begin();
-            let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
-            let frag = Document::parse_fragment("<item><sub/></item>").unwrap();
-            t.insert(InsertPosition::LastChildOf(africa[0]), &frag)
-                .unwrap();
-            // A clone shares every page with the workspace it came from.
-            let workspace = t.view().clone();
-            let info = t.commit().unwrap();
-            assert_eq!((info.ops, info.inserted), (1, 2), "{pipeline:?}");
-            assert!(info.ancestors_touched >= 3, "africa, regions, site");
-            let after = s.snapshot();
-            let (shared, total) = after.shared_pages_with(&workspace);
-            assert_eq!(shared, total, "{pipeline:?}: commit re-applied the ops");
-            let (shared, total) = after.shared_pages_with(&before);
-            assert!(shared < total, "the insert did touch tree pages");
-            mbxq_storage::invariants::check_paged(after.as_ref()).unwrap();
-        }
+        let s = store(AncestorLockMode::Delta);
+        let before = s.snapshot();
+        let mut t = s.begin();
+        let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
+        let frag = Document::parse_fragment("<item><sub/></item>").unwrap();
+        t.insert(InsertPosition::LastChildOf(africa[0]), &frag)
+            .unwrap();
+        // A clone shares every page with the workspace it came from.
+        let workspace = t.view().clone();
+        let info = t.commit().unwrap();
+        assert_eq!((info.ops, info.inserted), (1, 2));
+        assert!(info.ancestors_touched >= 3, "africa, regions, site");
+        let after = s.snapshot();
+        let (shared, total) = after.shared_pages_with(&workspace);
+        assert_eq!(shared, total, "commit re-applied the ops");
+        let (shared, total) = after.shared_pages_with(&before);
+        assert!(shared < total, "the insert did touch tree pages");
+        mbxq_storage::invariants::check_paged(after.as_ref()).unwrap();
     }
 
     /// A publish between `begin` and `commit` invalidates the workspace
@@ -1070,28 +978,5 @@ mod tests {
                 .count(),
             baseline.matches("person").count() + 5 // 5 self-closing elements
         );
-    }
-
-    /// The deprecated compatibility path must keep working (and agree
-    /// with the replacement) until it is removed.
-    #[test]
-    fn store_into_parts_compat() {
-        let s = store(AncestorLockMode::Delta);
-        let mut t = s.begin();
-        let person = t.select(&XPath::parse("//person").unwrap()).unwrap();
-        t.set_attribute(person[0], &mbxq_xml::QName::local("vip"), "yes")
-            .unwrap();
-        t.commit().unwrap();
-        let via_shard = s.wal_raw().unwrap();
-        let live = s.snapshot().used_count();
-        #[allow(deprecated)]
-        let (doc, wal) = s.into_parts();
-        assert_eq!(wal.raw().unwrap(), via_shard);
-        assert_eq!(doc.used_count(), live);
-
-        // And the successor spelling tears down identically.
-        let s2 = store(AncestorLockMode::Delta);
-        let (doc2, _) = s2.into_shard().into_parts();
-        assert_eq!(doc2.used_count(), doc.used_count());
     }
 }

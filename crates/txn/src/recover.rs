@@ -122,7 +122,7 @@ fn replay(mut doc: PagedDoc, records: &[WalRecord]) -> Result<PagedDoc> {
 mod tests {
     use super::*;
     use crate::wal::Wal;
-    use crate::{AncestorLockMode, Store, StoreConfig};
+    use crate::{AncestorLockMode, Shard, StoreConfig};
     use mbxq_storage::serialize::to_xml;
     use mbxq_storage::{InsertPosition, TreeView};
     use mbxq_xml::Document;
@@ -142,7 +142,7 @@ mod tests {
         if let Some(limit) = crash_at {
             wal.crash_after_bytes(limit);
         }
-        let store = Store::open(
+        let store = Shard::open(
             doc,
             wal,
             StoreConfig {

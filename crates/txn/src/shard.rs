@@ -5,16 +5,16 @@
 //! pipeline gate, its own WAL and group-commit queue, the page-lock
 //! table, the layout epoch and the compiled-plan cache. A
 //! [`crate::Catalog`] holds many shards (one per document) and injects
-//! one shared [`QueryPool`] into all of them; the [`crate::Store`]
-//! compatibility wrapper holds exactly one with a private pool. The
-//! commit pipeline, locking protocol and maintenance operations are
-//! documented in the crate-level docs.
+//! one shared [`QueryPool`] into all of them; [`Shard::open`] opens a
+//! single document with a private pool. The commit pipeline, locking
+//! protocol and maintenance operations are documented in the
+//! crate-level docs.
 
 use crate::pool::QueryPool;
 use crate::wal::{Wal, WalRecord};
 use crate::{
-    group, locks, op::Op, AncestorLockMode, CheckpointInfo, CommitInfo, CommitPipeline,
-    GroupCommitStats, PlanCacheStats, Result, StoreConfig, TxnError, TxnId,
+    group, locks, op::Op, AncestorLockMode, CheckpointInfo, CommitInfo, GroupCommitStats,
+    PlanCacheStats, Result, StoreConfig, TxnError, TxnId,
 };
 use mbxq_storage::{ArcCell, InsertPosition, NodeId, PagedDoc, StorageError, TreeView};
 use mbxq_xml::Node;
@@ -35,8 +35,8 @@ struct Version {
 }
 
 /// A transactional, versioned XML document store — one document of a
-/// [`crate::Catalog`], or the whole store behind the [`crate::Store`]
-/// compatibility wrapper.
+/// [`crate::Catalog`], or a standalone single-document store
+/// ([`Shard::open`]).
 pub struct Shard {
     /// The document name under which a catalog opened this shard
     /// (`None` for a standalone store). Stamped into checkpoint dumps
@@ -46,9 +46,8 @@ pub struct Shard {
     /// lock-free cell (MVCC snapshot) — they never touch any lock, so
     /// snapshot latency is independent of writer traffic.
     version: ArcCell<Version>,
-    /// The global write lock of Figure 8 — in the
-    /// [`CommitPipeline::Short`] pipeline it is held **only** for the
-    /// stamp recheck + pointer-swap publish.
+    /// The global write lock of Figure 8 — a commit holds it **only**
+    /// for the stamp recheck + pointer-swap publish.
     commit_lock: Mutex<()>,
     /// Commit-pipeline gate: commits hold it shared from their WAL
     /// append through their publish; [`Shard::checkpoint`] takes it
@@ -79,7 +78,7 @@ pub struct Shard {
     plan_evictions: AtomicU64,
     /// Morsel-execution pool handle. Every shard of a catalog holds the
     /// *same* `Arc` (one set of worker threads per catalog, not per
-    /// document); a standalone [`crate::Store`] gets a private one.
+    /// document); a standalone shard gets a private one.
     /// Queries borrow the pool per evaluation; its workers outlive
     /// every snapshot they read because `run` blocks until all morsels
     /// finish.
@@ -899,25 +898,6 @@ impl WriteTxn<'_> {
         result
     }
 
-    /// The fallible commit body; lock release is handled by the caller.
-    fn commit_ops(
-        shard: &Shard,
-        id: TxnId,
-        ops: &[Op],
-        work: Option<Speculated>,
-    ) -> Result<CommitInfo> {
-        if ops.is_empty() {
-            return Ok(CommitInfo {
-                txn: id,
-                ..CommitInfo::default()
-            });
-        }
-        match shard.config.pipeline {
-            CommitPipeline::Short => Self::commit_ops_short(shard, id, ops, work),
-            CommitPipeline::LongLock => Self::commit_ops_long(shard, id, ops, work),
-        }
-    }
-
     /// The version this commit publishes on top of `base`: the
     /// transaction's workspace when `base` is still the version it began
     /// on — the workspace *is* the ops applied to a clone of it, already
@@ -968,14 +948,21 @@ impl WriteTxn<'_> {
         Ok(())
     }
 
-    /// The [`CommitPipeline::Short`] commit: speculate → group-log →
-    /// stamp-checked publish (see the crate docs).
-    fn commit_ops_short(
+    /// The fallible commit body — speculate → group-log → stamp-checked
+    /// publish (see the crate docs); lock release is handled by the
+    /// caller.
+    fn commit_ops(
         shard: &Shard,
         id: TxnId,
         ops: &[Op],
         work: Option<Speculated>,
     ) -> Result<CommitInfo> {
+        if ops.is_empty() {
+            return Ok(CommitInfo {
+                txn: id,
+                ..CommitInfo::default()
+            });
+        }
         // ---- phase 1: speculation, no global lock ----
         // The speculated version is keyed by the stamp of the version
         // current *now*: the workspace if that is still the version the
@@ -1046,31 +1033,6 @@ impl WriteTxn<'_> {
         // The superseded version's teardown (this is its last reference
         // when no reader pins it) runs outside the critical section.
         drop((superseded, current, base));
-        Ok(info)
-    }
-
-    /// The [`CommitPipeline::LongLock`] baseline: the pre-group-commit
-    /// behavior, everything under one global lock — apply, validation,
-    /// a solo WAL append, publish. Writers serialize on log I/O here;
-    /// the `workload` benchmark measures exactly that difference.
-    fn commit_ops_long(
-        shard: &Shard,
-        id: TxnId,
-        ops: &[Op],
-        work: Option<Speculated>,
-    ) -> Result<CommitInfo> {
-        let _gate = shard.pipeline_gate.read().unwrap();
-        let global = shard.commit_lock.lock().unwrap();
-        let current = shard.version.load();
-        let (new_doc, info) = Self::speculate(&current, id, ops, work)?;
-        Self::validate(shard, &new_doc)?;
-        shard.wal.lock().unwrap().append(&WalRecord::Commit {
-            txn: id,
-            ops: ops.to_vec(),
-        })?;
-        let superseded = shard.publish_locked(new_doc);
-        drop(global);
-        drop((superseded, current));
         Ok(info)
     }
 

@@ -295,7 +295,7 @@ impl Wal {
         // The whole log was atomically replaced by this one record: any
         // garbage a previously failed append may have left is gone, so a
         // poisoned log becomes writable again through exactly this path
-        // (Store::checkpoint is the recovery action for a sick WAL).
+        // (Shard::checkpoint is the recovery action for a sick WAL).
         self.poisoned = false;
         Ok(())
     }

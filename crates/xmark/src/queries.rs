@@ -500,10 +500,9 @@ pub const Q15_PATH: &str = "/site/closed_auctions/closed_auction/annotation/desc
 
 /// The pure-XPath corpus of the Q1–Q20 plans: every `(label, path)`
 /// selection the hand-compiled queries issue through [`XPath`], plus
-/// the selective descendant probes Q7 decomposes into. The `plan_cost`
-/// benchmark drives exactly this corpus through the plan pipeline with
-/// per-query strategy ablation (forced-staircase vs forced-index vs
-/// cost-chosen).
+/// the selective descendant probes Q7 decomposes into. The plan and
+/// parallel oracles (`tests/plan_oracle.rs`, `tests/par_oracle.rs`)
+/// drive exactly this corpus through every forced strategy arm.
 pub const QUERY_PATHS: &[(&str, &str)] = &[
     (
         "q01_person0_name",

@@ -2111,15 +2111,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         } else {
             self.feedback.and_then(|f| f.step(seq))
         };
-        // The per-step value override composes: forcing the scalar scan
-        // or the index probe for single-predicate steps forces the
-        // matching multi-predicate arm too, so the existing scan/probe
-        // ablation harnesses stay meaningful on multi-pred queries.
-        let choice = match (self.multi_choice, self.value_choice) {
-            (MultiChoice::Auto, ValueChoice::ForceScan) => MultiChoice::ForceScan,
-            (MultiChoice::Auto, ValueChoice::ForceProbe) => MultiChoice::ForceIntersect,
-            (m, _) => m,
-        };
+        let choice = self.multi_choice;
         let mut replanned = false;
         let (strategy, estimated) = if !general.is_empty() || !self.view.has_content_index() {
             // No index, or a predicate with no key form: every arm

@@ -159,8 +159,7 @@ impl Bindings {
 }
 
 /// Which arm cost-annotated axis steps execute — [`AxisChoice::Auto`]
-/// follows the cost model; the forced arms exist for the `plan_cost`
-/// ablation benchmark and the oracle tests.
+/// follows the cost model; the forced arms exist for the oracle tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AxisChoice {
     /// Per-step cost decision from live statistics (the default).
@@ -175,8 +174,7 @@ pub enum AxisChoice {
 
 /// Which arm value-probe steps execute — the value-predicate analogue
 /// of [`AxisChoice`]. [`ValueChoice::Auto`] follows the cost model; the
-/// forced arms exist for the `value_probe` ablation benchmark and the
-/// oracle tests.
+/// forced arms exist for the oracle tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ValueChoice {
     /// Per-step cost decision from live statistics (the default).
@@ -195,7 +193,7 @@ pub enum ValueChoice {
 /// grow the intersection prefix greedily while materializing the next
 /// posting list is cheaper than verifying it per candidate, and compare
 /// the result against the scalar scan. The forced arms exist for the
-/// `multi_pred` ablation benchmark and the oracle tests.
+/// oracle tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MultiChoice {
     /// Per-step cost decision from live statistics (the default).
@@ -324,35 +322,6 @@ impl PlanFeedback {
     }
 }
 
-/// Which chunk-kernel arm scan operators run —
-/// [`KernelChoice::Auto`] picks the vectorized arm whenever this build
-/// compiled real vector instructions ([`simd_compiled`]); the forced
-/// arms exist for the kernel-equivalence oracle and the `par_scaling`
-/// micro-bench grid. Both arms are always available: without the
-/// `simd` feature the vectorized arm is a hand-unrolled scalar twin
-/// with identical results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// [`KernelArm::auto`] (the default).
-    #[default]
-    Auto,
-    /// Always the plain scalar chunk loops.
-    ForceScalar,
-    /// Always the vectorized ([`KernelArm::Simd`]) chunk loops.
-    ForceSimd,
-}
-
-impl KernelChoice {
-    /// The concrete arm this choice resolves to.
-    pub fn arm(self) -> KernelArm {
-        match self {
-            KernelChoice::Auto => KernelArm::auto(),
-            KernelChoice::ForceScalar => KernelArm::Scalar,
-            KernelChoice::ForceSimd => KernelArm::Simd,
-        }
-    }
-}
-
 /// Per-evaluation counters of the strategy decisions actually taken
 /// (shared-cell based so one immutable `EvalOptions` can thread them
 /// through the executor).
@@ -437,7 +406,7 @@ pub struct EvalOptions<'a> {
     pub(crate) pool: Option<&'a par::WorkerPool>,
     pub(crate) par: ParChoice,
     pub(crate) morsel_rows: usize,
-    pub(crate) kernel: KernelChoice,
+    pub(crate) kernel: Option<KernelArm>,
     pub(crate) multi: MultiChoice,
     pub(crate) replan: ReplanMode,
     pub(crate) feedback: Option<&'a PlanFeedback>,
@@ -482,14 +451,15 @@ impl<'a> EvalOptions<'a> {
     }
 
     /// The worker pool parallel operators run on. Queries through
-    /// `Store::query_opts` get the store's shared pool injected
-    /// automatically; standalone evaluations pass one explicitly.
+    /// `Shard::query_opts` get the shard's (or its catalog's) shared
+    /// pool injected automatically; standalone evaluations pass one
+    /// explicitly.
     pub fn pool(mut self, pool: &'a par::WorkerPool) -> Self {
         self.pool = Some(pool);
         self
     }
 
-    /// Sets the pool only if none is set yet — how a `Store` injects
+    /// Sets the pool only if none is set yet — how a `Shard` injects
     /// its shared pool without overriding an explicit caller choice.
     pub fn or_pool(mut self, pool: &'a par::WorkerPool) -> Self {
         if self.pool.is_none() {
@@ -511,8 +481,13 @@ impl<'a> EvalOptions<'a> {
         self
     }
 
-    /// Chunk-kernel arm override (auto / forced-scalar / forced-simd).
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
+    /// Chunk-kernel arm override for the kernel-equivalence oracle:
+    /// `None` (the default) is [`KernelArm::auto`] — the vectorized arm
+    /// whenever this build compiled real vector instructions
+    /// ([`simd_compiled`]). Both arms are always available: without the
+    /// `simd` feature [`KernelArm::Simd`] is a hand-unrolled scalar twin
+    /// with identical results.
+    pub fn kernel(mut self, kernel: Option<KernelArm>) -> Self {
         self.kernel = kernel;
         self
     }
@@ -605,7 +580,7 @@ pub struct SharedOptions<'a> {
     pool: Option<&'a par::WorkerPool>,
     par: ParChoice,
     morsel_rows: usize,
-    kernel: KernelChoice,
+    kernel: Option<KernelArm>,
     multi: MultiChoice,
     replan: ReplanMode,
     feedback: Option<&'a PlanFeedback>,
@@ -720,7 +695,7 @@ impl XPath {
             par: opts.par,
             threads: opts.threads,
             morsel_rows: opts.morsel_rows,
-            kernel: opts.kernel.arm(),
+            kernel: opts.kernel.unwrap_or_default(),
             multi_choice: opts.multi,
             replan: opts.replan,
             feedback: opts.feedback,

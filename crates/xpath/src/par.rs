@@ -30,9 +30,10 @@
 //! morsel-driven balance: skewed morsels (one giant subtree region)
 //! keep one worker busy while the others drain the rest.
 //!
-//! One pool is shared per [`Store`](../../mbxq_txn/struct.Store.html)
-//! and lives as long as the store: queries borrow it per evaluation,
-//! workers sleep on a condvar between runs, and `Drop` shuts them down.
+//! One pool is shared per `mbxq_txn::Catalog` (or standalone
+//! `mbxq_txn::Shard`) and lives as long as it does: queries borrow it
+//! per evaluation, workers sleep on a condvar between runs, and `Drop`
+//! shuts them down.
 //! Concurrent submitters do not queue behind each other: if a run is
 //! already in flight, a second submitter simply executes its morsels
 //! inline (sequentially) — under many concurrent readers every thread

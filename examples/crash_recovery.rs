@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example crash_recovery`
 
-use mbxq::{InsertPosition, PageConfig, PagedDoc, Store, StoreConfig, TreeView, Wal, XPath};
+use mbxq::{InsertPosition, PageConfig, PagedDoc, Shard, StoreConfig, TreeView, Wal, XPath};
 use mbxq_txn::recover::recover;
 use mbxq_xml::Document;
 
@@ -28,7 +28,7 @@ fn main() {
     {
         let doc = PagedDoc::parse_str(CHECKPOINT, cfg).unwrap();
         let wal = Wal::file(&wal_path).expect("open wal file");
-        let store = Store::open(doc, wal, StoreConfig::default());
+        let store = Shard::open(doc, wal, StoreConfig::default());
 
         for i in 0..2 {
             let mut t = store.begin();
@@ -47,9 +47,9 @@ fn main() {
         }
 
         // Arm the crash: the next commit record is torn after 25 bytes.
-        let (doc, mut wal) = store.into_shard().into_parts();
+        let (doc, mut wal) = store.into_parts();
         wal.crash_after_bytes(wal.len_bytes() + 25);
-        let store = Store::open(doc, wal, StoreConfig::default());
+        let store = Shard::open(doc, wal, StoreConfig::default());
         let mut t = store.begin();
         let accounts = t
             .select(&XPath::parse("/ledger/accounts").unwrap())
@@ -95,12 +95,12 @@ fn main() {
     println!("the torn transaction left no trace — atomicity held.");
 
     // Phase 3: checkpoint. The WAL would otherwise grow (and recovery
-    // replay) without bound; `Store::checkpoint` serializes the current
+    // replay) without bound; `Shard::checkpoint` serializes the current
     // version into the log and truncates everything before it, and
     // recovery resumes from the checkpoint instead of genesis.
     {
         let wal = Wal::file(&wal_path).expect("reopen wal");
-        let store = Store::open(recovered, wal, StoreConfig::default());
+        let store = Shard::open(recovered, wal, StoreConfig::default());
         let info = store.checkpoint().expect("checkpoint");
         println!(
             "\ncheckpoint: {} nodes captured, WAL {} → {} bytes",

@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run --release --example value_lookup`.
 
-use mbxq::{PageConfig, PagedDoc, Store, StoreConfig, TreeView, Wal};
+use mbxq::{PageConfig, PagedDoc, Shard, StoreConfig, TreeView, Wal};
 use mbxq_xmark::{generate, XMarkConfig};
 use mbxq_xpath::{Bindings, EvalOptions, EvalStats, Value, ValueChoice, XPath};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,7 +27,7 @@ fn main() {
         xml.len(),
         doc.used_count()
     );
-    let store = Store::open(doc, Wal::in_memory(), StoreConfig::default());
+    let store = Shard::open(doc, Wal::in_memory(), StoreConfig::default());
 
     let total_items = match store.query("count(//item)").unwrap() {
         mbxq_xpath::Value::Number(n) => n as u64,

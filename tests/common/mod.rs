@@ -7,7 +7,7 @@
 //! panic message).
 #![allow(dead_code)] // each test binary uses a subset
 
-use mbxq::{Node, PageConfig, PagedDoc, TreeView};
+use mbxq::{Node, PageConfig, PagedDoc, ReadOnlyDoc, TreeView};
 
 /// Page configurations exercised by cross-schema tests: tiny pages force
 /// many page boundaries; big pages exercise the single-page paths.
@@ -174,4 +174,43 @@ impl TreeView for DefaultWalk<'_> {
     fn used_count(&self) -> u64 {
         self.0.used_count()
     }
+}
+
+/// Value-predicate and multi-predicate paths over XMark: attribute and
+/// child-text keys, exact and numeric-range comparisons, hits, misses
+/// and near-total ranges, one to three predicates per step.
+const XMARK_VALUE_PATHS: &[&str] = &[
+    "//item[@id = \"item0\"]",
+    "/site/people/person[@id = \"person0\"]/name",
+    "//personref[@person = \"person3\"]",
+    "//person[name = \"Qqq Zzz\"]",
+    "//closed_auction[price > 195]",
+    "//closed_auction[price > 100]",
+    "//price[. > 195]",
+    "//price[. < 1000]",
+    "//item[quantity = 1]",
+    "//*[@person = \"person0\"]",
+    "//item[@id = \"item0\"][quantity = 1]",
+    "//item[quantity = 1][location = \"United States\"]",
+    "//closed_auction[price > 100][price < 120]",
+    "//item[quantity = 1][quantity < 3]",
+    "//item[quantity = 1][quantity < 3][location = \"United States\"]",
+    "//closed_auction[price > 195][price < 199]",
+];
+
+/// The oracles' second corpus: one XMark document (scale 0.002, the
+/// paper's 80 %-filled 1024-slot pages) in both schemas, with every
+/// selection the Q1–Q20 plans issue ([`mbxq_xmark::QUERY_PATHS`]) plus
+/// [`XMARK_VALUE_PATHS`] — real fan-outs, skewed value distributions
+/// and long downward paths the random trees do not produce.
+pub fn xmark_corpus() -> (ReadOnlyDoc, PagedDoc, Vec<&'static str>) {
+    let xml = mbxq_xmark::generate(&mbxq_xmark::XMarkConfig::scaled(0.002, 42));
+    let ro = ReadOnlyDoc::parse_str(&xml).unwrap();
+    let up = PagedDoc::parse_str(&xml, PageConfig::new(1024, 80).unwrap()).unwrap();
+    let paths = mbxq_xmark::QUERY_PATHS.iter().map(|&(_, path)| path);
+    (
+        ro,
+        up,
+        paths.chain(XMARK_VALUE_PATHS.iter().copied()).collect(),
+    )
 }

@@ -24,7 +24,7 @@ use common::{rand_name, rand_text, rand_tree, TestRng};
 use mbxq::{InsertPosition, Kind, NaiveDoc, PagedDoc, QName, ReadOnlyDoc, TreeView};
 use mbxq_axes::{in_range_mask, scan_range_arm, KernelArm, NodeTest};
 use mbxq_storage::NumRange;
-use mbxq_xpath::{Bindings, EvalOptions, KernelChoice, ParChoice, Value, WorkerPool, XPath};
+use mbxq_xpath::{Bindings, EvalOptions, ParChoice, Value, WorkerPool, XPath};
 
 /// NaN-tolerant value equality (`NaN != NaN` under `PartialEq`, but the
 /// oracle wants "both NaN" to count as agreement).
@@ -92,10 +92,10 @@ fn check_query<V: TreeView>(
     }
     // Kernel equivalence: both forced chunk-kernel arms must reproduce
     // the auto-dispatched sequential result bit-for-bit (with the
-    // `simd` feature off, ForceSimd exercises the unrolled twin).
+    // `simd` feature off, the Simd arm is the unrolled twin).
     for (arm, kernel) in [
-        ("scalar-kernel", KernelChoice::ForceScalar),
-        ("simd-kernel", KernelChoice::ForceSimd),
+        ("scalar-kernel", KernelArm::Scalar),
+        ("simd-kernel", KernelArm::Simd),
     ] {
         let got = xp.eval_opts(
             view,
@@ -103,7 +103,7 @@ fn check_query<V: TreeView>(
             &EvalOptions::new()
                 .bindings(bindings)
                 .par(ParChoice::ForceSequential)
-                .kernel(kernel),
+                .kernel(Some(kernel)),
         );
         match (&seq, &got) {
             (Ok(s), Ok(g)) => assert!(
@@ -184,6 +184,21 @@ fn parallel_execution_matches_interpreter_across_schemas() {
             check_query(&nv, &xp, &bindings, &pool, &format!("seed {seed} (naive)"));
             check_query(&up, &xp, &bindings, &pool, &format!("seed {seed} (paged)"));
         }
+    }
+}
+
+/// The same comparison over the XMark corpus: sequential, single-row-
+/// morsel parallel and both forced kernel arms are bit-identical to the
+/// interpreter on both schemas.
+#[test]
+fn parallel_execution_matches_interpreter_on_the_xmark_corpus() {
+    let pool = WorkerPool::new(3);
+    let (ro, up, queries) = common::xmark_corpus();
+    let bindings = Bindings::new();
+    for q in queries {
+        let xp = XPath::parse(q).unwrap();
+        check_query(&ro, &xp, &bindings, &pool, "xmark (ro)");
+        check_query(&up, &xp, &bindings, &pool, "xmark (paged)");
     }
 }
 

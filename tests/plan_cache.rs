@@ -4,14 +4,14 @@
 //! (vacuum), and correct results through cached plans before and after
 //! updates.
 
-use mbxq::{PageConfig, PagedDoc, Store, StoreConfig, Wal, XPath};
+use mbxq::{PageConfig, PagedDoc, Shard, StoreConfig, Wal, XPath};
 use mbxq_xpath::{Bindings, EvalOptions, EvalStats, Value};
 
 const DOC: &str = r#"<site><people><person id="p0"><name>Ann</name></person><person id="p1"><name>Bob</name></person></people></site>"#;
 
-fn store() -> Store {
+fn store() -> Shard {
     let doc = PagedDoc::parse_str(DOC, PageConfig::new(8, 75).unwrap()).unwrap();
-    Store::open(doc, Wal::in_memory(), StoreConfig::default())
+    Shard::open(doc, Wal::in_memory(), StoreConfig::default())
 }
 
 #[test]
@@ -178,7 +178,7 @@ fn literal_texts_of_one_shape_share_one_plan() {
 /// not storm anything any more: they share one entry.)
 #[test]
 fn hot_query_survives_an_eviction_storm() {
-    const CAP: usize = 1024; // Store::PLAN_CACHE_CAP
+    const CAP: usize = 1024; // Shard::PLAN_CACHE_CAP
     let s = store();
     let hot = "count(//person)";
     assert_eq!(s.query(hot).unwrap(), Value::Number(2.0));

@@ -325,6 +325,19 @@ fn planned_execution_matches_interpreter_across_schemas() {
     }
 }
 
+/// The same comparison over the XMark corpus: every strategy arm of
+/// every Q1–Q20 selection and of the value / multi-predicate paths
+/// equals the interpreter on both schemas.
+#[test]
+fn planned_execution_matches_interpreter_on_the_xmark_corpus() {
+    let (ro, up, queries) = common::xmark_corpus();
+    let bindings = Bindings::new();
+    for q in queries {
+        check_with_twin(&ro, q, &bindings, "xmark (ro)");
+        check_with_twin(&up, q, &bindings, "xmark (paged)");
+    }
+}
+
 /// The twin generator itself: literals beside comparison operators are
 /// replaced, everything else is left alone, and the twins of the
 /// value-predicate corpus really are the lowered, late-bound form.

@@ -7,7 +7,9 @@
 //! catalog's `Arc` to be the last one standing).
 
 use mbxq::{Catalog, CatalogConfig, PageConfig, StoreConfig, TreeView};
-use mbxq_server::{Client, ErrorCode, NetError, Server, ServerConfig};
+use mbxq_server::{
+    Client, ErrorCode, NetError, QueryReply, QuerySpec, QueryTarget, Request, Server, ServerConfig,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -29,11 +31,11 @@ fn config() -> CatalogConfig {
 fn raw_handshaken(addr: std::net::SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    s.write_all(b"MBXQ\x01\x01\x00\x00\x00").unwrap();
+    s.write_all(b"MBXQ\x01\x02\x00\x00\x00").unwrap();
     let mut reply = [0u8; 8];
     s.read_exact(&mut reply).unwrap();
     assert_eq!(&reply[..4], b"MBXQ");
-    assert_eq!(u32::from_le_bytes(reply[4..].try_into().unwrap()), 1);
+    assert_eq!(u32::from_le_bytes(reply[4..].try_into().unwrap()), 2);
     s
 }
 
@@ -73,6 +75,20 @@ fn expect_eof(s: &mut TcpStream) {
     }
 }
 
+/// A hello offering only `version` must be answered `MBXQ` + `0` and
+/// closed.
+fn refused_hello(addr: std::net::SocketAddr, version: u8) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(&[b'M', b'B', b'X', b'Q', 1, version, 0, 0, 0])
+        .unwrap();
+    let mut reply = [0u8; 8];
+    s.read_exact(&mut reply).unwrap();
+    assert_eq!(&reply[..4], b"MBXQ");
+    assert_eq!(u32::from_le_bytes(reply[4..].try_into().unwrap()), 0);
+    expect_eof(&mut s);
+}
+
 #[test]
 fn malformed_traffic_storm_leaves_server_and_catalog_intact() {
     let cat = Arc::new(Catalog::in_memory(config()));
@@ -102,16 +118,7 @@ fn malformed_traffic_storm_leaves_server_and_catalog_intact() {
     }
 
     // 2. Version negotiation with no overlap: answered `0`, closed.
-    {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s.write_all(b"MBXQ\x01\x63\x00\x00\x00").unwrap(); // v99 only
-        let mut reply = [0u8; 8];
-        s.read_exact(&mut reply).unwrap();
-        assert_eq!(&reply[..4], b"MBXQ");
-        assert_eq!(u32::from_le_bytes(reply[4..].try_into().unwrap()), 0);
-        expect_eof(&mut s);
-    }
+    refused_hello(addr, 99);
 
     // 3. Oversized length prefix: a structured FrameTooLarge error,
     //    then the session is closed.
@@ -171,10 +178,7 @@ fn malformed_traffic_storm_leaves_server_and_catalog_intact() {
     for cut in 0..3 {
         let mut s = raw_handshaken(addr);
         // Open a cursor so the session has state to clean up.
-        let q = mbxq_server::Request::Query(mbxq_server::QuerySpec::new(
-            mbxq_server::QueryTarget::Doc("doc".to_string()),
-            "//x",
-        ));
+        let q = Request::Query(QuerySpec::new(QueryTarget::Doc("doc".to_string()), "//x"));
         let enc = q.encode();
         s.write_all(&(enc.len() as u32).to_le_bytes()).unwrap();
         s.write_all(&enc).unwrap();
@@ -249,5 +253,72 @@ fn torn_frames_do_not_block_other_sessions() {
     let mut cl = Client::connect(server.addr()).unwrap();
     cl.ping().unwrap();
     assert_eq!(cl.query_nodes("doc", "//x", None).unwrap().len(), 1);
+    server.shutdown();
+}
+
+/// Version 1 is retired, not kept beside version 2: a hello offering
+/// only 1 gets the no-overlap answer, and a `Query` frame in the
+/// version-1 layout — three strategy bytes between the bindings and the
+/// page size — is a trailing-byte protocol error, not a query with a
+/// misread page size.
+#[test]
+fn version_1_is_not_served() {
+    let cat = Arc::new(Catalog::in_memory(config()));
+    cat.create_doc("doc", "<r><x/></r>").unwrap();
+    let server = Server::start(cat.clone(), ServerConfig::default()).unwrap();
+    refused_hello(server.addr(), 1);
+
+    let mut spec = QuerySpec::new(QueryTarget::Doc("doc".to_string()), "//x");
+    spec.page_size = 7;
+    let mut v1 = Request::Query(spec).encode();
+    let at = v1.len() - 4;
+    v1.splice(at..at, [0u8, 2, 1]);
+    assert!(matches!(Request::decode(&v1), Err(NetError::Protocol(m)) if m.contains("trailing")));
+    let mut s = raw_handshaken(server.addr());
+    s.write_all(&(v1.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(&v1).unwrap();
+    let payload = raw_read_frame(&mut s);
+    assert_eq!(payload[0], 0x81);
+    assert_eq!(u16::from_le_bytes(payload[1..3].try_into().unwrap()), 1);
+    expect_eof(&mut s);
+    server.shutdown();
+}
+
+/// A session may hold 64 open cursors: the 65th node-set query is
+/// refused with a structured error, nothing else about the session
+/// breaks, and closing (or draining) a cursor admits the next one. A
+/// client that only ever sends `Query` can no longer grow server memory
+/// without bound.
+#[test]
+fn a_session_holds_at_most_64_open_cursors() {
+    let cat = Arc::new(Catalog::in_memory(config()));
+    cat.create_doc("doc", "<r><x/><x/></r>").unwrap();
+    let server = Server::start(cat.clone(), ServerConfig::default()).unwrap();
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let open = |cl: &mut Client| match cl.query("doc", "//x", None) {
+        Ok(QueryReply::Cursor(cur)) => Ok(cur),
+        Ok(QueryReply::Scalar(v)) => panic!("expected a cursor, got {v:?}"),
+        Err(e) => Err(e),
+    };
+    let cursors: Vec<_> = (0..64).map(|_| open(&mut cl).unwrap()).collect();
+    match open(&mut cl) {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::TooManyCursors),
+        other => panic!("the 65th cursor must be refused, got {other:?}"),
+    }
+    // Refused, not hung up: scalars, pings and fetches still work.
+    cl.ping().unwrap();
+    assert!(matches!(
+        cl.query("doc", "count(//x)", None).unwrap(),
+        QueryReply::Scalar(mbxq_xpath::Value::Number(n)) if n == 2.0
+    ));
+    // Closing one admits one; so does draining one to its last page.
+    cl.close_cursor(cursors[0].id).unwrap();
+    let readmitted = open(&mut cl).unwrap();
+    assert!(open(&mut cl).is_err());
+    assert_eq!(cl.drain(&cursors[1]).unwrap()[0].1.len(), 2);
+    let last = open(&mut cl).unwrap();
+    cl.drain(&last).unwrap();
+    assert_eq!(cl.drain(&readmitted).unwrap()[0].1.len(), 2);
+    cl.goodbye().unwrap();
     server.shutdown();
 }

@@ -250,3 +250,58 @@ fn summaries_equal_default_walks() {
         "the seeds no longer reach every shape: {seen:?}"
     );
 }
+
+/// A commit's footprint is the pages it touches, not the document: the
+/// same insert and the same value update, committed through a
+/// transaction against XMark documents a tenfold apart in size,
+/// privatise the same number of pages — every other page of the new
+/// version is the old version's page — and versions compare exactly one
+/// `Page` per logical page.
+#[test]
+fn commit_footprint_is_independent_of_document_size() {
+    use mbxq::{Shard, StoreConfig, Wal, XPath, XmlDocument};
+    let people = XPath::parse("/site/people").unwrap();
+    let name_text = XPath::parse("/site/people/person[1]/name/text()").unwrap();
+    let frag = XmlDocument::parse_fragment(r#"<person id="new"><name>B</name></person>"#).unwrap();
+    let footprints: Vec<(usize, usize)> = [0.002, 0.02]
+        .into_iter()
+        .map(|scale| {
+            let xml = mbxq_xmark::generate(&mbxq_xmark::XMarkConfig::scaled(scale, 42));
+            let doc = PagedDoc::parse_str(&xml, PageConfig::new(1024, 80).unwrap()).unwrap();
+            let store = Shard::open(doc, Wal::in_memory(), StoreConfig::default());
+            let mut touched = Vec::new();
+            for insert in [true, false] {
+                let before = store.snapshot();
+                let mut t = store.begin();
+                if insert {
+                    let target = t.select(&people).unwrap()[0];
+                    t.insert(InsertPosition::LastChildOf(target), &frag)
+                        .unwrap();
+                } else {
+                    let target = t.select(&name_text).unwrap()[0];
+                    t.update_value(target, "renamed").unwrap();
+                }
+                t.commit().unwrap();
+                let after = store.snapshot();
+                let (shared, total) = after.shared_pages_with(&before);
+                assert_eq!(
+                    total,
+                    after.stats().pages,
+                    "scale {scale}: one Page per logical page"
+                );
+                touched.push(total - shared);
+            }
+            assert!(touched[0] >= 1, "scale {scale}: the insert wrote somewhere");
+            assert!(
+                (1..=2).contains(&touched[1]),
+                "scale {scale}: a value update privatised {} pages",
+                touched[1]
+            );
+            (touched[0], touched[1])
+        })
+        .collect();
+    assert_eq!(
+        footprints[0], footprints[1],
+        "(insert, value update) pages privatised must not depend on document size"
+    );
+}
