@@ -47,7 +47,7 @@
 //! [`scan_range`] stays oblivious to who calls it.
 
 use crate::NodeTest;
-use mbxq_storage::{Kind, NumRange, PreChunk, TreeView};
+use mbxq_storage::{Kind, NumRange, PreChunk, QnId, TreeView};
 
 /// Which chunk-kernel implementation a scan dispatches to. See the
 /// [module docs](self) for the arm semantics.
@@ -100,9 +100,11 @@ pub const fn simd_width() -> usize {
     }
 }
 
-/// The per-chunk comparison a scan resolves its [`NodeTest`] into, once
-/// per range instead of once per slot.
-enum Probe {
+/// The comparison a [`NodeTest`] resolves into against one view — once
+/// per operator call instead of once per node: a name test becomes an
+/// interned-id compare instead of a pool lookup and a `QName` string
+/// compare per node.
+pub(crate) enum Probe {
     /// Elements whose interned name id equals the payload.
     Elem(u32),
     /// Any element.
@@ -120,7 +122,7 @@ enum Probe {
 }
 
 impl Probe {
-    fn resolve<V: TreeView + ?Sized>(view: &V, test: &NodeTest) -> Probe {
+    pub(crate) fn resolve<V: TreeView + ?Sized>(view: &V, test: &NodeTest) -> Probe {
         match test {
             NodeTest::Name(q) => match view.pool().lookup_qname(q) {
                 Some(qn) => Probe::Elem(qn.0),
@@ -132,6 +134,26 @@ impl Probe {
             NodeTest::AnyPi => Probe::OfKind(Kind::ProcessingInstruction),
             NodeTest::AnyNode => Probe::AnyNode,
             NodeTest::PiTarget(_) => Probe::Slow,
+        }
+    }
+
+    /// Whether the used node at `pre` passes `test`, the test this
+    /// probe was resolved from — [`NodeTest::matches`] for the
+    /// per-node loops (child, ancestor, sibling and existence walks).
+    #[inline]
+    pub(crate) fn matches<V: TreeView + ?Sized>(
+        &self,
+        view: &V,
+        test: &NodeTest,
+        pre: u64,
+    ) -> bool {
+        match self {
+            Probe::Elem(want) => view.name_id(pre) == Some(QnId(*want)),
+            Probe::AnyElement => view.kind(pre) == Some(Kind::Element),
+            Probe::OfKind(kind) => view.kind(pre) == Some(*kind),
+            Probe::AnyNode => true,
+            Probe::Empty => false,
+            Probe::Slow => test.matches(view, pre),
         }
     }
 }
@@ -451,7 +473,7 @@ fn scan_resolved<V: TreeView + ?Sized>(
                 if q >= hi {
                     break;
                 }
-                if test.matches(view, q) {
+                if probe.matches(view, test, q) {
                     out.push(q);
                 }
                 p = q + 1;

@@ -85,14 +85,7 @@ fn gallop_intersect(small: &[u64], large: &[u64], out: &mut Vec<u64>) {
         if base >= large.len() {
             break;
         }
-        // Widen the probe window exponentially until it covers x …
-        let mut bound = 1usize;
-        while base + bound < large.len() && large[base + bound] < x {
-            bound <<= 1;
-        }
-        // … then binary-search inside it.
-        let end = (base + bound + 1).min(large.len());
-        let idx = base + large[base..end].partition_point(|&v| v < x);
+        let idx = gallop_to(large, base, x);
         if idx < large.len() && large[idx] == x {
             out.push(x);
             base = idx + 1;
@@ -100,6 +93,20 @@ fn gallop_intersect(small: &[u64], large: &[u64], out: &mut Vec<u64>) {
             base = idx;
         }
     }
+}
+
+/// First index `>= base` of the ascending `list` whose entry is `>= x`
+/// (`list.len()` when there is none): widen the probe window
+/// exponentially from the cursor until it covers `x`, then binary-search
+/// inside it — O(log distance), so a cursor that only moves forward
+/// pays for the gaps it crosses, not for the list.
+pub(crate) fn gallop_to(list: &[u64], base: usize, x: u64) -> usize {
+    let mut bound = 1usize;
+    while base + bound < list.len() && list[base + bound] < x {
+        bound <<= 1;
+    }
+    let end = (base + bound + 1).min(list.len());
+    base + list[base..end].partition_point(|&v| v < x)
 }
 
 /// The plain two-cursor merge — the [`KernelArm::Scalar`] arm of the

@@ -31,6 +31,7 @@ mod iterators;
 pub mod loop_lifted;
 pub mod semijoin;
 
+use batch::Probe;
 pub use batch::{
     descendant_scan_ranges, in_range_mask, scan_range, scan_range_arm, scan_ranges,
     scan_ranges_arm, simd_compiled, simd_width, KernelArm,
@@ -38,7 +39,7 @@ pub use batch::{
 pub use intersect::{intersect_pair, intersect_sorted};
 pub use iterators::{children, descendants, following_siblings};
 pub use loop_lifted::{step_lifted, step_lifted_with, ContextSeq};
-pub use semijoin::{exists_step, range_semijoin};
+pub use semijoin::{exists_semijoin, exists_step, range_semijoin, region_window};
 
 /// The XPath axes supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,7 +88,10 @@ pub enum NodeTest {
 }
 
 impl NodeTest {
-    /// Whether the used node at `pre` passes the test.
+    /// Whether the used node at `pre` passes the test. A name test
+    /// resolves the node's interned id back to its `QName` and compares
+    /// strings — the per-node loops of this crate resolve the test once
+    /// per call instead and compare ids.
     pub fn matches<V: TreeView + ?Sized>(&self, view: &V, pre: u64) -> bool {
         match self {
             NodeTest::AnyNode => true,
@@ -137,16 +141,15 @@ pub fn step_with<V: TreeView + ?Sized>(
     arm: KernelArm,
 ) -> Vec<u64> {
     debug_assert!(context.windows(2).all(|w| w[0] < w[1]), "context sorted");
+    // The per-node loops below compare interned ids, not names.
+    let probe = Probe::resolve(view, test);
+    let matches = |p: u64| probe.matches(view, test, p);
     match axis {
-        Axis::SelfAxis => context
-            .iter()
-            .copied()
-            .filter(|&p| test.matches(view, p))
-            .collect(),
+        Axis::SelfAxis => context.iter().copied().filter(|&p| matches(p)).collect(),
         Axis::Child => {
             let mut out = Vec::new();
             for &c in context {
-                out.extend(children(view, c).filter(|&p| test.matches(view, p)));
+                out.extend(children(view, c).filter(|&p| matches(p)));
             }
             // Children of distinct (sorted) context nodes can interleave
             // only when one context node is an ancestor of another.
@@ -160,18 +163,18 @@ pub fn step_with<V: TreeView + ?Sized>(
             let mut out: Vec<u64> = context
                 .iter()
                 .filter_map(|&c| view.parent_of(c))
-                .filter(|&p| test.matches(view, p))
+                .filter(|&p| matches(p))
                 .collect();
             out.sort_unstable();
             out.dedup();
             out
         }
-        Axis::Ancestor => staircase_ancestor(view, context, test, false),
-        Axis::AncestorOrSelf => staircase_ancestor(view, context, test, true),
+        Axis::Ancestor => staircase_ancestor(view, context, matches, false),
+        Axis::AncestorOrSelf => staircase_ancestor(view, context, matches, true),
         Axis::FollowingSibling => {
             let mut out = Vec::new();
             for &c in context {
-                out.extend(following_siblings(view, c).filter(|&p| test.matches(view, p)));
+                out.extend(following_siblings(view, c).filter(|&p| matches(p)));
             }
             out.sort_unstable();
             out.dedup();
@@ -184,7 +187,7 @@ pub fn step_with<V: TreeView + ?Sized>(
                     out.extend(
                         children(view, parent)
                             .take_while(|&p| p < c)
-                            .filter(|&p| test.matches(view, p)),
+                            .filter(|&p| matches(p)),
                     );
                 }
             }
@@ -193,7 +196,7 @@ pub fn step_with<V: TreeView + ?Sized>(
             out
         }
         Axis::Following => staircase_following(view, context, test, arm),
-        Axis::Preceding => staircase_preceding(view, context, test),
+        Axis::Preceding => staircase_preceding(view, context, matches),
     }
 }
 
@@ -221,13 +224,13 @@ fn staircase_descendant<V: TreeView + ?Sized>(
 fn staircase_ancestor<V: TreeView + ?Sized>(
     view: &V,
     context: &[u64],
-    test: &NodeTest,
+    matches: impl Fn(u64) -> bool,
     or_self: bool,
 ) -> Vec<u64> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for &c in context {
-        if or_self && seen.insert(c) && test.matches(view, c) {
+        if or_self && seen.insert(c) && matches(c) {
             out.push(c);
         }
         let mut p = view.parent_of(c);
@@ -235,7 +238,7 @@ fn staircase_ancestor<V: TreeView + ?Sized>(
             if !seen.insert(a) {
                 break;
             }
-            if test.matches(view, a) {
+            if matches(a) {
                 out.push(a);
             }
             p = view.parent_of(a);
@@ -281,7 +284,7 @@ fn staircase_following<V: TreeView + ?Sized>(
 fn staircase_preceding<V: TreeView + ?Sized>(
     view: &V,
     context: &[u64],
-    test: &NodeTest,
+    matches: impl Fn(u64) -> bool,
 ) -> Vec<u64> {
     let Some(&last) = context.last() else {
         return Vec::new();
@@ -295,7 +298,7 @@ fn staircase_preceding<V: TreeView + ?Sized>(
         if view.region_end(q) <= last {
             // q's whole region precedes `last`: q qualifies, and so may
             // its descendants — keep scanning inside.
-            if test.matches(view, q) {
+            if matches(q) {
                 out.push(q);
             }
         }

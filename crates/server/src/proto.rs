@@ -748,16 +748,59 @@ impl Response {
 
 // ---------------------------------------------------------------- frame IO
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with **one** `write`:
+/// sessions run on `TCP_NODELAY` sockets, where every write is its own
+/// segment and its own wake-up of the peer — a prefix written apart
+/// from its payload doubled both for every frame.
 pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload exceeds the u32 length prefix",
+        )
+    })?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A frame reaches the socket as one write (one segment, one
+    /// wake-up), prefix first.
+    #[test]
+    fn a_frame_is_one_write() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl std::io::Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        for (frames, payload) in [&b"x"[..], &[7u8; 70_000][..], &[][..]].iter().enumerate() {
+            let before = w.bytes.len();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, frames + 1);
+            assert_eq!(
+                w.bytes[before..before + 4],
+                (payload.len() as u32).to_le_bytes()
+            );
+            assert_eq!(&w.bytes[before + 4..], *payload);
+        }
+    }
 
     fn roundtrip_req(req: Request) {
         let bytes = req.encode();

@@ -294,11 +294,6 @@ fn read_frame(
     Ok(Some(payload))
 }
 
-fn send(stream: &mut TcpStream, resp: &Response) -> Result<()> {
-    proto::write_frame(stream, &resp.encode())?;
-    Ok(())
-}
-
 // ----------------------------------------------------------------- sessions
 
 /// One open cursor: fully resolved rows, paged out on `Fetch`.
@@ -332,28 +327,34 @@ impl Session {
     }
 }
 
-/// The per-request outcome: a response, plus whether the session must
-/// end (protocol damage or an orderly goodbye).
+/// The per-request outcome: a response — encoded once, the bytes the
+/// frame-size check measures are the bytes written — plus whether the
+/// session must end (protocol damage or an orderly goodbye).
 struct Reply {
-    response: Response,
+    payload: Vec<u8>,
     hangup: bool,
 }
 
 impl Reply {
     fn ok(response: Response) -> Reply {
         Reply {
-            response,
+            payload: response.encode(),
             hangup: false,
         }
     }
 
     fn err(code: ErrorCode, message: impl Into<String>) -> Reply {
+        Reply::ok(Response::Error {
+            code,
+            message: message.into(),
+        })
+    }
+
+    /// The same reply, after which the session ends.
+    fn hangup(self) -> Reply {
         Reply {
-            response: Response::Error {
-                code,
-                message: message.into(),
-            },
-            hangup: false,
+            hangup: true,
+            ..self
         }
     }
 }
@@ -392,7 +393,7 @@ fn serve_connection(
             Err(NetError::Remote { code, message }) => {
                 // Oversized length prefix: report, then hang up — the
                 // stream position is unrecoverable.
-                let _ = send(&mut stream, &Response::Error { code, message });
+                let _ = proto::write_frame(&mut stream, &Reply::err(code, message).payload);
                 return Ok(());
             }
             Err(_) => return Ok(()), // torn frame / timeout / shutdown
@@ -408,16 +409,10 @@ fn serve_connection(
                 // Undecodable frame: the framing itself survived, but
                 // trusting any follow-up bytes from a client that
                 // mis-encodes requests is how desyncs start — hang up.
-                Reply {
-                    response: Response::Error {
-                        code,
-                        message: e.to_string(),
-                    },
-                    hangup: true,
-                }
+                Reply::err(code, e.to_string()).hangup()
             }
         };
-        send(&mut stream, &reply.response)?;
+        proto::write_frame(&mut stream, &reply.payload)?;
         if reply.hangup {
             return Ok(());
         }
@@ -539,10 +534,7 @@ fn handle_request(
             session.pins.clear();
             Reply::ok(Response::Ok)
         }
-        Request::Goodbye => Reply {
-            response: Response::Ok,
-            hangup: true,
-        },
+        Request::Goodbye => Reply::ok(Response::Ok).hangup(),
     }
 }
 
@@ -716,7 +708,7 @@ impl Reply {
     /// cap (pages are already bounded by [`MAX_PAGE_ROWS`], but a
     /// pathological scalar — a giant string value — could).
     fn limit_frame(self, config: &ServerConfig) -> Reply {
-        if self.response.encode().len() > config.max_frame {
+        if self.payload.len() > config.max_frame {
             return Reply::err(
                 ErrorCode::FrameTooLarge,
                 "result exceeds the frame size limit",

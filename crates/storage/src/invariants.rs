@@ -225,6 +225,25 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                     qn.0
                 )));
             }
+            // Windowed probe ≡ the whole probe cut to the window, for
+            // windows that start and end on, just past and between
+            // postings.
+            let at = |num: usize| want.get(want.len() * num / 4).copied().unwrap_or(0);
+            for lo in [0, at(1), at(1) + 1, at(2)] {
+                for hi in [lo, at(2), at(3) + 1, doc.pre_end()] {
+                    let cut: Vec<u64> = want
+                        .iter()
+                        .copied()
+                        .filter(|&p| lo <= p && p < hi)
+                        .collect();
+                    if doc.elements_named_in(qn, lo, hi).as_deref() != Some(&cut[..]) {
+                        return Err(corrupt(format!(
+                            "name index window [{lo}, {hi}) for qn {} diverged",
+                            qn.0
+                        )));
+                    }
+                }
+            }
         }
     }
 

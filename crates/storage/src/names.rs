@@ -103,12 +103,27 @@ impl NameIndex {
         base + self.delta.get(&qn).map_or(0, |d| d.added.len()) as u64
     }
 
-    /// The node ids of elements named `qn`, merged with the delta and
-    /// ordered by `pre_of` (ascending). `pre_of` returns the node's
-    /// current pre rank (`None` entries are skipped defensively).
+    /// The `(pre, node id)` pairs of elements named `qn`, merged with
+    /// the delta and ordered by `pre_of` (ascending). `pre_of` returns
+    /// the node's current pre rank (`None` entries are skipped
+    /// defensively).
     pub(crate) fn nodes_by_pre(
         &self,
         qn: QnId,
+        pre_of: impl FnMut(u64) -> Option<u64>,
+    ) -> Vec<(u64, u64)> {
+        self.nodes_by_pre_in(qn, 0, u64::MAX, pre_of)
+    }
+
+    /// [`NameIndex::nodes_by_pre`] cut to pre ranks in `[lo, hi)`: the
+    /// document-ordered base is binary-searched *by translated pre* for
+    /// the window's start and translated only up to its end, so a probe
+    /// costs O(log k + window + |added|) translations instead of k.
+    pub(crate) fn nodes_by_pre_in(
+        &self,
+        qn: QnId,
+        lo: u64,
+        hi: u64,
         mut pre_of: impl FnMut(u64) -> Option<u64>,
     ) -> Vec<(u64, u64)> {
         let empty_base: &[u64] = &[];
@@ -121,16 +136,20 @@ impl NameIndex {
                 d.added
                     .iter()
                     .filter_map(|&n| pre_of(n).map(|p| (p, n)))
+                    .filter(|&(p, _)| lo <= p && p < hi)
                     .collect()
             })
             .unwrap_or_default();
         added.sort_unstable();
-        let mut base_pres: Vec<(u64, u64)> = Vec::with_capacity(base.len());
-        for &n in base {
-            if delta.is_some_and(|d| d.removed.contains(&n)) {
-                continue;
+        let mut base_pres: Vec<(u64, u64)> = Vec::new();
+        for &n in &base[window_start(base, lo, &mut pre_of)..] {
+            // Tombstoned entries that are still alive (renames) keep
+            // their place in document order, so they may end the window.
+            let Some(p) = pre_of(n) else { continue };
+            if p >= hi {
+                break;
             }
-            if let Some(p) = pre_of(n) {
+            if !delta.is_some_and(|d| d.removed.contains(&n)) {
                 base_pres.push((p, n));
             }
         }
@@ -182,6 +201,29 @@ impl NameIndex {
             .map(|d| d.added.len() + d.removed.len())
             .sum()
     }
+}
+
+/// Index of the first entry of the document-ordered `base` whose
+/// current pre rank is `>= lo` — a binary search on translated pres.
+/// Entries of deleted nodes have no pre rank: a probe that lands on one
+/// steps forward to its next live neighbour (each dead run is walked at
+/// most twice over the whole search).
+fn window_start(base: &[u64], lo: u64, mut pre_of: impl FnMut(u64) -> Option<u64>) -> usize {
+    if lo == 0 {
+        return 0;
+    }
+    // Live entries before `a` rank below `lo`; live entries from `b` on
+    // rank at or above it.
+    let (mut a, mut b) = (0usize, base.len());
+    while a < b {
+        let mid = a + (b - a) / 2;
+        let live = (mid..b).find_map(|i| pre_of(base[i]).map(|p| (i, p)));
+        match live {
+            Some((i, p)) if p < lo => a = i + 1,
+            _ => b = mid,
+        }
+    }
+    a
 }
 
 #[cfg(test)]
@@ -242,6 +284,47 @@ mod tests {
             .collect();
         assert_eq!(got, vec![1, 4]);
         assert_eq!(idx.count(QnId(3)), 0);
+    }
+
+    /// The windowed probe equals the filtered whole-document probe for
+    /// every window, with dead (unmapped) and tombstoned-but-alive
+    /// entries in the base and added entries in the delta.
+    #[test]
+    fn windowed_probe_equals_the_filtered_whole_probe() {
+        let mut base = HashMap::new();
+        base.insert(QnId(1), (0..40).collect::<Vec<u64>>());
+        let mut idx = NameIndex::from_base(base);
+        // Deleted nodes: tombstoned and without a pre rank.
+        let dead = |n: u64| (8..20).contains(&n) || n == 0 || n == 39;
+        for n in (0..40).filter(|&n| dead(n)) {
+            idx.remove(QnId(1), n);
+        }
+        idx.remove(QnId(1), 25); // renamed away: tombstoned, still placed
+        idx.add(QnId(1), 100); // inserted between base entries
+        idx.add(QnId(1), 101); // inserted behind the last base entry
+        let pre_of = |n: u64| match n {
+            100 => Some(45),
+            101 => Some(400),
+            n if dead(n) => None,
+            n => Some(n * 3),
+        };
+        let all = idx.nodes_by_pre(QnId(1), pre_of);
+        assert_eq!(all.len() as u64, idx.count(QnId(1)));
+        for lo in 0..125 {
+            for hi in [lo, lo + 1, lo + 7, lo + 60, 401, u64::MAX] {
+                let want: Vec<(u64, u64)> = all
+                    .iter()
+                    .copied()
+                    .filter(|&(p, _)| lo <= p && p < hi)
+                    .collect();
+                assert_eq!(
+                    idx.nodes_by_pre_in(QnId(1), lo, hi, pre_of),
+                    want,
+                    "[{lo}, {hi})"
+                );
+            }
+        }
+        assert!(idx.nodes_by_pre_in(QnId(9), 0, u64::MAX, pre_of).is_empty());
     }
 
     #[test]

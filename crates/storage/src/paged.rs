@@ -80,6 +80,7 @@ use crate::view::TreeView;
 use crate::Result;
 use mbxq_bat::{CowVec, PageMap};
 use mbxq_xml::{Document, Node};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -744,10 +745,10 @@ impl TreeView for PagedDoc {
         self.used_count
     }
 
-    fn elements_named(&self, qn: QnId) -> Option<Vec<u64>> {
+    fn elements_named_in(&self, qn: QnId, lo: u64, hi: u64) -> Option<Cow<'_, [u64]>> {
         Some(
             self.name_index
-                .nodes_by_pre(qn, |node| self.node_pre_opt(node))
+                .nodes_by_pre_in(qn, lo, hi, |node| self.node_pre_opt(node))
                 .into_iter()
                 .map(|(pre, _)| pre)
                 .collect(),

@@ -6,13 +6,17 @@
 //! thereafter — exactly "the storage scheme used until now in
 //! MonetDB/XQuery, … a read-only solution" (§2.2).
 
-use crate::page::checked_level;
+use crate::page::{checked_level, narrow};
 use crate::types::{Kind, NodeId, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
 use mbxq_bat::VoidBat;
 use mbxq_xml::{Event, Node, Parser};
+use std::borrow::Cow;
+
+/// `parent` of the root.
+const NO_PARENT: u32 = u32::MAX;
 
 /// A shredded document in the dense read-only encoding.
 ///
@@ -22,7 +26,12 @@ use mbxq_xml::{Event, Node, Parser};
 #[derive(Debug, Clone, Default)]
 pub struct ReadOnlyDoc {
     /// Subtree sizes (descendant tuple counts), void-keyed by pre.
-    size: VoidBat<u64>,
+    size: VoidBat<u32>,
+    /// Pre rank of each node's parent ([`NO_PARENT`] for the root),
+    /// filled from the shredder's stack: the dense encoding has no
+    /// cheaper way back up than remembering it (`parent_of` would walk
+    /// every preceding sibling subtree).
+    parent: VoidBat<u32>,
     /// Tree depths, void-keyed by pre.
     level: VoidBat<u16>,
     /// Node kinds, void-keyed by pre.
@@ -54,9 +63,8 @@ impl ReadOnlyDoc {
     pub fn parse_str(input: &str) -> Result<Self> {
         let mut doc = ReadOnlyDoc::default();
         let mut parser = Parser::new(input);
-        // Stack of (pre, tuples_emitted_when_opened).
-        let mut stack: Vec<(u64, u64)> = Vec::new();
-        let mut emitted: u64 = 0;
+        // Open elements, innermost last.
+        let mut stack: Vec<u32> = Vec::new();
         while let Some(ev) = parser
             .next_event()
             .map_err(|e| StorageError::InvalidTarget {
@@ -65,42 +73,34 @@ impl ReadOnlyDoc {
         {
             match ev {
                 Event::StartElement { name, attributes } => {
-                    let pre = emitted;
-                    emitted += 1;
-                    let level = checked_level(stack.len())?;
                     let qn = doc.pool.intern_qname(&name);
-                    doc.name_index.entry(qn).or_default().push(pre);
-                    doc.push_tuple(0, level, Kind::Element, qn.0, u32::MAX);
+                    let pre = doc.push_tuple(&stack, Kind::Element, qn.0, u32::MAX)?;
+                    doc.name_index.entry(qn).or_default().push(u64::from(pre));
                     for (aname, avalue) in &attributes {
                         let aqn = doc.pool.intern_qname(aname);
                         let prop = doc.pool.intern_prop(avalue);
-                        doc.attr_owner.append(pre);
+                        doc.attr_owner.append(u64::from(pre));
                         doc.attr_qn.append(aqn);
                         doc.attr_prop.append(prop);
                     }
-                    stack.push((pre, emitted));
+                    stack.push(pre);
                 }
                 Event::EndElement { .. } => {
-                    let (pre, opened_at) = stack.pop().expect("parser guarantees balance");
-                    *doc.size.find_mut(pre)? = emitted - opened_at;
+                    let pre = stack.pop().expect("parser guarantees balance");
+                    // Every tuple pushed since is a descendant.
+                    *doc.size.find_mut(u64::from(pre))? = doc.len() as u32 - pre - 1;
                 }
                 Event::Text(t) => {
-                    let level = checked_level(stack.len())?;
                     let v = doc.pool.intern_text(&t);
-                    doc.push_tuple(0, level, Kind::Text, u32::MAX, v);
-                    emitted += 1;
+                    doc.push_tuple(&stack, Kind::Text, u32::MAX, v)?;
                 }
                 Event::Comment(c) => {
-                    let level = checked_level(stack.len())?;
                     let v = doc.pool.intern_comment(&c);
-                    doc.push_tuple(0, level, Kind::Comment, u32::MAX, v);
-                    emitted += 1;
+                    doc.push_tuple(&stack, Kind::Comment, u32::MAX, v)?;
                 }
                 Event::ProcessingInstruction { target, data } => {
-                    let level = checked_level(stack.len())?;
                     let v = doc.pool.intern_instruction(&target, &data);
-                    doc.push_tuple(0, level, Kind::ProcessingInstruction, u32::MAX, v);
-                    emitted += 1;
+                    doc.push_tuple(&stack, Kind::ProcessingInstruction, u32::MAX, v)?;
                 }
             }
         }
@@ -112,60 +112,64 @@ impl ReadOnlyDoc {
     /// the identical document object).
     pub fn from_tree(root: &Node) -> Result<Self> {
         let mut doc = ReadOnlyDoc::default();
-        doc.shred_node(root, 0)?;
+        doc.shred_node(root, &mut Vec::new())?;
         doc.content_index = ContentIndex::build_from_view(&doc);
         Ok(doc)
     }
 
-    fn shred_node(&mut self, node: &Node, level: u16) -> Result<u64> {
+    fn shred_node(&mut self, node: &Node, stack: &mut Vec<u32>) -> Result<()> {
         match node {
             Node::Element {
                 name,
                 attributes,
                 children,
             } => {
-                let pre = self.size.len() as u64;
                 let qn = self.pool.intern_qname(name);
-                self.name_index.entry(qn).or_default().push(pre);
-                self.push_tuple(0, level, Kind::Element, qn.0, u32::MAX);
+                let pre = self.push_tuple(stack, Kind::Element, qn.0, u32::MAX)?;
+                self.name_index.entry(qn).or_default().push(u64::from(pre));
                 for (aname, avalue) in attributes {
                     let aqn = self.pool.intern_qname(aname);
                     let prop = self.pool.intern_prop(avalue);
-                    self.attr_owner.append(pre);
+                    self.attr_owner.append(u64::from(pre));
                     self.attr_qn.append(aqn);
                     self.attr_prop.append(prop);
                 }
-                let mut sz = 0;
+                stack.push(pre);
                 for c in children {
-                    sz += self.shred_node(c, checked_level(usize::from(level) + 1)?)?;
+                    self.shred_node(c, stack)?;
                 }
-                *self.size.find_mut(pre)? = sz;
-                Ok(sz + 1)
+                stack.pop();
+                *self.size.find_mut(u64::from(pre))? = self.len() as u32 - pre - 1;
             }
             Node::Text(t) => {
                 let v = self.pool.intern_text(t);
-                self.push_tuple(0, level, Kind::Text, u32::MAX, v);
-                Ok(1)
+                self.push_tuple(stack, Kind::Text, u32::MAX, v)?;
             }
             Node::Comment(c) => {
                 let v = self.pool.intern_comment(c);
-                self.push_tuple(0, level, Kind::Comment, u32::MAX, v);
-                Ok(1)
+                self.push_tuple(stack, Kind::Comment, u32::MAX, v)?;
             }
             Node::ProcessingInstruction { target, data } => {
                 let v = self.pool.intern_instruction(target, data);
-                self.push_tuple(0, level, Kind::ProcessingInstruction, u32::MAX, v);
-                Ok(1)
+                self.push_tuple(stack, Kind::ProcessingInstruction, u32::MAX, v)?;
             }
         }
+        Ok(())
     }
 
-    fn push_tuple(&mut self, size: u64, level: u16, kind: Kind, name: u32, value: u32) {
-        self.size.append(size);
+    /// Appends a leaf-sized tuple under the open elements `stack`
+    /// (innermost last) and returns its pre rank.
+    fn push_tuple(&mut self, stack: &[u32], kind: Kind, name: u32, value: u32) -> Result<u32> {
+        let pre = narrow("slots", self.len() as u64)?;
+        let level = checked_level(stack.len())?;
+        self.size.append(0);
+        self.parent
+            .append(stack.last().copied().unwrap_or(NO_PARENT));
         self.level.append(level);
         self.kind.append(kind);
         self.name.append(name);
         self.value.append(value);
+        Ok(pre)
     }
 
     /// Number of tuples (document nodes).
@@ -182,7 +186,7 @@ impl ReadOnlyDoc {
     /// The post rank of the node at `pre`: `post = pre + size - level`
     /// (§2.2, Figure 2). Only meaningful in this dense encoding.
     pub fn post(&self, pre: u64) -> Result<u64> {
-        let size = self.size.get(pre)?;
+        let size = u64::from(self.size.get(pre)?);
         let level = self.level.get(pre)? as u64;
         Ok(pre + size - level)
     }
@@ -196,7 +200,7 @@ impl ReadOnlyDoc {
     /// Approximate heap footprint of the tree + attribute tables in bytes
     /// (for the storage-overhead experiment; excludes the shared pool).
     pub fn table_bytes(&self) -> usize {
-        self.len() * (8 + 2 + 1 + 4 + 4) + self.attr_owner.len() * (8 + 4 + 4)
+        self.len() * (4 + 4 + 2 + 1 + 4 + 4) + self.attr_owner.len() * (8 + 4 + 4)
     }
 }
 
@@ -210,7 +214,7 @@ impl TreeView for ReadOnlyDoc {
     }
 
     fn size(&self, pre: u64) -> u64 {
-        self.size.get(pre).unwrap_or(0)
+        self.size.get(pre).map_or(0, u64::from)
     }
 
     fn kind(&self, pre: u64) -> Option<Kind> {
@@ -262,8 +266,12 @@ impl TreeView for ReadOnlyDoc {
         self.len() as u64
     }
 
-    fn elements_named(&self, qn: QnId) -> Option<Vec<u64>> {
-        Some(self.name_index.get(&qn).cloned().unwrap_or_default())
+    fn elements_named_in(&self, qn: QnId, lo: u64, hi: u64) -> Option<Cow<'_, [u64]>> {
+        // Pre ranks never move in this schema: the window is a sub-slice.
+        let all = self.name_index.get(&qn).map_or(&[][..], Vec::as_slice);
+        let start = all.partition_point(|&p| p < lo);
+        let len = all[start..].partition_point(|&p| p < hi);
+        Some(Cow::Borrowed(&all[start..start + len]))
     }
 
     fn elements_named_count(&self, qn: QnId) -> Option<u64> {
@@ -336,6 +344,13 @@ impl TreeView for ReadOnlyDoc {
     fn region_end(&self, pre: u64) -> u64 {
         // Hole-free: the classic O(1) jump.
         pre + self.size(pre) + 1
+    }
+
+    fn parent_of(&self, pre: u64) -> Option<u64> {
+        match self.parent.get(pre) {
+            Ok(p) if p != NO_PARENT => Some(u64::from(p)),
+            _ => None,
+        }
     }
 
     fn pre_chunk(&self, pre: u64, end: u64) -> Option<crate::view::PreChunk<'_>> {
@@ -437,13 +452,25 @@ mod tests {
         assert_eq!(d.attribute_value(1, &mbxq_xml::QName::local("q")), None);
     }
 
+    /// The parent column (both shredders fill it from their stack)
+    /// answers what the level walk would: the nearest preceding node one
+    /// level up.
     #[test]
-    fn parent_of_walks_levels() {
-        let d = ReadOnlyDoc::parse_str(PAPER_DOC).unwrap();
-        assert_eq!(d.parent_of(0), None); // a is root
-        assert_eq!(d.parent_of(3), Some(2)); // d -> c
-        assert_eq!(d.parent_of(7), Some(5)); // h -> f
-        assert_eq!(d.parent_of(9), Some(7)); // j -> h
+    fn parent_column_equals_the_level_walk() {
+        let xml = "<a>x<b><c><d/>y<e/></c></b><!--z--><f><g/><h><i/><j>w</j></h></f></a>";
+        let tree = mbxq_xml::Document::parse(xml).unwrap();
+        for d in [
+            ReadOnlyDoc::parse_str(xml).unwrap(),
+            ReadOnlyDoc::from_tree(&tree.root).unwrap(),
+        ] {
+            assert_eq!(d.parent_of(0), None);
+            assert_eq!(d.parent_of(d.pre_end()), None);
+            for p in 1..d.pre_end() {
+                let level = d.level(p).unwrap();
+                let walked = (0..p).rev().find(|&q| d.level(q).unwrap() < level);
+                assert_eq!(d.parent_of(p), walked, "pre {p}");
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,13 @@
 //! the default finishes slot run by slot run — O(unused slots in the
 //! region), and `parent_of` is O(preceding slots). The paged schema
 //! therefore overrides both on a per-page level summary (see
-//! [`crate::paged`]); the defaults remain the implementation of the
-//! chunk-less schemas and the reference the tests compare against.
+//! [`crate::paged`]) and the read-only schema stores a parent column;
+//! the defaults remain the implementation of the chunk-less schemas and
+//! the reference the tests compare against.
 
 use crate::types::{Kind, NodeId, ValueRef};
 use crate::values::{DegreeStats, NumRange, PropId, QnId, TextProbe, ValuePool};
+use std::borrow::Cow;
 
 /// A contiguous run of pre slots exposed as raw column slices — the
 /// batch-kernel view of the pre plane.
@@ -132,13 +134,22 @@ pub trait TreeView: Sync {
     /// The shared interned side tables.
     fn pool(&self) -> &ValuePool;
 
-    /// All element nodes named `qn`, as ascending pre ranks — the
-    /// element-name-index probe behind cost-based axis selection.
+    /// The element nodes named `qn` whose pre rank lies in `[lo, hi)`,
+    /// ascending — the element-name-index probe behind cost-based axis
+    /// selection, cut to the window a structural join can match in
+    /// (`[min context pre, max context region end)`), so a step pays for
+    /// the postings near its context instead of the name's whole list.
+    /// Borrowed where the schema stores pre ranks, translated otherwise.
     /// `None` when the schema maintains no such index (callers fall
     /// back to a staircase scan); the default is index-less.
-    fn elements_named(&self, qn: QnId) -> Option<Vec<u64>> {
-        let _ = qn;
+    fn elements_named_in(&self, qn: QnId, lo: u64, hi: u64) -> Option<Cow<'_, [u64]>> {
+        let _ = (qn, lo, hi);
         None
+    }
+
+    /// [`TreeView::elements_named_in`] over the whole document.
+    fn elements_named(&self, qn: QnId) -> Option<Vec<u64>> {
+        self.elements_named_in(qn, 0, u64::MAX).map(Cow::into_owned)
     }
 
     /// Number of elements named `qn` (the index statistic the cost
@@ -324,8 +335,8 @@ pub trait TreeView: Sync {
 
     /// The parent of the used node at `pre`: the nearest preceding used
     /// slot with a smaller level. The default walks back one used slot
-    /// at a time (O(preceding siblings' subtrees));
-    /// [`crate::PagedDoc`] overrides it.
+    /// at a time (O(preceding siblings' subtrees)); both storage
+    /// schemas override it.
     fn parent_of(&self, pre: u64) -> Option<u64> {
         let lvl = self.level(pre)?;
         if lvl == 0 {

@@ -1078,8 +1078,13 @@ impl mbxq_storage::TreeView for WriteTxn<'_> {
     fn used_count(&self) -> u64 {
         self.view().used_count()
     }
-    fn elements_named(&self, qn: mbxq_storage::QnId) -> Option<Vec<u64>> {
-        self.view().elements_named(qn)
+    fn elements_named_in(
+        &self,
+        qn: mbxq_storage::QnId,
+        lo: u64,
+        hi: u64,
+    ) -> Option<std::borrow::Cow<'_, [u64]>> {
+        self.view().elements_named_in(qn, lo, hi)
     }
     fn elements_named_count(&self, qn: mbxq_storage::QnId) -> Option<u64> {
         self.view().elements_named_count(qn)

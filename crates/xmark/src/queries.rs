@@ -13,7 +13,7 @@
 //! harness can assert that both schemas computed identical answers.
 
 use mbxq_axes::{children, step, step_lifted, Axis, ContextSeq, NodeTest};
-use mbxq_storage::TreeView;
+use mbxq_storage::{QnId, TreeView};
 use mbxq_xml::QName;
 use mbxq_xpath::{EvalOptions, XPath};
 use std::collections::HashMap;
@@ -121,23 +121,25 @@ fn sel<V: TreeView>(view: &V, opts: &EvalOptions<'_>, path: &str) -> Result<Vec<
     Ok(XPath::parse(path)?.select_from_root_opts(view, opts)?)
 }
 
-fn child_named<V: TreeView>(view: &V, pre: u64, name: &str) -> Option<u64> {
-    let want = QName::local(name);
-    children(view, pre).find(|&c| {
-        view.name_id(c)
-            .and_then(|q| view.pool().qname(q))
-            .is_some_and(|q| *q == want)
-    })
+/// Resolves an element name against the view's pool — once per query,
+/// so the per-node loops compare interned ids instead of building and
+/// string-comparing a `QName` per visited child. `None`: no element
+/// carries the name.
+fn qn<V: TreeView>(view: &V, name: &str) -> Option<QnId> {
+    view.pool().lookup_qname(&QName::local(name))
 }
 
-fn children_named<V: TreeView>(view: &V, pre: u64, name: &str) -> Vec<u64> {
-    let want = QName::local(name);
+fn child_named<V: TreeView>(view: &V, pre: u64, name: Option<QnId>) -> Option<u64> {
+    let name = name?;
+    children(view, pre).find(|&c| view.name_id(c) == Some(name))
+}
+
+fn children_named<V: TreeView>(view: &V, pre: u64, name: Option<QnId>) -> Vec<u64> {
+    let Some(name) = name else {
+        return Vec::new();
+    };
     children(view, pre)
-        .filter(|&c| {
-            view.name_id(c)
-                .and_then(|q| view.pool().qname(q))
-                .is_some_and(|q| *q == want)
-        })
+        .filter(|&c| view.name_id(c) == Some(name))
         .collect()
 }
 
@@ -174,6 +176,7 @@ fn q1<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
 /// `for $a in //open_auction return $a/bidder[1]` loop runs as one
 /// loop-lifted child step over all auctions at once.
 fn q2<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let increase_qn = qn(view, "increase");
     let auctions = sel(view, opts, "/site/open_auctions/open_auction")?;
     let bidders = step_lifted(
         view,
@@ -185,7 +188,7 @@ fn q2<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
     let mut rows = 0;
     for iter in bidders.iter_ids() {
         if let Some(&first) = bidders.pres_of_iter(iter).first() {
-            if let Some(inc) = child_named(view, first, "increase") {
+            if let Some(inc) = child_named(view, first, increase_qn) {
                 f.feed(&view.string_value(inc));
                 rows += 1;
             }
@@ -197,6 +200,7 @@ fn q2<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
 /// Q3: auctions whose current highest bid is at least twice the first
 /// bid; returns (first increase, last increase).
 fn q3<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let increase_qn = qn(view, "increase");
     let auctions = sel(view, opts, "/site/open_auctions/open_auction")?;
     let per_auction = step_lifted(
         view,
@@ -211,9 +215,9 @@ fn q3<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
         if bidders.len() < 2 {
             continue;
         }
-        let first_inc = child_named(view, bidders[0], "increase").map(|p| num(view, p));
+        let first_inc = child_named(view, bidders[0], increase_qn).map(|p| num(view, p));
         let last_inc =
-            child_named(view, bidders[bidders.len() - 1], "increase").map(|p| num(view, p));
+            child_named(view, bidders[bidders.len() - 1], increase_qn).map(|p| num(view, p));
         if let (Some(x), Some(y)) = (first_inc, last_inc) {
             if x * 2.0 <= y {
                 f.feed(&format!("{x:.2}|{y:.2}"));
@@ -227,14 +231,17 @@ fn q3<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
 /// Q4: auctions where a bid by `person1` precedes a bid by `person2` in
 /// document order (order-sensitive query); returns the initial price.
 fn q4<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let bidder_qn = qn(view, "bidder");
+    let personref_qn = qn(view, "personref");
+    let initial_qn = qn(view, "initial");
     let auctions = sel(view, opts, "/site/open_auctions/open_auction")?;
     let mut f = Fnv::new();
     let mut rows = 0;
     for &a in &auctions {
         let mut saw_first = false;
         let mut qualifies = false;
-        for b in children_named(view, a, "bidder") {
-            if let Some(pref) = child_named(view, b, "personref") {
+        for b in children_named(view, a, bidder_qn) {
+            if let Some(pref) = child_named(view, b, personref_qn) {
                 match attr(view, pref, "person").as_deref() {
                     Some("person1") => saw_first = true,
                     Some("person2") if saw_first => {
@@ -246,7 +253,7 @@ fn q4<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
             }
         }
         if qualifies {
-            if let Some(init) = child_named(view, a, "initial") {
+            if let Some(init) = child_named(view, a, initial_qn) {
                 f.feed(&view.string_value(init));
                 rows += 1;
             }
@@ -306,6 +313,7 @@ fn person_index<V: TreeView>(
 /// Q8: for every person, the number of items they bought (hash join
 /// person ↔ closed_auction buyer).
 fn q8<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let name_qn = qn(view, "name");
     let buyers = sel(view, opts, "/site/closed_auctions/closed_auction/buyer")?;
     let mut bought: HashMap<String, usize> = HashMap::new();
     for &b in &buyers {
@@ -317,7 +325,7 @@ fn q8<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
     let mut f = Fnv::new();
     for (id, p) in &persons {
         let n = bought.get(id).copied().unwrap_or(0);
-        let name = child_named(view, *p, "name")
+        let name = child_named(view, *p, name_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
         f.feed(&format!("{name}|{n}"));
@@ -328,11 +336,14 @@ fn q8<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
 /// Q9: like Q8 but joining through to *European* items — person ↔
 /// closed_auction ↔ item (two hash joins).
 fn q9<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let name_qn = qn(view, "name");
+    let buyer_qn = qn(view, "buyer");
+    let itemref_qn = qn(view, "itemref");
     // European item id → name.
     let eu_items = sel(view, opts, "/site/regions/europe/item")?;
     let mut eu: HashMap<String, String> = HashMap::new();
     for &i in &eu_items {
-        if let (Some(id), Some(name)) = (attr(view, i, "id"), child_named(view, i, "name")) {
+        if let (Some(id), Some(name)) = (attr(view, i, "id"), child_named(view, i, name_qn)) {
             eu.insert(id, view.string_value(name));
         }
     }
@@ -340,8 +351,8 @@ fn q9<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
     let closed = sel(view, opts, "/site/closed_auctions/closed_auction")?;
     let mut bought: HashMap<String, Vec<String>> = HashMap::new();
     for &c in &closed {
-        let buyer = child_named(view, c, "buyer").and_then(|b| attr(view, b, "person"));
-        let item = child_named(view, c, "itemref").and_then(|i| attr(view, i, "item"));
+        let buyer = child_named(view, c, buyer_qn).and_then(|b| attr(view, b, "person"));
+        let item = child_named(view, c, itemref_qn).and_then(|i| attr(view, i, "item"));
         if let (Some(buyer), Some(item)) = (buyer, item) {
             if let Some(name) = eu.get(&item) {
                 bought.entry(buyer).or_default().push(name.clone());
@@ -352,7 +363,7 @@ fn q9<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
     let mut f = Fnv::new();
     let mut rows = 0;
     for (id, p) in &persons {
-        let name = child_named(view, *p, "name")
+        let name = child_named(view, *p, name_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
         if let Some(items) = bought.get(id) {
@@ -370,24 +381,29 @@ fn q9<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
 /// Q10: group people by their interest categories and materialize their
 /// profile data (the expensive restructuring query).
 fn q10<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let profile_qn = qn(view, "profile");
+    let name_qn = qn(view, "name");
+    let emailaddress_qn = qn(view, "emailaddress");
+    let gender_qn = qn(view, "gender");
+    let interest_qn = qn(view, "interest");
     let persons = sel(view, opts, "/site/people/person")?;
     let mut groups: HashMap<String, Vec<String>> = HashMap::new();
     for &p in &persons {
-        let Some(profile) = child_named(view, p, "profile") else {
+        let Some(profile) = child_named(view, p, profile_qn) else {
             continue;
         };
         let income = attr(view, profile, "income").unwrap_or_default();
-        let name = child_named(view, p, "name")
+        let name = child_named(view, p, name_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
-        let email = child_named(view, p, "emailaddress")
+        let email = child_named(view, p, emailaddress_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
-        let gender = child_named(view, profile, "gender")
+        let gender = child_named(view, profile, gender_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
         let record = format!("{name}|{email}|{income}|{gender}");
-        for interest in children_named(view, profile, "interest") {
+        for interest in children_named(view, profile, interest_qn) {
             if let Some(cat) = attr(view, interest, "category") {
                 groups.entry(cat).or_default().push(record.clone());
             }
@@ -411,6 +427,7 @@ fn q10<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// the person's income covers 5000-fold (value join person.income vs
 /// auction.initial; sort + binary search instead of O(P·A)).
 fn q11<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let profile_qn = qn(view, "profile");
     let mut initials: Vec<f64> = sel(view, opts, "/site/open_auctions/open_auction/initial")?
         .iter()
         .map(|&p| num(view, p))
@@ -419,7 +436,7 @@ fn q11<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let persons = sel(view, opts, "/site/people/person")?;
     let mut f = Fnv::new();
     for &p in &persons {
-        let income = child_named(view, p, "profile")
+        let income = child_named(view, p, profile_qn)
             .and_then(|pr| attr(view, pr, "income"))
             .and_then(|s| s.parse::<f64>().ok());
         let n = match income {
@@ -433,6 +450,7 @@ fn q11<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 
 /// Q12: like Q11 but only for persons with income over 50000.
 fn q12<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let profile_qn = qn(view, "profile");
     let mut initials: Vec<f64> = sel(view, opts, "/site/open_auctions/open_auction/initial")?
         .iter()
         .map(|&p| num(view, p))
@@ -442,7 +460,7 @@ fn q12<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let mut f = Fnv::new();
     let mut rows = 0;
     for &p in &persons {
-        let Some(inc) = child_named(view, p, "profile")
+        let Some(inc) = child_named(view, p, profile_qn)
             .and_then(|pr| attr(view, pr, "income"))
             .and_then(|s| s.parse::<f64>().ok())
         else {
@@ -460,15 +478,17 @@ fn q12<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// Q13: names and full descriptions of Australian items (reconstruction
 /// of subtrees).
 fn q13<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let name_qn = qn(view, "name");
+    let description_qn = qn(view, "description");
     let items = sel(view, opts, "/site/regions/australia/item")?;
     let mut f = Fnv::new();
     for &i in &items {
-        let name = child_named(view, i, "name")
+        let name = child_named(view, i, name_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
         // Materialize the description subtree (string value walks the
         // whole region — the serialization cost the query measures).
-        let desc = child_named(view, i, "description")
+        let desc = child_named(view, i, description_qn)
             .map(|d| view.string_value(d))
             .unwrap_or_default();
         f.feed(&format!("{name}|{desc}"));
@@ -478,15 +498,17 @@ fn q13<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 
 /// Q14: items whose description mentions "gold" (full-text scan).
 fn q14<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let description_qn = qn(view, "description");
+    let name_qn = qn(view, "name");
     let items = sel(view, opts, "//item")?;
     let mut f = Fnv::new();
     let mut rows = 0;
     for &i in &items {
-        let Some(desc) = child_named(view, i, "description") else {
+        let Some(desc) = child_named(view, i, description_qn) else {
             continue;
         };
         if view.string_value(desc).contains("gold") {
-            if let Some(name) = child_named(view, i, "name") {
+            if let Some(name) = child_named(view, i, name_qn) {
                 f.feed(&view.string_value(name));
                 rows += 1;
             }
@@ -550,6 +572,7 @@ fn q15<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// Q16: like Q15, but returning the auction's seller (a long path plus
 /// an upward step back to the auction).
 fn q16<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let seller_qn = qn(view, "seller");
     let keywords = sel(
         view,
         opts,
@@ -560,7 +583,7 @@ fn q16<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let mut f = Fnv::new();
     let mut rows = 0;
     for &a in &auctions {
-        if let Some(seller) = child_named(view, a, "seller") {
+        if let Some(seller) = child_named(view, a, seller_qn) {
             if let Some(id) = attr(view, seller, "person") {
                 f.feed(&id);
                 rows += 1;
@@ -594,13 +617,15 @@ fn q18<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 
 /// Q19: items with their location, ordered by location (global sort).
 fn q19<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let location_qn = qn(view, "location");
+    let name_qn = qn(view, "name");
     let items = sel(view, opts, "//item")?;
     let mut rows: Vec<(String, String)> = Vec::with_capacity(items.len());
     for &i in &items {
-        let loc = child_named(view, i, "location")
+        let loc = child_named(view, i, location_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
-        let name = child_named(view, i, "name")
+        let name = child_named(view, i, name_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
         rows.push((loc, name));
@@ -616,10 +641,11 @@ fn q19<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// Q20: counts of people per income bracket (aggregation with
 /// complementary predicates).
 fn q20<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
+    let profile_qn = qn(view, "profile");
     let persons = sel(view, opts, "/site/people/person")?;
     let (mut high, mut mid, mut low, mut none) = (0usize, 0, 0, 0);
     for &p in &persons {
-        match child_named(view, p, "profile")
+        match child_named(view, p, profile_qn)
             .and_then(|pr| attr(view, pr, "income"))
             .and_then(|s| s.parse::<f64>().ok())
         {

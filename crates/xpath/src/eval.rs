@@ -22,8 +22,9 @@ use crate::{
     StepFeedback, ValueChoice, XPathError,
 };
 use mbxq_axes::{
-    descendant_scan_ranges, exists_step, in_range_mask, intersect_sorted, range_semijoin,
-    scan_ranges_arm, simd_compiled, step_lifted_with, Axis, ContextSeq, KernelArm, NodeTest,
+    descendant_scan_ranges, exists_semijoin, exists_step, in_range_mask, intersect_sorted,
+    range_semijoin, region_window, scan_ranges_arm, simd_compiled, step_lifted_with, Axis,
+    ContextSeq, KernelArm, NodeTest,
 };
 use mbxq_storage::{DegreeStats, NumRange, QnId, TreeView};
 use std::cell::Cell;
@@ -881,29 +882,23 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// bare context step.
     fn exists(&self, rel: &PhysRel, d: &Domain<'_>) -> Result<Lifted> {
         // Early-exit arm: `exists(context/axis::test)` stops each
-        // iteration's scan at the first hit.
+        // iteration at its first partner.
         if let PhysRel::Step {
             input,
             axis,
             test,
             preds,
-            ..
+            strategy,
         } = rel
         {
             if preds.is_empty() && matches!(**input, PhysRel::Context) {
                 return Ok(match d {
                     Domain::Whole(c) => {
-                        let mut any = false;
-                        for &node in c.iter() {
-                            if exists_step(self.view, &[node], *axis, test)[0] {
-                                any = true;
-                                break;
-                            }
-                        }
+                        let any = self.exists_rows(c, *axis, test, strategy).contains(&true);
                         Lifted::Const(Value::Boolean(any))
                     }
                     Domain::Rows { nodes, .. } => {
-                        Lifted::Booleans(exists_step(self.view, nodes, *axis, test))
+                        Lifted::Booleans(self.exists_rows(nodes, *axis, test, strategy))
                     }
                 });
             }
@@ -918,6 +913,30 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 })
                 .collect(),
         ))
+    }
+
+    /// Per row, whether `row/axis::test` is non-empty — on the arm the
+    /// step's strategy slot resolves to, like any other step: the scan
+    /// that stops at each row's first hit, or the (anti-)semijoin of the
+    /// rows against the name index.
+    fn exists_rows(
+        &self,
+        rows: &[u64],
+        axis: Axis,
+        test: &NodeTest,
+        strategy: &StepStrategy,
+    ) -> Vec<bool> {
+        match self.step_arm(rows, axis, strategy) {
+            StepArm::NoSuchName => vec![false; rows.len()],
+            StepArm::Staircase => {
+                self.count_step(false);
+                exists_step(self.view, rows, axis, test)
+            }
+            StepArm::Index(qn) => {
+                self.count_step(true);
+                exists_semijoin(self.view, rows, &self.postings_around(qn, rows), axis)
+            }
+        }
     }
 
     fn call(&self, name: &str, args: &[PhysScalar], d: &Domain<'_>) -> Result<Lifted> {
@@ -944,6 +963,13 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 }
                 Ok(Lifted::Numbers(info.last.to_vec()))
             }
+            // `[not(child)]` is the anti-semijoin: negate the existence
+            // vector as a vector, not through one argument list and one
+            // function dispatch per row.
+            "not" if args.len() == 1 => Ok(match to_booleans(self.scalar(&args[0], d)?, d.n()) {
+                Lifted::Booleans(flags) => Lifted::Booleans(flags.iter().map(|&f| !f).collect()),
+                other => Lifted::Const(Value::Boolean(!other.value_at(0).to_boolean())),
+            }),
             _ => {
                 let mut largs = Vec::with_capacity(args.len());
                 for a in args {
@@ -1062,31 +1088,6 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                     cs = self.apply_pred(cs, pred, false)?;
                 }
                 Ok(RelOut::Nodes(cs))
-            }
-            PhysRel::NameProbe { name } => {
-                let pres = self.probe(name).unwrap_or_else(|| {
-                    // No index on this view: fall back to a document
-                    // scan (region-splittable on the pool).
-                    let root: Vec<u64> = self.view.root_pre().into_iter().collect();
-                    self.staircase_step(
-                        &ContextSeq::single_iter(root),
-                        Axis::DescendantOrSelf,
-                        &NodeTest::Name(name.clone()),
-                    )
-                    .pres
-                });
-                let mut cs = ContextSeq::new();
-                for i in 0..d.n() {
-                    for &p in &pres {
-                        cs.push(i as u32, p);
-                    }
-                }
-                Ok(RelOut::Nodes(cs))
-            }
-            PhysRel::Semijoin { input, probe, axis } => {
-                let ctx = self.rel_nodes(input, d)?;
-                let cands = self.rel_nodes(probe, d)?.merged_pres();
-                Ok(RelOut::Nodes(self.semijoin_rel(&ctx, &cands, *axis)))
             }
             PhysRel::ValueProbe {
                 input,
@@ -1213,43 +1214,53 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         test: &NodeTest,
         strategy: &StepStrategy,
     ) -> ContextSeq {
-        let name = match strategy {
-            StepStrategy::Staircase => None,
-            StepStrategy::NameIndex(name) | StepStrategy::Cost(name) => Some(name),
-        };
-        let Some(name) = name else {
-            self.count_step(false);
-            return self.staircase_step(ctx, axis, test);
-        };
-        // The index arm needs an interned name and an index-bearing
-        // view; without either, the staircase is the only path.
-        let probe_available = self
-            .view
-            .pool()
-            .lookup_qname(name)
-            .map(|qn| (qn, self.view.elements_named_count(qn)));
-        let use_index = match (&strategy, &self.choice, &probe_available) {
-            (_, _, None) => {
-                // Name never interned: no element carries it.
-                return ContextSeq::new();
+        match self.step_arm(&ctx.pres, axis, strategy) {
+            StepArm::NoSuchName => ContextSeq::new(),
+            StepArm::Staircase => {
+                self.count_step(false);
+                self.staircase_step(ctx, axis, test)
             }
-            (_, _, Some((_, None))) => false, // no index on this view
-            (StepStrategy::NameIndex(_), AxisChoice::Auto, _) => true,
-            (_, AxisChoice::ForceIndex, _) => true,
-            (_, AxisChoice::ForceStaircase, _) => false,
-            (StepStrategy::Cost(_), AxisChoice::Auto, Some((_, Some(k)))) => {
-                self.index_cheaper(ctx, axis, *k)
+            StepArm::Index(qn) => {
+                self.count_step(true);
+                self.semijoin_rel(ctx, &self.postings_around(qn, &ctx.pres), axis)
             }
-            (StepStrategy::Staircase, _, _) => unreachable!("no name"),
-        };
-        if !use_index {
-            self.count_step(false);
-            return self.staircase_step(ctx, axis, test);
         }
-        self.count_step(true);
-        let (qn, _) = probe_available.expect("checked above");
-        let cands: Vec<u64> = self.view.elements_named(qn).unwrap_or_default();
-        self.semijoin_rel(ctx, &cands, axis)
+    }
+
+    /// Resolves a step's strategy slot for this execution over the
+    /// context nodes `rows`. The index arm needs an interned name and an
+    /// index-bearing view; [`AxisChoice`] forces either arm where both
+    /// exist, and otherwise the cost model decides from the live posting
+    /// count.
+    fn step_arm(&self, rows: &[u64], axis: Axis, strategy: &StepStrategy) -> StepArm {
+        let StepStrategy::Cost(name) = strategy else {
+            return StepArm::Staircase;
+        };
+        let Some(qn) = self.view.pool().lookup_qname(name) else {
+            return StepArm::NoSuchName;
+        };
+        let Some(k) = self.view.elements_named_count(qn) else {
+            return StepArm::Staircase;
+        };
+        let index = match self.choice {
+            AxisChoice::ForceIndex => true,
+            AxisChoice::ForceStaircase => false,
+            AxisChoice::Auto => self.index_cheaper(rows, axis, k),
+        };
+        if index {
+            StepArm::Index(qn)
+        } else {
+            StepArm::Staircase
+        }
+    }
+
+    /// The postings of `qn` a structural join from `rows` can match:
+    /// those inside the window the rows' regions span, so the probe
+    /// translates what lies near the context, not the name's whole list.
+    fn postings_around(&self, qn: QnId, rows: &[u64]) -> std::borrow::Cow<'_, [u64]> {
+        region_window(self.view, rows)
+            .and_then(|(lo, hi)| self.view.elements_named_in(qn, lo, hi))
+            .unwrap_or_default()
     }
 
     // -- morsel-parallel execution -------------------------------------
@@ -1536,7 +1547,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// unit is calibrated at ≈ 0.125 ns (a scalar slot = 8 units ≈
     /// 1 ns; costs run in x4 fixed-point so the vector discount can be
     /// fractional).
-    fn index_cheaper(&self, ctx: &ContextSeq, axis: Axis, k: u64) -> bool {
+    fn index_cheaper(&self, ctx: &[u64], axis: Axis, k: u64) -> bool {
         let _ = axis;
         let fanout = self.fanout() as u64;
         // Both arms pay per-context-node fixed work — the probe its two
@@ -1559,7 +1570,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// the scan. Summation stops early once the running estimate
     /// clears `cap` — callers only compare against costs at or below
     /// it, so "bigger than cap" is as good as the exact figure.
-    fn scan_units(&self, ctx: &ContextSeq, cap: u64) -> u64 {
+    fn scan_units(&self, ctx: &[u64], cap: u64) -> u64 {
         // Per-slot scan weight by kernel throughput class, in x4
         // fixed-point. The scalar value keeps the pre-vectorization
         // calibration (8 = the old weight 2: a tight columnar loop
@@ -1577,7 +1588,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         };
         let fanout = self.fanout() as u64;
         let mut scan_cost: u64 = (ctx.len() as u64) * 8 * 4;
-        for &c in &ctx.pres {
+        for &c in ctx {
             scan_cost =
                 scan_cost.saturating_add((self.view.size(c) + 1).saturating_mul(scan_weight));
             if scan_cost > cap {
@@ -1696,7 +1707,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 ValueChoice::ForceProbe => true,
                 ValueChoice::ForceScan => false,
                 ValueChoice::Auto => {
-                    self.index_cheaper(ctx, axis, self.value_probe_estimate(test, &pred))
+                    self.index_cheaper(&ctx.pres, axis, self.value_probe_estimate(test, &pred))
                 }
             }
         };
@@ -2059,7 +2070,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let cap = index_cost
             .saturating_mul(2)
             .saturating_mul(self.fanout() as u64);
-        if index_cost < self.scan_units(ctx, cap) {
+        if index_cost < self.scan_units(&ctx.pres, cap) {
             (MultiStrategy::Probe(prefix), bound)
         } else {
             (MultiStrategy::Scan, bound)
@@ -2264,11 +2275,6 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         inter
     }
 
-    fn probe(&self, name: &mbxq_xml::QName) -> Option<Vec<u64>> {
-        let qn = self.view.pool().lookup_qname(name)?;
-        self.view.elements_named(qn)
-    }
-
     /// One predicate over a candidate relation: positional picks keep
     /// the group's first/last row with **no** position vectors; general
     /// predicates mirror the interpreter's `filter_predicate_lifted`.
@@ -2434,6 +2440,18 @@ fn keep_flags(v: &Lifted, pos: Option<&[f64]>, n: usize) -> Vec<bool> {
         (Lifted::Numbers(ns), Some(pos)) => ns.iter().zip(pos).map(|(&x, &p)| p == x).collect(),
         (other, _) => (0..n).map(|i| other.value_at(i).to_boolean()).collect(),
     }
+}
+
+/// What a step's strategy slot resolved to for one execution.
+enum StepArm {
+    /// The staircase join (or, for an existence step, its early-exit
+    /// scan).
+    Staircase,
+    /// The element-name index, probed for this name.
+    Index(QnId),
+    /// The tested name is not interned: no element carries it, and the
+    /// step is empty without running either arm.
+    NoSuchName,
 }
 
 /// The **resolved** form of a [`ValuePred`]'s slot — what the index

@@ -204,7 +204,6 @@ fn rel(p: &mut Printer, r: &Rel, d: usize) {
             }
             rel(p, input, d + 1);
         }
-        Rel::NameProbe { name } => p.line(d, &format!("name-probe {name}")),
         Rel::ValueProbe {
             input,
             axis,
@@ -237,11 +236,6 @@ fn rel(p: &mut Printer, r: &Rel, d: usize) {
                     test_name(test),
                 ),
             );
-            rel(p, input, d + 1);
-        }
-        Rel::Semijoin { input, probe, axis } => {
-            p.line(d, &format!("semijoin {}", axis_name(*axis)));
-            rel(p, probe, d + 1);
             rel(p, input, d + 1);
         }
         Rel::Union { left, right } => {
@@ -306,7 +300,7 @@ fn multi_strategy_label(s: &MultiStrategy) -> String {
 /// index of the operator directly above it (every input runs first).
 fn count_multi_rel(r: &PhysRel) -> usize {
     match r {
-        PhysRel::Context | PhysRel::Root | PhysRel::NameProbe { .. } => 0,
+        PhysRel::Context | PhysRel::Root => 0,
         PhysRel::Step { input, preds, .. } => {
             let nested: usize = preds
                 .iter()
@@ -331,7 +325,6 @@ fn count_multi_rel(r: &PhysRel) -> usize {
         PhysRel::Filter { input, pred } => count_multi_rel(input) + count_multi_scalar(pred),
         PhysRel::ValueProbe { input, .. } => count_multi_rel(input),
         PhysRel::MultiProbe { input, .. } => count_multi_rel(input) + 1,
-        PhysRel::Semijoin { input, probe, .. } => count_multi_rel(input) + count_multi_rel(probe),
         PhysRel::Union { left, right } => count_multi_rel(left) + count_multi_rel(right),
         PhysRel::FromValue { value } => count_multi_scalar(value),
         PhysRel::Const(inner) => count_multi_rel(inner),
@@ -418,7 +411,6 @@ fn phys_scalar(p: &mut Printer, s: &PhysScalar, d: usize) {
 fn strategy_label(s: &StepStrategy) -> String {
     match s {
         StepStrategy::Staircase => "[staircase]".into(),
-        StepStrategy::NameIndex(n) => format!("[name-index({n}) ⋉ context]"),
         StepStrategy::Cost(n) => format!("[cost-chosen: staircase vs name-index({n})]"),
     }
 }
@@ -482,7 +474,6 @@ fn phys_rel(p: &mut Printer, r: &PhysRel, d: usize) {
             }
             phys_rel(p, input, d + 1);
         }
-        PhysRel::NameProbe { name } => p.line(d, &format!("name-probe {name}")),
         PhysRel::ValueProbe {
             input,
             axis,
@@ -540,11 +531,6 @@ fn phys_rel(p: &mut Printer, r: &PhysRel, d: usize) {
                     None => p.line(d + 1, "cardinality not yet observed"),
                 }
             }
-            phys_rel(p, input, d + 1);
-        }
-        PhysRel::Semijoin { input, probe, axis } => {
-            p.line(d, &format!("semijoin {}", axis_name(*axis)));
-            phys_rel(p, probe, d + 1);
             phys_rel(p, input, d + 1);
         }
         PhysRel::Union { left, right } => {

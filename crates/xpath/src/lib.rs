@@ -12,18 +12,21 @@
 //! ```
 //!
 //! * [`plan`] — the logical algebra over `(iter, pre)` relations
-//!   (`Step`, `Filter`, `NameProbe`, `Semijoin`, `Union`, `Agg`,
-//!   `Const`), compiled from the AST.
+//!   (`Step`, `Filter`, `ValueProbe`, `Union`, `Agg`, `Const`),
+//!   compiled from the AST.
 //! * [`rewrite`] — the rule-based rewriter: `//`-step fusion, predicate
 //!   pushdown, `count(e) > 0` → early-exit existence, `[1]`/`[last()]`
 //!   picks, lowering of comparison predicates against a slot (a literal
 //!   or a `$param`, resolved when the step executes) to content-index
 //!   `ValueProbe` operators, and explicit loop-invariant hoisting.
 //! * [`physical`] — the lowered plan whose axis steps carry a strategy
-//!   slot: staircase join + name filter, element-name-index probe +
-//!   range semijoin, or a cost-based choice made per execution from
-//!   live statistics; value-probe steps choose the same way between
-//!   the scalar scan and the content index ([`ValueChoice`]).
+//!   slot: staircase join + name filter, or a cost-based choice made
+//!   per execution from live statistics between it and the
+//!   element-name-index probe + range semijoin ([`AxisChoice`] forces
+//!   either arm) — a slot existence predicates (`[name]`,
+//!   `[not(name)]`) read too, as an index (anti-)semijoin; value-probe
+//!   steps choose the same way between the scalar scan and the content
+//!   index ([`ValueChoice`]).
 //! * `eval` (internal) — the loop-lifted executor: each operator runs
 //!   once per invocation over a whole `(iter, pre)` relation, never per
 //!   context node, so every plan enjoys the set-at-a-time evaluation

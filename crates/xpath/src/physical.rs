@@ -8,25 +8,29 @@
 //! * [`StepStrategy::Staircase`] — the staircase join + name filter
 //!   (the interpreter's only path). Chosen for every axis/test the
 //!   index cannot serve.
-//! * [`StepStrategy::NameIndex`] — the element-name-index probe
-//!   ([`mbxq_storage::TreeView::elements_named`]) followed by a range
-//!   semijoin back to the context ([`mbxq_axes::range_semijoin`]);
-//!   the explicit `NameProbe` + `Semijoin` form of the logical algebra,
-//!   fused into one physical operator. Produced by lowering explicit
-//!   `Semijoin` plans.
 //! * [`StepStrategy::Cost`] — decided **per execution** from live
-//!   statistics: the index arm is charged `k + 8·|context|` (the probe
-//!   list plus a flat per-context-node fee for its binary searches),
-//!   the staircase arm `4·Σ (size(c)+1)` — each scanned slot pays
-//!   several view indirections, hence the weight (`SCAN_WEIGHT` in the
-//!   executor). Statistics come from the view at run time, so one
-//!   cached plan adapts as the document grows or shrinks; the
-//!   [`crate::AxisChoice`] evaluation option pins either arm for
-//!   ablation runs.
+//!   statistics between the staircase join and the index join: the
+//!   element-name-index probe
+//!   ([`mbxq_storage::TreeView::elements_named_in`], cut to the window
+//!   the context's regions span) followed by a range semijoin back to
+//!   the context ([`mbxq_axes::range_semijoin`]). The index arm is
+//!   charged `k + 8·|context|` (the name's posting count plus a flat
+//!   per-context-node fee for its binary searches), the staircase arm
+//!   `2·Σ (size(c)+1)` plus the same per-node fee (the executor's
+//!   `index_cheaper`). Statistics come from the view at run time, so
+//!   one cached plan adapts as the document grows or shrinks; the
+//!   [`crate::AxisChoice`] evaluation option pins either arm — it is
+//!   the forced form of the index join — for the oracle tests.
 //!
 //! Name tests on `child`, `descendant` and `descendant-or-self` axes
 //! are the indexable shapes (the semijoin needs the candidates inside
 //! the context region); everything else lowers to `Staircase`.
+//!
+//! An existence test over such a step — `[name]`, `[not(name)]`,
+//! `[.//name]` — reads the same slot: its early-exit arm is either the
+//! per-row scan that stops at the first hit
+//! ([`mbxq_axes::exists_step`]) or the (anti-)semijoin of the rows
+//! against the index ([`mbxq_axes::exists_semijoin`]).
 
 use crate::ast::{ArithOp, CmpOp};
 use crate::plan::{AggKind, Pred, Rel, Scalar, ValuePred};
@@ -38,9 +42,8 @@ use mbxq_xml::QName;
 pub enum StepStrategy {
     /// Staircase join + name filter (always available).
     Staircase,
-    /// Forced element-name-index probe + range semijoin.
-    NameIndex(QName),
-    /// Cost-chosen per execution between the two arms.
+    /// Cost-chosen per execution between the staircase join and the
+    /// element-name-index probe + range semijoin.
     Cost(QName),
 }
 
@@ -98,11 +101,6 @@ pub enum PhysRel {
         /// The predicates.
         preds: Vec<PhysPred>,
     },
-    /// Element-name-index probe (document scan on index-less views).
-    NameProbe {
-        /// The element name.
-        name: QName,
-    },
     /// Value-predicate step: `axis::test` from the context restricted
     /// to candidates satisfying `pred`. The predicate's operand is a
     /// slot ([`crate::plan::Operand`]) resolved against the bindings at
@@ -143,15 +141,6 @@ pub enum PhysRel {
         test: NodeTest,
         /// The recognized value predicates (≥ 2).
         preds: Vec<ValuePred>,
-    },
-    /// Probe ⋉ context-region semijoin.
-    Semijoin {
-        /// Context relation.
-        input: Box<PhysRel>,
-        /// Candidate relation.
-        probe: Box<PhysRel>,
-        /// `Child`, `Descendant` or `DescendantOrSelf`.
-        axis: Axis,
     },
     /// Per-iteration node-set union.
     Union {
@@ -264,7 +253,6 @@ fn lower_rel(r: &Rel) -> PhysRel {
             input: Box::new(lower_rel(input)),
             preds: preds.iter().map(lower_pred).collect(),
         },
-        Rel::NameProbe { name } => PhysRel::NameProbe { name: name.clone() },
         Rel::ValueProbe {
             input,
             axis,
@@ -287,25 +275,6 @@ fn lower_rel(r: &Rel) -> PhysRel {
             test: test.clone(),
             preds: preds.clone(),
         },
-        Rel::Semijoin { input, probe, axis } => {
-            // An explicit logical semijoin with a name probe is the
-            // forced-index step.
-            if let Rel::NameProbe { name } = &**probe {
-                PhysRel::Step {
-                    input: Box::new(lower_rel(input)),
-                    axis: *axis,
-                    test: NodeTest::Name(name.clone()),
-                    preds: Vec::new(),
-                    strategy: StepStrategy::NameIndex(name.clone()),
-                }
-            } else {
-                PhysRel::Semijoin {
-                    input: Box::new(lower_rel(input)),
-                    probe: Box::new(lower_rel(probe)),
-                    axis: *axis,
-                }
-            }
-        }
         Rel::Union { left, right } => PhysRel::Union {
             left: Box::new(lower_rel(left)),
             right: Box::new(lower_rel(right)),
@@ -381,24 +350,5 @@ mod tests {
             panic!("got {rel:?}")
         };
         assert_eq!(*strategy, StepStrategy::Staircase);
-    }
-
-    #[test]
-    fn explicit_semijoin_lowers_to_forced_index_step() {
-        use crate::plan::{Rel, Scalar};
-        let logical = Scalar::Nodes(Box::new(Rel::Semijoin {
-            input: Box::new(Rel::Context),
-            probe: Box::new(Rel::NameProbe {
-                name: QName::local("item"),
-            }),
-            axis: Axis::Descendant,
-        }));
-        let PhysScalar::Nodes(rel) = lower(&logical) else {
-            panic!()
-        };
-        let PhysRel::Step { strategy, .. } = *rel else {
-            panic!()
-        };
-        assert!(matches!(strategy, StepStrategy::NameIndex(_)));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The algebra has two sorts. [`Rel`] nodes produce *relations* —
 //! iteration-tagged node (or attribute) sequences, the currency of the
-//! loop-lifted engine — via `Step`, `Filter`, `NameProbe`, `Semijoin`,
-//! `Union` and `Const` operators. [`Scalar`] nodes produce one *value*
+//! loop-lifted engine — via `Step`, `Filter`, `ValueProbe`, `Union` and
+//! `Const` operators. [`Scalar`] nodes produce one *value*
 //! per iteration: comparisons, arithmetic, function calls, and the
 //! `Agg` operator (count/sum/exists over a relational subplan).
 //! Predicates that need XPath's per-context-node `position()` scope
@@ -148,14 +148,6 @@ pub enum Rel {
         /// Whole-group predicates, applied in order.
         preds: Vec<Pred>,
     },
-    /// Probe of the element-name index: every element named `name`, in
-    /// document order (loop-invariant). The explicit logical form of
-    /// the physical index arm; views without an index fall back to a
-    /// document scan.
-    NameProbe {
-        /// The element name.
-        name: QName,
-    },
     /// Content-index probe: the elements matching `axis::test` from the
     /// context that additionally satisfy a statically recognized value
     /// predicate. Produced by the rewriter from `Filter`-over-`Step`
@@ -195,16 +187,6 @@ pub enum Rel {
         /// The recognized predicates (all must hold; order as written,
         /// re-ranked by the estimator at execution time).
         preds: Vec<ValuePred>,
-    },
-    /// Semijoin of a probe relation back to the context regions: the
-    /// probe rows standing in `axis` relation to each context node.
-    Semijoin {
-        /// Context relation.
-        input: Box<Rel>,
-        /// Candidate relation (typically a [`Rel::NameProbe`]).
-        probe: Box<Rel>,
-        /// `Child`, `Descendant` or `DescendantOrSelf`.
-        axis: Axis,
     },
     /// Node-set union (`|`), merged per iteration.
     Union {
@@ -475,14 +457,13 @@ fn reads_position(s: &Scalar) -> bool {
 pub fn rel_invariant(r: &Rel) -> bool {
     match r {
         Rel::Context => false,
-        Rel::Root | Rel::NameProbe { .. } | Rel::Unsupported { .. } | Rel::Const { .. } => true,
+        Rel::Root | Rel::Unsupported { .. } | Rel::Const { .. } => true,
         Rel::Step { input, .. }
         | Rel::AttrStep { input, .. }
         | Rel::Filter { input, .. }
         | Rel::GroupFilter { input, .. }
         | Rel::ValueProbe { input, .. }
         | Rel::MultiProbe { input, .. } => rel_invariant(input),
-        Rel::Semijoin { input, probe, .. } => rel_invariant(input) && rel_invariant(probe),
         Rel::Union { left, right } => rel_invariant(left) && rel_invariant(right),
         Rel::FromValue { value } => scalar_invariant(value),
     }

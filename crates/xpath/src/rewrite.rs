@@ -224,11 +224,6 @@ fn rw_rel(r: Rel) -> Rel {
                 }
             }
         }
-        Rel::Semijoin { input, probe, axis } => Rel::Semijoin {
-            input: Box::new(rw_rel(*input)),
-            probe: Box::new(rw_rel(*probe)),
-            axis,
-        },
         Rel::Union { left, right } => Rel::Union {
             left: Box::new(rw_rel(*left)),
             right: Box::new(rw_rel(*right)),
@@ -239,7 +234,7 @@ fn rw_rel(r: Rel) -> Rel {
         Rel::Const { rel } => Rel::Const {
             rel: Box::new(rw_rel(*rel)),
         },
-        leaf @ (Rel::Context | Rel::Root | Rel::NameProbe { .. } | Rel::Unsupported { .. }) => leaf,
+        leaf @ (Rel::Context | Rel::Root | Rel::Unsupported { .. }) => leaf,
     };
     fuse(out)
 }
@@ -577,11 +572,6 @@ fn hoist_rel(r: Rel) -> Rel {
         Rel::GroupFilter { input, preds } => Rel::GroupFilter {
             input: Box::new(hoist_rel(*input)),
             preds: preds.into_iter().map(hoist_pred).collect(),
-        },
-        Rel::Semijoin { input, probe, axis } => Rel::Semijoin {
-            input: Box::new(hoist_rel(*input)),
-            probe: Box::new(hoist_rel(*probe)),
-            axis,
         },
         Rel::Union { left, right } => Rel::Union {
             left: Box::new(hoist_rel(*left)),

@@ -1,4 +1,4 @@
-//! Walks the plan pipeline on two XMark queries: parse → logical plan
+//! Walks the plan pipeline on a few XMark queries: parse → logical plan
 //! (rewritten) → physical plan (strategy slots) → execution under all
 //! three axis-strategy arms, with the cost model's decisions shown.
 //!
@@ -50,6 +50,13 @@ fn main() {
     // Q7-style selective descendant probe: the cost model sends the
     // whole-document descendant step to the element-name index.
     show(&doc, "//emailaddress");
+
+    // Q17: a structural predicate. The existence test reads the
+    // strategy slot of the `child::homepage` step it wraps: forced to
+    // the staircase it walks every person's children to the first hit,
+    // forced to the index it is one anti-semijoin of the persons against
+    // the `homepage` postings — and the cost model takes the join.
+    show(&doc, "/site/people/person[not(homepage)]/name");
 
     // Bonus: every rewrite family in one query — fusion blocked by the
     // positional pick, existence conversion, invariant hoisting.

@@ -207,3 +207,32 @@ fn axes_match_dom_oracle_after_delete() {
         check_axes(&up, &expected, "paged-after-delete");
     }
 }
+
+/// `ancestor` from the last leaf of a wide, flat document asks the view
+/// for one parent per level — not for the 10 000 preceding siblings the
+/// slot-by-slot default walk would visit — on both schemas.
+#[test]
+fn ancestor_step_is_linear_in_depth() {
+    let mut xml = String::from("<r><s>");
+    xml.push_str(&"<a/>".repeat(10_000));
+    xml.push_str("<t><u><leaf/></u></t></s></r>");
+    fn run<V: TreeView>(view: &V, name: &str) {
+        let leaf = (0..view.pre_end())
+            .rev()
+            .find(|&p| view.is_used(p))
+            .unwrap();
+        let counting = common::Counting::new(view);
+        let got = step(&counting, &[leaf], Axis::Ancestor, &NodeTest::AnyElement);
+        assert_eq!(got.len(), 4, "{name}: r, s, t, u");
+        assert!(
+            counting.calls() <= 8 * 4,
+            "{name}: {} accessor calls for 4 ancestors",
+            counting.calls()
+        );
+    }
+    run(&ReadOnlyDoc::parse_str(&xml).unwrap(), "ro");
+    run(
+        &PagedDoc::parse_str(&xml, PageConfig::new(256, 80).unwrap()).unwrap(),
+        "paged",
+    );
+}

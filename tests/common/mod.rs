@@ -176,6 +176,111 @@ impl TreeView for DefaultWalk<'_> {
     }
 }
 
+/// Any view with every call that crosses the [`TreeView`] boundary
+/// counted — the per-slot accessors and the navigation and index
+/// overrides alike, each forwarded to the wrapped schema. What an
+/// operator *asks of* a view is its complexity in the paper's cost
+/// model; counting it pins that complexity without a clock.
+pub struct Counting<'a, V: TreeView> {
+    view: &'a V,
+    calls: std::sync::atomic::AtomicU64,
+}
+
+impl<'a, V: TreeView> Counting<'a, V> {
+    pub fn new(view: &'a V) -> Self {
+        Counting {
+            view,
+            calls: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    /// Accessor calls made through this wrapper so far.
+    pub fn calls(&self) -> u64 {
+        self.calls.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn hit(&self) -> &'a V {
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.view
+    }
+}
+
+impl<V: TreeView> TreeView for Counting<'_, V> {
+    fn pre_end(&self) -> u64 {
+        self.hit().pre_end()
+    }
+    fn level(&self, pre: u64) -> Option<u16> {
+        self.hit().level(pre)
+    }
+    fn size(&self, pre: u64) -> u64 {
+        self.hit().size(pre)
+    }
+    fn kind(&self, pre: u64) -> Option<mbxq_storage::Kind> {
+        self.hit().kind(pre)
+    }
+    fn name_id(&self, pre: u64) -> Option<mbxq_storage::QnId> {
+        self.hit().name_id(pre)
+    }
+    fn value_ref(&self, pre: u64) -> Option<mbxq_storage::ValueRef> {
+        self.hit().value_ref(pre)
+    }
+    fn node_id(&self, pre: u64) -> Option<mbxq::NodeId> {
+        self.hit().node_id(pre)
+    }
+    fn back_run(&self, pre: u64) -> u64 {
+        self.hit().back_run(pre)
+    }
+    fn attributes(&self, pre: u64) -> Vec<(mbxq_storage::QnId, mbxq_storage::PropId)> {
+        self.hit().attributes(pre)
+    }
+    fn pool(&self) -> &mbxq_storage::ValuePool {
+        self.view.pool() // the interned side tables are not the pre plane
+    }
+    fn used_count(&self) -> u64 {
+        self.hit().used_count()
+    }
+    fn elements_named_in(
+        &self,
+        qn: mbxq_storage::QnId,
+        lo: u64,
+        hi: u64,
+    ) -> Option<std::borrow::Cow<'_, [u64]>> {
+        self.hit().elements_named_in(qn, lo, hi)
+    }
+    fn elements_named_count(&self, qn: mbxq_storage::QnId) -> Option<u64> {
+        self.hit().elements_named_count(qn)
+    }
+    fn pre_chunk(&self, pre: u64, end: u64) -> Option<mbxq_storage::PreChunk<'_>> {
+        self.hit().pre_chunk(pre, end)
+    }
+    fn next_used_at_or_after(&self, pre: u64) -> Option<u64> {
+        self.hit().next_used_at_or_after(pre)
+    }
+    fn prev_used_at_or_before(&self, pre: u64) -> Option<u64> {
+        self.hit().prev_used_at_or_before(pre)
+    }
+    fn region_end(&self, pre: u64) -> u64 {
+        self.hit().region_end(pre)
+    }
+    fn parent_of(&self, pre: u64) -> Option<u64> {
+        self.hit().parent_of(pre)
+    }
+}
+
+/// Structural-predicate paths over XMark: existence and non-existence
+/// of a child or a descendant, alone, conjoined, on a wildcard step and
+/// beside a value predicate — each one an index (anti-)semijoin or the
+/// early-exit scan, depending on the forced arm.
+const XMARK_EXISTS_PATHS: &[&str] = &[
+    "/site/people/person[homepage]",
+    "/site/people/person[not(homepage)]",
+    "/site/people/person[profile and not(homepage)]/name",
+    "//item[.//keyword]",
+    "//*[not(*)]",
+    "//person[not(homepage)][@id = \"person0\"]",
+];
+
 /// Value-predicate and multi-predicate paths over XMark: attribute and
 /// child-text keys, exact and numeric-range comparisons, hits, misses
 /// and near-total ranges, one to three predicates per step.
@@ -201,8 +306,9 @@ const XMARK_VALUE_PATHS: &[&str] = &[
 /// The oracles' second corpus: one XMark document (scale 0.002, the
 /// paper's 80 %-filled 1024-slot pages) in both schemas, with every
 /// selection the Q1–Q20 plans issue ([`mbxq_xmark::QUERY_PATHS`]) plus
-/// [`XMARK_VALUE_PATHS`] — real fan-outs, skewed value distributions
-/// and long downward paths the random trees do not produce.
+/// [`XMARK_VALUE_PATHS`] and [`XMARK_EXISTS_PATHS`] — real fan-outs,
+/// skewed value distributions and long downward paths the random trees
+/// do not produce.
 pub fn xmark_corpus() -> (ReadOnlyDoc, PagedDoc, Vec<&'static str>) {
     let xml = mbxq_xmark::generate(&mbxq_xmark::XMarkConfig::scaled(0.002, 42));
     let ro = ReadOnlyDoc::parse_str(&xml).unwrap();
@@ -211,6 +317,9 @@ pub fn xmark_corpus() -> (ReadOnlyDoc, PagedDoc, Vec<&'static str>) {
     (
         ro,
         up,
-        paths.chain(XMARK_VALUE_PATHS.iter().copied()).collect(),
+        paths
+            .chain(XMARK_VALUE_PATHS.iter().copied())
+            .chain(XMARK_EXISTS_PATHS.iter().copied())
+            .collect(),
     )
 }

@@ -222,6 +222,14 @@ fn query_corpus(rng: &mut TestRng) -> Vec<String> {
         "//b/ancestor::a".to_string(),
         "//b/following-sibling::*[1]".to_string(),
         "//a[.//b]".to_string(),
+        // Structural predicates — each arm of the existence
+        // (anti-)semijoin, alone, conjoined and beside a value predicate.
+        "//a[c and not(b)]".to_string(),
+        "//a[.//item]/name".to_string(),
+        "//*[not(*)]".to_string(),
+        "//a[not(b)][@x = $want]".to_string(),
+        "//a[not(zzz)]".to_string(),
+        "boolean(item)".to_string(),
         "//item/@x".to_string(),
         "string(//a[1])".to_string(),
         "//a[name(..) = \"a\"]".to_string(),
@@ -336,6 +344,60 @@ fn planned_execution_matches_interpreter_on_the_xmark_corpus() {
         check_with_twin(&ro, q, &bindings, "xmark (ro)");
         check_with_twin(&up, q, &bindings, "xmark (paged)");
     }
+}
+
+/// What the index arm of an existence predicate asks of the view: over
+/// n rows and k postings it makes at most c·(n + k) accessor calls — a
+/// gallop and one `region_end` per row — however many children the rows
+/// have, where the scan arm walks them.
+#[test]
+fn the_existence_join_is_linear_in_rows_plus_postings() {
+    let (n, k, fanout) = (600usize, 200usize, 40usize);
+    let mut xml = String::from("<r>");
+    for i in 0..n {
+        xml.push_str("<a>");
+        xml.push_str(&"<c/>".repeat(fanout));
+        if i % (n / k) == 0 {
+            xml.push_str("<b/>");
+        }
+        xml.push_str("</a>");
+    }
+    xml.push_str("</r>");
+    let ro = ReadOnlyDoc::parse_str(&xml).unwrap();
+    let up = PagedDoc::parse_str(&xml, PageConfig::new(64, 80).unwrap()).unwrap();
+
+    fn run<V: TreeView>(view: &V, name: &str, n: usize, k: usize, fanout: usize) {
+        let xp = XPath::parse("/r/a[b]").unwrap();
+        let root: Vec<u64> = view.root_pre().into_iter().collect();
+        let calls = |axis| {
+            let counting = common::Counting::new(view);
+            let stats = EvalStats::default();
+            let opts = EvalOptions::new().axis(axis).stats(&stats);
+            let got = xp.eval_opts(&counting, &root, &opts).unwrap();
+            assert!(matches!(&got, Value::Nodes(ns) if ns.len() == k), "{name}");
+            (counting.calls(), stats.index_steps.get())
+        };
+        let (index_calls, index_steps) = calls(AxisChoice::ForceIndex);
+        assert_eq!(
+            index_steps, 2,
+            "{name}: the `a` step and the existence step"
+        );
+        assert!(
+            index_calls <= 6 * (n + k) as u64,
+            "{name}: {index_calls} accessor calls for {n} rows and {k} postings"
+        );
+        // The scan arm is the contrast: it visits the children.
+        let (scan_calls, _) = calls(AxisChoice::ForceStaircase);
+        assert!(scan_calls >= (n * fanout) as u64, "{name}: {scan_calls}");
+        // Left alone, the cost model takes the join here.
+        let (auto_calls, auto_steps) = calls(AxisChoice::Auto);
+        assert!(
+            auto_steps >= 1 && auto_calls <= 6 * (n + k) as u64,
+            "{name}"
+        );
+    }
+    run(&ro, "ro", n, k, fanout);
+    run(&up, "paged", n, k, fanout);
 }
 
 /// The twin generator itself: literals beside comparison operators are
@@ -516,6 +578,13 @@ fn planned_execution_survives_update_batches() {
             "count(//b)",
             "//name | //x",
             "//a[@x]",
+            // The existence join probes an index that carries deltas
+            // and tombstones here.
+            "//a[not(b)]",
+            "//a[c and not(b)]",
+            "//a[.//item]",
+            "//*[not(*)]",
+            "//a[not(b)][@x = \"t\"]",
             // Value predicates must stay index ≡ scan across updates.
             "//a[@x = \"t\"]",
             "//a[@x = \"fresh\"]",

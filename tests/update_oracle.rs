@@ -140,6 +140,7 @@ fn paged_equals_naive_under_random_updates() {
                 }
             }
             mbxq_storage::invariants::check_paged(&up).expect("invariants hold");
+            assert_windowed_probes_match(&up, &mut rng, case);
             assert_eq!(
                 to_xml(&up).unwrap(),
                 to_xml(&nv).unwrap(),
@@ -148,6 +149,28 @@ fn paged_equals_naive_under_random_updates() {
         }
         // Final occupancy accounting.
         assert_eq!(up.used_count(), nv.used_count());
+    }
+}
+
+/// The windowed name-index probe equals the whole probe cut to the
+/// window, for random windows of every name — on an index that still
+/// carries its delta and tombstones (nothing compacts between the ops
+/// above).
+fn assert_windowed_probes_match(up: &PagedDoc, rng: &mut TestRng, case: u64) {
+    let end = up.pre_end() as usize + 2;
+    for qn in (0..up.pool().qname_count() as u32).map(mbxq_storage::QnId) {
+        let all = up.elements_named(qn).expect("paged docs keep a name index");
+        for _ in 0..6 {
+            let lo = rng.below(end) as u64;
+            let hi = lo + rng.below(end) as u64;
+            let want: Vec<u64> = all.iter().copied().filter(|&p| lo <= p && p < hi).collect();
+            assert_eq!(
+                up.elements_named_in(qn, lo, hi).as_deref(),
+                Some(&want[..]),
+                "case {case}: qn {} window [{lo}, {hi})",
+                qn.0
+            );
+        }
     }
 }
 
