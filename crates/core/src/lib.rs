@@ -305,9 +305,8 @@ fn eval_output<V: TreeView>(view: &V, path: &XPath) -> Result<QueryOutput> {
         Value::Nodes(nodes) => {
             let mut out = Vec::with_capacity(nodes.len());
             for pre in nodes {
-                let tree = mbxq_storage::serialize::subtree_to_node(view, pre)?;
                 let mut s = String::new();
-                mbxq_xml::serialize_node(&tree, &mut s);
+                mbxq_storage::serialize::write_subtree(view, pre, &mut s)?;
                 out.push(s);
             }
             out

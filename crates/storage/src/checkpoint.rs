@@ -20,14 +20,56 @@ use crate::page::{check_addressable, checked_level, narrow, Tuple, NO_NAME};
 use crate::paged::PagedDoc;
 use crate::types::{Kind, PageConfig, StorageError};
 use crate::values::QnId;
-use crate::view::TreeView;
 use crate::Result;
 use mbxq_xml::QName;
-use std::fmt::Write as _;
+
+/// Appends `v` in decimal — what `write!(out, "{v}")` writes, without
+/// the formatting machinery.
+fn put_num(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut v = v;
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
 
 fn put_str(out: &mut String, s: &str) {
-    let _ = write!(out, "{}:", s.len());
+    put_num(out, s.len() as u64);
+    out.push(':');
     out.push_str(s);
+    out.push(' ');
+}
+
+/// [`put_str`] of the name's text form (`prefix:local`), written from
+/// its parts.
+fn put_name(out: &mut String, name: Option<&QName>) {
+    let Some(name) = name else {
+        return put_str(out, "");
+    };
+    if name.prefix.is_empty() {
+        return put_str(out, &name.local);
+    }
+    put_num(out, (name.prefix.len() + 1 + name.local.len()) as u64);
+    out.push(':');
+    out.push_str(&name.prefix);
+    out.push(':');
+    out.push_str(&name.local);
+    out.push(' ');
+}
+
+/// Appends a tuple entry's head: `tag node level `.
+fn put_head(out: &mut String, tag: &str, node: u32, level: u16) {
+    out.push_str(tag);
+    put_num(out, u64::from(node));
+    out.push(' ');
+    put_num(out, u64::from(level));
     out.push(' ');
 }
 
@@ -89,70 +131,63 @@ impl PagedDoc {
     /// file that was renamed or swapped under a different manifest
     /// entry. Dumps without the entry load exactly as before.
     pub fn checkpoint_dump_named(&self, doc_name: Option<&str>) -> String {
-        let mut out = String::new();
+        // Room for the typical entry (a short name or text and two small
+        // numbers) up front, so a large dump grows rarely.
+        let mut out =
+            String::with_capacity(24 * (self.used_count as usize + self.attr_node.len()) + 64);
         if let Some(name) = doc_name {
             out.push_str("D ");
             put_str(&mut out, name);
         }
-        let mut p = 0u64;
-        while let Some(q) = self.next_used_at_or_after(p) {
-            let (page, i) = self.slot(q).expect("used slot resolves");
-            let Tuple {
-                node,
-                level: lvl,
-                kind,
-                name,
-                value,
-                ..
-            } = page.read(i);
-            match kind {
+        for t in self.used_tuples() {
+            match t.kind {
                 Kind::Element => {
-                    let name = self
-                        .pool
-                        .qname(QnId(name))
-                        .map(QName::to_string)
-                        .unwrap_or_default();
-                    let _ = write!(out, "E {node} {lvl} ");
-                    put_str(&mut out, &name);
+                    put_head(&mut out, "E ", t.node, t.level);
+                    put_name(&mut out, self.pool.qname(QnId(t.name)));
                 }
                 Kind::Text => {
-                    let _ = write!(out, "T {node} {lvl} ");
-                    put_str(&mut out, self.pool.text(value).unwrap_or(""));
+                    put_head(&mut out, "T ", t.node, t.level);
+                    put_str(&mut out, self.pool.text(t.value).unwrap_or(""));
                 }
                 Kind::Comment => {
-                    let _ = write!(out, "M {node} {lvl} ");
-                    put_str(&mut out, self.pool.comment(value).unwrap_or(""));
+                    put_head(&mut out, "M ", t.node, t.level);
+                    put_str(&mut out, self.pool.comment(t.value).unwrap_or(""));
                 }
                 Kind::ProcessingInstruction => {
-                    let (target, data) = self.pool.instruction(value).unwrap_or(("", ""));
-                    let _ = write!(out, "P {node} {lvl} ");
+                    let (target, data) = self.pool.instruction(t.value).unwrap_or(("", ""));
+                    put_head(&mut out, "P ", t.node, t.level);
                     put_str(&mut out, target);
                     put_str(&mut out, data);
                 }
             }
-            p = q + 1;
         }
         // Attribute rows, owner-major in document order (per-node row
         // order is the attribute order).
-        let mut p = 0u64;
-        while let Some(q) = self.next_used_at_or_after(p) {
-            let node = self.node_id(q).expect("used slot has a node id").0;
-            if let Some(rows) = self.attr_index.get(node) {
-                for &r in rows {
-                    let name = self
-                        .pool
-                        .qname(self.attr_qn[r as usize])
-                        .map(QName::to_string)
-                        .unwrap_or_default();
-                    let value = self.pool.prop(self.attr_prop[r as usize]).unwrap_or("");
-                    let _ = write!(out, "A {node} ");
-                    put_str(&mut out, &name);
-                    put_str(&mut out, value);
-                }
+        for t in self.used_tuples() {
+            let node = u64::from(t.node);
+            for &r in self.attr_index.get(node).unwrap_or_default() {
+                out.push_str("A ");
+                put_num(&mut out, node);
+                out.push(' ');
+                put_name(&mut out, self.pool.qname(self.attr_qn[r as usize]));
+                put_str(
+                    &mut out,
+                    self.pool.prop(self.attr_prop[r as usize]).unwrap_or(""),
+                );
             }
-            p = q + 1;
         }
         out
+    }
+
+    /// The used tuples in document (view) order, page by page.
+    fn used_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        (0..self.map.num_pages()).flat_map(move |lp| {
+            let phys = self.map.logical_to_physical(lp).expect("page in range");
+            let page = &self.pages[phys];
+            (0..self.cfg.page_size)
+                .filter(|&i| page.is_used(i))
+                .map(|i| page.read(i))
+        })
     }
 
     /// Rebuilds a document from a [`PagedDoc::checkpoint_dump`] and the
@@ -245,7 +280,9 @@ impl PagedDoc {
         }
 
         // Recompute sizes from the level sequence (used descendants
-        // only), validating tree shape as we go.
+        // only), validating tree shape as we go: an element is sized when
+        // the first tuple outside it arrives, like the shredder sizes it
+        // at its close.
         let mut stack: Vec<usize> = Vec::new();
         for i in 0..staged.len() {
             let lvl = staged[i].level;
@@ -256,6 +293,7 @@ impl PagedDoc {
             } else {
                 while let Some(&top) = stack.last() {
                     if staged[top].level >= lvl {
+                        staged[top].size = (i - top - 1) as u32;
                         stack.pop();
                     } else {
                         break;
@@ -271,11 +309,11 @@ impl PagedDoc {
                     }
                     None => return Err(bad("checkpoint carries a second root")),
                 }
-                for &a in &stack {
-                    staged[a].size += 1;
-                }
             }
             stack.push(i);
+        }
+        for top in stack {
+            staged[top].size = (staged.len() - top - 1) as u32;
         }
 
         // Page layout at the configured fill factor, node→pos over the
@@ -402,6 +440,31 @@ mod tests {
             "deleted id stays dead"
         );
         assert_eq!(d.checkpoint_dump_named(Some("auctions")), PARENT_DUMP);
+    }
+
+    /// The dump bytes of a small document, pinned: every node kind,
+    /// prefixed element and attribute names, escaping-free strings with
+    /// separators and non-ASCII text, multi-digit ids and levels, a
+    /// deleted id and an inserted fragment.
+    #[test]
+    fn the_dump_bytes_are_pinned() {
+        let mut d = PagedDoc::parse_str(
+            "<x:site a=\"1\" x:b=\"2 3\"><p><q><r><s><t><u><v><w><y><z>deep</z></y></w></v></u></t></s></r></q></p>\
+             <item id=\"i0\">caf\u{e9} &amp; 10:1<!--n o--><?pi da ta?><?bare?></item><gone/></x:site>",
+            cfg(),
+        )
+        .unwrap();
+        d.delete(crate::NodeId(17)).unwrap(); // <gone/>
+        let sub = Document::parse_fragment("<y:new k=\"v\">t</y:new>").unwrap();
+        d.insert(InsertPosition::After(crate::NodeId(12)), &sub) // <item>
+            .unwrap();
+        const PINNED: &str = "D 7:doc one E 0 0 6:x:site E 1 1 1:p E 2 2 1:q E 3 3 1:r \
+            E 4 4 1:s E 5 5 1:t E 6 6 1:u E 7 7 1:v E 8 8 1:w E 9 9 1:y E 10 10 1:z \
+            T 11 11 4:deep E 12 1 4:item T 13 2 12:caf\u{e9} & 10:1 M 14 2 3:n o \
+            P 15 2 2:pi 5:da ta P 16 2 4:bare 0: E 18 1 5:y:new T 19 2 1:t A 0 1:a 1:1 \
+            A 0 3:x:b 3:2 3 A 12 2:id 2:i0 A 18 1:k 1:v ";
+        assert_eq!(d.checkpoint_dump_named(Some("doc one")), PINNED);
+        assert_eq!(d.checkpoint_dump(), PINNED["D 7:doc one ".len()..]);
     }
 
     #[test]

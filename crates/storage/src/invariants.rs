@@ -137,60 +137,54 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         }
     }
 
-    // Tree shape over the view, via an explicit ancestor stack.
-    // stack entries: (level, remaining_size).
-    let mut stack: Vec<(u16, u64)> = Vec::new();
+    // Tree shape over the view, via an explicit ancestor stack. Stack
+    // entries: (level, size, used tuples seen before it); a subtree is
+    // checked when it closes — exactly `size` used tuples lie between
+    // its root and the first tuple outside it.
+    let mut stack: Vec<(u16, u64, u64)> = Vec::new();
+    let mut seen = 0u64;
+    let closed = |(top_lvl, size, start): (u16, u64, u64), seen: u64, at: &str| {
+        let found = seen - start - 1;
+        if found == size {
+            return Ok(());
+        }
+        Err(corrupt(format!(
+            "node at level {top_lvl} has size {size} but {found} descendants {at}"
+        )))
+    };
     let mut p = 0u64;
-    let mut first = true;
     while let Some(q) = doc.next_used_at_or_after(p) {
         let lvl = doc.level(q).expect("used tuple");
         let sz = TreeView::size(doc, q);
-        if first {
+        if seen == 0 {
             if lvl != 0 {
                 return Err(corrupt(format!("first used tuple has level {lvl}, not 0")));
             }
-            first = false;
         } else {
             // Pop completed subtrees.
-            while let Some(&(top_lvl, rem)) = stack.last() {
-                if lvl > top_lvl {
+            while let Some(&top) = stack.last() {
+                if lvl > top.0 {
                     break;
                 }
-                if rem != 0 {
-                    return Err(corrupt(format!(
-                        "node at level {top_lvl} closed with {rem} descendants missing \
-                         before pre {q}"
-                    )));
-                }
+                closed(top, seen, &format!("before pre {q}"))?;
                 stack.pop();
             }
             match stack.last() {
-                Some(&(top_lvl, _)) if lvl == top_lvl + 1 => {}
-                Some(&(top_lvl, _)) => {
+                Some(&(top_lvl, _, _)) if lvl == top_lvl + 1 => {}
+                Some(&(top_lvl, _, _)) => {
                     return Err(corrupt(format!(
                         "level jump from {top_lvl} to {lvl} at pre {q}"
                     )))
                 }
                 None => return Err(corrupt(format!("second root at pre {q} (level {lvl})"))),
             }
-            // This tuple consumes one descendant slot in every open
-            // ancestor.
-            for (_, rem) in stack.iter_mut() {
-                if *rem == 0 {
-                    return Err(corrupt(format!("ancestor size exhausted before pre {q}")));
-                }
-                *rem -= 1;
-            }
         }
-        stack.push((lvl, sz));
+        stack.push((lvl, sz, seen));
+        seen += 1;
         p = q + 1;
     }
-    while let Some((lvl, rem)) = stack.pop() {
-        if rem != 0 {
-            return Err(corrupt(format!(
-                "node at level {lvl} ends the document with {rem} descendants missing"
-            )));
-        }
+    while let Some(top) = stack.pop() {
+        closed(top, seen, "at the document's end")?;
     }
 
     // Element-name index ≡ a scan: for every interned element name the

@@ -18,6 +18,11 @@
 //!   on the dense encoding by physically shifting all following tuples
 //!   (O(N)); kept as an oracle and as the baseline for the update-cost
 //!   ablation benchmarks.
+//! * `shred` (crate-internal) — the shredder's front end: one stager fed
+//!   either by the XML parser's event stream (whole documents, never
+//!   built as a tree) or by an explicit-stack walk of a fragment tree
+//!   (inserts). [`serialize`] is its mirror image: text written straight
+//!   from the view in one pass.
 //! * [`view`] — the [`TreeView`] trait: the uniform pre-plane interface
 //!   the axis engine (`mbxq-axes`) evaluates against, so staircase join
 //!   code is *identical* for both schemas, exactly as the paper keeps
@@ -47,6 +52,7 @@ pub mod page;
 pub mod paged;
 pub mod readonly;
 pub mod serialize;
+pub(crate) mod shred;
 pub mod snapshot;
 pub mod types;
 pub mod update;

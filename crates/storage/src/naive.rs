@@ -14,6 +14,7 @@
 //! * an **oracle** for randomized update testing: after any update
 //!   sequence, the paged store must serialize to the same document.
 
+use crate::shred::{self, AttrRow, Stager};
 use crate::types::{Kind, NodeId, StorageError, ValueRef};
 use crate::update::InsertPosition;
 use crate::values::{PropId, QnId, ValuePool};
@@ -56,23 +57,20 @@ pub struct NaiveDoc {
     pool: ValuePool,
 }
 
-const NO_NAME: u32 = u32::MAX;
-
 impl NaiveDoc {
-    /// Shreds XML text.
+    /// Shreds XML text, straight from the parser's event stream.
     pub fn parse_str(input: &str) -> Result<Self> {
-        let doc = mbxq_xml::Document::parse(input).map_err(|e| StorageError::InvalidTarget {
-            message: format!("XML parse: {e}"),
-        })?;
-        Self::from_tree(&doc.root)
+        Self::shred(|st| shred::parse_into(input, st))
     }
 
     /// Shreds an owned tree.
     pub fn from_tree(root: &Node) -> Result<Self> {
+        Self::shred(|st| shred::walk_into(root, st))
+    }
+
+    fn shred(drive: impl FnOnce(&mut Stager<'_>) -> Result<()>) -> Result<Self> {
         let mut d = NaiveDoc::default();
-        let mut rows = Vec::with_capacity(root.tuple_count() as usize);
-        let mut attrs = Vec::new();
-        d.stage(root, 0, &mut rows, &mut attrs);
+        let (rows, attrs) = d.stage(0, drive)?;
         d.node_pre = (0..rows.len() as u64).map(Some).collect();
         d.rows = rows;
         for (node, qn, prop) in attrs {
@@ -81,79 +79,28 @@ impl NaiveDoc {
         Ok(d)
     }
 
+    /// Stages what `drive` feeds the shared [`Stager`] at `level`, with
+    /// node ids continuing the allocation.
     fn stage(
         &mut self,
-        node: &Node,
         level: u16,
-        out: &mut Vec<Row>,
-        attrs: &mut Vec<(u64, QnId, PropId)>,
-    ) -> u64 {
-        let node_id = (self.node_pre.len() + out.len()) as u64;
-        match node {
-            Node::Element {
-                name,
-                attributes,
-                children,
-            } => {
-                let qn = self.pool.intern_qname(name);
-                let idx = out.len();
-                out.push(Row {
-                    size: 0,
-                    level,
-                    kind: Kind::Element,
-                    name: qn.0,
-                    value: NO_NAME,
-                    node: node_id,
-                });
-                for (an, av) in attributes {
-                    let aqn = self.pool.intern_qname(an);
-                    let prop = self.pool.intern_prop(av);
-                    attrs.push((node_id, aqn, prop));
-                }
-                let mut sz = 0;
-                for c in children {
-                    sz += self.stage(c, level + 1, out, attrs);
-                }
-                out[idx].size = sz;
-                sz + 1
-            }
-            Node::Text(t) => {
-                let v = self.pool.intern_text(t);
-                out.push(Row {
-                    size: 0,
-                    level,
-                    kind: Kind::Text,
-                    name: NO_NAME,
-                    value: v,
-                    node: node_id,
-                });
-                1
-            }
-            Node::Comment(c) => {
-                let v = self.pool.intern_comment(c);
-                out.push(Row {
-                    size: 0,
-                    level,
-                    kind: Kind::Comment,
-                    name: NO_NAME,
-                    value: v,
-                    node: node_id,
-                });
-                1
-            }
-            Node::ProcessingInstruction { target, data } => {
-                let v = self.pool.intern_instruction(target, data);
-                out.push(Row {
-                    size: 0,
-                    level,
-                    kind: Kind::ProcessingInstruction,
-                    name: NO_NAME,
-                    value: v,
-                    node: node_id,
-                });
-                1
-            }
-        }
+        drive: impl FnOnce(&mut Stager<'_>) -> Result<()>,
+    ) -> Result<(Vec<Row>, Vec<AttrRow>)> {
+        let mut st = Stager::new(&mut self.pool, self.node_pre.len() as u64, level);
+        drive(&mut st)?;
+        let rows = st
+            .tuples
+            .iter()
+            .map(|t| Row {
+                size: u64::from(t.size),
+                level: t.level,
+                kind: t.kind,
+                name: t.name,
+                value: t.value,
+                node: u64::from(t.node),
+            })
+            .collect();
+        Ok((rows, st.attrs))
     }
 
     fn push_attr(&mut self, node: u64, qn: QnId, prop: PropId) {
@@ -248,9 +195,7 @@ impl NaiveDoc {
             }
         };
 
-        let mut staged = Vec::with_capacity(subtree.tuple_count() as usize);
-        let mut attrs = Vec::new();
-        self.stage(subtree, base_level, &mut staged, &mut attrs);
+        let (staged, attrs) = self.stage(base_level, |st| shred::walk_into(subtree, st))?;
         let n = staged.len() as u64;
         self.node_pre
             .extend(std::iter::repeat_n(None, staged.len()));

@@ -73,13 +73,14 @@
 //! attribute table) are [`CowVec`]s with the same sharing discipline.
 
 use crate::names::NameIndex;
-use crate::page::{check_addressable, checked_level, narrow, Page, Tuple, NO_NAME, NO_POS};
+use crate::page::{check_addressable, Page, Tuple, NO_POS};
+use crate::shred::{self, AttrRow, Stager};
 use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
 use mbxq_bat::{CowVec, PageMap};
-use mbxq_xml::{Document, Node};
+use mbxq_xml::Node;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -253,33 +254,36 @@ pub struct PagedStats {
 }
 
 impl PagedDoc {
-    /// Shreds XML text into the paged encoding.
+    /// Shreds XML text into the paged encoding, straight from the parser's
+    /// event stream (module `shred`): no tree of the document is
+    /// built, and nesting is bounded by the `level` column, not by the
+    /// thread stack.
     pub fn parse_str(input: &str, cfg: PageConfig) -> Result<Self> {
-        let doc = Document::parse(input).map_err(|e| StorageError::InvalidTarget {
-            message: format!("XML parse: {e}"),
-        })?;
-        Self::from_tree(&doc.root, cfg)
+        Self::shred(cfg, |st| shred::parse_into(input, st))
     }
 
-    /// Shreds an owned tree into the paged encoding, leaving
-    /// `100 - fill_percent` percent of every page unused (§3: "the
-    /// document shredder already leaves a certain (configurable)
-    /// percentage of tuples unused in each logical page").
+    /// Shreds an owned tree into the paged encoding (the same layout
+    /// [`PagedDoc::parse_str`] gives its serialization).
     pub fn from_tree(root: &Node, cfg: PageConfig) -> Result<Self> {
+        Self::shred(cfg, |st| shred::walk_into(root, st))
+    }
+
+    /// Stages what `drive` feeds a [`Stager`] and lays it out page by
+    /// page, leaving `100 - fill_percent` percent of every page unused
+    /// (§3: "the document shredder already leaves a certain
+    /// (configurable) percentage of tuples unused in each logical
+    /// page"). Node ids are allocated in document order, so at shredding
+    /// time node == pos-rank (§3.1).
+    fn shred(cfg: PageConfig, drive: impl FnOnce(&mut Stager<'_>) -> Result<()>) -> Result<Self> {
         let mut doc = Self::empty(cfg)?;
-        // Stage the whole tuple stream first (sizes require postorder),
-        // then lay out page by page. Node ids are allocated in document
-        // order, so at shredding time node == pos-rank (§3.1).
-        let count = root.tuple_count();
-        doc.reserve_node_ids(count)?;
-        let mut staged = Vec::with_capacity(count as usize);
-        let mut attrs = Vec::new();
-        doc.stage_subtree_with_base(root, 0, 0, &mut staged, &mut attrs)?;
+        let (staged, attrs) = doc.stage(0, 0, drive)?;
+        doc.reserve_node_ids(staged.len() as u64)?;
         doc.lay_out_appended(&staged)?;
         for (node, qn, prop) in attrs {
             doc.push_attr(node, qn, prop);
         }
         doc.name_index = NameIndex::from_base(name_index_base(&staged));
+        drop(staged);
         doc.content_index = ContentIndex::build_from_view(&doc);
         // Fold the shredder's interning burst into the shared bases, so
         // subsequent clones (reader snapshots, commit versions) carry
@@ -287,6 +291,23 @@ impl PagedDoc {
         doc.pool.compact();
         doc.attr_index.compact();
         Ok(doc)
+    }
+
+    /// Stages what `drive` feeds a [`Stager`] whose first tuple gets
+    /// level `level` and node id `base`: the document-ordered tuples and
+    /// their attribute rows, names and values interned into this
+    /// document's pool. Fails — before anything is laid out — when a node
+    /// id would leave the addressable range or a level the `level`
+    /// column.
+    pub(crate) fn stage(
+        &mut self,
+        level: u16,
+        base: u64,
+        drive: impl FnOnce(&mut Stager<'_>) -> Result<()>,
+    ) -> Result<(Vec<Tuple>, Vec<AttrRow>)> {
+        let mut st = Stager::new(&mut self.pool, base, level);
+        drive(&mut st)?;
+        Ok((st.tuples, st.attrs))
     }
 
     /// An empty document skeleton with validated configuration.
@@ -312,69 +333,6 @@ impl PagedDoc {
     /// One past the highest allocated node id.
     pub fn node_alloc_end(&self) -> u64 {
         self.node_pos.len() as u64
-    }
-
-    /// Recursively stages `node` and its subtree at `level` with node
-    /// ids `base + out.len()…`; returns the number of staged tuples.
-    /// Fails — before anything is laid out — when a node id would leave
-    /// the addressable range or a level the `level` column.
-    pub(crate) fn stage_subtree_with_base(
-        &mut self,
-        node: &Node,
-        level: u16,
-        base: u64,
-        out: &mut Vec<Tuple>,
-        attrs: &mut Vec<(u64, QnId, PropId)>,
-    ) -> Result<u32> {
-        let node_id = narrow("node ids", base + out.len() as u64)?;
-        let (kind, name, value) = match node {
-            Node::Element {
-                name,
-                attributes,
-                children,
-            } => {
-                let qn = self.pool.intern_qname(name);
-                let idx = out.len();
-                out.push(Tuple {
-                    size: 0,
-                    level,
-                    kind: Kind::Element,
-                    name: qn.0,
-                    value: NO_NAME,
-                    node: node_id,
-                });
-                for (aname, avalue) in attributes {
-                    let aqn = self.pool.intern_qname(aname);
-                    let prop = self.pool.intern_prop(avalue);
-                    attrs.push((u64::from(node_id), aqn, prop));
-                }
-                let mut sz = 0;
-                if !children.is_empty() {
-                    let child_level = checked_level(usize::from(level) + 1)?;
-                    for c in children {
-                        sz += self.stage_subtree_with_base(c, child_level, base, out, attrs)?;
-                    }
-                }
-                out[idx].size = sz;
-                return Ok(sz + 1);
-            }
-            Node::Text(t) => (Kind::Text, NO_NAME, self.pool.intern_text(t)),
-            Node::Comment(c) => (Kind::Comment, NO_NAME, self.pool.intern_comment(c)),
-            Node::ProcessingInstruction { target, data } => (
-                Kind::ProcessingInstruction,
-                NO_NAME,
-                self.pool.intern_instruction(target, data),
-            ),
-        };
-        out.push(Tuple {
-            size: 0,
-            level,
-            kind,
-            name,
-            value,
-            node: node_id,
-        });
-        Ok(1)
     }
 
     /// Appends a fresh physical page (all slots unused) at the end of the
@@ -884,6 +842,7 @@ impl TreeView for PagedDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbxq_xml::Document;
 
     const PAPER_DOC: &str =
         "<a><b><c><d></d><e></e></c></b><f><g></g><h><i></i><j></j></h></f></a>";
@@ -1146,18 +1105,17 @@ mod tests {
     #[test]
     fn staging_refuses_levels_the_column_cannot_hold() {
         let mut d = figure4_doc();
-        let (mut out, mut attrs) = (Vec::new(), Vec::new());
-        let two_deep = Document::parse_fragment("<x><y/></x>").unwrap();
+        let mut stage = |xml: &str| {
+            let frag = Document::parse_fragment(xml).unwrap();
+            d.stage(65_534, 100, |st| shred::walk_into(&frag, st))
+                .map(|(tuples, _)| tuples.len())
+        };
         // x at the deepest level is fine alone …
-        let leaf = Document::parse_fragment("<x/>").unwrap();
-        assert_eq!(
-            d.stage_subtree_with_base(&leaf, 65_534, 100, &mut out, &mut attrs),
-            Ok(1)
-        );
+        assert_eq!(stage("<x/>"), Ok(1));
         // … but its child would need level 65 535, the NULL of unused
         // slots: nesting depth 65 536.
         assert_eq!(
-            d.stage_subtree_with_base(&two_deep, 65_534, 100, &mut out, &mut attrs),
+            stage("<x><y/></x>"),
             Err(StorageError::TooDeep { depth: 65_536 })
         );
         // Checkpoint load applies the same limit.

@@ -2,17 +2,18 @@
 //!
 //! One dense `pre/size/level` table with a void `pre` column, an `attr`
 //! table whose rows point back at owner `pre` values, and the interned
-//! side tables. Produced by the event-based document shredder; immutable
+//! side tables. Produced by the streaming document shredder; immutable
 //! thereafter — exactly "the storage scheme used until now in
 //! MonetDB/XQuery, … a read-only solution" (§2.2).
 
 use crate::page::{checked_level, narrow};
-use crate::types::{Kind, NodeId, StorageError, ValueRef};
+use crate::shred::{self, Leaf, Sink};
+use crate::types::{Kind, NodeId, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
 use mbxq_bat::VoidBat;
-use mbxq_xml::{Event, Node, Parser};
+use mbxq_xml::{Node, QName};
 use std::borrow::Cow;
 
 /// `parent` of the root.
@@ -59,102 +60,24 @@ pub struct ReadOnlyDoc {
 }
 
 impl ReadOnlyDoc {
-    /// Shreds XML text into the read-only encoding.
+    /// Shreds XML text into the read-only encoding, straight from the
+    /// parser's event stream (module `shred`).
     pub fn parse_str(input: &str) -> Result<Self> {
-        let mut doc = ReadOnlyDoc::default();
-        let mut parser = Parser::new(input);
-        // Open elements, innermost last.
-        let mut stack: Vec<u32> = Vec::new();
-        while let Some(ev) = parser
-            .next_event()
-            .map_err(|e| StorageError::InvalidTarget {
-                message: format!("XML parse: {e}"),
-            })?
-        {
-            match ev {
-                Event::StartElement { name, attributes } => {
-                    let qn = doc.pool.intern_qname(&name);
-                    let pre = doc.push_tuple(&stack, Kind::Element, qn.0, u32::MAX)?;
-                    doc.name_index.entry(qn).or_default().push(u64::from(pre));
-                    for (aname, avalue) in &attributes {
-                        let aqn = doc.pool.intern_qname(aname);
-                        let prop = doc.pool.intern_prop(avalue);
-                        doc.attr_owner.append(u64::from(pre));
-                        doc.attr_qn.append(aqn);
-                        doc.attr_prop.append(prop);
-                    }
-                    stack.push(pre);
-                }
-                Event::EndElement { .. } => {
-                    let pre = stack.pop().expect("parser guarantees balance");
-                    // Every tuple pushed since is a descendant.
-                    *doc.size.find_mut(u64::from(pre))? = doc.len() as u32 - pre - 1;
-                }
-                Event::Text(t) => {
-                    let v = doc.pool.intern_text(&t);
-                    doc.push_tuple(&stack, Kind::Text, u32::MAX, v)?;
-                }
-                Event::Comment(c) => {
-                    let v = doc.pool.intern_comment(&c);
-                    doc.push_tuple(&stack, Kind::Comment, u32::MAX, v)?;
-                }
-                Event::ProcessingInstruction { target, data } => {
-                    let v = doc.pool.intern_instruction(&target, &data);
-                    doc.push_tuple(&stack, Kind::ProcessingInstruction, u32::MAX, v)?;
-                }
-            }
-        }
-        doc.content_index = ContentIndex::build_from_view(&doc);
-        Ok(doc)
+        Self::shred(|sink| shred::parse_into(input, sink))
     }
 
     /// Shreds an owned tree (used when both schemas must be loaded from
     /// the identical document object).
     pub fn from_tree(root: &Node) -> Result<Self> {
-        let mut doc = ReadOnlyDoc::default();
-        doc.shred_node(root, &mut Vec::new())?;
-        doc.content_index = ContentIndex::build_from_view(&doc);
-        Ok(doc)
+        Self::shred(|sink| shred::walk_into(root, sink))
     }
 
-    fn shred_node(&mut self, node: &Node, stack: &mut Vec<u32>) -> Result<()> {
-        match node {
-            Node::Element {
-                name,
-                attributes,
-                children,
-            } => {
-                let qn = self.pool.intern_qname(name);
-                let pre = self.push_tuple(stack, Kind::Element, qn.0, u32::MAX)?;
-                self.name_index.entry(qn).or_default().push(u64::from(pre));
-                for (aname, avalue) in attributes {
-                    let aqn = self.pool.intern_qname(aname);
-                    let prop = self.pool.intern_prop(avalue);
-                    self.attr_owner.append(u64::from(pre));
-                    self.attr_qn.append(aqn);
-                    self.attr_prop.append(prop);
-                }
-                stack.push(pre);
-                for c in children {
-                    self.shred_node(c, stack)?;
-                }
-                stack.pop();
-                *self.size.find_mut(u64::from(pre))? = self.len() as u32 - pre - 1;
-            }
-            Node::Text(t) => {
-                let v = self.pool.intern_text(t);
-                self.push_tuple(stack, Kind::Text, u32::MAX, v)?;
-            }
-            Node::Comment(c) => {
-                let v = self.pool.intern_comment(c);
-                self.push_tuple(stack, Kind::Comment, u32::MAX, v)?;
-            }
-            Node::ProcessingInstruction { target, data } => {
-                let v = self.pool.intern_instruction(target, data);
-                self.push_tuple(stack, Kind::ProcessingInstruction, u32::MAX, v)?;
-            }
-        }
-        Ok(())
+    fn shred(drive: impl FnOnce(&mut Shredder) -> Result<()>) -> Result<Self> {
+        let mut sink = Shredder::default();
+        drive(&mut sink)?;
+        let mut doc = sink.doc;
+        doc.content_index = ContentIndex::build_from_view(&doc);
+        Ok(doc)
     }
 
     /// Appends a leaf-sized tuple under the open elements `stack`
@@ -201,6 +124,53 @@ impl ReadOnlyDoc {
     /// (for the storage-overhead experiment; excludes the shared pool).
     pub fn table_bytes(&self) -> usize {
         self.len() * (4 + 4 + 2 + 1 + 4 + 4) + self.attr_owner.len() * (8 + 4 + 4)
+    }
+}
+
+/// The read-only shredder: fills the columns in document order, sizing
+/// each element when it closes.
+#[derive(Default)]
+struct Shredder {
+    doc: ReadOnlyDoc,
+    /// Pre ranks of the open elements, innermost last.
+    stack: Vec<u32>,
+}
+
+impl Sink for Shredder {
+    fn open(&mut self, name: &QName, attributes: &[(QName, String)]) -> Result<()> {
+        let doc = &mut self.doc;
+        let qn = doc.pool.intern_qname(name);
+        let pre = doc.push_tuple(&self.stack, Kind::Element, qn.0, u32::MAX)?;
+        doc.name_index.entry(qn).or_default().push(u64::from(pre));
+        for (aname, avalue) in attributes {
+            let aqn = doc.pool.intern_qname(aname);
+            let prop = doc.pool.intern_prop(avalue);
+            doc.attr_owner.append(u64::from(pre));
+            doc.attr_qn.append(aqn);
+            doc.attr_prop.append(prop);
+        }
+        self.stack.push(pre);
+        Ok(())
+    }
+
+    fn leaf(&mut self, leaf: Leaf<'_>) -> Result<()> {
+        let doc = &mut self.doc;
+        let (kind, value) = match leaf {
+            Leaf::Text(t) => (Kind::Text, doc.pool.intern_text(t)),
+            Leaf::Comment(c) => (Kind::Comment, doc.pool.intern_comment(c)),
+            Leaf::Instruction { target, data } => (
+                Kind::ProcessingInstruction,
+                doc.pool.intern_instruction(target, data),
+            ),
+        };
+        doc.push_tuple(&self.stack, kind, u32::MAX, value).map(drop)
+    }
+
+    fn close(&mut self) -> Result<()> {
+        let pre = self.stack.pop().expect("drivers balance open and close");
+        // Every tuple pushed since is a descendant.
+        *self.doc.size.find_mut(u64::from(pre))? = self.doc.len() as u32 - pre - 1;
+        Ok(())
     }
 }
 
@@ -473,6 +443,17 @@ mod tests {
         }
     }
 
+    /// Comments and instructions around the root are not stored, so the
+    /// root element is pre 0 (a prolog comment used to become a second
+    /// level-0 tuple ahead of it, and `/r` found nothing).
+    #[test]
+    fn prolog_and_epilog_are_not_stored() {
+        let d = ReadOnlyDoc::parse_str("<?pi x?><!--p--><r><a/></r><!--e-->").unwrap();
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.root_pre(), Some(0));
+        assert_eq!(crate::serialize::to_xml(&d).unwrap(), "<r><a/></r>");
+    }
+
     #[test]
     fn region_end_matches_size() {
         let d = ReadOnlyDoc::parse_str(PAPER_DOC).unwrap();
@@ -504,7 +485,7 @@ mod tests {
         assert_eq!(TreeView::level(&deepest, 65_534), Some(65_534));
         assert_eq!(
             ReadOnlyDoc::parse_str(&nested(65_536)).unwrap_err(),
-            StorageError::TooDeep { depth: 65_536 }
+            crate::StorageError::TooDeep { depth: 65_536 }
         );
     }
 

@@ -26,6 +26,7 @@
 
 use crate::page::{checked_level, Tuple, NO_POS};
 use crate::paged::PagedDoc;
+use crate::shred;
 use crate::types::{Kind, NodeId, StorageError};
 use crate::values::QnId;
 use crate::view::TreeView;
@@ -134,11 +135,9 @@ impl PagedDoc {
         // Materialize the node→pos entries (NULL until placed below),
         // padding any reservation gap with NULL entries; this is also
         // the check that the new ids are addressable.
-        let count = subtree.tuple_count();
-        self.reserve_node_ids(first_node.saturating_add(count))?;
-        let mut staged = Vec::with_capacity(count as usize);
-        let mut attrs = Vec::new();
-        self.stage_subtree_with_base(subtree, base_level, first_node, &mut staged, &mut attrs)?;
+        self.reserve_node_ids(first_node.saturating_add(subtree.tuple_count()))?;
+        let (staged, attrs) =
+            self.stage(base_level, first_node, |st| shred::walk_into(subtree, st))?;
         let n = staged.len() as u64;
         for t in &staged {
             if self.node_pos[t.node as usize] != NO_POS {

@@ -907,6 +907,7 @@ impl ContentIndex {
     pub(crate) fn build_from_view<V: crate::view::TreeView + ?Sized>(view: &V) -> ContentIndex {
         struct Frame {
             level: u16,
+            pre: u64,
             node: u64,
             qn: QnId,
             has_elem_child: bool,
@@ -917,18 +918,15 @@ impl ContentIndex {
         let mut elems: Vec<(u64, u64, QnId, Option<String>)> = Vec::new();
         let mut attr_base: HashMap<QnId, HashMap<String, Vec<u64>>> = HashMap::new();
         let mut stack: Vec<Frame> = Vec::new();
-        let finalize = |f: Frame, pre: u64, out: &mut Vec<(u64, u64, QnId, Option<String>)>| {
+        let finalize = |f: Frame, out: &mut Vec<(u64, u64, QnId, Option<String>)>| {
             let key = if f.has_elem_child { None } else { Some(f.text) };
-            out.push((pre, f.node, f.qn, key));
+            out.push((f.pre, f.node, f.qn, key));
         };
-        let mut pre_of: HashMap<u64, u64> = HashMap::new();
         let mut p = 0u64;
         while let Some(q) = view.next_used_at_or_after(p) {
             let level = view.level(q).expect("used slot has a level");
             while stack.last().is_some_and(|f| f.level >= level) {
-                let f = stack.pop().expect("just checked");
-                let fp = pre_of[&f.node];
-                finalize(f, fp, &mut elems);
+                finalize(stack.pop().expect("just checked"), &mut elems);
             }
             match view.kind(q) {
                 Some(Kind::Element) => {
@@ -946,9 +944,9 @@ impl ContentIndex {
                             .or_default()
                             .push(node);
                     }
-                    pre_of.insert(node, q);
                     stack.push(Frame {
                         level,
+                        pre: q,
                         node,
                         qn,
                         has_elem_child: false,
@@ -967,8 +965,7 @@ impl ContentIndex {
             p = q + 1;
         }
         while let Some(f) = stack.pop() {
-            let fp = pre_of[&f.node];
-            finalize(f, fp, &mut elems);
+            finalize(f, &mut elems);
         }
         elems.sort_unstable_by_key(|&(pre, ..)| pre);
 

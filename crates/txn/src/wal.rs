@@ -14,7 +14,7 @@
 
 use crate::op::Op;
 use crate::TxnId;
-use std::fmt::Write as _;
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -191,10 +191,7 @@ impl Wal {
         // offset, which may fall inside a multi-byte character of an
         // op's payload (slicing a `str` there would panic instead of
         // simulating the torn write).
-        let encoded: Vec<Vec<u8>> = records
-            .iter()
-            .map(|r| encode_record(r).into_bytes())
-            .collect();
+        let encoded: Vec<Vec<u8>> = records.iter().map(encode_record).collect();
         let total: usize = encoded.iter().map(Vec::len).sum();
         let allowed = match self.crash_after_bytes {
             Some(limit) => limit.saturating_sub(self.io_total).min(total),
@@ -244,10 +241,14 @@ impl Wal {
     /// truncated log, mirroring the write-temp-then-rename protocol the
     /// file backend actually uses.
     pub fn reset_with(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        let encoded = encode_record(record);
-        let bytes = encoded.as_bytes();
+        // Header, payload and terminator go to the backend one after
+        // the other: a checkpoint's dump is not copied into a record
+        // buffer first.
+        let (header, payload) = record_parts(record);
+        let parts = [header.as_bytes(), payload.as_bytes(), b"\n"];
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         if let Some(limit) = self.crash_after_bytes {
-            if self.io_total + bytes.len() > limit {
+            if self.io_total + len > limit {
                 // The crash hit while writing the checkpoint's temp
                 // file; the live log is untouched.
                 self.io_total = limit;
@@ -257,7 +258,10 @@ impl Wal {
         match &mut self.backend {
             Backend::Memory(buf) => {
                 buf.clear();
-                buf.extend_from_slice(bytes);
+                buf.reserve_exact(len);
+                for part in parts {
+                    buf.extend_from_slice(part);
+                }
             }
             Backend::File(f, path) => {
                 let tmp = path.with_extension("wal-tmp");
@@ -271,7 +275,9 @@ impl Wal {
                 // empty/partial checkpoint — the one failure mode a
                 // checkpoint must never introduce.
                 let mut tmp_file = std::fs::File::create(&tmp).map_err(io)?;
-                tmp_file.write_all(bytes).map_err(io)?;
+                for part in parts {
+                    tmp_file.write_all(part).map_err(io)?;
+                }
                 tmp_file.sync_all().map_err(io)?;
                 drop(tmp_file);
                 std::fs::rename(&tmp, &*path).map_err(io)?;
@@ -290,8 +296,8 @@ impl Wal {
                     .map_err(io)?;
             }
         }
-        self.bytes_written = bytes.len();
-        self.io_total += bytes.len();
+        self.bytes_written = len;
+        self.io_total += len;
         // The whole log was atomically replaced by this one record: any
         // garbage a previously failed append may have left is gone, so a
         // poisoned log becomes writable again through exactly this path
@@ -346,7 +352,19 @@ impl Wal {
 /// A commit payload is the ops joined by `\x1f`; a checkpoint payload is
 /// the tuple dump. The trailing `\n` completes the record; recovery only
 /// accepts records whose full payload is present.
-fn encode_record(record: &WalRecord) -> String {
+fn encode_record(record: &WalRecord) -> Vec<u8> {
+    let (header, payload) = record_parts(record);
+    let mut out = Vec::with_capacity(header.len() + payload.len() + 1);
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    out.push(b'\n');
+    out
+}
+
+/// A record's header line (with its `\n`) and its payload; the record's
+/// bytes are these two and a closing `\n`. A checkpoint's payload is its
+/// dump, borrowed, so the dump is never copied on its way to the log.
+fn record_parts(record: &WalRecord) -> (String, Cow<'_, str>) {
     match record {
         WalRecord::Commit { txn, ops } => {
             let mut payload = String::new();
@@ -356,18 +374,16 @@ fn encode_record(record: &WalRecord) -> String {
                 }
                 op.encode(&mut payload);
             }
-            let mut out = String::new();
-            let _ = write!(out, "W {txn} {} {}\n{payload}\n", ops.len(), payload.len());
-            out
+            let header = format!("W {txn} {} {}\n", ops.len(), payload.len());
+            (header, Cow::Owned(payload))
         }
         WalRecord::Checkpoint {
             alloc_end,
             tuples,
             dump,
         } => {
-            let mut out = String::new();
-            let _ = write!(out, "C {alloc_end} {tuples} {}\n{dump}\n", dump.len());
-            out
+            let header = format!("C {alloc_end} {tuples} {}\n", dump.len());
+            (header, Cow::Borrowed(dump))
         }
     }
 }
@@ -644,6 +660,30 @@ mod tests {
         assert_eq!(wal.read_all().unwrap(), vec![sample_checkpoint()]);
         wal.append(&sample_record(9)).unwrap();
         assert_eq!(wal.read_all().unwrap().len(), 2);
+    }
+
+    /// A checkpoint written header-then-payload is the record format
+    /// byte for byte, on both backends, and an appended checkpoint is the
+    /// same bytes.
+    #[test]
+    fn a_checkpoint_record_is_written_in_the_record_format() {
+        const BYTES: &[u8] = b"C 17 2 42\nE 0 0 1:r T 2 1 9:line\none\n A 0 1:k 3:v v \n";
+        let mut wal = Wal::in_memory();
+        wal.reset_with(&sample_checkpoint()).unwrap();
+        assert_eq!(wal.raw().unwrap(), BYTES);
+        assert_eq!(wal.len_bytes(), BYTES.len());
+        let mut appended = Wal::in_memory();
+        appended.append(&sample_checkpoint()).unwrap();
+        assert_eq!(appended.raw().unwrap(), BYTES);
+        let dir = std::env::temp_dir().join(format!("mbxq-wal-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.wal");
+        let _ = std::fs::remove_file(&path);
+        let mut file = Wal::file(&path).unwrap();
+        file.append(&sample_record(1)).unwrap();
+        file.reset_with(&sample_checkpoint()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), BYTES);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

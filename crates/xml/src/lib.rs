@@ -8,8 +8,9 @@
 //!   storage schema represents: elements, attributes, text, comments,
 //!   processing instructions, CDATA sections, character/entity references,
 //!   and an (ignored) XML declaration / DOCTYPE.
-//! * [`tree`] — an owned document tree used as the *oracle* by tests and
-//!   as the exchange format between the XUpdate executor and the shredder.
+//! * [`tree`] — an owned tree used as the *oracle* by tests and as the
+//!   carrier of XUpdate fragments from the executor to the storage
+//!   stager; whole documents are shredded from the parser's events.
 //! * [`serialize`] — document-order serialization with correct escaping;
 //!   `parse ∘ serialize` is the identity on the supported subset, which
 //!   property tests exercise.

@@ -1,11 +1,16 @@
 //! A pull (event) parser for the XML subset the storage schema represents.
 //!
-//! The shredder in `mbxq-storage` consumes this event stream directly: a
-//! `StartElement` opens a node (assigning its `pre` rank), `EndElement`
-//! closes it (fixing its `size`), and the leaf events become text /
-//! comment / processing-instruction tuples. This mirrors how pre and post
-//! ranks "count how many tags have been opened and closed, respectively,
-//! as seen when parsing the document sequentially" (§2.2).
+//! The shredders of all three `mbxq-storage` schemas consume this event
+//! stream directly, without building a tree: a `StartElement` opens a
+//! node (assigning its `pre` rank), `EndElement` closes it (fixing its
+//! `size`), and the leaf events inside the root element become text /
+//! comment / processing-instruction tuples; comments and instructions
+//! before or after the root are not stored. This mirrors how pre and
+//! post ranks "count how many tags have been opened and closed,
+//! respectively, as seen when parsing the document sequentially" (§2.2).
+//! [`crate::Document::parse`] builds its tree from the same stream, for
+//! fragments and test oracles. The parser keeps only the stack of open
+//! element names, so nesting depth costs heap, not thread stack.
 
 use crate::{QName, Result, TextPos, XmlError};
 

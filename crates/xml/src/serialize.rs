@@ -7,6 +7,7 @@
 //! in `mbxq-storage` rely on.
 
 use crate::tree::{Document, Node};
+use crate::QName;
 use std::fmt::Write;
 
 /// Escapes character data content (`<`, `&`, and `>` for safety).
@@ -34,46 +35,64 @@ pub fn escape_attr(text: &str, out: &mut String) {
     }
 }
 
-/// Serializes a single node (and its subtree) to `out`.
+/// Serializes a single node (and its subtree) to `out`, with an explicit
+/// stack of the open elements' remaining children (no recursion per
+/// level).
 pub fn serialize_node(node: &Node, out: &mut String) {
-    match node {
-        Node::Element {
-            name,
-            attributes,
-            children,
-        } => {
-            out.push('<');
-            let _ = write!(out, "{name}");
-            for (aname, avalue) in attributes {
-                let _ = write!(out, " {aname}=\"");
-                escape_attr(avalue, out);
-                out.push('"');
-            }
-            if children.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                for c in children {
-                    serialize_node(c, out);
+    let mut open: Vec<(&QName, std::slice::Iter<'_, Node>)> = Vec::new();
+    let mut next = Some(node);
+    loop {
+        match next {
+            Some(Node::Element {
+                name,
+                attributes,
+                children,
+            }) => {
+                out.push('<');
+                let _ = write!(out, "{name}");
+                for (aname, avalue) in attributes {
+                    let _ = write!(out, " {aname}=\"");
+                    escape_attr(avalue, out);
+                    out.push('"');
                 }
-                let _ = write!(out, "</{name}>");
+                if children.is_empty() {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    open.push((name, children.iter()));
+                }
             }
-        }
-        Node::Text(t) => escape_text(t, out),
-        Node::Comment(c) => {
-            out.push_str("<!--");
-            out.push_str(c);
-            out.push_str("-->");
-        }
-        Node::ProcessingInstruction { target, data } => {
-            out.push_str("<?");
-            out.push_str(target);
-            if !data.is_empty() {
-                out.push(' ');
-                out.push_str(data);
+            Some(Node::Text(t)) => escape_text(t, out),
+            Some(Node::Comment(c)) => {
+                out.push_str("<!--");
+                out.push_str(c);
+                out.push_str("-->");
             }
-            out.push_str("?>");
+            Some(Node::ProcessingInstruction { target, data }) => {
+                out.push_str("<?");
+                out.push_str(target);
+                if !data.is_empty() {
+                    out.push(' ');
+                    out.push_str(data);
+                }
+                out.push_str("?>");
+            }
+            None => {}
         }
+        // The next child of the innermost open element, closing every
+        // element that has none left.
+        next = loop {
+            let Some((name, children)) = open.last_mut() else {
+                return;
+            };
+            match children.next() {
+                Some(child) => break Some(child),
+                None => {
+                    let _ = write!(out, "</{name}>");
+                    open.pop();
+                }
+            }
+        };
     }
 }
 
@@ -105,6 +124,20 @@ mod tests {
             round_trip("<a><b/>x<c k=\"v\"/></a>"),
             "<a><b/>x<c k=\"v\"/></a>"
         );
+    }
+
+    #[test]
+    fn nesting_empties_and_every_kind_serialize_exactly() {
+        let src = "<p:a k=\"1\" q:m=\"&lt;&amp;&quot;&gt;\"><b/><c><d/><e>t&lt;</e></c>\
+                   <!--x--><?pi?><?pi d?><f k=\"\"></f></p:a>";
+        assert_eq!(
+            round_trip(src),
+            "<p:a k=\"1\" q:m=\"&lt;&amp;&quot;&gt;\"><b/><c><d/><e>t&lt;</e></c>\
+             <!--x--><?pi?><?pi d?><f k=\"\"/></p:a>"
+        );
+        let mut leaf = String::new();
+        serialize_node(&Node::text("a>b"), &mut leaf);
+        assert_eq!(leaf, "a&gt;b");
     }
 
     #[test]

@@ -1,14 +1,24 @@
 //! An owned XML document tree.
 //!
-//! The tree serves three roles in the reproduction:
+//! The tree serves two roles in the reproduction:
 //!
-//! 1. **Shredder input** for subtree inserts: XUpdate's
-//!    `<xupdate:element>` may contain nested XML, which the executor first
-//!    builds as a [`Node`] and then shreds into tuples.
-//! 2. **Oracle** for tests: axis steps and update semantics over the
-//!    relational encodings are checked against a straightforward DOM
-//!    evaluation.
-//! 3. **Serialization target** when reconstructing documents.
+//! 1. **Fragment carrier**: XUpdate's `<xupdate:element>` may contain
+//!    nested XML, which the executor builds as a [`Node`] and the
+//!    storage layer then stages into tuples; a logged insert carries its
+//!    fragment the same way.
+//! 2. **Oracle** for tests: axis steps, update semantics and the
+//!    streaming shredder and serializer over the relational encodings
+//!    are checked against a straightforward DOM evaluation.
+//!
+//! Whole documents do *not* pass through a tree on their way into or out
+//! of storage: the shredders consume the [`crate::Parser`] event stream
+//! and the storage serializer writes text straight from the pre/size/level
+//! view.
+//!
+//! Every walk over a tree here — counting, string value, cloning,
+//! equality, dropping and serializing — uses an explicit stack, so a tree
+//! as deep as the storage level column allows (65 535) is handled on a
+//! small thread stack.
 
 use crate::parser::{Event, Parser};
 use crate::{QName, Result, XmlError};
@@ -28,7 +38,10 @@ pub enum NodeKind {
 }
 
 /// One node of the owned tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Clone`, `PartialEq` and `Drop` are written out (iteratively) instead
+/// of derived: the derived versions recurse once per level.
+#[derive(Debug)]
 pub enum Node {
     /// Element with attributes and children in document order.
     Element {
@@ -145,26 +158,126 @@ impl Node {
     /// itself plus all descendants (attributes live in their own table
     /// and do not count, exactly like the paper's `size` column).
     pub fn tuple_count(&self) -> u64 {
-        1 + self.children().iter().map(Node::tuple_count).sum::<u64>()
+        self.descendants_or_self().count() as u64
     }
 
     /// Concatenated descendant text (the XPath string value of an
     /// element).
     pub fn string_value(&self) -> String {
         let mut out = String::new();
-        self.collect_text(&mut out);
+        for n in self.descendants_or_self() {
+            if let Node::Text(t) = n {
+                out.push_str(t);
+            }
+        }
         out
     }
 
-    fn collect_text(&self, out: &mut String) {
-        match self {
-            Node::Text(t) => out.push_str(t),
-            Node::Element { children, .. } => {
-                for c in children {
-                    c.collect_text(out);
-                }
+    /// The node and its descendants in document order (an explicit-stack
+    /// walk).
+    fn descendants_or_self(&self) -> impl Iterator<Item = &Node> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || {
+            let n = stack.pop()?;
+            stack.extend(n.children().iter().rev());
+            Some(n)
+        })
+    }
+}
+
+impl Clone for Node {
+    fn clone(&self) -> Node {
+        // The node without its children; they are cloned into it below.
+        fn shallow(n: &Node) -> Node {
+            match n {
+                Node::Element {
+                    name,
+                    attributes,
+                    children,
+                } => Node::Element {
+                    name: name.clone(),
+                    attributes: attributes.clone(),
+                    children: Vec::with_capacity(children.len()),
+                },
+                Node::Text(t) => Node::Text(t.clone()),
+                Node::Comment(c) => Node::Comment(c.clone()),
+                Node::ProcessingInstruction { target, data } => Node::ProcessingInstruction {
+                    target: target.clone(),
+                    data: data.clone(),
+                },
             }
-            _ => {}
+        }
+        // Elements under construction with their source children left.
+        let mut stack = vec![(self.children().iter(), shallow(self))];
+        loop {
+            let (rest, _) = stack.last_mut().expect("the root is popped last");
+            if let Some(child) = rest.next() {
+                stack.push((child.children().iter(), shallow(child)));
+                continue;
+            }
+            let (_, done) = stack.pop().expect("non-empty");
+            match stack.last_mut() {
+                Some((_, Node::Element { children, .. })) => children.push(done),
+                Some(_) => unreachable!("only elements have children"),
+                None => return done,
+            }
+        }
+    }
+}
+
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        let mut pairs = vec![(self, other)];
+        while let Some((a, b)) = pairs.pop() {
+            let same = match (a, b) {
+                (
+                    Node::Element {
+                        name: an,
+                        attributes: aa,
+                        children: ac,
+                    },
+                    Node::Element {
+                        name: bn,
+                        attributes: ba,
+                        children: bc,
+                    },
+                ) => {
+                    let same = an == bn && aa == ba && ac.len() == bc.len();
+                    pairs.extend(ac.iter().zip(bc));
+                    same
+                }
+                (Node::Text(a), Node::Text(b)) | (Node::Comment(a), Node::Comment(b)) => a == b,
+                (
+                    Node::ProcessingInstruction { target, data },
+                    Node::ProcessingInstruction {
+                        target: bt,
+                        data: bd,
+                    },
+                ) => target == bt && data == bd,
+                _ => false,
+            };
+            if !same {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+impl Eq for Node {}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        // Detach the children before each node goes, so every node is
+        // dropped with none left and the drop glue never nests.
+        let mut stack = match self {
+            Node::Element { children, .. } => std::mem::take(children),
+            _ => return,
+        };
+        while let Some(mut n) = stack.pop() {
+            if let Node::Element { children, .. } = &mut n {
+                stack.append(children);
+            }
         }
     }
 }
@@ -316,6 +429,24 @@ mod tests {
         assert_eq!(n.children().len(), 2);
         assert_eq!(n.tuple_count(), 3);
         assert_eq!(n.attributes().len(), 1);
+    }
+
+    #[test]
+    fn equality_compares_every_node() {
+        let base = "<a k=\"v\"><b>t</b><!--c--><?p d?></a>";
+        let parse = |s: &str| Document::parse_fragment(s).unwrap();
+        assert_eq!(parse(base), parse(base));
+        for other in [
+            "<a k=\"w\"><b>t</b><!--c--><?p d?></a>",
+            "<a k=\"v\"><b>u</b><!--c--><?p d?></a>",
+            "<a k=\"v\"><c>t</c><!--c--><?p d?></a>",
+            "<a k=\"v\"><b>t</b><!--x--><?p d?></a>",
+            "<a k=\"v\"><b>t</b><!--c--><?p e?></a>",
+            "<a k=\"v\"><b>t</b><!--c--></a>",
+            "<a k=\"v\"><b>t</b><?p d?><!--c--></a>",
+        ] {
+            assert_ne!(parse(base), parse(other), "{other}");
+        }
     }
 
     #[test]

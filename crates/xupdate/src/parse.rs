@@ -134,104 +134,97 @@ fn parse_command(node: &Node) -> Result<Command> {
 /// Constructed content plus top-level attribute constructors.
 type Content = (Vec<Node>, Vec<(QName, String)>);
 
-/// Converts command content into constructed nodes plus top-level
-/// attribute constructors.
-fn parse_content(children: &[Node]) -> Result<Content> {
-    let mut content = Vec::new();
-    let mut attributes = Vec::new();
-    for child in children {
-        match child {
-            Node::Element { name, .. } if name.has_prefix() && name.local == "attribute" => {
-                let aname = attr(child, "name")
-                    .ok_or_else(|| parse_err("<xupdate:attribute> requires a name"))?;
-                let aname = QName::parse(aname)
-                    .ok_or_else(|| parse_err(format!("bad attribute name '{aname}'")))?;
-                attributes.push((aname, child.string_value()));
-            }
-            other => {
-                if let Some(n) = construct_node(other)? {
-                    content.push(n);
-                }
-            }
-        }
-    }
-    Ok((content, attributes))
+/// An element under construction: the content nodes still to convert,
+/// and what the converted ones built so far.
+struct Frame<'a> {
+    rest: std::slice::Iter<'a, Node>,
+    /// `None` for the bottom frame, which collects the command's content.
+    name: Option<QName>,
+    attributes: Vec<(QName, String)>,
+    children: Vec<Node>,
 }
 
-/// Converts one content node, resolving XUpdate constructors; whitespace-
-/// only text between constructors is dropped.
-fn construct_node(node: &Node) -> Result<Option<Node>> {
-    match node {
-        Node::Text(t) => {
-            if t.trim().is_empty() {
-                Ok(None)
-            } else {
-                Ok(Some(Node::Text(t.clone())))
-            }
-        }
-        Node::Comment(_) | Node::ProcessingInstruction { .. } => Ok(Some(node.clone())),
-        Node::Element {
+impl<'a> Frame<'a> {
+    fn new(content: &'a [Node], name: Option<QName>, attributes: Vec<(QName, String)>) -> Self {
+        Frame {
+            rest: content.iter(),
             name,
             attributes,
-            children,
-        } => {
-            if is_xu(name, "element") {
-                let ename = attr(node, "name")
-                    .ok_or_else(|| parse_err("<xupdate:element> requires a name"))?;
-                let ename = QName::parse(ename)
-                    .ok_or_else(|| parse_err(format!("bad element name '{ename}'")))?;
-                let (content, attrs) = parse_content(children)?;
-                Ok(Some(Node::Element {
-                    name: ename,
-                    attributes: attrs,
-                    children: content,
-                }))
-            } else if is_xu(name, "text") {
-                Ok(Some(Node::Text(node.string_value())))
-            } else if is_xu(name, "comment") {
-                Ok(Some(Node::Comment(node.string_value())))
-            } else if is_xu(name, "processing-instruction") {
-                let target = attr(node, "name")
-                    .ok_or_else(|| parse_err("<xupdate:processing-instruction> requires a name"))?;
-                Ok(Some(Node::ProcessingInstruction {
-                    target: target.to_string(),
-                    data: node.string_value(),
-                }))
-            } else if name.prefix == "xupdate" {
-                Err(parse_err(format!(
-                    "unexpected xupdate constructor '{}'",
-                    name.local
-                )))
-            } else {
-                // Literal XML: keep, but resolve nested constructors.
-                let mut new_children = Vec::new();
-                let mut new_attrs = attributes.clone();
-                for c in children {
-                    match c {
-                        Node::Element { name: cn, .. }
-                            if cn.has_prefix() && cn.local == "attribute" =>
-                        {
-                            let aname = attr(c, "name")
-                                .ok_or_else(|| parse_err("<xupdate:attribute> requires a name"))?;
-                            let aname = QName::parse(aname).ok_or_else(|| {
-                                parse_err(format!("bad attribute name '{aname}'"))
-                            })?;
-                            new_attrs.push((aname, c.string_value()));
-                        }
-                        other => {
-                            if let Some(n) = construct_node(other)? {
-                                new_children.push(n);
-                            }
-                        }
-                    }
-                }
-                Ok(Some(Node::Element {
-                    name: name.clone(),
-                    attributes: new_attrs,
-                    children: new_children,
-                }))
-            }
+            children: Vec::new(),
         }
+    }
+}
+
+/// Converts command content into constructed nodes plus top-level
+/// attribute constructors, resolving XUpdate constructors at every depth
+/// (an `<xupdate:attribute>` adds to the element it sits in); whitespace-
+/// only text between constructors is dropped. Nested content is walked
+/// with an explicit stack of [`Frame`]s, so its depth costs heap, not
+/// thread stack.
+fn parse_content(content: &[Node]) -> Result<Content> {
+    let mut stack = vec![Frame::new(content, None, Vec::new())];
+    loop {
+        let top = stack.last_mut().expect("the bottom frame is popped last");
+        let Some(node) = top.rest.next() else {
+            let done = stack.pop().expect("non-empty");
+            let Some(name) = done.name else {
+                return Ok((done.children, done.attributes));
+            };
+            let parent = stack.last_mut().expect("the bottom frame has no name");
+            parent.children.push(Node::Element {
+                name,
+                attributes: done.attributes,
+                children: done.children,
+            });
+            continue;
+        };
+        let leaf = match node {
+            Node::Text(t) if t.trim().is_empty() => continue,
+            Node::Text(_) | Node::Comment(_) | Node::ProcessingInstruction { .. } => node.clone(),
+            Node::Element {
+                name,
+                attributes,
+                children,
+            } => {
+                if name.has_prefix() && name.local == "attribute" {
+                    let aname = attr(node, "name")
+                        .ok_or_else(|| parse_err("<xupdate:attribute> requires a name"))?;
+                    let aname = QName::parse(aname)
+                        .ok_or_else(|| parse_err(format!("bad attribute name '{aname}'")))?;
+                    top.attributes.push((aname, node.string_value()));
+                    continue;
+                } else if is_xu(name, "element") {
+                    let ename = attr(node, "name")
+                        .ok_or_else(|| parse_err("<xupdate:element> requires a name"))?;
+                    let ename = QName::parse(ename)
+                        .ok_or_else(|| parse_err(format!("bad element name '{ename}'")))?;
+                    stack.push(Frame::new(children, Some(ename), Vec::new()));
+                    continue;
+                } else if is_xu(name, "text") {
+                    Node::Text(node.string_value())
+                } else if is_xu(name, "comment") {
+                    Node::Comment(node.string_value())
+                } else if is_xu(name, "processing-instruction") {
+                    let target = attr(node, "name").ok_or_else(|| {
+                        parse_err("<xupdate:processing-instruction> requires a name")
+                    })?;
+                    Node::ProcessingInstruction {
+                        target: target.to_string(),
+                        data: node.string_value(),
+                    }
+                } else if name.prefix == "xupdate" {
+                    return Err(parse_err(format!(
+                        "unexpected xupdate constructor '{}'",
+                        name.local
+                    )));
+                } else {
+                    // Literal XML: keep, but resolve nested constructors.
+                    stack.push(Frame::new(children, Some(name.clone()), attributes.clone()));
+                    continue;
+                }
+            }
+        };
+        top.children.push(leaf);
     }
 }
 

@@ -92,9 +92,9 @@ pub fn rand_tree(rng: &mut TestRng, max_depth: u32, max_children: usize) -> Node
             } else {
                 element(rng, depth + 1, max_depth, max_children)
             };
-            match (children.last_mut(), child) {
-                (Some(Node::Text(prev)), Node::Text(t)) => prev.push_str(&t),
-                (_, c) => children.push(c),
+            match (children.last_mut(), &child) {
+                (Some(Node::Text(prev)), Node::Text(t)) => prev.push_str(t),
+                _ => children.push(child),
             }
         }
         Node::Element {
@@ -111,6 +111,48 @@ pub fn to_xml_string(node: &Node) -> String {
     let mut s = String::new();
     mbxq_xml::serialize_node(node, &mut s);
     s
+}
+
+/// The tree of the used node at `pre`, rebuilt from any view — the
+/// straightforward recursive reconstruction the storage serializer once
+/// went through, kept as the oracle its streaming replacement
+/// (`mbxq_storage::serialize::write_subtree`) is checked against.
+pub fn subtree_to_node<V: TreeView + ?Sized>(view: &V, pre: u64) -> Node {
+    use mbxq_storage::{Kind, ValueRef};
+    let pool = view.pool();
+    let qname = |qn| pool.qname(qn).cloned().unwrap();
+    let value = || view.value_ref(pre).map(|ValueRef(v)| v).unwrap();
+    match view.kind(pre).expect("a used slot") {
+        Kind::Element => {
+            let level = view.level(pre).unwrap();
+            let end = view.region_end(pre);
+            let mut children = Vec::new();
+            let mut p = pre + 1;
+            while let Some(q) = view.next_used_at_or_after(p).filter(|&q| q < end) {
+                assert_eq!(view.level(q), Some(level + 1), "child level at pre {q}");
+                children.push(subtree_to_node(view, q));
+                p = view.region_end(q);
+            }
+            Node::Element {
+                name: qname(view.name_id(pre).unwrap()),
+                attributes: view
+                    .attributes(pre)
+                    .into_iter()
+                    .map(|(n, v)| (qname(n), pool.prop(v).unwrap().to_string()))
+                    .collect(),
+                children,
+            }
+        }
+        Kind::Text => Node::Text(pool.text(value()).unwrap().to_string()),
+        Kind::Comment => Node::Comment(pool.comment(value()).unwrap().to_string()),
+        Kind::ProcessingInstruction => {
+            let (target, data) = pool.instruction(value()).unwrap();
+            Node::ProcessingInstruction {
+                target: target.to_string(),
+                data: data.to_string(),
+            }
+        }
+    }
 }
 
 /// Sectioned fixture document shared by the concurrency suites:
