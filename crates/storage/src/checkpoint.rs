@@ -161,19 +161,16 @@ impl PagedDoc {
                 }
             }
         }
-        // Attribute rows, owner-major in document order (per-node row
+        // Attribute rows, owner-major in document order (a run's row
         // order is the attribute order).
-        for t in self.used_tuples() {
+        for t in self.used_tuples().filter(|t| t.kind == Kind::Element) {
             let node = u64::from(t.node);
-            for &r in self.attr_index.get(node).unwrap_or_default() {
+            for r in self.attr_run(node, t.value) {
                 out.push_str("A ");
                 put_num(&mut out, node);
                 out.push(' ');
-                put_name(&mut out, self.pool.qname(self.attr_qn[r as usize]));
-                put_str(
-                    &mut out,
-                    self.pool.prop(self.attr_prop[r as usize]).unwrap_or(""),
-                );
+                put_name(&mut out, self.pool.qname(self.attr_qn[r]));
+                put_str(&mut out, self.pool.prop(self.attr_prop[r]).unwrap_or(""));
             }
         }
         out
@@ -327,8 +324,9 @@ impl PagedDoc {
         doc.reserve_node_ids(alloc_end)?;
         doc.lay_out_appended(&staged)?;
         for (node, qn, prop) in attrs {
-            if doc.pos_of_node(node).is_none() {
-                return Err(bad(format!("checkpoint attr row for dead node {node}")));
+            let owner = doc.node_slot(node).map(|(phys, i)| doc.pages[phys].kind(i));
+            if owner != Some(Some(Kind::Element)) {
+                return Err(bad(format!("checkpoint attr row for non-element {node}")));
             }
             doc.push_attr(node, qn, prop);
         }
@@ -336,10 +334,7 @@ impl PagedDoc {
         // and content indexes are derived state and are rebuilt rather
         // than serialized.
         doc.name_index = crate::names::NameIndex::from_base(crate::paged::name_index_base(&staged));
-        let content = crate::values::ContentIndex::build_from_view(&doc);
-        doc.content_index = content;
-        doc.pool.compact();
-        doc.attr_index.compact();
+        doc.build_content_index();
         Ok(doc)
     }
 }

@@ -7,7 +7,7 @@
 //! algorithms must preserve; property tests run it after every random
 //! update sequence.
 
-use crate::page::{NO_NODE, NULL_LEVEL};
+use crate::page::{NO_NAME, NO_NODE, NULL_LEVEL};
 use crate::paged::PagedDoc;
 use crate::types::{Kind, StorageError};
 use crate::view::TreeView;
@@ -29,7 +29,10 @@ use crate::Result;
 /// * the used tuples in view order form a well-shaped tree: the first has
 ///   level 0, levels step by at most +1, and every `size` equals the
 ///   number of used tuples in the node's region;
-/// * every attribute-index entry points at rows owned by a live node.
+/// * every live element's `value` slot is `NO_NAME` or the first row
+///   of a run of its own attribute rows, no row lies in two runs, and
+///   every attribute entry of the content index is a row some run
+///   reaches.
 pub fn check_paged(doc: &PagedDoc) -> Result<()> {
     fn corrupt(message: String) -> StorageError {
         StorageError::Corrupt { message }
@@ -258,10 +261,14 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
             if doc.kind(q) == Some(Kind::Element) {
                 let qn = doc.name_id(q).expect("element has a name");
                 names.push(qn);
-                match doc.content_state(q) {
-                    Some((_, Some(key))) => text_scan.entry((qn, key)).or_default().push(q),
-                    Some((_, None)) => complex_scan.entry(qn).or_default().push(q),
-                    None => unreachable!("element slots have content states"),
+                // Complex iff an element descendant exists; the search
+                // stops at the first one.
+                let end = doc.region_end(q);
+                if (q + 1..end).any(|d| doc.kind(d) == Some(Kind::Element)) {
+                    complex_scan.entry(qn).or_default().push(q);
+                } else {
+                    let key = doc.string_value(q);
+                    text_scan.entry((qn, key)).or_default().push(q);
                 }
                 for (aqn, prop) in doc.attributes(q) {
                     let value = doc.pool().prop(prop).unwrap_or_default().to_string();
@@ -444,19 +451,35 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         }
     }
 
-    // Attribute index points at live nodes and matching rows.
-    for (node, rows) in doc.attr_index.iter() {
-        if doc.pos_of_node(node).is_none() {
-            return Err(corrupt(format!(
-                "attribute index entry for dead node {node}"
-            )));
-        }
-        for &r in rows {
-            if r as usize >= doc.attr_node.len() || doc.attr_node[r as usize] != node {
+    // Attribute runs, and the content index's attribute entries
+    // against the rows the runs reach.
+    let mut in_run = vec![false; doc.attr_node.len()];
+    let mut reached = std::collections::HashSet::new();
+    let mut p = 0u64;
+    while let Some(q) = doc.next_used_at_or_after(p) {
+        let (page, i) = doc.slot(q).expect("used slot resolves");
+        let (node, first) = (u64::from(page.nodes()[i]), page.values()[i]);
+        if page.kind(i) == Some(Kind::Element) && first != NO_NAME {
+            if doc.attr_run(node, first).is_empty() {
                 return Err(corrupt(format!(
-                    "attribute row {r} does not belong to node {node}"
+                    "element {node}'s slot points at row {first}, not at a row of its own"
                 )));
             }
+            for r in doc.attr_run(node, first) {
+                if std::mem::replace(&mut in_run[r], true) {
+                    return Err(corrupt(format!("attribute row {r} lies in two runs")));
+                }
+                reached.insert((doc.attr_qn[r], doc.attr_prop[r], node));
+            }
+        }
+        p = q + 1;
+    }
+    for (qn, prop, node) in doc.content_index.attr_entries() {
+        if !reached.contains(&(qn, prop, node)) {
+            return Err(corrupt(format!(
+                "content index entry @{}={} on node {node} matches no reached row",
+                qn.0, prop.0
+            )));
         }
     }
 
@@ -527,6 +550,19 @@ mod tests {
         assert!(matches!(
             check_paged(&d),
             Err(StorageError::Corrupt { message }) if message.contains("kind byte")
+        ));
+    }
+
+    #[test]
+    fn detects_a_slot_pointing_at_another_elements_run() {
+        let xml = r#"<a><b x="1" y="2"/><c z="3"/></a>"#;
+        let mut d = PagedDoc::parse_str(xml, PageConfig::new(8, 88).unwrap()).unwrap();
+        check_paged(&d).unwrap();
+        let b_first = d.pages[0].values()[1];
+        d.page_mut(0).cols_mut().values[2] = b_first; // c's slot → b's run
+        assert!(matches!(
+            check_paged(&d),
+            Err(StorageError::Corrupt { message }) if message.contains("not at a row of its own")
         ));
     }
 

@@ -16,9 +16,12 @@
 //! paper's `level = NULL` — and `kind` is one byte that reads
 //! [`Kind::UNUSED`] on unused slots,
 //! so a batch kernel comparing kind bytes needs no separate liveness
-//! column. The header carries the page's **level summary**: the minimum
-//! of the `level` column, which (NULL being the largest value) is the
-//! minimum level of the used slots, or NULL for a page without any.
+//! column. `value` holds a non-element's content (its id in the value
+//! pool's string table) and an element's first attribute row
+//! (`NO_NAME` for none; see [`crate::paged`]). The header carries the
+//! page's **level summary**: the minimum of the `level` column, which
+//! (NULL being the largest value) is the minimum level of the used
+//! slots, or NULL for a page without any.
 //!
 //! Because unused slots are NULL in `level`, "first slot with
 //! `level <= l`" is a plain scan of the column for every real level `l`
@@ -32,7 +35,8 @@ use std::sync::Arc;
 pub(crate) const NULL_LEVEL: u16 = u16::MAX;
 /// Deepest level a node can have: one below the NULL sentinel.
 pub(crate) const MAX_LEVEL: u16 = NULL_LEVEL - 1;
-/// `name` of non-element used slots, `value` of elements.
+/// `name` of non-element used slots, `value` of elements without
+/// attributes.
 pub(crate) const NO_NAME: u32 = u32::MAX;
 /// `node` of unused slots.
 pub(crate) const NO_NODE: u32 = u32::MAX;
@@ -213,7 +217,8 @@ impl Page {
         self.col(1)
     }
 
-    /// Non-elements: value-table references ([`NO_NAME`] otherwise).
+    /// Non-elements: string-table ids. Elements: first attribute row
+    /// ([`NO_NAME`] for none). Unused: [`NO_NAME`].
     #[inline]
     pub(crate) fn values(&self) -> &[u32] {
         self.col(2)

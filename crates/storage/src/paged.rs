@@ -16,6 +16,17 @@
 //! attribute table refers to node ids instead of pre values (Figure 6),
 //! so attribute rows never need maintenance when positions shift.
 //!
+//! # Attribute runs
+//!
+//! An element finds its attributes from its own slot: the `value` column,
+//! which only non-elements need for their content, holds an element's
+//! **first attribute row** (`NO_NAME` for none). An element's rows are
+//! one contiguous **run** of the attribute table, which ends where
+//! `attr_node` changes owner. Giving an element whose run is not the
+//! table's last a new attribute moves its run to the table's end; rows
+//! removed or moved away are marked dead (`DEAD_ROW`), and rows of
+//! deleted elements are simply no longer reached. Vacuum drops both.
+//!
 //! # Per-page level summaries
 //!
 //! `size` counts *used* descendants only, so with ≈20 % of every page
@@ -73,7 +84,7 @@
 //! attribute table) are [`CowVec`]s with the same sharing discipline.
 
 use crate::names::NameIndex;
-use crate::page::{check_addressable, Page, Tuple, NO_POS};
+use crate::page::{check_addressable, Page, Tuple, NO_NAME, NO_POS};
 use crate::shred::{self, AttrRow, Stager};
 use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
@@ -83,12 +94,16 @@ use mbxq_bat::{CowVec, PageMap};
 use mbxq_xml::Node;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Page size (in entries) of the COW columns that are *not* divided
 /// into logical document pages: the `node→pos` map and the attribute
 /// table. Purely a sharing granularity; any power of two works.
 pub(crate) const SIDE_PAGE: usize = 1024;
+
+/// `attr_node` of a dead attribute row: removed, or moved with its run.
+pub(crate) const DEAD_ROW: u64 = u64::MAX;
 
 /// A document in the updateable paged encoding.
 ///
@@ -105,12 +120,11 @@ pub struct PagedDoc {
     pub(crate) map: PageMap,
     /// node id → physical pos ([`NO_POS`] = deleted node).
     pub(crate) node_pos: CowVec<u32>,
-    // ---- attribute table, keyed by node id (Figure 6) ----
+    // ---- attribute table, keyed by node id (Figure 6); an element's
+    // slot in the `value` column holds its first row (module docs) ----
     pub(crate) attr_node: CowVec<u64>,
     pub(crate) attr_qn: CowVec<QnId>,
     pub(crate) attr_prop: CowVec<PropId>,
-    /// node id → attribute row indexes (document order).
-    pub(crate) attr_index: AttrIndex,
     /// element name → element node ids (document order) — the access
     /// path behind cost-based axis selection (module [`crate::names`]).
     pub(crate) name_index: NameIndex,
@@ -119,108 +133,6 @@ pub struct PagedDoc {
     pub(crate) content_index: ContentIndex,
     pub(crate) pool: ValuePool,
     pub(crate) used_count: u64,
-}
-
-/// The `node id → attribute rows` index, split like the value pool into
-/// an [`Arc`]-shared base plus a small mutable delta so that cloning a
-/// document never copies the whole index. A delta entry overrides the
-/// base entry for its node; `None` is a tombstone (all rows removed).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AttrIndex {
-    base: Arc<HashMap<u64, Vec<u32>>>,
-    delta: HashMap<u64, Option<Vec<u32>>>,
-}
-
-impl AttrIndex {
-    /// The attribute rows of `node`, in document order.
-    pub(crate) fn get(&self, node: u64) -> Option<&[u32]> {
-        match self.delta.get(&node) {
-            Some(Some(rows)) => Some(rows.as_slice()),
-            Some(None) => None,
-            None => self.base.get(&node).map(Vec::as_slice),
-        }
-    }
-
-    /// Appends a row to `node`'s list (copying the base list into the
-    /// delta on first touch). Never compacts — that would clone the
-    /// whole shared base inside a commit's critical section; compaction
-    /// happens at the explicit maintenance points (shredding, vacuum,
-    /// checkpoint).
-    pub(crate) fn push_row(&mut self, node: u64, row: u32) {
-        self.rows_entry(node).push(row);
-    }
-
-    /// Mutable access to `node`'s rows, if it has any.
-    pub(crate) fn rows_mut(&mut self, node: u64) -> Option<&mut Vec<u32>> {
-        if !self.delta.contains_key(&node) {
-            let from_base = self.base.get(&node)?.clone();
-            self.delta.insert(node, Some(from_base));
-        }
-        self.delta.get_mut(&node)?.as_mut()
-    }
-
-    /// Removes `node`'s entry, returning the rows it held.
-    pub(crate) fn remove(&mut self, node: u64) -> Option<Vec<u32>> {
-        let had_base = self.base.contains_key(&node);
-        let prior = match self.delta.remove(&node) {
-            Some(entry) => entry,
-            None => self.base.get(&node).cloned(),
-        };
-        if had_base {
-            // Tombstone so the shared base entry stays shadowed.
-            self.delta.insert(node, None);
-        }
-        prior
-    }
-
-    /// Iterates `(node, rows)` over all live entries (order unspecified).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &[u32])> + '_ {
-        let from_delta = self
-            .delta
-            .iter()
-            .filter_map(|(&n, e)| e.as_ref().map(|rows| (n, rows.as_slice())));
-        let from_base = self
-            .base
-            .iter()
-            .filter(move |(n, _)| !self.delta.contains_key(n))
-            .map(|(&n, rows)| (n, rows.as_slice()));
-        from_delta.chain(from_base)
-    }
-
-    /// An index with the given base and an empty delta.
-    pub(crate) fn from_base(base: HashMap<u64, Vec<u32>>) -> AttrIndex {
-        AttrIndex {
-            base: Arc::new(base),
-            delta: HashMap::new(),
-        }
-    }
-
-    /// Folds the delta into a fresh shared base.
-    pub(crate) fn compact(&mut self) {
-        if self.delta.is_empty() {
-            return;
-        }
-        let mut base = (*self.base).clone();
-        for (node, entry) in self.delta.drain() {
-            match entry {
-                Some(rows) => {
-                    base.insert(node, rows);
-                }
-                None => {
-                    base.remove(&node);
-                }
-            }
-        }
-        self.base = Arc::new(base);
-    }
-
-    fn rows_entry(&mut self, node: u64) -> &mut Vec<u32> {
-        let base = &self.base;
-        self.delta
-            .entry(node)
-            .or_insert_with(|| Some(base.get(&node).cloned().unwrap_or_default()))
-            .get_or_insert_with(Vec::new)
-    }
 }
 
 /// Builds an element-name-index base from a document-ordered tuple
@@ -284,12 +196,7 @@ impl PagedDoc {
         }
         doc.name_index = NameIndex::from_base(name_index_base(&staged));
         drop(staged);
-        doc.content_index = ContentIndex::build_from_view(&doc);
-        // Fold the shredder's interning burst into the shared bases, so
-        // subsequent clones (reader snapshots, commit versions) carry
-        // empty deltas.
-        doc.pool.compact();
-        doc.attr_index.compact();
+        doc.build_content_index();
         Ok(doc)
     }
 
@@ -322,7 +229,6 @@ impl PagedDoc {
             attr_node: CowVec::new(SIDE_PAGE),
             attr_qn: CowVec::new(SIDE_PAGE),
             attr_prop: CowVec::new(SIDE_PAGE),
-            attr_index: AttrIndex::default(),
             name_index: NameIndex::default(),
             content_index: ContentIndex::default(),
             pool: ValuePool::new(),
@@ -415,13 +321,52 @@ impl PagedDoc {
         self.pages[page].free()
     }
 
-    /// Adds an attribute row for `node`.
+    /// `(physical page, offset)` of the live node `node`.
+    pub(crate) fn node_slot(&self, node: u64) -> Option<(usize, usize)> {
+        let pos = self.pos_of_node(node)? as usize;
+        Some((pos >> self.shift, pos & (self.cfg.page_size - 1)))
+    }
+
+    /// The attribute rows of element `node` whose slot holds `first`:
+    /// from `first` up to where `attr_node` changes owner. (Empty for a
+    /// non-element, whose node owns no rows.)
+    pub(crate) fn attr_run(&self, node: u64, first: u32) -> Range<usize> {
+        if first == NO_NAME {
+            return 0..0;
+        }
+        let (start, mut end) = (first as usize, first as usize);
+        while end < self.attr_node.len() && self.attr_node[end] == node {
+            end += 1;
+        }
+        start..end
+    }
+
+    /// Adds an attribute row for the placed element `node` at the end
+    /// of its run, first moving the run to the table's end if another
+    /// run follows it (module docs).
     pub(crate) fn push_attr(&mut self, node: u64, qn: QnId, prop: PropId) {
-        let row = u32::try_from(self.attr_node.len()).expect("attr table overflow");
+        let (phys, i) = self.node_slot(node).expect("attribute owner is placed");
+        let run = self.attr_run(node, self.pages[phys].values()[i]);
+        let end = self.attr_node.len();
+        if run.is_empty() || run.end != end {
+            let first = u32::try_from(end)
+                .ok()
+                .filter(|&r| r != NO_NAME)
+                .expect("attr table overflow");
+            for r in run {
+                let (q, p) = (self.attr_qn[r], self.attr_prop[r]);
+                self.push_row(node, q, p);
+                self.attr_node[r] = DEAD_ROW;
+            }
+            self.page_mut(phys).cols_mut().values[i] = first;
+        }
+        self.push_row(node, qn, prop);
+    }
+
+    fn push_row(&mut self, node: u64, qn: QnId, prop: PropId) {
         self.attr_node.push(node);
         self.attr_qn.push(qn);
         self.attr_prop.push(prop);
-        self.attr_index.push_row(node, row);
     }
 
     /// `(physical page, offset)` of view position `pre` — the
@@ -532,28 +477,30 @@ impl PagedDoc {
         &mut self.pool
     }
 
-    /// Folds the attribute index's delta into a fresh shared base — the
-    /// maintenance hook checkpointing uses (mutation paths never compact
-    /// implicitly; that would clone the whole shared base inside a
-    /// commit's critical section).
-    pub fn compact_attr_index(&mut self) {
-        self.attr_index.compact();
+    /// Folds the deltas of the value pool and of both indexes into fresh
+    /// shared bases, so later clones carry empty deltas. The one
+    /// maintenance point — after shredding, vacuum and checkpoint load,
+    /// and when the transaction layer checkpoints; mutation paths never
+    /// compact, since that would clone the whole shared bases inside a
+    /// commit's critical section.
+    pub fn compact(&mut self) {
+        self.pool.compact();
+        let (mut names, mut content) = (
+            std::mem::take(&mut self.name_index),
+            std::mem::take(&mut self.content_index),
+        );
+        names.compact(|node| self.node_pre_opt(node));
+        content.compact(&self.pool, |node| self.node_pre_opt(node));
+        (self.name_index, self.content_index) = (names, content);
     }
 
-    /// Folds the element-name index's delta into a fresh shared base
-    /// (same maintenance discipline as [`PagedDoc::compact_attr_index`]).
-    pub fn compact_name_index(&mut self) {
-        let mut idx = std::mem::take(&mut self.name_index);
-        idx.compact(|node| self.node_pre_opt(node));
-        self.name_index = idx;
-    }
-
-    /// Folds the content index's deltas into fresh shared bases (same
-    /// maintenance discipline as [`PagedDoc::compact_name_index`]).
-    pub fn compact_content_index(&mut self) {
-        let mut idx = std::mem::take(&mut self.content_index);
-        idx.compact(|node| self.node_pre_opt(node));
-        self.content_index = idx;
+    /// Rebuilds the content index from a scan of the document (with
+    /// the pool lent to it for the concatenated keys), then compacts.
+    pub(crate) fn build_content_index(&mut self) {
+        let mut pool = std::mem::take(&mut self.pool);
+        self.content_index = ContentIndex::build_from_view(&*self, &mut pool);
+        self.pool = pool;
+        self.compact();
     }
 
     /// Name-index entries added/tombstoned since the last compaction
@@ -591,35 +538,27 @@ impl PagedDoc {
         }
     }
 
-    /// Rebuilds the attribute columns from the live index entries,
-    /// dropping rows orphaned by deletes and renumbering the survivors
-    /// (per-node document order is preserved). Used by vacuum.
-    pub(crate) fn rebuild_attr_table(&mut self) {
-        let mut entries: Vec<(u64, Vec<u32>)> = self
-            .attr_index
-            .iter()
-            .map(|(n, rows)| (n, rows.to_vec()))
-            .collect();
-        entries.sort_unstable_by_key(|(n, _)| *n);
-        let mut attr_node = CowVec::new(SIDE_PAGE);
-        let mut attr_qn = CowVec::new(SIDE_PAGE);
-        let mut attr_prop = CowVec::new(SIDE_PAGE);
-        let mut index = HashMap::with_capacity(entries.len());
-        for (node, rows) in entries {
-            let mut new_rows = Vec::with_capacity(rows.len());
-            for r in rows {
-                let nr = u32::try_from(attr_node.len()).expect("attr table overflow");
-                attr_node.push(node);
-                attr_qn.push(self.attr_qn[r as usize]);
-                attr_prop.push(self.attr_prop[r as usize]);
-                new_rows.push(nr);
+    /// Rebuilds the attribute columns from the runs of the document-
+    /// ordered `live` tuples, pointing their slots at the new runs:
+    /// dead and unreached rows are dropped and the survivors renumbered
+    /// (each run keeps its order). Used by vacuum, before `live` is
+    /// laid out.
+    pub(crate) fn rebuild_attr_table(&mut self, live: &mut [Tuple]) {
+        let mut node = CowVec::new(SIDE_PAGE);
+        let mut qn = CowVec::new(SIDE_PAGE);
+        let mut prop = CowVec::new(SIDE_PAGE);
+        for t in live.iter_mut().filter(|t| t.kind == Kind::Element) {
+            let run = self.attr_run(u64::from(t.node), t.value);
+            if !run.is_empty() {
+                t.value = node.len() as u32; // fewer rows than before
             }
-            index.insert(node, new_rows);
+            for r in run {
+                node.push(self.attr_node[r]);
+                qn.push(self.attr_qn[r]);
+                prop.push(self.attr_prop[r]);
+            }
         }
-        self.attr_node = attr_node;
-        self.attr_qn = attr_qn;
-        self.attr_prop = attr_prop;
-        self.attr_index = AttrIndex::from_base(index);
+        (self.attr_node, self.attr_qn, self.attr_prop) = (node, qn, prop);
     }
 
     /// `(shared, total)` [`Page`] counts against another version of the
@@ -683,15 +622,12 @@ impl TreeView for PagedDoc {
     }
 
     fn attributes(&self, pre: u64) -> Vec<(QnId, PropId)> {
-        let Some(NodeId(node)) = self.node_id(pre) else {
-            return Vec::new();
-        };
-        match self.attr_index.get(node) {
-            Some(rows) => rows
-                .iter()
-                .map(|&r| (self.attr_qn[r as usize], self.attr_prop[r as usize]))
+        match self.used_slot(pre) {
+            Some((page, i)) if page.kind(i) == Some(Kind::Element) => self
+                .attr_run(u64::from(page.nodes()[i]), page.values()[i])
+                .map(|r| (self.attr_qn[r], self.attr_prop[r]))
                 .collect(),
-            None => Vec::new(),
+            _ => Vec::new(),
         }
     }
 
@@ -724,45 +660,45 @@ impl TreeView for PagedDoc {
     fn nodes_with_attr_value(&self, attr: QnId, value: &str) -> Option<Vec<u64>> {
         Some(
             self.content_index
-                .attr_eq(attr, value, |node| self.node_pre_opt(node)),
+                .attr_eq(&self.pool, attr, value, |node| self.node_pre_opt(node)),
         )
     }
 
     fn nodes_with_attr_value_range(&self, attr: QnId, range: &NumRange) -> Option<Vec<u64>> {
         Some(
             self.content_index
-                .attr_range(attr, range, |node| self.node_pre_opt(node)),
+                .attr_range(&self.pool, attr, range, |node| self.node_pre_opt(node)),
         )
     }
 
     fn nodes_with_attr_value_count(&self, attr: QnId, value: &str) -> Option<u64> {
-        Some(self.content_index.attr_eq_count(attr, value))
+        Some(self.content_index.attr_eq_count(&self.pool, attr, value))
     }
 
     fn nodes_with_attr_value_range_count(&self, attr: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.attr_range_count(attr, range))
+        Some(self.content_index.attr_range_count(&self.pool, attr, range))
     }
 
     fn elements_with_text(&self, qn: QnId, value: &str) -> Option<TextProbe> {
         Some(
             self.content_index
-                .text_eq(qn, value, |node| self.node_pre_opt(node)),
+                .text_eq(&self.pool, qn, value, |node| self.node_pre_opt(node)),
         )
     }
 
     fn elements_with_text_range(&self, qn: QnId, range: &NumRange) -> Option<TextProbe> {
         Some(
             self.content_index
-                .text_range(qn, range, |node| self.node_pre_opt(node)),
+                .text_range(&self.pool, qn, range, |node| self.node_pre_opt(node)),
         )
     }
 
     fn elements_with_text_count(&self, qn: QnId, value: &str) -> Option<u64> {
-        Some(self.content_index.text_eq_count(qn, value))
+        Some(self.content_index.text_eq_count(&self.pool, qn, value))
     }
 
     fn elements_with_text_range_count(&self, qn: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.text_range_count(qn, range))
+        Some(self.content_index.text_range_count(&self.pool, qn, range))
     }
 
     fn attr_degree_stats(&self, attr: QnId) -> Option<crate::values::DegreeStats> {

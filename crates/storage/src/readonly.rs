@@ -76,7 +76,9 @@ impl ReadOnlyDoc {
         let mut sink = Shredder::default();
         drive(&mut sink)?;
         let mut doc = sink.doc;
-        doc.content_index = ContentIndex::build_from_view(&doc);
+        let mut pool = std::mem::take(&mut doc.pool);
+        doc.content_index = ContentIndex::build_from_view(&doc, &mut pool);
+        doc.pool = pool;
         Ok(doc)
     }
 
@@ -255,35 +257,35 @@ impl TreeView for ReadOnlyDoc {
     }
 
     fn nodes_with_attr_value(&self, attr: QnId, value: &str) -> Option<Vec<u64>> {
-        Some(self.content_index.attr_eq(attr, value, Some))
+        Some(self.content_index.attr_eq(&self.pool, attr, value, Some))
     }
 
     fn nodes_with_attr_value_range(&self, attr: QnId, range: &NumRange) -> Option<Vec<u64>> {
-        Some(self.content_index.attr_range(attr, range, Some))
+        Some(self.content_index.attr_range(&self.pool, attr, range, Some))
     }
 
     fn nodes_with_attr_value_count(&self, attr: QnId, value: &str) -> Option<u64> {
-        Some(self.content_index.attr_eq_count(attr, value))
+        Some(self.content_index.attr_eq_count(&self.pool, attr, value))
     }
 
     fn nodes_with_attr_value_range_count(&self, attr: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.attr_range_count(attr, range))
+        Some(self.content_index.attr_range_count(&self.pool, attr, range))
     }
 
     fn elements_with_text(&self, qn: QnId, value: &str) -> Option<TextProbe> {
-        Some(self.content_index.text_eq(qn, value, Some))
+        Some(self.content_index.text_eq(&self.pool, qn, value, Some))
     }
 
     fn elements_with_text_range(&self, qn: QnId, range: &NumRange) -> Option<TextProbe> {
-        Some(self.content_index.text_range(qn, range, Some))
+        Some(self.content_index.text_range(&self.pool, qn, range, Some))
     }
 
     fn elements_with_text_count(&self, qn: QnId, value: &str) -> Option<u64> {
-        Some(self.content_index.text_eq_count(qn, value))
+        Some(self.content_index.text_eq_count(&self.pool, qn, value))
     }
 
     fn elements_with_text_range_count(&self, qn: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.text_range_count(qn, range))
+        Some(self.content_index.text_range_count(&self.pool, qn, range))
     }
 
     fn attr_degree_stats(&self, attr: QnId) -> Option<crate::values::DegreeStats> {

@@ -24,20 +24,21 @@
 //! document. Every page an update rewrites ends in
 //! `Page::rebuild_runs`, which refreshes that page's summary.
 
-use crate::page::{checked_level, Tuple, NO_POS};
-use crate::paged::PagedDoc;
+use crate::page::{checked_level, Tuple, NO_NAME, NO_POS};
+use crate::paged::{PagedDoc, DEAD_ROW};
 use crate::shred;
 use crate::types::{Kind, NodeId, StorageError};
-use crate::values::QnId;
+use crate::values::{QnId, TextKey};
 use crate::view::TreeView;
 use crate::Result;
 use mbxq_xml::{Node, QName};
 
-/// An element's content-index state: its name and `Some(text)` for
-/// simple content (the concatenated direct text children — its XPath
-/// string value) or `None` for complex content (element children).
-/// `None` at the outer level marks a slot that is not a used element.
-type ContentState = Option<(QnId, Option<String>)>;
+/// An element's content-index state: its name and, for simple content,
+/// the string id of its concatenated direct text children — its XPath
+/// string value ([`TextKey`]) — or `None` for complex content (element
+/// children). `None` at the outer level marks a slot that is not a used
+/// element.
+type ContentState = Option<(QnId, Option<u32>)>;
 
 /// Where to place an inserted subtree, mirroring XUpdate's structural
 /// commands (§2.1).
@@ -129,9 +130,7 @@ impl PagedDoc {
             None => None,
         };
 
-        // Stage the new tuples and their attribute rows; attribute rows
-        // are keyed by node id, so they can be added independently of
-        // physical placement (Figure 6).
+        // Stage the new tuples and their attribute rows.
         // Materialize the node→pos entries (NULL until placed below),
         // padding any reservation gap with NULL entries; this is also
         // the check that the new ids are addressable.
@@ -145,11 +144,6 @@ impl PagedDoc {
                     message: format!("node id {} already in use", t.node),
                 });
             }
-        }
-        for (node, qn, prop) in attrs {
-            let value = self.pool.prop(prop).unwrap_or_default().to_string();
-            self.content_index.add_attr(qn, &value, node);
-            self.push_attr(node, qn, prop);
         }
         // Register the new elements in the name index (staged is in
         // document order, so per-name delta order stays document order)
@@ -170,6 +164,12 @@ impl PagedDoc {
 
         let report = self.place_tuples(insert_pre, &staged)?;
         self.used_count += n;
+        // Attribute runs start from their owners' slots, so the rows
+        // follow the placed tuples.
+        for (node, qn, prop) in attrs {
+            self.content_index.add_attr(qn, prop, node);
+            self.push_attr(node, qn, prop);
+        }
 
         // Delta-increment the size of every ancestor (§3.2: deltas are
         // commutative, so concurrent committers need not serialize on the
@@ -235,16 +235,13 @@ impl PagedDoc {
             if t.kind == Kind::Element {
                 self.name_index.remove(QnId(t.name), node);
                 self.content_index.remove_element(QnId(t.name), node);
-            }
-            if let Some(rows) = self.attr_index.remove(node) {
-                attrs_removed += rows.len() as u64;
-                for &r in &rows {
-                    self.content_index
-                        .remove_attr(self.attr_qn[r as usize], node);
+                // The run stays in the attribute columns, reached from
+                // no slot any more, until vacuum drops it. (MonetDB
+                // similarly leaves deletions to be vacuumed.)
+                for r in self.attr_run(node, t.value) {
+                    self.content_index.remove_attr(self.attr_qn[r], node);
+                    attrs_removed += 1;
                 }
-                // Rows stay in the attr columns as dead space; the index
-                // is authoritative. (MonetDB similarly leaves deletions
-                // to be vacuumed.)
             }
             self.node_pos[t.node as usize] = NO_POS;
             self.page_mut(phys).clear_slot(i);
@@ -344,8 +341,7 @@ impl PagedDoc {
             // The content key is name-independent; move it between
             // name buckets unchanged.
             let key = self.content_state(pre).and_then(|(_, k)| k);
-            self.content_index
-                .rename_element(old, qn, key.as_deref(), node);
+            self.content_index.rename_element(old, qn, key, node);
             self.page_mut(phys).cols_mut().names[i] = qn.0;
         }
         Ok(())
@@ -353,8 +349,8 @@ impl PagedDoc {
 
     /// Sets (adds or replaces) an attribute on the element `target`.
     pub fn set_attribute(&mut self, target: NodeId, name: &QName, value: &str) -> Result<()> {
-        let pre = self.node_to_pre(target)?;
-        if self.kind(pre) != Some(Kind::Element) {
+        let (_, phys, i) = self.locate_node(target)?;
+        if self.pages[phys].kind(i) != Some(Kind::Element) {
             return Err(StorageError::InvalidTarget {
                 message: "attributes can only be set on elements".into(),
             });
@@ -362,42 +358,41 @@ impl PagedDoc {
         let qn = self.pool.intern_qname(name);
         let prop = self.pool.intern_prop(value);
         let node = target.0;
-        if let Some(rows) = self.attr_index.get(node) {
-            for &r in rows {
-                if self.attr_qn[r as usize] == qn {
-                    self.attr_prop[r as usize] = prop;
-                    self.content_index.remove_attr(qn, node);
-                    self.content_index.add_attr(qn, value, node);
-                    return Ok(());
-                }
+        let run = self.attr_run(node, self.pages[phys].values()[i]);
+        match run.into_iter().find(|&r| self.attr_qn[r] == qn) {
+            Some(r) => {
+                self.attr_prop[r] = prop;
+                self.content_index.remove_attr(qn, node);
             }
+            None => self.push_attr(node, qn, prop),
         }
-        self.content_index.add_attr(qn, value, node);
-        self.push_attr(node, qn, prop);
+        self.content_index.add_attr(qn, prop, node);
         Ok(())
     }
 
     /// Removes an attribute from the element `target`. Returns whether an
     /// attribute was actually removed.
     pub fn remove_attribute(&mut self, target: NodeId, name: &QName) -> Result<bool> {
-        self.node_to_pre(target)?;
+        let (_, phys, i) = self.locate_node(target)?;
         let node = target.0;
         let Some(qn) = self.pool.lookup_qname(name) else {
             return Ok(false);
         };
-        let hit = self
-            .attr_index
-            .get(node)
-            .and_then(|rows| rows.iter().position(|&r| self.attr_qn[r as usize] == qn));
-        if let Some(i) = hit {
-            self.attr_index
-                .rows_mut(node)
-                .expect("entry exists, just probed")
-                .remove(i);
-            self.content_index.remove_attr(qn, node);
-            return Ok(true);
+        let run = self.attr_run(node, self.pages[phys].values()[i]);
+        let Some(hit) = run.clone().find(|&r| self.attr_qn[r] == qn) else {
+            return Ok(false);
+        };
+        // Close the gap (the run keeps its order); its last row dies.
+        for r in hit..run.end - 1 {
+            self.attr_qn[r] = self.attr_qn[r + 1];
+            self.attr_prop[r] = self.attr_prop[r + 1];
         }
-        Ok(false)
+        self.attr_node[run.end - 1] = DEAD_ROW;
+        if run.len() == 1 {
+            self.page_mut(phys).cols_mut().values[i] = NO_NAME;
+        }
+        self.content_index.remove_attr(qn, node);
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -405,14 +400,14 @@ impl PagedDoc {
     // ------------------------------------------------------------------
 
     /// The content-index state of the element at `pre`: `(name,
-    /// Some(string value))` for simple content, `(name, None)` for
-    /// complex. `None` for non-elements. Stops at the first element
-    /// child, so simple elements cost O(direct children) and complex
-    /// ones exit early.
-    pub(crate) fn content_state(&self, pre: u64) -> ContentState {
+    /// Some(key))` for simple content, `(name, None)` for complex. `None`
+    /// for non-elements. Stops at the first element child, so simple
+    /// elements cost O(direct children) and complex ones exit early; a
+    /// key of several text children is interned.
+    pub(crate) fn content_state(&mut self, pre: u64) -> ContentState {
         let qn = self.name_id(pre)?;
         let end = self.region_end(pre);
-        let mut text = String::new();
+        let mut key = TextKey::default();
         let mut p = pre + 1;
         while let Some(q) = self.next_used_at_or_after(p) {
             if q >= end {
@@ -421,12 +416,12 @@ impl PagedDoc {
             let (page, i) = self.slot(q).expect("used slot resolves");
             match page.kind(i) {
                 Some(Kind::Element) => return Some((qn, None)),
-                Some(Kind::Text) => text.push_str(self.pool.text(page.values()[i]).unwrap_or("")),
+                Some(Kind::Text) => key.push(&self.pool, page.values()[i]),
                 _ => {} // comments/PIs contribute no string value
             }
             p = q + 1;
         }
-        Some((qn, Some(text)))
+        Some((qn, Some(key.finish(&mut self.pool))))
     }
 
     /// Moves `node` between content-index states (remove-then-add; a
@@ -436,11 +431,10 @@ impl PagedDoc {
             return;
         }
         if let Some((qn, key)) = old {
-            self.content_index
-                .remove_element_keyed(qn, key.as_deref(), node);
+            self.content_index.remove_element_keyed(qn, key, node);
         }
         if let Some((qn, key)) = new {
-            self.content_index.add_element(qn, key.as_deref(), node);
+            self.content_index.add_element(qn, key, node);
         }
     }
 
@@ -449,46 +443,31 @@ impl PagedDoc {
     /// twin of `ContentIndex::build_from_view`, working off the staged
     /// tuples so it never re-reads the tree.
     fn register_staged_content(&mut self, staged: &[Tuple]) {
-        struct Frame {
-            level: u16,
-            node: u64,
-            qn: u32,
-            has_elem_child: bool,
-            text: String,
-        }
-        let mut stack: Vec<Frame> = Vec::new();
+        // Open elements: level, node, name and the text key (`None` once
+        // an element child made the element complex).
+        let mut stack: Vec<(u16, u64, QnId, Option<TextKey>)> = Vec::new();
+        let close = |this: &mut Self, (_, node, qn, key): (u16, u64, QnId, Option<TextKey>)| {
+            let key = key.map(|k| k.finish(&mut this.pool));
+            this.content_index.add_element(qn, key, node);
+        };
         for t in staged {
-            while stack.last().is_some_and(|f| f.level >= t.level) {
-                let f = stack.pop().expect("just checked");
-                let key = if f.has_elem_child { None } else { Some(f.text) };
-                self.content_index
-                    .add_element(QnId(f.qn), key.as_deref(), f.node);
+            while stack.last().is_some_and(|f| f.0 >= t.level) {
+                close(self, stack.pop().expect("just checked"));
             }
-            match t.kind {
-                Kind::Element => {
-                    if let Some(parent) = stack.last_mut() {
-                        parent.has_elem_child = true;
+            match (t.kind, stack.last_mut()) {
+                (Kind::Element, parent) => {
+                    if let Some(parent) = parent {
+                        parent.3 = None;
                     }
-                    stack.push(Frame {
-                        level: t.level,
-                        node: u64::from(t.node),
-                        qn: t.name,
-                        has_elem_child: false,
-                        text: String::new(),
-                    });
+                    let key = Some(TextKey::default());
+                    stack.push((t.level, u64::from(t.node), QnId(t.name), key));
                 }
-                Kind::Text => {
-                    if let Some(parent) = stack.last_mut() {
-                        parent.text.push_str(self.pool.text(t.value).unwrap_or(""));
-                    }
-                }
+                (Kind::Text, Some((_, _, _, Some(key)))) => key.push(&self.pool, t.value),
                 _ => {}
             }
         }
         while let Some(f) = stack.pop() {
-            let key = if f.has_elem_child { None } else { Some(f.text) };
-            self.content_index
-                .add_element(QnId(f.qn), key.as_deref(), f.node);
+            close(self, f);
         }
     }
 
@@ -642,11 +621,11 @@ impl PagedDoc {
 
     /// `(pre, physical page, offset)` of the live node `target`.
     fn locate_node(&self, target: NodeId) -> Result<(u64, usize, usize)> {
-        let pos = self
-            .pos_of_node(target.0)
-            .ok_or(StorageError::BadNode { node: target })? as usize;
-        let pre = self.map.pos_to_pre(pos as u64)?;
-        Ok((pre, pos >> self.shift, pos & (self.cfg.page_size - 1)))
+        let (phys, i) = self
+            .node_slot(target.0)
+            .ok_or(StorageError::BadNode { node: target })?;
+        let pre = self.map.pos_to_pre(((phys << self.shift) + i) as u64)?;
+        Ok((pre, phys, i))
     }
 }
 

@@ -30,7 +30,8 @@ pub struct VacuumReport {
     pub tuples_moved: u64,
     /// Unused slots reclaimed (capacity shrink).
     pub slots_reclaimed: u64,
-    /// Dead attribute rows dropped from the attribute table.
+    /// Dead and unreached attribute rows dropped from the attribute
+    /// table.
     pub attr_rows_reclaimed: u64,
 }
 
@@ -54,6 +55,10 @@ impl PagedDoc {
             live.push(page.read(i));
             p = q + 1;
         }
+        // Drop the dead and unreached attribute rows, renumbering the
+        // survivors and pointing the live elements' slots at them.
+        let rows_before = self.attr_node.len() as u64;
+        self.rebuild_attr_table(&mut live);
 
         // Fresh layout; the node-id space is preserved (ids above the
         // rebuilt set stay NULL, e.g. ids of deleted nodes).
@@ -69,18 +74,11 @@ impl PagedDoc {
         let n_pages = self.pages.len();
         let slots = self.pre_end();
 
-        // Drop attribute rows orphaned by deletes (they were left in the
-        // columns as dead space), renumbering the survivors, and fold
-        // the side-structure deltas into fresh shared bases.
-        let rows_before = self.attr_node.len() as u64;
-        self.rebuild_attr_table();
         // The live tuples are already in document order — rebuild the
         // element-name index from them with an empty delta, and re-scan
         // the fresh layout for the content index.
         self.name_index = NameIndex::from_base(name_index_base(&live));
-        let content = crate::values::ContentIndex::build_from_view(&*self);
-        self.content_index = content;
-        self.pool.compact();
+        self.build_content_index();
         let attr_rows_reclaimed = rows_before - self.attr_node.len() as u64;
 
         Ok(VacuumReport {

@@ -1,11 +1,14 @@
-//! Interned side tables (`qn`, `prop`, node values) and the **content
-//! index** — the value-based access path of the query layer.
+//! The interned side tables (`qn` and one string table) and the
+//! **content index** — the value-based access path of the query layer.
 //!
 //! Figure 5: "`prop`, holding all unique attribute values (as strings)"
 //! and "`qn`, with one tuple for each qualified name (element or
 //! attribute)". Both are append-only interning tables keyed by a void
-//! column, so lookups from tree tuples are positional. The text, comment
-//! and instruction tables hold node values, also void-keyed.
+//! column, so lookups from tree tuples are positional. Here `prop` is
+//! the one **string table** of a document: attribute values and the
+//! content of text, comment and instruction nodes are all interned into
+//! it, so a string is stored once, whatever holds it. The table's `Vec`
+//! and its lookup map share that one `Arc<str>` allocation.
 //!
 //! # The content index
 //!
@@ -15,7 +18,7 @@
 //! `//price[. > 50]`, `//person[name='Alice']` — so a selective
 //! comparison becomes an index probe plus a structural semijoin instead
 //! of a scalar evaluation over every context row. It maps
-//! `(QnId, value)` to node ids in document order, on two key spaces:
+//! `(QnId, string id)` to node ids in document order, on two key spaces:
 //!
 //! * **attribute values** — keyed by the *attribute* name: every
 //!   element carrying `@qn = value`. Complete by construction
@@ -30,6 +33,13 @@
 //!   probe returns them as an unindexed remainder for the executor to
 //!   verify by evaluation, so results stay exact while maintenance
 //!   stays local to the touched element.
+//!
+//! Values are keyed by their id in the string table, never by a copy of
+//! the text: an attribute by its `prop` id, an element with one text
+//! child by that text's id (`TextKey`); only a concatenation of
+//! several text children (or the empty value of none) is interned as a
+//! string of its own. A probe looks its literal up in the table, and a
+//! literal the table does not hold matches nothing.
 //!
 //! Each key space has an **exact-match hash arm** and a **sorted
 //! numeric arm** holding `(number, node)` pairs for every value that
@@ -70,7 +80,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QnId(pub u32);
 
-/// Id of a unique attribute value in the `prop` table.
+/// Id of an attribute value in the string table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropId(pub u32);
 
@@ -104,20 +114,19 @@ impl<K> Default for Interner<K> {
 }
 
 impl<K: Clone + Eq + Hash> Interner<K> {
-    fn intern<Q>(&mut self, key: &Q) -> u32
+    /// The id of `key`, interning `own(key)` when it is new. The owned
+    /// key is cloned into the lookup map, so for `Arc<str>` the table
+    /// and the map share one allocation.
+    fn intern<Q>(&mut self, key: &Q, own: impl FnOnce(&Q) -> K) -> u32
     where
         K: Borrow<Q>,
-        Q: ?Sized + Eq + Hash + ToOwned<Owned = K>,
+        Q: ?Sized + Eq + Hash,
     {
-        if let Some(&id) = self.base.index.get(key) {
+        if let Some(id) = self.lookup(key) {
             return id;
         }
-        if let Some(&id) = self.delta_index.get(key) {
-            return id;
-        }
-        let id = u32::try_from(self.base.values.len() + self.delta_values.len())
-            .expect("interner overflow");
-        let owned = key.to_owned();
+        let id = u32::try_from(self.len()).expect("interner overflow");
+        let owned = own(key);
         self.delta_values.push(owned.clone());
         self.delta_index.insert(owned, id);
         id
@@ -165,16 +174,6 @@ impl<K: Clone + Eq + Hash> Interner<K> {
         self.delta_index.clear();
         self.base = Arc::new(set);
     }
-
-    /// Sums `per` over all interned values (heap accounting).
-    fn approx_heap(&self, per: impl Fn(&K) -> usize) -> usize {
-        self.base
-            .values
-            .iter()
-            .chain(self.delta_values.iter())
-            .map(per)
-            .sum()
-    }
 }
 
 /// All interned side tables shared by a document store.
@@ -186,10 +185,8 @@ impl<K: Clone + Eq + Hash> Interner<K> {
 #[derive(Debug, Clone, Default)]
 pub struct ValuePool {
     qnames: Interner<QName>,
-    props: Interner<String>,
-    texts: Interner<String>,
-    comments: Interner<String>,
-    instructions: Interner<String>,
+    /// Every string a document holds, once (module docs).
+    strings: Interner<Arc<str>>,
 }
 
 impl ValuePool {
@@ -200,7 +197,7 @@ impl ValuePool {
 
     /// Interns a qualified name, returning its `qn` id.
     pub fn intern_qname(&mut self, name: &QName) -> QnId {
-        QnId(self.qnames.intern(name))
+        QnId(self.qnames.intern(name, QName::clone))
     }
 
     /// The qualified name behind a `qn` id.
@@ -214,57 +211,70 @@ impl ValuePool {
         self.qnames.lookup(name).map(QnId)
     }
 
-    /// Interns an attribute value into `prop`.
+    /// Interns a string into the string table, returning its id.
+    pub fn intern_str(&mut self, value: &str) -> u32 {
+        self.strings.intern(value, |s: &str| Arc::from(s))
+    }
+
+    /// The string behind a string-table id.
+    pub fn string(&self, id: u32) -> Option<&str> {
+        self.strings.get(id).map(|s| &**s)
+    }
+
+    /// Looks up a string without interning.
+    pub fn lookup_str(&self, value: &str) -> Option<u32> {
+        self.strings.lookup(value)
+    }
+
+    /// Interns an attribute value.
     pub fn intern_prop(&mut self, value: &str) -> PropId {
-        PropId(self.props.intern(value))
+        PropId(self.intern_str(value))
     }
 
     /// The attribute value behind a `prop` id.
     pub fn prop(&self, id: PropId) -> Option<&str> {
-        self.props.get(id.0).map(String::as_str)
+        self.string(id.0)
     }
 
     /// Looks up an attribute value without interning.
     pub fn lookup_prop(&self, value: &str) -> Option<PropId> {
-        self.props.lookup(value).map(PropId)
+        self.lookup_str(value).map(PropId)
     }
 
-    /// Interns a text-node value, returning its row in the text table.
+    /// Interns a text-node value.
     pub fn intern_text(&mut self, value: &str) -> u32 {
-        self.texts.intern(value)
+        self.intern_str(value)
     }
 
     /// Text value by id.
     pub fn text(&self, id: u32) -> Option<&str> {
-        self.texts.get(id).map(String::as_str)
+        self.string(id)
     }
 
     /// Interns a comment value.
     pub fn intern_comment(&mut self, value: &str) -> u32 {
-        self.comments.intern(value)
+        self.intern_str(value)
     }
 
     /// Comment value by id.
     pub fn comment(&self, id: u32) -> Option<&str> {
-        self.comments.get(id).map(String::as_str)
+        self.string(id)
     }
 
     /// Interns a processing instruction as `target data` (single string;
     /// the target is the prefix up to the first space).
     pub fn intern_instruction(&mut self, target: &str, data: &str) -> u32 {
-        let combined = if data.is_empty() {
-            target.to_string()
-        } else {
-            format!("{target} {data}")
-        };
-        self.instructions.intern(combined.as_str())
+        if data.is_empty() {
+            return self.intern_str(target);
+        }
+        self.intern_str(&format!("{target} {data}"))
     }
 
     /// Instruction `(target, data)` by id.
     pub fn instruction(&self, id: u32) -> Option<(&str, &str)> {
-        self.instructions.get(id).map(|s| match s.find(' ') {
+        self.string(id).map(|s| match s.find(' ') {
             Some(i) => (&s[..i], &s[i + 1..]),
-            None => (s.as_str(), ""),
+            None => (s, ""),
         })
     }
 
@@ -273,37 +283,19 @@ impl ValuePool {
         self.qnames.len()
     }
 
-    /// Folds every interner's delta into a fresh shared base (ids are
-    /// preserved). Runs after shredding, in vacuum, and when a
-    /// checkpoint publishes/loads — never on the intern path, so commits
-    /// stay O(touched) and deltas are bounded by the commits since the
-    /// last maintenance point.
+    /// Folds both interners' deltas into fresh shared bases (ids are
+    /// preserved). Runs at the maintenance points of
+    /// [`crate::PagedDoc::compact`] — never on the intern path, so
+    /// commits stay O(touched) and deltas are bounded by the commits
+    /// since the last maintenance point.
     pub fn compact(&mut self) {
         self.qnames.compact();
-        self.props.compact();
-        self.texts.compact();
-        self.comments.compact();
-        self.instructions.compact();
+        self.strings.compact();
     }
 
     /// Values interned since the last compaction (diagnostic).
     pub fn delta_len(&self) -> usize {
-        self.qnames.delta_values.len()
-            + self.props.delta_values.len()
-            + self.texts.delta_values.len()
-            + self.comments.delta_values.len()
-            + self.instructions.delta_values.len()
-    }
-
-    /// Approximate heap footprint (for the storage-overhead experiment).
-    pub fn approx_bytes(&self) -> usize {
-        let string_bytes = |s: &String| (s.len() + 24) * 2;
-        self.qnames
-            .approx_heap(|q| q.prefix.len() + q.local.len() + 48)
-            + self.props.approx_heap(string_bytes)
-            + self.texts.approx_heap(string_bytes)
-            + self.comments.approx_heap(string_bytes)
-            + self.instructions.approx_heap(string_bytes)
+        self.qnames.delta_values.len() + self.strings.delta_values.len()
     }
 }
 
@@ -433,18 +425,21 @@ pub struct TextProbe {
     pub unindexed: Vec<u64>,
 }
 
-/// One key space of the content index: `(QnId, value)` → node ids, with
-/// the exact hash arm and the sorted numeric arm, base + per-key delta.
+/// One key space of the content index: `(QnId, string id)` → node ids,
+/// with the exact hash arm and the sorted numeric arm, base + per-key
+/// delta.
 #[derive(Debug, Clone, Default)]
 struct ValueIndex {
     base: Arc<ValueBase>,
     delta: HashMap<QnId, ValueDelta>,
 }
 
+/// qn → string id → node ids (document order).
+type ExactArm = HashMap<QnId, HashMap<u32, Vec<u64>>>;
+
 #[derive(Debug, Default)]
 struct ValueBase {
-    /// qn → value → node ids (document order).
-    exact: HashMap<QnId, HashMap<String, Vec<u64>>>,
+    exact: ExactArm,
     /// qn → `(number, node)` sorted by number (then node) — only values
     /// that parse under [`xpath_number`].
     numeric: HashMap<QnId, Vec<(f64, u64)>>,
@@ -453,44 +448,38 @@ struct ValueBase {
     stats: HashMap<QnId, DegreeStats>,
 }
 
-/// Degree statistics of an exact-arm base (one pass per rebuild).
-fn base_degree_stats(
-    exact: &HashMap<QnId, HashMap<String, Vec<u64>>>,
-) -> HashMap<QnId, DegreeStats> {
-    exact
-        .iter()
-        .map(|(&qn, bucket)| {
-            let mut s = DegreeStats::default();
-            for list in bucket.values() {
-                s.distinct_keys += 1;
-                s.total_postings += list.len() as u64;
-                s.max_postings = s.max_postings.max(list.len() as u64);
-            }
-            (qn, s)
-        })
-        .collect()
-}
-
 /// Per-qn overlay. The mutation protocol is remove-then-add: every
 /// value change first records the node in `removed` (shadowing whatever
-/// the base holds for it), then appends the new `(value, node)` pair —
-/// so `added` never needs tombstone filtering.
+/// the base holds for it), then appends the new `(string id, node)` pair
+/// — so `added` never needs tombstone filtering.
 #[derive(Debug, Clone, Default)]
 struct ValueDelta {
-    added: Vec<(String, u64)>,
+    added: Vec<(u32, u64)>,
     removed: HashSet<u64>,
 }
 
+/// The number a string-table entry parses to (`NaN` for none).
+fn number_of(pool: &ValuePool, id: u32) -> f64 {
+    xpath_number(pool.string(id).unwrap_or(""))
+}
+
+/// Where the values of `range` start in a number-sorted list.
+fn range_start(sorted: &[(f64, u64)], range: &NumRange) -> usize {
+    sorted.partition_point(|&(v, _)| {
+        if range.lo_incl {
+            v < range.lo
+        } else {
+            v <= range.lo
+        }
+    })
+}
+
 impl ValueIndex {
-    /// Records that `node` now carries `value` under key `qn`. Callers
-    /// must have called [`ValueIndex::remove`] first if the node
+    /// Records that `node` now carries string `value` under key `qn`.
+    /// Callers must have called [`ValueIndex::remove`] first if the node
     /// already carried a value under this key.
-    fn add(&mut self, qn: QnId, value: &str, node: u64) {
-        self.delta
-            .entry(qn)
-            .or_default()
-            .added
-            .push((value.to_string(), node));
+    fn add(&mut self, qn: QnId, value: u32, node: u64) {
+        self.delta.entry(qn).or_default().added.push((value, node));
     }
 
     /// Removes whatever value `node` carries under key `qn` (no-op — a
@@ -504,17 +493,17 @@ impl ValueIndex {
         }
     }
 
-    /// Nodes carrying exactly `value` under `qn`, as `pre` ranks in
-    /// document order (`pre_of` skips dead ids defensively).
+    /// Nodes carrying exactly string `value` under `qn`, as `pre` ranks
+    /// in document order (`pre_of` skips dead ids defensively).
     fn probe_exact(
         &self,
         qn: QnId,
-        value: &str,
+        value: u32,
         mut pre_of: impl FnMut(u64) -> Option<u64>,
     ) -> Vec<u64> {
         let delta = self.delta.get(&qn);
         let mut out: Vec<u64> = Vec::new();
-        if let Some(list) = self.base.exact.get(&qn).and_then(|m| m.get(value)) {
+        if let Some(list) = self.base.exact.get(&qn).and_then(|m| m.get(&value)) {
             for &n in list {
                 if delta.is_some_and(|d| d.removed.contains(&n)) {
                     continue;
@@ -526,9 +515,9 @@ impl ValueIndex {
         }
         if let Some(d) = delta {
             let before = out.len();
-            for (v, n) in &d.added {
+            for &(v, n) in &d.added {
                 if v == value {
-                    if let Some(p) = pre_of(*n) {
+                    if let Some(p) = pre_of(n) {
                         out.push(p);
                     }
                 }
@@ -544,6 +533,7 @@ impl ValueIndex {
     /// in document order.
     fn probe_range(
         &self,
+        pool: &ValuePool,
         qn: QnId,
         range: &NumRange,
         mut pre_of: impl FnMut(u64) -> Option<u64>,
@@ -553,14 +543,7 @@ impl ValueIndex {
         if let Some(sorted) = self.base.numeric.get(&qn) {
             // Binary-search to the first candidate, then walk until the
             // values leave the range (the sorted arm's whole point).
-            let start = sorted.partition_point(|&(v, _)| {
-                if range.lo_incl {
-                    v < range.lo
-                } else {
-                    v <= range.lo
-                }
-            });
-            for &(v, n) in &sorted[start..] {
+            for &(v, n) in &sorted[range_start(sorted, range)..] {
                 if !range.contains(v) {
                     break;
                 }
@@ -573,9 +556,9 @@ impl ValueIndex {
             }
         }
         if let Some(d) = delta {
-            for (v, n) in &d.added {
-                if range.contains(xpath_number(v)) {
-                    if let Some(p) = pre_of(*n) {
+            for &(v, n) in &d.added {
+                if range.contains(number_of(pool, v)) {
+                    if let Some(p) = pre_of(n) {
                         out.push(p);
                     }
                 }
@@ -590,31 +573,24 @@ impl ValueIndex {
     /// statistic the cost model keys on (tombstoned base entries are
     /// not subtracted; over-estimating the probe keeps the choice
     /// conservative).
-    fn count_exact(&self, qn: QnId, value: &str) -> u64 {
+    fn count_exact(&self, qn: QnId, value: u32) -> u64 {
         let base = self
             .base
             .exact
             .get(&qn)
-            .and_then(|m| m.get(value))
+            .and_then(|m| m.get(&value))
             .map_or(0, Vec::len) as u64;
         let added = self
             .delta
             .get(&qn)
-            .map_or(0, |d| d.added.iter().filter(|(v, _)| v == value).count())
+            .map_or(0, |d| d.added.iter().filter(|&&(v, _)| v == value).count())
             as u64;
         base + added
     }
 
     /// Upper-bound cardinality of [`ValueIndex::probe_range`].
-    fn count_range(&self, qn: QnId, range: &NumRange) -> u64 {
+    fn count_range(&self, pool: &ValuePool, qn: QnId, range: &NumRange) -> u64 {
         let base = self.base.numeric.get(&qn).map_or(0, |sorted| {
-            let start = sorted.partition_point(|&(v, _)| {
-                if range.lo_incl {
-                    v < range.lo
-                } else {
-                    v <= range.lo
-                }
-            });
             let end = sorted.partition_point(|&(v, _)| {
                 if range.hi_incl {
                     v <= range.hi
@@ -622,12 +598,12 @@ impl ValueIndex {
                     v < range.hi
                 }
             });
-            end.saturating_sub(start)
+            end.saturating_sub(range_start(sorted, range))
         }) as u64;
         let added = self.delta.get(&qn).map_or(0, |d| {
             d.added
                 .iter()
-                .filter(|(v, _)| range.contains(xpath_number(v)))
+                .filter(|&&(v, _)| range.contains(number_of(pool, v)))
                 .count()
         }) as u64;
         base + added
@@ -635,12 +611,11 @@ impl ValueIndex {
 
     /// Folds the deltas into a fresh shared base (per-key lists stay
     /// document-ordered via `pre_of`). Maintenance points only.
-    fn compact(&mut self, mut pre_of: impl FnMut(u64) -> Option<u64>) {
+    fn compact(&mut self, pool: &ValuePool, mut pre_of: impl FnMut(u64) -> Option<u64>) {
         if self.delta.is_empty() {
             return;
         }
         let mut exact = self.base.exact.clone();
-        let mut numeric = self.base.numeric.clone();
         for (qn, d) in self.delta.drain() {
             let bucket = exact.entry(qn).or_default();
             if !d.removed.is_empty() {
@@ -653,31 +628,15 @@ impl ValueIndex {
                 bucket.entry(v).or_default().push(n);
             }
             // Restore per-list document order (adds appended out of
-            // order), then rebuild the qn's sorted numeric arm.
-            let mut nums: Vec<(f64, u64)> = Vec::new();
-            for (v, list) in bucket.iter_mut() {
+            // order).
+            for list in bucket.values_mut() {
                 list.sort_unstable_by_key(|&n| pre_of(n).unwrap_or(u64::MAX));
-                let num = xpath_number(v);
-                if !num.is_nan() {
-                    nums.extend(list.iter().map(|&n| (num, n)));
-                }
             }
             if bucket.is_empty() {
                 exact.remove(&qn);
             }
-            nums.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs stored"));
-            if nums.is_empty() {
-                numeric.remove(&qn);
-            } else {
-                numeric.insert(qn, nums);
-            }
         }
-        let stats = base_degree_stats(&exact);
-        self.base = Arc::new(ValueBase {
-            exact,
-            numeric,
-            stats,
-        });
+        *self = ValueIndex::from_exact(pool, exact);
     }
 
     /// Entries added/tombstoned since the last compaction (diagnostic).
@@ -686,6 +645,24 @@ impl ValueIndex {
             .values()
             .map(|d| d.added.len() + d.removed.len())
             .sum()
+    }
+
+    /// Every live `(qn, string id, node)` entry, base and delta (order
+    /// unspecified).
+    fn entries(&self) -> impl Iterator<Item = (QnId, u32, u64)> + '_ {
+        let base = self.base.exact.iter().flat_map(move |(&qn, bucket)| {
+            let removed = self.delta.get(&qn).map(|d| &d.removed);
+            bucket.iter().flat_map(move |(&v, list)| {
+                list.iter()
+                    .filter(move |n| !removed.is_some_and(|r| r.contains(n)))
+                    .map(move |&n| (qn, v, n))
+            })
+        });
+        let added = self
+            .delta
+            .iter()
+            .flat_map(|(&qn, d)| d.added.iter().map(move |&(v, n)| (qn, v, n)));
+        base.chain(added)
     }
 
     /// Degree statistics for key space `qn`: the base's precomputed
@@ -704,6 +681,71 @@ impl ValueIndex {
             }
         }
         s
+    }
+
+    /// Builds the base (numeric arm and degree statistics derived) from
+    /// document-ordered exact lists; empty delta.
+    fn from_exact(pool: &ValuePool, exact: ExactArm) -> ValueIndex {
+        let mut numeric: HashMap<QnId, Vec<(f64, u64)>> = HashMap::new();
+        let mut stats: HashMap<QnId, DegreeStats> = HashMap::new();
+        for (&qn, bucket) in &exact {
+            let mut nums: Vec<(f64, u64)> = Vec::new();
+            let s = stats.entry(qn).or_default();
+            for (&v, list) in bucket {
+                s.distinct_keys += 1;
+                s.total_postings += list.len() as u64;
+                s.max_postings = s.max_postings.max(list.len() as u64);
+                let num = number_of(pool, v);
+                if !num.is_nan() {
+                    nums.extend(list.iter().map(|&n| (num, n)));
+                }
+            }
+            if !nums.is_empty() {
+                nums.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs stored"));
+                numeric.insert(qn, nums);
+            }
+        }
+        ValueIndex {
+            base: Arc::new(ValueBase {
+                exact,
+                numeric,
+                stats,
+            }),
+            delta: HashMap::new(),
+        }
+    }
+}
+
+/// The text key of a simple-content element, built from its direct text
+/// children as they arrive (module docs): one child's key is that text's
+/// own string id, and only a concatenation of several — or the empty
+/// value of none — is interned as a string of its own.
+#[derive(Debug, Default)]
+pub(crate) struct TextKey {
+    first: Option<u32>,
+    concat: Option<String>,
+}
+
+impl TextKey {
+    /// Appends the text child whose content is string `text`.
+    pub(crate) fn push(&mut self, pool: &ValuePool, text: u32) {
+        let s = pool.string(text).unwrap_or("");
+        match (&mut self.concat, self.first) {
+            (Some(c), _) => c.push_str(s),
+            (None, Some(first)) => {
+                self.concat = Some([pool.string(first).unwrap_or(""), s].concat());
+            }
+            (None, None) => self.first = Some(text),
+        }
+    }
+
+    /// The key's string id.
+    pub(crate) fn finish(self, pool: &mut ValuePool) -> u32 {
+        match (self.concat, self.first) {
+            (Some(c), _) => pool.intern_str(&c),
+            (None, Some(first)) => first,
+            (None, None) => pool.intern_str(""),
+        }
     }
 }
 
@@ -726,8 +768,8 @@ impl ContentIndex {
 
     /// Records `@qn = value` on element `node` (any previous value for
     /// this attribute must have been removed first).
-    pub(crate) fn add_attr(&mut self, qn: QnId, value: &str, node: u64) {
-        self.attrs.add(qn, value, node);
+    pub(crate) fn add_attr(&mut self, qn: QnId, value: PropId, node: u64) {
+        self.attrs.add(qn, value.0, node);
     }
 
     /// Removes element `node`'s `@qn` entry.
@@ -736,8 +778,8 @@ impl ContentIndex {
     }
 
     /// Registers element `node` (named `qn`) with content state `key`:
-    /// `Some(text)` for simple content, `None` for complex.
-    pub(crate) fn add_element(&mut self, qn: QnId, key: Option<&str>, node: u64) {
+    /// `Some(string id)` for simple content, `None` for complex.
+    pub(crate) fn add_element(&mut self, qn: QnId, key: Option<u32>, node: u64) {
         match key {
             Some(text) => self.texts.add(qn, text, node),
             None => self.complex.add(qn, node),
@@ -757,7 +799,7 @@ impl ContentIndex {
 
     /// Unregisters element `node` (named `qn`) from the arm its known
     /// content state `key` lives in — the removal half of a re-key.
-    pub(crate) fn remove_element_keyed(&mut self, qn: QnId, key: Option<&str>, node: u64) {
+    pub(crate) fn remove_element_keyed(&mut self, qn: QnId, key: Option<u32>, node: u64) {
         match key {
             Some(_) => self.texts.remove(qn, node),
             None => self.complex.remove(qn, node),
@@ -766,67 +808,60 @@ impl ContentIndex {
 
     /// Moves element `node` (content state `key`) between names —
     /// the rename hook.
-    pub(crate) fn rename_element(
-        &mut self,
-        old_qn: QnId,
-        new_qn: QnId,
-        key: Option<&str>,
-        node: u64,
-    ) {
-        match key {
-            Some(text) => {
-                self.texts.remove(old_qn, node);
-                self.texts.add(new_qn, text, node);
-            }
-            None => {
-                self.complex.remove(old_qn, node);
-                self.complex.add(new_qn, node);
-            }
-        }
+    pub(crate) fn rename_element(&mut self, old: QnId, new: QnId, key: Option<u32>, node: u64) {
+        self.remove_element_keyed(old, key, node);
+        self.add_element(new, key, node);
     }
 
-    // -- probes --------------------------------------------------------
+    // -- probes (a literal the string table lacks matches nothing) ----
 
     /// Elements with `@qn = value`, as pre ranks in document order.
     pub(crate) fn attr_eq(
         &self,
+        pool: &ValuePool,
         qn: QnId,
         value: &str,
         pre_of: impl FnMut(u64) -> Option<u64>,
     ) -> Vec<u64> {
-        self.attrs.probe_exact(qn, value, pre_of)
+        pool.lookup_str(value)
+            .map_or_else(Vec::new, |v| self.attrs.probe_exact(qn, v, pre_of))
     }
 
     /// Elements whose `@qn` parses into `range`.
     pub(crate) fn attr_range(
         &self,
+        pool: &ValuePool,
         qn: QnId,
         range: &NumRange,
         pre_of: impl FnMut(u64) -> Option<u64>,
     ) -> Vec<u64> {
-        self.attrs.probe_range(qn, range, pre_of)
+        self.attrs.probe_range(pool, qn, range, pre_of)
     }
 
     /// Upper-bound cardinality of [`ContentIndex::attr_eq`].
-    pub(crate) fn attr_eq_count(&self, qn: QnId, value: &str) -> u64 {
-        self.attrs.count_exact(qn, value)
+    pub(crate) fn attr_eq_count(&self, pool: &ValuePool, qn: QnId, value: &str) -> u64 {
+        pool.lookup_str(value)
+            .map_or(0, |v| self.attrs.count_exact(qn, v))
     }
 
     /// Upper-bound cardinality of [`ContentIndex::attr_range`].
-    pub(crate) fn attr_range_count(&self, qn: QnId, range: &NumRange) -> u64 {
-        self.attrs.count_range(qn, range)
+    pub(crate) fn attr_range_count(&self, pool: &ValuePool, qn: QnId, range: &NumRange) -> u64 {
+        self.attrs.count_range(pool, qn, range)
     }
 
     /// Elements named `qn` whose string value equals `value` (exact
     /// arm) plus the name's unverified complex elements.
     pub(crate) fn text_eq(
         &self,
+        pool: &ValuePool,
         qn: QnId,
         value: &str,
         mut pre_of: impl FnMut(u64) -> Option<u64>,
     ) -> TextProbe {
         TextProbe {
-            exact: self.texts.probe_exact(qn, value, &mut pre_of),
+            exact: pool
+                .lookup_str(value)
+                .map_or_else(Vec::new, |v| self.texts.probe_exact(qn, v, &mut pre_of)),
             unindexed: self.complex_pres(qn, pre_of),
         }
     }
@@ -835,25 +870,28 @@ impl ContentIndex {
     /// (exact arm) plus the name's unverified complex elements.
     pub(crate) fn text_range(
         &self,
+        pool: &ValuePool,
         qn: QnId,
         range: &NumRange,
         mut pre_of: impl FnMut(u64) -> Option<u64>,
     ) -> TextProbe {
         TextProbe {
-            exact: self.texts.probe_range(qn, range, &mut pre_of),
+            exact: self.texts.probe_range(pool, qn, range, &mut pre_of),
             unindexed: self.complex_pres(qn, pre_of),
         }
     }
 
     /// Upper-bound cardinality of [`ContentIndex::text_eq`] (complex
     /// candidates included — they cost a verification each).
-    pub(crate) fn text_eq_count(&self, qn: QnId, value: &str) -> u64 {
-        self.texts.count_exact(qn, value) + self.complex.count_upper(qn)
+    pub(crate) fn text_eq_count(&self, pool: &ValuePool, qn: QnId, value: &str) -> u64 {
+        pool.lookup_str(value)
+            .map_or(0, |v| self.texts.count_exact(qn, v))
+            + self.complex.count_upper(qn)
     }
 
     /// Upper-bound cardinality of [`ContentIndex::text_range`].
-    pub(crate) fn text_range_count(&self, qn: QnId, range: &NumRange) -> u64 {
-        self.texts.count_range(qn, range) + self.complex.count_upper(qn)
+    pub(crate) fn text_range_count(&self, pool: &ValuePool, qn: QnId, range: &NumRange) -> u64 {
+        self.texts.count_range(pool, qn, range) + self.complex.count_upper(qn)
     }
 
     /// Degree statistics of the attribute key space for `@qn`.
@@ -876,6 +914,14 @@ impl ContentIndex {
         s
     }
 
+    /// Every live attribute entry `(attribute name, value, element
+    /// node)`, in no particular order.
+    pub(crate) fn attr_entries(&self) -> impl Iterator<Item = (QnId, PropId, u64)> + '_ {
+        self.attrs
+            .entries()
+            .map(|(qn, v, node)| (qn, PropId(v), node))
+    }
+
     fn complex_pres(&self, qn: QnId, pre_of: impl FnMut(u64) -> Option<u64>) -> Vec<u64> {
         self.complex
             .nodes_by_pre(qn, pre_of)
@@ -888,9 +934,9 @@ impl ContentIndex {
 
     /// Folds all deltas into fresh shared bases. Maintenance points
     /// only (clones the whole base).
-    pub(crate) fn compact(&mut self, mut pre_of: impl FnMut(u64) -> Option<u64>) {
-        self.attrs.compact(&mut pre_of);
-        self.texts.compact(&mut pre_of);
+    pub(crate) fn compact(&mut self, pool: &ValuePool, mut pre_of: impl FnMut(u64) -> Option<u64>) {
+        self.attrs.compact(pool, &mut pre_of);
+        self.texts.compact(pool, &mut pre_of);
         self.complex.compact(pre_of);
     }
 
@@ -900,64 +946,52 @@ impl ContentIndex {
     }
 
     /// Builds a compacted index by scanning a whole document view — the
-    /// shredding / vacuum / checkpoint-load constructor. One pass over
-    /// the used slots classifies every element (simple key vs complex)
-    /// and collects attribute rows; node ids come from the view, so the
-    /// index survives later pre shifts.
-    pub(crate) fn build_from_view<V: crate::view::TreeView + ?Sized>(view: &V) -> ContentIndex {
-        struct Frame {
-            level: u16,
-            pre: u64,
-            node: u64,
-            qn: QnId,
-            has_elem_child: bool,
-            text: String,
-        }
-        // (pre, node, qn, key) — collected, then inserted in pre order
-        // so the base posting lists come out document-ordered.
-        let mut elems: Vec<(u64, u64, QnId, Option<String>)> = Vec::new();
-        let mut attr_base: HashMap<QnId, HashMap<String, Vec<u64>>> = HashMap::new();
-        let mut stack: Vec<Frame> = Vec::new();
-        let finalize = |f: Frame, out: &mut Vec<(u64, u64, QnId, Option<String>)>| {
-            let key = if f.has_elem_child { None } else { Some(f.text) };
-            out.push((f.pre, f.node, f.qn, key));
+    /// shredding / vacuum / checkpoint-load constructor. `pool` is the
+    /// view's own pool, lent out so that concatenated keys can be
+    /// interned while the view is read (the scan reads no string through
+    /// the view). One pass over the used slots classifies every element
+    /// (simple key vs complex) and collects attribute rows; node ids
+    /// come from the view, so the index survives later pre shifts.
+    pub(crate) fn build_from_view<V: crate::view::TreeView + ?Sized>(
+        view: &V,
+        pool: &mut ValuePool,
+    ) -> ContentIndex {
+        // Open elements: level, index into `elems`, and the text key
+        // (`None` once an element child made the element complex).
+        let mut stack: Vec<(u16, usize, Option<TextKey>)> = Vec::new();
+        // (node, qn, key) in document order; the key is set on close.
+        let mut elems: Vec<(u64, QnId, Option<u32>)> = Vec::new();
+        let mut attr_base = ExactArm::new();
+        let close = |(_, at, key): (u16, usize, Option<TextKey>),
+                     elems: &mut Vec<(u64, QnId, Option<u32>)>,
+                     pool: &mut ValuePool| {
+            elems[at].2 = key.map(|k| k.finish(pool));
         };
         let mut p = 0u64;
         while let Some(q) = view.next_used_at_or_after(p) {
             let level = view.level(q).expect("used slot has a level");
-            while stack.last().is_some_and(|f| f.level >= level) {
-                finalize(stack.pop().expect("just checked"), &mut elems);
+            while stack.last().is_some_and(|f| f.0 >= level) {
+                close(stack.pop().expect("just checked"), &mut elems, pool);
             }
             match view.kind(q) {
                 Some(Kind::Element) => {
                     let node = view.node_id(q).expect("used slot has a node id").0;
                     let qn = view.name_id(q).expect("element has a name");
                     if let Some(parent) = stack.last_mut() {
-                        parent.has_elem_child = true;
+                        parent.2 = None;
                     }
                     for (aqn, prop) in view.attributes(q) {
-                        let value = view.pool().prop(prop).unwrap_or_default().to_string();
-                        attr_base
-                            .entry(aqn)
-                            .or_default()
-                            .entry(value)
-                            .or_default()
-                            .push(node);
+                        let bucket = attr_base.entry(aqn).or_default();
+                        bucket.entry(prop.0).or_default().push(node);
                     }
-                    stack.push(Frame {
-                        level,
-                        pre: q,
-                        node,
-                        qn,
-                        has_elem_child: false,
-                        text: String::new(),
-                    });
+                    stack.push((level, elems.len(), Some(TextKey::default())));
+                    elems.push((node, qn, None));
                 }
                 Some(Kind::Text) => {
-                    if let Some(parent) = stack.last_mut() {
-                        if let Some(ValueRef(v)) = view.value_ref(q) {
-                            parent.text.push_str(view.pool().text(v).unwrap_or(""));
-                        }
+                    if let (Some((_, _, Some(key))), Some(ValueRef(v))) =
+                        (stack.last_mut(), view.value_ref(q))
+                    {
+                        key.push(pool, v);
                     }
                 }
                 _ => {} // comments/PIs contribute no string value
@@ -965,13 +999,11 @@ impl ContentIndex {
             p = q + 1;
         }
         while let Some(f) = stack.pop() {
-            finalize(f, &mut elems);
+            close(f, &mut elems, pool);
         }
-        elems.sort_unstable_by_key(|&(pre, ..)| pre);
-
-        let mut text_base: HashMap<QnId, HashMap<String, Vec<u64>>> = HashMap::new();
+        let mut text_base = ExactArm::new();
         let mut complex_base: HashMap<QnId, Vec<u64>> = HashMap::new();
-        for (_, node, qn, key) in elems {
+        for (node, qn, key) in elems {
             match key {
                 Some(text) => text_base
                     .entry(qn)
@@ -983,39 +1015,9 @@ impl ContentIndex {
             }
         }
         ContentIndex {
-            attrs: ValueIndex::from_exact(attr_base),
-            texts: ValueIndex::from_exact(text_base),
+            attrs: ValueIndex::from_exact(pool, attr_base),
+            texts: ValueIndex::from_exact(pool, text_base),
             complex: crate::names::NameIndex::from_base(complex_base),
-        }
-    }
-}
-
-impl ValueIndex {
-    /// Builds the base (numeric arm derived) from document-ordered
-    /// exact lists; empty delta.
-    fn from_exact(exact: HashMap<QnId, HashMap<String, Vec<u64>>>) -> ValueIndex {
-        let mut numeric: HashMap<QnId, Vec<(f64, u64)>> = HashMap::new();
-        for (&qn, bucket) in &exact {
-            let mut nums: Vec<(f64, u64)> = Vec::new();
-            for (v, list) in bucket {
-                let num = xpath_number(v);
-                if !num.is_nan() {
-                    nums.extend(list.iter().map(|&n| (num, n)));
-                }
-            }
-            if !nums.is_empty() {
-                nums.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs stored"));
-                numeric.insert(qn, nums);
-            }
-        }
-        let stats = base_degree_stats(&exact);
-        ValueIndex {
-            base: Arc::new(ValueBase {
-                exact,
-                numeric,
-                stats,
-            }),
-            delta: HashMap::new(),
         }
     }
 }
@@ -1048,10 +1050,15 @@ mod tests {
     fn props_are_unique_strings() {
         let mut p = ValuePool::new();
         let a = p.intern_prop("person0");
-        let b = p.intern_prop("person0");
-        assert_eq!(a, b);
+        assert_eq!(p.intern_prop("person0"), a);
         assert_eq!(p.prop(a), Some("person0"));
         assert_eq!(p.lookup_prop("nope"), None);
+        // Attribute values and node content share the one table …
+        assert_eq!(p.intern_text("person0"), a.0);
+        assert_eq!(p.intern_comment("person0"), a.0);
+        // … and its lookup map holds the table's own allocation.
+        let s = &p.strings.delta_values[a.0 as usize];
+        assert_eq!(Arc::strong_count(s), 2);
     }
 
     #[test]
@@ -1139,83 +1146,107 @@ mod tests {
 
     #[test]
     fn value_index_base_delta_and_ranges() {
-        let mut exact: HashMap<QnId, HashMap<String, Vec<u64>>> = HashMap::new();
-        exact
-            .entry(QnId(1))
-            .or_default()
-            .insert("10".into(), vec![2, 8]);
-        exact
-            .entry(QnId(1))
-            .or_default()
-            .insert("50".into(), vec![5]);
-        let mut idx = ValueIndex::from_exact(exact);
-        assert_eq!(idx.probe_exact(QnId(1), "10", ident), vec![2, 8]);
+        let mut pool = ValuePool::new();
+        let [v10, v50, v49] = ["10", "50", "49"].map(|v| pool.intern_str(v));
+        let mut exact = ExactArm::new();
+        exact.entry(QnId(1)).or_default().insert(v10, vec![2, 8]);
+        exact.entry(QnId(1)).or_default().insert(v50, vec![5]);
+        let mut idx = ValueIndex::from_exact(&pool, exact);
+        let at_least = |n, incl| NumRange::at_least(n, incl);
+        assert_eq!(idx.probe_exact(QnId(1), v10, ident), vec![2, 8]);
         assert_eq!(
-            idx.probe_range(QnId(1), &NumRange::at_least(10.0, true), ident),
+            idx.probe_range(&pool, QnId(1), &at_least(10.0, true), ident),
             vec![2, 5, 8]
         );
         assert_eq!(
-            idx.probe_range(QnId(1), &NumRange::at_least(10.0, false), ident),
+            idx.probe_range(&pool, QnId(1), &at_least(10.0, false), ident),
             vec![5]
         );
         // Value change on node 8: remove, add under a new value.
         idx.remove(QnId(1), 8);
-        idx.add(QnId(1), "49", 8);
-        assert_eq!(idx.probe_exact(QnId(1), "10", ident), vec![2]);
-        assert_eq!(idx.probe_exact(QnId(1), "49", ident), vec![8]);
+        idx.add(QnId(1), v49, 8);
+        assert_eq!(idx.probe_exact(QnId(1), v10, ident), vec![2]);
+        assert_eq!(idx.probe_exact(QnId(1), v49, ident), vec![8]);
         assert_eq!(
-            idx.probe_range(QnId(1), &NumRange::at_least(11.0, true), ident),
+            idx.probe_range(&pool, QnId(1), &at_least(11.0, true), ident),
             vec![5, 8]
         );
         // Counts are upper bounds.
-        assert!(idx.count_exact(QnId(1), "10") >= 1);
-        assert!(idx.count_range(QnId(1), &NumRange::at_least(11.0, true)) >= 2);
+        assert!(idx.count_exact(QnId(1), v10) >= 1);
+        assert!(idx.count_range(&pool, QnId(1), &at_least(11.0, true)) >= 2);
         // Compaction preserves contents and clears the delta.
         assert!(idx.delta_len() > 0);
-        idx.compact(ident);
+        idx.compact(&pool, ident);
         assert_eq!(idx.delta_len(), 0);
-        assert_eq!(idx.probe_exact(QnId(1), "49", ident), vec![8]);
+        assert_eq!(idx.probe_exact(QnId(1), v49, ident), vec![8]);
         assert_eq!(
-            idx.probe_range(QnId(1), &NumRange::at_least(11.0, true), ident),
+            idx.probe_range(&pool, QnId(1), &at_least(11.0, true), ident),
             vec![5, 8]
         );
-        assert_eq!(idx.count_exact(QnId(1), "10"), 1);
+        assert_eq!(idx.count_exact(QnId(1), v10), 1);
     }
 
     #[test]
     fn content_index_rekey_and_rename() {
+        let mut pool = ValuePool::new();
+        let (alice, bob) = (pool.intern_str("Alice"), pool.intern_str("Bob"));
         let mut idx = ContentIndex::default();
-        idx.add_element(QnId(0), Some("Alice"), 4);
+        idx.add_element(QnId(0), Some(alice), 4);
         idx.add_element(QnId(0), None, 9);
-        assert_eq!(idx.text_eq(QnId(0), "Alice", ident).exact, vec![4]);
-        assert_eq!(idx.text_eq(QnId(0), "Alice", ident).unindexed, vec![9]);
+        assert_eq!(idx.text_eq(&pool, QnId(0), "Alice", ident).exact, vec![4]);
+        assert_eq!(
+            idx.text_eq(&pool, QnId(0), "Alice", ident).unindexed,
+            vec![9]
+        );
+        // A literal the string table lacks matches no simple element,
+        // but the complex ones still come back for verification.
+        let missing = idx.text_eq(&pool, QnId(0), "Carol", ident);
+        assert_eq!((missing.exact, missing.unindexed), (vec![], vec![9]));
         // Complex → simple (a delete removed the element child):
         // remove-then-add, the diff protocol of the update paths.
         idx.remove_element(QnId(0), 9);
-        idx.add_element(QnId(0), Some("Bob"), 9);
-        let probe = idx.text_eq(QnId(0), "Bob", ident);
+        idx.add_element(QnId(0), Some(bob), 9);
+        let probe = idx.text_eq(&pool, QnId(0), "Bob", ident);
         assert_eq!(probe.exact, vec![9]);
         assert!(probe.unindexed.is_empty());
         // Rename moves between name buckets, key preserved.
-        idx.rename_element(QnId(0), QnId(7), Some("Bob"), 9);
-        assert!(idx.text_eq(QnId(0), "Bob", ident).exact.is_empty());
-        assert_eq!(idx.text_eq(QnId(7), "Bob", ident).exact, vec![9]);
-        assert!(idx.text_eq_count(QnId(7), "Bob") >= 1);
+        idx.rename_element(QnId(0), QnId(7), Some(bob), 9);
+        assert!(idx.text_eq(&pool, QnId(0), "Bob", ident).exact.is_empty());
+        assert_eq!(idx.text_eq(&pool, QnId(7), "Bob", ident).exact, vec![9]);
+        assert!(idx.text_eq_count(&pool, QnId(7), "Bob") >= 1);
     }
 
     #[test]
     fn content_index_clone_shares_base() {
-        let mut exact: HashMap<QnId, HashMap<String, Vec<u64>>> = HashMap::new();
+        let mut pool = ValuePool::new();
+        let mut exact = ExactArm::new();
+        let v = pool.intern_str("v");
         exact
             .entry(QnId(0))
             .or_default()
-            .insert("v".into(), (0..50).collect());
+            .insert(v, (0..50).collect());
         let idx = ContentIndex {
-            attrs: ValueIndex::from_exact(exact),
+            attrs: ValueIndex::from_exact(&pool, exact),
             texts: ValueIndex::default(),
             complex: crate::names::NameIndex::default(),
         };
         let snap = idx.clone();
         assert!(Arc::ptr_eq(&idx.attrs.base, &snap.attrs.base));
+    }
+
+    #[test]
+    fn text_keys_reuse_one_texts_id_and_intern_only_concatenations() {
+        let mut pool = ValuePool::new();
+        let (a, b) = (pool.intern_text("ab"), pool.intern_text("c"));
+        let key = |pool: &mut ValuePool, texts: &[u32]| {
+            let mut k = TextKey::default();
+            texts.iter().for_each(|&t| k.push(pool, t));
+            k.finish(pool)
+        };
+        assert_eq!(key(&mut pool, &[a]), a);
+        let abc = key(&mut pool, &[a, b, b]);
+        assert_eq!(pool.string(abc), Some("abcc"));
+        let empty = key(&mut pool, &[]);
+        assert_eq!(pool.string(empty), Some(""));
     }
 }

@@ -63,7 +63,9 @@ pub struct PreChunk<'a> {
     /// `qn` ids for elements; `u32::MAX` for non-element used slots.
     /// Unused slots hold the backward run index — check the kind first.
     pub names: &'a [u32],
-    /// Value-table references for non-elements; `u32::MAX` for elements.
+    /// String-table ids for non-elements. For elements, the schema's
+    /// own: the paged schema's first attribute row — check the kind
+    /// first.
     pub values: &'a [u32],
 }
 

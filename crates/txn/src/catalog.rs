@@ -52,7 +52,8 @@ use crate::shard::Shard;
 use crate::wal::{Wal, WalRecord};
 use crate::{CheckpointInfo, Result, StoreConfig, TxnError};
 use mbxq_storage::{NodeId, PageConfig, PagedDoc, TreeView};
-use mbxq_xml::{serialize_node, Node};
+use mbxq_xml::serialize::escape_attr;
+use mbxq_xml::{Event, Parser};
 use mbxq_xpath::EvalStats;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -133,6 +134,53 @@ fn io_err(context: &str, e: impl std::fmt::Display) -> TxnError {
     TxnError::CatalogIo {
         message: format!("{context}: {e}"),
     }
+}
+
+/// The root element's tags, and where its content ends in the text.
+struct RootText {
+    open: String,
+    close: String,
+    end: usize,
+}
+
+/// Streams `xml`'s events, calling `child` with the byte offset at which
+/// each child of the root element starts.
+fn root_children(xml: &str, mut child: impl FnMut(usize)) -> Result<RootText> {
+    let mut parser = Parser::new(xml);
+    let mut root = RootText {
+        open: String::new(),
+        close: String::new(),
+        end: 0,
+    };
+    let (mut depth, mut at) = (0usize, 0usize);
+    while let Some(ev) = parser
+        .next_event()
+        .map_err(|e| io_err("partition parse", e))?
+    {
+        match &ev {
+            Event::StartElement { name, attributes } if depth == 0 => {
+                root.open = format!("<{name}");
+                for (aname, avalue) in attributes {
+                    root.open.push_str(&format!(" {aname}=\""));
+                    escape_attr(avalue, &mut root.open);
+                    root.open.push('"');
+                }
+                root.open.push('>');
+                root.close = format!("</{name}>");
+            }
+            Event::EndElement { .. } if depth == 1 => root.end = at,
+            Event::EndElement { .. } => {}
+            _ if depth == 1 => child(at),
+            _ => {}
+        }
+        depth = match ev {
+            Event::StartElement { .. } => depth + 1,
+            Event::EndElement { .. } => depth - 1,
+            _ => depth,
+        };
+        at = parser.offset();
+    }
+    Ok(root)
 }
 
 impl Catalog {
@@ -381,35 +429,39 @@ impl Catalog {
     /// to ≥ 1). Returns the part names in order; since part order =
     /// creation order, [`Catalog::query_all`] merges their results in
     /// original document order for any within-subtree query.
+    ///
+    /// Neither of the two passes over the parser's events builds a tree
+    /// of the document: the first counts the root's children, the
+    /// second finds where each part's first child starts, and each part
+    /// is that run of the text inside a copy of the root's tags.
     pub fn create_partitioned(&self, base: &str, xml: &str, parts: usize) -> Result<Vec<String>> {
         validate_plain_name(base)?;
-        let parsed = mbxq_xml::Document::parse(xml).map_err(|e| io_err("partition parse", e))?;
-        let children = parsed.root.children();
-        let parts = parts.clamp(1, children.len().max(1));
+        let mut children = 0usize;
+        root_children(xml, |_| children += 1)?;
+        let parts = parts.clamp(1, children.max(1));
         let names: Vec<String> = (0..parts).map(|k| format!("{base}#{k}")).collect();
         for name in &names {
             if self.contains(name) {
                 return Err(TxnError::DuplicateDocument { name: name.clone() });
             }
         }
+        // The child each part starts at, then where in the text it does.
+        let mut starts = vec![0];
+        for k in 0..parts - 1 {
+            starts.push(starts[k] + (children - starts[k]) / (parts - k));
+        }
+        let (mut child, mut cuts) = (0usize, Vec::with_capacity(parts));
+        let root = root_children(xml, |at| {
+            if starts.get(cuts.len()) == Some(&child) {
+                cuts.push(at);
+            }
+            child += 1;
+        })?;
         let mut created = Vec::with_capacity(parts);
-        let mut start = 0usize;
         for (k, name) in names.iter().enumerate() {
-            let len = (children.len() - start) / (parts - k);
-            let part = match &parsed.root {
-                Node::Element {
-                    name: root_name,
-                    attributes,
-                    ..
-                } => Node::Element {
-                    name: root_name.clone(),
-                    attributes: attributes.clone(),
-                    children: children[start..start + len].to_vec(),
-                },
-                other => other.clone(),
-            };
-            let mut part_xml = String::new();
-            serialize_node(&part, &mut part_xml);
+            let cut = |k: usize| cuts.get(k).copied().unwrap_or(root.end);
+            let body = &xml[cut(k)..cut(k + 1)];
+            let part_xml = [root.open.as_str(), body, root.close.as_str()].concat();
             match self.create_doc_unchecked(name, &part_xml) {
                 Ok(_) => created.push(name.clone()),
                 Err(e) => {
@@ -421,7 +473,6 @@ impl Catalog {
                     return Err(e);
                 }
             }
-            start += len;
         }
         Ok(names)
     }
@@ -921,6 +972,15 @@ mod tests {
         // More parts than children clamps.
         let tiny = cat.create_partitioned("tiny", "<r><only/></r>", 4).unwrap();
         assert_eq!(tiny.len(), 1);
+        // Each part is its children's text as written: references and
+        // CDATA reach the part's parser unchanged.
+        let xml = "<r q=\"&quot;x&lt;\">a &amp; b<c><![CDATA[<raw>]]></c><!--n--><d/></r>";
+        let parts = cat.create_partitioned("esc", xml, 9).unwrap();
+        assert_eq!(parts.len(), 4);
+        for (p, probe) in parts.iter().zip(["/r[. = 'a & b']", "/r/c[. = '<raw>']"]) {
+            assert_eq!(cat.query_nodes(p, probe).unwrap().len(), 1, "{probe}");
+            assert_eq!(cat.query_nodes(p, "/r[@q = '\"x<']").unwrap().len(), 1);
+        }
     }
 
     #[test]

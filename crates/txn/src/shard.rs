@@ -309,7 +309,7 @@ impl Shard {
         let mut wal = self.wal.lock().unwrap();
         let wal_bytes_before = wal.len_bytes();
         wal.reset_with(&record)?;
-        // Checkpoints double as the pool/attr-index maintenance point:
+        // Checkpoints double as the pool/index maintenance point:
         // fold the accumulated deltas into fresh shared bases (never
         // done on the commit path, where it would cost O(document) under
         // the commit lock) and publish the compacted version. Node ids,
@@ -319,10 +319,7 @@ impl Shard {
         // re-apply onto the compacted one instead of publishing the
         // compaction away.
         let mut compacted = (*doc).clone();
-        compacted.pool_mut().compact();
-        compacted.compact_attr_index();
-        compacted.compact_name_index();
-        compacted.compact_content_index();
+        compacted.compact();
         let superseded = self.publish_locked(compacted);
         let info = CheckpointInfo {
             nodes: doc.used_count(),

@@ -84,6 +84,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Byte offset of the next unread input: after an event, where the
+    /// text behind that event starts.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Current position (for error reporting).
     fn text_pos(&self) -> TextPos {
         TextPos {

@@ -1,5 +1,6 @@
-//! Documents nested as deep as the `level` column allows load, serialize
-//! and take inserts without touching the thread stack per level.
+//! Documents nested as deep as the `level` column allows load (whole or
+//! partitioned), serialize and take inserts without touching the thread
+//! stack per level.
 //!
 //! This suite is its own test binary on purpose: a stack overflow aborts
 //! the whole process, not just the test that caused it. Everything runs
@@ -94,6 +95,16 @@ fn sixty_thousand_levels_on_a_512_kib_stack() {
                 [DEPTH.to_string()]
             );
             drop(db);
+
+            // A partitioned load whose second part is as deep: each
+            // part is cut from the text, with no tree of the document.
+            let cat = mbxq_txn::Catalog::in_memory(Default::default());
+            let xml = format!("<r><a/>{}</r>", nested(DEPTH));
+            let parts = cat.create_partitioned("p", &xml, 2).unwrap();
+            let deep = cat.shard(&parts[1]).unwrap().snapshot();
+            assert_eq!(deep.used_count(), DEPTH as u64 + 1);
+            check_paged(&deep).unwrap();
+            drop((deep, cat, xml));
 
             // One level more than the column holds is an error, not a
             // crash.

@@ -1,12 +1,14 @@
-//! Peak heap of loading and serializing an updatable document, as a
-//! multiple of its XML text.
+//! Peak and retained heap of loading and serializing an updatable
+//! document, as multiples of its XML text.
 //!
 //! Shredding streams parser events into staged tuples and serializing
 //! writes text straight from the pre/size/level view, so neither builds a
 //! tree of the whole document. A tree of `Node`s alone peaks at about
 //! fourteen times the text it came from; the bounds below sit under
 //! that, so a whole-document tree reintroduced on either path fails this
-//! test.
+//! test. So does one on the partitioned load of a catalog. The heap a
+//! loaded document keeps is bounded too: every string once, in the value
+//! pool, and the attributes found from their elements' slots.
 //!
 //! The binary holds this one test, under a counting global allocator
 //! that tracks live and peak-live bytes: another test running in parallel
@@ -14,18 +16,30 @@
 
 use mbxq_storage::serialize::to_xml;
 use mbxq_storage::{PageConfig, PagedDoc};
+use mbxq_txn::{Catalog, CatalogConfig};
 use mbxq_xmark::XMarkConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Peak live heap while `PagedDoc::parse_str` runs, over the text length:
-/// measured 8.64 on XMark 0.05, plus 25 % headroom. (Through a tree of
-/// the document it is above 20: the tree alone peaks at 14.4.)
-const SHRED_BOUND: f64 = 10.8;
+/// measured 5.73 on XMark 0.05, plus 25 % headroom. (Through a tree of
+/// the document it is above 20: the tree alone peaks at 14.4. With the
+/// content index's own copy of every value it was 8.64.)
+const SHRED_BOUND: f64 = 7.2;
 /// Peak live heap `to_xml` adds on top of the document, over the text
 /// length: measured 1.98 (the output `String` at its last doubling),
 /// plus 25 % headroom.
 const SERIALIZE_BOUND: f64 = 2.5;
+/// Live heap a loaded `PagedDoc` keeps once `parse_str` returns, over the
+/// text length: measured 4.98 on XMark 0.05, plus 25 % headroom. (With a
+/// second and third copy of every string, in the pool's lookup maps and
+/// the content index, and a node → rows map beside the attribute table,
+/// it was 7.19.)
+const RETAINED_BOUND: f64 = 6.2;
+/// Peak live heap of `Catalog::create_partitioned` into three parts,
+/// over the text length: measured 7.33, plus 25 % headroom. (A
+/// whole-document tree and a cloned tree per part put it at 26.3.)
+const PARTITION_BOUND: f64 = 9.2;
 
 struct Counting;
 
@@ -81,8 +95,10 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     let xml = mbxq_xmark::generate(&XMarkConfig::scaled(0.05, 1));
     let len = xml.len() as f64;
 
+    let before = LIVE.load(Relaxed);
     let (doc, shred) = peak_of(|| PagedDoc::parse_str(&xml, PageConfig::new(256, 80).unwrap()));
     let doc = doc.unwrap();
+    let retained = (LIVE.load(Relaxed) - before) as f64 / len;
     let (text, serialize) = peak_of(|| to_xml(&doc).unwrap());
     let reloaded = PagedDoc::parse_str(&text, doc.config()).unwrap();
     assert_eq!(
@@ -90,11 +106,17 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
         doc.stats(),
         "the text reloads to the same layout"
     );
-    drop(reloaded);
+    drop((reloaded, text, doc));
+
+    let catalog = Catalog::in_memory(CatalogConfig::default());
+    let (parts, partition) = peak_of(|| catalog.create_partitioned("x", &xml, 3));
+    assert_eq!(parts.unwrap().len(), 3);
+    let partition = partition as f64 / len;
 
     let (shred, serialize) = (shred as f64 / len, serialize as f64 / len);
     eprintln!(
-        "XMark 0.05, {len} bytes: shred peak {shred:.2}x, serialize peak {serialize:.2}x the text"
+        "XMark 0.05, {len} bytes: shred peak {shred:.2}x, serialize peak {serialize:.2}x, \
+         retained {retained:.2}x, partitioned load peak {partition:.2}x the text"
     );
     assert!(
         shred < SHRED_BOUND,
@@ -103,5 +125,13 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     assert!(
         serialize < SERIALIZE_BOUND,
         "serializing peaked at {serialize:.2}x the text (bound {SERIALIZE_BOUND}x)"
+    );
+    assert!(
+        retained < RETAINED_BOUND,
+        "a loaded document keeps {retained:.2}x the text (bound {RETAINED_BOUND}x)"
+    );
+    assert!(
+        partition < PARTITION_BOUND,
+        "the partitioned load peaked at {partition:.2}x the text (bound {PARTITION_BOUND}x)"
     );
 }
