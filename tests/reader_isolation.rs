@@ -115,16 +115,19 @@ fn pinned_snapshots_never_change_mid_query() {
             });
         }
         // Writers: sectioned commit traffic (inserts + deletes), with
-        // retries when a vacuum invalidates a stale transaction.
+        // retries when a vacuum invalidates a stale transaction. They
+        // keep committing until maintenance has run at least once, so
+        // the interleaving checked below cannot depend on scheduling.
         let mut handles = Vec::new();
         for w in 0..2usize {
             let store = &store;
+            let maintenance_runs = &maintenance_runs;
             handles.push(s.spawn(move || {
                 let path = XPath::parse(&format!("/root/s{w}")).unwrap();
                 let mine = XPath::parse(&format!("/root/s{w}/p[@w='{w}']")).unwrap();
                 let mut i = 0usize;
                 let mut committed = 0usize;
-                while committed < 40 {
+                while committed < 40 || maintenance_runs.load(Ordering::Relaxed) == 0 {
                     i += 1;
                     let mut t = store.begin();
                     let staged = (|| -> Result<(), TxnError> {

@@ -1,5 +1,5 @@
-//! Peak and retained heap of loading and serializing an updatable
-//! document, as multiples of its XML text.
+//! Peak and retained heap of loading, serializing and checkpointing an
+//! updatable document, as multiples of its XML text.
 //!
 //! Shredding streams parser events into staged tuples and serializing
 //! writes text straight from the pre/size/level view, so neither builds a
@@ -8,7 +8,9 @@
 //! that, so a whole-document tree reintroduced on either path fails this
 //! test. So does one on the partitioned load of a catalog. The heap a
 //! loaded document keeps is bounded too: every string once, in the value
-//! pool, and the attributes found from their elements' slots.
+//! pool, and the attributes found from their elements' slots. A
+//! checkpoint writes its dump and frees it before it compacts, so the
+//! two document-sized transients never add up.
 //!
 //! The binary holds this one test, under a counting global allocator
 //! that tracks live and peak-live bytes: another test running in parallel
@@ -40,6 +42,11 @@ const RETAINED_BOUND: f64 = 6.2;
 /// over the text length: measured 7.33, plus 25 % headroom. (A
 /// whole-document tree and a cloned tree per part put it at 26.3.)
 const PARTITION_BOUND: f64 = 9.2;
+/// Peak live heap `Shard::checkpoint` adds on top of the document after a
+/// few commits, over the text length: measured 2.75 (the dump, then the
+/// compacted bases), plus 25 % headroom. (With the dump still live while
+/// the bases are rebuilt it was 5.10.)
+const CHECKPOINT_BOUND: f64 = 3.4;
 
 struct Counting;
 
@@ -113,10 +120,29 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     assert_eq!(parts.unwrap().len(), 3);
     let partition = partition as f64 / len;
 
+    catalog.create_doc("d", &xml).unwrap();
+    let shard = catalog.shard("d").unwrap();
+    for i in 0..8 {
+        let mods = mbxq_xupdate::parse_modifications(&format!(
+            "<xupdate:append select='/site/open_auctions/open_auction[@id=\"open_auction{i}\"]'>\
+             <xupdate:element name=\"mark\">\
+             <xupdate:attribute name=\"id\">mk{i}</xupdate:attribute>\
+             <date>01/02/2005</date></xupdate:element></xupdate:append>"
+        ))
+        .unwrap();
+        let mut txn = shard.begin();
+        txn.execute_xupdate(&mods).unwrap();
+        txn.commit().unwrap();
+    }
+    let (info, checkpoint) = peak_of(|| shard.checkpoint());
+    info.unwrap();
+    let checkpoint = checkpoint as f64 / len;
+
     let (shred, serialize) = (shred as f64 / len, serialize as f64 / len);
     eprintln!(
         "XMark 0.05, {len} bytes: shred peak {shred:.2}x, serialize peak {serialize:.2}x, \
-         retained {retained:.2}x, partitioned load peak {partition:.2}x the text"
+         retained {retained:.2}x, partitioned load peak {partition:.2}x, \
+         checkpoint peak {checkpoint:.2}x the text"
     );
     assert!(
         shred < SHRED_BOUND,
@@ -133,5 +159,9 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     assert!(
         partition < PARTITION_BOUND,
         "the partitioned load peaked at {partition:.2}x the text (bound {PARTITION_BOUND}x)"
+    );
+    assert!(
+        checkpoint < CHECKPOINT_BOUND,
+        "a checkpoint peaked at {checkpoint:.2}x the text (bound {CHECKPOINT_BOUND}x)"
     );
 }
