@@ -18,20 +18,19 @@
 //! [`KernelArm`] so one binary serves both paths and the oracle tests
 //! can force either:
 //!
-//! * [`KernelArm::Scalar`] — the plain per-slot loop (autovectorizable,
-//!   the PR 6 baseline).
-//! * [`KernelArm::Simd`] — explicit data parallelism. Compiled with the
-//!   `simd` cargo feature on `x86_64`, this arm runs SSE2 intrinsics:
-//!   the kind-byte column is compared 16 bytes per instruction — one
-//!   compare tests kind *and* liveness, because an unused slot's byte
-//!   ([`Kind::UNUSED`]) equals no kind ([`PreChunk::kinds`]) — name
-//!   columns 4 ids per instruction, and the numeric value comparisons
-//!   behind `ValueProbe` scan arms ([`in_range_mask`]) 2 doubles per
-//!   instruction. Without the feature (or off x86_64) the *same arm*
-//!   dispatches to a hand-unrolled scalar implementation compiled in
-//!   this module — bit-identical results, so both arms always build and
-//!   `KernelArm::Simd` is always safe to force. [`simd_compiled`]
-//!   reports which implementation is live.
+//! * [`KernelArm::Scalar`] — the plain per-slot loop, left to the
+//!   compiler's autovectorizer.
+//! * [`KernelArm::Simd`] — explicit data parallelism with SSE2
+//!   intrinsics, which every x86_64 target has: the kind-byte column is
+//!   compared 16 bytes per instruction — one compare tests kind *and*
+//!   liveness, because an unused slot's byte ([`Kind::UNUSED`]) equals
+//!   no kind ([`PreChunk::kinds`]) — name columns 4 ids per
+//!   instruction, and the numeric value comparisons behind `ValueProbe`
+//!   scan arms ([`in_range_mask`]) 2 doubles per instruction. Off
+//!   x86_64 the arm runs the scalar loops, so `KernelArm::Simd` is
+//!   always safe to force; [`simd_compiled`] reports whether vector
+//!   instructions are live. It is the default arm ([`KernelArm::auto`])
+//!   on x86_64.
 //!
 //! All loads are unaligned ([`PreChunk`] slices start at arbitrary
 //! offsets inside a page); the chunk contract only guarantees that a
@@ -55,8 +54,8 @@ use mbxq_storage::{Kind, NumRange, PreChunk, QnId, TreeView};
 pub enum KernelArm {
     /// The plain per-slot scalar loop.
     Scalar,
-    /// The vectorized kernels (SSE2 when compiled with the `simd`
-    /// feature on x86_64; a hand-unrolled scalar equivalent otherwise).
+    /// The vectorized kernels (SSE2 on x86_64; the scalar loops on
+    /// other targets).
     Simd,
 }
 
@@ -80,11 +79,10 @@ impl Default for KernelArm {
 }
 
 /// Whether the [`KernelArm::Simd`] arm runs actual vector instructions
-/// in this build (`simd` feature on x86_64), as opposed to its
-/// hand-unrolled scalar fallback.
+/// in this build (every x86_64 target), as opposed to the scalar loops.
 #[inline]
 pub const fn simd_compiled() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
+    cfg!(target_arch = "x86_64")
 }
 
 /// Byte lanes per vector in the kind-byte filters of the compiled
@@ -174,13 +172,10 @@ fn emit_matching(
     }
 }
 
-/// The [`KernelArm::Simd`] kernels. Two implementations share this
-/// interface: SSE2 intrinsics under `--features simd` on x86_64, and a
-/// hand-unrolled scalar equivalent otherwise — compiled in the same
-/// module so both arms always build (module docs).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// The [`KernelArm::Simd`] kernels: SSE2 intrinsics, part of the
+/// x86_64 baseline. Off x86_64 the arm dispatches to the scalar loops.
+#[cfg(target_arch = "x86_64")]
 mod vector {
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     /// Appends `pre + i` for every slot with `kinds[i] == want_kind`,
@@ -311,94 +306,17 @@ mod vector {
     }
 }
 
-/// The hand-unrolled scalar fallback for the [`KernelArm::Simd`] arm —
-/// same interface and results as the intrinsics module, compiled when
-/// the `simd` feature is off or the target is not x86_64.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod vector {
-    /// See the SSE2 twin: kind/name filter, here as a 4-wide
-    /// hand-unrolled scalar loop.
-    pub(super) fn filter(
-        kinds: &[u8],
-        names: &[u32],
-        want_kind: u8,
-        want_name: Option<u32>,
-        pre: u64,
-        out: &mut Vec<u64>,
-    ) {
-        unrolled(kinds.len(), |i| {
-            if kinds[i] == want_kind && want_name.is_none_or(|w| names[i] == w) {
-                out.push(pre + i as u64);
-            }
-        });
-    }
-
-    /// See the SSE2 twin: liveness filter, 4-wide unrolled.
-    pub(super) fn filter_live(kinds: &[u8], dead: u8, pre: u64, out: &mut Vec<u64>) {
-        unrolled(kinds.len(), |i| {
-            if kinds[i] != dead {
-                out.push(pre + i as u64);
-            }
-        });
-    }
-
-    /// Calls `slot(i)` for `i` in `0..len`, four per loop iteration.
-    #[inline]
-    fn unrolled(len: usize, mut slot: impl FnMut(usize)) {
-        let mut i = 0usize;
-        while i + 4 <= len {
-            slot(i);
-            slot(i + 1);
-            slot(i + 2);
-            slot(i + 3);
-            i += 4;
-        }
-        while i < len {
-            slot(i);
-            i += 1;
-        }
-    }
-
-    /// See the SSE2 twin: numeric range mask, 4-wide unrolled.
-    pub(super) fn range_mask(
-        vals: &[f64],
-        lo: f64,
-        hi: f64,
-        lo_incl: bool,
-        hi_incl: bool,
-        keep: &mut Vec<bool>,
-    ) {
-        let test = |v: f64| {
-            let above = if lo_incl { v >= lo } else { v > lo };
-            let below = if hi_incl { v <= hi } else { v < hi };
-            above && below
-        };
-        let len = vals.len();
-        let mut i = 0usize;
-        while i + 4 <= len {
-            keep.push(test(vals[i]));
-            keep.push(test(vals[i + 1]));
-            keep.push(test(vals[i + 2]));
-            keep.push(test(vals[i + 3]));
-            i += 4;
-        }
-        while i < len {
-            keep.push(test(vals[i]));
-            i += 1;
-        }
-    }
-}
-
 /// Writes `range.contains(vals[i])` for every value into `keep` — the
 /// numeric value-column comparison behind `ValueProbe` scan arms,
 /// dispatched by kernel arm (two doubles per SSE2 compare on the
 /// vector arm). NaN entries (unparsable strings) never match.
 pub fn in_range_mask(vals: &[f64], range: &NumRange, arm: KernelArm, keep: &mut Vec<bool>) {
     match arm {
-        KernelArm::Scalar => keep.extend(vals.iter().map(|&v| range.contains(v))),
+        #[cfg(target_arch = "x86_64")]
         KernelArm::Simd => {
             vector::range_mask(vals, range.lo, range.hi, range.lo_incl, range.hi_incl, keep)
         }
+        _ => keep.extend(vals.iter().map(|&v| range.contains(v))),
     }
 }
 
@@ -502,8 +420,9 @@ fn filter_chunk<V: TreeView + ?Sized>(
         Probe::OfKind(k) => (*k, None),
         Probe::AnyNode => {
             return match arm {
-                KernelArm::Scalar => emit_matching(chunk, out, |_, k| k != Kind::UNUSED),
+                #[cfg(target_arch = "x86_64")]
                 KernelArm::Simd => vector::filter_live(chunk.kinds, Kind::UNUSED, chunk.pre, out),
+                _ => emit_matching(chunk, out, |_, k| k != Kind::UNUSED),
             }
         }
         Probe::Slow => {
@@ -515,12 +434,7 @@ fn filter_chunk<V: TreeView + ?Sized>(
     };
     let want_kind = want_kind as u8;
     match arm {
-        KernelArm::Scalar => match want_name {
-            Some(want) => {
-                emit_matching(chunk, out, |i, k| k == want_kind && chunk.names[i] == want)
-            }
-            None => emit_matching(chunk, out, |_, k| k == want_kind),
-        },
+        #[cfg(target_arch = "x86_64")]
         KernelArm::Simd => vector::filter(
             chunk.kinds,
             chunk.names,
@@ -529,6 +443,12 @@ fn filter_chunk<V: TreeView + ?Sized>(
             chunk.pre,
             out,
         ),
+        _ => match want_name {
+            Some(want) => {
+                emit_matching(chunk, out, |i, k| k == want_kind && chunk.names[i] == want)
+            }
+            None => emit_matching(chunk, out, |_, k| k == want_kind),
+        },
     }
 }
 

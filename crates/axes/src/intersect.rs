@@ -17,12 +17,12 @@
 //!   this path.
 //! * **Block merge** — when the lists are comparable, advance two-lane
 //!   windows through both lists, comparing all window cross pairs per
-//!   iteration. Under [`KernelArm::Simd`] (the `simd` feature on
-//!   x86_64) the four 64-bit equality tests of a window pair run as two
-//!   SSE2 compares (no `cmpeq_epi64` in SSE2 — a lane is equal iff both
-//!   of its 32-bit halves compare equal, checked on the byte movemask);
-//!   otherwise a hand-unrolled scalar twin computes bit-identical
-//!   results, so [`KernelArm::Simd`] is always safe to force.
+//!   iteration. Under [`KernelArm::Simd`] on x86_64 the four 64-bit
+//!   equality tests of a window pair run as two SSE2 compares (no
+//!   `cmpeq_epi64` in SSE2 — a lane is equal iff both of its 32-bit
+//!   halves compare equal, checked on the byte movemask). Off x86_64
+//!   the arm runs the plain two-cursor merge, so [`KernelArm::Simd`] is
+//!   always safe to force.
 //!
 //! The k-way entry point [`intersect_sorted`] folds pairwise in the
 //! *given* list order — the caller (the executor's degree-bound
@@ -71,8 +71,9 @@ pub fn intersect_pair(a: &[u64], b: &[u64], arm: KernelArm, out: &mut Vec<u64>) 
         gallop_intersect(small, large, out);
     } else {
         match arm {
-            KernelArm::Scalar => merge_intersect(small, large, out),
+            #[cfg(target_arch = "x86_64")]
             KernelArm::Simd => vector::block_intersect(small, large, out),
+            _ => merge_intersect(small, large, out),
         }
     }
 }
@@ -126,12 +127,10 @@ fn merge_intersect(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     }
 }
 
-/// The [`KernelArm::Simd`] kernels — SSE2 under `--features simd` on
-/// x86_64, a hand-unrolled scalar equivalent otherwise (same interface,
-/// bit-identical results, as in `batch::vector`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// The [`KernelArm::Simd`] kernel: SSE2, part of the x86_64 baseline.
+/// Off x86_64 the arm runs `merge_intersect`, as in `batch::vector`.
+#[cfg(target_arch = "x86_64")]
 mod vector {
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     /// Two-lane block merge: compares the window pair `a[i..i+2]` ×
@@ -167,32 +166,6 @@ mod vector {
                 if bmax <= amax {
                     j += 2;
                 }
-            }
-        }
-        super::merge_intersect(&a[i..], &b[j..], out);
-    }
-}
-
-/// The hand-unrolled scalar fallback for the [`KernelArm::Simd`] arm —
-/// same window algorithm and results as the intrinsics module.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod vector {
-    /// See the SSE2 twin: two-lane block merge, scalar cross compares.
-    pub(super) fn block_intersect(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i + 2 <= a.len() && j + 2 <= b.len() {
-            if a[i] == b[j] || a[i] == b[j + 1] {
-                out.push(a[i]);
-            }
-            if a[i + 1] == b[j + 1] || a[i + 1] == b[j] {
-                out.push(a[i + 1]);
-            }
-            let (amax, bmax) = (a[i + 1], b[j + 1]);
-            if amax <= bmax {
-                i += 2;
-            }
-            if bmax <= amax {
-                j += 2;
             }
         }
         super::merge_intersect(&a[i..], &b[j..], out);

@@ -244,8 +244,8 @@ pub struct ServerStats {
     /// cardinality feedback diverged (or a replan was forced).
     pub replans: u64,
     /// Whether this server binary carries compiled vector instructions
-    /// (the `simd` feature on a supported target); when `false` the
-    /// Simd arm runs its scalar twin.
+    /// (every x86_64 build); when `false` the Simd arm runs the scalar
+    /// loops.
     pub simd_compiled: bool,
 }
 
@@ -902,7 +902,7 @@ mod tests {
                 multi_probe_steps: 5,
                 intersect_rows: 40,
                 replans: 2,
-                simd_compiled: cfg!(feature = "simd"),
+                simd_compiled: cfg!(target_arch = "x86_64"),
             },
         });
     }

@@ -747,104 +747,6 @@ mod tests {
         assert_eq!(to_xml(&recovered).unwrap(), to_xml(after.as_ref()).unwrap());
     }
 
-    /// `WriteTxn` is a `TreeView` over its current view: every trait
-    /// method — the per-slot accessors, the index probes, and the
-    /// navigation helpers a schema may override — must answer exactly as
-    /// `view()` does, before and after the workspace exists.
-    #[test]
-    fn write_txn_forwards_every_tree_view_method() {
-        fn assert_forwards(t: &WriteTxn<'_>) {
-            let v = t.view();
-            assert_eq!(t.pre_end(), v.pre_end());
-            assert_eq!(TreeView::used_count(t), v.used_count());
-            assert_eq!(t.root_pre(), v.root_pre());
-            assert_eq!(t.has_content_index(), v.has_content_index());
-            assert!(std::ptr::eq(t.pool(), v.pool()));
-            // One slot past the end exercises the out-of-range arms.
-            for pre in 0..=v.pre_end() {
-                assert_eq!(t.level(pre), v.level(pre), "level({pre})");
-                assert_eq!(TreeView::size(t, pre), TreeView::size(v, pre));
-                assert_eq!(t.kind(pre), v.kind(pre));
-                assert_eq!(t.name_id(pre), v.name_id(pre));
-                assert_eq!(t.value_ref(pre), v.value_ref(pre));
-                assert_eq!(t.node_id(pre), v.node_id(pre));
-                assert_eq!(t.back_run(pre), v.back_run(pre));
-                assert_eq!(t.attributes(pre), v.attributes(pre));
-                assert_eq!(t.is_used(pre), v.is_used(pre));
-                assert_eq!(t.next_used_at_or_after(pre), v.next_used_at_or_after(pre));
-                assert_eq!(t.prev_used_at_or_before(pre), v.prev_used_at_or_before(pre));
-                assert_eq!(t.region_end(pre), v.region_end(pre), "region_end({pre})");
-                assert_eq!(t.parent_of(pre), v.parent_of(pre), "parent_of({pre})");
-                assert_eq!(t.string_value(pre), v.string_value(pre));
-                let id = mbxq_xml::QName::local("id");
-                assert_eq!(t.attribute_value(pre, &id), v.attribute_value(pre, &id));
-                match (t.pre_chunk(pre, v.pre_end()), v.pre_chunk(pre, v.pre_end())) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.pre, a.kinds, a.levels), (b.pre, b.kinds, b.levels));
-                        assert_eq!((a.names, a.values), (b.names, b.values));
-                    }
-                    (a, b) => panic!("pre_chunk({pre}): {a:?} vs {b:?}"),
-                }
-            }
-            let all = mbxq_storage::NumRange::at_least(f64::NEG_INFINITY, true);
-            for qn in (0..v.pool().qname_count() as u32).map(mbxq_storage::QnId) {
-                assert_eq!(t.elements_named(qn), v.elements_named(qn));
-                assert_eq!(t.elements_named_count(qn), v.elements_named_count(qn));
-                assert_eq!(t.attr_degree_stats(qn), v.attr_degree_stats(qn));
-                assert_eq!(t.text_degree_stats(qn), v.text_degree_stats(qn));
-                assert_eq!(
-                    t.nodes_with_attr_value_range(qn, &all),
-                    v.nodes_with_attr_value_range(qn, &all)
-                );
-                assert_eq!(
-                    t.nodes_with_attr_value_range_count(qn, &all),
-                    v.nodes_with_attr_value_range_count(qn, &all)
-                );
-                assert_eq!(
-                    t.elements_with_text_range(qn, &all),
-                    v.elements_with_text_range(qn, &all)
-                );
-                assert_eq!(
-                    t.elements_with_text_range_count(qn, &all),
-                    v.elements_with_text_range_count(qn, &all)
-                );
-                for value in ["p0", "p9", "Ann", "7", ""] {
-                    assert_eq!(
-                        t.nodes_with_attr_value(qn, value),
-                        v.nodes_with_attr_value(qn, value)
-                    );
-                    assert_eq!(
-                        t.nodes_with_attr_value_count(qn, value),
-                        v.nodes_with_attr_value_count(qn, value)
-                    );
-                    assert_eq!(
-                        t.elements_with_text(qn, value),
-                        v.elements_with_text(qn, value)
-                    );
-                    assert_eq!(
-                        t.elements_with_text_count(qn, value),
-                        v.elements_with_text_count(qn, value)
-                    );
-                }
-            }
-        }
-
-        let s = store(AncestorLockMode::Delta);
-        let mut t = s.begin();
-        assert_forwards(&t); // no workspace yet: the begin snapshot
-        let people = t.select(&XPath::parse("/site/people").unwrap()).unwrap();
-        let frag =
-            Document::parse_fragment("<person id=\"p9\"><age>7</age><!--c--></person>").unwrap();
-        t.insert(InsertPosition::LastChildOf(people[0]), &frag)
-            .unwrap();
-        let africa = t.select(&XPath::parse("//africa").unwrap()).unwrap();
-        t.delete(africa[0]).unwrap();
-        assert!(!std::ptr::eq(t.view(), t.snapshot()), "workspace exists");
-        assert_forwards(&t);
-        t.abort();
-    }
-
     #[test]
     fn checkpoint_truncates_wal_and_recovery_resumes_from_it() {
         let s = store(AncestorLockMode::Delta);

@@ -1045,115 +1045,6 @@ impl WriteTxn<'_> {
     }
 }
 
-impl mbxq_storage::TreeView for WriteTxn<'_> {
-    fn pre_end(&self) -> u64 {
-        self.view().pre_end()
-    }
-    fn level(&self, pre: u64) -> Option<u16> {
-        self.view().level(pre)
-    }
-    fn size(&self, pre: u64) -> u64 {
-        mbxq_storage::TreeView::size(self.view(), pre)
-    }
-    fn kind(&self, pre: u64) -> Option<mbxq_storage::Kind> {
-        self.view().kind(pre)
-    }
-    fn name_id(&self, pre: u64) -> Option<mbxq_storage::QnId> {
-        self.view().name_id(pre)
-    }
-    fn value_ref(&self, pre: u64) -> Option<mbxq_storage::ValueRef> {
-        self.view().value_ref(pre)
-    }
-    fn node_id(&self, pre: u64) -> Option<NodeId> {
-        self.view().node_id(pre)
-    }
-    fn back_run(&self, pre: u64) -> u64 {
-        self.view().back_run(pre)
-    }
-    fn attributes(&self, pre: u64) -> Vec<(mbxq_storage::QnId, mbxq_storage::PropId)> {
-        self.view().attributes(pre)
-    }
-    fn pool(&self) -> &mbxq_storage::ValuePool {
-        self.view().pool()
-    }
-    fn used_count(&self) -> u64 {
-        self.view().used_count()
-    }
-    fn elements_named_in(
-        &self,
-        qn: mbxq_storage::QnId,
-        lo: u64,
-        hi: u64,
-    ) -> Option<std::borrow::Cow<'_, [u64]>> {
-        self.view().elements_named_in(qn, lo, hi)
-    }
-    fn elements_named_count(&self, qn: mbxq_storage::QnId) -> Option<u64> {
-        self.view().elements_named_count(qn)
-    }
-    fn has_content_index(&self) -> bool {
-        self.view().has_content_index()
-    }
-    fn nodes_with_attr_value(&self, attr: mbxq_storage::QnId, value: &str) -> Option<Vec<u64>> {
-        self.view().nodes_with_attr_value(attr, value)
-    }
-    fn nodes_with_attr_value_range(
-        &self,
-        attr: mbxq_storage::QnId,
-        range: &mbxq_storage::NumRange,
-    ) -> Option<Vec<u64>> {
-        self.view().nodes_with_attr_value_range(attr, range)
-    }
-    fn nodes_with_attr_value_count(&self, attr: mbxq_storage::QnId, value: &str) -> Option<u64> {
-        self.view().nodes_with_attr_value_count(attr, value)
-    }
-    fn nodes_with_attr_value_range_count(
-        &self,
-        attr: mbxq_storage::QnId,
-        range: &mbxq_storage::NumRange,
-    ) -> Option<u64> {
-        self.view().nodes_with_attr_value_range_count(attr, range)
-    }
-    fn elements_with_text(
-        &self,
-        qn: mbxq_storage::QnId,
-        value: &str,
-    ) -> Option<mbxq_storage::TextProbe> {
-        self.view().elements_with_text(qn, value)
-    }
-    fn elements_with_text_range(
-        &self,
-        qn: mbxq_storage::QnId,
-        range: &mbxq_storage::NumRange,
-    ) -> Option<mbxq_storage::TextProbe> {
-        self.view().elements_with_text_range(qn, range)
-    }
-    fn elements_with_text_count(&self, qn: mbxq_storage::QnId, value: &str) -> Option<u64> {
-        self.view().elements_with_text_count(qn, value)
-    }
-    fn elements_with_text_range_count(
-        &self,
-        qn: mbxq_storage::QnId,
-        range: &mbxq_storage::NumRange,
-    ) -> Option<u64> {
-        self.view().elements_with_text_range_count(qn, range)
-    }
-    fn attr_degree_stats(&self, attr: mbxq_storage::QnId) -> Option<mbxq_storage::DegreeStats> {
-        self.view().attr_degree_stats(attr)
-    }
-    fn text_degree_stats(&self, qn: mbxq_storage::QnId) -> Option<mbxq_storage::DegreeStats> {
-        self.view().text_degree_stats(qn)
-    }
-    fn pre_chunk(&self, pre: u64, end: u64) -> Option<mbxq_storage::PreChunk<'_>> {
-        self.view().pre_chunk(pre, end)
-    }
-    fn region_end(&self, pre: u64) -> u64 {
-        self.view().region_end(pre)
-    }
-    fn parent_of(&self, pre: u64) -> Option<u64> {
-        self.view().parent_of(pre)
-    }
-}
-
 fn demote(e: TxnError) -> StorageError {
     match e {
         TxnError::Storage(e) => e,
@@ -1165,6 +1056,12 @@ fn demote(e: TxnError) -> StorageError {
 /// selections and later commands see the effects of earlier ones (via
 /// the private workspace), nothing is visible outside until commit.
 impl mbxq_xupdate::UpdateTarget for WriteTxn<'_> {
+    type View = PagedDoc;
+
+    fn xu_view(&self) -> &PagedDoc {
+        self.view()
+    }
+
     fn xu_insert(&mut self, position: InsertPosition, subtree: &Node) -> mbxq_storage::Result<u64> {
         let n = subtree.tuple_count();
         self.insert(position, subtree).map_err(demote)?;

@@ -18,13 +18,13 @@ use crate::par::{self, ParChoice, WorkerPool};
 use crate::physical::{PhysPred, PhysRel, PhysScalar, StepStrategy};
 use crate::plan::{Operand, ValuePred, ValueSource};
 use crate::{
-    AxisChoice, Bindings, EvalStats, MultiChoice, MultiStrategy, PlanFeedback, ReplanMode, Result,
-    StepFeedback, ValueChoice, XPathError,
+    Ablation, AxisChoice, Bindings, EvalStats, MultiChoice, MultiStrategy, PlanFeedback,
+    ReplanMode, Result, StepFeedback, ValueChoice, XPathError,
 };
 use mbxq_axes::{
     descendant_scan_ranges, exists_semijoin, exists_step, in_range_mask, intersect_sorted,
-    range_semijoin, region_window, scan_ranges_arm, simd_compiled, step_lifted_with, Axis,
-    ContextSeq, KernelArm, NodeTest,
+    range_semijoin, region_window, scan_ranges_arm, step_lifted_with, Axis, ContextSeq, KernelArm,
+    NodeTest,
 };
 use mbxq_storage::{DegreeStats, NumRange, QnId, TreeView};
 use std::cell::Cell;
@@ -668,23 +668,16 @@ pub(crate) enum RelOut {
     Attrs(AttrSeq),
 }
 
-/// One plan execution: the view, the bindings, the axis-strategy
-/// override, the optional decision counters, and the parallel-execution
-/// configuration (pool + policy).
+/// One plan execution: the view, the bindings, the optional decision
+/// counters, the worker pool, the plan's feedback store and the
+/// strategy overrides ([`Ablation`]).
 pub(crate) struct Exec<'a, V: TreeView + ?Sized> {
     pub(crate) view: &'a V,
     pub(crate) bindings: Option<&'a Bindings>,
-    pub(crate) choice: AxisChoice,
-    pub(crate) value_choice: ValueChoice,
     pub(crate) stats: Option<&'a EvalStats>,
     pub(crate) pool: Option<&'a WorkerPool>,
-    pub(crate) par: ParChoice,
-    pub(crate) threads: usize,
-    pub(crate) morsel_rows: usize,
-    pub(crate) kernel: KernelArm,
-    pub(crate) multi_choice: MultiChoice,
-    pub(crate) replan: ReplanMode,
     pub(crate) feedback: Option<&'a PlanFeedback>,
+    pub(crate) ablation: Ablation,
     /// Execution-order index of the next multi-predicate step — the
     /// key into the [`PlanFeedback`] store.
     pub(crate) multi_seq: Cell<usize>,
@@ -1242,7 +1235,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let Some(k) = self.view.elements_named_count(qn) else {
             return StepArm::Staircase;
         };
-        let index = match self.choice {
+        let index = match self.ablation.axis {
             AxisChoice::ForceIndex => true,
             AxisChoice::ForceStaircase => false,
             AxisChoice::Auto => self.index_cheaper(rows, axis, k),
@@ -1295,11 +1288,9 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// Fixed cost of merging per-morsel results, in nanoseconds.
     const MERGE_NS: u64 = 2_000;
 
-    /// The scan-slot cost class of the active kernel arm. Forcing
-    /// [`KernelArm::Simd`] without compiled vector instructions runs
-    /// the hand-unrolled scalar twin, which costs like the scalar arm.
+    /// The scan-slot cost class of the active kernel arm.
     fn scan_slot_ns_x10(&self) -> u64 {
-        if self.kernel == KernelArm::Simd && simd_compiled() {
+        if self.ablation.kernel == KernelArm::Simd {
             Self::SIMD_SLOT_NS_X10
         } else {
             Self::SCALAR_SLOT_NS_X10
@@ -1331,26 +1322,28 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
 
     /// Threads a parallel region may occupy: 1 (= stay sequential)
     /// without a pool or under [`ParChoice::ForceSequential`], else the
-    /// pool width capped by the `threads` option.
+    /// pool width.
     fn fanout(&self) -> usize {
         let Some(pool) = self.pool else { return 1 };
-        if self.par == ParChoice::ForceSequential {
+        if self.ablation.par == ParChoice::ForceSequential {
             return 1;
         }
-        let cap = pool.threads();
-        if self.threads == 0 {
-            cap
-        } else {
-            self.threads.min(cap).max(1)
-        }
+        pool.threads()
     }
 
-    /// Morsel-count target for a relation of `rows` rows: a few morsels
-    /// per thread so work stealing has slack, unless the `morsel_rows`
-    /// option forces a size (tests force tiny morsels).
-    fn morsel_parts(&self, rows: usize, fanout: usize) -> usize {
-        if self.morsel_rows > 0 {
-            rows.div_ceil(self.morsel_rows)
+    /// Whether every splittable input splits, into one-row (or
+    /// one-slot) morsels — [`ParChoice::ForceParallel`], which tests
+    /// force to cross every morsel boundary.
+    fn force_parallel(&self) -> bool {
+        self.ablation.par == ParChoice::ForceParallel
+    }
+
+    /// Morsel-count target for `units` rows or slots: a few morsels
+    /// per thread so work stealing has slack, or one per unit when
+    /// parallelism is forced.
+    fn morsel_parts(&self, units: usize, fanout: usize) -> usize {
+        if self.force_parallel() {
+            units
         } else {
             fanout * 4
         }
@@ -1378,10 +1371,10 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     }
 
     /// Counts one scan-shaped operator dispatched to the vector kernel
-    /// arm (whether hardware simd or its scalar twin — the counter
-    /// tracks dispatch, [`simd_compiled`] tells which code ran).
+    /// arm (the counter tracks dispatch; off x86_64 the arm runs the
+    /// scalar loops, see [`crate::simd_compiled`]).
     fn note_simd(&self) {
-        if self.kernel == KernelArm::Simd {
+        if self.ablation.kernel == KernelArm::Simd {
             if let Some(stats) = self.stats {
                 stats.simd_steps.set(stats.simd_steps.get() + 1);
             }
@@ -1439,12 +1432,11 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
             // Scan-shaped axes route through the chunk kernels.
             self.note_simd();
         }
-        let kernel = self.kernel;
+        let kernel = self.ablation.kernel;
         let fanout = self.fanout();
         if fanout >= 2 && !ctx.is_empty() {
             let threshold = self.par_threshold_units(self.scan_slot_ns_x10(), fanout);
-            let eligible =
-                self.par == ParChoice::ForceParallel || self.scan_work_clears(ctx, threshold);
+            let eligible = self.force_parallel() || self.scan_work_clears(ctx, threshold);
             if eligible {
                 let or_self = match axis {
                     Axis::Descendant => Some(false),
@@ -1481,18 +1473,14 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     ) -> Option<ContextSeq> {
         let pool = self.pool?;
         let ranges = descendant_scan_ranges(self.view, &ctx.pres, or_self);
-        let parts = if self.morsel_rows > 0 {
-            let total: u64 = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-            total.div_ceil(self.morsel_rows as u64) as usize
-        } else {
-            fanout * 4
-        };
+        let slots: u64 = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
+        let parts = self.morsel_parts(slots as usize, fanout);
         let chunks = par::range_chunks(&ranges, parts.max(1));
         if chunks.len() < 2 {
             return None;
         }
         let view = self.view;
-        let kernel = self.kernel;
+        let kernel = self.ablation.kernel;
         let results: Mutex<Vec<(usize, Vec<u64>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
         let steals = pool.run(chunks.len(), &|m| {
             let mut out = Vec::new();
@@ -1518,7 +1506,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let fanout = self.fanout();
         if fanout >= 2
             && !cands.is_empty()
-            && (self.par == ParChoice::ForceParallel
+            && (self.force_parallel()
                 || ctx.len() as u64 >= self.par_threshold_units(Self::SEMIJOIN_ROW_NS_X10, fanout))
         {
             let view = self.view;
@@ -1581,7 +1569,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         // drops far less than lane width suggests (plan_cost's
         // auto-vs-best assertion is the empirical guard on this
         // constant).
-        let scan_weight: u64 = if self.kernel == KernelArm::Simd && simd_compiled() {
+        let scan_weight: u64 = if self.ablation.kernel == KernelArm::Simd {
             7
         } else {
             8
@@ -1703,7 +1691,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let use_probe = if !self.view.has_content_index() {
             false
         } else {
-            match self.value_choice {
+            match self.ablation.value {
                 ValueChoice::ForceProbe => true,
                 ValueChoice::ForceScan => false,
                 ValueChoice::Auto => {
@@ -1886,7 +1874,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                     .collect();
                 self.note_simd();
                 let mut keep = Vec::new();
-                in_range_mask(&vals, r, self.kernel, &mut keep);
+                in_range_mask(&vals, r, self.ablation.kernel, &mut keep);
                 keep
             }
             (ValueSource::Attr(a), ValueCmp::InRange(r)) => match pool.lookup_qname(a) {
@@ -1903,7 +1891,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                         .collect();
                     self.note_simd();
                     let mut keep = Vec::new();
-                    in_range_mask(&vals, r, self.kernel, &mut keep);
+                    in_range_mask(&vals, r, self.ablation.kernel, &mut keep);
                     keep
                 }
             },
@@ -2122,7 +2110,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         } else {
             self.feedback.and_then(|f| f.step(seq))
         };
-        let choice = self.multi_choice;
+        let choice = self.ablation.multi;
         let mut replanned = false;
         let (strategy, estimated) = if !general.is_empty() || !self.view.has_content_index() {
             // No index, or a predicate with no key form: every arm
@@ -2131,7 +2119,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         } else if choice != MultiChoice::Auto {
             self.choose_multi(choice, ctx, test, &keyed, &[])
         } else {
-            match (&recorded, self.replan) {
+            match (&recorded, self.ablation.replan) {
                 (Some(r), ReplanMode::Skip) => (r.strategy.clone(), r.estimated),
                 (Some(r), ReplanMode::Default) if !r.diverged() => {
                     (r.strategy.clone(), r.estimated)
@@ -2266,7 +2254,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         }
         let refs: Vec<&[u64]> = lists.iter().map(Vec::as_slice).collect();
         self.note_simd();
-        let inter = intersect_sorted(&refs, self.kernel);
+        let inter = intersect_sorted(&refs, self.ablation.kernel);
         if let Some(stats) = self.stats {
             stats
                 .intersect_rows
@@ -2317,7 +2305,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let n = nodes.len();
         let fanout = self.fanout();
         if fanout >= 2 && n > 0 {
-            let eligible = self.par == ParChoice::ForceParallel
+            let eligible = self.force_parallel()
                 || n as u64 >= self.par_threshold_units(Self::PRED_ROW_NS_X10, fanout);
             if eligible {
                 if let Some(res) = self.par_pred_flags(pred, nodes, groups, positions, fanout) {
@@ -2371,9 +2359,14 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         }
         let view = self.view;
         let bindings = self.bindings;
-        let choice = self.choice;
-        let value_choice = self.value_choice;
-        let kernel = self.kernel;
+        // Morsels evaluate predicate scalars only, sequentially; a
+        // MultiProbe step never nests inside one.
+        let ablation = Ablation {
+            par: ParChoice::ForceSequential,
+            multi: MultiChoice::Auto,
+            replan: ReplanMode::Default,
+            ..self.ablation
+        };
         type MorselOut = (usize, Result<Vec<bool>>, EvalStats);
         let results: Mutex<Vec<MorselOut>> = Mutex::new(Vec::with_capacity(ranges.len()));
         let steals = pool.run(ranges.len(), &|m| {
@@ -2382,19 +2375,10 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
             let sub = Exec {
                 view,
                 bindings,
-                choice,
-                value_choice,
                 stats: Some(&private),
                 pool: None,
-                par: ParChoice::ForceSequential,
-                threads: 1,
-                morsel_rows: 0,
-                kernel,
-                // Morsels evaluate predicate scalars only; a MultiProbe
-                // step never nests inside one.
-                multi_choice: MultiChoice::Auto,
-                replan: ReplanMode::Default,
                 feedback: None,
+                ablation,
                 multi_seq: Cell::new(0),
             };
             let out = sub.pred_flags_range(pred, nodes, positions, start, end);
@@ -2587,17 +2571,15 @@ mod tests {
         let exec = Exec {
             view: &doc,
             bindings: None,
-            choice: AxisChoice::Auto,
-            value_choice: ValueChoice::Auto,
             stats: None,
             pool: None,
-            par: ParChoice::ForceSequential,
-            threads: 1,
-            morsel_rows: 0,
-            kernel: KernelArm::Scalar,
-            multi_choice: MultiChoice::ForceIntersect,
-            replan: ReplanMode::Default,
             feedback: None,
+            ablation: Ablation {
+                par: ParChoice::ForceSequential,
+                kernel: KernelArm::Scalar,
+                multi: MultiChoice::ForceIntersect,
+                ..Ablation::default()
+            },
             multi_seq: Cell::new(0),
         };
         let test = NodeTest::Name(mbxq_xml::QName::local("p"));

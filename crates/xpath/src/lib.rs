@@ -213,7 +213,7 @@ pub enum MultiChoice {
 
 /// When a cached plan's multi-predicate strategy is re-derived from
 /// live statistics — the adaptive-replan policy threaded through
-/// [`EvalOptions::replan`] and recorded in a [`PlanFeedback`].
+/// [`Ablation::replan`] and recorded in a [`PlanFeedback`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReplanMode {
     /// Reuse the recorded strategy while its estimated cardinality
@@ -390,29 +390,51 @@ impl EvalStats {
     }
 }
 
+/// The strategy overrides the oracle tests force — one value, so the
+/// production options carry no per-knob copy of them. Every field
+/// defaults to the production setting (`Auto` strategies, the default
+/// replan policy, [`KernelArm::auto`]); a test names only the fields it
+/// forces:
+///
+/// ```ignore
+/// let a = Ablation { axis: AxisChoice::ForceIndex, ..Default::default() };
+/// let opts = EvalOptions::new().ablation(a).stats(&stats);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ablation {
+    /// Axis-step arm: cost model, staircase join or name-index probe.
+    pub axis: AxisChoice,
+    /// Value-predicate arm: cost model, scalar scan or content index.
+    pub value: ValueChoice,
+    /// Morsel parallelism: break-even gates, never, or always — the
+    /// last with one-row morsels, so every morsel boundary is crossed.
+    pub par: ParChoice,
+    /// Chunk-kernel arm of scans, range masks and intersections.
+    pub kernel: KernelArm,
+    /// Multi-predicate arm: join-order search, scan, best probe or
+    /// full intersection.
+    pub multi: MultiChoice,
+    /// When a recorded multi-predicate strategy is re-derived; only
+    /// meaningful with a [`EvalOptions::feedback`] store attached.
+    pub replan: ReplanMode,
+}
+
 /// Evaluation-time options, assembled builder-style:
 ///
 /// ```ignore
-/// let opts = EvalOptions::new().axis(AxisChoice::ForceIndex).stats(&stats);
+/// let opts = EvalOptions::new().bindings(&b).stats(&stats);
 /// ```
 ///
-/// Every knob defaults to the production setting (`Auto` strategies, no
-/// bindings, no counters, sequential execution), so call sites only name
-/// the knobs they change.
+/// Every knob defaults to the production setting (no bindings, no
+/// counters, no pool, no feedback store, [`Ablation::default`]), so
+/// call sites only name the knobs they change.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOptions<'a> {
     pub(crate) bindings: Option<&'a Bindings>,
-    pub(crate) axis: AxisChoice,
-    pub(crate) value: ValueChoice,
     pub(crate) stats: Option<&'a EvalStats>,
-    pub(crate) threads: usize,
     pub(crate) pool: Option<&'a par::WorkerPool>,
-    pub(crate) par: ParChoice,
-    pub(crate) morsel_rows: usize,
-    pub(crate) kernel: Option<KernelArm>,
-    pub(crate) multi: MultiChoice,
-    pub(crate) replan: ReplanMode,
     pub(crate) feedback: Option<&'a PlanFeedback>,
+    pub(crate) ablation: Ablation,
 }
 
 impl<'a> EvalOptions<'a> {
@@ -427,36 +449,16 @@ impl<'a> EvalOptions<'a> {
         self
     }
 
-    /// Axis-strategy override.
-    pub fn axis(mut self, axis: AxisChoice) -> Self {
-        self.axis = axis;
-        self
-    }
-
-    /// Value-predicate strategy override.
-    pub fn value(mut self, value: ValueChoice) -> Self {
-        self.value = value;
-        self
-    }
-
     /// Decision counters to fill during evaluation.
     pub fn stats(mut self, stats: &'a EvalStats) -> Self {
         self.stats = Some(stats);
         self
     }
 
-    /// Caps how many pool threads this evaluation may occupy
-    /// (`0` = all of the pool's threads, the default). Without a
-    /// [`EvalOptions::pool`] the evaluation is sequential regardless.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker pool parallel operators run on. Queries through
-    /// `Shard::query_opts` get the shard's (or its catalog's) shared
-    /// pool injected automatically; standalone evaluations pass one
-    /// explicitly.
+    /// The worker pool parallel operators run on, all of whose threads
+    /// an evaluation may occupy. Queries through `Shard::query_opts` get
+    /// the shard's (or its catalog's) shared pool injected
+    /// automatically; standalone evaluations pass one explicitly.
     pub fn pool(mut self, pool: &'a par::WorkerPool) -> Self {
         self.pool = Some(pool);
         self
@@ -471,46 +473,14 @@ impl<'a> EvalOptions<'a> {
         self
     }
 
-    /// Parallelism policy (auto / forced-sequential / forced-parallel).
-    pub fn par(mut self, par: ParChoice) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// Forces a morsel-size target of roughly `rows` relation rows
-    /// (`0` = auto). Tests force tiny morsels to stress boundaries.
-    pub fn morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows;
-        self
-    }
-
-    /// Chunk-kernel arm override for the kernel-equivalence oracle:
-    /// `None` (the default) is [`KernelArm::auto`] — the vectorized arm
-    /// whenever this build compiled real vector instructions
-    /// ([`simd_compiled`]). Both arms are always available: without the
-    /// `simd` feature [`KernelArm::Simd`] is a hand-unrolled scalar twin
-    /// with identical results.
-    pub fn kernel(mut self, kernel: Option<KernelArm>) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Multi-predicate strategy override (auto / forced-scan /
-    /// forced-best-probe / forced-intersect).
-    pub fn multi(mut self, multi: MultiChoice) -> Self {
-        self.multi = multi;
-        self
-    }
-
-    /// Replan policy for cached multi-predicate strategies. Only
-    /// meaningful with a [`EvalOptions::feedback`] store attached.
-    pub fn replan(mut self, replan: ReplanMode) -> Self {
-        self.replan = replan;
+    /// The strategy overrides the oracle tests force ([`Ablation`]).
+    pub fn ablation(mut self, ablation: Ablation) -> Self {
+        self.ablation = ablation;
         self
     }
 
     /// Attaches the plan's feedback store: recorded strategies are
-    /// reused or replanned per [`EvalOptions::replan`], and this
+    /// reused or replanned per [`Ablation::replan`], and this
     /// execution's estimated/observed cardinalities are written back.
     pub fn feedback(mut self, feedback: &'a PlanFeedback) -> Self {
         self.feedback = Some(feedback);
@@ -555,16 +525,9 @@ impl<'a> EvalOptions<'a> {
     pub fn shared(&self) -> SharedOptions<'a> {
         SharedOptions {
             bindings: self.bindings,
-            axis: self.axis,
-            value: self.value,
-            threads: self.threads,
             pool: self.pool,
-            par: self.par,
-            morsel_rows: self.morsel_rows,
-            kernel: self.kernel,
-            multi: self.multi,
-            replan: self.replan,
             feedback: self.feedback,
+            ablation: self.ablation,
         }
     }
 }
@@ -577,16 +540,9 @@ impl<'a> EvalOptions<'a> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharedOptions<'a> {
     bindings: Option<&'a Bindings>,
-    axis: AxisChoice,
-    value: ValueChoice,
-    threads: usize,
     pool: Option<&'a par::WorkerPool>,
-    par: ParChoice,
-    morsel_rows: usize,
-    kernel: Option<KernelArm>,
-    multi: MultiChoice,
-    replan: ReplanMode,
     feedback: Option<&'a PlanFeedback>,
+    ablation: Ablation,
 }
 
 impl<'a> SharedOptions<'a> {
@@ -599,17 +555,10 @@ impl<'a> SharedOptions<'a> {
     {
         EvalOptions {
             bindings: self.bindings,
-            axis: self.axis,
-            value: self.value,
             stats: Some(stats),
-            threads: self.threads,
             pool: self.pool,
-            par: self.par,
-            morsel_rows: self.morsel_rows,
-            kernel: self.kernel,
-            multi: self.multi,
-            replan: self.replan,
             feedback: self.feedback,
+            ablation: self.ablation,
         }
     }
 }
@@ -691,17 +640,10 @@ impl XPath {
         let exec = eval::Exec {
             view,
             bindings: opts.bindings,
-            choice: opts.axis,
-            value_choice: opts.value,
             stats: opts.stats,
             pool: opts.pool,
-            par: opts.par,
-            threads: opts.threads,
-            morsel_rows: opts.morsel_rows,
-            kernel: opts.kernel.unwrap_or_default(),
-            multi_choice: opts.multi,
-            replan: opts.replan,
             feedback: opts.feedback,
+            ablation: opts.ablation,
             multi_seq: Cell::new(0),
         };
         exec.run(&self.physical, context)
@@ -1007,7 +949,10 @@ mod tests {
             .select_from_root_opts(
                 &ro,
                 &EvalOptions::new()
-                    .axis(AxisChoice::ForceIndex)
+                    .ablation(Ablation {
+                        axis: AxisChoice::ForceIndex,
+                        ..Default::default()
+                    })
                     .stats(&stats),
             )
             .unwrap();
@@ -1018,7 +963,10 @@ mod tests {
             .select_from_root_opts(
                 &ro,
                 &EvalOptions::new()
-                    .axis(AxisChoice::ForceStaircase)
+                    .ablation(Ablation {
+                        axis: AxisChoice::ForceStaircase,
+                        ..Default::default()
+                    })
                     .stats(&stats2),
             )
             .unwrap();
@@ -1048,11 +996,17 @@ mod tests {
             let p = XPath::parse(src).unwrap();
             let stats = EvalStats::default();
             let probe_opts = EvalOptions::new()
-                .value(ValueChoice::ForceProbe)
+                .ablation(Ablation {
+                    value: ValueChoice::ForceProbe,
+                    ..Default::default()
+                })
                 .stats(&stats);
             let scan_stats = EvalStats::default();
             let scan_opts = EvalOptions::new()
-                .value(ValueChoice::ForceScan)
+                .ablation(Ablation {
+                    value: ValueChoice::ForceScan,
+                    ..Default::default()
+                })
                 .stats(&scan_stats);
             for view in [&ro as &dyn mbxq_storage::TreeView, &up] {
                 let auto = p.select_from_root(view).unwrap();
@@ -1075,7 +1029,13 @@ mod tests {
         // Sanity on actual hits.
         let hit = XPath::parse("//person[name = \"Bob\"]")
             .unwrap()
-            .select_from_root_opts(&ro, &EvalOptions::new().value(ValueChoice::ForceProbe))
+            .select_from_root_opts(
+                &ro,
+                &EvalOptions::new().ablation(Ablation {
+                    value: ValueChoice::ForceProbe,
+                    ..Default::default()
+                }),
+            )
             .unwrap();
         assert_eq!(hit.len(), 1);
         assert_eq!(
@@ -1093,10 +1053,22 @@ mod tests {
         let ro = ReadOnlyDoc::parse_str(xml).unwrap();
         let p = XPath::parse("//p[. = \"AlX\"]").unwrap();
         let probed = p
-            .select_from_root_opts(&ro, &EvalOptions::new().value(ValueChoice::ForceProbe))
+            .select_from_root_opts(
+                &ro,
+                &EvalOptions::new().ablation(Ablation {
+                    value: ValueChoice::ForceProbe,
+                    ..Default::default()
+                }),
+            )
             .unwrap();
         let scanned = p
-            .select_from_root_opts(&ro, &EvalOptions::new().value(ValueChoice::ForceScan))
+            .select_from_root_opts(
+                &ro,
+                &EvalOptions::new().ablation(Ablation {
+                    value: ValueChoice::ForceScan,
+                    ..Default::default()
+                }),
+            )
             .unwrap();
         assert_eq!(probed, scanned);
         // Both the complex <p><name>Al</name><x>X</x></p> (string value
@@ -1196,7 +1168,13 @@ mod tests {
                         ValueChoice::ForceProbe,
                     ] {
                         let stats = EvalStats::default();
-                        let opts = EvalOptions::new().bindings(&b).value(choice).stats(&stats);
+                        let opts = EvalOptions::new()
+                            .bindings(&b)
+                            .ablation(Ablation {
+                                value: choice,
+                                ..Default::default()
+                            })
+                            .stats(&stats);
                         let got = xp.eval_opts(view, &root, &opts).unwrap();
                         assert_eq!(got, want, "{src} on {vname}, $v = {v:?}, {choice:?}");
                         // A binding with no key form never probes.
@@ -1379,7 +1357,7 @@ mod tests {
         let ro = doc();
         let up = PagedDoc::parse_str(DOC, PageConfig::new(8, 75).unwrap()).unwrap();
         let pool = par::WorkerPool::new(4);
-        let mut par_steps_total = 0;
+        let (mut par_steps_total, mut morsels_total) = (0, 0);
         for src in [
             "//item",
             "/site//name",
@@ -1394,7 +1372,10 @@ mod tests {
                 let seq = p
                     .select_from_root_opts(
                         view,
-                        &EvalOptions::new().par(ParChoice::ForceSequential),
+                        &EvalOptions::new().ablation(Ablation {
+                            par: ParChoice::ForceSequential,
+                            ..Default::default()
+                        }),
                     )
                     .unwrap();
                 let stats = EvalStats::default();
@@ -1403,16 +1384,20 @@ mod tests {
                         view,
                         &EvalOptions::new()
                             .pool(&pool)
-                            .par(ParChoice::ForceParallel)
-                            .morsel_rows(1)
+                            .ablation(Ablation {
+                                par: ParChoice::ForceParallel,
+                                ..Default::default()
+                            })
                             .stats(&stats),
                     )
                     .unwrap();
                 assert_eq!(seq, par, "{src} diverged under parallel execution");
                 par_steps_total += stats.par_steps.get();
+                morsels_total += stats.morsels.get();
             }
         }
         assert!(par_steps_total > 0, "no operator ever ran parallel");
+        assert!(morsels_total > 1, "forced parallelism never split");
     }
 
     #[test]
@@ -1479,7 +1464,15 @@ mod tests {
                 for arm in arms {
                     let stats = EvalStats::default();
                     let got = p
-                        .select_from_root_opts(view, &EvalOptions::new().multi(arm).stats(&stats))
+                        .select_from_root_opts(
+                            view,
+                            &EvalOptions::new()
+                                .ablation(Ablation {
+                                    multi: arm,
+                                    ..Default::default()
+                                })
+                                .stats(&stats),
+                        )
                         .unwrap();
                     assert_eq!(auto, got, "{src}: {arm:?} diverged");
                     assert!(
@@ -1494,7 +1487,10 @@ mod tests {
                 .select_from_root_opts(
                     &ro,
                     &EvalOptions::new()
-                        .multi(MultiChoice::ForceIntersect)
+                        .ablation(Ablation {
+                            multi: MultiChoice::ForceIntersect,
+                            ..Default::default()
+                        })
                         .stats(&stats),
                 )
                 .unwrap();
@@ -1532,7 +1528,10 @@ mod tests {
                 &d,
                 &EvalOptions::new()
                     .feedback(&fb)
-                    .replan(ReplanMode::Skip)
+                    .ablation(Ablation {
+                        replan: ReplanMode::Skip,
+                        ..Default::default()
+                    })
                     .stats(&s2),
             )
             .unwrap();
@@ -1550,7 +1549,10 @@ mod tests {
                 &d,
                 &EvalOptions::new()
                     .feedback(&fb)
-                    .replan(ReplanMode::Force)
+                    .ablation(Ablation {
+                        replan: ReplanMode::Force,
+                        ..Default::default()
+                    })
                     .stats(&s4),
             )
             .unwrap();

@@ -25,7 +25,12 @@ pub struct ExecutionSummary {
 /// the paged store and by the naive shifting store, so identical command
 /// scripts can be replayed against both (oracle testing, and the
 /// Figure 3 ablation benchmark).
-pub trait UpdateTarget: TreeView {
+pub trait UpdateTarget {
+    /// The tree a command's `select` expression is evaluated on.
+    type View: TreeView + ?Sized;
+    /// The current state of the target, earlier commands' effects
+    /// included.
+    fn xu_view(&self) -> &Self::View;
     /// Inserts a subtree; returns the number of tuples inserted.
     fn xu_insert(&mut self, position: InsertPosition, subtree: &Node) -> mbxq_storage::Result<u64>;
     /// Deletes a subtree; returns the number of tuples removed.
@@ -48,6 +53,12 @@ pub trait UpdateTarget: TreeView {
 }
 
 impl UpdateTarget for PagedDoc {
+    type View = PagedDoc;
+
+    fn xu_view(&self) -> &PagedDoc {
+        self
+    }
+
     fn xu_insert(&mut self, position: InsertPosition, subtree: &Node) -> mbxq_storage::Result<u64> {
         self.insert(position, subtree).map(|r| r.inserted)
     }
@@ -83,6 +94,12 @@ impl UpdateTarget for PagedDoc {
 }
 
 impl UpdateTarget for NaiveDoc {
+    type View = NaiveDoc;
+
+    fn xu_view(&self) -> &NaiveDoc {
+        self
+    }
+
     fn xu_insert(&mut self, position: InsertPosition, subtree: &Node) -> mbxq_storage::Result<u64> {
         self.insert(position, subtree).map(|r| r.changed)
     }
@@ -191,10 +208,11 @@ pub fn execute<T: UpdateTarget>(doc: &mut T, mods: &Modifications) -> Result<Exe
             Command::Update { select, content } => {
                 for node in select_nodes(doc, select)? {
                     let pre = doc.xu_node_to_pre(node)?;
-                    match doc.kind(pre) {
+                    let view = doc.xu_view();
+                    match view.kind(pre) {
                         Some(mbxq_storage::Kind::Element) => {
                             // Replace children: delete existing, append new.
-                            let child_nodes: Vec<NodeId> = mbxq_axes::children(doc, pre)
+                            let child_nodes: Vec<NodeId> = mbxq_axes::children(view, pre)
                                 .map(|p| doc.xu_pre_to_node(p))
                                 .collect::<mbxq_storage::Result<_>>()?;
                             for c in child_nodes {
@@ -231,7 +249,7 @@ pub fn execute<T: UpdateTarget>(doc: &mut T, mods: &Modifications) -> Result<Exe
 
 /// Evaluates a command's selection and pins the targets by node id.
 fn select_nodes<T: UpdateTarget>(doc: &T, path: &mbxq_xpath::XPath) -> Result<Vec<NodeId>> {
-    let pres = path.select_from_root(doc)?;
+    let pres = path.select_from_root(doc.xu_view())?;
     pres.into_iter()
         .map(|p| doc.xu_pre_to_node(p).map_err(XUpdateError::Storage))
         .collect()

@@ -7,7 +7,7 @@
 use mbxq::TreeView;
 use mbxq_storage::ReadOnlyDoc;
 use mbxq_xmark::{generate, XMarkConfig};
-use mbxq_xpath::{AxisChoice, EvalOptions, EvalStats, XPath};
+use mbxq_xpath::{Ablation, AxisChoice, EvalOptions, EvalStats, XPath};
 use std::time::Instant;
 
 fn show(doc: &ReadOnlyDoc, source: &str) {
@@ -21,7 +21,12 @@ fn show(doc: &ReadOnlyDoc, source: &str) {
         AxisChoice::Auto,
     ] {
         let stats = EvalStats::default();
-        let opts = EvalOptions::new().axis(axis).stats(&stats);
+        let opts = EvalOptions::new()
+            .ablation(Ablation {
+                axis,
+                ..Default::default()
+            })
+            .stats(&stats);
         let t0 = Instant::now();
         let rows = xp.select_from_root_opts(doc, &opts).expect("eval").len();
         let dt = t0.elapsed();

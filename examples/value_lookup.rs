@@ -12,7 +12,7 @@
 
 use mbxq::{PageConfig, PagedDoc, Shard, StoreConfig, TreeView, Wal};
 use mbxq_xmark::{generate, XMarkConfig};
-use mbxq_xpath::{Bindings, EvalOptions, EvalStats, Value, ValueChoice, XPath};
+use mbxq_xpath::{Ablation, Bindings, EvalOptions, EvalStats, Value, ValueChoice, XPath};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -150,7 +150,13 @@ fn main() {
         let stats = EvalStats::default();
         let mut id = Bindings::new();
         id.set("id", Value::Str(target_id.into()));
-        let opts = EvalOptions::new().bindings(&id).value(value).stats(&stats);
+        let opts = EvalOptions::new()
+            .bindings(&id)
+            .ablation(Ablation {
+                value,
+                ..Default::default()
+            })
+            .stats(&stats);
         let t0 = Instant::now();
         let rows = store.query_nodes_opts(LOOKUP, &opts).unwrap().len();
         println!(

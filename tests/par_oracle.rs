@@ -8,10 +8,11 @@
 //!
 //! * the reference interpreter (no plans, no parallelism);
 //! * the planned executor forced sequential;
-//! * the planned executor forced parallel on a shared worker pool with
-//!   `morsel_rows(1)` — every context row becomes its own morsel, so
-//!   the merge-in-morsel-order path is exercised maximally and any
-//!   ordering bug in the split/merge shows up even on tiny documents.
+//! * the planned executor forced parallel on a shared worker pool
+//!   (`ParChoice::ForceParallel`) — every context row becomes its own
+//!   morsel, so the merge-in-morsel-order path is exercised maximally
+//!   and any ordering bug in the split/merge shows up even on tiny
+//!   documents.
 //!
 //! Afterwards random update batches (inserts, deletes, renames,
 //! attribute writes, text edits) hit the paged view and the three-way
@@ -24,7 +25,7 @@ use common::{rand_name, rand_text, rand_tree, TestRng};
 use mbxq::{InsertPosition, Kind, NaiveDoc, PagedDoc, QName, ReadOnlyDoc, TreeView};
 use mbxq_axes::{in_range_mask, scan_range_arm, KernelArm, NodeTest};
 use mbxq_storage::NumRange;
-use mbxq_xpath::{Bindings, EvalOptions, ParChoice, Value, WorkerPool, XPath};
+use mbxq_xpath::{Ablation, Bindings, EvalOptions, EvalStats, ParChoice, Value, WorkerPool, XPath};
 
 /// NaN-tolerant value equality (`NaN != NaN` under `PartialEq`, but the
 /// oracle wants "both NaN" to count as agreement).
@@ -36,31 +37,37 @@ fn values_equal(a: &Value, b: &Value) -> bool {
 }
 
 /// One comparison: interpreter vs forced-sequential vs forced-parallel
-/// (single-row morsels on `pool`), same view.
+/// (single-row morsels on `pool`), same view. Returns the morsels the
+/// parallel run executed.
 fn check_query<V: TreeView>(
     view: &V,
     xp: &XPath,
     bindings: &Bindings,
     pool: &WorkerPool,
     seed_info: &str,
-) {
+) -> u64 {
     let root: Vec<u64> = view.root_pre().into_iter().collect();
     let want = xp.eval_interpreted_with(view, &root, bindings);
     let seq = xp.eval_opts(
         view,
         &root,
-        &EvalOptions::new()
-            .bindings(bindings)
-            .par(ParChoice::ForceSequential),
+        &EvalOptions::new().bindings(bindings).ablation(Ablation {
+            par: ParChoice::ForceSequential,
+            ..Default::default()
+        }),
     );
+    let stats = EvalStats::default();
     let par = xp.eval_opts(
         view,
         &root,
         &EvalOptions::new()
             .bindings(bindings)
             .pool(pool)
-            .par(ParChoice::ForceParallel)
-            .morsel_rows(1),
+            .ablation(Ablation {
+                par: ParChoice::ForceParallel,
+                ..Default::default()
+            })
+            .stats(&stats),
     );
     for (arm, got) in [("sequential", &seq), ("parallel", &par)] {
         match (&want, got) {
@@ -91,8 +98,8 @@ fn check_query<V: TreeView>(
         ),
     }
     // Kernel equivalence: both forced chunk-kernel arms must reproduce
-    // the auto-dispatched sequential result bit-for-bit (with the
-    // `simd` feature off, the Simd arm is the unrolled twin).
+    // the auto-dispatched sequential result bit-for-bit (off x86_64 the
+    // Simd arm runs the scalar loops).
     for (arm, kernel) in [
         ("scalar-kernel", KernelArm::Scalar),
         ("simd-kernel", KernelArm::Simd),
@@ -100,10 +107,11 @@ fn check_query<V: TreeView>(
         let got = xp.eval_opts(
             view,
             &root,
-            &EvalOptions::new()
-                .bindings(bindings)
-                .par(ParChoice::ForceSequential)
-                .kernel(Some(kernel)),
+            &EvalOptions::new().bindings(bindings).ablation(Ablation {
+                par: ParChoice::ForceSequential,
+                kernel,
+                ..Default::default()
+            }),
         );
         match (&seq, &got) {
             (Ok(s), Ok(g)) => assert!(
@@ -118,6 +126,7 @@ fn check_query<V: TreeView>(
             ),
         }
     }
+    stats.morsels.get()
 }
 
 /// The oracle's query corpus: axis steps that hit every parallel hook
@@ -195,11 +204,13 @@ fn parallel_execution_matches_interpreter_on_the_xmark_corpus() {
     let pool = WorkerPool::new(3);
     let (ro, up, queries) = common::xmark_corpus();
     let bindings = Bindings::new();
+    let mut morsels = 0;
     for q in queries {
         let xp = XPath::parse(q).unwrap();
-        check_query(&ro, &xp, &bindings, &pool, "xmark (ro)");
-        check_query(&up, &xp, &bindings, &pool, "xmark (paged)");
+        morsels += check_query(&ro, &xp, &bindings, &pool, "xmark (ro)");
+        morsels += check_query(&up, &xp, &bindings, &pool, "xmark (paged)");
     }
+    assert!(morsels > 1, "forced parallelism never split a relation");
 }
 
 /// The paged three-way comparison repeated across random update
@@ -376,21 +387,20 @@ fn chunk_kernels_agree_on_random_slice_offsets() {
     }
 }
 
-/// Guard for the feature chain: when the workspace is tested with
-/// `--features simd` on x86_64, the flag must actually reach the axes
-/// crate and light up the vector arm — a broken forward in any
-/// intermediate `Cargo.toml` would silently demote every "simd" run of
-/// this suite to the scalar twin.
+/// On x86_64 every build runs the SSE2 kernels by default: the vector
+/// arm is compiled, 16 byte lanes wide, and what [`KernelArm::auto`]
+/// picks — so every oracle here and every benchmark number exercises
+/// it. Elsewhere the arm is the scalar loops and auto picks Scalar.
 #[test]
-fn umbrella_simd_feature_reaches_the_kernels() {
-    if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-        assert!(
-            mbxq_axes::simd_compiled(),
-            "umbrella simd feature did not propagate to mbxq-axes"
-        );
+fn x86_64_builds_default_to_the_sse2_kernels() {
+    if cfg!(target_arch = "x86_64") {
+        assert!(mbxq_axes::simd_compiled());
         assert_eq!(mbxq_axes::simd_width(), 16);
+        assert_eq!(KernelArm::auto(), KernelArm::Simd);
     } else {
+        assert!(!mbxq_axes::simd_compiled());
         assert_eq!(mbxq_axes::simd_width(), 1);
+        assert_eq!(KernelArm::auto(), KernelArm::Scalar);
     }
 }
 

@@ -26,8 +26,8 @@ use mbxq::{
     InsertPosition, Kind, NaiveDoc, Node, PageConfig, PagedDoc, QName, ReadOnlyDoc, TreeView,
 };
 use mbxq_xpath::{
-    AxisChoice, Bindings, EvalOptions, EvalStats, MultiChoice, MultiStrategy, PlanFeedback,
-    ReplanMode, Value, ValueChoice, XPath,
+    Ablation, AxisChoice, Bindings, EvalOptions, EvalStats, MultiChoice, MultiStrategy,
+    PlanFeedback, ReplanMode, Value, ValueChoice, XPath,
 };
 
 /// NaN-tolerant value equality (`NaN != NaN` under `PartialEq`, but the
@@ -51,10 +51,11 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
         (AxisChoice::ForceStaircase, ValueChoice::ForceScan),
         (AxisChoice::ForceIndex, ValueChoice::ForceProbe),
     ] {
-        let opts = EvalOptions::new()
-            .bindings(bindings)
-            .axis(axis)
-            .value(value);
+        let opts = EvalOptions::new().bindings(bindings).ablation(Ablation {
+            axis,
+            value,
+            ..Default::default()
+        });
         let got = xp.eval_opts(view, &root, &opts);
         match (&want, &got) {
             (Ok(w), Ok(g)) => assert!(
@@ -90,8 +91,11 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
     ] {
         let opts = EvalOptions::new()
             .bindings(bindings)
-            .multi(multi)
-            .replan(replan)
+            .ablation(Ablation {
+                multi,
+                replan,
+                ..Default::default()
+            })
             .feedback(&feedback);
         let got = xp.eval_opts(view, &root, &opts);
         match (&want, &got) {
@@ -372,7 +376,12 @@ fn the_existence_join_is_linear_in_rows_plus_postings() {
         let calls = |axis| {
             let counting = common::Counting::new(view);
             let stats = EvalStats::default();
-            let opts = EvalOptions::new().axis(axis).stats(&stats);
+            let opts = EvalOptions::new()
+                .ablation(Ablation {
+                    axis,
+                    ..Default::default()
+                })
+                .stats(&stats);
             let got = xp.eval_opts(&counting, &root, &opts).unwrap();
             assert!(matches!(&got, Value::Nodes(ns) if ns.len() == k), "{name}");
             (counting.calls(), stats.index_steps.get())
@@ -484,7 +493,13 @@ fn one_cached_plan_picks_its_arm_per_key() {
             for (key, hits) in keys {
                 let b = bind(key, key);
                 let stats = EvalStats::default();
-                let opts = EvalOptions::new().bindings(&b).value(choice).stats(&stats);
+                let opts = EvalOptions::new()
+                    .bindings(&b)
+                    .ablation(Ablation {
+                        value: choice,
+                        ..Default::default()
+                    })
+                    .stats(&stats);
                 let got = single.eval_opts(view, &root, &opts).unwrap();
                 let want = single.eval_interpreted_with(view, &root, &b).unwrap();
                 assert_eq!(got, want, "{name}: $p = {key} under {choice:?}");
@@ -513,8 +528,11 @@ fn one_cached_plan_picks_its_arm_per_key() {
                 let stats = EvalStats::default();
                 let opts = EvalOptions::new()
                     .bindings(&b)
-                    .multi(choice)
-                    .replan(replan)
+                    .ablation(Ablation {
+                        multi: choice,
+                        replan,
+                        ..Default::default()
+                    })
                     .feedback(&feedback)
                     .stats(&stats);
                 let got = multi.eval_opts(view, &root, &opts).unwrap();

@@ -12,7 +12,7 @@ use mbxq::{
 };
 use mbxq_txn::recover::recover;
 use mbxq_xml::Document;
-use mbxq_xpath::{EvalOptions, ParChoice};
+use mbxq_xpath::{Ablation, AxisChoice, EvalOptions, EvalStats, ParChoice};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -276,6 +276,7 @@ fn parallel_queries_race_commits_checkpoint_and_vacuum() {
     );
     let stop = AtomicBool::new(false);
     let queries_run = AtomicU64::new(0);
+    let morsels = AtomicU64::new(0);
     let commits = AtomicU64::new(0);
     let maintenance = AtomicU64::new(0);
     std::thread::scope(|scope| {
@@ -283,6 +284,7 @@ fn parallel_queries_race_commits_checkpoint_and_vacuum() {
             let store = &store;
             let stop = &stop;
             let queries_run = &queries_run;
+            let morsels = &morsels;
             scope.spawn(move || {
                 let paths = ["/root/s0/p", "//p", "/root/*", "//p[@touched]"];
                 let pool = store.query_pool().expect("query_threads is configured");
@@ -290,19 +292,31 @@ fn parallel_queries_race_commits_checkpoint_and_vacuum() {
                 while !stop.load(Ordering::Relaxed) {
                     let xp = XPath::parse(paths[i % paths.len()]).unwrap();
                     let snap = store.snapshot();
+                    let stats = EvalStats::default();
                     let par = xp
                         .select_from_root_opts(
                             snap.as_ref(),
                             &EvalOptions::new()
                                 .pool(pool)
-                                .par(ParChoice::ForceParallel)
-                                .morsel_rows(1),
+                                .ablation(Ablation {
+                                    // The staircase arm scans; the name
+                                    // index would probe from one context
+                                    // row, which never splits.
+                                    axis: AxisChoice::ForceStaircase,
+                                    par: ParChoice::ForceParallel,
+                                    ..Default::default()
+                                })
+                                .stats(&stats),
                         )
                         .unwrap();
+                    morsels.fetch_add(stats.morsels.get(), Ordering::Relaxed);
                     let seq = xp
                         .select_from_root_opts(
                             snap.as_ref(),
-                            &EvalOptions::new().par(ParChoice::ForceSequential),
+                            &EvalOptions::new().ablation(Ablation {
+                                par: ParChoice::ForceSequential,
+                                ..Default::default()
+                            }),
                         )
                         .unwrap();
                     assert_eq!(par, seq, "parallel scan diverged on a pinned snapshot");
@@ -387,6 +401,10 @@ fn parallel_queries_race_commits_checkpoint_and_vacuum() {
         queries_run.load(Ordering::Relaxed),
         commits.load(Ordering::Relaxed),
         maintenance.load(Ordering::Relaxed)
+    );
+    assert!(
+        morsels.load(Ordering::Relaxed) > 1,
+        "forced-parallel scans must split into morsels"
     );
     assert!(
         queries_run.load(Ordering::Relaxed) > 0 && commits.load(Ordering::Relaxed) > 0,
