@@ -23,8 +23,8 @@ use crate::{
 };
 use mbxq_axes::{
     descendant_scan_ranges, exists_semijoin, exists_step, in_range_mask, intersect_sorted,
-    range_semijoin, region_window, scan_ranges_arm, step_lifted_with, Axis, ContextSeq, KernelArm,
-    NodeTest,
+    range_semijoin, region_window, scan_ranges_arm, simd_compiled, step_lifted_with, Axis,
+    ContextSeq, KernelArm, NodeTest,
 };
 use mbxq_storage::{DegreeStats, NumRange, QnId, TreeView};
 use std::cell::Cell;
@@ -1288,9 +1288,10 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// Fixed cost of merging per-morsel results, in nanoseconds.
     const MERGE_NS: u64 = 2_000;
 
-    /// The scan-slot cost class of the active kernel arm.
+    /// The scan-slot cost class of the active kernel arm. Off x86_64
+    /// [`KernelArm::Simd`] runs the scalar loops, and costs like them.
     fn scan_slot_ns_x10(&self) -> u64 {
-        if self.ablation.kernel == KernelArm::Simd {
+        if self.ablation.kernel == KernelArm::Simd && simd_compiled() {
             Self::SIMD_SLOT_NS_X10
         } else {
             Self::SCALAR_SLOT_NS_X10
@@ -1568,8 +1569,9 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         // tail halves stay scalar, so measured end-to-end step cost
         // drops far less than lane width suggests (plan_cost's
         // auto-vs-best assertion is the empirical guard on this
-        // constant).
-        let scan_weight: u64 = if self.ablation.kernel == KernelArm::Simd {
+        // constant). Off x86_64 the vector arm runs the scalar loops
+        // and keeps the scalar weight.
+        let scan_weight: u64 = if self.ablation.kernel == KernelArm::Simd && simd_compiled() {
             7
         } else {
             8
