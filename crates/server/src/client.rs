@@ -284,9 +284,8 @@ impl Client {
     /// cache, the shared query pool (width, spawn state, steal count,
     /// calibrated per-morsel overhead) and the cumulative executor
     /// counters — morsel-parallel steps, parallel predicates,
-    /// vectorized-kernel dispatches, multi-predicate steps with their
-    /// posting-list intersection rows, and adaptive replans — across
-    /// every session.
+    /// vectorized-kernel dispatches, and multi-predicate steps with
+    /// their posting-list intersection rows — across every session.
     pub fn stats(&mut self) -> Result<ServerStats> {
         match self.call(&Request::Stats)? {
             Response::Stats { stats } => Ok(stats),

@@ -30,9 +30,10 @@ use mbxq_xpath::Value;
 pub const MAGIC: [u8; 4] = *b"MBXQ";
 
 /// The one protocol version this build speaks. Version 1 carried three
-/// execution-strategy bytes in every `Query` frame; a client offering
-/// only 1 gets the handshake's no-overlap answer.
-pub const VERSION: u32 = 2;
+/// execution-strategy bytes in every `Query` frame, and version 2 a
+/// replan counter in every `Stats` frame; a client offering only an
+/// older version gets the handshake's no-overlap answer.
+pub const VERSION: u32 = 3;
 
 /// Default cap on a single frame's payload length.
 pub const MAX_FRAME_DEFAULT: usize = 64 << 20;
@@ -92,7 +93,8 @@ pub enum QueryTarget {
 
 /// One query request: target, XPath text, `$name` bindings, and the
 /// cursor page size for node-set results. How the query runs is the
-/// server's decision, made per execution from observed statistics.
+/// server's decision, made per execution from the statistics of the
+/// version it reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// What to evaluate against.
@@ -224,8 +226,8 @@ pub struct ServerStats {
     pub pool_spawned: bool,
     /// Cumulative cross-queue morsel steals inside the pool.
     pub pool_steals: u64,
-    /// The pool's per-morsel dispatch overhead (ns), calibrated or
-    /// pinned at spawn; `0` before the pool exists.
+    /// The pool's per-morsel dispatch overhead (ns), calibrated at
+    /// spawn; `0` before the pool exists.
     pub morsel_overhead_ns: u64,
     /// Physical operators that ran morsel-parallel.
     pub par_steps: u64,
@@ -240,9 +242,6 @@ pub struct ServerStats {
     pub multi_probe_steps: u64,
     /// Rows produced by posting-list intersections.
     pub intersect_rows: u64,
-    /// Multi-predicate strategies recompiled because the recorded
-    /// cardinality feedback diverged (or a replan was forced).
-    pub replans: u64,
     /// Whether this server binary carries compiled vector instructions
     /// (every x86_64 build); when `false` the Simd arm runs the scalar
     /// loops.
@@ -658,7 +657,6 @@ impl Response {
                     stats.simd_steps,
                     stats.multi_probe_steps,
                     stats.intersect_rows,
-                    stats.replans,
                 ] {
                     put_u64(&mut out, v);
                 }
@@ -729,7 +727,6 @@ impl Response {
                     simd_steps: r.u64()?,
                     multi_probe_steps: r.u64()?,
                     intersect_rows: r.u64()?,
-                    replans: r.u64()?,
                     pool_threads: r.u32()?,
                     pool_spawned: r.u8()? != 0,
                     simd_compiled: r.u8()? != 0,
@@ -901,7 +898,6 @@ mod tests {
                 simd_steps: 12,
                 multi_probe_steps: 5,
                 intersect_rows: 40,
-                replans: 2,
                 simd_compiled: cfg!(target_arch = "x86_64"),
             },
         });

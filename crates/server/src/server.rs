@@ -28,7 +28,6 @@ struct EvalCounters {
     simd_steps: AtomicU64,
     multi_probe_steps: AtomicU64,
     intersect_rows: AtomicU64,
-    replans: AtomicU64,
 }
 
 impl EvalCounters {
@@ -44,7 +43,6 @@ impl EvalCounters {
             .fetch_add(s.multi_probe_steps.get(), Ordering::Relaxed);
         self.intersect_rows
             .fetch_add(s.intersect_rows.get(), Ordering::Relaxed);
-        self.replans.fetch_add(s.replans.get(), Ordering::Relaxed);
     }
 }
 
@@ -473,7 +471,6 @@ fn handle_request(
                     simd_steps: counters.simd_steps.load(Ordering::Relaxed),
                     multi_probe_steps: counters.multi_probe_steps.load(Ordering::Relaxed),
                     intersect_rows: counters.intersect_rows.load(Ordering::Relaxed),
-                    replans: counters.replans.load(Ordering::Relaxed),
                     simd_compiled: mbxq_xpath::simd_compiled(),
                 },
             })

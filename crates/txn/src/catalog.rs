@@ -192,10 +192,7 @@ impl Catalog {
         Catalog {
             dir: None,
             config,
-            pool: Arc::new(QueryPool::with_overhead(
-                config.store.query_threads,
-                config.store.morsel_overhead_ns,
-            )),
+            pool: Arc::new(QueryPool::new(config.store.query_threads)),
             inner: Mutex::new(Inner {
                 docs: Vec::new(),
                 index: HashMap::new(),
@@ -225,10 +222,7 @@ impl Catalog {
         } else {
             Vec::new()
         };
-        let pool = Arc::new(QueryPool::with_overhead(
-            config.store.query_threads,
-            config.store.morsel_overhead_ns,
-        ));
+        let pool = Arc::new(QueryPool::new(config.store.query_threads));
         let mut docs = Vec::with_capacity(entries.len());
         let mut next_id = 0u64;
         for (id, name) in entries {
@@ -615,20 +609,10 @@ impl Catalog {
         self.shard_or_err(name)?.query_nodes_opts(text, opts)
     }
 
-    /// One document's feedback-annotated physical plan for `text` (see
+    /// One document's analyzed physical plan for `text` (see
     /// [`Shard::explain_query`]).
     pub fn explain_query(&self, name: &str, text: &str) -> Result<String> {
         self.shard_or_err(name)?.explain_query(text)
-    }
-
-    /// One document's recorded multi-predicate feedback for `text` (see
-    /// [`Shard::plan_feedback`]).
-    pub fn plan_feedback(
-        &self,
-        name: &str,
-        text: &str,
-    ) -> Result<Option<Vec<mbxq_xpath::StepFeedback>>> {
-        Ok(self.shard_or_err(name)?.plan_feedback(text))
     }
 
     /// Evaluates `text` against **every** document, in parallel over the

@@ -250,13 +250,9 @@ pub struct StoreConfig {
     /// Threads for morsel-parallel query execution (`0` or `1` =
     /// sequential, no pool). The store lazily spawns one shared
     /// [`mbxq_xpath::WorkerPool`] of this width on the first query and
-    /// injects it into every [`Shard::query_opts`] evaluation.
+    /// injects it into every [`Shard::query_opts`] evaluation; the pool
+    /// calibrates its per-morsel dispatch overhead when it spawns.
     pub query_threads: usize,
-    /// Pins the pool's per-morsel dispatch overhead (nanoseconds) used
-    /// by the executor's parallel break-even cost model. `None` (the
-    /// default) measures it with a calibration loop when the pool
-    /// spawns; tests pin it for deterministic cost decisions.
-    pub morsel_overhead_ns: Option<u64>,
 }
 
 impl Default for StoreConfig {
@@ -266,7 +262,6 @@ impl Default for StoreConfig {
             lock_timeout: Duration::from_secs(5),
             validate_on_commit: false,
             query_threads: 0,
-            morsel_overhead_ns: None,
         }
     }
 }
@@ -365,33 +360,56 @@ mod tests {
         t.commit().unwrap();
     }
 
-    /// The plan cache's adaptive memory: an Auto query records
-    /// estimated-vs-observed cardinality for its multi-predicate step,
-    /// the annotated explain renders it, later queries reuse the entry
-    /// (same feedback store), and a vacuum's epoch bump discards the
-    /// observations together with the compiled plan.
+    /// `explain_query` is an analyze run: a multi-predicate text that
+    /// has never run still shows this execution's estimated and
+    /// observed cardinality, and the plan it ran is the cached one.
     #[test]
-    fn plan_cache_feedback_and_annotated_explain() {
+    fn explain_query_analyzes_a_text_that_never_ran() {
         let s = store(AncestorLockMode::Delta);
         let q = "//person[@id = \"p0\"][name = \"Ann\"]";
-        assert!(s.plan_feedback(q).is_none(), "never compiled yet");
-        let v = s.query(q).unwrap();
-        let fb = s.plan_feedback(q).unwrap();
-        assert_eq!(fb.len(), 1, "one multi-predicate step");
-        assert_eq!(fb[0].observed, 1);
-        assert!(fb[0].estimated >= fb[0].observed, "bound is pessimistic");
         let annotated = s.explain_query(q).unwrap();
         assert!(annotated.contains("multi-probe"), "{annotated}");
         assert!(annotated.contains("cardinality est≈"), "{annotated}");
-        assert!(annotated.contains("obs=1"), "{annotated}");
-        let v2 = s.query(q).unwrap();
-        assert_eq!(v, v2);
-        assert!(s.plan_cache_stats().hits >= 1);
-        s.vacuum().unwrap();
-        assert!(
-            s.plan_feedback(q).is_none(),
-            "vacuum must invalidate the entry and its observations"
-        );
+        assert!(annotated.contains("obs=1 via"), "{annotated}");
+        assert_eq!(s.plan_cache_stats().misses, 1);
+        s.query(q).unwrap();
+        assert_eq!(s.plan_cache_stats().hits, 1, "explain cached the plan");
+    }
+
+    /// A cached all-numeric two-predicate step is costed from the
+    /// bounds of the version it runs on. Commits make the rarer
+    /// predicate the commoner one (4 and 12 matches become 20 and 12,
+    /// a gap of a few rows that no observation would flag as a
+    /// misestimate), and the next run probes the other predicate.
+    #[test]
+    fn a_cached_step_follows_its_bounds_across_commits() {
+        let mut xml = String::from("<r>");
+        for i in 0..1000 {
+            let a = if i < 4 { 60 } else { 0 };
+            let b = if i < 12 { 60 } else { 0 };
+            xml.push_str(&format!("<e><a>{a}</a><b>{b}</b></e>"));
+        }
+        xml.push_str("</r>");
+        let doc = PagedDoc::parse_str(&xml, PageConfig::default()).unwrap();
+        let s = Shard::open(doc, Wal::in_memory(), StoreConfig::default());
+        let q = "//e[a > 50][b > 50]";
+        s.query(q).unwrap();
+        let before = s.explain_query(q).unwrap();
+        assert!(before.contains("est≈4 obs=4 via probe(#0)"), "{before}");
+        let set = |path: &str, value: &str| {
+            let mut t = s.begin();
+            for text in t.select(&XPath::parse(path).unwrap()).unwrap() {
+                t.update_value(text, value).unwrap();
+            }
+            t.commit().unwrap();
+        };
+        set("//e[position() > 4 and position() <= 12]/a/text()", "60");
+        set("//e[position() > 12 and position() <= 20]/a/text()", "60");
+        assert_eq!(s.query_nodes(q).unwrap().len(), 12);
+        let after = s.explain_query(q).unwrap();
+        assert!(after.contains("est≈12 obs=12 via probe(#1)"), "{after}");
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 3), "one cached plan");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::sync::OnceLock;
 /// ever spawned.
 pub struct QueryPool {
     threads: usize,
-    overhead_ns: Option<u64>,
     inner: OnceLock<mbxq_xpath::WorkerPool>,
 }
 
@@ -37,16 +36,8 @@ impl QueryPool {
     /// spawned workers plus the submitting thread), not yet spawned.
     /// Per-morsel overhead is measured by a calibration loop at spawn.
     pub fn new(threads: usize) -> QueryPool {
-        QueryPool::with_overhead(threads, None)
-    }
-
-    /// Like [`QueryPool::new`] but with the per-morsel dispatch
-    /// overhead pinned (`Some(ns)`) instead of calibrated at spawn —
-    /// see [`StoreConfig::morsel_overhead_ns`](crate::StoreConfig).
-    pub fn with_overhead(threads: usize, overhead_ns: Option<u64>) -> QueryPool {
         QueryPool {
             threads,
-            overhead_ns,
             inner: OnceLock::new(),
         }
     }
@@ -67,9 +58,10 @@ impl QueryPool {
         if self.threads < 2 {
             return None;
         }
-        Some(self.inner.get_or_init(|| {
-            mbxq_xpath::WorkerPool::with_overhead_ns(self.threads, self.overhead_ns)
-        }))
+        Some(
+            self.inner
+                .get_or_init(|| mbxq_xpath::WorkerPool::new(self.threads)),
+        )
     }
 
     /// A live snapshot of the pool counters.
@@ -98,8 +90,8 @@ pub struct PoolStats {
     pub spawned: bool,
     /// Cumulative cross-queue morsel steals since spawn.
     pub steals: u64,
-    /// The pool's per-morsel dispatch overhead (calibrated or pinned at
-    /// spawn; `0` before the pool exists) feeding the executor's
+    /// The pool's per-morsel dispatch overhead (calibrated at spawn;
+    /// `0` before the pool exists) feeding the executor's
     /// parallel break-even cost model.
     pub morsel_overhead_ns: u64,
 }
@@ -139,12 +131,5 @@ mod tests {
             pool.stats().morsel_overhead_ns > 0,
             "spawn must calibrate a nonzero morsel overhead"
         );
-    }
-
-    #[test]
-    fn pinned_overhead_passes_through_to_the_worker_pool() {
-        let pool = QueryPool::with_overhead(2, Some(750));
-        assert_eq!(pool.get().unwrap().morsel_overhead_ns(), 750);
-        assert_eq!(pool.stats().morsel_overhead_ns, 750);
     }
 }

@@ -97,26 +97,21 @@ struct PlanCache {
 /// One [`Shard::query`] cache entry: the compiled plan plus the layout
 /// epoch it was compiled under. A vacuum reorganizes the page layout
 /// (and re-costs every strategy surface), so an epoch bump invalidates
-/// the entry and the next use recompiles.
+/// the entry and the next use recompiles. An entry holds no state an
+/// execution writes: every execution costs its multi-predicate steps
+/// from its own bounds.
 struct CachedPlan {
     epoch: u64,
     plan: Arc<XPath>,
-    /// Adaptive-execution memory for this entry: estimated vs observed
-    /// cardinality per multi-predicate step, written by every Auto
-    /// evaluation and consulted by the next one (see
-    /// [`mbxq_xpath::ReplanMode`]). Dies with the entry, so a vacuum's
-    /// epoch bump discards the observations along with the plan.
-    feedback: Arc<mbxq_xpath::PlanFeedback>,
     /// [`PlanCache::tick`] of the most recent use (LRU victim choice).
     last_used: u64,
 }
 
-/// What [`Shard::cached_plan`] hands one request: the shared plan and
-/// feedback store of the text's shape, and the shape itself — which
-/// still holds the literal values this particular text carries.
+/// What [`Shard::cached_plan`] hands one request: the shared plan of
+/// the text's shape, and the shape itself — which still holds the
+/// literal values this particular text carries.
 struct Prepared {
     plan: Arc<XPath>,
-    feedback: Arc<mbxq_xpath::PlanFeedback>,
     shape: mbxq_xpath::QueryShape,
 }
 
@@ -124,10 +119,7 @@ impl Shard {
     /// Opens a standalone shard over an already-shredded document, with
     /// a private query pool of [`StoreConfig::query_threads`] width.
     pub fn open(doc: PagedDoc, wal: Wal, config: StoreConfig) -> Shard {
-        let pool = Arc::new(QueryPool::with_overhead(
-            config.query_threads,
-            config.morsel_overhead_ns,
-        ));
+        let pool = Arc::new(QueryPool::new(config.query_threads));
         Shard::open_named(None, doc, wal, config, pool)
     }
 
@@ -436,12 +428,22 @@ impl Shard {
         text: &str,
         opts: &mbxq_xpath::EvalOptions<'_>,
     ) -> Result<mbxq_xpath::Value> {
-        let prepared = self.cached_plan(text)?;
+        self.eval_prepared(self.cached_plan(text)?, snapshot, opts)
+    }
+
+    /// Evaluates a cached plan on `snapshot` with this shard's pool
+    /// injected: the body of [`Shard::query_on`] after the cache lookup.
+    fn eval_prepared(
+        &self,
+        prepared: Prepared,
+        snapshot: &PagedDoc,
+        opts: &mbxq_xpath::EvalOptions<'_>,
+    ) -> Result<mbxq_xpath::Value> {
         let root: Vec<u64> = snapshot.root_pre().into_iter().collect();
         // The literals this text carries where the shared plan has
         // parameters, layered over the caller's own bindings.
         let bound = prepared.shape.bindings(opts.bindings_ref());
-        let mut opts = self.inject_pool(*opts).or_feedback(&prepared.feedback);
+        let mut opts = self.inject_pool(*opts);
         if let Some(b) = &bound {
             opts = opts.bindings(b);
         }
@@ -520,7 +522,6 @@ impl Shard {
                     self.plan_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Prepared {
                         plan: entry.plan.clone(),
-                        feedback: entry.feedback.clone(),
                         shape,
                     });
                 }
@@ -557,55 +558,37 @@ impl Shard {
         }
         plans.tick += 1;
         let tick = plans.tick;
-        let feedback = Arc::new(mbxq_xpath::PlanFeedback::new());
         plans.map.insert(
             shape.key().to_string(),
             CachedPlan {
                 epoch,
                 plan: plan.clone(),
-                feedback: feedback.clone(),
                 last_used: tick,
             },
         );
-        Ok(Prepared {
-            plan,
-            feedback,
-            shape,
-        })
+        Ok(Prepared { plan, shape })
     }
 
-    /// The recorded multi-predicate feedback for a cached query (looked
-    /// up by `text`'s shape, like every cache access): estimated vs
-    /// observed candidate cardinality per step, in execution order.
-    /// `None` when the shape was never compiled (or its entry was
-    /// evicted / epoch-invalidated).
-    pub fn plan_feedback(&self, text: &str) -> Option<Vec<mbxq_xpath::StepFeedback>> {
-        let shape = mbxq_xpath::QueryShape::of(text).ok()?;
-        let epoch = self.layout_epoch();
-        let plans = self.plans.lock().unwrap();
-        let entry = plans.map.get(shape.key())?;
-        if entry.epoch != epoch {
-            return None;
-        }
-        Some(entry.feedback.snapshot())
-    }
-
-    /// Explains the compiled physical plan for `text`, annotated with
-    /// this shard's recorded estimated-vs-observed cardinalities for
-    /// every multi-predicate step (compiling and caching the plan if
-    /// needed) — the adaptive-execution introspection surface. When the
-    /// text's literals were lifted, the first line names the shape key
-    /// the plan is cached under (and shared through).
+    /// Explains the compiled physical plan for `text` as an analyze
+    /// run: the cached plan (compiled and cached if needed) is
+    /// evaluated once on the committed version with a private
+    /// [`mbxq_xpath::PlanFeedback`] attached, and every multi-predicate
+    /// step is annotated with that run's estimated-vs-observed
+    /// cardinality and strategy. An evaluation error (an unbound
+    /// `$name`, say) is returned as the error. When the text's literals
+    /// were lifted, the first line names the shape key the plan is
+    /// cached under (and shared through).
     pub fn explain_query(&self, text: &str) -> Result<String> {
         let prepared = self.cached_plan(text)?;
-        let plan = prepared
-            .plan
-            .explain_physical_annotated(&prepared.feedback.snapshot());
-        Ok(if prepared.shape.lifted() > 0 {
-            format!("cached as {}\n{plan}", prepared.shape.key())
-        } else {
-            plan
-        })
+        let plan = prepared.plan.clone();
+        let heading = match prepared.shape.lifted() {
+            0 => String::new(),
+            _ => format!("cached as {}\n", prepared.shape.key()),
+        };
+        let feedback = mbxq_xpath::PlanFeedback::new();
+        let opts = mbxq_xpath::EvalOptions::new().feedback(&feedback);
+        self.eval_prepared(prepared, &self.snapshot(), &opts)?;
+        Ok(heading + &plan.explain_physical_annotated(&feedback.snapshot()))
     }
 
     /// Plan-cache counters.

@@ -516,12 +516,19 @@ mod tests {
         assert_eq!(wal.read_all().unwrap().len(), 1);
     }
 
+    /// A fresh directory of this test's own (tests of one process run
+    /// in parallel, so no two may share one); the test removes it whole.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mbxq-wal-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn file_backend_persists() {
-        let dir = std::env::temp_dir().join(format!("mbxq-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("persists");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::file(&path).unwrap();
             wal.append(&sample_record(7)).unwrap();
@@ -529,7 +536,7 @@ mod tests {
         let wal = Wal::file(&path).unwrap();
         let records = wal.read_all().unwrap();
         assert_eq!(records, vec![sample_record(7)]);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -675,10 +682,8 @@ mod tests {
         let mut appended = Wal::in_memory();
         appended.append(&sample_checkpoint()).unwrap();
         assert_eq!(appended.raw().unwrap(), BYTES);
-        let dir = std::env::temp_dir().join(format!("mbxq-wal-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("ckpt-format");
         let path = dir.join("ckpt.wal");
-        let _ = std::fs::remove_file(&path);
         let mut file = Wal::file(&path).unwrap();
         file.append(&sample_record(1)).unwrap();
         file.reset_with(&sample_checkpoint()).unwrap();
@@ -699,10 +704,8 @@ mod tests {
 
     #[test]
     fn file_backend_reset_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("mbxq-wal-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("reset-reopen");
         let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::file(&path).unwrap();
             wal.append(&sample_record(1)).unwrap();
@@ -714,8 +717,7 @@ mod tests {
             wal.read_all().unwrap(),
             vec![sample_checkpoint(), sample_record(2)]
         );
-        std::fs::remove_file(&path).unwrap();
-        let _ = std::fs::remove_dir(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::par::{self, ParChoice, WorkerPool};
 use crate::physical::{PhysPred, PhysRel, PhysScalar, StepStrategy};
 use crate::plan::{Operand, ValuePred, ValueSource};
 use crate::{
-    Ablation, AxisChoice, Bindings, EvalStats, MultiChoice, MultiStrategy, PlanFeedback,
-    ReplanMode, Result, StepFeedback, ValueChoice, XPathError,
+    Ablation, AxisChoice, Bindings, EvalStats, MultiChoice, MultiStrategy, PlanFeedback, Result,
+    StepFeedback, ValueChoice, XPathError,
 };
 use mbxq_axes::{
     descendant_scan_ranges, exists_semijoin, exists_step, in_range_mask, intersect_sorted,
@@ -669,7 +669,7 @@ pub(crate) enum RelOut {
 }
 
 /// One plan execution: the view, the bindings, the optional decision
-/// counters, the worker pool, the plan's feedback store and the
+/// counters, the worker pool, the analyze recorder and the
 /// strategy overrides ([`Ablation`]).
 pub(crate) struct Exec<'a, V: TreeView + ?Sized> {
     pub(crate) view: &'a V,
@@ -679,7 +679,7 @@ pub(crate) struct Exec<'a, V: TreeView + ?Sized> {
     pub(crate) feedback: Option<&'a PlanFeedback>,
     pub(crate) ablation: Ablation,
     /// Execution-order index of the next multi-predicate step — the
-    /// key into the [`PlanFeedback`] store.
+    /// row of the [`PlanFeedback`] recorder it writes.
     pub(crate) multi_seq: Cell<usize>,
 }
 
@@ -1961,13 +1961,8 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// exceeded by any single key, `total_postings` bounds any range.
     /// Both figures stay upper bounds under COW index deltas, so the
     /// bound errs large, never small (the Sidorenko-style pessimistic
-    /// guarantee: a plan ranked safe is safe). An `observed` list
-    /// length recorded by a previous execution overrides the
-    /// statistics — replans correct from evidence, not re-guesses.
-    fn multi_pred_bound(&self, test: &NodeTest, pred: &KeyPred<'_>, observed: Option<u64>) -> u64 {
-        if let Some(n) = observed {
-            return n;
-        }
+    /// guarantee: a plan ranked safe is safe).
+    fn multi_pred_bound(&self, test: &NodeTest, pred: &KeyPred<'_>) -> u64 {
         self.value_probe_estimate(test, pred)
             .min(self.degree_cap(test, pred))
     }
@@ -2019,12 +2014,10 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         ctx: &ContextSeq,
         test: &NodeTest,
         preds: &[KeyPred<'_>],
-        pred_obs: &[Option<u64>],
     ) -> (MultiStrategy, u64) {
         let bounds: Vec<u64> = preds
             .iter()
-            .enumerate()
-            .map(|(i, p)| self.multi_pred_bound(test, p, pred_obs.get(i).copied().flatten()))
+            .map(|p| self.multi_pred_bound(test, p))
             .collect();
         let mut order: Vec<usize> = (0..preds.len()).collect();
         order.sort_by_key(|&i| bounds[i]);
@@ -2068,17 +2061,13 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     }
 
     /// One multi-predicate step (`PhysRel::MultiProbe`): resolve every
-    /// slot, decide a strategy (reused from plan feedback, replanned,
-    /// or derived fresh — see [`crate::ReplanMode`]), execute it, and
-    /// record the estimated-vs-observed candidate cardinality back into
-    /// the feedback store.
-    ///
-    /// A step with a **parameter** slot always derives its strategy
-    /// fresh from this execution's per-key counts (one count probe per
-    /// predicate): a strategy or posting-list length recorded under a
-    /// different key says nothing about this one, and replaying it is
-    /// how a rare-key plan would end up intersecting a hot key's list.
-    /// Its feedback row is still written, for `explain_query`.
+    /// slot, derive the strategy from this execution's bounds (one
+    /// count probe per predicate, so a `$param` step is costed for the
+    /// key it is bound to now), execute it, and write the
+    /// estimated-vs-observed candidate cardinality into the analyze
+    /// recorder, if one is attached. Nothing recorded by an earlier
+    /// execution is read: a strategy derived under other bounds says
+    /// nothing about these.
     fn multi_probe_step(
         &self,
         ctx: &ContextSeq,
@@ -2106,42 +2095,13 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 Resolved::General(bound) => general.push((pred, bound)),
             }
         }
-        let late_bound = preds.iter().any(|p| matches!(p.operand, Operand::Param(_)));
-        let recorded = if late_bound {
-            None
-        } else {
-            self.feedback.and_then(|f| f.step(seq))
-        };
-        let choice = self.ablation.multi;
-        let mut replanned = false;
         let (strategy, estimated) = if !general.is_empty() || !self.view.has_content_index() {
             // No index, or a predicate with no key form: every arm
             // degenerates to the scan.
             (MultiStrategy::Scan, 0)
-        } else if choice != MultiChoice::Auto {
-            self.choose_multi(choice, ctx, test, &keyed, &[])
         } else {
-            match (&recorded, self.ablation.replan) {
-                (Some(r), ReplanMode::Skip) => (r.strategy.clone(), r.estimated),
-                (Some(r), ReplanMode::Default) if !r.diverged() => {
-                    (r.strategy.clone(), r.estimated)
-                }
-                (Some(r), ReplanMode::Default) => {
-                    replanned = true;
-                    self.choose_multi(choice, ctx, test, &keyed, &r.pred_lists)
-                }
-                (Some(_), ReplanMode::Force) => {
-                    replanned = true;
-                    self.choose_multi(choice, ctx, test, &keyed, &[])
-                }
-                (None, _) => self.choose_multi(choice, ctx, test, &keyed, &[]),
-            }
+            self.choose_multi(self.ablation.multi, ctx, test, &keyed)
         };
-        if replanned {
-            if let Some(stats) = self.stats {
-                stats.replans.set(stats.replans.get() + 1);
-            }
-        }
         let mut pred_lists: Vec<Option<u64>> = vec![None; preds.len()];
         let observed;
         let out = match &strategy {
@@ -2189,39 +2149,15 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
             }
         };
         if let Some(f) = self.feedback {
-            // Forced arms are ablation probes; only Auto executions
-            // may teach the cached plan.
-            if choice == MultiChoice::Auto {
-                if let Some(r) = &recorded {
-                    // Keep evidence from earlier runs for lists this
-                    // execution did not materialize.
-                    for (slot, old) in pred_lists.iter_mut().zip(&r.pred_lists) {
-                        if slot.is_none() {
-                            *slot = *old;
-                        }
-                    }
-                }
-                // A replan that re-derives the same strategy from
-                // observed evidence has learned everything the model
-                // can offer: the remaining estimate-vs-observed gap is
-                // the conjunction's real selectivity, not a
-                // mis-estimate. Record the observation as the new
-                // estimate so the step stops replanning (and resumes
-                // only if the document shifts the observation again).
-                let confirmed = replanned
-                    && recorded
-                        .as_ref()
-                        .is_some_and(|r| r.strategy == strategy && r.estimated == estimated);
-                f.record(
-                    seq,
-                    StepFeedback {
-                        estimated: if confirmed { observed } else { estimated },
-                        observed,
-                        strategy,
-                        pred_lists,
-                    },
-                );
-            }
+            f.record(
+                seq,
+                StepFeedback {
+                    estimated,
+                    observed,
+                    strategy,
+                    pred_lists,
+                },
+            );
         }
         Ok(out)
     }
@@ -2366,7 +2302,6 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         let ablation = Ablation {
             par: ParChoice::ForceSequential,
             multi: MultiChoice::Auto,
-            replan: ReplanMode::Default,
             ..self.ablation
         };
         type MorselOut = (usize, Result<Vec<bool>>, EvalStats);
@@ -2594,8 +2529,7 @@ mod tests {
         let ctx = ContextSeq::single_iter(vec![0]);
         // `@id = "zz"` matches nothing and ranks first (bound 0).
         let preds = [pred(&n, "x"), pred(&id, "zz")];
-        let (strategy, _) =
-            exec.choose_multi(MultiChoice::ForceIntersect, &ctx, &test, &preds, &[]);
+        let (strategy, _) = exec.choose_multi(MultiChoice::ForceIntersect, &ctx, &test, &preds);
         let MultiStrategy::Probe(prefix) = strategy else {
             panic!("forced intersect must probe")
         };

@@ -521,11 +521,10 @@ fn phys_rel(p: &mut Printer, r: &PhysRel, d: usize) {
                     Some(s) => p.line(
                         d + 1,
                         &format!(
-                            "cardinality est≈{} obs={} via {}{}",
+                            "cardinality est≈{} obs={} via {}",
                             s.estimated,
                             s.observed,
                             multi_strategy_label(&s.strategy),
-                            if s.diverged() { " (diverged)" } else { "" },
                         ),
                     ),
                     None => p.line(d + 1, "cardinality not yet observed"),

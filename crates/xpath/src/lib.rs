@@ -211,26 +211,10 @@ pub enum MultiChoice {
     ForceIntersect,
 }
 
-/// When a cached plan's multi-predicate strategy is re-derived from
-/// live statistics — the adaptive-replan policy threaded through
-/// [`Ablation::replan`] and recorded in a [`PlanFeedback`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReplanMode {
-    /// Reuse the recorded strategy while its estimated cardinality
-    /// tracked what was observed; re-derive (one replan) when the two
-    /// diverge beyond the threshold (the default).
-    #[default]
-    Default,
-    /// Re-derive the strategy on every execution, discarding whatever
-    /// the feedback recorded.
-    Force,
-    /// Always reuse the recorded strategy, however wrong its estimate
-    /// turned out to be.
-    Skip,
-}
-
-/// The strategy a multi-predicate step settled on — recorded per step
-/// in a [`PlanFeedback`] so later executions can reuse or revisit it.
+/// The strategy a multi-predicate step ran. Every execution derives it
+/// afresh from that execution's pessimistic bounds; a [`PlanFeedback`]
+/// attached to the evaluation records it for `explain`, and nothing
+/// reads it back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MultiStrategy {
     /// Scalar scan: one axis step, every predicate verified per
@@ -254,43 +238,24 @@ pub struct StepFeedback {
     /// The strategy that ran.
     pub strategy: MultiStrategy,
     /// Observed posting-list length per predicate — `Some` only for
-    /// lists the execution materialized. Replans substitute these for
-    /// the statistics-derived bounds, so a wrong estimate is corrected
-    /// from evidence rather than re-guessed.
+    /// lists the execution materialized.
     pub pred_lists: Vec<Option<u64>>,
 }
 
-impl StepFeedback {
-    /// Whether the observation diverged from the estimate far enough
-    /// to trigger a replan under [`ReplanMode::Default`]: a 4x ratio
-    /// with at least 32 rows of absolute difference (tiny steps never
-    /// replan — any strategy is cheap on them).
-    pub fn diverged(&self) -> bool {
-        let hi = self.estimated.max(self.observed);
-        let lo = self.estimated.min(self.observed);
-        hi - lo > 32 && hi > lo.saturating_mul(4)
-    }
-}
-
-/// Per-plan feedback store: one [`StepFeedback`] per multi-predicate
-/// step, in execution order. A plan cache attaches one of these to each
-/// cached plan ([`EvalOptions::feedback`]); the executor reads it to
-/// reuse strategies and writes back what it observed. Mutex-held so the
-/// cache can share one instance across sessions.
+/// An analyze recorder: one [`StepFeedback`] per multi-predicate step,
+/// in execution order, written by every evaluation it is attached to
+/// ([`EvalOptions::feedback`]) and read by `explain`. The executor
+/// never reads it, so a recorder changes no plan. Mutex-held because a
+/// parallel fan-out may share one evaluation's options across workers.
 #[derive(Debug, Default)]
 pub struct PlanFeedback {
     steps: std::sync::Mutex<Vec<StepFeedback>>,
 }
 
 impl PlanFeedback {
-    /// An empty feedback store.
+    /// An empty recorder.
     pub fn new() -> PlanFeedback {
         PlanFeedback::default()
-    }
-
-    /// The recorded feedback for the `idx`-th multi-predicate step.
-    pub fn step(&self, idx: usize) -> Option<StepFeedback> {
-        self.steps.lock().unwrap().get(idx).cloned()
     }
 
     /// Records (or overwrites) the `idx`-th step's feedback.
@@ -313,15 +278,6 @@ impl PlanFeedback {
     /// Snapshot of every recorded step, in execution order.
     pub fn snapshot(&self) -> Vec<StepFeedback> {
         self.steps.lock().unwrap().clone()
-    }
-
-    /// Whether any recorded step diverged beyond the replan threshold.
-    pub fn any_diverged(&self) -> bool {
-        self.steps
-            .lock()
-            .unwrap()
-            .iter()
-            .any(StepFeedback::diverged)
     }
 }
 
@@ -353,10 +309,6 @@ pub struct EvalStats {
     pub multi_probe_steps: Cell<u64>,
     /// Candidate rows surviving posting-list intersections.
     pub intersect_rows: Cell<u64>,
-    /// Multi-predicate strategies re-derived after their recorded
-    /// estimate diverged from observation (or under
-    /// [`ReplanMode::Force`]).
-    pub replans: Cell<u64>,
 }
 
 impl EvalStats {
@@ -386,15 +338,13 @@ impl EvalStats {
             .set(self.multi_probe_steps.get() + other.multi_probe_steps.get());
         self.intersect_rows
             .set(self.intersect_rows.get() + other.intersect_rows.get());
-        self.replans.set(self.replans.get() + other.replans.get());
     }
 }
 
 /// The strategy overrides the oracle tests force — one value, so the
 /// production options carry no per-knob copy of them. Every field
-/// defaults to the production setting (`Auto` strategies, the default
-/// replan policy, [`KernelArm::auto`]); a test names only the fields it
-/// forces:
+/// defaults to the production setting (`Auto` strategies,
+/// [`KernelArm::auto`]); a test names only the fields it forces:
 ///
 /// ```ignore
 /// let a = Ablation { axis: AxisChoice::ForceIndex, ..Default::default() };
@@ -414,9 +364,6 @@ pub struct Ablation {
     /// Multi-predicate arm: join-order search, scan, best probe or
     /// full intersection.
     pub multi: MultiChoice,
-    /// When a recorded multi-predicate strategy is re-derived; only
-    /// meaningful with a [`EvalOptions::feedback`] store attached.
-    pub replan: ReplanMode,
 }
 
 /// Evaluation-time options, assembled builder-style:
@@ -426,7 +373,7 @@ pub struct Ablation {
 /// ```
 ///
 /// Every knob defaults to the production setting (no bindings, no
-/// counters, no pool, no feedback store, [`Ablation::default`]), so
+/// counters, no pool, no analyze recorder, [`Ablation::default`]), so
 /// call sites only name the knobs they change.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOptions<'a> {
@@ -479,27 +426,12 @@ impl<'a> EvalOptions<'a> {
         self
     }
 
-    /// Attaches the plan's feedback store: recorded strategies are
-    /// reused or replanned per [`Ablation::replan`], and this
-    /// execution's estimated/observed cardinalities are written back.
+    /// Attaches an analyze recorder: every multi-predicate step this
+    /// execution runs writes its estimated/observed cardinality and
+    /// strategy into it, forced arms included. Nothing is read back.
     pub fn feedback(mut self, feedback: &'a PlanFeedback) -> Self {
         self.feedback = Some(feedback);
         self
-    }
-
-    /// Sets the feedback store only if none is set yet — how a plan
-    /// cache attaches its per-entry store without overriding an
-    /// explicit caller choice.
-    pub fn or_feedback(mut self, feedback: &'a PlanFeedback) -> Self {
-        if self.feedback.is_none() {
-            self.feedback = Some(feedback);
-        }
-        self
-    }
-
-    /// The feedback store set on these options, if any.
-    pub fn feedback_ref(&self) -> Option<&'a PlanFeedback> {
-        self.feedback
     }
 
     /// The decision-counter sink set on these options, if any. Fan-out
@@ -1498,21 +1430,18 @@ mod tests {
         }
     }
 
-    /// Feedback wiring: an Auto execution records estimated vs
-    /// observed cardinality per multi step; `Skip` reuses the recorded
-    /// strategy verbatim, `Force` replans every execution, and
-    /// `Default` replans exactly when the record diverges.
+    /// An attached recorder gets one row per multi step from every
+    /// execution, forced arms included, and changes no result: each
+    /// row holds that execution's bound, observation and strategy.
     #[test]
-    fn replan_feedback_records_and_replans() {
+    fn feedback_records_every_execution() {
         let d = doc();
         let p = XPath::parse("//person[@id = \"p1\"][name = \"Bob\"]").unwrap();
         let fb = PlanFeedback::new();
-        let stats = EvalStats::default();
         let first = p
-            .select_from_root_opts(&d, &EvalOptions::new().feedback(&fb).stats(&stats))
+            .select_from_root_opts(&d, &EvalOptions::new().feedback(&fb))
             .unwrap();
         assert_eq!(first.len(), 1);
-        assert_eq!(stats.replans.get(), 0, "first execution is not a replan");
         let snap = fb.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].observed, 1);
@@ -1520,63 +1449,36 @@ mod tests {
             snap[0].estimated >= snap[0].observed,
             "bound must be pessimistic"
         );
-        assert!(!snap[0].diverged());
-        // Skip: reuse the recorded strategy, never replan.
-        let s2 = EvalStats::default();
-        let second = p
+        let auto = snap[0].strategy.clone();
+        // A forced arm records its own strategy over the last row.
+        let forced = p
             .select_from_root_opts(
                 &d,
-                &EvalOptions::new()
-                    .feedback(&fb)
-                    .ablation(Ablation {
-                        replan: ReplanMode::Skip,
-                        ..Default::default()
-                    })
-                    .stats(&s2),
+                &EvalOptions::new().feedback(&fb).ablation(Ablation {
+                    multi: MultiChoice::ForceIntersect,
+                    ..Default::default()
+                }),
             )
             .unwrap();
-        assert_eq!(first, second);
-        assert_eq!(s2.replans.get(), 0);
-        // Default with a non-diverged record: also reuse.
-        let s3 = EvalStats::default();
-        p.select_from_root_opts(&d, &EvalOptions::new().feedback(&fb).stats(&s3))
-            .unwrap();
-        assert_eq!(s3.replans.get(), 0);
-        // Force: replan even though the record is healthy.
-        let s4 = EvalStats::default();
-        let fourth = p
-            .select_from_root_opts(
-                &d,
-                &EvalOptions::new()
-                    .feedback(&fb)
-                    .ablation(Ablation {
-                        replan: ReplanMode::Force,
-                        ..Default::default()
-                    })
-                    .stats(&s4),
-            )
-            .unwrap();
-        assert_eq!(first, fourth);
-        assert_eq!(s4.replans.get(), 1);
-        // Default with a diverged record: replan once, and the refresh
-        // leaves a healthy record behind (recovery within one replan).
-        let poisoned = PlanFeedback::new();
-        poisoned.record(
-            0,
-            StepFeedback {
-                estimated: 100_000,
-                observed: 1,
-                strategy: MultiStrategy::Scan,
-                pred_lists: vec![None, None],
-            },
+        assert_eq!(first, forced);
+        let snap = fb.snapshot();
+        assert_eq!(snap.len(), 1);
+        let intersect = snap[0].strategy.clone();
+        assert!(matches!(&intersect, MultiStrategy::Probe(o) if o.len() == 2));
+        assert_ne!(
+            intersect, auto,
+            "the forced row must differ to show no replay"
         );
-        assert!(poisoned.any_diverged());
-        let s5 = EvalStats::default();
-        let fifth = p
-            .select_from_root_opts(&d, &EvalOptions::new().feedback(&poisoned).stats(&s5))
+        assert_eq!(snap[0].observed, 1);
+        // The forced row is overwritten, never replayed, though its
+        // estimate matched: the next Auto run derives from its own
+        // bounds again.
+        let again = p
+            .select_from_root_opts(&d, &EvalOptions::new().feedback(&fb))
             .unwrap();
-        assert_eq!(first, fifth);
-        assert_eq!(s5.replans.get(), 1);
-        assert!(!poisoned.any_diverged(), "replan must repair the record");
+        assert_eq!(first, again);
+        let snap = fb.snapshot();
+        assert_eq!(snap[0].strategy, auto);
+        assert_eq!(snap[0].observed, 1);
     }
 }

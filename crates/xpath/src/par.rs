@@ -139,14 +139,6 @@ impl WorkerPool {
     /// speedup beats its coordination overhead, replacing the fixed
     /// scan-volume threshold that assumed one overhead fits all hosts.
     pub fn new(threads: usize) -> WorkerPool {
-        Self::with_overhead_ns(threads, None)
-    }
-
-    /// [`WorkerPool::new`] with the per-morsel overhead pinned instead
-    /// of calibrated — reproducible plan choice in tests and benches,
-    /// and the escape hatch `StoreConfig::morsel_overhead_ns` plumbs
-    /// through.
-    pub fn with_overhead_ns(threads: usize, overhead_ns: Option<u64>) -> WorkerPool {
         let threads = threads.max(1);
         let shared = std::sync::Arc::new(Shared {
             state: Mutex::new(PoolState {
@@ -180,10 +172,7 @@ impl WorkerPool {
             morsel_overhead_ns: 0,
             handles,
         };
-        pool.morsel_overhead_ns = match overhead_ns {
-            Some(ns) => ns.clamp(MORSEL_OVERHEAD_MIN_NS, MORSEL_OVERHEAD_MAX_NS),
-            None => pool.calibrate(),
-        };
+        pool.morsel_overhead_ns = pool.calibrate();
         pool
     }
 
@@ -211,7 +200,7 @@ impl WorkerPool {
         self.threads
     }
 
-    /// The calibrated (or pinned) fixed cost of dispatching one morsel,
+    /// The calibrated fixed cost of dispatching one morsel,
     /// in nanoseconds. Always within `[200, 1_000_000]`.
     pub fn morsel_overhead_ns(&self) -> u64 {
         self.morsel_overhead_ns
@@ -721,16 +710,10 @@ mod tests {
     }
 
     #[test]
-    fn overhead_is_calibrated_or_pinned_within_band() {
-        let calibrated = WorkerPool::new(2);
-        let ns = calibrated.morsel_overhead_ns();
-        assert!((200..=1_000_000).contains(&ns), "calibrated {ns}");
-        let pinned = WorkerPool::with_overhead_ns(2, Some(5_000));
-        assert_eq!(pinned.morsel_overhead_ns(), 5_000);
-        // Out-of-band pins are clamped, not trusted.
-        assert_eq!(
-            WorkerPool::with_overhead_ns(1, Some(1)).morsel_overhead_ns(),
-            200
-        );
+    fn overhead_is_calibrated_within_band() {
+        for threads in [1, 2] {
+            let ns = WorkerPool::new(threads).morsel_overhead_ns();
+            assert!((200..=1_000_000).contains(&ns), "{threads} threads: {ns}");
+        }
     }
 }

@@ -1,10 +1,13 @@
 //! Walks the plan pipeline on a few XMark queries: parse → logical plan
 //! (rewritten) → physical plan (strategy slots) → execution under all
 //! three axis-strategy arms, with the cost model's decisions shown.
+//! Then a `Shard` over the same document explains a multi-predicate
+//! query as an analyze run: the step's estimated and observed
+//! cardinality and the strategy it ran.
 //!
 //! Run with `cargo run --example explain`.
 
-use mbxq::TreeView;
+use mbxq::{PageConfig, PagedDoc, Shard, StoreConfig, TreeView, Wal};
 use mbxq_storage::ReadOnlyDoc;
 use mbxq_xmark::{generate, XMarkConfig};
 use mbxq_xpath::{Ablation, AxisChoice, EvalOptions, EvalStats, XPath};
@@ -66,4 +69,16 @@ fn main() {
     // Bonus: every rewrite family in one query — fusion blocked by the
     // positional pick, existence conversion, invariant hoisting.
     show(&doc, "//person[profile][1]/name[count(//privacy) >= 0]");
+
+    // Analyze through the plan cache: two price bounds on one step,
+    // costed from this run's bounds and annotated with what it saw.
+    let paged = PagedDoc::parse_str(&xml, PageConfig::default()).expect("shred");
+    let shard = Shard::open(paged, Wal::in_memory(), StoreConfig::default());
+    let source = "//closed_auction[price > 100][price < 120]";
+    let analyzed = shard.explain_query(source).expect("explain");
+    println!("═══ {source} (analyzed through a Shard)\n{analyzed}");
+    assert!(
+        analyzed.contains("obs="),
+        "an analyze run observes the step"
+    );
 }

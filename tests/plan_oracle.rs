@@ -5,9 +5,9 @@
 //! corpus. Every query runs through both arms on three storage schemas
 //! (naive, read-only, paged) and under all three axis-strategy choices
 //! (cost-chosen, forced staircase, forced index); multi-predicate
-//! queries additionally cross every forced multi-probe strategy
-//! (scan / best-probe / intersect / cost) with every replan mode over
-//! a shared feedback store. Every query with a literal beside a
+//! queries additionally run under every multi-probe strategy (scan /
+//! best-probe / intersect / cost) with an analyze recorder attached.
+//! Every query with a literal beside a
 //! comparison operator also runs as its **parameterised twin** (the
 //! literal replaced by a bound `$pN`), and one cached plan is executed
 //! with a rare and a hot key in alternation to show that nothing
@@ -27,7 +27,7 @@ use mbxq::{
 };
 use mbxq_xpath::{
     Ablation, AxisChoice, Bindings, EvalOptions, EvalStats, MultiChoice, MultiStrategy,
-    PlanFeedback, ReplanMode, Value, ValueChoice, XPath,
+    PlanFeedback, Value, ValueChoice, XPath,
 };
 
 /// NaN-tolerant value equality (`NaN != NaN` under `PartialEq`, but the
@@ -74,26 +74,22 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
             ),
         }
     }
-    // Multi-predicate steps: cross every forced strategy with every
-    // replan mode, sharing one feedback store so the Skip/Force modes
-    // really reuse (or re-derive) what an earlier Auto run recorded.
+    // Multi-predicate steps: every strategy arm, each execution writing
+    // its row into one analyze recorder.
     if !xp.explain_physical().contains("multi-probe") {
         return;
     }
     let feedback = PlanFeedback::new();
-    for (multi, replan) in [
-        (MultiChoice::ForceScan, ReplanMode::Default),
-        (MultiChoice::ForceBestProbe, ReplanMode::Default),
-        (MultiChoice::ForceIntersect, ReplanMode::Default),
-        (MultiChoice::Auto, ReplanMode::Default),
-        (MultiChoice::Auto, ReplanMode::Skip),
-        (MultiChoice::Auto, ReplanMode::Force),
+    for multi in [
+        MultiChoice::ForceScan,
+        MultiChoice::ForceBestProbe,
+        MultiChoice::ForceIntersect,
+        MultiChoice::Auto,
     ] {
         let opts = EvalOptions::new()
             .bindings(bindings)
             .ablation(Ablation {
                 multi,
-                replan,
                 ..Default::default()
             })
             .feedback(&feedback);
@@ -101,14 +97,14 @@ fn check_query<V: TreeView>(view: &V, xp: &XPath, bindings: &Bindings, seed_info
         match (&want, &got) {
             (Ok(w), Ok(g)) => assert!(
                 values_equal(w, g),
-                "{seed_info}: '{}' under {multi:?}/{replan:?}\n  interpreter: {w:?}\n  \
+                "{seed_info}: '{}' under {multi:?}\n  interpreter: {w:?}\n  \
                  planned:     {g:?}\nphysical plan:\n{}",
                 xp.source(),
                 xp.explain_physical()
             ),
             (Err(_), Err(_)) => {}
             (w, g) => panic!(
-                "{seed_info}: '{}' under {multi:?}/{replan:?} diverged in failure: \
+                "{seed_info}: '{}' under {multi:?} diverged in failure: \
                  interpreter {w:?} vs planned {g:?}",
                 xp.source()
             ),
@@ -444,12 +440,11 @@ fn twins_are_the_late_bound_form() {
 }
 
 /// One plan, many keys: a cached plan executed with a rare and a hot key
-/// in alternation — under every forced strategy and replan mode, over
-/// one shared feedback store — returns the interpreter's answer every
-/// time, and under `Auto` each key picks its own arm: the hot key (most
-/// of the index's postings, far more than the small context subtree
-/// holds) scans, the rare key probes. Nothing recorded under one key is
-/// replayed under the other.
+/// in alternation — under every strategy arm, with one analyze recorder
+/// attached — returns the interpreter's answer every time, and under
+/// `Auto` each key picks its own arm: the hot key (most of the index's
+/// postings, far more than the small context subtree holds) scans, the
+/// rare key probes.
 #[test]
 fn one_cached_plan_picks_its_arm_per_key() {
     // A small `s` subtree (one rare row, one hot row, forty cold ones:
@@ -512,45 +507,35 @@ fn one_cached_plan_picks_its_arm_per_key() {
             }
         }
 
-        // Two predicates over one shared feedback store.
+        // Two predicates, one analyze recorder.
         let multi = XPath::parse("/r/s//a[@x = $p][b = $q]").unwrap();
         let feedback = PlanFeedback::new();
-        for (choice, replan) in [
-            (MultiChoice::Auto, ReplanMode::Default),
-            (MultiChoice::Auto, ReplanMode::Skip),
-            (MultiChoice::Auto, ReplanMode::Force),
-            (MultiChoice::ForceScan, ReplanMode::Default),
-            (MultiChoice::ForceBestProbe, ReplanMode::Default),
-            (MultiChoice::ForceIntersect, ReplanMode::Skip),
+        for choice in [
+            MultiChoice::Auto,
+            MultiChoice::ForceScan,
+            MultiChoice::ForceBestProbe,
+            MultiChoice::ForceIntersect,
         ] {
             for (key, hits) in keys {
                 let b = bind(key, key);
-                let stats = EvalStats::default();
                 let opts = EvalOptions::new()
                     .bindings(&b)
                     .ablation(Ablation {
                         multi: choice,
-                        replan,
                         ..Default::default()
                     })
-                    .feedback(&feedback)
-                    .stats(&stats);
+                    .feedback(&feedback);
                 let got = multi.eval_opts(view, &root, &opts).unwrap();
                 let want = multi.eval_interpreted_with(view, &root, &b).unwrap();
-                assert_eq!(got, want, "{name}: {key} under {choice:?}/{replan:?}");
+                assert_eq!(got, want, "{name}: {key} under {choice:?}");
                 assert!(matches!(&got, Value::Nodes(ns) if ns.len() == hits));
-                assert_eq!(
-                    stats.replans.get(),
-                    0,
-                    "a late-bound step derives, never replans"
-                );
                 if choice == MultiChoice::Auto {
                     let fb = feedback.snapshot();
                     let hot = key == "hot";
                     assert_eq!(
                         fb[0].strategy == MultiStrategy::Scan,
                         hot,
-                        "{name}: {key} under {replan:?} ran {:?}",
+                        "{name}: {key} ran {:?}",
                         fb[0].strategy
                     );
                     if !hot {

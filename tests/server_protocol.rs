@@ -8,7 +8,8 @@
 
 use mbxq::{Catalog, CatalogConfig, PageConfig, StoreConfig, TreeView};
 use mbxq_server::{
-    Client, ErrorCode, NetError, QueryReply, QuerySpec, QueryTarget, Request, Server, ServerConfig,
+    proto, Client, ErrorCode, NetError, QueryReply, QuerySpec, QueryTarget, Request, Response,
+    Server, ServerConfig, ServerStats,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -31,11 +32,15 @@ fn config() -> CatalogConfig {
 fn raw_handshaken(addr: std::net::SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    s.write_all(b"MBXQ\x01\x02\x00\x00\x00").unwrap();
+    s.write_all(b"MBXQ\x01").unwrap();
+    s.write_all(&proto::VERSION.to_le_bytes()).unwrap();
     let mut reply = [0u8; 8];
     s.read_exact(&mut reply).unwrap();
     assert_eq!(&reply[..4], b"MBXQ");
-    assert_eq!(u32::from_le_bytes(reply[4..].try_into().unwrap()), 2);
+    assert_eq!(
+        u32::from_le_bytes(reply[4..].try_into().unwrap()),
+        proto::VERSION
+    );
     s
 }
 
@@ -256,17 +261,27 @@ fn torn_frames_do_not_block_other_sessions() {
     server.shutdown();
 }
 
-/// Version 1 is retired, not kept beside version 2: a hello offering
-/// only 1 gets the no-overlap answer, and a `Query` frame in the
-/// version-1 layout — three strategy bytes between the bindings and the
-/// page size — is a trailing-byte protocol error, not a query with a
-/// misread page size.
+/// Versions 1 and 2 are retired, not kept beside version 3: a hello
+/// offering only one of them gets the no-overlap answer. A frame in an
+/// old layout is a trailing-byte protocol error, not a misread frame:
+/// a version-1 `Query` (three strategy bytes between the bindings and
+/// the page size) and a version-2 `Stats` reply (a replan counter after
+/// the intersection rows).
 #[test]
 fn version_1_is_not_served() {
     let cat = Arc::new(Catalog::in_memory(config()));
     cat.create_doc("doc", "<r><x/></r>").unwrap();
     let server = Server::start(cat.clone(), ServerConfig::default()).unwrap();
-    refused_hello(server.addr(), 1);
+    for old in [1, 2] {
+        refused_hello(server.addr(), old);
+    }
+    let mut v2 = Response::Stats {
+        stats: ServerStats::default(),
+    }
+    .encode();
+    let at = v2.len() - 6;
+    v2.splice(at..at, [0u8; 8]);
+    assert!(matches!(Response::decode(&v2), Err(NetError::Protocol(m)) if m.contains("trailing")));
 
     let mut spec = QuerySpec::new(QueryTarget::Doc("doc".to_string()), "//x");
     spec.page_size = 7;

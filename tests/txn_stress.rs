@@ -271,7 +271,6 @@ fn parallel_queries_race_commits_checkpoint_and_vacuum() {
             lock_timeout: Duration::from_millis(150),
             validate_on_commit: false,
             query_threads: 3,
-            ..StoreConfig::default()
         },
     );
     let stop = AtomicBool::new(false);
