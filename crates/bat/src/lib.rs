@@ -18,16 +18,18 @@
 //!   pages of a base table presented in a different logical order, which is
 //!   how MonetDB's adaptive memory-mapping primitive makes appended
 //!   overflow pages appear "halfway" in the `pre/size/level` view.
-//! * [`cow`] — page-granular copy-on-write columns ([`CowVec`]), the
-//!   in-memory equivalent of MonetDB's copy-on-write memory maps for
-//!   the side tables: clones share every page until one side writes it.
+//! * [`cow`] — the in-memory equivalent of MonetDB's copy-on-write
+//!   memory maps: [`CowDir`], a two-level directory of shared leaves
+//!   (the document's pages), and [`CowVec`], a column of values on it
+//!   (the side tables). A clone copies one pointer per [`FANOUT`]
+//!   leaves and shares every leaf until one side writes it.
 
 pub mod cow;
 pub mod pagemap;
 
 mod voidbat;
 
-pub use cow::CowVec;
+pub use cow::{CowDir, CowVec, FANOUT};
 pub use pagemap::{PageId, PageMap};
 pub use voidbat::VoidBat;
 

@@ -181,9 +181,7 @@ impl PagedDoc {
 
     /// The used tuples in document (view) order, page by page.
     fn used_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.map.num_pages()).flat_map(move |lp| {
-            let phys = self.map.logical_to_physical(lp).expect("page in range");
-            let page = &self.pages[phys];
+        self.pages.iter().flat_map(move |page| {
             (0..self.cfg.page_size)
                 .filter(|&i| page.is_used(i))
                 .map(|i| page.read(i))
@@ -327,7 +325,7 @@ impl PagedDoc {
         doc.reserve_node_ids(alloc_end)?;
         doc.lay_out_appended(&staged)?;
         for (node, qn, prop) in attrs {
-            let owner = doc.node_slot(node).map(|(phys, i)| doc.pages[phys].kind(i));
+            let owner = doc.node_slot(node).map(|(phys, i)| doc.page(phys).kind(i));
             if owner != Some(Some(Kind::Element)) {
                 return Err(bad(format!("checkpoint attr row for non-element {node}")));
             }

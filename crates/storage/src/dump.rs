@@ -26,7 +26,8 @@ impl PagedDoc {
             "{:>6} {:>6} {:>6} {:>6}  content",
             "pos", "size", "level", "node"
         );
-        for (phys, page) in self.pages.iter().enumerate() {
+        for phys in 0..self.pages.len() {
+            let page = self.page(phys);
             let logical = self.map.physical_to_logical(phys).expect("page exists");
             let _ = writeln!(out, "-- physical page {phys} (logical {logical}) --");
             for slot in 0..ps {

@@ -55,7 +55,8 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
     // live nodes along the way.
     let mut used_count = 0u64;
     let mut seen = std::collections::HashMap::new();
-    for (phys, page) in doc.pages.iter().enumerate() {
+    for phys in 0..doc.pages.len() {
+        let page = doc.page(phys);
         if page.slots() != page_size {
             return Err(corrupt(format!(
                 "page {phys} holds {} slots, not {page_size}",
@@ -558,7 +559,7 @@ mod tests {
         let xml = r#"<a><b x="1" y="2"/><c z="3"/></a>"#;
         let mut d = PagedDoc::parse_str(xml, PageConfig::new(8, 88).unwrap()).unwrap();
         check_paged(&d).unwrap();
-        let b_first = d.pages[0].values()[1];
+        let b_first = d.page(0).values()[1];
         d.page_mut(0).cols_mut().values[2] = b_first; // c's slot → b's run
         assert!(matches!(
             check_paged(&d),

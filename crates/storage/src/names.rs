@@ -190,7 +190,7 @@ impl NameIndex {
                 base.insert(qn, merged);
             }
         }
-        self.delta.clear();
+        self.delta = HashMap::new(); // `clear` would keep the capacity
         self.base = Arc::new(base);
     }
 

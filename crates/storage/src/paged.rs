@@ -50,30 +50,40 @@
 //!
 //! # Copy-on-write page layout
 //!
-//! The base table is `pages: Vec<Arc<Page>>`, indexed by physical page
-//! id: one [`Page`] per logical page, and a `Page` **owns that page's
-//! slice of every column** — `size`, `level`, `kind`, `name`, `value`,
-//! `node` and the level summary — in a single allocation
-//! ([`crate::page`]; 19 bytes per slot).
+//! The base table is `pages: CowDir<Page>`, a two-level copy-on-write
+//! directory ([`CowDir`]) in **logical** page order: one [`Page`] per
+//! logical page, reached through chunks of [`mbxq_bat::FANOUT`] page
+//! pointers. A `Page` **owns that page's slice of every column** —
+//! `size`, `level`, `kind`, `name`, `value`, `node` and the level
+//! summary — in a single allocation ([`crate::page`]; 19 bytes per
+//! slot).
 //!
 //! * **What a clone copies.** `PagedDoc::clone` copies one pointer and
-//!   bumps one reference count *per page* (plus the `pageOffset` table,
-//!   the side tables' page pointers and the pool's and indexes' small
-//!   deltas); all tuple data stays shared with the clone until one side
-//!   writes it. Dropping a version is the same walk in reverse.
-//! * **What a write copies.** A write privatises the one `Page` it lands
-//!   in (`Page::make_mut`: one allocation, one `memcpy` of ≈19 B × page
-//!   size) the first time this version touches it — all columns at once,
-//!   since they are one block. A value update privatises exactly one
-//!   page; an insert that fits its page privatises that page plus the
-//!   pages holding its delta-adjusted ancestors.
-//! * **Where the swizzle happens.** `pre → (page, offset)` is resolved
-//!   **once** per access (`PagedDoc::slot`: one `pageOffset` lookup,
-//!   one pointer), after which every column of the slot — or, for the
-//!   batch kernels' [`TreeView::pre_chunk`] and the region walks, of the
-//!   whole page run — is indexed directly. That is the paper's
-//!   `pageOffset` design: the indirection is per page, not per column
-//!   per tuple.
+//!   bumps one reference count *per chunk* of pages, and the same for
+//!   the side tables' chunks. What else it copies is flat and small: the
+//!   `pageOffset` table (two words per page, no reference counts) and the
+//!   pool's and indexes' deltas, which are empty after a compaction. All
+//!   tuple data stays shared with the clone until one side writes it.
+//!   Dropping a version releases only the chunks it does not share.
+//! * **What a write copies.** A write privatises the chunk holding its
+//!   `Page` (one allocation of [`mbxq_bat::FANOUT`] pointers) and the
+//!   `Page` itself (`Page::make_mut`: one allocation, one `memcpy` of
+//!   ≈19 B × page size), each the first time this version touches it —
+//!   all of the page's columns at once, since they are one block. A
+//!   value update privatises exactly one page; an insert that fits its
+//!   page privatises that page plus the pages holding its delta-adjusted
+//!   ancestors. Splicing a page into the logical order rebuilds the
+//!   chunks behind the splice point (a pointer copy per page) and shares
+//!   every page.
+//! * **Where the swizzle happens.** `pre → page` is the directory itself
+//!   (`PagedDoc::slot`: chunk, then page — the same two dependent loads
+//!   as a `pageOffset` lookup followed by a page pointer), after which
+//!   every column of the slot — or, for the batch kernels'
+//!   [`TreeView::pre_chunk`] and the region walks, of the whole page run
+//!   — is indexed directly. A physical position `pos` (what `node→pos`
+//!   holds) reaches its page through one `pageOffset` lookup first
+//!   (`PagedDoc::page`). That is the paper's `pageOffset` design: the
+//!   indirection is per page, not per column per tuple.
 //!
 //! This is the in-memory equivalent of MonetDB's copy-on-write memory
 //! maps (§3.2): a transaction commit builds its new version by cloning
@@ -81,7 +91,7 @@
 //! ancestors delta-adjusted) instead of O(document), and publishes it by
 //! swapping one `Arc` under the store's short global lock. The side
 //! tables that are not divided into logical pages (`node→pos`, the
-//! attribute table) are [`CowVec`]s with the same sharing discipline.
+//! attribute table) are [`CowVec`]s: columns on the same directory.
 
 use crate::names::NameIndex;
 use crate::page::{check_addressable, Page, Tuple, NO_NAME, NO_POS};
@@ -90,7 +100,7 @@ use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
-use mbxq_bat::{CowVec, PageMap};
+use mbxq_bat::{CowDir, CowVec, PageMap};
 use mbxq_xml::Node;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -107,15 +117,19 @@ pub(crate) const DEAD_ROW: u64 = u64::MAX;
 
 /// A document in the updateable paged encoding.
 ///
-/// Cloning is O(#pages) pointer copies — all tuple data is structurally
-/// shared with the clone until one side writes it (see the module docs).
+/// Cloning copies one pointer per chunk of [`mbxq_bat::FANOUT`] pages
+/// (and of side-table pages) plus the flat `pageOffset` table — all
+/// tuple data is structurally shared with the clone until one side
+/// writes it (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PagedDoc {
     pub(crate) cfg: PageConfig,
     pub(crate) shift: u32,
-    /// The base table, indexed by physical page id; physical position
-    /// `pos` is slot `pos & (page_size - 1)` of page `pos >> shift`.
-    pub(crate) pages: Vec<Arc<Page>>,
+    /// The base table in logical page order: view position `pre` is slot
+    /// `pre & (page_size - 1)` of page `pre >> shift`. Physical position
+    /// `pos` is the same slot of the page whose physical id is
+    /// `pos >> shift` ([`PagedDoc::page`]).
+    pub(crate) pages: CowDir<Page>,
     /// The `pageOffset` table: logical order of physical pages.
     pub(crate) map: PageMap,
     /// node id → physical pos ([`NO_POS`] = deleted node).
@@ -223,7 +237,7 @@ impl PagedDoc {
         Ok(PagedDoc {
             cfg,
             shift: cfg.page_size.trailing_zeros(),
-            pages: Vec::new(),
+            pages: CowDir::new(),
             map: PageMap::new(cfg.page_size),
             node_pos: CowVec::new(SIDE_PAGE),
             attr_node: CowVec::new(SIDE_PAGE),
@@ -254,7 +268,7 @@ impl PagedDoc {
     pub(crate) fn splice_physical_page(&mut self, at: usize) -> Result<usize> {
         self.check_room_for_page()?;
         let page = self.map.insert_page_at(at)?;
-        self.pages.push(Page::unused(self.cfg.page_size));
+        self.pages.insert(at, Page::unused(self.cfg.page_size));
         Ok(page)
     }
 
@@ -301,7 +315,7 @@ impl PagedDoc {
         tuples: impl Iterator<Item = &'a Tuple>,
     ) -> u64 {
         let base = u32::try_from(phys << self.shift).expect("pages are added within the limit");
-        let page = Page::make_mut(&mut self.pages[phys]);
+        let page = Page::make_mut(self.pages.leaf_mut(self.logical(phys)));
         page.clear();
         let mut moved = 0;
         for ((i, pos), t) in (0..).zip(base..).zip(tuples) {
@@ -318,7 +332,7 @@ impl PagedDoc {
 
     /// Number of unused slots on physical page `page`.
     pub fn free_in_page(&self, page: usize) -> usize {
-        self.pages[page].free()
+        self.page(page).free()
     }
 
     /// `(physical page, offset)` of the live node `node`.
@@ -346,7 +360,7 @@ impl PagedDoc {
     /// run follows it (module docs).
     pub(crate) fn push_attr(&mut self, node: u64, qn: QnId, prop: PropId) {
         let (phys, i) = self.node_slot(node).expect("attribute owner is placed");
-        let run = self.attr_run(node, self.pages[phys].values()[i]);
+        let run = self.attr_run(node, self.page(phys).values()[i]);
         let end = self.attr_node.len();
         if run.is_empty() || run.end != end {
             let first = u32::try_from(end)
@@ -380,11 +394,24 @@ impl PagedDoc {
         Some((phys, pre as usize & (self.cfg.page_size - 1)))
     }
 
-    /// The page holding view position `pre` and the slot's offset in it.
+    /// The page holding view position `pre` and the slot's offset in it:
+    /// the directory is in logical order, so no `pageOffset` lookup.
     #[inline]
     pub(crate) fn slot(&self, pre: u64) -> Option<(&Page, usize)> {
-        let (phys, i) = self.locate(pre)?;
-        Some((&self.pages[phys], i))
+        let page = self.pages.get(usize::try_from(pre >> self.shift).ok()?)?;
+        Some((page, pre as usize & (self.cfg.page_size - 1)))
+    }
+
+    /// Logical index of physical page `phys` (a `pageOffset` lookup).
+    #[inline]
+    fn logical(&self, phys: usize) -> usize {
+        self.map.physical_to_logical(phys).expect("page exists")
+    }
+
+    /// Physical page `phys`.
+    #[inline]
+    pub(crate) fn page(&self, phys: usize) -> &Page {
+        &self.pages[self.logical(phys)]
     }
 
     /// Like [`PagedDoc::slot`], but only for a slot holding a node.
@@ -397,7 +424,8 @@ impl PagedDoc {
     /// touch through this version.
     #[inline]
     pub(crate) fn page_mut(&mut self, phys: usize) -> &mut Page {
-        Page::make_mut(&mut self.pages[phys])
+        let lp = self.logical(phys);
+        Page::make_mut(self.pages.leaf_mut(lp))
     }
 
     /// First used slot at or after view position `from` whose level is
@@ -408,8 +436,8 @@ impl PagedDoc {
     /// test.)
     fn next_used_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
         let mut offset = from as usize & (self.cfg.page_size - 1);
-        for lp in (from >> self.shift) as usize..self.map.num_pages() {
-            let page = &self.pages[self.map.logical_to_physical(lp).expect("page in range")];
+        for lp in (from >> self.shift) as usize..self.pages.len() {
+            let page = &self.pages[lp];
             if page.min_level() <= lvl {
                 if let Some(i) = page.levels()[offset..].iter().position(|&l| l <= lvl) {
                     return ((lp << self.shift) + offset + i) as u64;
@@ -428,7 +456,7 @@ impl PagedDoc {
         let last = before.checked_sub(1)?;
         let mut len = (last as usize & (self.cfg.page_size - 1)) + 1;
         for lp in (0..=(last >> self.shift) as usize).rev() {
-            let page = &self.pages[self.map.logical_to_physical(lp).ok()?];
+            let page = self.pages.get(lp)?;
             if page.min_level() < lvl {
                 if let Some(i) = page.levels()[..len].iter().rposition(|&l| l < lvl) {
                     return Some(((lp << self.shift) + i) as u64);
@@ -566,11 +594,8 @@ impl PagedDoc {
     /// exactly the number of logical pages the commit privatised (pages
     /// it appended included).
     pub fn shared_pages_with(&self, other: &PagedDoc) -> (usize, usize) {
-        let shared = self
-            .pages
-            .iter()
-            .zip(&other.pages)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
+        let shared = (0..self.pages.len().min(other.pages.len()))
+            .filter(|&phys| std::ptr::eq(self.page(phys), other.page(phys)))
             .count();
         (shared, self.pages.len())
     }
@@ -915,24 +940,31 @@ mod tests {
     /// Physical pages of `new` not shared with `old`.
     fn privatised(new: &PagedDoc, old: &PagedDoc) -> Vec<usize> {
         (0..new.pages.len())
-            .filter(|&p| {
-                old.pages
-                    .get(p)
-                    .is_none_or(|o| !Arc::ptr_eq(o, &new.pages[p]))
-            })
+            .filter(|&p| p >= old.pages.len() || !std::ptr::eq(old.page(p), new.page(p)))
             .collect()
+    }
+
+    /// A document of `pages` pages, each holding `<e/>` elements only.
+    fn paged_doc(pages: usize) -> PagedDoc {
+        let cfg = PageConfig::new(4, 75).unwrap(); // three nodes a page
+        let xml = format!("<a>{}</a>", "<e/>".repeat(pages * 3 - 1));
+        let d = PagedDoc::parse_str(&xml, cfg).unwrap();
+        assert_eq!(d.stats().pages, pages);
+        d
     }
 
     #[test]
     fn a_fresh_clone_shares_every_page() {
-        let d = figure4_doc();
+        let d = paged_doc(2 * mbxq_bat::FANOUT + 3);
         let c = d.clone();
         let n = d.stats().pages;
         assert_eq!(c.shared_pages_with(&d), (n, n));
-        // One reference per version, per page — and nothing else holds on.
-        assert!(d.pages.iter().all(|p| Arc::strong_count(p) == 2));
+        // The clone holds the chunks, not the pages: each chunk has one
+        // owner per version, and nothing else holds on.
+        assert_eq!(c.pages.shared_chunks_with(&d.pages), 3);
+        assert_eq!(d.pages.owned_chunks(), (0, 3));
         drop(c);
-        assert!(d.pages.iter().all(|p| Arc::strong_count(p) == 1));
+        assert_eq!(d.pages.owned_chunks(), (3, 3));
     }
 
     #[test]
@@ -949,20 +981,28 @@ mod tests {
         d.update_value(four, "4").unwrap();
         assert_eq!(privatised(&d, &base), [2]);
         assert_eq!(d.shared_pages_with(&base), (2, 3));
-        assert_eq!(
-            Arc::strong_count(&base.pages[0]),
-            2,
-            "untouched: still shared"
-        );
-        assert_eq!(
-            Arc::strong_count(&base.pages[2]),
-            1,
-            "touched: base's alone"
-        );
+        // The one chunk holding all three pages was privatised with the
+        // write; `base` owns its own chunk alone again.
+        assert_eq!(d.pages.shared_chunks_with(&base.pages), 0);
+        assert_eq!(base.pages.owned_chunks(), (1, 1));
         crate::invariants::check_paged(&d).unwrap();
         crate::invariants::check_paged(&base).unwrap();
         assert_eq!(base.string_value(0), "onetwothreefour");
         assert_eq!(d.string_value(0), "onetwothree4");
+    }
+
+    #[test]
+    fn a_value_update_leaves_every_other_chunk_shared() {
+        let base = paged_doc(3 * mbxq_bat::FANOUT);
+        let mut d = base.clone();
+        // A text-less document: rename the first element of page 40.
+        let pre = (40 << base.shift) as u64;
+        let node = d.pre_to_node(pre).unwrap();
+        d.rename(node, &mbxq_xml::QName::local("r")).unwrap();
+        assert_eq!(privatised(&d, &base), [40]);
+        assert_eq!(d.pages.shared_chunks_with(&base.pages), 2);
+        assert_eq!(d.pages.owned_chunks(), (1, 3));
+        crate::invariants::check_paged(&d).unwrap();
     }
 
     #[test]

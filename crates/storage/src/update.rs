@@ -230,7 +230,7 @@ impl PagedDoc {
         let mut pages = std::collections::BTreeSet::new();
         for &v in &victims {
             let (phys, i) = self.locate(v).expect("victim is in range");
-            let t = self.pages[phys].read(i);
+            let t = self.page(phys).read(i);
             let node = u64::from(t.node);
             if t.kind == Kind::Element {
                 self.name_index.remove(QnId(t.name), node);
@@ -283,7 +283,7 @@ impl PagedDoc {
     /// Replaces the content of the text/comment/instruction node `target`.
     pub fn update_value(&mut self, target: NodeId, new_value: &str) -> Result<()> {
         let (pre, phys, i) = self.locate_node(target)?;
-        let old = self.pages[phys].read(i);
+        let old = self.page(phys).read(i);
         // A text edit changes the direct parent's string value; capture
         // its content state before the write (comment/PI edits never
         // contribute to string values, so only text needs this).
@@ -326,7 +326,7 @@ impl PagedDoc {
     /// Renames the element `target` (XUpdate `rename`).
     pub fn rename(&mut self, target: NodeId, name: &QName) -> Result<()> {
         let (pre, phys, i) = self.locate_node(target)?;
-        let t = self.pages[phys].read(i);
+        let t = self.page(phys).read(i);
         if t.kind != Kind::Element {
             return Err(StorageError::InvalidTarget {
                 message: "rename targets an element".into(),
@@ -350,7 +350,7 @@ impl PagedDoc {
     /// Sets (adds or replaces) an attribute on the element `target`.
     pub fn set_attribute(&mut self, target: NodeId, name: &QName, value: &str) -> Result<()> {
         let (_, phys, i) = self.locate_node(target)?;
-        if self.pages[phys].kind(i) != Some(Kind::Element) {
+        if self.page(phys).kind(i) != Some(Kind::Element) {
             return Err(StorageError::InvalidTarget {
                 message: "attributes can only be set on elements".into(),
             });
@@ -358,7 +358,7 @@ impl PagedDoc {
         let qn = self.pool.intern_qname(name);
         let prop = self.pool.intern_prop(value);
         let node = target.0;
-        let run = self.attr_run(node, self.pages[phys].values()[i]);
+        let run = self.attr_run(node, self.page(phys).values()[i]);
         match run.into_iter().find(|&r| self.attr_qn[r] == qn) {
             Some(r) => {
                 self.attr_prop[r] = prop;
@@ -378,7 +378,7 @@ impl PagedDoc {
         let Some(qn) = self.pool.lookup_qname(name) else {
             return Ok(false);
         };
-        let run = self.attr_run(node, self.pages[phys].values()[i]);
+        let run = self.attr_run(node, self.page(phys).values()[i]);
         let Some(hit) = run.clone().find(|&r| self.attr_qn[r] == qn) else {
             return Ok(false);
         };
@@ -575,7 +575,7 @@ impl PagedDoc {
         })?;
 
         // Partition the page's used tuples around the insert point.
-        let page = &self.pages[phys];
+        let page = self.page(phys);
         let used = |range: std::ops::Range<usize>| -> Vec<Tuple> {
             range
                 .filter(|&i| page.is_used(i))

@@ -166,12 +166,15 @@ impl<K: Clone + Eq + Hash> Interner<K> {
             values: self.base.values.clone(),
             index: self.base.index.clone(),
         };
-        for v in self.delta_values.drain(..) {
+        for v in std::mem::take(&mut self.delta_values) {
             let id = u32::try_from(set.values.len()).expect("interner overflow");
             set.index.insert(v.clone(), id);
             set.values.push(v);
         }
-        self.delta_index.clear();
+        // A fresh map: `clear` keeps the capacity (the shredder's whole
+        // document), and every clone of the pool would allocate and copy
+        // that empty table.
+        self.delta_index = HashMap::new();
         self.base = Arc::new(set);
     }
 }
@@ -1084,6 +1087,32 @@ mod tests {
         // New values continue the absolute id sequence.
         let fresh = p.intern_text("brand new");
         assert_eq!(fresh as usize, ids.len());
+    }
+
+    #[test]
+    fn a_compacted_pools_clone_allocates_nothing_for_its_delta() {
+        let mut p = ValuePool::new();
+        for i in 0..5000 {
+            p.intern_text(&format!("t{i}"));
+            p.intern_qname(&QName::local(format!("q{i}")));
+        }
+        p.compact();
+        let c = p.clone();
+        for pool in [&p, &c] {
+            for (values, index) in [
+                (
+                    pool.strings.delta_values.capacity(),
+                    pool.strings.delta_index.capacity(),
+                ),
+                (
+                    pool.qnames.delta_values.capacity(),
+                    pool.qnames.delta_index.capacity(),
+                ),
+            ] {
+                assert_eq!((values, index), (0, 0), "an empty delta holds no heap");
+            }
+        }
+        assert_eq!(c.text(4999), Some("t4999"));
     }
 
     #[test]

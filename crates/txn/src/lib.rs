@@ -33,10 +33,11 @@
 //!
 //! The new version is **not** a deep copy. [`mbxq_storage::PagedDoc`]
 //! stores its base table as one shared copy-on-write
-//! [`mbxq_storage::page::Page`] per logical page, so `clone` copies one
-//! pointer per page and each staged operation privatizes exactly the
-//! pages it writes, plus the pages holding the delta-adjusted ancestor
-//! sizes. A transaction
+//! [`mbxq_storage::page::Page`] per logical page behind a two-level
+//! directory (`mbxq-bat`'s `CowDir`), so `clone` copies one pointer per
+//! chunk of pages and each staged operation privatizes exactly the
+//! pages it writes (and their chunks), plus the pages holding the
+//! delta-adjusted ancestor sizes. A transaction
 //! pays for that once: its private workspace (a clone of the begin
 //! snapshot that every staging call updates through [`op::Op::apply`])
 //! *is* its ops applied to the version it began on, so commit publishes

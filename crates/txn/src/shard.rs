@@ -195,9 +195,10 @@ impl Shard {
     /// one. Caller MUST hold `commit_lock` (publishes are serialized;
     /// the cell itself only protects readers) and MUST drop the returned
     /// version only after releasing it: when no reader pins the old
-    /// version this is its last reference, and tearing a document down
-    /// (one reference count per page) has no business inside the one
-    /// section the commit pipeline keeps short.
+    /// version this is its last reference, and tearing it down (the
+    /// chunks and pages it does not share with the new version, and the
+    /// whole document after a vacuum or checkpoint) has no business
+    /// inside the one section the commit pipeline keeps short.
     #[must_use = "drop the superseded version after releasing commit_lock"]
     fn publish_locked(&self, doc: PagedDoc) -> Arc<Version> {
         let stamp = self.version.load().stamp + 1;

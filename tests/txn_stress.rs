@@ -14,6 +14,7 @@ use mbxq_txn::recover::recover;
 use mbxq_xml::Document;
 use mbxq_xpath::{Ablation, AxisChoice, EvalOptions, EvalStats, ParChoice};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 #[test]
@@ -153,11 +154,17 @@ fn lock_storm_leaves_an_empty_lock_table() {
     );
     let committed = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
+    // Round 0 holds every thread between its selection and its insert
+    // until all eight have selected: at least two threads then hold a
+    // read lock on one section's page and each needs the write lock, so
+    // the storm has a conflict however fast a commit is.
+    let selected = Barrier::new(8);
     std::thread::scope(|scope| {
         for thread in 0..8u64 {
             let store = &store;
             let committed = &committed;
             let failed = &failed;
+            let selected = &selected;
             scope.spawn(move || {
                 let frag = mbxq_xml::Document::parse_fragment("<p/>").unwrap();
                 for round in 0..25u64 {
@@ -167,13 +174,12 @@ fn lock_storm_leaves_an_empty_lock_table() {
                     let path = XPath::parse(&format!("/root/s{section}")).unwrap();
                     let all = XPath::parse(&format!("/root/s{section}/p")).unwrap();
                     let mut t = store.begin();
+                    let target = t.select(&path).map(|found| found.first().copied());
+                    if round == 0 {
+                        selected.wait();
+                    }
                     let staged = (|| {
-                        let target = t
-                            .select(&path)
-                            .map_err(|_| ())?
-                            .first()
-                            .copied()
-                            .ok_or(())?;
+                        let target = target.map_err(|_| ())?.ok_or(())?;
                         match round % 3 {
                             0 => t
                                 .insert(InsertPosition::LastChildOf(target), &frag)
