@@ -7,26 +7,34 @@
 //! base table is never altered before commit. [`CowDir`] is the explicit
 //! in-memory equivalent: a sequence of reference-counted **leaves** (a
 //! document page, or a page of column values) reached through a
-//! two-level directory. The directory holds **chunks**, and a chunk is
-//! one shared `Arc<[Arc<L>]>` of [`FANOUT`] leaf pointers.
+//! two-level directory. The directory is one shared array of **chunks**,
+//! and a chunk is one shared `Arc<[Arc<L>]>` of [`FANOUT`] leaf pointers.
 //!
-//! * **A clone** copies the directory: one pointer and one reference
-//!   count per chunk, O(leaves / [`FANOUT`]). No leaf is touched.
-//! * **A write** to a leaf privatises the leaf's chunk ([`FANOUT`]
-//!   pointer copies) and then the leaf itself, each only if another
-//!   clone still shares it. Two clones share every leaf neither of them
-//!   has written, and every chunk in which neither wrote a leaf.
-//! * **Dropping a version** releases only the chunks it does not share;
-//!   a chunk's last owner releases its leaves.
+//! * **A clone** shares the directory: one reference count, whatever its
+//!   size. No chunk or leaf is touched.
+//! * **A write** to a leaf privatises the directory (one pointer and one
+//!   reference count per chunk, O(leaves / [`FANOUT`])), the leaf's
+//!   chunk ([`FANOUT`] pointer copies) and then the leaf itself, each
+//!   only if another clone still shares it. Two clones share every leaf
+//!   neither of them has written, every chunk in which neither wrote a
+//!   leaf, and the directory itself until one of them writes.
+//! * **Dropping a version** releases only what it does not share: nothing
+//!   for a directory it never wrote; a chunk's last owner releases its
+//!   leaves.
 //! * **A read** is two dependent loads from the directory, chunk then
 //!   leaf, with the fan-out's shift and mask as constants, and one
 //!   bounds check against the length rather than one per level.
 //!
 //! [`CowVec`] is a column of values on this directory, its leaves
 //! `Arc<[T]>` pages of a power-of-two number of values (the `node→pos`
-//! map and the attribute table). The document's base table puts its own
-//! page type (one allocation per logical page, `mbxq-storage`'s `Page`)
-//! in a `CowDir` directly.
+//! map, the attribute table, the interners' values and lookup tables).
+//! [`CowSorted`] is a sorted sequence on it, its leaves `Arc<[T]>` runs
+//! of variable length (the indexes' posting lists). The document's base
+//! table puts its own page type (one allocation per logical page,
+//! `mbxq-storage`'s `Page`) in a `CowDir` directly. Every per-version
+//! table of a document is one of these three, so a version's clone, its
+//! commit and its drop cost the chunks and leaves it shares or writes,
+//! whatever the document's history.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -40,22 +48,22 @@ const FANOUT_MASK: usize = FANOUT - 1;
 /// two-level directory of [`FANOUT`]-leaf chunks (module docs).
 ///
 /// Reads go through [`Index`] (or [`CowDir::get`]); a write goes through
-/// [`CowDir::leaf_mut`], which privatises the leaf's chunk and hands out
-/// the leaf's pointer for the caller to privatise ([`Arc::make_mut`] or
-/// the leaf type's own equivalent).
+/// [`CowDir::leaf_mut`], which privatises the directory and the leaf's
+/// chunk and hands out the leaf's pointer for the caller to privatise
+/// ([`Arc::make_mut`] or the leaf type's own equivalent).
 #[derive(Debug)]
 pub struct CowDir<L: ?Sized> {
     len: usize,
     /// Every chunk but the last holds exactly [`FANOUT`] leaves.
-    chunks: Vec<Arc<[Arc<L>]>>,
+    chunks: Arc<[Arc<[Arc<L>]>]>,
 }
 
 impl<L: ?Sized> Clone for CowDir<L> {
-    /// Copies the chunk pointers; every leaf stays shared.
+    /// Shares the directory; every chunk and leaf stays shared.
     fn clone(&self) -> Self {
         CowDir {
             len: self.len,
-            chunks: self.chunks.clone(),
+            chunks: Arc::clone(&self.chunks),
         }
     }
 }
@@ -64,7 +72,7 @@ impl<L: ?Sized> Default for CowDir<L> {
     fn default() -> Self {
         CowDir {
             len: 0,
-            chunks: Vec::new(),
+            chunks: Arc::from([]),
         }
     }
 }
@@ -107,25 +115,29 @@ impl<L: ?Sized> CowDir<L> {
         }
     }
 
-    /// Write access to the pointer of leaf `i`, privatising its chunk if
-    /// another clone shares it. The leaf itself is still shared: the
-    /// caller privatises it on write.
+    /// Write access to the pointer of leaf `i`, privatising the
+    /// directory and the leaf's chunk if another clone shares them. The
+    /// leaf itself is still shared: the caller privatises it on write.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn leaf_mut(&mut self, i: usize) -> &mut Arc<L> {
-        &mut Arc::make_mut(&mut self.chunks[i >> FANOUT_SHIFT])[i & FANOUT_MASK]
+        let chunks = Arc::make_mut(&mut self.chunks);
+        &mut Arc::make_mut(&mut chunks[i >> FANOUT_SHIFT])[i & FANOUT_MASK]
     }
 
-    /// Appends a leaf. Opens a chunk, or rebuilds the (possibly shared)
-    /// partial last chunk with one more pointer.
+    /// Appends a leaf. Rebuilds the (possibly shared) partial last chunk
+    /// with one more pointer, or the directory with one more chunk.
     pub fn push(&mut self, leaf: Arc<L>) {
-        match self.chunks.last_mut() {
-            Some(last) if self.len & FANOUT_MASK != 0 => {
-                *last = last.iter().cloned().chain(std::iter::once(leaf)).collect();
-            }
-            _ => self.chunks.push(Arc::from([leaf])),
+        if self.len & FANOUT_MASK != 0 {
+            let last = Arc::make_mut(&mut self.chunks)
+                .last_mut()
+                .expect("a partial chunk");
+            *last = last.iter().cloned().chain(std::iter::once(leaf)).collect();
+        } else {
+            let chunk = std::iter::once(Arc::from([leaf]));
+            self.chunks = self.chunks.iter().cloned().chain(chunk).collect();
         }
         self.len += 1;
     }
@@ -138,21 +150,45 @@ impl<L: ?Sized> CowDir<L> {
     /// Panics if `at > len`.
     pub fn insert(&mut self, at: usize, leaf: Arc<L>) {
         assert!(at <= self.len, "insert at {at} past the end ({})", self.len);
-        let first = at >> FANOUT_SHIFT;
-        let mut tail: Vec<Arc<L>> = self.chunks[first..]
+        let mut tail = self.tail_from(at);
+        tail.insert(at & FANOUT_MASK, leaf);
+        self.rechunk_tail(at, tail);
+        self.len += 1;
+    }
+
+    /// Removes leaf `at`, shifting the leaves behind it: the mirror
+    /// image of [`CowDir::insert`], at the same cost.
+    ///
+    /// # Panics
+    /// Panics if `at >= len`.
+    pub fn remove(&mut self, at: usize) -> Arc<L> {
+        assert!(at < self.len, "remove at {at} past the end ({})", self.len);
+        let mut tail = self.tail_from(at);
+        let leaf = tail.remove(at & FANOUT_MASK);
+        // Shrunk first: chunks holding more leaves than `len` are safe.
+        self.len -= 1;
+        self.rechunk_tail(at, tail);
+        leaf
+    }
+
+    /// The leaf pointers from the start of `at`'s chunk on.
+    fn tail_from(&self, at: usize) -> Vec<Arc<L>> {
+        self.chunks[at >> FANOUT_SHIFT..]
             .iter()
             .flat_map(|chunk| chunk.iter().cloned())
-            .collect();
-        tail.insert(at & FANOUT_MASK, leaf);
-        // Built aside and swapped in whole, so `leaf`'s condition on the
-        // chunks holds at every point a panic could leave them.
-        let mut chunks = self.chunks[..first].to_vec();
+            .collect()
+    }
+
+    /// Replaces the chunks from `at`'s on with `tail` cut into chunks.
+    /// Built aside and swapped in whole, so `leaf`'s condition on the
+    /// chunks holds at every point a panic could leave them.
+    fn rechunk_tail(&mut self, at: usize, tail: Vec<Arc<L>>) {
+        let mut chunks = self.chunks[..at >> FANOUT_SHIFT].to_vec();
         let mut tail = tail.into_iter();
         while tail.len() > 0 {
             chunks.push(tail.by_ref().take(FANOUT).collect());
         }
-        self.chunks = chunks;
-        self.len += 1;
+        self.chunks = chunks.into();
     }
 
     /// Iterates the leaves in index order.
@@ -168,7 +204,7 @@ impl<L: ?Sized> CowDir<L> {
     pub fn shared_leaves_with(&self, other: &CowDir<L>) -> usize {
         self.chunks
             .iter()
-            .zip(&other.chunks)
+            .zip(other.chunks.iter())
             .map(|(a, b)| {
                 if Arc::ptr_eq(a, b) {
                     a.len()
@@ -187,18 +223,19 @@ impl<L: ?Sized> CowDir<L> {
     pub fn shared_chunks_with(&self, other: &CowDir<L>) -> usize {
         self.chunks
             .iter()
-            .zip(&other.chunks)
+            .zip(other.chunks.iter())
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
 
     /// `(owned, total)` chunks: `owned` counts those no other clone
-    /// holds, which are what dropping this version releases.
+    /// holds, which are what dropping this version releases (none while
+    /// another clone shares the whole directory).
     pub fn owned_chunks(&self) -> (usize, usize) {
         let owned = self
             .chunks
             .iter()
-            .filter(|c| Arc::strong_count(c) == 1)
+            .filter(|c| Arc::strong_count(c) == 1 && Arc::strong_count(&self.chunks) == 1)
             .count();
         (owned, self.chunks.len())
     }
@@ -287,15 +324,26 @@ impl<T: Clone> CowVec<T> {
 
     /// Appends one value, opening a page or filling the last one.
     pub fn push(&mut self, value: T) {
+        self.grow_to(self.len + 1, value);
+    }
+
+    /// Grows the column to `len` values, each new one a copy of `value`:
+    /// the last page is filled in one write, then whole pages are
+    /// appended, one allocation each. A no-op if the column is already
+    /// that long.
+    pub fn grow_to(&mut self, len: usize, value: T) {
         let slot = self.len & self.mask;
-        if slot == 0 {
-            self.pages
-                .push(std::iter::repeat_n(value, self.page_size).collect());
-        } else {
+        if slot != 0 && len > self.len {
+            let fill = (self.page_size - slot).min(len - self.len);
             let last = self.pages.len() - 1;
-            Arc::make_mut(self.pages.leaf_mut(last))[slot] = value;
+            Arc::make_mut(self.pages.leaf_mut(last))[slot..slot + fill].fill(value.clone());
+            self.len += fill;
         }
-        self.len += 1;
+        while self.len < len {
+            self.pages
+                .push(std::iter::repeat_n(value.clone(), self.page_size).collect());
+            self.len += self.page_size.min(len - self.len);
+        }
     }
 
     /// Iterates the values in index order.
@@ -326,6 +374,171 @@ impl<T: Clone> IndexMut<usize> for CowVec<T> {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         &mut Arc::make_mut(self.pages.leaf_mut(i >> self.shift))[i & self.mask]
     }
+}
+
+/// A sorted sequence of `T` on a [`CowDir`] of variable-length leaves:
+/// the ordered counterpart of [`CowVec`], for posting lists.
+///
+/// A leaf is an `Arc<[T]>` of around `leaf_size` entries. The order is
+/// the caller's: every search takes a predicate `before` that holds for
+/// a prefix of the sequence (the entries ordered before the probe key),
+/// so an order may read state outside the sequence — a document's
+/// current pre ranks, say — as long as it never reorders two entries.
+///
+/// * **A clone** copies one pointer per chunk of [`FANOUT`] leaves.
+/// * **An insert or a removal** copies the one leaf it touches and
+///   privatises that leaf's chunk. A leaf grown to twice `leaf_size`
+///   splits in two, and an emptied leaf is dropped; either rebuilds the
+///   chunks behind it ([`CowDir::insert`]), a pointer copy per leaf,
+///   once per `leaf_size` inserts or removals at most.
+/// * **A search** ([`CowSorted::lower_bound`]) is a binary search over
+///   the leaves' last entries and then inside one leaf:
+///   O(log len) calls of `before`.
+#[derive(Debug, Clone)]
+pub struct CowSorted<T> {
+    leaf_size: usize,
+    /// Every leaf holds at least one entry.
+    leaves: CowDir<[T]>,
+}
+
+/// A position in a [`CowSorted`]: an offset inside a leaf, or the end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cursor {
+    leaf: usize,
+    at: usize,
+}
+
+impl<T: Copy> CowSorted<T> {
+    /// An empty sequence whose leaves hold around `leaf_size` entries.
+    ///
+    /// # Panics
+    /// Panics if `leaf_size` is zero.
+    pub fn new(leaf_size: usize) -> Self {
+        assert!(leaf_size > 0, "a leaf must hold an entry");
+        CowSorted {
+            leaf_size,
+            leaves: CowDir::new(),
+        }
+    }
+
+    /// The sequence of the already sorted `items`, in full leaves.
+    pub fn from_sorted(leaf_size: usize, items: &[T]) -> Self {
+        let mut sorted = Self::new(leaf_size);
+        let leaves = items.chunks(leaf_size).map(Arc::from).collect();
+        sorted.leaves.len = items.len().div_ceil(leaf_size);
+        sorted.leaves.rechunk_tail(0, leaves);
+        sorted
+    }
+
+    /// The first position whose entry is not `before`, which must hold
+    /// for a prefix of the sequence.
+    pub fn lower_bound(&self, mut before: impl FnMut(&T) -> bool) -> Cursor {
+        let (mut lo, mut hi) = (0, self.leaves.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let leaf = &self.leaves[mid];
+            if before(&leaf[leaf.len() - 1]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let at = self
+            .leaves
+            .get(lo)
+            .map_or(0, |leaf| leaf.partition_point(&mut before));
+        Cursor { leaf: lo, at }
+    }
+
+    /// The entries from `from` on, in order.
+    pub fn iter_from(&self, from: Cursor) -> impl Iterator<Item = T> + '_ {
+        (from.leaf..self.leaves.len()).flat_map(move |l| {
+            let skip = if l == from.leaf { from.at } else { 0 };
+            self.leaves[l][skip..].iter().copied()
+        })
+    }
+
+    /// Every entry, in order.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.leaves.iter().flat_map(|leaf| leaf.iter().copied())
+    }
+
+    /// Number of entries from `from` up to `to`: O(leaves between).
+    pub fn count_between(&self, from: Cursor, to: Cursor) -> usize {
+        match from.leaf.cmp(&to.leaf) {
+            std::cmp::Ordering::Greater => 0,
+            std::cmp::Ordering::Equal => to.at.saturating_sub(from.at),
+            std::cmp::Ordering::Less => {
+                let whole: usize = (from.leaf + 1..to.leaf).map(|l| self.leaves[l].len()).sum();
+                self.leaves[from.leaf].len() - from.at + whole + to.at
+            }
+        }
+    }
+
+    /// Inserts `value` at its lower bound under `before` (behind every
+    /// entry `before` holds for).
+    pub fn insert(&mut self, value: T, before: impl FnMut(&T) -> bool) {
+        let Cursor { mut leaf, mut at } = self.lower_bound(before);
+        if self.leaves.is_empty() {
+            return self.leaves.push(Arc::from([value]));
+        }
+        if leaf == self.leaves.len() {
+            leaf -= 1;
+            at = self.leaves[leaf].len();
+        }
+        let old = &self.leaves[leaf];
+        let parts = [&old[..at], std::slice::from_ref(&value), &old[at..]];
+        if old.len() < 2 * self.leaf_size {
+            *self.leaves.leaf_mut(leaf) = concat(&parts);
+        } else {
+            let grown = parts.concat();
+            let (left, right) = grown.split_at(grown.len() / 2);
+            *self.leaves.leaf_mut(leaf) = Arc::from(left);
+            self.leaves.insert(leaf + 1, Arc::from(right));
+        }
+    }
+
+    /// Removes the entry equal to `value` at its lower bound under
+    /// `before`. Returns whether there was one.
+    pub fn remove(&mut self, value: &T, before: impl FnMut(&T) -> bool) -> bool
+    where
+        T: PartialEq,
+    {
+        let Cursor { leaf, at } = self.lower_bound(before);
+        let Some(old) = self.leaves.get(leaf) else {
+            return false;
+        };
+        if old[at] != *value {
+            return false;
+        }
+        if old.len() == 1 {
+            self.leaves.remove(leaf);
+        } else {
+            *self.leaves.leaf_mut(leaf) = concat(&[&old[..at], &old[at + 1..]]);
+        }
+        true
+    }
+
+    /// Number of leaves physically shared (same allocation, same index)
+    /// with `other`.
+    pub fn shared_leaves_with(&self, other: &CowSorted<T>) -> usize {
+        self.leaves.shared_leaves_with(&other.leaves)
+    }
+}
+
+/// A leaf holding `parts` end to end: one allocation, one copy a part.
+fn concat<T: Copy>(parts: &[&[T]]) -> Arc<[T]> {
+    let len = parts.iter().map(|part| part.len()).sum();
+    let mut leaf = Arc::<[T]>::new_uninit_slice(len);
+    let slots = Arc::get_mut(&mut leaf).expect("a new leaf is unshared");
+    let mut at = 0;
+    for part in parts {
+        slots[at..at + part.len()].write_copy_of_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, len);
+    // SAFETY: the parts fill the `len` slots end to end (checked above).
+    unsafe { leaf.assume_init() }
 }
 
 #[cfg(test)]
@@ -476,6 +689,95 @@ mod tests {
         e.push(Arc::from([7]));
         assert_eq!(e.shared_chunks_with(&f), 2);
         assert_eq!(e.owned_chunks(), (1, 3));
+    }
+
+    #[test]
+    fn growing_fills_the_last_page_then_appends_whole_pages() {
+        let mut v: CowVec<u16> = CowVec::new(4);
+        v.push(1);
+        let w = v.clone();
+        v.grow_to(11, 7);
+        assert_eq!(
+            v.iter().copied().collect::<Vec<_>>(),
+            [1, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7]
+        );
+        assert_eq!(
+            (v.num_pages(), w.len()),
+            (3, 1),
+            "the clone never sees the run"
+        );
+        v.grow_to(5, 0); // never shrinks
+        assert_eq!(v.len(), 11);
+        assert_eq!(filled(8, 0, 0u8).num_pages(), 0);
+    }
+
+    #[test]
+    fn a_leaf_removed_mid_order_keeps_every_other_leaf_shared() {
+        let base = dir(3 * FANOUT + 4);
+        let mut d = base.clone();
+        assert_eq!(d.remove(FANOUT + 1)[0], FANOUT + 1);
+        let mut expect: Vec<usize> = (0..base.len()).collect();
+        expect.remove(FANOUT + 1);
+        assert_eq!(d.iter().map(|l| l[0]).collect::<Vec<_>>(), expect);
+        assert_eq!(d.shared_chunks_with(&base), 1);
+        d.remove(d.len() - 1);
+        d.remove(0);
+        assert_eq!(d.len(), base.len() - 3);
+        let built = CowSorted::from_sorted(1, &(0..FANOUT + 2).collect::<Vec<_>>());
+        assert_eq!(built.leaves.len(), FANOUT + 2);
+        assert_eq!(built.leaves.owned_chunks(), (2, 2));
+    }
+
+    /// `CowSorted` under an insert/remove mix equals a sorted `Vec`, and
+    /// its bounds and counts agree with the `Vec`'s.
+    #[test]
+    fn a_sorted_sequence_tracks_a_sorted_vec() {
+        let mut want: Vec<u32> = (0..40).map(|i| i * 3).collect();
+        let mut s = CowSorted::from_sorted(4, &want);
+        let base = s.clone();
+        let mut x = 7u32;
+        for step in 0..600 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345) % 200;
+            let present = want.binary_search(&x);
+            if step % 3 == 0 {
+                assert_eq!(s.remove(&x, |&e| e < x), present.is_ok(), "remove {x}");
+                if let Ok(i) = present {
+                    want.remove(i);
+                }
+            } else {
+                s.insert(x, |&e| e < x);
+                want.insert(want.partition_point(|&e| e < x), x);
+            }
+            assert_eq!(s.iter().count(), want.len());
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), want);
+        for k in [0, 1, 50, 120, 199, 500] {
+            let (lo, hi) = (s.lower_bound(|&e| e < k), s.lower_bound(|&e| e < k + 40));
+            let from = want.partition_point(|&e| e < k);
+            let to = want.partition_point(|&e| e < k + 40);
+            assert_eq!(s.iter_from(lo).collect::<Vec<_>>(), want[from..]);
+            assert_eq!(s.count_between(lo, hi), to - from, "[{k}, {})", k + 40);
+            assert_eq!(s.count_between(hi, lo), 0);
+        }
+        // Leaves split and merge away: none grows past twice its size.
+        assert!(s.leaves.iter().all(|l| !l.is_empty() && l.len() <= 8));
+        assert_eq!(base.iter().count(), 40, "the clone never sees a write");
+    }
+
+    #[test]
+    fn a_sorted_write_copies_one_leaf() {
+        let base = CowSorted::from_sorted(4, &(0..64u32).collect::<Vec<_>>());
+        let mut s = base.clone();
+        assert_eq!(s.shared_leaves_with(&base), 16);
+        s.insert(21, |&e| e < 21); // into leaf 5
+        assert_eq!(s.shared_leaves_with(&base), 15);
+        assert!(s.remove(&40, |&e| e < 40));
+        assert_eq!(s.shared_leaves_with(&base), 14);
+        assert!(!s.remove(&999, |&e| e < 999));
+        assert!(CowSorted::<u8>::new(4)
+            .iter_from(Cursor { leaf: 0, at: 0 })
+            .next()
+            .is_none());
     }
 
     #[test]

@@ -20,16 +20,18 @@
 //!   overflow pages appear "halfway" in the `pre/size/level` view.
 //! * [`cow`] — the in-memory equivalent of MonetDB's copy-on-write
 //!   memory maps: [`CowDir`], a two-level directory of shared leaves
-//!   (the document's pages), and [`CowVec`], a column of values on it
-//!   (the side tables). A clone copies one pointer per [`FANOUT`]
-//!   leaves and shares every leaf until one side writes it.
+//!   (the document's pages), [`CowVec`], a column of values on it (the
+//!   side tables and the interners), and [`CowSorted`], a sorted
+//!   sequence on it (the posting lists of the indexes). A clone copies
+//!   one pointer per [`FANOUT`] leaves and shares every leaf until one
+//!   side writes it.
 
 pub mod cow;
 pub mod pagemap;
 
 mod voidbat;
 
-pub use cow::{CowDir, CowVec, FANOUT};
+pub use cow::{CowDir, CowSorted, CowVec, Cursor, FANOUT};
 pub use pagemap::{PageId, PageMap};
 pub use voidbat::VoidBat;
 

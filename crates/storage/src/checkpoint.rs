@@ -179,15 +179,6 @@ impl PagedDoc {
         out
     }
 
-    /// The used tuples in document (view) order, page by page.
-    fn used_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.pages.iter().flat_map(move |page| {
-            (0..self.cfg.page_size)
-                .filter(|&i| page.is_used(i))
-                .map(|i| page.read(i))
-        })
-    }
-
     /// Rebuilds a document from a [`PagedDoc::checkpoint_dump`] and the
     /// checkpointed id allocation point. Ids above the live set (deleted
     /// nodes) stay NULL in `node→pos`, so WAL records logged *after* the
@@ -331,11 +322,10 @@ impl PagedDoc {
             }
             doc.push_attr(node, qn, prop);
         }
-        // The dump carries tuples in document order; the element-name
-        // and content indexes are derived state and are rebuilt rather
-        // than serialized.
-        doc.name_index = crate::names::NameIndex::from_base(crate::paged::name_index_base(&staged));
-        doc.build_content_index();
+        // The element-name and content indexes are derived state and
+        // are rebuilt rather than serialized.
+        drop(staged);
+        doc.build_indexes();
         Ok(doc)
     }
 }

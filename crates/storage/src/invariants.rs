@@ -248,8 +248,8 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
     // Content index ≡ a scan: recompute every element's content state
     // and attribute rows from the tree, then require that each probe
     // (attribute exact, text exact, full numeric range) returns exactly
-    // the scanned nodes, in document order, and that the count
-    // estimators never under-estimate.
+    // the scanned nodes, in document order, and that each count equals
+    // its probe's length.
     {
         use crate::values::{xpath_number, NumRange, QnId};
         use std::collections::HashMap;
@@ -292,9 +292,9 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                     want.len()
                 )));
             }
-            if doc.nodes_with_attr_value_count(*aqn, value) < Some(want.len() as u64) {
+            if doc.nodes_with_attr_value_count(*aqn, value) != Some(want.len() as u64) {
                 return Err(corrupt(format!(
-                    "content index count for @{}={value:?} under-estimates",
+                    "content index count for @{}={value:?} diverged",
                     aqn.0
                 )));
             }
@@ -333,10 +333,10 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                     )));
                 }
                 if doc.nodes_with_attr_value_range_count(aqn, &all)
-                    < Some(want_numeric.len() as u64)
+                    != Some(want_numeric.len() as u64)
                 {
                     return Err(corrupt(format!(
-                        "content index attr range count for qn {} under-estimates",
+                        "content index attr range count for qn {} diverged",
                         aqn.0
                     )));
                 }
@@ -354,15 +354,17 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                     want.len()
                 )));
             }
-            if doc.elements_with_text_count(*qn, key) < Some(want.len() as u64) {
+            // The count includes the name's complex candidates.
+            let complex = complex_scan.get(qn).map_or(0, Vec::len);
+            if doc.elements_with_text_count(*qn, key) != Some((want.len() + complex) as u64) {
                 return Err(corrupt(format!(
-                    "content index text count for {}={key:?} under-estimates",
+                    "content index text count for {}={key:?} diverged",
                     qn.0
                 )));
             }
         }
         for qn in names {
-            let complex = complex_scan.remove(&qn).unwrap_or_default();
+            let complex = complex_scan.get(&qn).map_or(&[][..], Vec::as_slice);
             let probe = doc
                 .elements_with_text(qn, "\u{1}never-a-value")
                 .expect("paged docs maintain a content index");
@@ -402,12 +404,20 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                     want_numeric.len()
                 )));
             }
+            if doc.elements_with_text_range_count(qn, &all)
+                != Some((want_numeric.len() + complex.len()) as u64)
+            {
+                return Err(corrupt(format!(
+                    "content index text range count for qn {} diverged",
+                    qn.0
+                )));
+            }
         }
-        // Degree statistics never under-estimate a full scan: for every
-        // key space the maintained (distinct, total, max) figures must
-        // bound the exact values recomputed from the tree — the
-        // contract the pessimistic cardinality estimator relies on
-        // staying true under COW index deltas.
+        // Degree statistics against a full scan: for every key space the
+        // maintained distinct and total figures must equal the values
+        // recomputed from the tree, and the max must bound the longest
+        // list — the contract the pessimistic cardinality estimator
+        // relies on.
         {
             let scan_degrees = |scan: &HashMap<(QnId, String), Vec<u64>>| {
                 let mut per_qn: HashMap<QnId, (u64, u64, u64)> = HashMap::new();
@@ -423,12 +433,12 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                 let got = doc
                     .attr_degree_stats(aqn)
                     .expect("paged docs maintain a content index");
-                if got.distinct_keys < distinct
-                    || got.total_postings < total
+                if got.distinct_keys != distinct
+                    || got.total_postings != total
                     || got.max_postings < max
                 {
                     return Err(corrupt(format!(
-                        "attr degree stats for qn {} under-estimate: \
+                        "attr degree stats for qn {} diverged: \
                          {got:?} vs scanned ({distinct}, {total}, {max})",
                         aqn.0
                     )));
@@ -438,13 +448,15 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
                 let got = doc
                     .text_degree_stats(tqn)
                     .expect("paged docs maintain a content index");
-                if got.distinct_keys < distinct
-                    || got.total_postings < total
-                    || got.max_postings < max
+                // Complex candidates widen the total and the max.
+                let complex = complex_scan.get(&tqn).map_or(0, Vec::len) as u64;
+                if got.distinct_keys != distinct
+                    || got.total_postings != total + complex
+                    || got.max_postings < max + complex
                 {
                     return Err(corrupt(format!(
-                        "text degree stats for qn {} under-estimate: \
-                         {got:?} vs scanned ({distinct}, {total}, {max})",
+                        "text degree stats for qn {} diverged: \
+                         {got:?} vs scanned ({distinct}, {total}, {max}) + {complex}",
                         tqn.0
                     )));
                 }
@@ -475,11 +487,11 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         }
         p = q + 1;
     }
-    for (qn, prop, node) in doc.content_index.attr_entries() {
-        if !reached.contains(&(qn, prop, node)) {
+    for p in doc.content_index.attr_entries() {
+        if !reached.contains(&(p.qn, crate::PropId(p.value), u64::from(p.node))) {
             return Err(corrupt(format!(
-                "content index entry @{}={} on node {node} matches no reached row",
-                qn.0, prop.0
+                "content index entry @{}={} on node {} matches no reached row",
+                p.qn.0, p.value, p.node
             )));
         }
     }

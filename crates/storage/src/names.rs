@@ -1,4 +1,6 @@
-//! The element-name index: `QnId` → element nodes, in document order.
+//! The element-name index: `QnId` → element nodes, in document order,
+//! and the document-ordered posting sequence it shares with the content
+//! index (module `values`).
 //!
 //! The staircase join answers `descendant::item` by *scanning* the
 //! context regions and name-filtering every visited tuple — O(region).
@@ -13,217 +15,159 @@
 //! **immutable node ids**, never by `pre`/`pos`: structural inserts
 //! shift pre ranks of every later node "at no update cost at all" (§3),
 //! and an index holding pre values would need O(document) maintenance
-//! per insert. Node ids are translated to pre ranks at probe time
-//! (`node→pos` + `pageOffset`, O(1) each), and because structural
-//! updates never reorder *surviving* nodes, a list built in document
-//! order **stays** in document order — the probe result is sorted
-//! without sorting the base.
+//! per insert. Node ids are translated to pre ranks when a search needs
+//! them (`node→pos` + `pageOffset`, O(1) each), and because structural
+//! updates never reorder *surviving* nodes, a sequence kept in document
+//! order **stays** in document order.
 //!
-//! Sharing follows the [`crate::paged::PagedDoc`] commit discipline:
-//! an immutable, [`Arc`]-shared **base** (built by the shredder, a
-//! checkpoint load, or vacuum) plus a small per-name **delta**
-//! (`added` ids of elements inserted since, a `removed` tombstone set
-//! for deleted/renamed ones). Cloning the index for a commit's new
-//! version copies the base pointer and the small deltas — never the
-//! big per-name lists — so a commit inserting one `<item>` stays
-//! O(touched), not O(#items). Deltas fold into a fresh base only at
-//! the explicit maintenance points (shredding, vacuum, checkpoint).
+//! The index is **one global sequence** of `(name, node)` postings
+//! ordered by `(name, pre(node))`, a [`CowSorted`] — the same
+//! page-granular copy-on-write directory as the document's pages
+//! ([`mbxq_bat::cow`]). Cloning it for a commit's new version copies one
+//! pointer per chunk of leaves, whatever the number of names or the
+//! history; a commit that adds or removes a posting copies the one leaf
+//! it touches. A search compares translated pre ranks, so **every
+//! posting must name a live node** whenever the sequence is searched:
+//! the update paths register nodes after placing them and unregister
+//! them before clearing their slots.
 
 use crate::values::QnId;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use mbxq_bat::CowSorted;
+use std::cmp::Ordering;
 
-/// Per-name overlay on top of the shared base list.
-#[derive(Debug, Clone, Default)]
-struct NameDelta {
-    /// Node ids of elements that gained this name since the last
-    /// compaction (insertion order; sorted by pre at probe time — the
-    /// list is bounded by the commits since the last maintenance
-    /// point, so the sort is cheap).
-    added: Vec<u64>,
-    /// Node ids shadowed out of the base list (deleted or renamed).
-    removed: HashSet<u64>,
+/// Entries per leaf of the posting sequences (a leaf splits at twice
+/// this): the unit a write copies and a search ends in.
+pub(crate) const LEAF: usize = 256;
+
+/// A posting: `node` is posted under the key `(qn, value)`. The name
+/// index posts every element under its name and value 0; the content
+/// index under a name and a string id (module `values`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Posting {
+    pub(crate) qn: QnId,
+    pub(crate) value: u32,
+    pub(crate) node: u32,
 }
 
-/// The `QnId → element node ids (document order)` index (module docs).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NameIndex {
-    base: Arc<HashMap<QnId, Vec<u64>>>,
-    delta: HashMap<QnId, NameDelta>,
+impl Posting {
+    /// The posting of `node`, whose id fits the `node` column as every
+    /// id does.
+    pub(crate) fn new(qn: QnId, value: u32, node: u64) -> Posting {
+        let node = u32::try_from(node).expect("node ids fit the node column");
+        Posting { qn, value, node }
+    }
+
+    pub(crate) fn key(&self) -> (QnId, u32) {
+        (self.qn, self.value)
+    }
+
+    fn node(&self) -> u64 {
+        u64::from(self.node)
+    }
 }
 
-impl NameIndex {
-    /// An index with the given base and an empty delta. The per-name
-    /// lists must be in document order.
-    pub(crate) fn from_base(base: HashMap<QnId, Vec<u64>>) -> NameIndex {
-        NameIndex {
-            base: Arc::new(base),
-            delta: HashMap::new(),
+/// Postings ordered by `(key, pre(node))` in one copy-on-write sequence
+/// (module docs). `pre_of` arguments translate a live node id to its
+/// current pre rank.
+#[derive(Debug, Clone)]
+pub(crate) struct DocOrdered {
+    seq: CowSorted<Posting>,
+}
+
+/// The `QnId → element nodes (document order)` index (module docs).
+pub(crate) type NameIndex = DocOrdered;
+
+impl Default for DocOrdered {
+    fn default() -> Self {
+        DocOrdered {
+            seq: CowSorted::new(LEAF),
+        }
+    }
+}
+
+impl DocOrdered {
+    /// The sequence of `postings`, given in document order: a stable
+    /// sort by key keeps every key's run in document order.
+    pub(crate) fn from_doc_order(mut postings: Vec<Posting>) -> Self {
+        postings.sort_by_key(Posting::key);
+        DocOrdered {
+            seq: CowSorted::from_sorted(LEAF, &postings),
         }
     }
 
-    /// Records that element `node` now carries name `qn`.
-    pub(crate) fn add(&mut self, qn: QnId, node: u64) {
-        let d = self.delta.entry(qn).or_default();
-        // Re-adding a previously removed id (delete + re-insert cannot
-        // happen — ids are never reused — but rename a→b→a can).
-        if !d.removed.remove(&node) {
-            d.added.push(node);
+    /// The first position ordered at or after `(key, pre)`: whether a
+    /// posting `e` comes before it. Only postings under `key` are
+    /// translated, and none for `pre` 0.
+    fn before(
+        key: (QnId, u32),
+        pre: u64,
+        pre_of: impl Fn(u64) -> Option<u64>,
+    ) -> impl FnMut(&Posting) -> bool {
+        move |e| match e.key().cmp(&key) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => pre > 0 && pre_of(e.node()).is_some_and(|p| p < pre),
         }
     }
 
-    /// Records that element `node` no longer carries name `qn`.
-    pub(crate) fn remove(&mut self, qn: QnId, node: u64) {
-        let d = self.delta.entry(qn).or_default();
-        if let Some(i) = d.added.iter().position(|&n| n == node) {
-            d.added.remove(i);
-        } else {
-            // A live element not in `added` must be in the base list.
-            d.removed.insert(node);
-        }
+    /// Adds `posting`, whose node is placed.
+    pub(crate) fn add(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) {
+        let pre = pre_of(posting.node()).expect("a posted node is placed");
+        self.seq
+            .insert(posting, Self::before(posting.key(), pre, pre_of));
     }
 
-    /// Exact number of elements currently named `qn` — the statistic
-    /// the cost-based axis selection keys on. Only valid when every
-    /// tombstone shadows a real base entry (true for the element-name
-    /// index, whose removals always name live members).
-    pub(crate) fn count(&self, qn: QnId) -> u64 {
-        let base = self.base.get(&qn).map_or(0, Vec::len) as u64;
-        match self.delta.get(&qn) {
-            Some(d) => base + d.added.len() as u64 - d.removed.len() as u64,
-            None => base,
-        }
+    /// Removes `posting`, whose node is still placed. Returns whether it
+    /// was there.
+    pub(crate) fn remove(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) -> bool {
+        let Some(pre) = pre_of(posting.node()) else {
+            return false;
+        };
+        self.seq
+            .remove(&posting, Self::before(posting.key(), pre, pre_of))
     }
 
-    /// Upper-bound count that ignores tombstones — safe when removals
-    /// may be spurious (the content index's complex lists tombstone
-    /// blindly on delete).
-    pub(crate) fn count_upper(&self, qn: QnId) -> u64 {
-        let base = self.base.get(&qn).map_or(0, Vec::len) as u64;
-        base + self.delta.get(&qn).map_or(0, |d| d.added.len()) as u64
+    /// Number of postings under `key`: O(log n + leaves they span),
+    /// no translation.
+    pub(crate) fn count(&self, key: (QnId, u32)) -> u64 {
+        let from = self.seq.lower_bound(|e| e.key() < key);
+        let to = self.seq.lower_bound(|e| e.key() <= key);
+        self.seq.count_between(from, to) as u64
     }
 
-    /// The `(pre, node id)` pairs of elements named `qn`, merged with
-    /// the delta and ordered by `pre_of` (ascending). `pre_of` returns
-    /// the node's current pre rank (`None` entries are skipped
-    /// defensively).
-    pub(crate) fn nodes_by_pre(
+    /// The pre ranks in `[lo, hi)` of the nodes posted under `key`,
+    /// ascending: O(log n) translations to find the window's start, one
+    /// per posting inside it, and one more to see it end.
+    pub(crate) fn pres_in(
         &self,
-        qn: QnId,
-        pre_of: impl FnMut(u64) -> Option<u64>,
-    ) -> Vec<(u64, u64)> {
-        self.nodes_by_pre_in(qn, 0, u64::MAX, pre_of)
-    }
-
-    /// [`NameIndex::nodes_by_pre`] cut to pre ranks in `[lo, hi)`: the
-    /// document-ordered base is binary-searched *by translated pre* for
-    /// the window's start and translated only up to its end, so a probe
-    /// costs O(log k + window + |added|) translations instead of k.
-    pub(crate) fn nodes_by_pre_in(
-        &self,
-        qn: QnId,
+        key: (QnId, u32),
         lo: u64,
         hi: u64,
-        mut pre_of: impl FnMut(u64) -> Option<u64>,
-    ) -> Vec<(u64, u64)> {
-        let empty_base: &[u64] = &[];
-        let base = self.base.get(&qn).map_or(empty_base, Vec::as_slice);
-        let delta = self.delta.get(&qn);
-        // Base stays document-ordered (updates never reorder surviving
-        // nodes); only the small `added` list needs a sort.
-        let mut added: Vec<(u64, u64)> = delta
-            .map(|d| {
-                d.added
-                    .iter()
-                    .filter_map(|&n| pre_of(n).map(|p| (p, n)))
-                    .filter(|&(p, _)| lo <= p && p < hi)
-                    .collect()
-            })
-            .unwrap_or_default();
-        added.sort_unstable();
-        let mut base_pres: Vec<(u64, u64)> = Vec::new();
-        for &n in &base[window_start(base, lo, &mut pre_of)..] {
-            // Tombstoned entries that are still alive (renames) keep
-            // their place in document order, so they may end the window.
-            let Some(p) = pre_of(n) else { continue };
-            if p >= hi {
-                break;
-            }
-            if !delta.is_some_and(|d| d.removed.contains(&n)) {
-                base_pres.push((p, n));
-            }
-        }
-        // Merge two pre-ascending runs.
-        let mut out = Vec::with_capacity(base_pres.len() + added.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < base_pres.len() && j < added.len() {
-            if base_pres[i].0 <= added[j].0 {
-                out.push(base_pres[i]);
-                i += 1;
-            } else {
-                out.push(added[j]);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&base_pres[i..]);
-        out.extend_from_slice(&added[j..]);
-        out
+        pre_of: impl Fn(u64) -> Option<u64>,
+    ) -> Vec<u64> {
+        self.seq
+            .iter_from(self.seq.lower_bound(Self::before(key, lo, &pre_of)))
+            .take_while(|e| e.key() == key)
+            .filter_map(|e| pre_of(e.node()))
+            .take_while(|&p| p < hi)
+            .collect()
     }
 
-    /// Folds the deltas into a fresh shared base (per-name lists stay
-    /// document-ordered via `pre_of`). Runs only at maintenance points.
-    pub(crate) fn compact(&mut self, mut pre_of: impl FnMut(u64) -> Option<u64>) {
-        if self.delta.is_empty() {
-            return;
-        }
-        let names: Vec<QnId> = self.delta.keys().copied().collect();
-        let mut base = (*self.base).clone();
-        for qn in names {
-            let merged: Vec<u64> = self
-                .nodes_by_pre(qn, &mut pre_of)
-                .into_iter()
-                .map(|(_, n)| n)
-                .collect();
-            if merged.is_empty() {
-                base.remove(&qn);
-            } else {
-                base.insert(qn, merged);
-            }
-        }
-        self.delta = HashMap::new(); // `clear` would keep the capacity
-        self.base = Arc::new(base);
+    /// [`DocOrdered::pres_in`] over the whole document.
+    pub(crate) fn pres(&self, key: (QnId, u32), pre_of: impl Fn(u64) -> Option<u64>) -> Vec<u64> {
+        self.pres_in(key, 0, u64::MAX, pre_of)
     }
 
-    /// Entries added/tombstoned since the last compaction (diagnostic).
-    pub(crate) fn delta_len(&self) -> usize {
-        self.delta
-            .values()
-            .map(|d| d.added.len() + d.removed.len())
-            .sum()
+    /// Every posting, in `(key, document)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
+        self.seq.iter()
     }
-}
 
-/// Index of the first entry of the document-ordered `base` whose
-/// current pre rank is `>= lo` — a binary search on translated pres.
-/// Entries of deleted nodes have no pre rank: a probe that lands on one
-/// steps forward to its next live neighbour (each dead run is walked at
-/// most twice over the whole search).
-fn window_start(base: &[u64], lo: u64, mut pre_of: impl FnMut(u64) -> Option<u64>) -> usize {
-    if lo == 0 {
-        return 0;
+    /// Number of leaves physically shared with `other`.
+    #[cfg(test)]
+    pub(crate) fn shared_leaves_with(&self, other: &DocOrdered) -> usize {
+        self.seq.shared_leaves_with(&other.seq)
     }
-    // Live entries before `a` rank below `lo`; live entries from `b` on
-    // rank at or above it.
-    let (mut a, mut b) = (0usize, base.len());
-    while a < b {
-        let mid = a + (b - a) / 2;
-        let live = (mid..b).find_map(|i| pre_of(base[i]).map(|p| (i, p)));
-        match live {
-            Some((i, p)) if p < lo => a = i + 1,
-            _ => b = mid,
-        }
-    }
-    a
 }
 
 #[cfg(test)]
@@ -234,105 +178,83 @@ mod tests {
         Some(n)
     }
 
+    fn named(qn: u32, node: u64) -> Posting {
+        Posting::new(QnId(qn), 0, node)
+    }
+
+    fn index(postings: &[(u32, u64)]) -> NameIndex {
+        NameIndex::from_doc_order(postings.iter().map(|&(q, n)| named(q, n)).collect())
+    }
+
+    /// Postings added after the bulk build merge into document order
+    /// with the built ones.
     #[test]
     fn base_plus_delta_merge_in_pre_order() {
-        let mut base = HashMap::new();
-        base.insert(QnId(1), vec![2, 7, 9]);
-        let mut idx = NameIndex::from_base(base);
-        idx.add(QnId(1), 20); // pretend pre 5 via the mapping below
+        let mut idx = index(&[(1, 2), (1, 7), (1, 9)]);
+        // Node 20 sits at pre 5 in this mapping.
         let pre_of = |n: u64| Some(if n == 20 { 5 } else { n });
-        let got: Vec<u64> = idx
-            .nodes_by_pre(QnId(1), pre_of)
-            .iter()
-            .map(|x| x.0)
-            .collect();
-        assert_eq!(got, vec![2, 5, 7, 9]);
-        assert_eq!(idx.count(QnId(1)), 4);
+        idx.add(named(1, 20), pre_of);
+        assert_eq!(idx.pres((QnId(1), 0), pre_of), vec![2, 5, 7, 9]);
+        assert_eq!(idx.count((QnId(1), 0)), 4);
     }
 
+    /// Removing a built posting and an added one leaves exactly the
+    /// rest; a posting that is not there is not removed.
     #[test]
     fn removal_tombstones_base_and_cancels_added() {
-        let mut base = HashMap::new();
-        base.insert(QnId(0), vec![1, 3]);
-        let mut idx = NameIndex::from_base(base);
-        idx.add(QnId(0), 10);
-        idx.remove(QnId(0), 10); // cancels the add
-        idx.remove(QnId(0), 1); // tombstones the base entry
-        let got: Vec<u64> = idx
-            .nodes_by_pre(QnId(0), ident)
-            .iter()
-            .map(|x| x.0)
-            .collect();
-        assert_eq!(got, vec![3]);
-        assert_eq!(idx.count(QnId(0)), 1);
-    }
-
-    #[test]
-    fn compaction_preserves_contents_and_clears_delta() {
-        let mut idx = NameIndex::from_base(HashMap::new());
-        idx.add(QnId(2), 4);
-        idx.add(QnId(2), 1);
-        idx.add(QnId(3), 8);
-        idx.remove(QnId(3), 8);
-        assert!(idx.delta_len() > 0);
-        idx.compact(ident);
-        assert_eq!(idx.delta_len(), 0);
-        let got: Vec<u64> = idx
-            .nodes_by_pre(QnId(2), ident)
-            .iter()
-            .map(|x| x.0)
-            .collect();
-        assert_eq!(got, vec![1, 4]);
-        assert_eq!(idx.count(QnId(3)), 0);
+        let mut idx = index(&[(0, 1), (0, 3), (2, 4)]);
+        idx.add(named(0, 10), ident);
+        assert!(idx.remove(named(0, 10), ident));
+        assert!(idx.remove(named(0, 1), ident));
+        assert!(!idx.remove(named(0, 1), ident));
+        assert!(!idx.remove(named(2, 3), ident), "the name must match too");
+        assert_eq!(idx.pres((QnId(0), 0), ident), vec![3]);
+        assert_eq!((idx.count((QnId(0), 0)), idx.count((QnId(2), 0))), (1, 1));
     }
 
     /// The windowed probe equals the filtered whole-document probe for
-    /// every window, with dead (unmapped) and tombstoned-but-alive
-    /// entries in the base and added entries in the delta.
+    /// every window, with many names around the probed one and postings
+    /// added after the build.
     #[test]
     fn windowed_probe_equals_the_filtered_whole_probe() {
-        let mut base = HashMap::new();
-        base.insert(QnId(1), (0..40).collect::<Vec<u64>>());
-        let mut idx = NameIndex::from_base(base);
-        // Deleted nodes: tombstoned and without a pre rank.
-        let dead = |n: u64| (8..20).contains(&n) || n == 0 || n == 39;
-        for n in (0..40).filter(|&n| dead(n)) {
-            idx.remove(QnId(1), n);
+        let mut postings: Vec<(u32, u64)> = (0..40).map(|n| (1, n)).collect();
+        postings.extend((0..500u64).map(|n| (n as u32 % 3 * 2, 1000 + n)));
+        let mut idx = index(&postings);
+        // Removed nodes (deleted or renamed away) leave the sequence.
+        for n in (8..20).chain([0, 25, 39]) {
+            assert!(idx.remove(named(1, n), |n| Some(n * 3)));
         }
-        idx.remove(QnId(1), 25); // renamed away: tombstoned, still placed
-        idx.add(QnId(1), 100); // inserted between base entries
-        idx.add(QnId(1), 101); // inserted behind the last base entry
         let pre_of = |n: u64| match n {
             100 => Some(45),
             101 => Some(400),
-            n if dead(n) => None,
             n => Some(n * 3),
         };
-        let all = idx.nodes_by_pre(QnId(1), pre_of);
-        assert_eq!(all.len() as u64, idx.count(QnId(1)));
+        idx.add(named(1, 100), pre_of); // between built postings
+        idx.add(named(1, 101), pre_of); // behind the last built posting
+        let all = idx.pres((QnId(1), 0), pre_of);
+        assert_eq!(all.len() as u64, idx.count((QnId(1), 0)));
+        assert_eq!(all.len(), 40 - 15 + 2);
         for lo in 0..125 {
             for hi in [lo, lo + 1, lo + 7, lo + 60, 401, u64::MAX] {
-                let want: Vec<(u64, u64)> = all
-                    .iter()
-                    .copied()
-                    .filter(|&(p, _)| lo <= p && p < hi)
-                    .collect();
+                let want: Vec<u64> = all.iter().copied().filter(|&p| lo <= p && p < hi).collect();
                 assert_eq!(
-                    idx.nodes_by_pre_in(QnId(1), lo, hi, pre_of),
+                    idx.pres_in((QnId(1), 0), lo, hi, pre_of),
                     want,
                     "[{lo}, {hi})"
                 );
             }
         }
-        assert!(idx.nodes_by_pre_in(QnId(9), 0, u64::MAX, pre_of).is_empty());
+        assert!(idx.pres((QnId(9), 0), pre_of).is_empty());
     }
 
     #[test]
     fn clones_share_the_base() {
-        let mut base = HashMap::new();
-        base.insert(QnId(5), (0..100).collect());
-        let idx = NameIndex::from_base(base);
-        let snap = idx.clone();
-        assert!(Arc::ptr_eq(&idx.base, &snap.base), "clone must share");
+        let postings: Vec<(u32, u64)> = (0..10 * LEAF as u64).map(|n| (n as u32 % 5, n)).collect();
+        let idx = index(&postings);
+        let mut snap = idx.clone();
+        assert_eq!(snap.shared_leaves_with(&idx), 10, "clone must share");
+        snap.add(named(3, 1_000_000), ident);
+        assert_eq!(snap.shared_leaves_with(&idx), 9, "a write copies one leaf");
+        assert_eq!(idx.count((QnId(3), 0)), 2 * LEAF as u64);
     }
 }

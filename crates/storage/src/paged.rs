@@ -58,14 +58,17 @@
 //! summary — in a single allocation ([`crate::page`]; 19 bytes per
 //! slot).
 //!
-//! * **What a clone copies.** `PagedDoc::clone` copies one pointer and
-//!   bumps one reference count *per chunk* of pages, and the same for
-//!   the side tables' chunks. What else it copies is flat and small: the
-//!   `pageOffset` table (two words per page, no reference counts) and the
-//!   pool's and indexes' deltas, which are empty after a compaction. All
-//!   tuple data stays shared with the clone until one side writes it.
-//!   Dropping a version releases only the chunks it does not share.
-//! * **What a write copies.** A write privatises the chunk holding its
+//! * **What a clone copies.** `PagedDoc::clone` bumps one reference
+//!   count per directory: the pages' and every side table's — the
+//!   columns, the value pool and the indexes, all on the same kind of
+//!   directory — however large the document and however many commits it
+//!   has seen. What else it copies is flat and small: the `pageOffset`
+//!   table (two words per page, no reference counts). All tuple data
+//!   stays shared with the clone until one side writes it. Dropping a
+//!   version releases only what it does not share.
+//! * **What a write copies.** The first write to a table through a
+//!   version privatises its directory (one pointer and one reference
+//!   count per chunk). A write privatises the chunk holding its
 //!   `Page` (one allocation of [`mbxq_bat::FANOUT`] pointers) and the
 //!   `Page` itself (`Page::make_mut`: one allocation, one `memcpy` of
 //!   ≈19 B × page size), each the first time this version touches it —
@@ -91,9 +94,12 @@
 //! ancestors delta-adjusted) instead of O(document), and publishes it by
 //! swapping one `Arc` under the store's short global lock. The side
 //! tables that are not divided into logical pages (`node→pos`, the
-//! attribute table) are [`CowVec`]s: columns on the same directory.
+//! attribute table, the value pool) are [`CowVec`]s: columns on the
+//! same directory; the name and content indexes are sorted sequences
+//! on it ([`mbxq_bat::CowSorted`]), so a commit copies the index leaves
+//! it writes and nothing else.
 
-use crate::names::NameIndex;
+use crate::names::{NameIndex, Posting};
 use crate::page::{check_addressable, Page, Tuple, NO_NAME, NO_POS};
 use crate::shred::{self, AttrRow, Stager};
 use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
@@ -103,7 +109,6 @@ use crate::Result;
 use mbxq_bat::{CowDir, CowVec, PageMap};
 use mbxq_xml::Node;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -117,10 +122,9 @@ pub(crate) const DEAD_ROW: u64 = u64::MAX;
 
 /// A document in the updateable paged encoding.
 ///
-/// Cloning copies one pointer per chunk of [`mbxq_bat::FANOUT`] pages
-/// (and of side-table pages) plus the flat `pageOffset` table — all
-/// tuple data is structurally shared with the clone until one side
-/// writes it (see the module docs).
+/// Cloning shares every page directory and side table and copies the
+/// flat `pageOffset` table — all tuple data is structurally shared with
+/// the clone until one side writes it (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PagedDoc {
     pub(crate) cfg: PageConfig,
@@ -149,18 +153,14 @@ pub struct PagedDoc {
     pub(crate) used_count: u64,
 }
 
-/// Builds an element-name-index base from a document-ordered tuple
-/// stream (shredding, checkpoint load, vacuum).
-pub(crate) fn name_index_base(staged: &[Tuple]) -> HashMap<QnId, Vec<u64>> {
-    let mut base: HashMap<QnId, Vec<u64>> = HashMap::new();
-    for t in staged {
-        if t.kind == Kind::Element {
-            base.entry(QnId(t.name))
-                .or_default()
-                .push(u64::from(t.node));
-        }
+/// `node id → current pre` through a document's `node→pos` and
+/// `pageOffset` tables, `None` for a dead id.
+fn node_pre(map: &PageMap, node_pos: &CowVec<u32>, node: u64) -> Option<u64> {
+    let pos = *node_pos.get(usize::try_from(node).ok()?)?;
+    if pos == NO_POS {
+        return None;
     }
-    base
+    map.pos_to_pre(u64::from(pos)).ok()
 }
 
 /// Size/occupancy statistics (for the §4.1 storage-overhead experiment).
@@ -208,9 +208,8 @@ impl PagedDoc {
         for (node, qn, prop) in attrs {
             doc.push_attr(node, qn, prop);
         }
-        doc.name_index = NameIndex::from_base(name_index_base(&staged));
         drop(staged);
-        doc.build_content_index();
+        doc.build_indexes();
         Ok(doc)
     }
 
@@ -286,9 +285,7 @@ impl PagedDoc {
     /// through here, so an id always fits the `node` column.
     pub(crate) fn reserve_node_ids(&mut self, end: u64) -> Result<()> {
         check_addressable("node ids", end)?;
-        while self.node_alloc_end() < end {
-            self.node_pos.push(NO_POS);
-        }
+        self.node_pos.grow_to(end as usize, NO_POS);
         Ok(())
     }
 
@@ -505,47 +502,50 @@ impl PagedDoc {
         &mut self.pool
     }
 
-    /// Folds the deltas of the value pool and of both indexes into fresh
-    /// shared bases, so later clones carry empty deltas. The one
-    /// maintenance point — after shredding, vacuum and checkpoint load,
-    /// and when the transaction layer checkpoints; mutation paths never
-    /// compact, since that would clone the whole shared bases inside a
-    /// commit's critical section.
-    pub fn compact(&mut self) {
-        self.pool.compact();
-        let (mut names, mut content) = (
-            std::mem::take(&mut self.name_index),
-            std::mem::take(&mut self.content_index),
-        );
-        names.compact(|node| self.node_pre_opt(node));
-        content.compact(&self.pool, |node| self.node_pre_opt(node));
-        (self.name_index, self.content_index) = (names, content);
-    }
-
-    /// Rebuilds the content index from a scan of the document (with
-    /// the pool lent to it for the concatenated keys), then compacts.
-    pub(crate) fn build_content_index(&mut self) {
+    /// Builds the element-name and content indexes from a scan of the
+    /// document (with the pool lent to the content index for the
+    /// concatenated keys): shredding and checkpoint load.
+    pub(crate) fn build_indexes(&mut self) {
+        let elements = self.used_tuples().filter(|t| t.kind == Kind::Element);
+        let named = elements.map(|t| Posting::new(QnId(t.name), 0, u64::from(t.node)));
+        self.name_index = NameIndex::from_doc_order(named.collect());
         let mut pool = std::mem::take(&mut self.pool);
         self.content_index = ContentIndex::build_from_view(&*self, &mut pool);
         self.pool = pool;
-        self.compact();
     }
 
-    /// Name-index entries added/tombstoned since the last compaction
-    /// (diagnostic, mirrors [`ValuePool::delta_len`]).
-    pub fn name_index_delta_len(&self) -> usize {
-        self.name_index.delta_len()
-    }
-
-    /// Content-index entries added/tombstoned since the last compaction
-    /// (diagnostic, mirrors [`PagedDoc::name_index_delta_len`]).
-    pub fn content_index_delta_len(&self) -> usize {
-        self.content_index.delta_len()
+    /// The indexes, writable, beside the pool and the `node id → pre`
+    /// translation they search by — borrowed apart, so an index can be
+    /// written while it translates.
+    pub(crate) fn indexes(
+        &mut self,
+    ) -> (
+        &mut NameIndex,
+        &mut ContentIndex,
+        &ValuePool,
+        impl Fn(u64) -> Option<u64> + Copy + '_,
+    ) {
+        let (map, node_pos) = (&self.map, &self.node_pos);
+        (
+            &mut self.name_index,
+            &mut self.content_index,
+            &self.pool,
+            move |node| node_pre(map, node_pos, node),
+        )
     }
 
     /// `node id → current pre`, `None` for dead ids.
     fn node_pre_opt(&self, node: u64) -> Option<u64> {
-        self.map.pos_to_pre(u64::from(self.pos_of_node(node)?)).ok()
+        node_pre(&self.map, &self.node_pos, node)
+    }
+
+    /// The used tuples in document (view) order, page by page.
+    pub(crate) fn used_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.pages.iter().flat_map(move |page| {
+            (0..self.cfg.page_size)
+                .filter(|&i| page.is_used(i))
+                .map(|i| page.read(i))
+        })
     }
 
     /// Occupancy statistics.
@@ -665,17 +665,14 @@ impl TreeView for PagedDoc {
     }
 
     fn elements_named_in(&self, qn: QnId, lo: u64, hi: u64) -> Option<Cow<'_, [u64]>> {
-        Some(
-            self.name_index
-                .nodes_by_pre_in(qn, lo, hi, |node| self.node_pre_opt(node))
-                .into_iter()
-                .map(|(pre, _)| pre)
-                .collect(),
-        )
+        let pres = self
+            .name_index
+            .pres_in((qn, 0), lo, hi, |node| self.node_pre_opt(node));
+        Some(Cow::Owned(pres))
     }
 
     fn elements_named_count(&self, qn: QnId) -> Option<u64> {
-        Some(self.name_index.count(qn))
+        Some(self.name_index.count((qn, 0)))
     }
 
     fn has_content_index(&self) -> bool {
@@ -692,7 +689,7 @@ impl TreeView for PagedDoc {
     fn nodes_with_attr_value_range(&self, attr: QnId, range: &NumRange) -> Option<Vec<u64>> {
         Some(
             self.content_index
-                .attr_range(&self.pool, attr, range, |node| self.node_pre_opt(node)),
+                .attr_range(attr, range, |node| self.node_pre_opt(node)),
         )
     }
 
@@ -701,7 +698,7 @@ impl TreeView for PagedDoc {
     }
 
     fn nodes_with_attr_value_range_count(&self, attr: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.attr_range_count(&self.pool, attr, range))
+        Some(self.content_index.attr_range_count(attr, range))
     }
 
     fn elements_with_text(&self, qn: QnId, value: &str) -> Option<TextProbe> {
@@ -714,7 +711,7 @@ impl TreeView for PagedDoc {
     fn elements_with_text_range(&self, qn: QnId, range: &NumRange) -> Option<TextProbe> {
         Some(
             self.content_index
-                .text_range(&self.pool, qn, range, |node| self.node_pre_opt(node)),
+                .text_range(qn, range, |node| self.node_pre_opt(node)),
         )
     }
 
@@ -723,7 +720,7 @@ impl TreeView for PagedDoc {
     }
 
     fn elements_with_text_range_count(&self, qn: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.text_range_count(&self.pool, qn, range))
+        Some(self.content_index.text_range_count(qn, range))
     }
 
     fn attr_degree_stats(&self, attr: QnId) -> Option<crate::values::DegreeStats> {
@@ -959,8 +956,8 @@ mod tests {
         let c = d.clone();
         let n = d.stats().pages;
         assert_eq!(c.shared_pages_with(&d), (n, n));
-        // The clone holds the chunks, not the pages: each chunk has one
-        // owner per version, and nothing else holds on.
+        // The clone holds the directory, not the chunks or the pages:
+        // dropping either version releases nothing the other needs.
         assert_eq!(c.pages.shared_chunks_with(&d.pages), 3);
         assert_eq!(d.pages.owned_chunks(), (0, 3));
         drop(c);

@@ -261,7 +261,7 @@ impl TreeView for ReadOnlyDoc {
     }
 
     fn nodes_with_attr_value_range(&self, attr: QnId, range: &NumRange) -> Option<Vec<u64>> {
-        Some(self.content_index.attr_range(&self.pool, attr, range, Some))
+        Some(self.content_index.attr_range(attr, range, Some))
     }
 
     fn nodes_with_attr_value_count(&self, attr: QnId, value: &str) -> Option<u64> {
@@ -269,7 +269,7 @@ impl TreeView for ReadOnlyDoc {
     }
 
     fn nodes_with_attr_value_range_count(&self, attr: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.attr_range_count(&self.pool, attr, range))
+        Some(self.content_index.attr_range_count(attr, range))
     }
 
     fn elements_with_text(&self, qn: QnId, value: &str) -> Option<TextProbe> {
@@ -277,7 +277,7 @@ impl TreeView for ReadOnlyDoc {
     }
 
     fn elements_with_text_range(&self, qn: QnId, range: &NumRange) -> Option<TextProbe> {
-        Some(self.content_index.text_range(&self.pool, qn, range, Some))
+        Some(self.content_index.text_range(qn, range, Some))
     }
 
     fn elements_with_text_count(&self, qn: QnId, value: &str) -> Option<u64> {
@@ -285,7 +285,7 @@ impl TreeView for ReadOnlyDoc {
     }
 
     fn elements_with_text_range_count(&self, qn: QnId, range: &NumRange) -> Option<u64> {
-        Some(self.content_index.text_range_count(&self.pool, qn, range))
+        Some(self.content_index.text_range_count(qn, range))
     }
 
     fn attr_degree_stats(&self, attr: QnId) -> Option<crate::values::DegreeStats> {

@@ -24,11 +24,12 @@
 //! document. Every page an update rewrites ends in
 //! `Page::rebuild_runs`, which refreshes that page's summary.
 
+use crate::names::Posting;
 use crate::page::{checked_level, Tuple, NO_NAME, NO_POS};
 use crate::paged::{PagedDoc, DEAD_ROW};
 use crate::shred;
 use crate::types::{Kind, NodeId, StorageError};
-use crate::values::{QnId, TextKey};
+use crate::values::{text_posting, QnId, TextKey, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
 use mbxq_xml::{Node, QName};
@@ -145,15 +146,6 @@ impl PagedDoc {
                 });
             }
         }
-        // Register the new elements in the name index (staged is in
-        // document order, so per-name delta order stays document order)
-        // and classify them for the content index.
-        for t in &staged {
-            if t.kind == Kind::Element {
-                self.name_index.add(QnId(t.name), u64::from(t.node));
-            }
-        }
-        self.register_staged_content(&staged);
 
         // Remember the parent by immutable node id: its pre may shift.
         let parent_node = match parent_pre {
@@ -164,11 +156,22 @@ impl PagedDoc {
 
         let report = self.place_tuples(insert_pre, &staged)?;
         self.used_count += n;
+        // Register the new elements, now that they are placed: the
+        // indexes search by pre rank.
+        for (node, qn, key) in classify(&staged, &self.pool) {
+            let key = key.map(|k| k.finish(&mut self.pool));
+            let (names, content, pool, pre_of) = self.indexes();
+            names.add(Posting::new(qn, 0, node), pre_of);
+            content.texts.add(pool, text_posting(qn, key, node), pre_of);
+        }
         // Attribute runs start from their owners' slots, so the rows
         // follow the placed tuples.
         for (node, qn, prop) in attrs {
-            self.content_index.add_attr(qn, prop, node);
             self.push_attr(node, qn, prop);
+            let (_, content, pool, pre_of) = self.indexes();
+            content
+                .attrs
+                .add(pool, Posting::new(qn, prop.0, node), pre_of);
         }
 
         // Delta-increment the size of every ancestor (§3.2: deltas are
@@ -226,23 +229,46 @@ impl PagedDoc {
             p = q + 1;
         }
 
-        let mut attrs_removed = 0u64;
-        let mut pages = std::collections::BTreeSet::new();
-        for &v in &victims {
-            let (phys, i) = self.locate(v).expect("victim is in range");
-            let t = self.page(phys).read(i);
+        // Unregister every victim while all of them are still placed
+        // (the indexes search by pre rank), each element under the
+        // content key it was registered with; then clear the slots.
+        let tuples: Vec<Tuple> = victims
+            .iter()
+            .map(|&v| {
+                let (page, i) = self.slot(v).expect("victim is in range");
+                page.read(i)
+            })
+            .collect();
+        // An element's run stays in the attribute columns, reached from
+        // no slot any more, until vacuum drops it. (MonetDB similarly
+        // leaves deletions to be vacuumed.)
+        let mut rows = Vec::new();
+        for t in tuples.iter().filter(|t| t.kind == Kind::Element) {
             let node = u64::from(t.node);
-            if t.kind == Kind::Element {
-                self.name_index.remove(QnId(t.name), node);
-                self.content_index.remove_element(QnId(t.name), node);
-                // The run stays in the attribute columns, reached from
-                // no slot any more, until vacuum drops it. (MonetDB
-                // similarly leaves deletions to be vacuumed.)
-                for r in self.attr_run(node, t.value) {
-                    self.content_index.remove_attr(self.attr_qn[r], node);
-                    attrs_removed += 1;
-                }
+            let run = self.attr_run(node, t.value);
+            rows.extend(run.map(|r| (self.attr_qn[r], self.attr_prop[r], node)));
+        }
+        let elements = classify(&tuples, &self.pool);
+        let (names, content, pool, pre_of) = self.indexes();
+        for (node, qn, key) in elements {
+            names.remove(Posting::new(qn, 0, node), pre_of);
+            // Every key an indexed element has was interned when it was
+            // registered.
+            match key.map(|k| k.lookup(pool)) {
+                Some(None) => {}
+                key => content
+                    .texts
+                    .remove(pool, text_posting(qn, key.flatten(), node), pre_of),
             }
+        }
+        for &(qn, prop, node) in &rows {
+            content
+                .attrs
+                .remove(pool, Posting::new(qn, prop.0, node), pre_of);
+        }
+        let mut pages = std::collections::BTreeSet::new();
+        for (&v, t) in victims.iter().zip(&tuples) {
+            let (phys, i) = self.locate(v).expect("victim is in range");
             self.node_pos[t.node as usize] = NO_POS;
             self.page_mut(phys).clear_slot(i);
             pages.insert(phys);
@@ -269,7 +295,7 @@ impl PagedDoc {
 
         Ok(DeleteReport {
             deleted: m,
-            attrs_removed,
+            attrs_removed: rows.len() as u64,
             ancestors_updated: ancestors,
             pages_touched: pages.len(),
         })
@@ -336,12 +362,16 @@ impl PagedDoc {
         let old = QnId(t.name);
         if old != qn {
             let node = target.0;
-            self.name_index.remove(old, node);
-            self.name_index.add(qn, node);
             // The content key is name-independent; move it between
-            // name buckets unchanged.
+            // names unchanged.
             let key = self.content_state(pre).and_then(|(_, k)| k);
-            self.content_index.rename_element(old, qn, key, node);
+            let (names, content, pool, pre_of) = self.indexes();
+            names.remove(Posting::new(old, 0, node), pre_of);
+            names.add(Posting::new(qn, 0, node), pre_of);
+            content
+                .texts
+                .remove(pool, text_posting(old, key, node), pre_of);
+            content.texts.add(pool, text_posting(qn, key, node), pre_of);
             self.page_mut(phys).cols_mut().names[i] = qn.0;
         }
         Ok(())
@@ -361,12 +391,18 @@ impl PagedDoc {
         let run = self.attr_run(node, self.page(phys).values()[i]);
         match run.into_iter().find(|&r| self.attr_qn[r] == qn) {
             Some(r) => {
-                self.attr_prop[r] = prop;
-                self.content_index.remove_attr(qn, node);
+                let old = std::mem::replace(&mut self.attr_prop[r], prop);
+                let (_, content, pool, pre_of) = self.indexes();
+                content
+                    .attrs
+                    .remove(pool, Posting::new(qn, old.0, node), pre_of);
             }
             None => self.push_attr(node, qn, prop),
         }
-        self.content_index.add_attr(qn, prop, node);
+        let (_, content, pool, pre_of) = self.indexes();
+        content
+            .attrs
+            .add(pool, Posting::new(qn, prop.0, node), pre_of);
         Ok(())
     }
 
@@ -382,6 +418,11 @@ impl PagedDoc {
         let Some(hit) = run.clone().find(|&r| self.attr_qn[r] == qn) else {
             return Ok(false);
         };
+        let prop = self.attr_prop[hit];
+        let (_, content, pool, pre_of) = self.indexes();
+        content
+            .attrs
+            .remove(pool, Posting::new(qn, prop.0, node), pre_of);
         // Close the gap (the run keeps its order); its last row dies.
         for r in hit..run.end - 1 {
             self.attr_qn[r] = self.attr_qn[r + 1];
@@ -391,7 +432,6 @@ impl PagedDoc {
         if run.len() == 1 {
             self.page_mut(phys).cols_mut().values[i] = NO_NAME;
         }
-        self.content_index.remove_attr(qn, node);
         Ok(true)
     }
 
@@ -430,44 +470,14 @@ impl PagedDoc {
         if old == new {
             return;
         }
+        let (_, content, pool, pre_of) = self.indexes();
         if let Some((qn, key)) = old {
-            self.content_index.remove_element_keyed(qn, key, node);
+            content
+                .texts
+                .remove(pool, text_posting(qn, key, node), pre_of);
         }
         if let Some((qn, key)) = new {
-            self.content_index.add_element(qn, key, node);
-        }
-    }
-
-    /// Classifies a freshly staged (document-ordered) subtree and
-    /// registers every element in the content index — the insert-path
-    /// twin of `ContentIndex::build_from_view`, working off the staged
-    /// tuples so it never re-reads the tree.
-    fn register_staged_content(&mut self, staged: &[Tuple]) {
-        // Open elements: level, node, name and the text key (`None` once
-        // an element child made the element complex).
-        let mut stack: Vec<(u16, u64, QnId, Option<TextKey>)> = Vec::new();
-        let close = |this: &mut Self, (_, node, qn, key): (u16, u64, QnId, Option<TextKey>)| {
-            let key = key.map(|k| k.finish(&mut this.pool));
-            this.content_index.add_element(qn, key, node);
-        };
-        for t in staged {
-            while stack.last().is_some_and(|f| f.0 >= t.level) {
-                close(self, stack.pop().expect("just checked"));
-            }
-            match (t.kind, stack.last_mut()) {
-                (Kind::Element, parent) => {
-                    if let Some(parent) = parent {
-                        parent.3 = None;
-                    }
-                    let key = Some(TextKey::default());
-                    stack.push((t.level, u64::from(t.node), QnId(t.name), key));
-                }
-                (Kind::Text, Some((_, _, _, Some(key)))) => key.push(&self.pool, t.value),
-                _ => {}
-            }
-        }
-        while let Some(f) = stack.pop() {
-            close(self, f);
+            content.texts.add(pool, text_posting(qn, key, node), pre_of);
         }
     }
 
@@ -627,6 +637,42 @@ impl PagedDoc {
         let pre = self.map.pos_to_pre(((phys << self.shift) + i) as u64)?;
         Ok((pre, phys, i))
     }
+}
+
+/// The content state of every element of `tuples` — whole subtrees in
+/// document order — as `(node, name, text key)`, the key `None` for
+/// complex content: the tuple-stream twin of
+/// `ContentIndex::build_from_view`, for a staged insert and a delete's
+/// victims. Elements come in the order they close.
+fn classify(tuples: &[Tuple], pool: &ValuePool) -> Vec<(u64, QnId, Option<TextKey>)> {
+    // Open elements: level, node, name and the text key (`None` once an
+    // element child made the element complex).
+    let mut stack: Vec<(u16, u64, QnId, Option<TextKey>)> = Vec::new();
+    let mut closed = Vec::new();
+    for t in tuples {
+        while stack.last().is_some_and(|f| f.0 >= t.level) {
+            let (_, node, qn, key) = stack.pop().expect("just checked");
+            closed.push((node, qn, key));
+        }
+        match (t.kind, stack.last_mut()) {
+            (Kind::Element, parent) => {
+                if let Some(parent) = parent {
+                    parent.3 = None;
+                }
+                let key = Some(TextKey::default());
+                stack.push((t.level, u64::from(t.node), QnId(t.name), key));
+            }
+            (Kind::Text, Some((_, _, _, Some(key)))) => key.push(pool, t.value),
+            _ => {}
+        }
+    }
+    closed.extend(
+        stack
+            .into_iter()
+            .rev()
+            .map(|(_, node, qn, key)| (node, qn, key)),
+    );
+    closed
 }
 
 /// The level of a child of a level-`lvl` node, or the depth error.
@@ -935,10 +981,9 @@ mod tests {
             .is_empty());
         assert_eq!(d.elements_with_text(cost_qn, "49").unwrap().exact.len(), 1);
 
-        // Vacuum and checkpoint round-trips rebuild the index.
+        // Vacuum keeps the index; a checkpoint round-trip rebuilds it.
         d.vacuum().unwrap();
         crate::invariants::check_paged(&d).unwrap();
-        assert_eq!(d.content_index_delta_len(), 0);
         assert_eq!(d.elements_with_text(cost_qn, "49").unwrap().exact.len(), 1);
         let dump = d.checkpoint_dump();
         let back = PagedDoc::from_checkpoint_dump(&dump, cfg, d.node_alloc_end()).unwrap();

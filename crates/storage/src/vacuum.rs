@@ -11,10 +11,11 @@
 //! tuples into a fresh, sequential page sequence at the configured fill
 //! factor — this module provides it, preserving node ids and attributes
 //! (only positions change; `node→pos` is rebuilt, exactly the mutable
-//! state the paper designed the indirection for).
+//! state the paper designed the indirection for). The value pool and
+//! the indexes are kept as they are: they name nodes by id, and vacuum
+//! preserves document order, which is all their order depends on.
 
-use crate::names::NameIndex;
-use crate::paged::{name_index_base, PagedDoc};
+use crate::paged::PagedDoc;
 use crate::types::PageConfig;
 use crate::view::TreeView;
 use crate::Result;
@@ -73,12 +74,6 @@ impl PagedDoc {
         self.lay_out_appended(&live)?;
         let n_pages = self.pages.len();
         let slots = self.pre_end();
-
-        // The live tuples are already in document order — rebuild the
-        // element-name index from them with an empty delta, and re-scan
-        // the fresh layout for the content index.
-        self.name_index = NameIndex::from_base(name_index_base(&live));
-        self.build_content_index();
         let attr_rows_reclaimed = rows_before - self.attr_node.len() as u64;
 
         Ok(VacuumReport {

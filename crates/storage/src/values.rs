@@ -7,8 +7,7 @@
 //! column, so lookups from tree tuples are positional. Here `prop` is
 //! the one **string table** of a document: attribute values and the
 //! content of text, comment and instruction nodes are all interned into
-//! it, so a string is stored once, whatever holds it. The table's `Vec`
-//! and its lookup map share that one `Arc<str>` allocation.
+//! it, so a string is stored once, whatever holds it.
 //!
 //! # The content index
 //!
@@ -27,10 +26,10 @@
 //!   **simple-content** element (no element children) under the
 //!   concatenation of its direct text children, which for such elements
 //!   *is* the XPath string value. Elements **with** element children are
-//!   tracked per name in a separate `complex` list instead of being
-//!   keyed (their string value would change on every deep text edit,
-//!   turning an O(1) text update into an O(depth) index rewrite); a
-//!   probe returns them as an unindexed remainder for the executor to
+//!   posted under a sentinel id no string has (`COMPLEX`) instead of
+//!   being keyed (their string value would change on every deep text
+//!   edit, turning an O(1) text update into an O(depth) index rewrite);
+//!   a probe returns them as an unindexed remainder for the executor to
 //!   verify by evaluation, so results stay exact while maintenance
 //!   stays local to the touched element.
 //!
@@ -41,39 +40,42 @@
 //! string of its own. A probe looks its literal up in the table, and a
 //! literal the table does not hold matches nothing.
 //!
-//! Each key space has an **exact-match hash arm** and a **sorted
-//! numeric arm** holding `(number, node)` pairs for every value that
-//! parses as an XPath number ([`xpath_number`]) — the access path for
-//! range predicates (`<`, `<=`, `>`, `>=`).
-//!
-//! Like the name index, entries are keyed by **immutable node ids**
-//! (pre-shift-immune; translated to pre ranks at probe time) and the
-//! structure is an [`Arc`]-shared immutable **base** plus small per-key
-//! **deltas** (`added` values, `removed` tombstones), so a commit
-//! touching one value never copies a posting list. Deltas fold into a
-//! fresh base only at the maintenance points (shredding, vacuum, and
-//! the checkpoint load/publish paths of the transaction layer).
+//! Each key space is one global **exact arm** of `(name, string id,
+//! node)` postings ordered by `(name, id, pre)` — the name index's
+//! document-ordered sequence (`names::DocOrdered`) — and one **numeric
+//! arm** of `(name, number, node)` postings ordered by `(name, number,
+//! node)` for every value that parses as an XPath number
+//! ([`xpath_number`]): the access path for range predicates (`<`,
+//! `<=`, `>`, `>=`). Like the name index, postings are keyed by
+//! **immutable node ids**, translated to pre ranks when needed, and
+//! counts are exact: a count is the distance between two searches.
 //!
 //! # Structural sharing
 //!
-//! The pool participates in the O(touched-pages) commit discipline: each
-//! interner is split into an immutable, [`Arc`]-shared **base** (built by
-//! the shredder, or by the last compaction) plus a small mutable
-//! **delta** holding values interned since. Cloning the pool clones the
-//! base pointers and the (small) deltas — O(delta), not O(all strings) —
-//! so a transaction's private workspace and a commit's new version never
-//! copy the document's text heap. Interned ids are *absolute* (base
-//! first, delta continuing the sequence) and survive compaction, which
-//! folds the delta into a fresh shared base. Compaction runs only at
-//! explicit maintenance points (shredding, vacuum, checkpoint) — never
-//! on the intern path, which would otherwise spike a commit to
-//! O(document) while it holds the global commit lock.
+//! Every table here is a column or a sorted sequence on the
+//! copy-on-write directory of [`mbxq_bat::cow`], the one mechanism the
+//! document's pages use too. Cloning the pool or an index — what a
+//! transaction's private workspace and a commit's new version do —
+//! copies one pointer per chunk of pages or leaves, whatever has been
+//! interned or indexed since the document was loaded, and a commit
+//! copies only the pages and leaves it writes.
+//!
+//! An interner is its values in a [`CowVec`] (the id is the position)
+//! and an open-addressing table of ids in another, probed by the hash of
+//! the key under the table's own [`RandomState`] (keyed per table, so a
+//! document cannot force collisions) and compared against the value the
+//! id names — the table holds no second copy of any key. Keys are never
+//! removed. When an insert takes the table past half full, it doubles
+//! and every id is re-inserted: O(values) once per doubling, paid by the
+//! commit that crosses the threshold.
 
+use crate::names::{DocOrdered, Posting, LEAF};
 use crate::types::{Kind, ValueRef};
+use mbxq_bat::{CowSorted, CowVec};
 use mbxq_xml::QName;
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Id of a qualified name in the `qn` table.
@@ -84,61 +86,60 @@ pub struct QnId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropId(pub u32);
 
-/// An append-only interner backing one side table, split into a shared
-/// base and a private delta (see the module docs).
+/// Values per page of an interner's value column.
+const VALUE_PAGE: usize = 256;
+/// Ids per page of an interner's lookup table.
+const SLOT_PAGE: usize = 1024;
+/// A free slot of an interner's lookup table; never an id.
+const FREE: u32 = u32::MAX;
+
+/// An append-only interner backing one side table: the values in a
+/// copy-on-write column, found through an open-addressing table of their
+/// ids (module docs).
 #[derive(Debug, Clone)]
 struct Interner<K> {
-    base: Arc<InternSet<K>>,
-    delta_values: Vec<K>,
-    delta_index: HashMap<K, u32>,
+    values: CowVec<K>,
+    /// Linear probing; a power of two long and at most half full.
+    slots: CowVec<u32>,
+    hasher: RandomState,
 }
 
-/// The immutable, shareable half of an [`Interner`].
-#[derive(Debug)]
-struct InternSet<K> {
-    values: Vec<K>,
-    index: HashMap<K, u32>,
-}
-
-impl<K> Default for Interner<K> {
+impl<K: Clone> Default for Interner<K> {
     fn default() -> Self {
         Interner {
-            base: Arc::new(InternSet {
-                values: Vec::new(),
-                index: HashMap::new(),
-            }),
-            delta_values: Vec::new(),
-            delta_index: HashMap::new(),
+            values: CowVec::new(VALUE_PAGE),
+            slots: CowVec::new(SLOT_PAGE),
+            hasher: RandomState::new(),
         }
     }
 }
 
 impl<K: Clone + Eq + Hash> Interner<K> {
-    /// The id of `key`, interning `own(key)` when it is new. The owned
-    /// key is cloned into the lookup map, so for `Arc<str>` the table
-    /// and the map share one allocation.
+    /// The id of `key`, interning `own(key)` when it is new.
     fn intern<Q>(&mut self, key: &Q, own: impl FnOnce(&Q) -> K) -> u32
     where
         K: Borrow<Q>,
         Q: ?Sized + Eq + Hash,
     {
-        if let Some(id) = self.lookup(key) {
-            return id;
+        let slot = match self.find(key) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&id| id != FREE)
+            .expect("interner overflow");
+        self.values.push(own(key));
+        if 2 * self.values.len() > self.slots.len() {
+            self.rehash();
+        } else {
+            self.slots[slot] = id;
         }
-        let id = u32::try_from(self.len()).expect("interner overflow");
-        let owned = own(key);
-        self.delta_values.push(owned.clone());
-        self.delta_index.insert(owned, id);
         id
     }
 
     fn get(&self, id: u32) -> Option<&K> {
-        let idx = id as usize;
-        if idx < self.base.values.len() {
-            self.base.values.get(idx)
-        } else {
-            self.delta_values.get(idx - self.base.values.len())
-        }
+        self.values.get(id as usize)
     }
 
     fn lookup<Q>(&self, key: &Q) -> Option<u32>
@@ -146,36 +147,45 @@ impl<K: Clone + Eq + Hash> Interner<K> {
         K: Borrow<Q>,
         Q: ?Sized + Eq + Hash,
     {
-        self.base
-            .index
-            .get(key)
-            .or_else(|| self.delta_index.get(key))
-            .copied()
+        self.find(key).ok()
     }
 
     fn len(&self) -> usize {
-        self.base.values.len() + self.delta_values.len()
+        self.values.len()
     }
 
-    /// Folds the delta into a fresh shared base; ids are preserved.
-    fn compact(&mut self) {
-        if self.delta_values.is_empty() {
-            return;
-        }
-        let mut set = InternSet {
-            values: self.base.values.clone(),
-            index: self.base.index.clone(),
+    /// `Ok(id)` of `key`, or `Err(slot)`: the free slot it would take.
+    fn find<Q>(&self, key: &Q) -> Result<u32, usize>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Eq + Hash,
+    {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return Err(0);
         };
-        for v in std::mem::take(&mut self.delta_values) {
-            let id = u32::try_from(set.values.len()).expect("interner overflow");
-            set.index.insert(v.clone(), id);
-            set.values.push(v);
+        let mut i = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            match self.slots[i] {
+                FREE => return Err(i),
+                id if self.values[id as usize].borrow() == key => return Ok(id),
+                _ => i = (i + 1) & mask,
+            }
         }
-        // A fresh map: `clear` keeps the capacity (the shredder's whole
-        // document), and every clone of the pool would allocate and copy
-        // that empty table.
-        self.delta_index = HashMap::new();
-        self.base = Arc::new(set);
+    }
+
+    /// Doubles the lookup table and re-inserts every id.
+    fn rehash(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        let mut slots = CowVec::new(SLOT_PAGE);
+        slots.grow_to(size, FREE);
+        for (id, value) in (0..).zip(self.values.iter()) {
+            let mut i = self.hasher.hash_one(value) as usize & (size - 1);
+            while slots[i] != FREE {
+                i = (i + 1) & (size - 1);
+            }
+            slots[i] = id;
+        }
+        self.slots = slots;
     }
 }
 
@@ -183,11 +193,11 @@ impl<K: Clone + Eq + Hash> Interner<K> {
 ///
 /// Grouped in one struct because every schema variant (read-only, paged,
 /// naive) needs the identical set, and the *same* pool instance lets the
-/// ro-vs-up benchmarks rule out interning differences. Cloning is cheap
-/// (shared bases + small deltas); see the module docs.
+/// ro-vs-up benchmarks rule out interning differences. Cloning copies a
+/// pointer per chunk of pages; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct ValuePool {
-    qnames: Interner<QName>,
+    qnames: Interner<Arc<QName>>,
     /// Every string a document holds, once (module docs).
     strings: Interner<Arc<str>>,
 }
@@ -200,12 +210,12 @@ impl ValuePool {
 
     /// Interns a qualified name, returning its `qn` id.
     pub fn intern_qname(&mut self, name: &QName) -> QnId {
-        QnId(self.qnames.intern(name, QName::clone))
+        QnId(self.qnames.intern(name, |n| Arc::new(n.clone())))
     }
 
     /// The qualified name behind a `qn` id.
     pub fn qname(&self, id: QnId) -> Option<&QName> {
-        self.qnames.get(id.0)
+        self.qnames.get(id.0).map(|n| &**n)
     }
 
     /// Looks up a name without interning (query-side: an XPath name test
@@ -284,21 +294,6 @@ impl ValuePool {
     /// Number of interned qualified names.
     pub fn qname_count(&self) -> usize {
         self.qnames.len()
-    }
-
-    /// Folds both interners' deltas into fresh shared bases (ids are
-    /// preserved). Runs at the maintenance points of
-    /// [`crate::PagedDoc::compact`] — never on the intern path, so
-    /// commits stay O(touched) and deltas are bounded by the commits
-    /// since the last maintenance point.
-    pub fn compact(&mut self) {
-        self.qnames.compact();
-        self.strings.compact();
-    }
-
-    /// Values interned since the last compaction (diagnostic).
-    pub fn delta_len(&self) -> usize {
-        self.qnames.delta_values.len() + self.strings.delta_values.len()
     }
 }
 
@@ -387,19 +382,20 @@ impl NumRange {
 }
 
 /// Per-key degree statistics of one content-index key space — the raw
-/// material of the planner's pessimistic cardinality estimator. All
-/// three figures are **upper bounds** under deltas (added entries are
-/// counted in full, tombstones are not subtracted), matching the
+/// material of the planner's pessimistic cardinality estimator. The
+/// first two figures are exact; the third is an upper bound that only
+/// grows until the index is rebuilt (a load or a checkpoint load), the
 /// count-estimator convention: over-estimating a probe keeps the
 /// multi-predicate chooser conservative as documents skew.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegreeStats {
-    /// Distinct values keyed under this name (≥ the true count).
+    /// Distinct values keyed under this name.
     pub distinct_keys: u64,
-    /// Total postings across all values (≥ the true count).
+    /// Total postings across all values.
     pub total_postings: u64,
-    /// Longest single posting list — the *degree bound*: no probe on
-    /// this key space can return more rows than this for any one value.
+    /// Longest single posting list (≥ the current longest) — the
+    /// *degree bound*: no probe on this key space can return more rows
+    /// than this for any one value.
     pub max_postings: u64,
 }
 
@@ -428,294 +424,207 @@ pub struct TextProbe {
     pub unindexed: Vec<u64>,
 }
 
-/// One key space of the content index: `(QnId, string id)` → node ids,
-/// with the exact hash arm and the sorted numeric arm, base + per-key
-/// delta.
-#[derive(Debug, Clone, Default)]
-struct ValueIndex {
-    base: Arc<ValueBase>,
-    delta: HashMap<QnId, ValueDelta>,
+/// The text arm's key for an element with element children: an id no
+/// string has (the interners stop short of [`FREE`]).
+const COMPLEX: u32 = FREE;
+
+/// Degree statistics per page of a key space's `QnId`-indexed column.
+const STATS_PAGE: usize = 64;
+
+/// The text-arm posting of element `node` (named `qn`) with content
+/// state `key`: `Some(string id)` for simple content, `None` for complex.
+pub(crate) fn text_posting(qn: QnId, key: Option<u32>, node: u64) -> Posting {
+    Posting::new(qn, key.unwrap_or(COMPLEX), node)
 }
 
-/// qn → string id → node ids (document order).
-type ExactArm = HashMap<QnId, HashMap<u32, Vec<u64>>>;
-
-#[derive(Debug, Default)]
-struct ValueBase {
-    exact: ExactArm,
-    /// qn → `(number, node)` sorted by number (then node) — only values
-    /// that parse under [`xpath_number`].
-    numeric: HashMap<QnId, Vec<(f64, u64)>>,
-    /// qn → degree statistics of the exact arm, computed once per base
-    /// rebuild so estimator probes stay O(1) + O(delta).
-    stats: HashMap<QnId, DegreeStats>,
+/// A numeric-arm posting: `node`'s value under name `qn` parses to
+/// `num` (never `NaN`). Ordered by [`Numbered::order`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Numbered {
+    num: f64,
+    qn: QnId,
+    node: u32,
 }
 
-/// Per-qn overlay. The mutation protocol is remove-then-add: every
-/// value change first records the node in `removed` (shadowing whatever
-/// the base holds for it), then appends the new `(string id, node)` pair
-/// — so `added` never needs tombstone filtering.
-#[derive(Debug, Clone, Default)]
-struct ValueDelta {
-    added: Vec<(u32, u64)>,
-    removed: HashSet<u64>,
+impl Numbered {
+    fn order(&self) -> (QnId, f64, u32) {
+        (self.qn, self.num, self.node)
+    }
 }
 
-/// The number a string-table entry parses to (`NaN` for none).
+/// The number a string-table entry parses to (`NaN` for none, and for
+/// the `COMPLEX` sentinel).
 fn number_of(pool: &ValuePool, id: u32) -> f64 {
     xpath_number(pool.string(id).unwrap_or(""))
 }
 
-/// Where the values of `range` start in a number-sorted list.
-fn range_start(sorted: &[(f64, u64)], range: &NumRange) -> usize {
-    sorted.partition_point(|&(v, _)| {
-        if range.lo_incl {
-            v < range.lo
-        } else {
-            v <= range.lo
+/// Whether `v` lies below `range`'s lower end.
+fn below(range: &NumRange, v: f64) -> bool {
+    if range.lo_incl {
+        v < range.lo
+    } else {
+        v <= range.lo
+    }
+}
+
+/// Whether `v` lies at or below `range`'s upper end.
+fn within_hi(range: &NumRange, v: f64) -> bool {
+    if range.hi_incl {
+        v <= range.hi
+    } else {
+        v < range.hi
+    }
+}
+
+/// One key space of the content index: the exact arm, the numeric arm
+/// and per-name degree statistics (module docs). Postings under
+/// `COMPLEX` live in the exact arm only. The maintenance methods take
+/// the pool (for the numbers values parse to) and the node → pre
+/// translation of the document; every posting names a placed node
+/// (module `names`).
+#[derive(Debug, Clone)]
+pub(crate) struct ValueIndex {
+    exact: DocOrdered,
+    numeric: CowSorted<Numbered>,
+    stats: CowVec<DegreeStats>,
+}
+
+impl Default for ValueIndex {
+    fn default() -> Self {
+        ValueIndex {
+            exact: DocOrdered::default(),
+            numeric: CowSorted::new(LEAF),
+            stats: CowVec::new(STATS_PAGE),
         }
-    })
+    }
+}
+
+/// The statistics of name `qn`, growing the column to hold them.
+fn stats_mut(stats: &mut CowVec<DegreeStats>, qn: QnId) -> &mut DegreeStats {
+    let i = qn.0 as usize;
+    stats.grow_to(i + 1, DegreeStats::default());
+    &mut stats[i]
 }
 
 impl ValueIndex {
-    /// Records that `node` now carries string `value` under key `qn`.
-    /// Callers must have called [`ValueIndex::remove`] first if the node
-    /// already carried a value under this key.
-    fn add(&mut self, qn: QnId, value: u32, node: u64) {
-        self.delta.entry(qn).or_default().added.push((value, node));
-    }
-
-    /// Removes whatever value `node` carries under key `qn` (no-op — a
-    /// harmless tombstone — if it carries none).
-    fn remove(&mut self, qn: QnId, node: u64) {
-        let d = self.delta.entry(qn).or_default();
-        if let Some(i) = d.added.iter().position(|&(_, n)| n == node) {
-            d.added.remove(i);
-        } else {
-            d.removed.insert(node);
+    /// Adds the posting `p` of a placed node.
+    pub(crate) fn add(
+        &mut self,
+        pool: &ValuePool,
+        p: Posting,
+        pre_of: impl Fn(u64) -> Option<u64>,
+    ) {
+        self.exact.add(p, pre_of);
+        if p.value == COMPLEX {
+            return;
+        }
+        let run = self.exact.count(p.key());
+        let s = stats_mut(&mut self.stats, p.qn);
+        s.total_postings += 1;
+        s.distinct_keys += u64::from(run == 1);
+        s.max_postings = s.max_postings.max(run);
+        let num = number_of(pool, p.value);
+        if !num.is_nan() {
+            let e = Numbered {
+                num,
+                qn: p.qn,
+                node: p.node,
+            };
+            self.numeric.insert(e, |x| x.order() < e.order());
         }
     }
 
-    /// Nodes carrying exactly string `value` under `qn`, as `pre` ranks
-    /// in document order (`pre_of` skips dead ids defensively).
-    fn probe_exact(
-        &self,
-        qn: QnId,
-        value: u32,
-        mut pre_of: impl FnMut(u64) -> Option<u64>,
-    ) -> Vec<u64> {
-        let delta = self.delta.get(&qn);
-        let mut out: Vec<u64> = Vec::new();
-        if let Some(list) = self.base.exact.get(&qn).and_then(|m| m.get(&value)) {
-            for &n in list {
-                if delta.is_some_and(|d| d.removed.contains(&n)) {
-                    continue;
-                }
-                if let Some(p) = pre_of(n) {
-                    out.push(p);
-                }
-            }
+    /// Removes the posting `p` of a still-placed node, if it is there.
+    pub(crate) fn remove(
+        &mut self,
+        pool: &ValuePool,
+        p: Posting,
+        pre_of: impl Fn(u64) -> Option<u64>,
+    ) {
+        if !self.exact.remove(p, pre_of) || p.value == COMPLEX {
+            return;
         }
-        if let Some(d) = delta {
-            let before = out.len();
-            for &(v, n) in &d.added {
-                if v == value {
-                    if let Some(p) = pre_of(n) {
-                        out.push(p);
-                    }
-                }
-            }
-            if out.len() > before {
-                out.sort_unstable();
-            }
+        let emptied = self.exact.count(p.key()) == 0;
+        let s = stats_mut(&mut self.stats, p.qn);
+        s.total_postings -= 1;
+        s.distinct_keys -= u64::from(emptied);
+        let num = number_of(pool, p.value);
+        if !num.is_nan() {
+            let e = Numbered {
+                num,
+                qn: p.qn,
+                node: p.node,
+            };
+            self.numeric.remove(&e, |x| x.order() < e.order());
         }
-        out
     }
 
     /// Nodes whose value parses into `range` under `qn`, as `pre` ranks
     /// in document order.
     fn probe_range(
         &self,
-        pool: &ValuePool,
         qn: QnId,
         range: &NumRange,
-        mut pre_of: impl FnMut(u64) -> Option<u64>,
+        pre_of: impl Fn(u64) -> Option<u64>,
     ) -> Vec<u64> {
-        let delta = self.delta.get(&qn);
-        let mut out: Vec<u64> = Vec::new();
-        if let Some(sorted) = self.base.numeric.get(&qn) {
-            // Binary-search to the first candidate, then walk until the
-            // values leave the range (the sorted arm's whole point).
-            for &(v, n) in &sorted[range_start(sorted, range)..] {
-                if !range.contains(v) {
-                    break;
-                }
-                if delta.is_some_and(|d| d.removed.contains(&n)) {
-                    continue;
-                }
-                if let Some(p) = pre_of(n) {
-                    out.push(p);
-                }
-            }
-        }
-        if let Some(d) = delta {
-            for &(v, n) in &d.added {
-                if range.contains(number_of(pool, v)) {
-                    if let Some(p) = pre_of(n) {
-                        out.push(p);
-                    }
-                }
-            }
-        }
+        let start = self
+            .numeric
+            .lower_bound(|e| e.qn < qn || (e.qn == qn && below(range, e.num)));
+        let mut out: Vec<u64> = self
+            .numeric
+            .iter_from(start)
+            .take_while(|e| e.qn == qn && within_hi(range, e.num))
+            .filter_map(|e| pre_of(u64::from(e.node)))
+            .collect();
         // The numeric arm is value-sorted, not pre-sorted.
         out.sort_unstable();
         out
     }
 
-    /// Upper-bound cardinality of [`ValueIndex::probe_exact`] — the
-    /// statistic the cost model keys on (tombstoned base entries are
-    /// not subtracted; over-estimating the probe keeps the choice
-    /// conservative).
-    fn count_exact(&self, qn: QnId, value: u32) -> u64 {
-        let base = self
-            .base
-            .exact
-            .get(&qn)
-            .and_then(|m| m.get(&value))
-            .map_or(0, Vec::len) as u64;
-        let added = self
-            .delta
-            .get(&qn)
-            .map_or(0, |d| d.added.iter().filter(|&&(v, _)| v == value).count())
-            as u64;
-        base + added
+    /// Cardinality of [`ValueIndex::probe_range`].
+    fn count_range(&self, qn: QnId, range: &NumRange) -> u64 {
+        let start = self
+            .numeric
+            .lower_bound(|e| e.qn < qn || (e.qn == qn && below(range, e.num)));
+        let end = self
+            .numeric
+            .lower_bound(|e| e.qn < qn || (e.qn == qn && within_hi(range, e.num)));
+        self.numeric.count_between(start, end) as u64
     }
 
-    /// Upper-bound cardinality of [`ValueIndex::probe_range`].
-    fn count_range(&self, pool: &ValuePool, qn: QnId, range: &NumRange) -> u64 {
-        let base = self.base.numeric.get(&qn).map_or(0, |sorted| {
-            let end = sorted.partition_point(|&(v, _)| {
-                if range.hi_incl {
-                    v <= range.hi
-                } else {
-                    v < range.hi
-                }
-            });
-            end.saturating_sub(range_start(sorted, range))
-        }) as u64;
-        let added = self.delta.get(&qn).map_or(0, |d| {
-            d.added
-                .iter()
-                .filter(|&&(v, _)| range.contains(number_of(pool, v)))
-                .count()
-        }) as u64;
-        base + added
+    /// Degree statistics for key space `qn`.
+    fn degree_stats(&self, qn: QnId) -> DegreeStats {
+        self.stats.get(qn.0 as usize).copied().unwrap_or_default()
     }
 
-    /// Folds the deltas into a fresh shared base (per-key lists stay
-    /// document-ordered via `pre_of`). Maintenance points only.
-    fn compact(&mut self, pool: &ValuePool, mut pre_of: impl FnMut(u64) -> Option<u64>) {
-        if self.delta.is_empty() {
-            return;
-        }
-        let mut exact = self.base.exact.clone();
-        for (qn, d) in self.delta.drain() {
-            let bucket = exact.entry(qn).or_default();
-            if !d.removed.is_empty() {
-                bucket.retain(|_, list| {
-                    list.retain(|n| !d.removed.contains(n));
-                    !list.is_empty()
+    /// Builds the arms and statistics from postings in document order.
+    fn from_doc_order(pool: &ValuePool, postings: Vec<Posting>) -> ValueIndex {
+        let mut index = ValueIndex {
+            exact: DocOrdered::from_doc_order(postings),
+            ..ValueIndex::default()
+        };
+        let mut numeric = Vec::new();
+        let (mut key, mut num, mut run) = (None, f64::NAN, 0);
+        for p in index.exact.iter().filter(|p| p.value != COMPLEX) {
+            let s = stats_mut(&mut index.stats, p.qn);
+            if key != Some(p.key()) {
+                (key, num, run) = (Some(p.key()), number_of(pool, p.value), 0);
+                s.distinct_keys += 1;
+            }
+            run += 1;
+            s.total_postings += 1;
+            s.max_postings = s.max_postings.max(run);
+            if !num.is_nan() {
+                numeric.push(Numbered {
+                    num,
+                    qn: p.qn,
+                    node: p.node,
                 });
             }
-            for (v, n) in d.added {
-                bucket.entry(v).or_default().push(n);
-            }
-            // Restore per-list document order (adds appended out of
-            // order).
-            for list in bucket.values_mut() {
-                list.sort_unstable_by_key(|&n| pre_of(n).unwrap_or(u64::MAX));
-            }
-            if bucket.is_empty() {
-                exact.remove(&qn);
-            }
         }
-        *self = ValueIndex::from_exact(pool, exact);
-    }
-
-    /// Entries added/tombstoned since the last compaction (diagnostic).
-    fn delta_len(&self) -> usize {
-        self.delta
-            .values()
-            .map(|d| d.added.len() + d.removed.len())
-            .sum()
-    }
-
-    /// Every live `(qn, string id, node)` entry, base and delta (order
-    /// unspecified).
-    fn entries(&self) -> impl Iterator<Item = (QnId, u32, u64)> + '_ {
-        let base = self.base.exact.iter().flat_map(move |(&qn, bucket)| {
-            let removed = self.delta.get(&qn).map(|d| &d.removed);
-            bucket.iter().flat_map(move |(&v, list)| {
-                list.iter()
-                    .filter(move |n| !removed.is_some_and(|r| r.contains(n)))
-                    .map(move |&n| (qn, v, n))
-            })
-        });
-        let added = self
-            .delta
-            .iter()
-            .flat_map(|(&qn, d)| d.added.iter().map(move |&(v, n)| (qn, v, n)));
-        base.chain(added)
-    }
-
-    /// Degree statistics for key space `qn`: the base's precomputed
-    /// figures widened by the delta's `added` entries (each added entry
-    /// may be a new distinct value and may extend the longest list, so
-    /// all three bounds grow by the added count — upper bounds, like
-    /// the probe-count estimators; tombstones are not subtracted).
-    fn degree_stats(&self, qn: QnId) -> DegreeStats {
-        let mut s = self.base.stats.get(&qn).copied().unwrap_or_default();
-        if let Some(d) = self.delta.get(&qn) {
-            let added = d.added.len() as u64;
-            if added > 0 {
-                s.distinct_keys += added;
-                s.total_postings += added;
-                s.max_postings += added;
-            }
-        }
-        s
-    }
-
-    /// Builds the base (numeric arm and degree statistics derived) from
-    /// document-ordered exact lists; empty delta.
-    fn from_exact(pool: &ValuePool, exact: ExactArm) -> ValueIndex {
-        let mut numeric: HashMap<QnId, Vec<(f64, u64)>> = HashMap::new();
-        let mut stats: HashMap<QnId, DegreeStats> = HashMap::new();
-        for (&qn, bucket) in &exact {
-            let mut nums: Vec<(f64, u64)> = Vec::new();
-            let s = stats.entry(qn).or_default();
-            for (&v, list) in bucket {
-                s.distinct_keys += 1;
-                s.total_postings += list.len() as u64;
-                s.max_postings = s.max_postings.max(list.len() as u64);
-                let num = number_of(pool, v);
-                if !num.is_nan() {
-                    nums.extend(list.iter().map(|&n| (num, n)));
-                }
-            }
-            if !nums.is_empty() {
-                nums.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs stored"));
-                numeric.insert(qn, nums);
-            }
-        }
-        ValueIndex {
-            base: Arc::new(ValueBase {
-                exact,
-                numeric,
-                stats,
-            }),
-            delta: HashMap::new(),
-        }
+        numeric.sort_unstable_by(|a, b| a.order().partial_cmp(&b.order()).expect("no NaNs stored"));
+        index.numeric = CowSorted::from_sorted(LEAF, &numeric);
+        index
     }
 }
 
@@ -750,72 +659,31 @@ impl TextKey {
             (None, None) => pool.intern_str(""),
         }
     }
+
+    /// The key's string id if the pool holds it, without interning: a
+    /// key [`TextKey::finish`] gave an indexed element is always there.
+    pub(crate) fn lookup(self, pool: &ValuePool) -> Option<u32> {
+        match (self.concat, self.first) {
+            (Some(c), _) => pool.lookup_str(&c),
+            (None, Some(first)) => Some(first),
+            (None, None) => pool.lookup_str(""),
+        }
+    }
 }
 
 /// The content index: attribute values + element text content, each
-/// with an exact and a sorted numeric arm, plus the per-name list of
-/// complex-content elements (module docs).
+/// with an exact and a numeric arm (module docs). The update paths
+/// write the arms directly.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ContentIndex {
     /// Attribute-name-keyed: elements carrying `@qn = value`.
-    attrs: ValueIndex,
-    /// Element-name-keyed: simple-content elements by string value.
-    texts: ValueIndex,
-    /// Element-name-keyed: elements with element children (not in
-    /// `texts`; probes return them for caller-side verification).
-    complex: crate::names::NameIndex,
+    pub(crate) attrs: ValueIndex,
+    /// Element-name-keyed: simple-content elements by string value,
+    /// complex ones under `COMPLEX` ([`text_posting`]).
+    pub(crate) texts: ValueIndex,
 }
 
 impl ContentIndex {
-    // -- maintenance (update paths; remove-then-add discipline) --------
-
-    /// Records `@qn = value` on element `node` (any previous value for
-    /// this attribute must have been removed first).
-    pub(crate) fn add_attr(&mut self, qn: QnId, value: PropId, node: u64) {
-        self.attrs.add(qn, value.0, node);
-    }
-
-    /// Removes element `node`'s `@qn` entry.
-    pub(crate) fn remove_attr(&mut self, qn: QnId, node: u64) {
-        self.attrs.remove(qn, node);
-    }
-
-    /// Registers element `node` (named `qn`) with content state `key`:
-    /// `Some(string id)` for simple content, `None` for complex.
-    pub(crate) fn add_element(&mut self, qn: QnId, key: Option<u32>, node: u64) {
-        match key {
-            Some(text) => self.texts.add(qn, text, node),
-            None => self.complex.add(qn, node),
-        }
-    }
-
-    /// Unregisters a **deleted** element `node` (named `qn`) whose
-    /// content state is unknown: both arms are cleared. Only valid when
-    /// the node will never be re-added (node ids are not reused) — the
-    /// spurious tombstone in the wrong arm would otherwise cancel a
-    /// later re-add. Live re-keying goes through
-    /// [`ContentIndex::remove_element_keyed`] instead.
-    pub(crate) fn remove_element(&mut self, qn: QnId, node: u64) {
-        self.texts.remove(qn, node);
-        self.complex.remove(qn, node);
-    }
-
-    /// Unregisters element `node` (named `qn`) from the arm its known
-    /// content state `key` lives in — the removal half of a re-key.
-    pub(crate) fn remove_element_keyed(&mut self, qn: QnId, key: Option<u32>, node: u64) {
-        match key {
-            Some(_) => self.texts.remove(qn, node),
-            None => self.complex.remove(qn, node),
-        }
-    }
-
-    /// Moves element `node` (content state `key`) between names —
-    /// the rename hook.
-    pub(crate) fn rename_element(&mut self, old: QnId, new: QnId, key: Option<u32>, node: u64) {
-        self.remove_element_keyed(old, key, node);
-        self.add_element(new, key, node);
-    }
-
     // -- probes (a literal the string table lacks matches nothing) ----
 
     /// Elements with `@qn = value`, as pre ranks in document order.
@@ -824,32 +692,31 @@ impl ContentIndex {
         pool: &ValuePool,
         qn: QnId,
         value: &str,
-        pre_of: impl FnMut(u64) -> Option<u64>,
+        pre_of: impl Fn(u64) -> Option<u64>,
     ) -> Vec<u64> {
         pool.lookup_str(value)
-            .map_or_else(Vec::new, |v| self.attrs.probe_exact(qn, v, pre_of))
+            .map_or_else(Vec::new, |v| self.attrs.exact.pres((qn, v), pre_of))
     }
 
     /// Elements whose `@qn` parses into `range`.
     pub(crate) fn attr_range(
         &self,
-        pool: &ValuePool,
         qn: QnId,
         range: &NumRange,
-        pre_of: impl FnMut(u64) -> Option<u64>,
+        pre_of: impl Fn(u64) -> Option<u64>,
     ) -> Vec<u64> {
-        self.attrs.probe_range(pool, qn, range, pre_of)
+        self.attrs.probe_range(qn, range, pre_of)
     }
 
-    /// Upper-bound cardinality of [`ContentIndex::attr_eq`].
+    /// Cardinality of [`ContentIndex::attr_eq`].
     pub(crate) fn attr_eq_count(&self, pool: &ValuePool, qn: QnId, value: &str) -> u64 {
         pool.lookup_str(value)
-            .map_or(0, |v| self.attrs.count_exact(qn, v))
+            .map_or(0, |v| self.attrs.exact.count((qn, v)))
     }
 
-    /// Upper-bound cardinality of [`ContentIndex::attr_range`].
-    pub(crate) fn attr_range_count(&self, pool: &ValuePool, qn: QnId, range: &NumRange) -> u64 {
-        self.attrs.count_range(pool, qn, range)
+    /// Cardinality of [`ContentIndex::attr_range`].
+    pub(crate) fn attr_range_count(&self, qn: QnId, range: &NumRange) -> u64 {
+        self.attrs.count_range(qn, range)
     }
 
     /// Elements named `qn` whose string value equals `value` (exact
@@ -859,13 +726,13 @@ impl ContentIndex {
         pool: &ValuePool,
         qn: QnId,
         value: &str,
-        mut pre_of: impl FnMut(u64) -> Option<u64>,
+        pre_of: impl Fn(u64) -> Option<u64>,
     ) -> TextProbe {
         TextProbe {
             exact: pool
                 .lookup_str(value)
-                .map_or_else(Vec::new, |v| self.texts.probe_exact(qn, v, &mut pre_of)),
-            unindexed: self.complex_pres(qn, pre_of),
+                .map_or_else(Vec::new, |v| self.texts.exact.pres((qn, v), &pre_of)),
+            unindexed: self.texts.exact.pres((qn, COMPLEX), pre_of),
         }
     }
 
@@ -873,28 +740,27 @@ impl ContentIndex {
     /// (exact arm) plus the name's unverified complex elements.
     pub(crate) fn text_range(
         &self,
-        pool: &ValuePool,
         qn: QnId,
         range: &NumRange,
-        mut pre_of: impl FnMut(u64) -> Option<u64>,
+        pre_of: impl Fn(u64) -> Option<u64>,
     ) -> TextProbe {
         TextProbe {
-            exact: self.texts.probe_range(pool, qn, range, &mut pre_of),
-            unindexed: self.complex_pres(qn, pre_of),
+            exact: self.texts.probe_range(qn, range, &pre_of),
+            unindexed: self.texts.exact.pres((qn, COMPLEX), pre_of),
         }
     }
 
-    /// Upper-bound cardinality of [`ContentIndex::text_eq`] (complex
-    /// candidates included — they cost a verification each).
+    /// Cardinality of [`ContentIndex::text_eq`] (complex candidates
+    /// included — they cost a verification each).
     pub(crate) fn text_eq_count(&self, pool: &ValuePool, qn: QnId, value: &str) -> u64 {
         pool.lookup_str(value)
-            .map_or(0, |v| self.texts.count_exact(qn, v))
-            + self.complex.count_upper(qn)
+            .map_or(0, |v| self.texts.exact.count((qn, v)))
+            + self.texts.exact.count((qn, COMPLEX))
     }
 
-    /// Upper-bound cardinality of [`ContentIndex::text_range`].
-    pub(crate) fn text_range_count(&self, pool: &ValuePool, qn: QnId, range: &NumRange) -> u64 {
-        self.texts.count_range(pool, qn, range) + self.complex.count_upper(qn)
+    /// Cardinality of [`ContentIndex::text_range`].
+    pub(crate) fn text_range_count(&self, qn: QnId, range: &NumRange) -> u64 {
+        self.texts.count_range(qn, range) + self.texts.exact.count((qn, COMPLEX))
     }
 
     /// Degree statistics of the attribute key space for `@qn`.
@@ -908,7 +774,7 @@ impl ContentIndex {
     /// bound the probe's cardinality exactly like indexed postings.
     pub(crate) fn text_degree_stats(&self, qn: QnId) -> DegreeStats {
         let mut s = self.texts.degree_stats(qn);
-        let complex = self.complex.count_upper(qn);
+        let complex = self.texts.exact.count((qn, COMPLEX));
         if complex > 0 {
             s.total_postings += complex;
             s.max_postings += complex;
@@ -917,42 +783,16 @@ impl ContentIndex {
         s
     }
 
-    /// Every live attribute entry `(attribute name, value, element
-    /// node)`, in no particular order.
-    pub(crate) fn attr_entries(&self) -> impl Iterator<Item = (QnId, PropId, u64)> + '_ {
-        self.attrs
-            .entries()
-            .map(|(qn, v, node)| (qn, PropId(v), node))
+    /// Every attribute posting.
+    pub(crate) fn attr_entries(&self) -> impl Iterator<Item = Posting> + '_ {
+        self.attrs.exact.iter()
     }
 
-    fn complex_pres(&self, qn: QnId, pre_of: impl FnMut(u64) -> Option<u64>) -> Vec<u64> {
-        self.complex
-            .nodes_by_pre(qn, pre_of)
-            .into_iter()
-            .map(|(pre, _)| pre)
-            .collect()
-    }
-
-    // -- maintenance points --------------------------------------------
-
-    /// Folds all deltas into fresh shared bases. Maintenance points
-    /// only (clones the whole base).
-    pub(crate) fn compact(&mut self, pool: &ValuePool, mut pre_of: impl FnMut(u64) -> Option<u64>) {
-        self.attrs.compact(pool, &mut pre_of);
-        self.texts.compact(pool, &mut pre_of);
-        self.complex.compact(pre_of);
-    }
-
-    /// Entries added/tombstoned since the last compaction (diagnostic).
-    pub(crate) fn delta_len(&self) -> usize {
-        self.attrs.delta_len() + self.texts.delta_len() + self.complex.delta_len()
-    }
-
-    /// Builds a compacted index by scanning a whole document view — the
-    /// shredding / vacuum / checkpoint-load constructor. `pool` is the
-    /// view's own pool, lent out so that concatenated keys can be
-    /// interned while the view is read (the scan reads no string through
-    /// the view). One pass over the used slots classifies every element
+    /// Builds the index by scanning a whole document view — the
+    /// shredding and checkpoint-load constructor. `pool` is the view's
+    /// own pool, lent out so that concatenated keys can be interned
+    /// while the view is read (the scan reads no string through the
+    /// view). One pass over the used slots classifies every element
     /// (simple key vs complex) and collects attribute rows; node ids
     /// come from the view, so the index survives later pre shifts.
     pub(crate) fn build_from_view<V: crate::view::TreeView + ?Sized>(
@@ -962,13 +802,15 @@ impl ContentIndex {
         // Open elements: level, index into `elems`, and the text key
         // (`None` once an element child made the element complex).
         let mut stack: Vec<(u16, usize, Option<TextKey>)> = Vec::new();
-        // (node, qn, key) in document order; the key is set on close.
-        let mut elems: Vec<(u64, QnId, Option<u32>)> = Vec::new();
-        let mut attr_base = ExactArm::new();
+        // Element postings in document order; the key is set on close.
+        let mut elems: Vec<Posting> = Vec::new();
+        let mut attrs: Vec<Posting> = Vec::new();
         let close = |(_, at, key): (u16, usize, Option<TextKey>),
-                     elems: &mut Vec<(u64, QnId, Option<u32>)>,
+                     elems: &mut Vec<Posting>,
                      pool: &mut ValuePool| {
-            elems[at].2 = key.map(|k| k.finish(pool));
+            if let Some(key) = key {
+                elems[at].value = key.finish(pool);
+            }
         };
         let mut p = 0u64;
         while let Some(q) = view.next_used_at_or_after(p) {
@@ -983,12 +825,10 @@ impl ContentIndex {
                     if let Some(parent) = stack.last_mut() {
                         parent.2 = None;
                     }
-                    for (aqn, prop) in view.attributes(q) {
-                        let bucket = attr_base.entry(aqn).or_default();
-                        bucket.entry(prop.0).or_default().push(node);
-                    }
+                    let attributes = view.attributes(q).into_iter();
+                    attrs.extend(attributes.map(|(aqn, prop)| Posting::new(aqn, prop.0, node)));
                     stack.push((level, elems.len(), Some(TextKey::default())));
-                    elems.push((node, qn, None));
+                    elems.push(text_posting(qn, None, node));
                 }
                 Some(Kind::Text) => {
                     if let (Some((_, _, Some(key))), Some(ValueRef(v))) =
@@ -1004,23 +844,9 @@ impl ContentIndex {
         while let Some(f) = stack.pop() {
             close(f, &mut elems, pool);
         }
-        let mut text_base = ExactArm::new();
-        let mut complex_base: HashMap<QnId, Vec<u64>> = HashMap::new();
-        for (node, qn, key) in elems {
-            match key {
-                Some(text) => text_base
-                    .entry(qn)
-                    .or_default()
-                    .entry(text)
-                    .or_default()
-                    .push(node),
-                None => complex_base.entry(qn).or_default().push(node),
-            }
-        }
         ContentIndex {
-            attrs: ValueIndex::from_exact(pool, attr_base),
-            texts: ValueIndex::from_exact(pool, text_base),
-            complex: crate::names::NameIndex::from_base(complex_base),
+            attrs: ValueIndex::from_doc_order(pool, attrs),
+            texts: ValueIndex::from_doc_order(pool, elems),
         }
     }
 }
@@ -1052,6 +878,7 @@ mod tests {
     #[test]
     fn props_are_unique_strings() {
         let mut p = ValuePool::new();
+        p.intern_prop("first"); // its page's filler past the end copies it
         let a = p.intern_prop("person0");
         assert_eq!(p.intern_prop("person0"), a);
         assert_eq!(p.prop(a), Some("person0"));
@@ -1059,9 +886,9 @@ mod tests {
         // Attribute values and node content share the one table …
         assert_eq!(p.intern_text("person0"), a.0);
         assert_eq!(p.intern_comment("person0"), a.0);
-        // … and its lookup map holds the table's own allocation.
-        let s = &p.strings.delta_values[a.0 as usize];
-        assert_eq!(Arc::strong_count(s), 2);
+        // … and its lookup table holds no second copy of the string.
+        let s = &p.strings.values[a.0 as usize];
+        assert_eq!(Arc::strong_count(s), 1);
     }
 
     #[test]
@@ -1074,76 +901,59 @@ mod tests {
     }
 
     #[test]
-    fn ids_survive_compaction() {
+    fn ids_survive_table_growth() {
         let mut p = ValuePool::new();
         let ids: Vec<u32> = (0..600).map(|i| p.intern_text(&format!("t{i}"))).collect();
-        p.compact();
-        assert_eq!(p.delta_len(), 0);
+        // Six doublings later the table is still at most half full …
+        assert!(p.strings.slots.len() >= 2 * p.strings.len());
+        // … and every id still names its string and is found again.
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(p.text(*id), Some(format!("t{i}").as_str()));
+            assert_eq!(p.lookup_str(&format!("t{i}")), Some(*id));
         }
-        // Re-interning after compaction finds the base entry.
         assert_eq!(p.intern_text("t42"), ids[42]);
-        // New values continue the absolute id sequence.
+        // New values continue the id sequence.
         let fresh = p.intern_text("brand new");
         assert_eq!(fresh as usize, ids.len());
-    }
-
-    #[test]
-    fn a_compacted_pools_clone_allocates_nothing_for_its_delta() {
-        let mut p = ValuePool::new();
-        for i in 0..5000 {
-            p.intern_text(&format!("t{i}"));
-            p.intern_qname(&QName::local(format!("q{i}")));
-        }
-        p.compact();
-        let c = p.clone();
-        for pool in [&p, &c] {
-            for (values, index) in [
-                (
-                    pool.strings.delta_values.capacity(),
-                    pool.strings.delta_index.capacity(),
-                ),
-                (
-                    pool.qnames.delta_values.capacity(),
-                    pool.qnames.delta_index.capacity(),
-                ),
-            ] {
-                assert_eq!((values, index), (0, 0), "an empty delta holds no heap");
-            }
-        }
-        assert_eq!(c.text(4999), Some("t4999"));
-    }
-
-    #[test]
-    fn interning_never_compacts_implicitly() {
-        // Compaction clones the whole base, so it must never fire inside
-        // a commit's op.apply — only at explicit maintenance points.
-        let mut p = ValuePool::new();
-        for i in 0..100 {
-            p.intern_text(&format!("base{i}"));
-        }
-        p.compact();
-        for i in 0..5000 {
-            p.intern_text(&format!("hot{i}"));
-        }
-        assert_eq!(p.delta_len(), 5000, "intern path must not compact");
-        p.compact();
-        assert_eq!(p.delta_len(), 0);
-        assert_eq!(p.text(50), Some("base50"));
-        assert_eq!(p.text(100 + 4999), Some("hot4999"));
     }
 
     #[test]
     fn clones_do_not_see_later_interns() {
         let mut p = ValuePool::new();
         p.intern_text("shared");
-        p.compact();
         let snapshot = p.clone();
         let id = p.intern_text("after-clone");
         assert_eq!(p.text(id), Some("after-clone"));
         assert_eq!(snapshot.text(id), None);
         assert_eq!(snapshot.lookup_prop("after-clone"), None);
+        assert_eq!(p.lookup_prop("shared"), snapshot.lookup_prop("shared"));
+    }
+
+    /// A clone shares every page of both interners; a new string then
+    /// copies the last value page and one page of the lookup table.
+    #[test]
+    fn a_pools_clone_shares_its_pages_until_an_intern() {
+        let mut p = ValuePool::new();
+        for i in 0..5000 {
+            p.intern_text(&format!("t{i}"));
+        }
+        let c = p.clone();
+        let (values, slots) = (p.strings.values.num_pages(), p.strings.slots.num_pages());
+        assert_eq!(
+            c.strings.values.shared_pages_with(&p.strings.values),
+            values
+        );
+        assert_eq!(c.strings.slots.shared_pages_with(&p.strings.slots), slots);
+        p.intern_text("one more");
+        assert_eq!(
+            c.strings.values.shared_pages_with(&p.strings.values),
+            values - 1
+        );
+        assert_eq!(
+            c.strings.slots.shared_pages_with(&p.strings.slots),
+            slots - 1
+        );
+        assert_eq!(c.text(4999), Some("t4999"));
     }
 
     // -- content index ------------------------------------------------
@@ -1173,46 +983,46 @@ mod tests {
         assert!(!NumRange::exactly(5.0).contains(f64::NAN));
     }
 
+    /// A key space's arms and counts follow value changes exactly; the
+    /// degree bound `max_postings` only grows.
     #[test]
-    fn value_index_base_delta_and_ranges() {
+    fn value_index_updates_and_ranges() {
         let mut pool = ValuePool::new();
         let [v10, v50, v49] = ["10", "50", "49"].map(|v| pool.intern_str(v));
-        let mut exact = ExactArm::new();
-        exact.entry(QnId(1)).or_default().insert(v10, vec![2, 8]);
-        exact.entry(QnId(1)).or_default().insert(v50, vec![5]);
-        let mut idx = ValueIndex::from_exact(&pool, exact);
+        let at = |value, node| Posting::new(QnId(1), value, node);
+        let mut idx = ValueIndex::from_doc_order(&pool, vec![at(v10, 2), at(v50, 5), at(v10, 8)]);
         let at_least = |n, incl| NumRange::at_least(n, incl);
-        assert_eq!(idx.probe_exact(QnId(1), v10, ident), vec![2, 8]);
+        assert_eq!(idx.exact.pres((QnId(1), v10), ident), vec![2, 8]);
         assert_eq!(
-            idx.probe_range(&pool, QnId(1), &at_least(10.0, true), ident),
+            idx.probe_range(QnId(1), &at_least(10.0, true), ident),
             vec![2, 5, 8]
         );
         assert_eq!(
-            idx.probe_range(&pool, QnId(1), &at_least(10.0, false), ident),
+            idx.probe_range(QnId(1), &at_least(10.0, false), ident),
             vec![5]
         );
+        let stats = |idx: &ValueIndex| {
+            let s = idx.degree_stats(QnId(1));
+            (s.distinct_keys, s.total_postings, s.max_postings)
+        };
+        assert_eq!(stats(&idx), (2, 3, 2));
         // Value change on node 8: remove, add under a new value.
-        idx.remove(QnId(1), 8);
-        idx.add(QnId(1), v49, 8);
-        assert_eq!(idx.probe_exact(QnId(1), v10, ident), vec![2]);
-        assert_eq!(idx.probe_exact(QnId(1), v49, ident), vec![8]);
+        idx.remove(&pool, at(v10, 8), ident);
+        idx.add(&pool, at(v49, 8), ident);
+        assert_eq!(idx.exact.pres((QnId(1), v10), ident), vec![2]);
+        assert_eq!(idx.exact.pres((QnId(1), v49), ident), vec![8]);
         assert_eq!(
-            idx.probe_range(&pool, QnId(1), &at_least(11.0, true), ident),
+            idx.probe_range(QnId(1), &at_least(11.0, true), ident),
             vec![5, 8]
         );
-        // Counts are upper bounds.
-        assert!(idx.count_exact(QnId(1), v10) >= 1);
-        assert!(idx.count_range(&pool, QnId(1), &at_least(11.0, true)) >= 2);
-        // Compaction preserves contents and clears the delta.
-        assert!(idx.delta_len() > 0);
-        idx.compact(&pool, ident);
-        assert_eq!(idx.delta_len(), 0);
-        assert_eq!(idx.probe_exact(QnId(1), v49, ident), vec![8]);
-        assert_eq!(
-            idx.probe_range(&pool, QnId(1), &at_least(11.0, true), ident),
-            vec![5, 8]
-        );
-        assert_eq!(idx.count_exact(QnId(1), v10), 1);
+        // Counts are exact.
+        assert_eq!(idx.exact.count((QnId(1), v10)), 1);
+        assert_eq!(idx.count_range(QnId(1), &at_least(11.0, true)), 2);
+        assert_eq!(idx.count_range(QnId(1), &NumRange::at_most(10.0, false)), 0);
+        assert_eq!(stats(&idx), (3, 3, 2));
+        idx.remove(&pool, at(v10, 2), ident);
+        assert_eq!(stats(&idx), (2, 2, 2));
+        assert_eq!(idx.count_range(QnId(1), &at_least(0.0, true)), 2);
     }
 
     #[test]
@@ -1220,8 +1030,9 @@ mod tests {
         let mut pool = ValuePool::new();
         let (alice, bob) = (pool.intern_str("Alice"), pool.intern_str("Bob"));
         let mut idx = ContentIndex::default();
-        idx.add_element(QnId(0), Some(alice), 4);
-        idx.add_element(QnId(0), None, 9);
+        let text = |qn, key, node| text_posting(QnId(qn), key, node);
+        idx.texts.add(&pool, text(0, Some(alice), 4), ident);
+        idx.texts.add(&pool, text(0, None, 9), ident);
         assert_eq!(idx.text_eq(&pool, QnId(0), "Alice", ident).exact, vec![4]);
         assert_eq!(
             idx.text_eq(&pool, QnId(0), "Alice", ident).unindexed,
@@ -1231,36 +1042,42 @@ mod tests {
         // but the complex ones still come back for verification.
         let missing = idx.text_eq(&pool, QnId(0), "Carol", ident);
         assert_eq!((missing.exact, missing.unindexed), (vec![], vec![9]));
+        assert_eq!(idx.text_eq_count(&pool, QnId(0), "Alice"), 2);
         // Complex → simple (a delete removed the element child):
         // remove-then-add, the diff protocol of the update paths.
-        idx.remove_element(QnId(0), 9);
-        idx.add_element(QnId(0), Some(bob), 9);
+        idx.texts.remove(&pool, text(0, None, 9), ident);
+        idx.texts.add(&pool, text(0, Some(bob), 9), ident);
         let probe = idx.text_eq(&pool, QnId(0), "Bob", ident);
         assert_eq!(probe.exact, vec![9]);
         assert!(probe.unindexed.is_empty());
-        // Rename moves between name buckets, key preserved.
-        idx.rename_element(QnId(0), QnId(7), Some(bob), 9);
+        // Rename moves between names, key preserved.
+        idx.texts.remove(&pool, text(0, Some(bob), 9), ident);
+        idx.texts.add(&pool, text(7, Some(bob), 9), ident);
         assert!(idx.text_eq(&pool, QnId(0), "Bob", ident).exact.is_empty());
         assert_eq!(idx.text_eq(&pool, QnId(7), "Bob", ident).exact, vec![9]);
-        assert!(idx.text_eq_count(&pool, QnId(7), "Bob") >= 1);
+        assert_eq!(idx.text_eq_count(&pool, QnId(7), "Bob"), 1);
+        assert_eq!(idx.text_degree_stats(QnId(0)).total_postings, 1);
     }
 
     #[test]
     fn content_index_clone_shares_base() {
         let mut pool = ValuePool::new();
-        let mut exact = ExactArm::new();
         let v = pool.intern_str("v");
-        exact
-            .entry(QnId(0))
-            .or_default()
-            .insert(v, (0..50).collect());
-        let idx = ContentIndex {
-            attrs: ValueIndex::from_exact(&pool, exact),
-            texts: ValueIndex::default(),
-            complex: crate::names::NameIndex::default(),
-        };
-        let snap = idx.clone();
-        assert!(Arc::ptr_eq(&idx.attrs.base, &snap.attrs.base));
+        let mut idx = ContentIndex::default();
+        let attrs = (0..2000).map(|node| Posting::new(QnId(0), v, node));
+        idx.attrs = ValueIndex::from_doc_order(&pool, attrs.collect());
+        let mut snap = idx.clone();
+        let leaves = 2000 / LEAF + 1;
+        assert_eq!(
+            snap.attrs.exact.shared_leaves_with(&idx.attrs.exact),
+            leaves
+        );
+        snap.attrs.add(&pool, Posting::new(QnId(0), v, 5000), ident);
+        assert_eq!(
+            snap.attrs.exact.shared_leaves_with(&idx.attrs.exact),
+            leaves - 1
+        );
+        assert_eq!(idx.attr_eq_count(&pool, QnId(0), "v"), 2000);
     }
 
     #[test]

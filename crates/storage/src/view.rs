@@ -186,15 +186,14 @@ pub trait TreeView: Sync {
         None
     }
 
-    /// Upper-bound cardinality of [`TreeView::nodes_with_attr_value`]
-    /// (the cost-model statistic).
+    /// Cardinality of [`TreeView::nodes_with_attr_value`] (the
+    /// cost-model statistic).
     fn nodes_with_attr_value_count(&self, attr: QnId, value: &str) -> Option<u64> {
         let _ = (attr, value);
         None
     }
 
-    /// Upper-bound cardinality of
-    /// [`TreeView::nodes_with_attr_value_range`].
+    /// Cardinality of [`TreeView::nodes_with_attr_value_range`].
     fn nodes_with_attr_value_range_count(&self, attr: QnId, range: &NumRange) -> Option<u64> {
         let _ = (attr, range);
         None
@@ -213,23 +212,22 @@ pub trait TreeView: Sync {
         None
     }
 
-    /// Upper-bound cardinality of [`TreeView::elements_with_text`]
-    /// (complex candidates included — each costs a verification).
+    /// Cardinality of [`TreeView::elements_with_text`] (complex
+    /// candidates included — each costs a verification).
     fn elements_with_text_count(&self, qn: QnId, value: &str) -> Option<u64> {
         let _ = (qn, value);
         None
     }
 
-    /// Upper-bound cardinality of
-    /// [`TreeView::elements_with_text_range`].
+    /// Cardinality of [`TreeView::elements_with_text_range`].
     fn elements_with_text_range_count(&self, qn: QnId, range: &NumRange) -> Option<u64> {
         let _ = (qn, range);
         None
     }
 
     /// Degree statistics of the attribute-value key space for `@attr`
-    /// (distinct values, total and max postings — all upper bounds
-    /// under index deltas); `None` without a content index.
+    /// (distinct values and total postings, and a bound on the max
+    /// postings — see [`DegreeStats`]); `None` without a content index.
     fn attr_degree_stats(&self, attr: QnId) -> Option<DegreeStats> {
         let _ = attr;
         None

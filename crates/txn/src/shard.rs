@@ -26,8 +26,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// One published version of the document: the stamp and the document
 /// pointer travel in a single `Arc`, so readers observe both atomically.
 struct Version {
-    /// Monotonic publish counter — bumped by every commit, checkpoint
-    /// and vacuum. Speculative commits key their work on it and re-check
+    /// Monotonic publish counter — bumped by every commit and vacuum. Speculative commits key their work on it and re-check
     /// it under the commit lock.
     stamp: u64,
     /// The committed document.
@@ -177,8 +176,7 @@ impl Shard {
         self.version.load().doc.clone()
     }
 
-    /// The current publish stamp (bumped by every commit, checkpoint and
-    /// vacuum). Diagnostic: the concurrency tests use it to enumerate
+    /// The current publish stamp (bumped by every commit and vacuum). Diagnostic: the concurrency tests use it to enumerate
     /// published versions.
     pub fn version_stamp(&self) -> u64 {
         self.version.load().stamp
@@ -197,7 +195,7 @@ impl Shard {
     /// version only after releasing it: when no reader pins the old
     /// version this is its last reference, and tearing it down (the
     /// chunks and pages it does not share with the new version, and the
-    /// whole document after a vacuum or checkpoint) has no business
+    /// whole document after a vacuum) has no business
     /// inside the one section the commit pipeline keeps short.
     #[must_use = "drop the superseded version after releasing commit_lock"]
     fn publish_locked(&self, doc: PagedDoc) -> Arc<Version> {
@@ -302,22 +300,10 @@ impl Shard {
         let mut wal = self.wal.lock().unwrap();
         let wal_bytes_before = wal.len_bytes();
         wal.reset_with(&record)?;
-        // The dump (a document-sized string) is freed before the
-        // compaction below allocates its fresh bases, so the two never
-        // add up to one peak.
         drop(record);
-        // Checkpoints double as the pool/index maintenance point:
-        // fold the accumulated deltas into fresh shared bases (never
-        // done on the commit path, where it would cost O(document) under
-        // the commit lock) and publish the compacted version. Node ids,
-        // pages and interned ids are unchanged, so snapshots, staged
-        // transactions and page locks are all unaffected; the stamp bump
-        // makes any commit speculated against the uncompacted version
-        // re-apply onto the compacted one instead of publishing the
-        // compaction away.
-        let mut compacted = (*doc).clone();
-        compacted.compact();
-        let superseded = self.publish_locked(compacted);
+        // The document itself needs no maintenance: its side tables are
+        // copy-on-write like its pages, so the published version stays
+        // as it is and so does its stamp.
         let info = CheckpointInfo {
             nodes: doc.used_count(),
             wal_bytes_before,
@@ -325,8 +311,6 @@ impl Shard {
         };
         drop(wal);
         drop(global);
-        // Teardown of the uncompacted version, outside the commit lock.
-        drop((superseded, doc));
         Ok(info)
     }
 
@@ -977,8 +961,8 @@ impl WriteTxn<'_> {
 
         // ---- phase 3: the short critical section ----
         // Only the stamp recheck and the pointer swap happen under the
-        // global lock. If another commit (or a checkpoint/vacuum)
-        // published since speculation, re-apply the ops onto the fresh
+        // global lock. If another commit (or a vacuum) published since
+        // speculation, re-apply the ops onto the fresh
         // master: our targets' pages are still ours (page locks are held
         // until after publish), so the re-apply reproduces exactly the
         // speculated per-page result, and ancestor deltas commute with

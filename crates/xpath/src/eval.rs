@@ -1711,8 +1711,8 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
         Ok(self.semijoin_rel(ctx, &cands, axis))
     }
 
-    /// Upper-bound match count from the content index's estimators
-    /// (complex-content candidates included — each costs a verify).
+    /// Match count from the content index's counts (complex-content
+    /// candidates included — each costs a verify).
     /// A name that was never interned matches nothing: estimate 0.
     fn value_probe_estimate(&self, test: &NodeTest, pred: &KeyPred<'_>) -> u64 {
         match &pred.source {
@@ -1947,7 +1947,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
 
     /// Cost units to materialize one posting row of a candidate list:
     /// the index walk (range gathers touch a key run, point lookups
-    /// copy a posting vector, both merge COW deltas) plus the sort
+    /// walk a posting run, both translate node ids) plus the sort
     /// guarantee, ≈ 35 ns measured on the `multi_pred` corpus. Close
     /// enough to [`Exec::VERIFY_ROW_UNITS`] that a list longer than
     /// ~1.4x the running candidate bound stays out of the
@@ -1959,9 +1959,9 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
     /// content index's posting estimate capped by the per-index degree
     /// statistics — `max_postings` for a point predicate can never be
     /// exceeded by any single key, `total_postings` bounds any range.
-    /// Both figures stay upper bounds under COW index deltas, so the
-    /// bound errs large, never small (the Sidorenko-style pessimistic
-    /// guarantee: a plan ranked safe is safe).
+    /// The estimate is exact and both figures bound it from above, so
+    /// the bound errs large, never small (the Sidorenko-style
+    /// pessimistic guarantee: a plan ranked safe is safe).
     fn multi_pred_bound(&self, test: &NodeTest, pred: &KeyPred<'_>) -> u64 {
         self.value_probe_estimate(test, pred)
             .min(self.degree_cap(test, pred))

@@ -9,8 +9,9 @@
 //! test. So does one on the partitioned load of a catalog. The heap a
 //! loaded document keeps is bounded too: every string once, in the value
 //! pool, and the attributes found from their elements' slots. A
-//! checkpoint writes its dump and frees it before it compacts, so the
-//! two document-sized transients never add up.
+//! checkpoint writes its dump and nothing else: the document's side
+//! tables need no maintenance, so the dump is its only document-sized
+//! transient.
 //!
 //! The binary holds this one test, under a counting global allocator
 //! that tracks live and peak-live bytes: another test running in parallel
@@ -24,30 +25,32 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Peak live heap while `PagedDoc::parse_str` runs, over the text length:
-/// measured 5.73 on XMark 0.05, plus 25 % headroom. (Through a tree of
+/// measured 3.87 on XMark 0.05, plus 25 % headroom. (Through a tree of
 /// the document it is above 20: the tree alone peaks at 14.4. With the
-/// content index's own copy of every value it was 8.64.)
-const SHRED_BOUND: f64 = 7.2;
+/// content index's own copy of every value it was 8.64; with hash-map
+/// interners and per-key posting lists, 5.73.)
+const SHRED_BOUND: f64 = 4.85;
 /// Peak live heap `to_xml` adds on top of the document, over the text
 /// length: measured 1.98 (the output `String` at its last doubling),
 /// plus 25 % headroom.
 const SERIALIZE_BOUND: f64 = 2.5;
 /// Live heap a loaded `PagedDoc` keeps once `parse_str` returns, over the
-/// text length: measured 4.98 on XMark 0.05, plus 25 % headroom. (With a
+/// text length: measured 3.19 on XMark 0.05, plus 25 % headroom. (With a
 /// second and third copy of every string, in the pool's lookup maps and
 /// the content index, and a node → rows map beside the attribute table,
-/// it was 7.19.)
-const RETAINED_BOUND: f64 = 6.2;
+/// it was 7.19; with hash-map interners and per-key posting lists, 4.34.)
+const RETAINED_BOUND: f64 = 4.0;
 /// Peak live heap of `Catalog::create_partitioned` into three parts,
-/// over the text length: measured 7.33, plus 25 % headroom. (A
-/// whole-document tree and a cloned tree per part put it at 26.3.)
-const PARTITION_BOUND: f64 = 9.2;
+/// over the text length: measured 5.55, plus 25 % headroom. (A
+/// whole-document tree and a cloned tree per part put it at 26.3; hash-map
+/// interners and per-key posting lists, 6.66.)
+const PARTITION_BOUND: f64 = 6.95;
 /// Peak live heap `Shard::checkpoint` adds on top of the document after a
-/// few commits, over the text length: measured 2.35 (the dump, then the
-/// compacted bases), plus 25 % headroom. (With the dump still live while
-/// the bases are rebuilt it was 5.10; with the dump grown by doubling,
-/// 2.75.)
-const CHECKPOINT_BOUND: f64 = 2.94;
+/// few commits, over the text length: measured 1.83 (the dump), plus
+/// 25 % headroom. (With the dump still live while compacted bases were
+/// rebuilt it was 5.10; with the dump grown by doubling, 2.75; with the
+/// bases rebuilt after the dump was freed, 1.96 to 2.35.)
+const CHECKPOINT_BOUND: f64 = 2.3;
 /// Peak live heap of writing the checkpoint dump, over the dump's length:
 /// measured 1.29, the 32 bytes an entry it reserves up front against the
 /// 24.7 it averages here. A dump that outgrew that buffer would double

@@ -175,9 +175,8 @@ fn paged_equals_naive_under_random_updates() {
 }
 
 /// The windowed name-index probe equals the whole probe cut to the
-/// window, for random windows of every name — on an index that still
-/// carries its delta and tombstones (nothing compacts between the ops
-/// above).
+/// window, for random windows of every name — on an index the ops above
+/// have added postings to and removed postings from.
 fn assert_windowed_probes_match(up: &PagedDoc, rng: &mut TestRng, case: u64) {
     let end = up.pre_end() as usize + 2;
     for qn in (0..up.pool().qname_count() as u32).map(mbxq_storage::QnId) {
