@@ -32,12 +32,23 @@
 //! them before clearing their slots.
 
 use crate::values::QnId;
-use mbxq_bat::CowSorted;
+use mbxq_bat::{CowSorted, CowVec};
 use std::cmp::Ordering;
 
 /// Entries per leaf of the posting sequences (a leaf splits at twice
 /// this): the unit a write copies and a search ends in.
 pub(crate) const LEAF: usize = 256;
+
+/// Entries per page of a column indexed by `QnId` (names are few).
+pub(crate) const NAME_PAGE: usize = 64;
+
+/// Entry `qn` of a column indexed by `QnId`, growing the column to
+/// hold it.
+pub(crate) fn per_name<T: Clone + Default>(column: &mut CowVec<T>, qn: QnId) -> &mut T {
+    let i = qn.0 as usize;
+    column.grow_to(i + 1, T::default());
+    &mut column[i]
+}
 
 /// A posting: `node` is posted under the key `(qn, value)`. The name
 /// index posts every element under its name and value 0; the content
@@ -72,6 +83,8 @@ impl Posting {
 #[derive(Debug, Clone)]
 pub(crate) struct DocOrdered {
     seq: CowSorted<Posting>,
+    /// Postings per name, whatever their value.
+    named: CowVec<u64>,
 }
 
 /// The `QnId → element nodes (document order)` index (module docs).
@@ -81,6 +94,7 @@ impl Default for DocOrdered {
     fn default() -> Self {
         DocOrdered {
             seq: CowSorted::new(LEAF),
+            named: CowVec::new(NAME_PAGE),
         }
     }
 }
@@ -90,8 +104,13 @@ impl DocOrdered {
     /// sort by key keeps every key's run in document order.
     pub(crate) fn from_doc_order(mut postings: Vec<Posting>) -> Self {
         postings.sort_by_key(Posting::key);
+        let mut named = CowVec::new(NAME_PAGE);
+        for p in &postings {
+            *per_name(&mut named, p.qn) += 1;
+        }
         DocOrdered {
             seq: CowSorted::from_sorted(LEAF, &postings),
+            named,
         }
     }
 
@@ -115,6 +134,7 @@ impl DocOrdered {
         let pre = pre_of(posting.node()).expect("a posted node is placed");
         self.seq
             .insert(posting, Self::before(posting.key(), pre, pre_of));
+        *per_name(&mut self.named, posting.qn) += 1;
     }
 
     /// Removes `posting`, whose node is still placed. Returns whether it
@@ -123,8 +143,16 @@ impl DocOrdered {
         let Some(pre) = pre_of(posting.node()) else {
             return false;
         };
-        self.seq
-            .remove(&posting, Self::before(posting.key(), pre, pre_of))
+        let removed = self
+            .seq
+            .remove(&posting, Self::before(posting.key(), pre, pre_of));
+        *per_name(&mut self.named, posting.qn) -= u64::from(removed);
+        removed
+    }
+
+    /// Number of postings under name `qn`, whatever their value: O(1).
+    pub(crate) fn count_named(&self, qn: QnId) -> u64 {
+        self.named.get(qn.0 as usize).copied().unwrap_or(0)
     }
 
     /// Number of postings under `key`: O(log n + leaves they span),
@@ -145,12 +173,21 @@ impl DocOrdered {
         hi: u64,
         pre_of: impl Fn(u64) -> Option<u64>,
     ) -> Vec<u64> {
-        self.seq
-            .iter_from(self.seq.lower_bound(Self::before(key, lo, &pre_of)))
-            .take_while(|e| e.key() == key)
-            .filter_map(|e| pre_of(e.node()))
-            .take_while(|&p| p < hi)
-            .collect()
+        let mut pres = Vec::new();
+        let from = self.seq.lower_bound(Self::before(key, lo, &pre_of));
+        for run in self.seq.runs_from(from) {
+            for e in run {
+                if e.key() != key {
+                    return pres;
+                }
+                match pre_of(e.node()) {
+                    Some(p) if p >= hi => return pres,
+                    Some(p) => pres.push(p),
+                    None => {}
+                }
+            }
+        }
+        pres
     }
 
     /// [`DocOrdered::pres_in`] over the whole document.

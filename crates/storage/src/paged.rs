@@ -672,7 +672,7 @@ impl TreeView for PagedDoc {
     }
 
     fn elements_named_count(&self, qn: QnId) -> Option<u64> {
-        Some(self.name_index.count((qn, 0)))
+        Some(self.name_index.count_named(qn))
     }
 
     fn has_content_index(&self) -> bool {

@@ -29,7 +29,7 @@ use crate::page::{checked_level, Tuple, NO_NAME, NO_POS};
 use crate::paged::{PagedDoc, DEAD_ROW};
 use crate::shred;
 use crate::types::{Kind, NodeId, StorageError};
-use crate::values::{text_posting, QnId, TextKey, ValuePool};
+use crate::values::{classify, text_posting, QnId, TextKey};
 use crate::view::TreeView;
 use crate::Result;
 use mbxq_xml::{Node, QName};
@@ -158,20 +158,19 @@ impl PagedDoc {
         self.used_count += n;
         // Register the new elements, now that they are placed: the
         // indexes search by pre rank.
-        for (node, qn, key) in classify(&staged, &self.pool) {
-            let key = key.map(|k| k.finish(&mut self.pool));
-            let (names, content, pool, pre_of) = self.indexes();
-            names.add(Posting::new(qn, 0, node), pre_of);
-            content.texts.add(pool, text_posting(qn, key, node), pre_of);
+        let texts = classify(staged.iter().copied(), &mut self.pool);
+        let (names, content, pool, pre_of) = self.indexes();
+        for posting in texts {
+            names.add(Posting::new(posting.qn, 0, posting.node.into()), pre_of);
+            content.texts.add(pool, posting, pre_of);
         }
         // Attribute runs start from their owners' slots, so the rows
         // follow the placed tuples.
         for (node, qn, prop) in attrs {
             self.push_attr(node, qn, prop);
+            let posting = Posting::new(qn, prop.0, node);
             let (_, content, pool, pre_of) = self.indexes();
-            content
-                .attrs
-                .add(pool, Posting::new(qn, prop.0, node), pre_of);
+            content.attrs.add(pool, posting, pre_of);
         }
 
         // Delta-increment the size of every ancestor (§3.2: deltas are
@@ -248,23 +247,16 @@ impl PagedDoc {
             let run = self.attr_run(node, t.value);
             rows.extend(run.map(|r| (self.attr_qn[r], self.attr_prop[r], node)));
         }
-        let elements = classify(&tuples, &self.pool);
+        // Registering an element interned its key, so this finds it.
+        let texts = classify(tuples.iter().copied(), &mut self.pool);
         let (names, content, pool, pre_of) = self.indexes();
-        for (node, qn, key) in elements {
-            names.remove(Posting::new(qn, 0, node), pre_of);
-            // Every key an indexed element has was interned when it was
-            // registered.
-            match key.map(|k| k.lookup(pool)) {
-                Some(None) => {}
-                key => content
-                    .texts
-                    .remove(pool, text_posting(qn, key.flatten(), node), pre_of),
-            }
+        for posting in texts {
+            names.remove(Posting::new(posting.qn, 0, posting.node.into()), pre_of);
+            content.texts.remove(pool, posting, pre_of);
         }
         for &(qn, prop, node) in &rows {
-            content
-                .attrs
-                .remove(pool, Posting::new(qn, prop.0, node), pre_of);
+            let posting = Posting::new(qn, prop.0, node);
+            content.attrs.remove(pool, posting, pre_of);
         }
         let mut pages = std::collections::BTreeSet::new();
         for (&v, t) in victims.iter().zip(&tuples) {
@@ -368,10 +360,9 @@ impl PagedDoc {
             let (names, content, pool, pre_of) = self.indexes();
             names.remove(Posting::new(old, 0, node), pre_of);
             names.add(Posting::new(qn, 0, node), pre_of);
-            content
-                .texts
-                .remove(pool, text_posting(old, key, node), pre_of);
-            content.texts.add(pool, text_posting(qn, key, node), pre_of);
+            let (was, is) = (text_posting(old, key, node), text_posting(qn, key, node));
+            content.texts.remove(pool, was, pre_of);
+            content.texts.add(pool, is, pre_of);
             self.page_mut(phys).cols_mut().names[i] = qn.0;
         }
         Ok(())
@@ -392,17 +383,15 @@ impl PagedDoc {
         match run.into_iter().find(|&r| self.attr_qn[r] == qn) {
             Some(r) => {
                 let old = std::mem::replace(&mut self.attr_prop[r], prop);
+                let posting = Posting::new(qn, old.0, node);
                 let (_, content, pool, pre_of) = self.indexes();
-                content
-                    .attrs
-                    .remove(pool, Posting::new(qn, old.0, node), pre_of);
+                content.attrs.remove(pool, posting, pre_of);
             }
             None => self.push_attr(node, qn, prop),
         }
+        let posting = Posting::new(qn, prop.0, node);
         let (_, content, pool, pre_of) = self.indexes();
-        content
-            .attrs
-            .add(pool, Posting::new(qn, prop.0, node), pre_of);
+        content.attrs.add(pool, posting, pre_of);
         Ok(())
     }
 
@@ -418,11 +407,9 @@ impl PagedDoc {
         let Some(hit) = run.clone().find(|&r| self.attr_qn[r] == qn) else {
             return Ok(false);
         };
-        let prop = self.attr_prop[hit];
+        let posting = Posting::new(qn, self.attr_prop[hit].0, node);
         let (_, content, pool, pre_of) = self.indexes();
-        content
-            .attrs
-            .remove(pool, Posting::new(qn, prop.0, node), pre_of);
+        content.attrs.remove(pool, posting, pre_of);
         // Close the gap (the run keeps its order); its last row dies.
         for r in hit..run.end - 1 {
             self.attr_qn[r] = self.attr_qn[r + 1];
@@ -637,42 +624,6 @@ impl PagedDoc {
         let pre = self.map.pos_to_pre(((phys << self.shift) + i) as u64)?;
         Ok((pre, phys, i))
     }
-}
-
-/// The content state of every element of `tuples` — whole subtrees in
-/// document order — as `(node, name, text key)`, the key `None` for
-/// complex content: the tuple-stream twin of
-/// `ContentIndex::build_from_view`, for a staged insert and a delete's
-/// victims. Elements come in the order they close.
-fn classify(tuples: &[Tuple], pool: &ValuePool) -> Vec<(u64, QnId, Option<TextKey>)> {
-    // Open elements: level, node, name and the text key (`None` once an
-    // element child made the element complex).
-    let mut stack: Vec<(u16, u64, QnId, Option<TextKey>)> = Vec::new();
-    let mut closed = Vec::new();
-    for t in tuples {
-        while stack.last().is_some_and(|f| f.0 >= t.level) {
-            let (_, node, qn, key) = stack.pop().expect("just checked");
-            closed.push((node, qn, key));
-        }
-        match (t.kind, stack.last_mut()) {
-            (Kind::Element, parent) => {
-                if let Some(parent) = parent {
-                    parent.3 = None;
-                }
-                let key = Some(TextKey::default());
-                stack.push((t.level, u64::from(t.node), QnId(t.name), key));
-            }
-            (Kind::Text, Some((_, _, _, Some(key)))) => key.push(pool, t.value),
-            _ => {}
-        }
-    }
-    closed.extend(
-        stack
-            .into_iter()
-            .rev()
-            .map(|(_, node, qn, key)| (node, qn, key)),
-    );
-    closed
 }
 
 /// The level of a child of a level-`lvl` node, or the depth error.

@@ -69,8 +69,9 @@
 //! and every id is re-inserted: O(values) once per doubling, paid by the
 //! commit that crosses the threshold.
 
-use crate::names::{DocOrdered, Posting, LEAF};
-use crate::types::{Kind, ValueRef};
+use crate::names::{per_name, DocOrdered, Posting, LEAF, NAME_PAGE};
+use crate::page::{Tuple, NO_NAME};
+use crate::types::Kind;
 use mbxq_bat::{CowSorted, CowVec};
 use mbxq_xml::QName;
 use std::borrow::Borrow;
@@ -428,9 +429,6 @@ pub struct TextProbe {
 /// string has (the interners stop short of [`FREE`]).
 const COMPLEX: u32 = FREE;
 
-/// Degree statistics per page of a key space's `QnId`-indexed column.
-const STATS_PAGE: usize = 64;
-
 /// The text-arm posting of element `node` (named `qn`) with content
 /// state `key`: `Some(string id)` for simple content, `None` for complex.
 pub(crate) fn text_posting(qn: QnId, key: Option<u32>, node: u64) -> Posting {
@@ -494,16 +492,9 @@ impl Default for ValueIndex {
         ValueIndex {
             exact: DocOrdered::default(),
             numeric: CowSorted::new(LEAF),
-            stats: CowVec::new(STATS_PAGE),
+            stats: CowVec::new(NAME_PAGE),
         }
     }
-}
-
-/// The statistics of name `qn`, growing the column to hold them.
-fn stats_mut(stats: &mut CowVec<DegreeStats>, qn: QnId) -> &mut DegreeStats {
-    let i = qn.0 as usize;
-    stats.grow_to(i + 1, DegreeStats::default());
-    &mut stats[i]
 }
 
 impl ValueIndex {
@@ -519,7 +510,7 @@ impl ValueIndex {
             return;
         }
         let run = self.exact.count(p.key());
-        let s = stats_mut(&mut self.stats, p.qn);
+        let s = per_name(&mut self.stats, p.qn);
         s.total_postings += 1;
         s.distinct_keys += u64::from(run == 1);
         s.max_postings = s.max_postings.max(run);
@@ -545,7 +536,7 @@ impl ValueIndex {
             return;
         }
         let emptied = self.exact.count(p.key()) == 0;
-        let s = stats_mut(&mut self.stats, p.qn);
+        let s = per_name(&mut self.stats, p.qn);
         s.total_postings -= 1;
         s.distinct_keys -= u64::from(emptied);
         let num = number_of(pool, p.value);
@@ -572,7 +563,8 @@ impl ValueIndex {
             .lower_bound(|e| e.qn < qn || (e.qn == qn && below(range, e.num)));
         let mut out: Vec<u64> = self
             .numeric
-            .iter_from(start)
+            .runs_from(start)
+            .flatten()
             .take_while(|e| e.qn == qn && within_hi(range, e.num))
             .filter_map(|e| pre_of(u64::from(e.node)))
             .collect();
@@ -597,6 +589,12 @@ impl ValueIndex {
         self.stats.get(qn.0 as usize).copied().unwrap_or_default()
     }
 
+    /// Postings under `COMPLEX` for name `qn`: O(1), since the statistics
+    /// count every other posting.
+    fn complex(&self, qn: QnId) -> u64 {
+        self.exact.count_named(qn) - self.degree_stats(qn).total_postings
+    }
+
     /// Builds the arms and statistics from postings in document order.
     fn from_doc_order(pool: &ValuePool, postings: Vec<Posting>) -> ValueIndex {
         let mut index = ValueIndex {
@@ -606,7 +604,7 @@ impl ValueIndex {
         let mut numeric = Vec::new();
         let (mut key, mut num, mut run) = (None, f64::NAN, 0);
         for p in index.exact.iter().filter(|p| p.value != COMPLEX) {
-            let s = stats_mut(&mut index.stats, p.qn);
+            let s = per_name(&mut index.stats, p.qn);
             if key != Some(p.key()) {
                 (key, num, run) = (Some(p.key()), number_of(pool, p.value), 0);
                 s.distinct_keys += 1;
@@ -657,16 +655,6 @@ impl TextKey {
             (Some(c), _) => pool.intern_str(&c),
             (None, Some(first)) => first,
             (None, None) => pool.intern_str(""),
-        }
-    }
-
-    /// The key's string id if the pool holds it, without interning: a
-    /// key [`TextKey::finish`] gave an indexed element is always there.
-    pub(crate) fn lookup(self, pool: &ValuePool) -> Option<u32> {
-        match (self.concat, self.first) {
-            (Some(c), _) => pool.lookup_str(&c),
-            (None, Some(first)) => Some(first),
-            (None, None) => pool.lookup_str(""),
         }
     }
 }
@@ -755,12 +743,12 @@ impl ContentIndex {
     pub(crate) fn text_eq_count(&self, pool: &ValuePool, qn: QnId, value: &str) -> u64 {
         pool.lookup_str(value)
             .map_or(0, |v| self.texts.exact.count((qn, v)))
-            + self.texts.exact.count((qn, COMPLEX))
+            + self.texts.complex(qn)
     }
 
     /// Cardinality of [`ContentIndex::text_range`].
     pub(crate) fn text_range_count(&self, qn: QnId, range: &NumRange) -> u64 {
-        self.texts.count_range(qn, range) + self.texts.exact.count((qn, COMPLEX))
+        self.texts.count_range(qn, range) + self.texts.complex(qn)
     }
 
     /// Degree statistics of the attribute key space for `@qn`.
@@ -774,7 +762,7 @@ impl ContentIndex {
     /// bound the probe's cardinality exactly like indexed postings.
     pub(crate) fn text_degree_stats(&self, qn: QnId) -> DegreeStats {
         let mut s = self.texts.degree_stats(qn);
-        let complex = self.texts.exact.count((qn, COMPLEX));
+        let complex = self.texts.complex(qn);
         if complex > 0 {
             s.total_postings += complex;
             s.max_postings += complex;
@@ -792,63 +780,76 @@ impl ContentIndex {
     /// shredding and checkpoint-load constructor. `pool` is the view's
     /// own pool, lent out so that concatenated keys can be interned
     /// while the view is read (the scan reads no string through the
-    /// view). One pass over the used slots classifies every element
-    /// (simple key vs complex) and collects attribute rows; node ids
-    /// come from the view, so the index survives later pre shifts.
+    /// view). Node ids come from the view, so the index survives later
+    /// pre shifts.
     pub(crate) fn build_from_view<V: crate::view::TreeView + ?Sized>(
         view: &V,
         pool: &mut ValuePool,
     ) -> ContentIndex {
-        // Open elements: level, index into `elems`, and the text key
-        // (`None` once an element child made the element complex).
-        let mut stack: Vec<(u16, usize, Option<TextKey>)> = Vec::new();
-        // Element postings in document order; the key is set on close.
-        let mut elems: Vec<Posting> = Vec::new();
-        let mut attrs: Vec<Posting> = Vec::new();
-        let close = |(_, at, key): (u16, usize, Option<TextKey>),
-                     elems: &mut Vec<Posting>,
-                     pool: &mut ValuePool| {
-            if let Some(key) = key {
-                elems[at].value = key.finish(pool);
-            }
-        };
-        let mut p = 0u64;
-        while let Some(q) = view.next_used_at_or_after(p) {
-            let level = view.level(q).expect("used slot has a level");
-            while stack.last().is_some_and(|f| f.0 >= level) {
-                close(stack.pop().expect("just checked"), &mut elems, pool);
-            }
-            match view.kind(q) {
-                Some(Kind::Element) => {
-                    let node = view.node_id(q).expect("used slot has a node id").0;
-                    let qn = view.name_id(q).expect("element has a name");
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 = None;
-                    }
-                    let attributes = view.attributes(q).into_iter();
-                    attrs.extend(attributes.map(|(aqn, prop)| Posting::new(aqn, prop.0, node)));
-                    stack.push((level, elems.len(), Some(TextKey::default())));
-                    elems.push(text_posting(qn, None, node));
-                }
-                Some(Kind::Text) => {
-                    if let (Some((_, _, Some(key))), Some(ValueRef(v))) =
-                        (stack.last_mut(), view.value_ref(q))
-                    {
-                        key.push(pool, v);
-                    }
-                }
-                _ => {} // comments/PIs contribute no string value
-            }
+        let (mut attrs, mut p) = (Vec::new(), 0);
+        let tuples = std::iter::from_fn(|| {
+            let q = view.next_used_at_or_after(p)?;
             p = q + 1;
-        }
-        while let Some(f) = stack.pop() {
-            close(f, &mut elems, pool);
-        }
+            let node = view.node_id(q).expect("used slot has a node id").0;
+            let attributes = view.attributes(q).into_iter();
+            attrs.extend(attributes.map(|(aqn, prop)| Posting::new(aqn, prop.0, node)));
+            Some(Tuple {
+                size: 0,
+                level: view.level(q).expect("used slot has a level"),
+                kind: view.kind(q).expect("used slot has a kind"),
+                name: view.name_id(q).map_or(NO_NAME, |qn| qn.0),
+                value: view.value_ref(q).map_or(NO_NAME, |v| v.0),
+                node: u32::try_from(node).expect("node ids fit the node column"),
+            })
+        });
+        let texts = classify(tuples, pool);
         ContentIndex {
             attrs: ValueIndex::from_doc_order(pool, attrs),
-            texts: ValueIndex::from_doc_order(pool, elems),
+            texts: ValueIndex::from_doc_order(pool, texts),
         }
     }
+}
+
+/// The text posting of every element of `tuples` — whole subtrees in
+/// document order — in document order: under its simple-content key
+/// ([`TextKey`], interned) or `COMPLEX` ([`text_posting`]). The index
+/// builds from a document this way and an insert and a delete from the
+/// subtree they place or clear.
+pub(crate) fn classify(
+    tuples: impl IntoIterator<Item = Tuple>,
+    pool: &mut ValuePool,
+) -> Vec<Posting> {
+    // Open elements: level, index into `out`, and the text key (`None`
+    // once an element child made the element complex).
+    let mut stack: Vec<(u16, usize, Option<TextKey>)> = Vec::new();
+    let mut out: Vec<Posting> = Vec::new();
+    let close = |(_, at, key): (u16, usize, Option<TextKey>),
+                 out: &mut Vec<Posting>,
+                 pool: &mut ValuePool| {
+        if let Some(key) = key {
+            out[at].value = key.finish(pool);
+        }
+    };
+    for t in tuples {
+        while stack.last().is_some_and(|f| f.0 >= t.level) {
+            close(stack.pop().expect("just checked"), &mut out, pool);
+        }
+        match (t.kind, stack.last_mut()) {
+            (Kind::Element, parent) => {
+                if let Some(parent) = parent {
+                    parent.2 = None;
+                }
+                stack.push((t.level, out.len(), Some(TextKey::default())));
+                out.push(text_posting(QnId(t.name), None, u64::from(t.node)));
+            }
+            (Kind::Text, Some((_, _, Some(key)))) => key.push(pool, t.value),
+            _ => {} // comments/PIs contribute no string value
+        }
+    }
+    while let Some(f) = stack.pop() {
+        close(f, &mut out, pool);
+    }
+    out
 }
 
 #[cfg(test)]
