@@ -385,9 +385,10 @@ impl<T: Clone> IndexMut<usize> for CowVec<T> {
 /// so an order may read state outside the sequence — a document's
 /// current pre ranks, say — as long as it never reorders two entries.
 ///
-/// * **A clone** copies one pointer per chunk of [`FANOUT`] leaves.
+/// * **A clone** shares the directory: one reference count.
 /// * **An insert or a removal** copies the one leaf it touches and
-///   privatises that leaf's chunk. A leaf grown to twice `leaf_size`
+///   privatises that leaf's chunk (and the directory, on a version's
+///   first write). A leaf grown to twice `leaf_size`
 ///   splits in two, and an emptied leaf is dropped; either rebuilds the
 ///   chunks behind it ([`CowDir::insert`]), a pointer copy per leaf,
 ///   once per `leaf_size` inserts or removals at most.

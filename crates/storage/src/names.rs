@@ -23,10 +23,9 @@
 //! The index is **one global sequence** of `(name, node)` postings
 //! ordered by `(name, pre(node))`, a [`CowSorted`] — the same
 //! page-granular copy-on-write directory as the document's pages
-//! ([`mbxq_bat::cow`]). Cloning it for a commit's new version copies one
-//! pointer per chunk of leaves, whatever the number of names or the
-//! history; a commit that adds or removes a posting copies the one leaf
-//! it touches. A search compares translated pre ranks, so **every
+//! ([`mbxq_bat::cow`]). Cloning it for a commit's new version shares
+//! it, whatever the number of names or the history; a commit that adds
+//! or removes a posting copies the one leaf it touches and its chunk. A search compares translated pre ranks, so **every
 //! posting must name a live node** whenever the sequence is searched:
 //! the update paths register nodes after placing them and unregister
 //! them before clearing their slots.
@@ -70,10 +69,6 @@ impl Posting {
 
     pub(crate) fn key(&self) -> (QnId, u32) {
         (self.qn, self.value)
-    }
-
-    fn node(&self) -> u64 {
-        u64::from(self.node)
     }
 }
 
@@ -125,13 +120,13 @@ impl DocOrdered {
         move |e| match e.key().cmp(&key) {
             Ordering::Less => true,
             Ordering::Greater => false,
-            Ordering::Equal => pre > 0 && pre_of(e.node()).is_some_and(|p| p < pre),
+            Ordering::Equal => pre > 0 && pre_of(e.node.into()).is_some_and(|p| p < pre),
         }
     }
 
     /// Adds `posting`, whose node is placed.
     pub(crate) fn add(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) {
-        let pre = pre_of(posting.node()).expect("a posted node is placed");
+        let pre = pre_of(posting.node.into()).expect("a posted node is placed");
         self.seq
             .insert(posting, Self::before(posting.key(), pre, pre_of));
         *per_name(&mut self.named, posting.qn) += 1;
@@ -140,7 +135,7 @@ impl DocOrdered {
     /// Removes `posting`, whose node is still placed. Returns whether it
     /// was there.
     pub(crate) fn remove(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) -> bool {
-        let Some(pre) = pre_of(posting.node()) else {
+        let Some(pre) = pre_of(posting.node.into()) else {
             return false;
         };
         let removed = self
@@ -180,7 +175,7 @@ impl DocOrdered {
                 if e.key() != key {
                     return pres;
                 }
-                match pre_of(e.node()) {
+                match pre_of(e.node.into()) {
                     Some(p) if p >= hi => return pres,
                     Some(p) => pres.push(p),
                     None => {}

@@ -56,9 +56,9 @@
 //! copy-on-write directory of [`mbxq_bat::cow`], the one mechanism the
 //! document's pages use too. Cloning the pool or an index — what a
 //! transaction's private workspace and a commit's new version do —
-//! copies one pointer per chunk of pages or leaves, whatever has been
-//! interned or indexed since the document was loaded, and a commit
-//! copies only the pages and leaves it writes.
+//! shares its directory, whatever has been interned or indexed since
+//! the document was loaded, and a commit copies only the directories,
+//! chunks, pages and leaves it writes.
 //!
 //! An interner is its values in a [`CowVec`] (the id is the position)
 //! and an open-addressing table of ids in another, probed by the hash of
@@ -592,7 +592,8 @@ impl ValueIndex {
     /// Postings under `COMPLEX` for name `qn`: O(1), since the statistics
     /// count every other posting.
     fn complex(&self, qn: QnId) -> u64 {
-        self.exact.count_named(qn) - self.degree_stats(qn).total_postings
+        let others = self.degree_stats(qn).total_postings;
+        self.exact.count_named(qn).saturating_sub(others)
     }
 
     /// Builds the arms and statistics from postings in document order.
