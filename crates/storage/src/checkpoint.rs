@@ -15,19 +15,24 @@
 //! allocation point, and the page layout is re-shredded at the
 //! configured fill factor. Strings travel length-prefixed (`len:bytes`),
 //! the same escaping-free convention as the WAL op encoding.
+//!
+//! The dump is written to any byte sink ([`PagedDoc::write_checkpoint_dump`]):
+//! a WAL streams it straight into the log it is building, so no
+//! document-sized string of the dump exists on the way.
 
-use crate::page::{check_addressable, checked_level, narrow, Tuple, NO_NAME};
+use crate::page::{checked_level, narrow, Tuple, NO_NAME, NO_POS};
 use crate::paged::PagedDoc;
 use crate::types::{Kind, PageConfig, StorageError};
 use crate::values::QnId;
 use crate::Result;
 use mbxq_xml::QName;
+use std::io::{self, Write};
 
-/// Appends `v` in decimal — what `write!(out, "{v}")` writes, without
-/// the formatting machinery.
-fn put_num(out: &mut String, v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
+/// Writes `v` in decimal, followed by `sep`.
+fn put_num<W: Write>(out: &mut W, v: u64, sep: u8) -> io::Result<()> {
+    let mut digits = [0u8; 21];
+    let mut i = digits.len() - 1;
+    digits[i] = sep;
     let mut v = v;
     loop {
         i -= 1;
@@ -37,40 +42,36 @@ fn put_num(out: &mut String, v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    out.write_all(&digits[i..])
 }
 
-fn put_str(out: &mut String, s: &str) {
-    put_num(out, s.len() as u64);
-    out.push(':');
-    out.push_str(s);
-    out.push(' ');
+fn put_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    put_num(out, s.len() as u64, b':')?;
+    out.write_all(s.as_bytes())?;
+    out.write_all(b" ")
 }
 
 /// [`put_str`] of the name's text form (`prefix:local`), written from
 /// its parts.
-fn put_name(out: &mut String, name: Option<&QName>) {
+fn put_name<W: Write>(out: &mut W, name: Option<&QName>) -> io::Result<()> {
     let Some(name) = name else {
         return put_str(out, "");
     };
     if name.prefix.is_empty() {
         return put_str(out, &name.local);
     }
-    put_num(out, (name.prefix.len() + 1 + name.local.len()) as u64);
-    out.push(':');
-    out.push_str(&name.prefix);
-    out.push(':');
-    out.push_str(&name.local);
-    out.push(' ');
+    put_num(out, (name.prefix.len() + 1 + name.local.len()) as u64, b':')?;
+    out.write_all(name.prefix.as_bytes())?;
+    out.write_all(b":")?;
+    out.write_all(name.local.as_bytes())?;
+    out.write_all(b" ")
 }
 
-/// Appends a tuple entry's head: `tag node level `.
-fn put_head(out: &mut String, tag: &str, node: u32, level: u16) {
-    out.push_str(tag);
-    put_num(out, u64::from(node));
-    out.push(' ');
-    put_num(out, u64::from(level));
-    out.push(' ');
+/// Writes a tuple entry's head: `tag node level `.
+fn put_head<W: Write>(out: &mut W, tag: &[u8], node: u32, level: u16) -> io::Result<()> {
+    out.write_all(tag)?;
+    put_num(out, u64::from(node), b' ')?;
+    put_num(out, u64::from(level), b' ')
 }
 
 fn next_tok<'a>(rest: &mut &'a str) -> Option<&'a str> {
@@ -98,7 +99,7 @@ fn take_str<'a>(rest: &mut &'a str) -> Option<&'a str> {
 }
 
 /// The document identity stamped into `dump` by
-/// [`PagedDoc::checkpoint_dump_named`], if any. Recovery of a catalog
+/// [`PagedDoc::write_checkpoint_dump`], if any. Recovery of a catalog
 /// shard compares this against the manifest's document name before
 /// replaying, so a WAL file shuffled between shard slots is caught
 /// instead of silently loading the wrong document.
@@ -117,49 +118,52 @@ fn bad(message: impl Into<String>) -> StorageError {
 }
 
 impl PagedDoc {
-    /// Serializes the live tuples and attribute rows into the
+    /// Bytes to reserve for this document's dump: 32 an entry (XMark
+    /// averages 27). A buffer the dump outgrows is copied into one twice
+    /// as large while both are live, the largest transient a dump into
+    /// memory can have.
+    pub fn checkpoint_dump_size_hint(&self) -> usize {
+        32 * (self.used_count as usize + self.attr_node.len()) + 64
+    }
+
+    /// Writes the live tuples and attribute rows to `out` in the
     /// checkpoint dump format (see the module docs). Lossless with
     /// respect to structure *and* node ids — unlike XML text, which
     /// merges adjacent text siblings on reparse.
-    pub fn checkpoint_dump(&self) -> String {
-        self.checkpoint_dump_named(None)
-    }
-
-    /// [`PagedDoc::checkpoint_dump`] with an optional **document
-    /// identity**: a catalog shard stamps its document name into the
-    /// dump (a leading `D len:name` entry) so recovery can detect a WAL
-    /// file that was renamed or swapped under a different manifest
-    /// entry. Dumps without the entry load exactly as before.
-    pub fn checkpoint_dump_named(&self, doc_name: Option<&str>) -> String {
-        // Room for 32 bytes an entry up front (XMark averages 27): a
-        // dump that outgrows its buffer is copied into one twice as
-        // large while both are live, and that is the checkpoint's
-        // largest transient. The unused rest is given back below.
-        let mut out =
-            String::with_capacity(32 * (self.used_count as usize + self.attr_node.len()) + 64);
+    ///
+    /// `doc_name` is the optional **document identity**: a catalog shard
+    /// stamps its document name into the dump (a leading `D len:name`
+    /// entry) so recovery can detect a WAL file that was renamed or
+    /// swapped under a different manifest entry. Dumps without the entry
+    /// load exactly as before.
+    pub fn write_checkpoint_dump<W: Write>(
+        &self,
+        doc_name: Option<&str>,
+        out: &mut W,
+    ) -> io::Result<()> {
         if let Some(name) = doc_name {
-            out.push_str("D ");
-            put_str(&mut out, name);
+            out.write_all(b"D ")?;
+            put_str(out, name)?;
         }
         for t in self.used_tuples() {
             match t.kind {
                 Kind::Element => {
-                    put_head(&mut out, "E ", t.node, t.level);
-                    put_name(&mut out, self.pool.qname(QnId(t.name)));
+                    put_head(out, b"E ", t.node, t.level)?;
+                    put_name(out, self.pool.qname(QnId(t.name)))?;
                 }
                 Kind::Text => {
-                    put_head(&mut out, "T ", t.node, t.level);
-                    put_str(&mut out, self.pool.text(t.value).unwrap_or(""));
+                    put_head(out, b"T ", t.node, t.level)?;
+                    put_str(out, self.pool.text(t.value).unwrap_or(""))?;
                 }
                 Kind::Comment => {
-                    put_head(&mut out, "M ", t.node, t.level);
-                    put_str(&mut out, self.pool.comment(t.value).unwrap_or(""));
+                    put_head(out, b"M ", t.node, t.level)?;
+                    put_str(out, self.pool.comment(t.value).unwrap_or(""))?;
                 }
                 Kind::ProcessingInstruction => {
                     let (target, data) = self.pool.instruction(t.value).unwrap_or(("", ""));
-                    put_head(&mut out, "P ", t.node, t.level);
-                    put_str(&mut out, target);
-                    put_str(&mut out, data);
+                    put_head(out, b"P ", t.node, t.level)?;
+                    put_str(out, target)?;
+                    put_str(out, data)?;
                 }
             }
         }
@@ -168,31 +172,53 @@ impl PagedDoc {
         for t in self.used_tuples().filter(|t| t.kind == Kind::Element) {
             let node = u64::from(t.node);
             for r in self.attr_run(node, t.value) {
-                out.push_str("A ");
-                put_num(&mut out, node);
-                out.push(' ');
-                put_name(&mut out, self.pool.qname(self.attr_qn[r]));
-                put_str(&mut out, self.pool.prop(self.attr_prop[r]).unwrap_or(""));
+                out.write_all(b"A ")?;
+                put_num(out, node, b' ')?;
+                put_name(out, self.pool.qname(self.attr_qn[r]))?;
+                put_str(out, self.pool.prop(self.attr_prop[r]).unwrap_or(""))?;
             }
         }
-        out.shrink_to_fit();
-        out
+        Ok(())
     }
 
-    /// Rebuilds a document from a [`PagedDoc::checkpoint_dump`] and the
-    /// checkpointed id allocation point. Ids above the live set (deleted
-    /// nodes) stay NULL in `node→pos`, so WAL records logged *after* the
-    /// checkpoint still resolve their targets and id allocation resumes
-    /// exactly where the checkpointed store left off.
-    pub fn from_checkpoint_dump(dump: &str, cfg: PageConfig, alloc_end: u64) -> Result<Self> {
+    /// The dump without a document identity, as a string: what
+    /// [`PagedDoc::write_checkpoint_dump`] writes, collected (tests and
+    /// probes; a WAL streams the dump instead).
+    pub fn checkpoint_dump(&self) -> String {
+        let mut out = Vec::with_capacity(self.checkpoint_dump_size_hint());
+        self.write_checkpoint_dump(None, &mut out)
+            .expect("writing to a Vec cannot fail");
+        out.shrink_to_fit();
+        String::from_utf8(out).expect("a dump is made of str pieces")
+    }
+
+    /// Rebuilds a document from a checkpoint dump, the checkpointed id
+    /// allocation point and the tuple count the checkpoint declares
+    /// (a dump carrying another count is refused). Ids above the live
+    /// set (deleted nodes) stay NULL in `node→pos`, so WAL records
+    /// logged *after* the checkpoint still resolve their targets and id
+    /// allocation resumes exactly where the checkpointed store left off.
+    pub fn from_checkpoint_dump(
+        dump: &str,
+        cfg: PageConfig,
+        alloc_end: u64,
+        tuples: u64,
+    ) -> Result<Self> {
         let mut doc = Self::empty(cfg)?;
-        check_addressable("node ids", alloc_end)?;
-        let mut staged: Vec<Tuple> = Vec::new();
+        // `node→pos` over the full checkpointed id space, every entry
+        // NULL. A staged tuple claims its id's entry, which is how a
+        // repeated id is caught; the layout below overwrites each claim
+        // with the tuple's position.
+        doc.reserve_node_ids(alloc_end)?;
+        // An entry takes at least 9 bytes (`E 0 0 0: `), which caps what
+        // a wrong count can make this reserve.
+        let capacity = usize::try_from(tuples).unwrap_or(usize::MAX);
+        let mut staged: Vec<Tuple> = Vec::with_capacity(capacity.min(dump.len() / 9));
         let mut attrs = Vec::new();
         let mut rest = dump;
         while let Some(tag) = next_tok(&mut rest) {
             if tag == "D" {
-                // Document-identity entry (see `checkpoint_dump_named`):
+                // Document-identity entry (see `write_checkpoint_dump`):
                 // carries no tuple data, callers read it separately via
                 // `checkpoint_dump_identity`.
                 take_str(&mut rest).ok_or_else(|| bad("checkpoint identity lacks a name"))?;
@@ -255,6 +281,11 @@ impl PagedDoc {
                     "checkpoint node id {node} beyond allocation point {alloc_end}"
                 )));
             }
+            let claim = &mut doc.node_pos[node as usize];
+            if *claim != NO_POS {
+                return Err(bad(format!("checkpoint node id {node} duplicated")));
+            }
+            *claim = 0;
             staged.push(Tuple {
                 size: 0,
                 level,
@@ -266,6 +297,12 @@ impl PagedDoc {
         }
         if staged.is_empty() {
             return Err(bad("cannot load an empty checkpoint"));
+        }
+        if staged.len() as u64 != tuples {
+            return Err(bad(format!(
+                "checkpoint declares {tuples} tuples but its dump carries {}",
+                staged.len()
+            )));
         }
 
         // Recompute sizes from the level sequence (used descendants
@@ -305,15 +342,7 @@ impl PagedDoc {
             staged[top].size = (staged.len() - top - 1) as u32;
         }
 
-        // Page layout at the configured fill factor, node→pos over the
-        // full checkpointed id space.
-        let mut seen = std::collections::HashSet::with_capacity(staged.len());
-        for t in &staged {
-            if !seen.insert(t.node) {
-                return Err(bad(format!("checkpoint node id {} duplicated", t.node)));
-            }
-        }
-        doc.reserve_node_ids(alloc_end)?;
+        // Page layout at the configured fill factor.
         doc.lay_out_appended(&staged)?;
         for (node, qn, prop) in attrs {
             let owner = doc.node_slot(node).map(|(phys, i)| doc.page(phys).kind(i));
@@ -342,9 +371,18 @@ mod tests {
         PageConfig::new(8, 75).unwrap()
     }
 
+    /// The dump with a document identity, as a string.
+    fn dump_named(doc: &PagedDoc, name: &str) -> String {
+        let mut out = Vec::new();
+        doc.write_checkpoint_dump(Some(name), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     fn round_trip(doc: &PagedDoc) -> PagedDoc {
         let dump = doc.checkpoint_dump();
-        let back = PagedDoc::from_checkpoint_dump(&dump, cfg(), doc.node_alloc_end()).unwrap();
+        let back =
+            PagedDoc::from_checkpoint_dump(&dump, cfg(), doc.node_alloc_end(), doc.used_count())
+                .unwrap();
         crate::invariants::check_paged(&back).unwrap();
         back
     }
@@ -413,7 +451,7 @@ mod tests {
             T 9 3 2:50 E 10 2 3:bid T 11 3 4:4.50 A 0 1:a 1:1 A 1 2:id 2:i0 A 7 2:id 2:i1 \
             A 10 3:who 3:x y ";
         assert_eq!(checkpoint_dump_identity(PARENT_DUMP), Some("auctions"));
-        let d = PagedDoc::from_checkpoint_dump(PARENT_DUMP, cfg(), 12).unwrap();
+        let d = PagedDoc::from_checkpoint_dump(PARENT_DUMP, cfg(), 12, 11).unwrap();
         crate::invariants::check_paged(&d).unwrap();
         assert_eq!(
             to_xml(&d).unwrap(),
@@ -425,7 +463,7 @@ mod tests {
             d.node_to_pre(crate::NodeId(3)).is_err(),
             "deleted id stays dead"
         );
-        assert_eq!(d.checkpoint_dump_named(Some("auctions")), PARENT_DUMP);
+        assert_eq!(dump_named(&d, "auctions"), PARENT_DUMP);
     }
 
     /// The dump bytes of a small document, pinned: every node kind,
@@ -449,21 +487,56 @@ mod tests {
             T 11 11 4:deep E 12 1 4:item T 13 2 12:caf\u{e9} & 10:1 M 14 2 3:n o \
             P 15 2 2:pi 5:da ta P 16 2 4:bare 0: E 18 1 5:y:new T 19 2 1:t A 0 1:a 1:1 \
             A 0 3:x:b 3:2 3 A 12 2:id 2:i0 A 18 1:k 1:v ";
-        assert_eq!(d.checkpoint_dump_named(Some("doc one")), PINNED);
+        assert_eq!(dump_named(&d, "doc one"), PINNED);
         assert_eq!(d.checkpoint_dump(), PINNED["D 7:doc one ".len()..]);
     }
 
     #[test]
     fn malformed_dumps_are_rejected() {
-        assert!(PagedDoc::from_checkpoint_dump("", cfg(), 5).is_err());
-        assert!(PagedDoc::from_checkpoint_dump("E 0 1 2:ab ", cfg(), 5).is_err()); // root level 1
-        assert!(PagedDoc::from_checkpoint_dump("E 0 0 2:ab E 1 2 1:c ", cfg(), 5).is_err()); // jump
-        assert!(PagedDoc::from_checkpoint_dump("E 0 0 2:ab E 1 0 1:c ", cfg(), 5).is_err()); // 2 roots
-        assert!(PagedDoc::from_checkpoint_dump("E 9 0 2:ab ", cfg(), 5).is_err()); // id beyond alloc
-        assert!(PagedDoc::from_checkpoint_dump("E 0 0 2:ab A 3 1:k 1:v ", cfg(), 5).is_err()); // dead attr
-        assert!(PagedDoc::from_checkpoint_dump("Z 0 0 2:ab ", cfg(), 5).is_err()); // unknown tag
-        assert!(PagedDoc::from_checkpoint_dump("T 0 0 99:short ", cfg(), 5).is_err());
+        assert!(PagedDoc::from_checkpoint_dump("", cfg(), 5, 1).is_err());
+        assert!(PagedDoc::from_checkpoint_dump("E 0 1 2:ab ", cfg(), 5, 1).is_err()); // root level 1
+        assert!(PagedDoc::from_checkpoint_dump("E 0 0 2:ab E 1 2 1:c ", cfg(), 5, 2).is_err()); // jump
+        assert!(PagedDoc::from_checkpoint_dump("E 0 0 2:ab E 1 0 1:c ", cfg(), 5, 2).is_err()); // 2 roots
+        assert!(PagedDoc::from_checkpoint_dump("E 9 0 2:ab ", cfg(), 5, 1).is_err()); // id beyond alloc
+        assert!(PagedDoc::from_checkpoint_dump("E 0 0 2:ab A 3 1:k 1:v ", cfg(), 5, 1).is_err()); // dead attr
+        assert!(PagedDoc::from_checkpoint_dump("Z 0 0 2:ab ", cfg(), 5, 1).is_err()); // unknown tag
+        assert!(PagedDoc::from_checkpoint_dump("T 0 0 99:short ", cfg(), 5, 1).is_err());
         // torn string
+    }
+
+    fn load_error(dump: &str, tuples: u64) -> String {
+        match PagedDoc::from_checkpoint_dump(dump, cfg(), 5, tuples) {
+            Ok(_) => panic!("{dump:?} loaded"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// A dump that names one node id twice is refused, whichever kinds
+    /// the two entries have and however far apart they sit.
+    #[test]
+    fn a_repeated_node_id_is_refused() {
+        for (dump, tuples) in [
+            ("E 0 0 1:r E 0 1 1:a ", 2),
+            ("E 0 0 1:r T 1 1 1:x E 2 1 1:a T 1 2 1:y ", 4),
+        ] {
+            let err = load_error(dump, tuples);
+            assert!(err.contains("duplicated"), "{dump:?}: {err}");
+        }
+        // The same ids, each once, load.
+        PagedDoc::from_checkpoint_dump("E 0 0 1:r T 1 1 1:x E 2 1 1:a T 3 2 1:y ", cfg(), 5, 4)
+            .unwrap();
+    }
+
+    /// The loader checks the tuple count the checkpoint record declares
+    /// (it sizes its staging buffer by it), in both directions, and a
+    /// wildly wrong count reserves nothing it cannot use.
+    #[test]
+    fn a_wrong_tuple_count_is_refused() {
+        let dump = "E 0 0 1:r T 1 1 1:x ";
+        for tuples in [1, 3, u64::MAX] {
+            let err = load_error(dump, tuples);
+            assert!(err.contains("declares"), "{tuples}: {err}");
+        }
     }
 
     #[test]

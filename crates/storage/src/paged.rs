@@ -1061,7 +1061,7 @@ mod tests {
         );
         assert_eq!(d.reserve_node_ids(too_many), Err(too_large("node ids")));
         assert_eq!(
-            PagedDoc::from_checkpoint_dump("E 0 0 1:a ", d.config(), too_many).unwrap_err(),
+            PagedDoc::from_checkpoint_dump("E 0 0 1:a ", d.config(), too_many, 1).unwrap_err(),
             too_large("node ids")
         );
         // Nothing was allocated on the way to the error.
@@ -1093,7 +1093,7 @@ mod tests {
         );
         // Checkpoint load applies the same limit.
         assert_eq!(
-            PagedDoc::from_checkpoint_dump("E 0 65535 1:a ", d.config(), 5).unwrap_err(),
+            PagedDoc::from_checkpoint_dump("E 0 65535 1:a ", d.config(), 5, 1).unwrap_err(),
             StorageError::TooDeep { depth: 65_536 }
         );
     }

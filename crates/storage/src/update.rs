@@ -937,7 +937,8 @@ mod tests {
         crate::invariants::check_paged(&d).unwrap();
         assert_eq!(d.elements_with_text(cost_qn, "49").unwrap().exact.len(), 1);
         let dump = d.checkpoint_dump();
-        let back = PagedDoc::from_checkpoint_dump(&dump, cfg, d.node_alloc_end()).unwrap();
+        let back =
+            PagedDoc::from_checkpoint_dump(&dump, cfg, d.node_alloc_end(), d.used_count()).unwrap();
         crate::invariants::check_paged(&back).unwrap();
         let cost_qn2 = back.pool().lookup_qname(&QName::local("cost")).unwrap();
         assert_eq!(

@@ -49,9 +49,9 @@
 use crate::pool::{PoolStats, QueryPool};
 use crate::recover::recover_shard;
 use crate::shard::Shard;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::Wal;
 use crate::{CheckpointInfo, Result, StoreConfig, TxnError};
-use mbxq_storage::{NodeId, PageConfig, PagedDoc, TreeView};
+use mbxq_storage::{NodeId, PageConfig, PagedDoc};
 use mbxq_xml::serialize::escape_attr;
 use mbxq_xml::{Event, Parser};
 use mbxq_xpath::EvalStats;
@@ -374,7 +374,7 @@ impl Catalog {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        let mut wal = match &self.dir {
+        let wal = match &self.dir {
             Some(dir) => {
                 let path = shard_wal_path(dir, id);
                 let _ = std::fs::remove_file(&path);
@@ -382,13 +382,6 @@ impl Catalog {
             }
             None => Wal::in_memory(),
         };
-        // Genesis checkpoint: every shard WAL is self-contained, so
-        // recovery never needs the original XML text.
-        wal.reset_with(&WalRecord::Checkpoint {
-            alloc_end: doc.node_alloc_end(),
-            tuples: doc.used_count(),
-            dump: doc.checkpoint_dump_named(Some(name)),
-        })?;
         let shard = Arc::new(Shard::open_named(
             Some(name.to_string()),
             doc,
@@ -396,6 +389,10 @@ impl Catalog {
             self.config.store,
             self.pool.clone(),
         ));
+        // Genesis checkpoint: every shard WAL is self-contained, so
+        // recovery never needs the original XML text. Its dump streams
+        // straight into the log.
+        shard.checkpoint()?;
         inner.docs.push(DocEntry {
             id,
             name: name.to_string(),
@@ -842,6 +839,7 @@ fn decode_manifest(text: &str) -> Result<Vec<(u64, String)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbxq_storage::TreeView;
 
     fn cfg() -> CatalogConfig {
         CatalogConfig {

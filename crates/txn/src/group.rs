@@ -37,7 +37,7 @@ pub struct GroupCommitStats {
 #[derive(Default)]
 struct State {
     /// Records waiting for the next leader, with their tickets.
-    pending: Vec<(u64, WalRecord)>,
+    pending: Vec<(u64, WalRecord<'static>)>,
     /// Results of flushed tickets not yet picked up by their follower.
     results: HashMap<u64, Result<(), WalError>>,
     /// Next ticket number.
@@ -69,7 +69,7 @@ impl GroupCommit {
     /// The calling thread either leads a flush (draining the whole
     /// queue through one `append_batch`) or waits as a follower for the
     /// leader that covers its ticket.
-    pub fn submit(&self, wal: &Mutex<Wal>, record: WalRecord) -> Result<(), WalError> {
+    pub fn submit(&self, wal: &Mutex<Wal>, record: WalRecord<'static>) -> Result<(), WalError> {
         let ticket = {
             let mut st = self.state.lock().unwrap();
             let t = st.next_ticket;
@@ -90,7 +90,7 @@ impl GroupCommit {
                 st.leader_running = true;
                 // The queue is owned now — split it so the records go
                 // to the flush without re-cloning their op payloads.
-                let (tickets, records): (Vec<u64>, Vec<WalRecord>) =
+                let (tickets, records): (Vec<u64>, Vec<WalRecord<'static>>) =
                     std::mem::take(&mut st.pending).into_iter().unzip();
                 drop(st);
 
@@ -131,7 +131,7 @@ mod tests {
     use mbxq_storage::NodeId;
     use std::sync::Arc;
 
-    fn record(txn: u64) -> WalRecord {
+    fn record(txn: u64) -> WalRecord<'static> {
         WalRecord::Commit {
             txn,
             ops: vec![Op::Delete { node: NodeId(txn) }],

@@ -92,11 +92,13 @@
 //! # Checkpointing
 //!
 //! The WAL grows with every commit, and recovery replays it from
-//! genesis. [`Shard::checkpoint`] bounds both: under the commit lock it
-//! serializes the current version (with its node ids and the id
-//! allocation point) into a [`wal::WalRecord::Checkpoint`], then
-//! atomically truncates the log to just that record. [`recover`] resumes
-//! from the latest checkpoint instead of genesis. [`Shard::vacuum`] and
+//! genesis. [`Shard::checkpoint`] bounds both: it pins the current
+//! version under the pipeline gate, streams that version (with its node
+//! ids and the id allocation point) into a [`wal::WalRecord::Checkpoint`]
+//! of the next log with no lock held — commits go on meanwhile — and then
+//! atomically replaces the log with that record and the commit records
+//! logged since the pin. [`recover`] resumes from the latest checkpoint
+//! instead of genesis. [`Shard::vacuum`] and
 //! [`Shard::occupancy`] complete the maintenance surface: page
 //! reorganization runs under the same commit lock and publishes like a
 //! commit does.
@@ -312,9 +314,10 @@ pub struct PlanCacheStats {
 pub struct CheckpointInfo {
     /// Live nodes captured by the checkpoint.
     pub nodes: u64,
-    /// Log length before truncation.
+    /// Log length just before it was replaced.
     pub wal_bytes_before: usize,
-    /// Log length after (the checkpoint record alone).
+    /// Log length after: the checkpoint record, and the commit records
+    /// logged while its dump was written.
     pub wal_bytes_after: usize,
 }
 
@@ -623,7 +626,8 @@ mod tests {
         t.set_attribute(person[0], &mbxq_xml::QName::local("vip"), "yes")
             .unwrap();
         t.commit().unwrap();
-        let records = wal::decode_log(&s.wal_raw().unwrap()).unwrap();
+        let raw = s.wal_raw().unwrap();
+        let records = wal::decode_log(&raw).unwrap();
         assert_eq!(records.len(), 1);
         match &records[0] {
             WalRecord::Commit { ops, .. } => assert_eq!(ops.len(), 1),

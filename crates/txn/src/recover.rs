@@ -16,7 +16,7 @@
 
 use crate::wal::{decode_log, WalError, WalRecord};
 use crate::{Result, TxnError};
-use mbxq_storage::{PageConfig, PagedDoc, TreeView};
+use mbxq_storage::{PageConfig, PagedDoc};
 
 /// Rebuilds the document from genesis XML and the raw WAL bytes,
 /// resuming from the last complete checkpoint record if the log holds
@@ -78,9 +78,9 @@ pub fn recover_shard(
     replay(doc, &records[resume + 1..])
 }
 
-/// Materializes a checkpoint record, cross-checking its declared tuple
-/// count against the dump.
-fn load_checkpoint(record: &WalRecord, cfg: PageConfig) -> Result<PagedDoc> {
+/// Materializes a checkpoint record from its dump, read in place in
+/// the log bytes; the loader checks the declared tuple count.
+fn load_checkpoint(record: &WalRecord<'_>, cfg: PageConfig) -> Result<PagedDoc> {
     let WalRecord::Checkpoint {
         alloc_end,
         tuples,
@@ -89,20 +89,13 @@ fn load_checkpoint(record: &WalRecord, cfg: PageConfig) -> Result<PagedDoc> {
     else {
         unreachable!("caller matched a checkpoint");
     };
-    let doc = PagedDoc::from_checkpoint_dump(dump, cfg, *alloc_end)?;
-    if doc.used_count() != *tuples {
-        return Err(TxnError::Wal(WalError::Corrupt {
-            message: format!(
-                "checkpoint declares {tuples} tuples but its dump carries {}",
-                doc.used_count()
-            ),
-        }));
-    }
-    Ok(doc)
+    Ok(PagedDoc::from_checkpoint_dump(
+        dump, cfg, *alloc_end, *tuples,
+    )?)
 }
 
 /// Replays every complete commit record onto `doc` in log order.
-fn replay(mut doc: PagedDoc, records: &[WalRecord]) -> Result<PagedDoc> {
+fn replay(mut doc: PagedDoc, records: &[WalRecord<'_>]) -> Result<PagedDoc> {
     for record in records {
         let WalRecord::Commit { txn, ops } = record else {
             continue; // a checkpoint can only sit at the log head
@@ -252,5 +245,39 @@ mod tests {
         let recovered = recover(DOC, cfg(), &raw).unwrap();
         // Root size: 7 original + 4 inserts × 3 tuples − 2 deleted.
         assert_eq!(TreeView::size(&recovered, 0), 7 + 12 - 2);
+    }
+
+    /// A shard log whose checkpoint header carries the payload length in
+    /// as many digits as it needs — the format before the length became
+    /// fixed-width — recovers, with the commit logged behind it.
+    #[test]
+    fn a_checkpoint_header_with_a_variable_width_length_recovers() {
+        let doc = PagedDoc::parse_str(DOC, cfg()).unwrap();
+        let store = Shard::open(doc, Wal::in_memory(), StoreConfig::default());
+        store.checkpoint().unwrap();
+        let mut t = store.begin();
+        let asia = t.select(&XPath::parse("//asia").unwrap()).unwrap();
+        let frag = Document::parse_fragment("<item id=\"i9\"/>").unwrap();
+        t.insert(InsertPosition::LastChildOf(asia[0]), &frag)
+            .unwrap();
+        t.commit().unwrap();
+        let raw = store.wal_raw().unwrap();
+        let nl = raw.iter().position(|&b| b == b'\n').unwrap();
+        let header: Vec<&str> = std::str::from_utf8(&raw[..nl])
+            .unwrap()
+            .split(' ')
+            .collect();
+        assert_eq!(header[3].len(), 20, "the length field is fixed-width");
+        let len: u64 = header[3].parse().unwrap();
+        let mut old = format!("C {} {} {len}", header[1], header[2]).into_bytes();
+        old.extend_from_slice(&raw[nl..]);
+        let live = to_xml(store.snapshot().as_ref()).unwrap();
+        assert!(live.contains("i9"));
+        for log in [&raw, &old] {
+            assert_eq!(
+                to_xml(&recover_shard(cfg(), log, None).unwrap()).unwrap(),
+                live
+            );
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! crate-level docs.
 
 use crate::pool::QueryPool;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{self, Wal, WalRecord};
 use crate::{
     group, locks, op::Op, AncestorLockMode, CheckpointInfo, CommitInfo, GroupCommitStats,
     PlanCacheStats, Result, StoreConfig, TxnError, TxnId,
@@ -50,10 +50,15 @@ pub struct Shard {
     commit_lock: Mutex<()>,
     /// Commit-pipeline gate: commits hold it shared from their WAL
     /// append through their publish; [`Shard::checkpoint`] takes it
-    /// exclusively so the log truncation can never discard a record
-    /// whose effects are still on their way to being published.
+    /// exclusively, twice and briefly, so that the version it pins is
+    /// exactly what the log up to that point describes, and so that no
+    /// record it carries into the new log is still on its way to being
+    /// published.
     pipeline_gate: RwLock<()>,
     wal: Mutex<Wal>,
+    /// Held through a whole [`Shard::checkpoint`]: a second one would
+    /// carry records from a log the first has replaced.
+    checkpointing: Mutex<()>,
     /// Group-commit coordinator batching concurrent WAL appends.
     group: group::GroupCommit,
     pub(crate) locks: locks::LockManager,
@@ -142,6 +147,7 @@ impl Shard {
             commit_lock: Mutex::new(()),
             pipeline_gate: RwLock::new(()),
             wal: Mutex::new(wal),
+            checkpointing: Mutex::new(()),
             group: group::GroupCommit::new(),
             locks: locks::LockManager::new(),
             next_txn: AtomicU64::new(1),
@@ -271,47 +277,57 @@ impl Shard {
 
     /// Writes a checkpoint and truncates the WAL to it.
     ///
-    /// Under the commit lock (so no commit interleaves), the current
-    /// version is serialized — as a structure-preserving tuple dump
-    /// carrying every node id plus the id allocation point, *not* as XML
-    /// text, which would coalesce adjacent text tuples on reparse — into
-    /// a [`WalRecord::Checkpoint`], and the log is atomically replaced
-    /// by that single record. [`crate::recover`] then resumes from the
-    /// checkpoint instead of replaying history from genesis, and the log
-    /// stops growing without bound. A crash during checkpointing leaves
-    /// the previous log intact (write-temp-then-rename). In a catalog,
-    /// this stalls **only this shard's** committers: every other
-    /// document keeps its own gate, commit lock and WAL.
+    /// The current version is serialized — as a structure-preserving
+    /// tuple dump carrying every node id plus the id allocation point,
+    /// *not* as XML text, which would coalesce adjacent text tuples on
+    /// reparse — into a [`WalRecord::Checkpoint`], and the log is
+    /// atomically replaced by that record. [`crate::recover`] then
+    /// resumes from the checkpoint instead of replaying history from
+    /// genesis, and the log stops growing without bound. A crash at any
+    /// point leaves the previous log intact (write-temp-then-rename).
+    /// Nothing is published: the document's side tables are
+    /// copy-on-write like its pages, so the version and its stamp stay
+    /// as they are.
+    ///
+    /// **Committers do not wait for the dump.** Versions are immutable,
+    /// so the checkpoint takes the pipeline gate only to pin the current
+    /// version and note the log length, streams that version's dump into
+    /// the new log with no lock held, and takes the gate and the log
+    /// again only to carry over the commit records logged since the pin
+    /// and install the new log. A commit that runs meanwhile is in the
+    /// new log behind the checkpoint, where recovery replays it. In a
+    /// catalog, other documents are not touched at all: every document
+    /// keeps its own gate, commit lock and WAL.
     pub fn checkpoint(&self) -> Result<CheckpointInfo> {
-        // Exclusive pipeline gate first: a Short-pipeline commit holds
-        // the gate shared from its WAL append through its publish, so
-        // once the write side is granted, no commit record in the log
-        // is still waiting to be published — truncating cannot lose an
-        // in-flight commit. (Lock order: gate, then commit lock; the
-        // commit path uses the same order.)
-        let _gate = self.pipeline_gate.write().unwrap();
-        let global = self.commit_lock.lock().unwrap();
-        let doc = self.snapshot();
-        let record = WalRecord::Checkpoint {
-            alloc_end: doc.node_alloc_end(),
-            tuples: doc.used_count(),
-            dump: doc.checkpoint_dump_named(self.name.as_deref()),
+        let _one_at_a_time = self.checkpointing.lock().unwrap();
+        // (1) Pin. With the gate exclusive no commit is between its
+        // append and its publish, so the current version is exactly the
+        // state the log up to its current length describes.
+        let (doc, pin) = {
+            let _gate = self.pipeline_gate.write().unwrap();
+            let wal = self.wal.lock().unwrap();
+            (self.snapshot(), wal.len_bytes())
         };
+        // (2) Stream the pinned version's dump, holding no lock.
+        let mut ckpt = self.wal.lock().unwrap().begin_checkpoint(
+            doc.node_alloc_end(),
+            doc.used_count(),
+            doc.checkpoint_dump_size_hint(),
+        )?;
+        doc.write_checkpoint_dump(self.name.as_deref(), &mut ckpt)
+            .map_err(wal::io_error)?;
+        // (3) Cut: every record past the pin is published (the gate),
+        // so carrying the complete ones over loses no acknowledged
+        // commit.
+        let _gate = self.pipeline_gate.write().unwrap();
         let mut wal = self.wal.lock().unwrap();
         let wal_bytes_before = wal.len_bytes();
-        wal.reset_with(&record)?;
-        drop(record);
-        // The document itself needs no maintenance: its side tables are
-        // copy-on-write like its pages, so the published version stays
-        // as it is and so does its stamp.
-        let info = CheckpointInfo {
+        wal.install_checkpoint(ckpt, pin)?;
+        Ok(CheckpointInfo {
             nodes: doc.used_count(),
             wal_bytes_before,
             wal_bytes_after: wal.len_bytes(),
-        };
-        drop(wal);
-        drop(global);
-        Ok(info)
+        })
     }
 
     /// Reorganizes the document's pages at the configured fill factor

@@ -6,6 +6,21 @@
 //! A record either lands completely or not at all; recovery treats a
 //! torn trailing record as absent, which yields exactly the
 //! committed-prefix semantics the paper's durability argument needs.
+//! Reopening a file log cuts such a torn tail off before anything is
+//! appended, so a record acknowledged after a restart never sits behind
+//! bytes recovery stops at.
+//!
+//! A checkpoint record is **streamed**: [`Wal::begin_checkpoint`] hands
+//! out a [`CheckpointWriter`] that the dump is written into — on the
+//! file backend a temp file through a buffer, on the memory backend the
+//! next log buffer — and [`Wal::install_checkpoint`] patches the
+//! record's length, carries over the complete commit records logged
+//! since the caller pinned the version it dumped, and makes the result
+//! the log. The writer needs no lock on the log, so committers keep
+//! appending while a dump is written; and no document-sized string of
+//! the dump exists on the way. Recovery reads the dump in place:
+//! [`decode_log`] frames records on the raw bytes and hands out the
+//! checkpoint payload borrowed.
 //!
 //! Two backends: an in-memory buffer (tests, benchmarks) and a file
 //! (durability across process restarts). Both support **crash
@@ -15,8 +30,8 @@
 use crate::op::Op;
 use crate::TxnId;
 use std::borrow::Cow;
-use std::io::Write as _;
-use std::path::Path;
+use std::io::{self, BufRead as _, Read as _, Seek as _, Write};
+use std::path::{Path, PathBuf};
 
 /// WAL failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,11 +67,17 @@ impl core::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
+pub(crate) fn io_error(e: io::Error) -> WalError {
+    WalError::Io {
+        message: e.to_string(),
+    }
+}
+
 /// One WAL record. The paper's commit writes ancestor sizes, pageOffset
 /// shifts and differential lists; our logical-redo equivalent carries
 /// the operation list — replaying it regenerates all three.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub enum WalRecord<'a> {
     /// A committed transaction with its redo operations.
     Commit {
         /// Transaction id.
@@ -74,16 +95,42 @@ pub enum WalRecord {
         /// Used-tuple count (integrity check for the dump).
         tuples: u64,
         /// The structure-preserving tuple dump
-        /// ([`mbxq_storage::PagedDoc::checkpoint_dump`] format — not XML
-        /// text, which would coalesce adjacent text tuples on reparse
-        /// and desynchronize node ids).
-        dump: String,
+        /// ([`mbxq_storage::PagedDoc::write_checkpoint_dump`] format —
+        /// not XML text, which would coalesce adjacent text tuples on
+        /// reparse and desynchronize node ids). Borrowed from the log
+        /// bytes when decoded.
+        dump: Cow<'a, str>,
     },
 }
 
+impl WalRecord<'_> {
+    /// The record with its payload owned.
+    pub fn into_owned(self) -> WalRecord<'static> {
+        match self {
+            WalRecord::Commit { txn, ops } => WalRecord::Commit { txn, ops },
+            WalRecord::Checkpoint {
+                alloc_end,
+                tuples,
+                dump,
+            } => WalRecord::Checkpoint {
+                alloc_end,
+                tuples,
+                dump: Cow::Owned(dump.into_owned()),
+            },
+        }
+    }
+}
+
 enum Backend {
-    Memory(Vec<u8>),
-    File(std::fs::File, std::path::PathBuf),
+    Memory {
+        log: Vec<u8>,
+        /// The buffer the log before the last checkpoint lived in, kept
+        /// for the next checkpoint to write into: checkpoints into
+        /// memory stop allocating (and fragmenting the heap with
+        /// log-sized holes) once two buffers exist.
+        spare: Vec<u8>,
+    },
+    File(std::fs::File, PathBuf),
 }
 
 /// The write-ahead log.
@@ -105,11 +152,68 @@ pub struct Wal {
     poisoned: bool,
 }
 
+/// A checkpoint record being written: the header went out when
+/// [`Wal::begin_checkpoint`] made it, the dump goes in through
+/// [`Write`], and [`Wal::install_checkpoint`] completes it. Writing
+/// needs no access to the [`Wal`], so a shard streams the dump with no
+/// lock held.
+pub struct CheckpointWriter {
+    sink: Sink,
+    /// Bytes of the record so far, its header included.
+    len: usize,
+    /// Length of the header, whose last [`CKPT_LEN_WIDTH`] digits before
+    /// the `\n` are the payload length, patched at install.
+    header_len: usize,
+}
+
+enum Sink {
+    /// The next in-memory log.
+    Memory(Vec<u8>),
+    /// The temp file that becomes the log.
+    File {
+        out: io::BufWriter<std::fs::File>,
+        tmp: PathBuf,
+    },
+}
+
+impl Write for CheckpointWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = match &mut self.sink {
+            Sink::Memory(log) => {
+                log.extend_from_slice(buf);
+                buf.len()
+            }
+            Sink::File { out, .. } => out.write(buf)?,
+        };
+        self.len += n;
+        Ok(n)
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        match &mut self.sink {
+            Sink::Memory(log) => log.extend_from_slice(buf),
+            Sink::File { out, .. } => out.write_all(buf)?,
+        }
+        self.len += buf.len();
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match &mut self.sink {
+            Sink::Memory(_) => Ok(()),
+            Sink::File { out, .. } => out.flush(),
+        }
+    }
+}
+
 impl Wal {
     /// An in-memory log (tests/benchmarks).
     pub fn in_memory() -> Wal {
         Wal {
-            backend: Backend::Memory(Vec::new()),
+            backend: Backend::Memory {
+                log: Vec::new(),
+                spare: Vec::new(),
+            },
             crash_after_bytes: None,
             bytes_written: 0,
             io_total: 0,
@@ -118,16 +222,29 @@ impl Wal {
     }
 
     /// A file-backed log (appends + flush per record).
+    ///
+    /// Appends go after the log's decodable prefix. A torn tail — an
+    /// incomplete header, or a payload shorter than its declared length,
+    /// what a crash mid-append leaves — is cut off (and the cut synced)
+    /// before the log is handed out: recovery ignores it anyway, and a
+    /// record appended behind it would be lost to every later recovery.
+    /// Any other undecodable bytes after the prefix are
+    /// [`WalError::Corrupt`], naming their offset, instead of being
+    /// buried under new records.
     pub fn file(path: &Path) -> Result<Wal, WalError> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .read(true)
             .open(path)
-            .map_err(|e| WalError::Io {
-                message: e.to_string(),
-            })?;
-        let bytes_written = file.metadata().map(|m| m.len() as usize).unwrap_or(0);
+            .map_err(io_error)?;
+        let file_len = file.metadata().map_err(io_error)?.len();
+        let valid = decodable_prefix(&file, file_len, path)?;
+        if valid < file_len {
+            file.set_len(valid).map_err(io_error)?;
+            file.sync_all().map_err(io_error)?;
+        }
+        let bytes_written = usize::try_from(valid).expect("a log length fits in usize");
         Ok(Wal {
             backend: Backend::File(file, path.to_path_buf()),
             crash_after_bytes: None,
@@ -153,7 +270,7 @@ impl Wal {
     /// Appends one record (the single commit I/O) — a one-record
     /// [`Wal::append_batch`], so both paths share the same crash
     /// accounting.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+    pub fn append(&mut self, record: &WalRecord<'_>) -> Result<(), WalError> {
         self.append_batch(std::slice::from_ref(record))
             .pop()
             .expect("one record in, one result out")
@@ -172,7 +289,7 @@ impl Wal {
     /// batch is never "all or nothing" at batch granularity, but always
     /// all-or-nothing **per commit record**, which is the prefix
     /// semantics recovery needs.
-    pub fn append_batch(&mut self, records: &[WalRecord]) -> Vec<Result<(), WalError>> {
+    pub fn append_batch(&mut self, records: &[WalRecord<'_>]) -> Vec<Result<(), WalError>> {
         if self.poisoned {
             return records
                 .iter()
@@ -235,52 +352,99 @@ impl Wal {
         results
     }
 
-    /// Atomically replaces the whole log with `record` — the checkpoint
-    /// truncation. Either the new log (just the checkpoint record) or
-    /// the old log survives; a crash mid-rewrite never leaves a
-    /// truncated log, mirroring the write-temp-then-rename protocol the
-    /// file backend actually uses.
-    pub fn reset_with(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        // Header, payload and terminator go to the backend one after
-        // the other: a checkpoint's dump is not copied into a record
-        // buffer first.
-        let (header, payload) = record_parts(record);
-        let parts = [header.as_bytes(), payload.as_bytes(), b"\n"];
-        let len: usize = parts.iter().map(|p| p.len()).sum();
+    /// Starts a checkpoint record of a version with `tuples` used tuples
+    /// and node ids allocated up to `alloc_end`: the header goes out with
+    /// a placeholder length, and the returned writer takes the dump (see
+    /// [`mbxq_storage::PagedDoc::write_checkpoint_dump`]). The memory
+    /// backend reserves `size_hint` payload bytes for it up front.
+    /// Nothing about the live log changes until
+    /// [`Wal::install_checkpoint`].
+    pub fn begin_checkpoint(
+        &mut self,
+        alloc_end: u64,
+        tuples: u64,
+        size_hint: usize,
+    ) -> Result<CheckpointWriter, WalError> {
+        let header = checkpoint_header(alloc_end, tuples, 0);
+        let sink = match &mut self.backend {
+            Backend::Memory { spare, .. } => {
+                let mut log = std::mem::take(spare);
+                log.clear();
+                log.reserve_exact(header.len() + size_hint + 1);
+                log.extend_from_slice(header.as_bytes());
+                Sink::Memory(log)
+            }
+            Backend::File(_, path) => {
+                let tmp = path.with_extension("wal-tmp");
+                let file = std::fs::File::create(&tmp).map_err(io_error)?;
+                let mut out = io::BufWriter::with_capacity(1 << 16, file);
+                out.write_all(header.as_bytes()).map_err(io_error)?;
+                Sink::File { out, tmp }
+            }
+        };
+        Ok(CheckpointWriter {
+            sink,
+            len: header.len(),
+            header_len: header.len(),
+        })
+    }
+
+    /// Completes `ckpt` and atomically makes it the log: the record's
+    /// length is patched into its header, and the complete records
+    /// logged at or after byte `carry_from` of the current log — the
+    /// commits that landed after the checkpointed version was pinned —
+    /// follow it. A torn or failed append there is not carried over: its
+    /// commit was never acknowledged. Either the new log or the old one
+    /// survives; a crash mid-rewrite never leaves a truncated log
+    /// (write-temp-then-rename on the file backend).
+    pub fn install_checkpoint(
+        &mut self,
+        ckpt: CheckpointWriter,
+        carry_from: usize,
+    ) -> Result<(), WalError> {
+        let CheckpointWriter {
+            sink,
+            len,
+            header_len,
+        } = ckpt;
+        let payload_len = format!("{:0w$}", len - header_len, w = CKPT_LEN_WIDTH);
+        let len_at = header_len - 1 - CKPT_LEN_WIDTH;
+        let carried = self.complete_records_from(carry_from)?;
+        let total = len + 1 + carried.len();
         if let Some(limit) = self.crash_after_bytes {
-            if self.io_total + len > limit {
-                // The crash hit while writing the checkpoint's temp
-                // file; the live log is untouched.
+            if self.io_total + total > limit {
+                // The crash hit while writing the checkpoint; the live
+                // log is untouched.
                 self.io_total = limit;
+                if let Sink::File { tmp, .. } = &sink {
+                    let _ = std::fs::remove_file(tmp);
+                }
                 return Err(WalError::Crashed { bytes_written: 0 });
             }
         }
-        match &mut self.backend {
-            Backend::Memory(buf) => {
-                buf.clear();
-                buf.reserve_exact(len);
-                for part in parts {
-                    buf.extend_from_slice(part);
-                }
+        match (sink, &mut self.backend) {
+            (Sink::Memory(mut new), Backend::Memory { log, spare }) => {
+                new[len_at..len_at + CKPT_LEN_WIDTH].copy_from_slice(payload_len.as_bytes());
+                new.push(b'\n');
+                new.extend_from_slice(&carried);
+                *spare = std::mem::replace(log, new);
             }
-            Backend::File(f, path) => {
-                let tmp = path.with_extension("wal-tmp");
-                let io = |e: std::io::Error| WalError::Io {
-                    message: e.to_string(),
-                };
+            (Sink::File { out, tmp }, Backend::File(f, path)) => {
+                let mut file = out.into_inner().map_err(|e| io_error(e.into_error()))?;
+                file.write_all(b"\n").map_err(io_error)?;
+                file.write_all(&carried).map_err(io_error)?;
+                file.seek(io::SeekFrom::Start(len_at as u64))
+                    .and_then(|_| file.write_all(payload_len.as_bytes()))
+                    .map_err(io_error)?;
                 // The temp file's *data* must be on the device before
                 // the rename makes it the log: a journaled rename can
                 // survive a power cut that the un-synced data blocks do
                 // not, which would replace every durable record with an
                 // empty/partial checkpoint — the one failure mode a
                 // checkpoint must never introduce.
-                let mut tmp_file = std::fs::File::create(&tmp).map_err(io)?;
-                for part in parts {
-                    tmp_file.write_all(part).map_err(io)?;
-                }
-                tmp_file.sync_all().map_err(io)?;
-                drop(tmp_file);
-                std::fs::rename(&tmp, &*path).map_err(io)?;
+                file.sync_all().map_err(io_error)?;
+                drop(file);
+                std::fs::rename(&tmp, &*path).map_err(io_error)?;
                 // Persist the rename itself (the directory entry);
                 // best-effort on platforms where directories cannot be
                 // opened for sync.
@@ -293,23 +457,48 @@ impl Wal {
                     .append(true)
                     .read(true)
                     .open(&*path)
-                    .map_err(io)?;
+                    .map_err(io_error)?;
             }
+            _ => unreachable!("a checkpoint is installed in the log that began it"),
         }
-        self.bytes_written = len;
-        self.io_total += len;
-        // The whole log was atomically replaced by this one record: any
-        // garbage a previously failed append may have left is gone, so a
-        // poisoned log becomes writable again through exactly this path
+        self.bytes_written = total;
+        self.io_total += total;
+        // The whole log was atomically replaced: any garbage a
+        // previously failed append may have left is gone, so a poisoned
+        // log becomes writable again through exactly this path
         // (Shard::checkpoint is the recovery action for a sick WAL).
         self.poisoned = false;
         Ok(())
     }
 
+    /// The complete records of the log from byte `from` on, up to the
+    /// first torn or undecodable one. Only bytes counted in
+    /// `bytes_written` are read: a failed write's tail is not part of
+    /// the log.
+    fn complete_records_from(&self, from: usize) -> Result<Vec<u8>, WalError> {
+        debug_assert!(from <= self.bytes_written, "carry from inside the log");
+        let n = self.bytes_written.saturating_sub(from);
+        let mut tail = match &self.backend {
+            Backend::Memory { log, .. } => log[from..from + n].to_vec(),
+            Backend::File(_, path) => {
+                let mut file = std::fs::File::open(path).map_err(io_error)?;
+                file.seek(io::SeekFrom::Start(from as u64))
+                    .map_err(io_error)?;
+                let mut tail = Vec::with_capacity(n);
+                file.take(n as u64)
+                    .read_to_end(&mut tail)
+                    .map_err(io_error)?;
+                tail
+            }
+        };
+        tail.truncate(complete_prefix(&tail));
+        Ok(tail)
+    }
+
     fn write_raw(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         match &mut self.backend {
-            Backend::Memory(buf) => {
-                buf.extend_from_slice(bytes);
+            Backend::Memory { log, .. } => {
+                log.extend_from_slice(bytes);
                 Ok(())
             }
             Backend::File(f, _) => f
@@ -318,26 +507,24 @@ impl Wal {
                 // device: fsync per log I/O. This is exactly the cost
                 // group commit amortizes — one sync per *batch*.
                 .and_then(|_| f.sync_data())
-                .map_err(|e| WalError::Io {
-                    message: e.to_string(),
-                }),
+                .map_err(io_error),
         }
     }
 
     /// The raw log contents (what a recovery process would find on disk).
     pub fn raw(&self) -> Result<Vec<u8>, WalError> {
         match &self.backend {
-            Backend::Memory(buf) => Ok(buf.clone()),
-            Backend::File(_, path) => std::fs::read(path).map_err(|e| WalError::Io {
-                message: e.to_string(),
-            }),
+            Backend::Memory { log, .. } => Ok(log.clone()),
+            Backend::File(_, path) => std::fs::read(path).map_err(io_error),
         }
     }
 
     /// Decodes all complete records; a torn trailing record is ignored
     /// (it never committed).
-    pub fn read_all(&self) -> Result<Vec<WalRecord>, WalError> {
-        decode_log(&self.raw()?)
+    pub fn read_all(&self) -> Result<Vec<WalRecord<'static>>, WalError> {
+        let raw = self.raw()?;
+        let records = decode_log(&raw)?;
+        Ok(records.into_iter().map(WalRecord::into_owned).collect())
     }
 }
 
@@ -346,26 +533,18 @@ impl Wal {
 ///
 /// ```text
 /// W <txn> <op-count> <byte-len-of-payload>\n<payload>\n
-/// C <alloc-end> <tuple-count> <byte-len-of-payload>\n<payload>\n
+/// C <alloc-end> <tuple-count> <byte-len-of-payload: 20 digits, zero-padded>\n<payload>\n
 /// ```
 ///
 /// A commit payload is the ops joined by `\x1f`; a checkpoint payload is
 /// the tuple dump. The trailing `\n` completes the record; recovery only
-/// accepts records whose full payload is present.
-fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let (header, payload) = record_parts(record);
-    let mut out = Vec::with_capacity(header.len() + payload.len() + 1);
-    out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(payload.as_bytes());
-    out.push(b'\n');
-    out
-}
-
-/// A record's header line (with its `\n`) and its payload; the record's
-/// bytes are these two and a closing `\n`. A checkpoint's payload is its
-/// dump, borrowed, so the dump is never copied on its way to the log.
-fn record_parts(record: &WalRecord) -> (String, Cow<'_, str>) {
-    match record {
+/// accepts records whose full payload is present. A checkpoint's length
+/// is fixed-width because its header is written before the streamed
+/// dump and the length patched in after it; the decoder reads a length
+/// of any width, so a log whose checkpoint header carries the earlier
+/// variable-width length still recovers.
+fn encode_record(record: &WalRecord<'_>) -> Vec<u8> {
+    let (header, payload) = match record {
         WalRecord::Commit { txn, ops } => {
             let mut payload = String::new();
             for (i, op) in ops.iter().enumerate() {
@@ -381,77 +560,219 @@ fn record_parts(record: &WalRecord) -> (String, Cow<'_, str>) {
             alloc_end,
             tuples,
             dump,
-        } => {
-            let header = format!("C {alloc_end} {tuples} {}\n", dump.len());
-            (header, Cow::Borrowed(dump))
+        } => (
+            checkpoint_header(*alloc_end, *tuples, dump.len()),
+            Cow::Borrowed(&**dump),
+        ),
+    };
+    let mut out = Vec::with_capacity(header.len() + payload.len() + 1);
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    out.push(b'\n');
+    out
+}
+
+/// Digits of a checkpoint header's payload length.
+const CKPT_LEN_WIDTH: usize = 20;
+
+/// The longest header line, its `\n` included: a tag and three fields
+/// of at most 20 digits each.
+const MAX_HEADER: usize = 1 + 3 * 21 + 1;
+
+fn checkpoint_header(alloc_end: u64, tuples: u64, payload_len: usize) -> String {
+    format!(
+        "C {alloc_end} {tuples} {payload_len:0w$}\n",
+        w = CKPT_LEN_WIDTH
+    )
+}
+
+/// A parsed header line.
+struct Header {
+    /// `b'W'` or `b'C'`.
+    tag: u8,
+    /// The txn id, or the allocation point.
+    a: u64,
+    /// The op count, or the tuple count.
+    b: u64,
+    /// Payload bytes.
+    len: usize,
+    /// Bytes of the header line, its `\n` included.
+    size: usize,
+}
+
+/// What the bytes at a record boundary hold.
+enum Frame {
+    Header(Header),
+    /// No `\n` before the bytes end, and what is there could begin a
+    /// header: a header a crash cut short.
+    Torn,
+    Garbage,
+}
+
+fn number(field: &[u8]) -> Option<u64> {
+    if field.is_empty() || !field.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    std::str::from_utf8(field).ok()?.parse().ok()
+}
+
+/// Parses the header line at the start of `bytes`.
+fn parse_header(bytes: &[u8]) -> Frame {
+    let window = &bytes[..bytes.len().min(MAX_HEADER)];
+    let Some(nl) = window.iter().position(|&b| b == b'\n') else {
+        let could_start = match window.split_first() {
+            None => true,
+            Some((tag, rest)) => {
+                matches!(tag, b'W' | b'C') && rest.iter().all(|&b| b == b' ' || b.is_ascii_digit())
+            }
+        };
+        return if window.len() < MAX_HEADER && could_start {
+            Frame::Torn
+        } else {
+            Frame::Garbage
+        };
+    };
+    let mut fields = window[..nl].split(|&b| b == b' ');
+    let (Some([tag @ (b'W' | b'C')]), Some(a), Some(b), Some(len), None) = (
+        fields.next(),
+        fields.next(),
+        fields.next(),
+        fields.next(),
+        fields.next(),
+    ) else {
+        return Frame::Garbage;
+    };
+    let (Some(a), Some(b), Some(len)) = (number(a), number(b), number(len)) else {
+        return Frame::Garbage;
+    };
+    let Ok(len) = usize::try_from(len) else {
+        return Frame::Garbage;
+    };
+    Frame::Header(Header {
+        tag: *tag,
+        a,
+        b,
+        len,
+        size: nl + 1,
+    })
+}
+
+/// The complete records at the head of a log buffer, each with its
+/// offset. Iteration stops at the first bytes that do not frame a
+/// complete record — a torn tail, or garbage — which is where the valid
+/// prefix ends (`at`).
+struct Frames<'a> {
+    raw: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = (usize, Header, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.raw[self.at..];
+        let Frame::Header(header) = parse_header(rest) else {
+            return None;
+        };
+        let end = header.size.checked_add(header.len)?;
+        if rest.get(end) != Some(&b'\n') {
+            return None; // torn payload, or a missing terminator
         }
+        let (at, payload) = (self.at, &rest[header.size..end]);
+        self.at += end + 1;
+        Some((at, header, payload))
     }
 }
 
-/// Decodes a log buffer into its complete records.
-pub fn decode_log(raw: &[u8]) -> Result<Vec<WalRecord>, WalError> {
-    let text = String::from_utf8_lossy(raw);
+/// Bytes of the complete records at the head of `raw`.
+fn complete_prefix(raw: &[u8]) -> usize {
+    let mut frames = Frames { raw, at: 0 };
+    frames.by_ref().for_each(drop);
+    frames.at
+}
+
+/// Decodes a log buffer into its complete records, framed on the raw
+/// bytes. The first record that does not frame (a torn tail, or garbage)
+/// ends the valid prefix. A complete record whose payload does not
+/// decode — not UTF-8, or ops that do not parse — is corruption, not a
+/// crash artifact, and an error. A checkpoint's dump is borrowed from
+/// `raw`, not copied.
+pub fn decode_log(raw: &[u8]) -> Result<Vec<WalRecord<'_>>, WalError> {
     let mut records = Vec::new();
-    let mut rest: &str = &text;
-    while !rest.is_empty() {
-        let Some(nl) = rest.find('\n') else {
-            break; // torn header
-        };
-        let header = &rest[..nl];
-        let body_start = nl + 1;
-        let mut it = header.split(' ');
-        let (Some(tag @ ("W" | "C")), Some(a), Some(b), Some(len)) =
-            (it.next(), it.next(), it.next(), it.next())
-        else {
-            // A torn record at the tail is fine; garbage in the middle is
-            // corruption, but we cannot distinguish without consuming —
-            // treat undecodable headers as the end of the valid prefix.
-            break;
-        };
-        let (Ok(a), Ok(b), Ok(len)) = (a.parse::<u64>(), b.parse::<usize>(), len.parse::<usize>())
-        else {
-            break;
-        };
-        if rest.len() < body_start + len + 1 {
-            break; // torn payload — the record never committed
+    for (at, header, payload) in (Frames { raw, at: 0 }) {
+        let payload = std::str::from_utf8(payload).map_err(|e| WalError::Corrupt {
+            message: format!("record at byte {at}: payload is not UTF-8 ({e})"),
+        })?;
+        if header.tag == b'C' {
+            records.push(WalRecord::Checkpoint {
+                alloc_end: header.a,
+                tuples: header.b,
+                dump: Cow::Borrowed(payload),
+            });
+            continue;
         }
-        let payload = &rest[body_start..body_start + len];
-        if rest.as_bytes()[body_start + len] != b'\n' {
-            break; // missing terminator
-        }
-        match tag {
-            "W" => {
-                let (txn, op_count) = (a, b);
-                let mut ops = Vec::with_capacity(op_count);
-                if !payload.is_empty() {
-                    for chunk in payload.split('\u{1f}') {
-                        ops.push(Op::decode(chunk).map_err(|e| WalError::Corrupt {
-                            message: format!("record of txn {txn}: {e}"),
-                        })?);
-                    }
-                }
-                if ops.len() != op_count {
-                    return Err(WalError::Corrupt {
-                        message: format!(
-                            "record of txn {txn} declares {op_count} ops but carries {}",
-                            ops.len()
-                        ),
-                    });
-                }
-                records.push(WalRecord::Commit { txn, ops });
+        let (txn, op_count) = (header.a, header.b);
+        let mut ops = Vec::with_capacity(usize::try_from(op_count).unwrap_or(0).min(payload.len()));
+        if !payload.is_empty() {
+            for chunk in payload.split('\u{1f}') {
+                ops.push(Op::decode(chunk).map_err(|e| WalError::Corrupt {
+                    message: format!("record of txn {txn}: {e}"),
+                })?);
             }
-            "C" => {
-                records.push(WalRecord::Checkpoint {
-                    alloc_end: a,
-                    tuples: b as u64,
-                    dump: payload.to_string(),
-                });
-            }
-            _ => unreachable!("tag matched above"),
         }
-        rest = &rest[body_start + len + 1..];
+        if ops.len() as u64 != op_count {
+            return Err(WalError::Corrupt {
+                message: format!(
+                    "record of txn {txn} declares {op_count} ops but carries {}",
+                    ops.len()
+                ),
+            });
+        }
+        records.push(WalRecord::Commit { txn, ops });
     }
     Ok(records)
+}
+
+/// The end of the decodable prefix of the file log at `path`; bytes
+/// after it that are not a torn tail are [`WalError::Corrupt`]. Reads the
+/// header lines only: a payload is skipped by its declared length.
+fn decodable_prefix(file: &std::fs::File, file_len: u64, path: &Path) -> Result<u64, WalError> {
+    let undecodable = |at: u64| WalError::Corrupt {
+        message: format!(
+            "{}: undecodable bytes at offset {at} of {file_len}",
+            path.display()
+        ),
+    };
+    let mut reader = io::BufReader::with_capacity(1 << 16, file);
+    let mut line = Vec::with_capacity(MAX_HEADER);
+    let mut at = 0u64;
+    while at < file_len {
+        line.clear();
+        (&mut reader)
+            .take(MAX_HEADER as u64)
+            .read_until(b'\n', &mut line)
+            .map_err(io_error)?;
+        let header = match parse_header(&line) {
+            Frame::Header(header) => header,
+            Frame::Torn => return Ok(at),
+            Frame::Garbage => return Err(undecodable(at)),
+        };
+        let end = (header.size as u64).saturating_add(header.len as u64);
+        if at.saturating_add(end) >= file_len {
+            return Ok(at); // torn payload, or a missing terminator
+        }
+        // The payload ends inside the file, so its length fits an i64.
+        reader
+            .seek_relative(i64::try_from(header.len).expect("shorter than the file"))
+            .map_err(io_error)?;
+        let mut terminator = [0u8];
+        reader.read_exact(&mut terminator).map_err(io_error)?;
+        if terminator != *b"\n" {
+            return Err(undecodable(at));
+        }
+        at += end + 1;
+    }
+    Ok(at)
 }
 
 #[cfg(test)]
@@ -459,7 +780,7 @@ mod tests {
     use super::*;
     use mbxq_storage::NodeId;
 
-    fn sample_record(txn: TxnId) -> WalRecord {
+    fn sample_record(txn: TxnId) -> WalRecord<'static> {
         WalRecord::Commit {
             txn,
             ops: vec![
@@ -612,12 +933,29 @@ mod tests {
         }
     }
 
-    fn sample_checkpoint() -> WalRecord {
+    fn sample_checkpoint() -> WalRecord<'static> {
         WalRecord::Checkpoint {
             alloc_end: 17,
             tuples: 2,
             dump: "E 0 0 1:r T 2 1 9:line\none\n A 0 1:k 3:v v ".into(),
         }
+    }
+
+    /// Makes the checkpoint `record` the log the way a shard does: begin
+    /// the record, stream its dump into the writer, install it.
+    fn reset_with(wal: &mut Wal, record: &WalRecord<'_>) -> Result<(), WalError> {
+        let WalRecord::Checkpoint {
+            alloc_end,
+            tuples,
+            dump,
+        } = record
+        else {
+            panic!("not a checkpoint: {record:?}");
+        };
+        let mut ckpt = wal.begin_checkpoint(*alloc_end, *tuples, dump.len())?;
+        ckpt.write_all(dump.as_bytes()).unwrap();
+        let from = wal.len_bytes();
+        wal.install_checkpoint(ckpt, from)
     }
 
     #[test]
@@ -647,7 +985,7 @@ mod tests {
         // The existing log stays readable.
         assert_eq!(wal.read_all().unwrap(), vec![sample_record(1)]);
         // Checkpoint truncation replaces the unknown tail → healthy again.
-        wal.reset_with(&sample_checkpoint()).unwrap();
+        reset_with(&mut wal, &sample_checkpoint()).unwrap();
         assert!(!wal.poisoned);
         wal.append(&sample_record(4)).unwrap();
         assert_eq!(
@@ -662,21 +1000,23 @@ mod tests {
         wal.append(&sample_record(1)).unwrap();
         wal.append(&sample_record(2)).unwrap();
         let before = wal.len_bytes();
-        wal.reset_with(&sample_checkpoint()).unwrap();
+        reset_with(&mut wal, &sample_checkpoint()).unwrap();
         assert!(wal.len_bytes() < before + 100);
         assert_eq!(wal.read_all().unwrap(), vec![sample_checkpoint()]);
         wal.append(&sample_record(9)).unwrap();
         assert_eq!(wal.read_all().unwrap().len(), 2);
     }
 
-    /// A checkpoint written header-then-payload is the record format
-    /// byte for byte, on both backends, and an appended checkpoint is the
-    /// same bytes.
+    /// A streamed checkpoint is the record format byte for byte, on both
+    /// backends, and an appended checkpoint is the same bytes. The
+    /// payload length is a fixed-width, zero-padded field: it is written
+    /// before the dump and patched after it.
     #[test]
     fn a_checkpoint_record_is_written_in_the_record_format() {
-        const BYTES: &[u8] = b"C 17 2 42\nE 0 0 1:r T 2 1 9:line\none\n A 0 1:k 3:v v \n";
+        const BYTES: &[u8] =
+            b"C 17 2 00000000000000000042\nE 0 0 1:r T 2 1 9:line\none\n A 0 1:k 3:v v \n";
         let mut wal = Wal::in_memory();
-        wal.reset_with(&sample_checkpoint()).unwrap();
+        reset_with(&mut wal, &sample_checkpoint()).unwrap();
         assert_eq!(wal.raw().unwrap(), BYTES);
         assert_eq!(wal.len_bytes(), BYTES.len());
         let mut appended = Wal::in_memory();
@@ -686,7 +1026,7 @@ mod tests {
         let path = dir.join("ckpt.wal");
         let mut file = Wal::file(&path).unwrap();
         file.append(&sample_record(1)).unwrap();
-        file.reset_with(&sample_checkpoint()).unwrap();
+        reset_with(&mut file, &sample_checkpoint()).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), BYTES);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -696,7 +1036,7 @@ mod tests {
         let mut wal = Wal::in_memory();
         wal.append(&sample_record(1)).unwrap();
         wal.crash_after_bytes(wal.len_bytes() + 5);
-        let err = wal.reset_with(&sample_checkpoint()).unwrap_err();
+        let err = reset_with(&mut wal, &sample_checkpoint()).unwrap_err();
         assert!(matches!(err, WalError::Crashed { bytes_written: 0 }));
         // The pre-checkpoint history is still fully readable.
         assert_eq!(wal.read_all().unwrap(), vec![sample_record(1)]);
@@ -709,7 +1049,7 @@ mod tests {
         {
             let mut wal = Wal::file(&path).unwrap();
             wal.append(&sample_record(1)).unwrap();
-            wal.reset_with(&sample_checkpoint()).unwrap();
+            reset_with(&mut wal, &sample_checkpoint()).unwrap();
             wal.append(&sample_record(2)).unwrap();
         }
         let wal = Wal::file(&path).unwrap();
@@ -735,5 +1075,174 @@ mod tests {
                 ops: vec![]
             }]
         );
+    }
+
+    /// A log written before the checkpoint length became fixed-width —
+    /// its checkpoint header carries the payload length in as many
+    /// digits as it needs — decodes, and a file log in that format
+    /// reopens and takes appends after it.
+    #[test]
+    fn a_log_with_a_variable_width_checkpoint_length_still_decodes() {
+        let mut log = b"C 17 2 42\nE 0 0 1:r T 2 1 9:line\none\n A 0 1:k 3:v v \n".to_vec();
+        let mut commit = Wal::in_memory();
+        commit.append(&sample_record(3)).unwrap();
+        log.extend_from_slice(&commit.raw().unwrap());
+        let expected = vec![sample_checkpoint(), sample_record(3)];
+        assert_eq!(decode_log(&log).unwrap(), expected);
+        let dir = test_dir("old-format");
+        let path = dir.join("old.wal");
+        std::fs::write(&path, &log).unwrap();
+        let mut wal = Wal::file(&path).unwrap();
+        assert_eq!(wal.len_bytes(), log.len());
+        wal.append(&sample_record(4)).unwrap();
+        let mut all = expected;
+        all.push(sample_record(4));
+        assert_eq!(Wal::file(&path).unwrap().read_all().unwrap(), all);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A decoded checkpoint's dump is a slice of the log bytes, not a
+    /// copy of them.
+    #[test]
+    fn a_decoded_checkpoint_borrows_its_dump() {
+        let mut wal = Wal::in_memory();
+        wal.append(&sample_checkpoint()).unwrap();
+        let raw = wal.raw().unwrap();
+        let records = decode_log(&raw).unwrap();
+        let WalRecord::Checkpoint {
+            dump: Cow::Borrowed(dump),
+            ..
+        } = &records[0]
+        else {
+            panic!("an owned dump: {records:?}");
+        };
+        assert!(raw.as_ptr_range().contains(&dump.as_ptr()));
+    }
+
+    /// A complete record whose payload is not UTF-8 is corruption, not a
+    /// torn tail: decoding reports it instead of ending the prefix there.
+    #[test]
+    fn a_complete_record_with_a_non_utf8_payload_is_corrupt() {
+        let mut log = Wal::in_memory();
+        log.append(&sample_record(1)).unwrap();
+        let mut raw = log.raw().unwrap();
+        raw.extend_from_slice(b"C 1 1 2\n\xff\xfe\n");
+        assert!(matches!(decode_log(&raw), Err(WalError::Corrupt { .. })));
+    }
+
+    /// Commits that land while a checkpoint's dump is written are carried
+    /// into the new log behind it; a torn append among them is not.
+    #[test]
+    fn install_carries_the_complete_records_logged_since_the_pin() {
+        let dir = test_dir("carry");
+        let mut wals = vec![Wal::in_memory(), Wal::file(&dir.join("carry.wal")).unwrap()];
+        for wal in &mut wals {
+            wal.append(&sample_record(1)).unwrap();
+            let pin = wal.len_bytes();
+            let WalRecord::Checkpoint { dump, .. } = sample_checkpoint() else {
+                unreachable!()
+            };
+            let mut ckpt = wal.begin_checkpoint(17, 2, 0).unwrap();
+            ckpt.write_all(dump.as_bytes()).unwrap();
+            wal.append(&sample_record(2)).unwrap();
+            wal.append(&sample_record(3)).unwrap();
+            wal.install_checkpoint(ckpt, pin).unwrap();
+            assert_eq!(
+                wal.read_all().unwrap(),
+                vec![sample_checkpoint(), sample_record(2), sample_record(3)]
+            );
+            assert_eq!(wal.len_bytes(), wal.raw().unwrap().len());
+            wal.append(&sample_record(4)).unwrap();
+            assert_eq!(wal.read_all().unwrap().len(), 4);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The carried bytes stop at a torn record.
+        let mut wal = Wal::in_memory();
+        wal.append(&sample_record(1)).unwrap();
+        let one = wal.len_bytes();
+        wal.crash_after_bytes(one + 6);
+        assert!(wal.append(&sample_record(2)).is_err());
+        assert_eq!(wal.len_bytes(), one + 6);
+        assert_eq!(wal.complete_records_from(0).unwrap().len(), one);
+        assert!(wal.complete_records_from(one).unwrap().is_empty());
+    }
+
+    /// A crash tears the last record; reopening the file log cuts the
+    /// torn bytes, so what is appended next is not buried behind them.
+    #[test]
+    fn reopening_cuts_a_torn_tail_before_appending() {
+        let dir = test_dir("torn-reopen");
+        let path = dir.join("wal.log");
+        let mut probe = Wal::in_memory();
+        probe.append(&sample_record(1)).unwrap();
+        let one = probe.len_bytes();
+        probe.append(&sample_record(2)).unwrap();
+        let two = probe.len_bytes() - one;
+        // Every cut inside the second record: header or payload.
+        for cut in 1..two {
+            let _ = std::fs::remove_file(&path);
+            {
+                let mut wal = Wal::file(&path).unwrap();
+                wal.append(&sample_record(1)).unwrap();
+                wal.crash_after_bytes(one + cut);
+                assert!(wal.append(&sample_record(2)).is_err(), "cut={cut}");
+            }
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, one + cut);
+            let mut wal = Wal::file(&path).unwrap();
+            assert_eq!(wal.len_bytes(), one, "cut={cut}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, one);
+            wal.append(&sample_record(3)).unwrap();
+            drop(wal);
+            assert_eq!(
+                Wal::file(&path).unwrap().read_all().unwrap(),
+                vec![sample_record(1), sample_record(3)],
+                "cut={cut}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Bytes after the decodable prefix that are not a torn record make
+    /// opening fail, naming their offset, and the file is left alone.
+    #[test]
+    fn reopening_refuses_undecodable_bytes_after_the_prefix() {
+        let dir = test_dir("garbage-reopen");
+        let path = dir.join("wal.log");
+        let mut probe = Wal::in_memory();
+        probe.append(&sample_record(1)).unwrap();
+        let good = probe.raw().unwrap();
+        let mut unending = b"W ".to_vec();
+        unending.resize(MAX_HEADER, b'1');
+        let mut terminated = good.clone();
+        terminated.extend_from_slice(&good);
+        *terminated.last_mut().unwrap() = b'x';
+        for tail in [
+            b"garbage".to_vec(),
+            b"X 1 1 1\nx\n".to_vec(),
+            b"W 1 0 2\nab".to_vec().into_iter().chain(*b"!").collect(),
+            terminated[good.len()..].to_vec(),
+            unending,
+        ] {
+            let mut bytes = good.clone();
+            bytes.extend_from_slice(&tail);
+            std::fs::write(&path, &bytes).unwrap();
+            match Wal::file(&path) {
+                Err(WalError::Corrupt { message }) => {
+                    assert!(
+                        message.contains(&format!("offset {}", good.len())),
+                        "{message}"
+                    )
+                }
+                other => panic!("{tail:?} opened: {:?}", other.map(|w| w.len_bytes())),
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "the file is untouched"
+            );
+            // Recovery still reads the prefix.
+            assert_eq!(decode_log(&bytes).unwrap(), vec![sample_record(1)]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

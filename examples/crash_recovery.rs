@@ -1,5 +1,6 @@
 //! Durability demonstration (§3.2): commit through a file-backed WAL,
-//! crash at an arbitrary byte position mid-commit, and recover.
+//! crash at an arbitrary byte position mid-commit, recover, restart and
+//! commit again, and recover once more.
 //!
 //! "Writing the WAL is the crucial stage in transaction commit, it
 //! consists of a single I/O. … In case of a crash during commit … all
@@ -94,6 +95,39 @@ fn main() {
         .contains("doomed"));
     println!("the torn transaction left no trace — atomicity held.");
 
+    // Phase 2b: restart and keep committing. Reopening the log cuts the
+    // torn record off, so the next commit lands right behind the last
+    // complete one — not behind bytes the next recovery would stop at.
+    let torn_len = wal_bytes.len();
+    let recovered = {
+        let wal = Wal::file(&wal_path).expect("reopen wal");
+        println!(
+            "\nreopened: {} torn bytes cut, appending at byte {}",
+            torn_len - wal.len_bytes(),
+            wal.len_bytes()
+        );
+        assert!(wal.len_bytes() < torn_len, "the torn tail is gone");
+        let store = Shard::open(recovered, wal, StoreConfig::default());
+        let mut t = store.begin();
+        let accounts = t
+            .select(&XPath::parse("/ledger/accounts").unwrap())
+            .unwrap();
+        let frag = Document::parse_fragment("<account id=\"after\"/>").unwrap();
+        t.insert(InsertPosition::LastChildOf(accounts[0]), &frag)
+            .unwrap();
+        t.commit().expect("commit after the restart");
+        println!("txn 4 committed after the restart");
+        store.into_parts().0
+    };
+    let wal_bytes = std::fs::read(&wal_path).expect("wal survives");
+    let again = recover(CHECKPOINT, cfg, &wal_bytes).expect("second recovery");
+    assert_eq!(
+        mbxq_storage::serialize::to_xml(&again).unwrap(),
+        mbxq_storage::serialize::to_xml(&recovered).unwrap(),
+        "the commit acknowledged after the restart survives the next one"
+    );
+    println!("a second restart recovers txn 4 too.");
+
     // Phase 3: checkpoint. The WAL would otherwise grow (and recovery
     // replay) without bound; `Shard::checkpoint` serializes the current
     // version into the log and truncates everything before it, and
@@ -124,7 +158,7 @@ fn main() {
     let recovered = recover(CHECKPOINT, cfg, &wal_bytes).expect("recovery from checkpoint");
     mbxq_storage::invariants::check_paged(&recovered).expect("consistent after checkpoint");
     let xml = mbxq_storage::serialize::to_xml(&recovered).unwrap();
-    assert!(!xml.contains("gen0") && xml.contains("gen1"));
+    assert!(!xml.contains("gen0") && xml.contains("gen1") && xml.contains("after"));
     println!("recovery resumed from the checkpoint: {xml}");
 
     let _ = std::fs::remove_file(&wal_path);

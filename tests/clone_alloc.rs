@@ -4,8 +4,9 @@
 //! A commit builds its new version by cloning the current one, so the
 //! clone is on every commit's path. The pages, the columns beside them,
 //! the value pool and the name and content indexes are all copy-on-write
-//! directories: a clone allocates one vector of chunk pointers per
-//! table, however many values were interned and postings added or
+//! directories whose clone shares them: a clone allocates only the two
+//! vectors of the `PageMap` (the logical order and the `pageOffset`
+//! table), however many values were interned and postings added or
 //! removed since the document was loaded. A side table that kept a
 //! private log of its changes since some maintenance point would copy
 //! that log into every clone; this test counts the allocations of one

@@ -139,7 +139,8 @@ fn check_seed(seed: u64, writers: usize, sections: usize) {
 
     // The oracle: replay the WAL's commit records single-threaded, in
     // log order, onto a fresh shredding of the genesis document.
-    let records = mbxq_txn::wal::decode_log(&store.wal_raw().unwrap()).unwrap();
+    let raw = store.wal_raw().unwrap();
+    let records = mbxq_txn::wal::decode_log(&raw).unwrap();
     assert_eq!(
         records.len() as u64,
         committed,

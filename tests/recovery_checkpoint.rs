@@ -537,3 +537,113 @@ fn catalog_rejects_shuffled_shard_wals() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Appends one `<p id="{id}"/>` under `/root/s0` and commits.
+fn commit_p(shard: &Shard, id: &str) -> Result<(), mbxq_txn::TxnError> {
+    let mut t = shard.begin();
+    let s0 = t.select(&XPath::parse("/root/s0").unwrap()).unwrap()[0];
+    let frag = Document::parse_fragment(&format!("<p id=\"{id}\"/>")).unwrap();
+    t.insert(InsertPosition::LastChildOf(s0), &frag).unwrap();
+    t.commit().map(drop)
+}
+
+/// A crash tears a commit record of a durable catalog; the catalog is
+/// reopened and commits again, and that commit is acknowledged. The next
+/// reopen must still have it: the reopened log appends behind its
+/// decodable prefix, not behind the torn bytes that recovery stops at.
+#[test]
+fn a_commit_after_a_torn_tail_survives_the_next_reopen() {
+    use mbxq::{Catalog, CatalogConfig};
+
+    let config = CatalogConfig {
+        store: StoreConfig::default(),
+        page: cfg(),
+    };
+    let dir = std::env::temp_dir().join(format!("mbxq-torn-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let xml_of = |cat: &Catalog| {
+        let shard = cat.shard("d").unwrap();
+        mbxq_storage::serialize::to_xml(shard.snapshot().as_ref()).unwrap()
+    };
+    {
+        let cat = Catalog::open(&dir, config).unwrap();
+        let shard = cat.create_doc("d", GENESIS).unwrap();
+        commit_p(&shard, "a").unwrap();
+        // The next record is torn after 5 bytes.
+        shard.wal_crash_after_bytes(shard.wal_raw().unwrap().len() + 5);
+        assert!(commit_p(&shard, "torn").is_err());
+    }
+    {
+        let cat = Catalog::open(&dir, config).unwrap();
+        let xml = xml_of(&cat);
+        assert!(xml.contains("\"a\"") && !xml.contains("torn"), "{xml}");
+        commit_p(&cat.shard("d").unwrap(), "b").expect("acknowledged");
+    }
+    let cat = Catalog::open(&dir, config).unwrap();
+    let xml = xml_of(&cat);
+    assert!(
+        xml.contains("\"a\"") && xml.contains("\"b\""),
+        "an acknowledged commit was lost: {xml}"
+    );
+    drop(cat);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint pins a version and writes its dump with no lock held, so
+/// a commit that starts after the checkpoint began completes before the
+/// checkpoint returns, and lands in the new log behind the checkpoint.
+#[test]
+fn a_commit_completes_while_a_checkpoint_writes_its_dump() {
+    use mbxq_xmark::XMarkConfig;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    let xml = mbxq_xmark::generate(&XMarkConfig::scaled(0.05, 1));
+    let cfg = PageConfig::new(256, 80).unwrap();
+    let doc = PagedDoc::parse_str(&xml, cfg).unwrap();
+    let shard = Shard::open(doc, Wal::in_memory(), StoreConfig::default());
+    let (checkpointed, committed) = std::thread::scope(|s| {
+        let checkpoint = s.spawn(|| {
+            shard.checkpoint().unwrap();
+            Instant::now()
+        });
+        // The checkpoint has begun once it pins the current version: its
+        // pin is the one reference to the version's document besides the
+        // version itself and this probe.
+        loop {
+            let probe = shard.snapshot();
+            if Arc::strong_count(&probe) > 2 {
+                break;
+            }
+            assert!(
+                !checkpoint.is_finished(),
+                "the checkpoint returned before it was seen to begin"
+            );
+            drop(probe);
+            std::thread::yield_now();
+        }
+        let mut t = shard.begin();
+        let regions = t.select(&XPath::parse("/site/regions").unwrap()).unwrap()[0];
+        let frag = Document::parse_fragment("<during/>").unwrap();
+        t.insert(InsertPosition::LastChildOf(regions), &frag)
+            .unwrap();
+        t.commit().unwrap();
+        let committed = Instant::now();
+        (checkpoint.join().unwrap(), committed)
+    });
+    assert!(
+        committed < checkpointed,
+        "the commit waited for the checkpoint to return"
+    );
+    let raw = shard.wal_raw().unwrap();
+    let records = mbxq_txn::wal::decode_log(&raw).unwrap();
+    assert_eq!(records.len(), 2, "the checkpoint and the commit behind it");
+    assert!(matches!(
+        records[0],
+        mbxq_txn::wal::WalRecord::Checkpoint { .. }
+    ));
+    let recovered = recover("<unused/>", cfg, &raw).unwrap();
+    let live = mbxq_storage::serialize::to_xml(shard.snapshot().as_ref()).unwrap();
+    assert!(live.contains("<during/>"));
+    assert_eq!(mbxq_storage::serialize::to_xml(&recovered).unwrap(), live);
+}

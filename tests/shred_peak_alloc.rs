@@ -10,8 +10,11 @@
 //! loaded document keeps is bounded too: every string once, in the value
 //! pool, and the attributes found from their elements' slots. A
 //! checkpoint writes its dump and nothing else: the document's side
-//! tables need no maintenance, so the dump is its only document-sized
-//! transient.
+//! tables need no maintenance, and the dump streams straight into the
+//! log, so the log it writes is its only document-sized transient — the
+//! genesis checkpoint of a new document too. Recovery reads the dump in
+//! place in the log bytes, so it peaks at little more than the log and
+//! the document it builds.
 //!
 //! The binary holds this one test, under a counting global allocator
 //! that tracks live and peak-live bytes: another test running in parallel
@@ -19,6 +22,7 @@
 
 use mbxq_storage::serialize::to_xml;
 use mbxq_storage::{PageConfig, PagedDoc};
+use mbxq_txn::recover::recover_shard;
 use mbxq_txn::{Catalog, CatalogConfig};
 use mbxq_xmark::XMarkConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -41,16 +45,28 @@ const SERIALIZE_BOUND: f64 = 2.5;
 /// it was 7.19; with hash-map interners and per-key posting lists, 4.34.)
 const RETAINED_BOUND: f64 = 4.0;
 /// Peak live heap of `Catalog::create_partitioned` into three parts,
-/// over the text length: measured 5.55, plus 25 % headroom. (A
+/// over the text length: measured 5.47, plus 25 % headroom. (A
 /// whole-document tree and a cloned tree per part put it at 26.3; hash-map
-/// interners and per-key posting lists, 6.66.)
-const PARTITION_BOUND: f64 = 6.95;
+/// interners and per-key posting lists, 6.66; each part's genesis dump
+/// built as a string and copied into its log, 5.55.)
+const PARTITION_BOUND: f64 = 6.85;
 /// Peak live heap `Shard::checkpoint` adds on top of the document after a
 /// few commits, over the text length: measured 1.83 (the dump), plus
 /// 25 % headroom. (With the dump still live while compacted bases were
 /// rebuilt it was 5.10; with the dump grown by doubling, 2.75; with the
 /// bases rebuilt after the dump was freed, 1.96 to 2.35.)
 const CHECKPOINT_BOUND: f64 = 2.3;
+/// Peak live heap `Catalog::create_doc` reaches beyond the document it
+/// keeps, over the length of the log its genesis checkpoint writes:
+/// measured 1.28, the log buffer at the 32 bytes an entry it reserves,
+/// plus 25 % headroom. (With the dump built as a string and then copied
+/// into the log it was 1.99.)
+const GENESIS_BOUND: f64 = 1.6;
+/// Peak live heap of `recover_shard` with the raw log it reads, over
+/// the raw log plus the document it recovers: measured 1.15, plus 25 %
+/// headroom. (With the dump copied out of the log and a hash set of
+/// every node id it was 1.52.)
+const RECOVER_BOUND: f64 = 1.44;
 /// Peak live heap of writing the checkpoint dump, over the dump's length:
 /// measured 1.29, the 32 bytes an entry it reserves up front against the
 /// 24.7 it averages here. A dump that outgrew that buffer would double
@@ -129,8 +145,10 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     assert_eq!(parts.unwrap().len(), 3);
     let partition = partition as f64 / len;
 
-    catalog.create_doc("d", &xml).unwrap();
-    let shard = catalog.shard("d").unwrap();
+    let doc_bytes = retained * len;
+    let (shard, genesis) = peak_of(|| catalog.create_doc("d", &xml).unwrap());
+    let log_len = shard.wal_raw().unwrap().len() as f64;
+    let genesis = (genesis as f64 - doc_bytes) / log_len;
     for i in 0..8 {
         let mods = mbxq_xupdate::parse_modifications(&format!(
             "<xupdate:append select='/site/open_auctions/open_auction[@id=\"open_auction{i}\"]'>\
@@ -151,11 +169,25 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     let dump_peak = dump_peak as f64 / dump.len() as f64;
     drop((dump, snapshot));
 
+    let raw = shard.wal_raw().unwrap();
+    let before = LIVE.load(Relaxed);
+    let (recovered, recover) =
+        peak_of(|| recover_shard(CatalogConfig::default().page, &raw, Some("d")).unwrap());
+    let recovered_bytes = LIVE.load(Relaxed) - before;
+    assert_eq!(
+        to_xml(&recovered).unwrap(),
+        to_xml(shard.snapshot().as_ref()).unwrap()
+    );
+    let recover = (raw.len() + recover) as f64 / (raw.len() + recovered_bytes) as f64;
+    drop((recovered, raw));
+
     let (shred, serialize) = (shred as f64 / len, serialize as f64 / len);
     eprintln!(
         "XMark 0.05, {len} bytes: shred peak {shred:.2}x, serialize peak {serialize:.2}x, \
          retained {retained:.2}x, partitioned load peak {partition:.2}x, \
-         checkpoint peak {checkpoint:.2}x the text, dump peak {dump_peak:.2}x the dump"
+         checkpoint peak {checkpoint:.2}x the text, dump peak {dump_peak:.2}x the dump, \
+         genesis checkpoint {genesis:.2}x its log beyond the document, \
+         recovery peak {recover:.2}x the log and the document"
     );
     assert!(
         shred < SHRED_BOUND,
@@ -176,6 +208,15 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
     assert!(
         checkpoint < CHECKPOINT_BOUND,
         "a checkpoint peaked at {checkpoint:.2}x the text (bound {CHECKPOINT_BOUND}x)"
+    );
+    assert!(
+        genesis < GENESIS_BOUND,
+        "the genesis checkpoint peaked at {genesis:.2}x its log beyond the document \
+         (bound {GENESIS_BOUND}x)"
+    );
+    assert!(
+        recover < RECOVER_BOUND,
+        "recovery peaked at {recover:.2}x the log and the document (bound {RECOVER_BOUND}x)"
     );
     assert!(
         dump_peak < DUMP_BOUND,

@@ -164,9 +164,13 @@ fn paged_equals_naive_under_random_updates() {
         // Vacuum drops the dead and unreached attribute rows; a
         // checkpoint reload rebuilds the runs from the dump.
         up.vacuum().expect("vacuum");
-        let reloaded =
-            PagedDoc::from_checkpoint_dump(&up.checkpoint_dump(), cfg, up.node_alloc_end())
-                .expect("checkpoint reload");
+        let reloaded = PagedDoc::from_checkpoint_dump(
+            &up.checkpoint_dump(),
+            cfg,
+            up.node_alloc_end(),
+            up.used_count(),
+        )
+        .expect("checkpoint reload");
         for doc in [&up, &reloaded] {
             mbxq_storage::invariants::check_paged(doc).expect("invariants hold");
             assert_eq!(to_xml(doc).unwrap(), to_xml(&nv).unwrap(), "case {case}");
@@ -279,6 +283,7 @@ fn summaries_equal_default_walks() {
                         &up.checkpoint_dump(),
                         cfg,
                         up.node_alloc_end(),
+                        up.used_count(),
                     )
                     .expect("checkpoint reload");
                 }
