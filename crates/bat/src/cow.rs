@@ -27,14 +27,19 @@
 //!
 //! [`CowVec`] is a column of values on this directory, its leaves
 //! `Arc<[T]>` pages of a power-of-two number of values (the `node→pos`
-//! map, the attribute table, the interners' values and lookup tables).
+//! map, the level-summary column, the attribute table, the interners'
+//! values, spans and lookup tables); a writer that fills many values of
+//! one page privatises it once through [`CowVec::page_mut`].
 //! [`CowSorted`] is a sorted sequence on it, its leaves `Arc<[T]>` runs
-//! of variable length (the indexes' posting lists). The document's base
+//! of variable length (the indexes' posting lists); an insert or a
+//! removal returns the [`Cursor`] it wrote at, so the caller can look
+//! at the neighbours without a second search. The document's base
 //! table puts its own page type (one allocation per logical page,
-//! `mbxq-storage`'s `Page`) in a `CowDir` directly. Every per-version
-//! table of a document is one of these three, so a version's clone, its
-//! commit and its drop cost the chunks and leaves it shares or writes,
-//! whatever the document's history.
+//! `mbxq-storage`'s `Page`) in a `CowDir` directly, and so does the
+//! string table its byte pages. Every per-version table of a document
+//! is one of these three, so a version's clone, its commit and its drop
+//! cost the chunks and leaves it shares or writes, whatever the
+//! document's history.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -346,6 +351,83 @@ impl<T: Clone> CowVec<T> {
         }
     }
 
+    /// Inserts `value` at index `at`, shifting the values behind it one
+    /// place on: every page from `at`'s on is written (privatised on
+    /// first touch), O(len − at).
+    ///
+    /// # Panics
+    /// Panics if `at > len`.
+    pub fn insert(&mut self, at: usize, value: T) {
+        assert!(at <= self.len, "insert at {at} past the end ({})", self.len);
+        self.push(value.clone());
+        // Each page rotates its tail one place on, taking the value the
+        // page before pushed out; the last page's freshly pushed slot
+        // falls out at the end.
+        let mut carry = value;
+        for p in at >> self.shift..self.pages.len() {
+            let from = if p == at >> self.shift {
+                at & self.mask
+            } else {
+                0
+            };
+            let values = &mut self.page_mut(p)[from..];
+            values.rotate_right(1);
+            std::mem::swap(&mut values[0], &mut carry);
+        }
+    }
+
+    /// Values per page.
+    pub fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    /// The values of page `p`, writable: the page (and its chunk) is
+    /// privatised once, however many of its values the caller then
+    /// writes, where [`IndexMut`] privatises per value.
+    ///
+    /// # Panics
+    /// Panics if page `p` does not exist.
+    pub fn page_mut(&mut self, p: usize) -> &mut [T] {
+        assert!(p < self.pages.len(), "page {p} out of bounds");
+        let end = (self.len - (p << self.shift)).min(self.page_size);
+        &mut Arc::make_mut(self.pages.leaf_mut(p))[..end]
+    }
+
+    /// The values of page `p` (up to the column's end).
+    fn page(&self, p: usize) -> &[T] {
+        let end = (self.len - (p << self.shift)).min(self.page_size);
+        &self.pages[p][..end]
+    }
+
+    /// Index of the first value at or after `from` that `hit` holds for,
+    /// scanning a page's slice a block of values at a time (`hit` must be
+    /// a plain test, since it may be asked twice about a value).
+    pub fn position_from(&self, from: usize, mut hit: impl FnMut(&T) -> bool) -> Option<usize> {
+        let mut skip = from & self.mask;
+        for p in from >> self.shift..self.pages.len() {
+            if let Some(i) = first_hit(self.page(p).get(skip..)?, &mut hit) {
+                return Some((p << self.shift) + skip + i);
+            }
+            skip = 0;
+        }
+        None
+    }
+
+    /// Index of the last value before `end` (at most `len`) that `hit`
+    /// holds for, scanning a page's slice at a time like
+    /// [`CowVec::position_from`].
+    pub fn rposition_before(&self, end: usize, mut hit: impl FnMut(&T) -> bool) -> Option<usize> {
+        let end = end.min(self.len);
+        let mut take = end - (end.checked_sub(1)? & !self.mask);
+        for p in (0..=(end - 1) >> self.shift).rev() {
+            if let Some(i) = last_hit(&self.page(p)[..take], &mut hit) {
+                return Some((p << self.shift) + i);
+            }
+            take = self.page_size;
+        }
+        None
+    }
+
     /// Iterates the values in index order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         self.pages.iter().flatten().take(self.len)
@@ -374,6 +456,40 @@ impl<T: Clone> IndexMut<usize> for CowVec<T> {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         &mut Arc::make_mut(self.pages.leaf_mut(i >> self.shift))[i & self.mask]
     }
+}
+
+/// Values a scan tests as one block: the test of a block has no early
+/// exit, so for a plain comparison it compiles to a few vector
+/// compares, and only a block that holds a hit is searched value by
+/// value.
+const SCAN_BLOCK: usize = 16;
+
+/// Index of the first of `values` that `hit` holds for, a block at a
+/// time.
+fn first_hit<T>(values: &[T], hit: &mut impl FnMut(&T) -> bool) -> Option<usize> {
+    let blocks = values.chunks_exact(SCAN_BLOCK);
+    let tail = blocks.remainder();
+    for (b, block) in blocks.enumerate() {
+        if block.iter().fold(false, |any, v| any | hit(v)) {
+            return block.iter().position(hit).map(|i| b * SCAN_BLOCK + i);
+        }
+    }
+    let at = values.len() - tail.len();
+    tail.iter().position(hit).map(|i| at + i)
+}
+
+/// Index of the last of `values` that `hit` holds for, a block at a
+/// time from the end.
+fn last_hit<T>(values: &[T], hit: &mut impl FnMut(&T) -> bool) -> Option<usize> {
+    let blocks = values.rchunks_exact(SCAN_BLOCK);
+    let head = blocks.remainder();
+    for (b, block) in blocks.enumerate() {
+        if block.iter().fold(false, |any, v| any | hit(v)) {
+            let start = values.len() - (b + 1) * SCAN_BLOCK;
+            return block.iter().rposition(hit).map(|i| start + i);
+        }
+    }
+    head.iter().rposition(hit)
 }
 
 /// A sorted sequence of `T` on a [`CowDir`] of variable-length leaves:
@@ -476,12 +592,33 @@ impl<T: Copy> CowSorted<T> {
         }
     }
 
+    /// The entry at `at`, or `None` at the end.
+    pub fn get(&self, at: Cursor) -> Option<&T> {
+        let leaf = self.leaves.get(at.leaf)?;
+        match leaf.get(at.at) {
+            Some(entry) => Some(entry),
+            None => self.leaves.get(at.leaf + 1).map(|next| &next[0]),
+        }
+    }
+
+    /// The entry before `at`, or `None` at the start.
+    pub fn prev(&self, at: Cursor) -> Option<&T> {
+        match at.at.checked_sub(1) {
+            Some(i) => self.leaves.get(at.leaf).map(|leaf| &leaf[i]),
+            None => self
+                .leaves
+                .get(at.leaf.checked_sub(1)?)
+                .map(|leaf| &leaf[leaf.len() - 1]),
+        }
+    }
+
     /// Inserts `value` at its lower bound under `before` (behind every
-    /// entry `before` holds for).
-    pub fn insert(&mut self, value: T, before: impl FnMut(&T) -> bool) {
+    /// entry `before` holds for). Returns where it now sits.
+    pub fn insert(&mut self, value: T, before: impl FnMut(&T) -> bool) -> Cursor {
         let Cursor { mut leaf, mut at } = self.lower_bound(before);
         if self.leaves.is_empty() {
-            return self.leaves.push(Arc::from([value]));
+            self.leaves.push(Arc::from([value]));
+            return Cursor { leaf: 0, at: 0 };
         }
         if leaf == self.leaves.len() {
             leaf -= 1;
@@ -491,33 +628,62 @@ impl<T: Copy> CowSorted<T> {
         let parts = [&old[..at], std::slice::from_ref(&value), &old[at..]];
         if old.len() < 2 * self.leaf_size {
             *self.leaves.leaf_mut(leaf) = concat(&parts);
-        } else {
-            let grown = parts.concat();
-            let (left, right) = grown.split_at(grown.len() / 2);
-            *self.leaves.leaf_mut(leaf) = Arc::from(left);
-            self.leaves.insert(leaf + 1, Arc::from(right));
+            return Cursor { leaf, at };
+        }
+        let grown = parts.concat();
+        let (left, right) = grown.split_at(grown.len() / 2);
+        *self.leaves.leaf_mut(leaf) = Arc::from(left);
+        self.leaves.insert(leaf + 1, Arc::from(right));
+        match at.checked_sub(left.len()) {
+            None => Cursor { leaf, at },
+            Some(at) => Cursor { leaf: leaf + 1, at },
         }
     }
 
     /// Removes the entry equal to `value` at its lower bound under
-    /// `before`. Returns whether there was one.
-    pub fn remove(&mut self, value: &T, before: impl FnMut(&T) -> bool) -> bool
+    /// `before`. Returns where it sat — now the position of the entry
+    /// behind it — or `None` if there was none.
+    pub fn remove(&mut self, value: &T, before: impl FnMut(&T) -> bool) -> Option<Cursor>
     where
         T: PartialEq,
     {
         let Cursor { leaf, at } = self.lower_bound(before);
-        let Some(old) = self.leaves.get(leaf) else {
-            return false;
-        };
+        let old = self.leaves.get(leaf)?;
         if old[at] != *value {
-            return false;
+            return None;
         }
         if old.len() == 1 {
             self.leaves.remove(leaf);
         } else {
             *self.leaves.leaf_mut(leaf) = concat(&[&old[..at], &old[at + 1..]]);
         }
-        true
+        Some(Cursor { leaf, at })
+    }
+
+    /// Length of the run around the entry at `at`: the entries that
+    /// `before` (which holds for a prefix, ending before the run) fails
+    /// for and `through` (which holds for a longer prefix, ending with
+    /// the run) holds for. Found inside `at`'s leaf, plus one search
+    /// for each end of the run that lies outside it.
+    pub fn run_len(
+        &self,
+        at: Cursor,
+        mut before: impl FnMut(&T) -> bool,
+        mut through: impl FnMut(&T) -> bool,
+    ) -> usize {
+        let leaf = &self.leaves[at.leaf];
+        let start = leaf[..at.at].partition_point(&mut before);
+        let end = at.at + leaf[at.at..].partition_point(&mut through);
+        let mut run = end - start;
+        if start == 0 && self.prev(at_start(at.leaf)).is_some_and(|e| !before(e)) {
+            let from = self.lower_bound(&mut before);
+            run += self.count_between(from, at_start(at.leaf));
+        }
+        if end == leaf.len() && self.get(at_start(at.leaf + 1)).is_some_and(&mut through) {
+            let to = self.lower_bound(&mut through);
+            run += self.count_between(at_start(at.leaf + 1), to);
+        }
+        run
     }
 
     /// Number of leaves physically shared (same allocation, same index)
@@ -525,6 +691,11 @@ impl<T: Copy> CowSorted<T> {
     pub fn shared_leaves_with(&self, other: &CowSorted<T>) -> usize {
         self.leaves.shared_leaves_with(&other.leaves)
     }
+}
+
+/// The first position of leaf `leaf`.
+fn at_start(leaf: usize) -> Cursor {
+    Cursor { leaf, at: 0 }
 }
 
 /// A leaf holding `parts` end to end: one allocation, one copy a part —
@@ -644,6 +815,115 @@ mod tests {
     }
 
     #[test]
+    fn an_insert_shifts_the_values_behind_it_and_shares_the_pages_before() {
+        let mut v = CowVec::new(4);
+        for i in 0..10u32 {
+            v.push(i);
+        }
+        let base = v.clone();
+        v.insert(5, 99);
+        assert_eq!(
+            v.iter().copied().collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 99, 5, 6, 7, 8, 9]
+        );
+        assert_eq!(v.shared_pages_with(&base), 1, "page 0 stays shared");
+        v.insert(11, 7); // at the end, opening a page
+        v.insert(0, 5);
+        assert_eq!(v.len(), 13);
+        assert_eq!((v[0], v[1], v[6], v[12]), (5, 0, 99, 7));
+        assert_eq!(base.iter().count(), 10, "the clone never sees an insert");
+    }
+
+    #[test]
+    fn scans_cross_pages_and_stop_at_the_bounds() {
+        let mut v = CowVec::new(4);
+        for x in [5u16, 9, 9, 9, 9, 9, 2, 9, 9, 1] {
+            v.push(x);
+        }
+        let low = |x: &u16| *x < 5;
+        assert_eq!(v.position_from(0, low), Some(6));
+        assert_eq!(v.position_from(7, low), Some(9));
+        assert_eq!(v.position_from(10, low), None);
+        assert_eq!(v.rposition_before(10, low), Some(9));
+        assert_eq!(v.rposition_before(9, low), Some(6));
+        assert_eq!(v.rposition_before(6, low), None);
+        assert_eq!(v.rposition_before(99, |x| *x == 5), Some(0));
+        assert_eq!(v.rposition_before(0, |_| true), None);
+    }
+
+    /// The block-at-a-time scans find what a value-by-value scan finds,
+    /// for every start and end, across page and block boundaries.
+    #[test]
+    fn block_scans_equal_value_by_value_scans() {
+        let mut v = CowVec::new(64);
+        let mut x = 5u32;
+        for _ in 0..300 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            v.push((x >> 16) as u16 % 50);
+        }
+        let all: Vec<u16> = v.iter().copied().collect();
+        for below in [0, 1, 3, 20] {
+            let hit = |l: &u16| *l < below;
+            for at in 0..=all.len() + 1 {
+                let first = all.get(at..).and_then(|t| t.iter().position(hit));
+                assert_eq!(
+                    v.position_from(at, hit),
+                    first.map(|i| at + i),
+                    "{below} from {at}"
+                );
+                let last = all[..at.min(all.len())].iter().rposition(hit);
+                assert_eq!(v.rposition_before(at, hit), last, "{below} before {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn page_mut_privatises_its_page_once() {
+        let mut v = filled(4, 10, 0u8);
+        let base = v.clone();
+        let page = v.page_mut(1);
+        page.copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(v.shared_pages_with(&base), 2);
+        assert_eq!(v.page_mut(2).len(), 2, "the last page ends at the length");
+        assert_eq!(
+            v.iter().copied().collect::<Vec<_>>(),
+            [0, 0, 0, 0, 1, 2, 3, 4, 0, 0]
+        );
+        assert_eq!(base[5], 0);
+    }
+
+    /// The cursor a write returns names the entry it wrote, or the one
+    /// behind the entry it removed, across leaf splits and drops; the
+    /// run around it is counted exactly wherever its ends lie.
+    #[test]
+    fn writes_return_their_cursor_and_runs_count_around_it() {
+        // Keys `x / 10`: runs of ten, in leaves of three to six.
+        let mut s = CowSorted::from_sorted(3, &(0..60u32).collect::<Vec<_>>());
+        let key = |x: u32| x / 10;
+        let run = |s: &CowSorted<u32>, at, k| s.run_len(at, |e| key(*e) < k, |e| key(*e) <= k);
+        for x in [0, 17, 35, 59, 25, 26, 27, 28] {
+            let at = s.insert(x, |&e| e < x);
+            assert_eq!(s.get(at), Some(&x));
+            let want = s.iter().filter(|&e| key(e) == key(x)).count();
+            assert_eq!(run(&s, at, key(x)), want, "run of {x}");
+        }
+        for x in [0, 0, 17, 59, 20] {
+            let at = s.remove(&x, |&e| e < x).unwrap();
+            let behind = s.iter().find(|&e| e >= x);
+            assert_eq!(s.get(at).copied(), behind, "behind {x}");
+            let ahead = s.iter().filter(|&e| e < x).last();
+            assert_eq!(s.prev(at).copied(), ahead, "ahead of {x}");
+        }
+        // A run of one, and a removal that empties a one-entry leaf.
+        let mut t = CowSorted::from_sorted(1, &[1u32, 2, 3]);
+        let at = t.remove(&2, |&e| e < 2).unwrap();
+        assert_eq!((t.prev(at), t.get(at)), (Some(&1), Some(&3)));
+        let at = t.insert(7, |&e| e < 7);
+        assert_eq!(t.run_len(at, |&e| e < 7, |&e| e <= 7), 1);
+        assert_eq!((t.prev(at), t.get(at)), (Some(&3), Some(&7)));
+    }
+
+    #[test]
     fn a_clone_shares_every_chunk_and_copies_no_leaf() {
         let a = dir(3 * FANOUT + 5);
         let b = a.clone();
@@ -744,7 +1024,11 @@ mod tests {
             x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345) % 200;
             let present = want.binary_search(&x);
             if step % 3 == 0 {
-                assert_eq!(s.remove(&x, |&e| e < x), present.is_ok(), "remove {x}");
+                assert_eq!(
+                    s.remove(&x, |&e| e < x).is_some(),
+                    present.is_ok(),
+                    "remove {x}"
+                );
                 if let Ok(i) = present {
                     want.remove(i);
                 }
@@ -775,9 +1059,9 @@ mod tests {
         assert_eq!(s.shared_leaves_with(&base), 16);
         s.insert(21, |&e| e < 21); // into leaf 5
         assert_eq!(s.shared_leaves_with(&base), 15);
-        assert!(s.remove(&40, |&e| e < 40));
+        assert!(s.remove(&40, |&e| e < 40).is_some());
         assert_eq!(s.shared_leaves_with(&base), 14);
-        assert!(!s.remove(&999, |&e| e < 999));
+        assert!(s.remove(&999, |&e| e < 999).is_none());
         assert!(CowSorted::<u8>::new(4)
             .runs_from(Cursor { leaf: 0, at: 0 })
             .next()

@@ -20,7 +20,7 @@
 //! a WAL streams it straight into the log it is building, so no
 //! document-sized string of the dump exists on the way.
 
-use crate::page::{checked_level, narrow, Tuple, NO_NAME, NO_POS};
+use crate::page::{checked_level, narrow, Tuple, NO_NAME};
 use crate::paged::PagedDoc;
 use crate::types::{Kind, PageConfig, StorageError};
 use crate::values::QnId;
@@ -206,10 +206,10 @@ impl PagedDoc {
     ) -> Result<Self> {
         let mut doc = Self::empty(cfg)?;
         // `node→pos` over the full checkpointed id space, every entry
-        // NULL. A staged tuple claims its id's entry, which is how a
-        // repeated id is caught; the layout below overwrites each claim
-        // with the tuple's position.
+        // NULL until the layout below places the tuples. A staged tuple
+        // claims its id's bit, which is how a repeated id is caught.
         doc.reserve_node_ids(alloc_end)?;
+        let mut claimed = vec![0u64; doc.node_alloc_end().div_ceil(64) as usize];
         // An entry takes at least 9 bytes (`E 0 0 0: `), which caps what
         // a wrong count can make this reserve.
         let capacity = usize::try_from(tuples).unwrap_or(usize::MAX);
@@ -281,11 +281,11 @@ impl PagedDoc {
                     "checkpoint node id {node} beyond allocation point {alloc_end}"
                 )));
             }
-            let claim = &mut doc.node_pos[node as usize];
-            if *claim != NO_POS {
+            let (word, bit) = (&mut claimed[node as usize / 64], 1 << (node % 64));
+            if *word & bit != 0 {
                 return Err(bad(format!("checkpoint node id {node} duplicated")));
             }
-            *claim = 0;
+            *word |= bit;
             staged.push(Tuple {
                 size: 0,
                 level,

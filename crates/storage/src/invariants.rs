@@ -21,8 +21,9 @@ use crate::Result;
 ///   byte), and unused slots carry no node id;
 /// * unused runs are encoded exactly (forward lengths and backward
 ///   indexes), never crossing page boundaries;
-/// * every page's level summary equals the minimum level of its used
-///   slots (NULL for a page without any);
+/// * the level-summary column holds one entry per page, and each equals
+///   the minimum level of its page's used slots (NULL for a page without
+///   any);
 /// * `used_count` matches the used slots;
 /// * `node→pos` and the `node` column are inverse on live nodes, and no
 ///   two slots share a node id;
@@ -49,6 +50,13 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
             doc.map.num_pages()
         )));
     }
+    if doc.min_levels.len() != doc.pages.len() {
+        return Err(corrupt(format!(
+            "{} pages stored but the summary column covers {}",
+            doc.pages.len(),
+            doc.min_levels.len()
+        )));
+    }
 
     // Per-page state: liveness agreement, run encodings and level
     // summaries (physical order is fine here); node→pos bijectivity on
@@ -65,10 +73,10 @@ pub fn check_paged(doc: &PagedDoc) -> Result<()> {
         }
         let (levels, kinds) = (page.levels(), page.kinds());
         let min_level = levels.iter().copied().min().unwrap_or(NULL_LEVEL);
-        if page.min_level() != min_level {
+        let summary = doc.min_levels[doc.logical(phys)];
+        if summary != min_level {
             return Err(corrupt(format!(
-                "page {phys}: level summary {} (expected {min_level})",
-                page.min_level()
+                "page {phys}: level summary {summary} (expected {min_level})"
             )));
         }
         let mut i = 0;
@@ -553,6 +561,19 @@ mod tests {
         assert!(matches!(
             check_paged(&d),
             Err(StorageError::Corrupt { message }) if message.contains("level summary")
+        ));
+    }
+
+    #[test]
+    fn detects_a_stale_summary_column_entry() {
+        let mut d = PagedDoc::parse_str(PAPER_DOC, PageConfig::new(8, 88).unwrap()).unwrap();
+        check_paged(&d).unwrap();
+        // Page 1 holds h (level 2), i and j (level 3): a summary of 3
+        // would let a parent walk skip h.
+        d.min_levels[1] = 3;
+        assert!(matches!(
+            check_paged(&d),
+            Err(StorageError::Corrupt { message }) if message == "page 1: level summary 3 (expected 2)"
         ));
     }
 

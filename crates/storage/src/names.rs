@@ -31,7 +31,7 @@
 //! them before clearing their slots.
 
 use crate::values::QnId;
-use mbxq_bat::{CowSorted, CowVec};
+use mbxq_bat::{CowSorted, CowVec, Cursor};
 use std::cmp::Ordering;
 
 /// Entries per leaf of the posting sequences (a leaf splits at twice
@@ -124,25 +124,43 @@ impl DocOrdered {
         }
     }
 
-    /// Adds `posting`, whose node is placed.
-    pub(crate) fn add(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) {
+    /// Adds `posting`, whose node is placed. Returns where it sits.
+    pub(crate) fn add(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) -> Cursor {
         let pre = pre_of(posting.node.into()).expect("a posted node is placed");
-        self.seq
+        let at = self
+            .seq
             .insert(posting, Self::before(posting.key(), pre, pre_of));
         *per_name(&mut self.named, posting.qn) += 1;
+        at
     }
 
-    /// Removes `posting`, whose node is still placed. Returns whether it
-    /// was there.
-    pub(crate) fn remove(&mut self, posting: Posting, pre_of: impl Fn(u64) -> Option<u64>) -> bool {
-        let Some(pre) = pre_of(posting.node.into()) else {
-            return false;
-        };
+    /// Removes `posting`, whose node is still placed. Returns where it
+    /// sat, or `None` if it was not there.
+    pub(crate) fn remove(
+        &mut self,
+        posting: Posting,
+        pre_of: impl Fn(u64) -> Option<u64>,
+    ) -> Option<Cursor> {
+        let pre = pre_of(posting.node.into())?;
         let removed = self
             .seq
             .remove(&posting, Self::before(posting.key(), pre, pre_of));
-        *per_name(&mut self.named, posting.qn) -= u64::from(removed);
+        *per_name(&mut self.named, posting.qn) -= u64::from(removed.is_some());
         removed
+    }
+
+    /// Number of postings under `key` when one of them sits at `at`:
+    /// counted from `at`'s leaf, with one key-only search for each end
+    /// of the run beyond it.
+    pub(crate) fn run_at(&self, at: Cursor, key: (QnId, u32)) -> u64 {
+        self.seq.run_len(at, |e| e.key() < key, |e| e.key() <= key) as u64
+    }
+
+    /// Whether a posting under `key` sits next to position `at` — after
+    /// a removal there, whether the key still has postings.
+    pub(crate) fn key_next_to(&self, at: Cursor, key: (QnId, u32)) -> bool {
+        let under_key = |e: &Posting| e.key() == key;
+        self.seq.prev(at).is_some_and(under_key) || self.seq.get(at).is_some_and(under_key)
     }
 
     /// Number of postings under name `qn`, whatever their value: O(1).
@@ -221,7 +239,7 @@ mod tests {
     /// Postings added after the bulk build merge into document order
     /// with the built ones.
     #[test]
-    fn base_plus_delta_merge_in_pre_order() {
+    fn added_postings_merge_into_document_order() {
         let mut idx = index(&[(1, 2), (1, 7), (1, 9)]);
         // Node 20 sits at pre 5 in this mapping.
         let pre_of = |n: u64| Some(if n == 20 { 5 } else { n });
@@ -233,13 +251,16 @@ mod tests {
     /// Removing a built posting and an added one leaves exactly the
     /// rest; a posting that is not there is not removed.
     #[test]
-    fn removal_tombstones_base_and_cancels_added() {
+    fn removing_built_and_added_postings_leaves_the_rest() {
         let mut idx = index(&[(0, 1), (0, 3), (2, 4)]);
         idx.add(named(0, 10), ident);
-        assert!(idx.remove(named(0, 10), ident));
-        assert!(idx.remove(named(0, 1), ident));
-        assert!(!idx.remove(named(0, 1), ident));
-        assert!(!idx.remove(named(2, 3), ident), "the name must match too");
+        assert!(idx.remove(named(0, 10), ident).is_some());
+        assert!(idx.remove(named(0, 1), ident).is_some());
+        assert!(idx.remove(named(0, 1), ident).is_none());
+        assert!(
+            idx.remove(named(2, 3), ident).is_none(),
+            "the name must match too"
+        );
         assert_eq!(idx.pres((QnId(0), 0), ident), vec![3]);
         assert_eq!((idx.count((QnId(0), 0)), idx.count((QnId(2), 0))), (1, 1));
     }
@@ -254,7 +275,7 @@ mod tests {
         let mut idx = index(&postings);
         // Removed nodes (deleted or renamed away) leave the sequence.
         for n in (8..20).chain([0, 25, 39]) {
-            assert!(idx.remove(named(1, n), |n| Some(n * 3)));
+            assert!(idx.remove(named(1, n), |n| Some(n * 3)).is_some());
         }
         let pre_of = |n: u64| match n {
             100 => Some(45),
@@ -280,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_base() {
+    fn a_clone_shares_every_leaf_until_a_write() {
         let postings: Vec<(u32, u64)> = (0..10 * LEAF as u64).map(|n| (n as u32 % 5, n)).collect();
         let idx = index(&postings);
         let mut snap = idx.clone();

@@ -2,11 +2,11 @@
 //!
 //! A [`Page`] owns every column of the `pos/size/level/node` table for
 //! exactly one logical page, as a struct of arrays in **one allocation**
-//! — the reference counts, a two-word header and the six columns are a
+//! — the reference counts, a one-word header and the six columns are a
 //! single `Arc<[u32]>`-shaped block:
 //!
 //! ```text
-//! [min_level, slots | size × n | name × n | value × n | node × n | level × n (u16) | kind × n (u8)]
+//! [slots | size × n | name × n | value × n | node × n | level × n (u16) | kind × n (u8)]
 //! ```
 //!
 //! 19 bytes per slot. The columns are as narrow as a shard can address:
@@ -18,10 +18,13 @@
 //! so a batch kernel comparing kind bytes needs no separate liveness
 //! column. `value` holds a non-element's content (its id in the value
 //! pool's string table) and an element's first attribute row
-//! (`NO_NAME` for none; see [`crate::paged`]). The header carries the
-//! page's **level summary**: the minimum of the `level` column, which
-//! (NULL being the largest value) is the minimum level of the used
-//! slots, or NULL for a page without any.
+//! (`NO_NAME` for none; see [`crate::paged`]). The page's **level
+//! summary** — the minimum of the `level` column, which (NULL being the
+//! largest value) is the minimum level of the used slots, or NULL for a
+//! page without any — is computed by `Page::rebuild_runs` but kept
+//! outside the page, in the document's summary column, so that a walk
+//! over many pages' summaries reads one small column and not one
+//! allocation per page.
 //!
 //! Because unused slots are NULL in `level`, "first slot with
 //! `level <= l`" is a plain scan of the column for every real level `l`
@@ -29,6 +32,7 @@
 
 use crate::types::{Kind, StorageError};
 use crate::Result;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// `level` of an unused slot (the paper's `level = NULL`).
@@ -85,9 +89,8 @@ pub(crate) struct Tuple {
     pub node: u32,
 }
 
-/// Header words in front of the columns: `[min_level, slots]`; the
-/// summary is the first `u16` lane of its word.
-const HEADER: usize = 2;
+/// Header words in front of the columns: `[slots]`.
+const HEADER: usize = 1;
 
 /// Integer lanes narrower than a word that a run of words can be viewed
 /// as (private, so no other type can implement it).
@@ -113,13 +116,25 @@ fn lanes_mut<T: Lane>(words: &mut [u32]) -> &mut [T] {
 
 /// All columns of one page, mutably and at once.
 pub(crate) struct ColsMut<'a> {
-    min_level: &'a mut u16,
     pub sizes: &'a mut [u32],
     pub names: &'a mut [u32],
     pub values: &'a mut [u32],
     pub nodes: &'a mut [u32],
     pub levels: &'a mut [u16],
     pub kinds: &'a mut [u8],
+}
+
+impl ColsMut<'_> {
+    /// Writes a staged tuple into slot `i`. [`Page::rebuild_runs`] must
+    /// follow before the page is read again.
+    pub(crate) fn write(&mut self, i: usize, t: &Tuple) {
+        self.sizes[i] = t.size;
+        self.names[i] = t.name;
+        self.values[i] = t.value;
+        self.nodes[i] = t.node;
+        self.levels[i] = t.level;
+        self.kinds[i] = t.kind as u8;
+    }
 }
 
 /// One logical page: header + six columns in one block (module docs).
@@ -130,7 +145,6 @@ impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Page")
             .field("slots", &self.slots())
-            .field("min_level", &self.min_level())
             .field("free", &self.free())
             .finish()
     }
@@ -153,9 +167,9 @@ impl Page {
         let len = HEADER + 4 * slots + slots / 2 + slots / 4;
         let mut page = Page::from_words(std::iter::repeat_n(0, len).collect());
         let p = Arc::get_mut(&mut page).expect("freshly allocated");
-        p.0[1] = n;
-        p.clear();
-        p.rebuild_runs();
+        p.0[0] = n;
+        p.fill(std::iter::empty());
+        let _ = p.rebuild_runs();
         page
     }
 
@@ -187,14 +201,7 @@ impl Page {
     /// Slots on the page.
     #[inline]
     pub(crate) fn slots(&self) -> usize {
-        self.0[1] as usize
-    }
-
-    /// The level summary: minimum level of the used slots,
-    /// [`NULL_LEVEL`] when there are none.
-    #[inline]
-    pub(crate) fn min_level(&self) -> u16 {
-        lanes(&self.0[..1])[0]
+        self.0[0] as usize
     }
 
     #[inline]
@@ -261,29 +268,38 @@ impl Page {
         self.levels().iter().filter(|&&l| l == NULL_LEVEL).count()
     }
 
+    /// The staged form of the used slots in `range`, in slot order: the
+    /// column slices are taken once for the whole range.
+    pub(crate) fn used(&self, range: Range<usize>) -> impl Iterator<Item = Tuple> + '_ {
+        let (sizes, levels, kinds) = (self.sizes(), self.levels(), self.kinds());
+        let (names, values, nodes) = (self.names(), self.values(), self.nodes());
+        range
+            .filter(move |&i| levels[i] != NULL_LEVEL)
+            .map(move |i| Tuple {
+                size: sizes[i],
+                level: levels[i],
+                kind: Kind::from_byte(kinds[i]).expect("a used slot has a kind"),
+                name: names[i],
+                value: values[i],
+                node: nodes[i],
+            })
+    }
+
     /// The staged form of the used slot `i`.
     pub(crate) fn read(&self, i: usize) -> Tuple {
-        Tuple {
-            size: self.sizes()[i],
-            level: self.levels()[i],
-            kind: self.kind(i).expect("read of a used slot"),
-            name: self.names()[i],
-            value: self.values()[i],
-            node: self.nodes()[i],
-        }
+        self.used(i..i + 1).next().expect("read of a used slot")
     }
 
     /// Every column, mutably.
     pub(crate) fn cols_mut(&mut self) -> ColsMut<'_> {
         let n = self.slots();
-        let (header, rest) = self.0.split_at_mut(HEADER);
+        let rest = &mut self.0[HEADER..];
         let (sizes, rest) = rest.split_at_mut(n);
         let (names, rest) = rest.split_at_mut(n);
         let (values, rest) = rest.split_at_mut(n);
         let (nodes, rest) = rest.split_at_mut(n);
         let (levels, kinds) = rest.split_at_mut(n / 2);
         ColsMut {
-            min_level: &mut lanes_mut(&mut header[..1])[0],
             sizes,
             names,
             values,
@@ -293,25 +309,21 @@ impl Page {
         }
     }
 
-    /// Writes a staged tuple into slot `i`. [`Page::rebuild_runs`] must
-    /// follow before the page is read again.
-    pub(crate) fn write(&mut self, i: usize, t: &Tuple) {
-        let c = self.cols_mut();
-        c.sizes[i] = t.size;
-        c.names[i] = t.name;
-        c.values[i] = t.value;
-        c.nodes[i] = t.node;
-        c.levels[i] = t.level;
-        c.kinds[i] = t.kind as u8;
-    }
-
-    /// Marks every slot unused. [`Page::rebuild_runs`] must follow.
-    pub(crate) fn clear(&mut self) {
-        let c = self.cols_mut();
-        c.values.fill(NO_NAME);
-        c.nodes.fill(NO_NODE);
-        c.levels.fill(NULL_LEVEL);
-        c.kinds.fill(Kind::UNUSED);
+    /// Writes `tuples` into the leading slots and marks every other slot
+    /// unused. Returns how many were written. [`Page::rebuild_runs`]
+    /// must follow before the page is read again.
+    pub(crate) fn fill<'a>(&mut self, tuples: impl Iterator<Item = &'a Tuple>) -> usize {
+        let mut c = self.cols_mut();
+        let mut placed = 0;
+        for (i, t) in tuples.enumerate() {
+            c.write(i, t);
+            placed = i + 1;
+        }
+        c.values[placed..].fill(NO_NAME);
+        c.nodes[placed..].fill(NO_NODE);
+        c.levels[placed..].fill(NULL_LEVEL);
+        c.kinds[placed..].fill(Kind::UNUSED);
+        placed
     }
 
     /// Marks slot `i` unused. [`Page::rebuild_runs`] must follow.
@@ -323,12 +335,15 @@ impl Page {
         c.kinds[i] = Kind::UNUSED;
     }
 
-    /// Recomputes the page's derived state: the unused-run encodings —
-    /// for each unused slot, `size` = remaining consecutive unused slots
-    /// including itself, `name` = 1-based index within the run (backward
-    /// skip support) — and the level summary. Runs never cross page
-    /// boundaries, so page maintenance stays local to the touched page.
-    pub(crate) fn rebuild_runs(&mut self) {
+    /// Recomputes the unused-run encodings — for each unused slot,
+    /// `size` = remaining consecutive unused slots including itself,
+    /// `name` = 1-based index within the run (backward skip support) —
+    /// and returns the page's level summary: the minimum level of its
+    /// used slots, [`NULL_LEVEL`] when there are none. Runs never cross
+    /// page boundaries, so page maintenance stays local to the touched
+    /// page.
+    #[must_use = "the level summary belongs in the document's summary column"]
+    pub(crate) fn rebuild_runs(&mut self) -> u16 {
         let c = self.cols_mut();
         let n = c.levels.len();
         let mut i = 0;
@@ -348,7 +363,7 @@ impl Page {
                 c.sizes[pos] = remaining;
             }
         }
-        *c.min_level = c.levels.iter().copied().min().unwrap_or(NULL_LEVEL);
+        c.levels.iter().copied().min().unwrap_or(NULL_LEVEL)
     }
 
     /// Adds `delta` to the size of the used slot `i`; `None` when the
@@ -381,7 +396,6 @@ mod tests {
         let p = Page::unused(8);
         assert_eq!(p.slots(), 8);
         assert_eq!(p.free(), 8);
-        assert_eq!(p.min_level(), NULL_LEVEL);
         assert_eq!(p.sizes(), [8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(p.names(), [1, 2, 3, 4, 5, 6, 7, 8]);
         assert!(p.kinds().iter().all(|&k| k == Kind::UNUSED));
@@ -393,7 +407,7 @@ mod tests {
         let mut page = Page::unused(4);
         let p = Page::make_mut(&mut page);
         for i in 0..4 {
-            p.write(
+            p.cols_mut().write(
                 i,
                 &Tuple {
                     size: 10 + i as u32,
@@ -405,14 +419,14 @@ mod tests {
                 },
             );
         }
-        p.rebuild_runs();
+        assert_eq!(p.rebuild_runs(), 20);
         assert_eq!(p.sizes(), [10, 11, 12, 13]);
         assert_eq!(p.levels(), [20, 21, 22, 23]);
         assert_eq!(p.kinds(), [Kind::Comment as u8; 4]);
         assert_eq!(p.names(), [30, 31, 32, 33]);
         assert_eq!(p.values(), [40, 41, 42, 43]);
         assert_eq!(p.nodes(), [50, 51, 52, 53]);
-        assert_eq!((p.slots(), p.min_level(), p.free()), (4, 20, 0));
+        assert_eq!((p.slots(), p.free()), (4, 0));
         assert_eq!(p.read(2).node, 52);
     }
 
@@ -420,33 +434,30 @@ mod tests {
     fn runs_and_summary_follow_writes_and_clears() {
         let mut page = Page::unused(8);
         let p = Page::make_mut(&mut page);
-        p.write(0, &tuple(3, 0));
-        p.write(1, &tuple(2, 1));
-        p.write(5, &tuple(4, 2));
-        p.rebuild_runs();
-        assert_eq!(p.min_level(), 2);
+        p.cols_mut().write(0, &tuple(3, 0));
+        p.cols_mut().write(1, &tuple(2, 1));
+        p.cols_mut().write(5, &tuple(4, 2));
+        assert_eq!(p.rebuild_runs(), 2);
         assert_eq!(p.free(), 5);
         assert_eq!(&p.sizes()[2..5], [3, 2, 1]);
         assert_eq!(&p.names()[2..5], [1, 2, 3]);
         assert_eq!(&p.sizes()[6..], [2, 1]);
         p.clear_slot(1);
-        p.rebuild_runs();
-        assert_eq!(p.min_level(), 3);
+        assert_eq!(p.rebuild_runs(), 3);
         assert_eq!(&p.sizes()[1..5], [4, 3, 2, 1]);
         assert!(!p.is_used(1) && p.kind(1).is_none());
-        p.clear();
-        p.rebuild_runs();
-        assert_eq!((p.free(), p.min_level()), (8, NULL_LEVEL));
+        p.fill(std::iter::empty());
+        assert_eq!((p.rebuild_runs(), p.free()), (NULL_LEVEL, 8));
     }
 
     #[test]
     fn make_mut_copies_only_a_shared_page() {
         let mut a = Page::unused(4);
         let before = Arc::as_ptr(&a) as *const u8;
-        Page::make_mut(&mut a).write(0, &tuple(0, 9));
+        Page::make_mut(&mut a).cols_mut().write(0, &tuple(0, 9));
         assert_eq!(Arc::as_ptr(&a) as *const u8, before, "unique: in place");
         let b = a.clone();
-        Page::make_mut(&mut a).write(1, &tuple(1, 10));
+        Page::make_mut(&mut a).cols_mut().write(1, &tuple(1, 10));
         assert!(!Arc::ptr_eq(&a, &b), "shared: copied");
         assert_eq!(b.nodes()[1], NO_NODE, "the other version never sees it");
         assert_eq!((a.nodes()[0], a.nodes()[1]), (9, 10));
@@ -457,7 +468,7 @@ mod tests {
     fn size_deltas_stay_in_range() {
         let mut page = Page::unused(4);
         let p = Page::make_mut(&mut page);
-        p.write(0, &tuple(0, 0));
+        p.cols_mut().write(0, &tuple(0, 0));
         assert_eq!(p.add_size(0, 5), Some(()));
         assert_eq!(p.add_size(0, -6), None);
         assert_eq!(p.add_size(0, i64::from(u32::MAX)), None);

@@ -27,7 +27,7 @@
 //! removed or moved away are marked dead (`DEAD_ROW`), and rows of
 //! deleted elements are simply no longer reached. Vacuum drops both.
 //!
-//! # Per-page level summaries
+//! # The level-summary column
 //!
 //! `size` counts *used* descendants only, so with ≈20 % of every page
 //! unused the staircase hop `pre + size + 1` lands short of a region's
@@ -35,18 +35,26 @@
 //! back over every preceding sibling subtree. Done slot by slot, both
 //! walks cost O(document) near the root — which every structural update
 //! pays (the ancestor size deltas walk `parent_of` to the root). Every
-//! page therefore carries, in its header, the **minimum level of its
-//! used slots** ("no bound" for a page with none), rebuilt in the same
-//! per-page pass that rebuilds the unused-run encodings.
+//! page therefore has a **level summary**, the minimum level of its
+//! used slots (NULL for a page with none), computed in the same
+//! per-page pass that rebuilds the unused-run encodings
+//! (`Page::rebuild_runs`). The summaries are one contiguous column,
+//! `min_levels` — two bytes a page, in logical page order like the
+//! page directory, a [`CowVec`] of its own — and not a word in each
+//! page, so a walk over a thousand pages' summaries reads a few cache
+//! lines of one column instead of one allocation per page.
 //! [`TreeView::region_end`] scans the rest of the page the hop landed in
-//! for the first used slot with `level <= level(pre)`, then skips whole
-//! pages whose summary is above `level(pre)` in logical order through
-//! the `pageOffset` table, then scans inside the first page that can
-//! hold the boundary; [`TreeView::parent_of`] is the mirror image going
-//! backward. Both are O(pages spanned + page size) — the order of the
-//! `pageOffset` splice the paper already accepts — and a position is
-//! *computed* from a small aggregate instead of *found* by walking
-//! tuples.
+//! for the first used slot with `level <= level(pre)`, then scans the
+//! column for the first later page whose summary is not above
+//! `level(pre)`, then scans inside that page alone;
+//! [`TreeView::parent_of`] is the mirror image going backward. Both are
+//! O(pages spanned) in column entries plus O(page size) in slots — the
+//! order of the `pageOffset` splice the paper already accepts — and a
+//! position is *computed* from a small aggregate instead of *found* by
+//! walking tuples. A page appended or spliced into the logical order
+//! gets its entry where its page goes (a splice shifts the entries
+//! behind it, two bytes a page), and every page write that rebuilds the
+//! runs stores the summary `Page::rebuild_runs` returns.
 //!
 //! # Copy-on-write page layout
 //!
@@ -54,9 +62,8 @@
 //! directory ([`CowDir`]) in **logical** page order: one [`Page`] per
 //! logical page, reached through chunks of [`mbxq_bat::FANOUT`] page
 //! pointers. A `Page` **owns that page's slice of every column** —
-//! `size`, `level`, `kind`, `name`, `value`, `node` and the level
-//! summary — in a single allocation ([`crate::page`]; 19 bytes per
-//! slot).
+//! `size`, `level`, `kind`, `name`, `value` and `node` — in a single
+//! allocation ([`crate::page`]; 19 bytes per slot).
 //!
 //! * **What a clone copies.** `PagedDoc::clone` bumps one reference
 //!   count per directory: the pages' and every side table's — the
@@ -77,7 +84,10 @@
 //!   page privatises that page plus the pages holding its delta-adjusted
 //!   ancestors. Splicing a page into the logical order rebuilds the
 //!   chunks behind the splice point (a pointer copy per page) and shares
-//!   every page.
+//!   every page. A page rewrite also writes its summary entry and the
+//!   `node→pos` entries of the tuples it moved, a `node→pos` page at a
+//!   time ([`CowVec::page_mut`]: one privatisation per page, not one
+//!   per entry).
 //! * **Where the swizzle happens.** `pre → page` is the directory itself
 //!   (`PagedDoc::slot`: chunk, then page — the same two dependent loads
 //!   as a `pageOffset` lookup followed by a page pointer), after which
@@ -94,13 +104,14 @@
 //! ancestors delta-adjusted) instead of O(document), and publishes it by
 //! swapping one `Arc` under the store's short global lock. The side
 //! tables that are not divided into logical pages (`node→pos`, the
-//! attribute table, the value pool) are [`CowVec`]s: columns on the
+//! level-summary column, the attribute table, the value pool) are
+//! [`CowVec`]s: columns on the
 //! same directory; the name and content indexes are sorted sequences
 //! on it ([`mbxq_bat::CowSorted`]), so a commit copies the index leaves
 //! it writes and nothing else.
 
 use crate::names::{NameIndex, Posting};
-use crate::page::{check_addressable, Page, Tuple, NO_NAME, NO_POS};
+use crate::page::{check_addressable, Page, Tuple, NO_NAME, NO_POS, NULL_LEVEL};
 use crate::shred::{self, AttrRow, Stager};
 use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
@@ -134,6 +145,10 @@ pub struct PagedDoc {
     /// `pos` is the same slot of the page whose physical id is
     /// `pos >> shift` ([`PagedDoc::page`]).
     pub(crate) pages: CowDir<Page>,
+    /// The level-summary column, in logical page order like `pages`:
+    /// the minimum level of each page's used slots, [`NULL_LEVEL`] for
+    /// a page without any (module docs).
+    pub(crate) min_levels: CowVec<u16>,
     /// The `pageOffset` table: logical order of physical pages.
     pub(crate) map: PageMap,
     /// node id → physical pos ([`NO_POS`] = deleted node).
@@ -237,6 +252,7 @@ impl PagedDoc {
             cfg,
             shift: cfg.page_size.trailing_zeros(),
             pages: CowDir::new(),
+            min_levels: CowVec::new(SIDE_PAGE),
             map: PageMap::new(cfg.page_size),
             node_pos: CowVec::new(SIDE_PAGE),
             attr_node: CowVec::new(SIDE_PAGE),
@@ -259,6 +275,7 @@ impl PagedDoc {
     pub(crate) fn append_physical_page(&mut self) -> Result<usize> {
         self.check_room_for_page()?;
         self.pages.push(Page::unused(self.cfg.page_size));
+        self.min_levels.push(NULL_LEVEL);
         Ok(self.map.append_page())
     }
 
@@ -268,6 +285,7 @@ impl PagedDoc {
         self.check_room_for_page()?;
         let page = self.map.insert_page_at(at)?;
         self.pages.insert(at, Page::unused(self.cfg.page_size));
+        self.min_levels.insert(at, NULL_LEVEL);
         Ok(page)
     }
 
@@ -312,19 +330,17 @@ impl PagedDoc {
         tuples: impl Iterator<Item = &'a Tuple>,
     ) -> u64 {
         let base = u32::try_from(phys << self.shift).expect("pages are added within the limit");
-        let page = Page::make_mut(self.pages.leaf_mut(self.logical(phys)));
-        page.clear();
-        let mut moved = 0;
-        for ((i, pos), t) in (0..).zip(base..).zip(tuples) {
-            page.write(i, t);
-            let entry = t.node as usize;
-            if self.node_pos[entry] != pos {
-                self.node_pos[entry] = pos;
-                moved += 1;
-            }
-        }
-        page.rebuild_runs();
-        moved
+        let lp = self.logical(phys);
+        let page = Page::make_mut(self.pages.leaf_mut(lp));
+        let placed = page.fill(tuples);
+        self.min_levels[lp] = page.rebuild_runs();
+        let nodes = page.nodes();
+        set_node_pos(
+            &mut self.node_pos,
+            placed,
+            |i| nodes[i],
+            |i| base + i as u32,
+        )
     }
 
     /// Number of unused slots on physical page `page`.
@@ -401,7 +417,7 @@ impl PagedDoc {
 
     /// Logical index of physical page `phys` (a `pageOffset` lookup).
     #[inline]
-    fn logical(&self, phys: usize) -> usize {
+    pub(crate) fn logical(&self, phys: usize) -> usize {
         self.map.physical_to_logical(phys).expect("page exists")
     }
 
@@ -427,41 +443,57 @@ impl PagedDoc {
 
     /// First used slot at or after view position `from` whose level is
     /// `<= lvl` — where a region of that level ends — or `pre_end()`.
-    /// Pages whose level summary is above `lvl` are skipped without
-    /// looking at their slots. (Unused slots are NULL — above every
-    /// level — in the `level` column, so the scan needs no liveness
-    /// test.)
+    /// After the rest of `from`'s page, the pages whose level summary is
+    /// above `lvl` are skipped by a scan of the summary column, and only
+    /// the page it stops at is loaded. (Unused slots are NULL — above
+    /// every level — in the `level` column, so the scans need no
+    /// liveness test.)
     fn next_used_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
-        let mut offset = from as usize & (self.cfg.page_size - 1);
-        for lp in (from >> self.shift) as usize..self.pages.len() {
-            let page = &self.pages[lp];
-            if page.min_level() <= lvl {
-                if let Some(i) = page.levels()[offset..].iter().position(|&l| l <= lvl) {
-                    return ((lp << self.shift) + offset + i) as u64;
-                }
+        let (lp, offset) = (
+            (from >> self.shift) as usize,
+            from as usize & (self.cfg.page_size - 1),
+        );
+        let hit = |l: &u16| *l <= lvl;
+        if lp < self.pages.len() && self.min_levels[lp] <= lvl {
+            if let Some(i) = self.pages[lp].levels()[offset..].iter().position(hit) {
+                return ((lp << self.shift) + offset + i) as u64;
             }
-            offset = 0;
+        }
+        let mut from = lp + 1;
+        while let Some(q) = self.min_levels.position_from(from, hit) {
+            if let Some(i) = self.pages[q].levels().iter().position(hit) {
+                return ((q << self.shift) + i) as u64;
+            }
+            from = q + 1;
         }
         self.pre_end()
     }
 
     /// Last used slot before view position `before` whose level is
     /// `< lvl` — the parent of a level-`lvl` node at `before` — skipping
-    /// whole pages on their level summary like
+    /// whole pages on the summary column like
     /// [`PagedDoc::next_used_at_level_or_above`].
     fn prev_used_below_level(&self, before: u64, lvl: u16) -> Option<u64> {
         let last = before.checked_sub(1)?;
-        let mut len = (last as usize & (self.cfg.page_size - 1)) + 1;
-        for lp in (0..=(last >> self.shift) as usize).rev() {
-            let page = self.pages.get(lp)?;
-            if page.min_level() < lvl {
-                if let Some(i) = page.levels()[..len].iter().rposition(|&l| l < lvl) {
-                    return Some(((lp << self.shift) + i) as u64);
-                }
+        let (lp, len) = (
+            (last >> self.shift) as usize,
+            (last as usize & (self.cfg.page_size - 1)) + 1,
+        );
+        let hit = |l: &u16| *l < lvl;
+        let page = self.pages.get(lp)?;
+        if self.min_levels[lp] < lvl {
+            if let Some(i) = page.levels()[..len].iter().rposition(hit) {
+                return Some(((lp << self.shift) + i) as u64);
             }
-            len = self.cfg.page_size;
         }
-        None
+        let mut end = lp;
+        loop {
+            let q = self.min_levels.rposition_before(end, hit)?;
+            if let Some(i) = self.pages[q].levels().iter().rposition(hit) {
+                return Some(((q << self.shift) + i) as u64);
+            }
+            end = q;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -541,18 +573,19 @@ impl PagedDoc {
 
     /// The used tuples in document (view) order, page by page.
     pub(crate) fn used_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.pages.iter().flat_map(move |page| {
-            (0..self.cfg.page_size)
-                .filter(|&i| page.is_used(i))
-                .map(|i| page.read(i))
-        })
+        self.pages
+            .iter()
+            .flat_map(move |page| page.used(0..self.cfg.page_size))
     }
 
     /// Occupancy statistics.
     pub fn stats(&self) -> PagedStats {
         use std::mem::size_of;
         let capacity = self.pre_end();
-        let per_page = Page::header_bytes() + size_of::<Arc<Page>>() + 2 * size_of::<usize>();
+        let per_page = Page::header_bytes()
+            + size_of::<u16>() // its level-summary entry
+            + size_of::<Arc<Page>>()
+            + 2 * size_of::<usize>();
         PagedStats {
             pages: self.pages.len(),
             capacity,
@@ -599,6 +632,38 @@ impl PagedDoc {
             .count();
         (shared, self.pages.len())
     }
+}
+
+/// Points the `node→pos` entry of node `node(i)` at `pos(i)` for every
+/// `i < n`, privatising each `node→pos` page once for the run of
+/// consecutive nodes it holds, and only if one of their entries
+/// changes. Returns how many entries changed.
+pub(crate) fn set_node_pos(
+    node_pos: &mut CowVec<u32>,
+    n: usize,
+    node: impl Fn(usize) -> u32,
+    pos: impl Fn(usize) -> u32,
+) -> u64 {
+    let per_page = node_pos.page_size();
+    let page_of = |i| node(i) as usize / per_page;
+    let mut changed = 0;
+    let mut i = 0;
+    while i < n {
+        let page = page_of(i);
+        let end = (i + 1..n).find(|&s| page_of(s) != page).unwrap_or(n);
+        let stale = (i..end)
+            .filter(|&s| node_pos[node(s) as usize] != pos(s))
+            .count();
+        if stale > 0 {
+            let entries = node_pos.page_mut(page);
+            for s in i..end {
+                entries[node(s) as usize % per_page] = pos(s);
+            }
+            changed += stale as u64;
+        }
+        i = end;
+    }
+    changed
 }
 
 impl TreeView for PagedDoc {
@@ -1025,6 +1090,90 @@ mod tests {
         crate::invariants::check_paged(&d).unwrap();
     }
 
+    /// `d` with only the per-slot accessors: the trait's default
+    /// `region_end`/`parent_of`, which walk slot by slot.
+    struct DefaultWalk<'a>(&'a PagedDoc);
+
+    impl TreeView for DefaultWalk<'_> {
+        fn pre_end(&self) -> u64 {
+            self.0.pre_end()
+        }
+        fn level(&self, pre: u64) -> Option<u16> {
+            self.0.level(pre)
+        }
+        fn size(&self, pre: u64) -> u64 {
+            TreeView::size(self.0, pre)
+        }
+        fn kind(&self, pre: u64) -> Option<Kind> {
+            self.0.kind(pre)
+        }
+        fn name_id(&self, pre: u64) -> Option<QnId> {
+            self.0.name_id(pre)
+        }
+        fn value_ref(&self, pre: u64) -> Option<ValueRef> {
+            self.0.value_ref(pre)
+        }
+        fn node_id(&self, pre: u64) -> Option<NodeId> {
+            self.0.node_id(pre)
+        }
+        fn back_run(&self, pre: u64) -> u64 {
+            self.0.back_run(pre)
+        }
+        fn attributes(&self, pre: u64) -> Vec<(QnId, PropId)> {
+            self.0.attributes(pre)
+        }
+        fn pool(&self) -> &ValuePool {
+            self.0.pool()
+        }
+        fn used_count(&self) -> u64 {
+            self.0.used_count()
+        }
+    }
+
+    /// The summary column follows a page spliced into the middle of the
+    /// logical order and a page a delete empties: the summary walks
+    /// still equal the slot-by-slot walks for every node.
+    #[test]
+    fn summary_walks_survive_a_mid_order_splice_and_an_emptied_page() {
+        // Four nodes a page: a b c d | e f g h | i j.
+        let mut d = PagedDoc::parse_str(
+            "<a><b/><c/><d/><e><f/><g/><h/></e><i><j/></i></a>",
+            PageConfig::new(8, 50).unwrap(),
+        )
+        .unwrap();
+        // Six nodes under c overflow page 0: two spill into a page
+        // spliced in at logical index 1.
+        let c = d.pre_to_node(2).unwrap();
+        let sub = Document::parse_fragment("<x><y/><y/><y/><y/><y/></x>").unwrap();
+        let report = d
+            .insert(crate::InsertPosition::LastChildOf(c), &sub)
+            .unwrap();
+        assert_eq!(report.pages_added, 1);
+        assert_eq!(d.map.logical_to_physical(1), Ok(3), "spliced mid-order");
+        // e, f, g, h were page 1 (now logical 2): deleting e empties it.
+        let e = d.pre_to_node(16).unwrap();
+        assert_eq!(d.delete(e).unwrap().deleted, 4);
+        assert_eq!(d.free_in_page(1), 8);
+        assert_eq!(
+            d.min_levels.iter().copied().collect::<Vec<_>>(),
+            [0, 1, NULL_LEVEL, 1]
+        );
+        crate::invariants::check_paged(&d).unwrap();
+        let reference = DefaultWalk(&d);
+        let mut p = 0;
+        let mut seen = 0;
+        while let Some(q) = d.next_used_at_or_after(p) {
+            assert_eq!(d.region_end(q), reference.region_end(q), "region_end({q})");
+            assert_eq!(d.parent_of(q), reference.parent_of(q), "parent_of({q})");
+            seen += 1;
+            p = q + 1;
+        }
+        assert_eq!(seen, 12);
+        // i (pre 24) finds its parent a across the emptied page and the
+        // spliced one.
+        assert_eq!(d.parent_of(24), Some(0));
+    }
+
     #[test]
     fn table_bytes_counts_the_columns_as_stored() {
         use std::mem::size_of;
@@ -1036,8 +1185,10 @@ mod tests {
             + 3 * size_of::<u32>(); // name, value, node
         assert_eq!(column_widths, 19);
         let side = d.node_alloc_end() as usize * size_of::<u32>();
-        // Header, the (fat) page pointer, both directions of pageOffset.
-        let per_page = 2 * size_of::<u32>() + size_of::<Arc<Page>>() + 2 * size_of::<usize>();
+        // Header, summary entry, the (fat) page pointer, both directions
+        // of pageOffset.
+        let per_page =
+            size_of::<u32>() + size_of::<u16>() + size_of::<Arc<Page>>() + 2 * size_of::<usize>();
         assert_eq!(
             st.table_bytes - side - st.pages * per_page,
             st.capacity as usize * column_widths

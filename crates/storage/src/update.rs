@@ -22,11 +22,12 @@
 //! level summaries of [`crate::paged`] — O(pages spanned + page size)
 //! each, not a slot-by-slot walk that near the root covers the whole
 //! document. Every page an update rewrites ends in
-//! `Page::rebuild_runs`, which refreshes that page's summary.
+//! `Page::rebuild_runs`, whose result is that page's entry in the
+//! summary column.
 
 use crate::names::Posting;
-use crate::page::{checked_level, Tuple, NO_NAME, NO_POS};
-use crate::paged::{PagedDoc, DEAD_ROW};
+use crate::page::{checked_level, Page, Tuple, NO_NAME, NO_POS};
+use crate::paged::{set_node_pos, PagedDoc, DEAD_ROW};
 use crate::shred;
 use crate::types::{Kind, NodeId, StorageError};
 use crate::values::{classify, text_posting, QnId, TextKey};
@@ -258,16 +259,24 @@ impl PagedDoc {
             let posting = Posting::new(qn, prop.0, node);
             content.attrs.remove(pool, posting, pre_of);
         }
-        let mut pages = std::collections::BTreeSet::new();
-        for (&v, t) in victims.iter().zip(&tuples) {
-            let (phys, i) = self.locate(v).expect("victim is in range");
-            self.node_pos[t.node as usize] = NO_POS;
-            self.page_mut(phys).clear_slot(i);
-            pages.insert(phys);
+        // Victims are in view order, so each page's are consecutive: a
+        // page is privatised, cleared and summarised once.
+        let mut pages_touched = 0;
+        for on_page in victims.chunk_by(|a, b| a >> self.shift == b >> self.shift) {
+            let lp = (on_page[0] >> self.shift) as usize;
+            let page = Page::make_mut(self.pages.leaf_mut(lp));
+            for &v in on_page {
+                page.clear_slot(v as usize & (page.slots() - 1));
+            }
+            self.min_levels[lp] = page.rebuild_runs();
+            pages_touched += 1;
         }
-        for &phys in &pages {
-            self.page_mut(phys).rebuild_runs();
-        }
+        set_node_pos(
+            &mut self.node_pos,
+            tuples.len(),
+            |i| tuples[i].node,
+            |_| NO_POS,
+        );
         let m = victims.len() as u64;
         self.used_count -= m;
 
@@ -289,7 +298,7 @@ impl PagedDoc {
             deleted: m,
             attrs_removed: rows.len() as u64,
             ancestors_updated: ancestors,
-            pages_touched: pages.len(),
+            pages_touched,
         })
     }
 
@@ -573,13 +582,8 @@ impl PagedDoc {
 
         // Partition the page's used tuples around the insert point.
         let page = self.page(phys);
-        let used = |range: std::ops::Range<usize>| -> Vec<Tuple> {
-            range
-                .filter(|&i| page.is_used(i))
-                .map(|i| page.read(i))
-                .collect()
-        };
-        let (before, after) = (used(0..offset), used(offset..page_size));
+        let before: Vec<Tuple> = page.used(0..offset).collect();
+        let after: Vec<Tuple> = page.used(offset..page_size).collect();
 
         let (case, moved, pages_added) = if before.len() + after.len() + n <= page_size {
             // ---- Case 2a: rewrite the single page. ----

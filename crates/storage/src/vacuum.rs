@@ -50,12 +50,7 @@ impl PagedDoc {
 
         // Collect live tuples in view (document) order.
         let mut live = Vec::with_capacity(self.used_count as usize);
-        let mut p = 0u64;
-        while let Some(q) = self.next_used_at_or_after(p) {
-            let (page, i) = self.slot(q).expect("used slot resolves");
-            live.push(page.read(i));
-            p = q + 1;
-        }
+        live.extend(self.used_tuples());
         // Drop the dead and unreached attribute rows, renumbering the
         // survivors and pointing the live elements' slots at them.
         let rows_before = self.attr_node.len() as u64;
@@ -67,6 +62,7 @@ impl PagedDoc {
         self.cfg = cfg;
         self.shift = fresh.shift;
         self.pages = fresh.pages;
+        self.min_levels = fresh.min_levels;
         self.map = fresh.map;
         self.node_pos = fresh.node_pos;
         self.used_count = 0;

@@ -60,19 +60,29 @@
 //! the document was loaded, and a commit copies only the directories,
 //! chunks, pages and leaves it writes.
 //!
-//! An interner is its values in a [`CowVec`] (the id is the position)
-//! and an open-addressing table of ids in another, probed by the hash of
-//! the key under the table's own [`RandomState`] (keyed per table, so a
-//! document cannot force collisions) and compared against the value the
-//! id names — the table holds no second copy of any key. Keys are never
-//! removed. When an insert takes the table past half full, it doubles
-//! and every id is re-inserted: O(values) once per doubling, paid by the
-//! commit that crosses the threshold.
+//! Both side tables find an id through an open-addressing table of ids
+//! in a [`CowVec`], probed by the hash of the key under the table's own
+//! [`RandomState`] (keyed per table, so a document cannot force
+//! collisions) and compared against the value the id names — the table
+//! holds no second copy of any key. Keys are never removed. When an
+//! insert takes the table past half full, it doubles and every id is
+//! re-inserted: O(values) once per doubling, paid by the commit that
+//! crosses the threshold.
+//!
+//! The `qn` table keeps its values in a [`CowVec`] of `Arc<QName>` (the
+//! id is the position; names are few). The string table is a **byte
+//! arena**: every string's bytes end to end in pages of 4 KiB
+//! (`BYTE_PAGE`; a string never straddles two, and a longer one gets a
+//! page of its own length), found through a [`CowVec`] of spans, one per id. A
+//! string costs its bytes and a 12-byte span — no allocation and no
+//! reference count of its own — and the first new string through a
+//! version copies at most one byte page, one span page and one page of
+//! the lookup table. A read is still a `&str` into the arena.
 
 use crate::names::{per_name, DocOrdered, Posting, LEAF, NAME_PAGE};
 use crate::page::{Tuple, NO_NAME};
 use crate::types::Kind;
-use mbxq_bat::{CowSorted, CowVec};
+use mbxq_bat::{CowDir, CowSorted, CowVec};
 use mbxq_xml::QName;
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -87,30 +97,99 @@ pub struct QnId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropId(pub u32);
 
-/// Values per page of an interner's value column.
+/// Values per page of the `qn` table's value column and of the string
+/// table's span column.
 const VALUE_PAGE: usize = 256;
-/// Ids per page of an interner's lookup table.
+/// Ids per page of a lookup table.
 const SLOT_PAGE: usize = 1024;
-/// A free slot of an interner's lookup table; never an id.
+/// Bytes per page of the string arena (module docs).
+const BYTE_PAGE: usize = 4096;
+/// A free slot of a lookup table; never an id.
 const FREE: u32 = u32::MAX;
 
-/// An append-only interner backing one side table: the values in a
-/// copy-on-write column, found through an open-addressing table of their
-/// ids (module docs).
+/// The id the `len + 1`-th key of a side table gets.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != FREE)
+        .expect("side table overflow")
+}
+
+/// An open-addressing table of a side table's ids, probed by the hash of
+/// the key each id names (module docs).
 #[derive(Debug, Clone)]
-struct Interner<K> {
-    values: CowVec<K>,
+struct Lookup {
     /// Linear probing; a power of two long and at most half full.
     slots: CowVec<u32>,
     hasher: RandomState,
+}
+
+impl Default for Lookup {
+    fn default() -> Self {
+        Lookup {
+            slots: CowVec::new(SLOT_PAGE),
+            hasher: RandomState::new(),
+        }
+    }
+}
+
+impl Lookup {
+    fn hash<Q: ?Sized + Hash>(&self, key: &Q) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    /// `Ok(id)` of the key hashing to `hash` whose id `is` accepts, or
+    /// `Err(slot)`: the free slot it would take.
+    fn find(&self, hash: u64, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return Err(0);
+        };
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                FREE => return Err(i),
+                id if is(id) => return Ok(id),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Records the new `id` — the table's last — in the `slot` [`Lookup::find`]
+    /// returned; or, when that would take the table past half full,
+    /// doubles it and re-inserts ids `0..=id`, hashing id `i`'s key as
+    /// `hash_of(hasher, i)`.
+    fn insert(&mut self, slot: usize, id: u32, hash_of: impl Fn(&RandomState, u32) -> u64) {
+        if 2 * (id as usize + 1) <= self.slots.len() {
+            self.slots[slot] = id;
+            return;
+        }
+        let size = (2 * self.slots.len()).max(16);
+        let mut slots = CowVec::new(SLOT_PAGE);
+        slots.grow_to(size, FREE);
+        for id in 0..=id {
+            let mut i = hash_of(&self.hasher, id) as usize & (size - 1);
+            while slots[i] != FREE {
+                i = (i + 1) & (size - 1);
+            }
+            slots[i] = id;
+        }
+        self.slots = slots;
+    }
+}
+
+/// An append-only interner of shared values: the `qn` table (module
+/// docs).
+#[derive(Debug, Clone)]
+struct Interner<K> {
+    values: CowVec<K>,
+    lookup: Lookup,
 }
 
 impl<K: Clone> Default for Interner<K> {
     fn default() -> Self {
         Interner {
             values: CowVec::new(VALUE_PAGE),
-            slots: CowVec::new(SLOT_PAGE),
-            hasher: RandomState::new(),
+            lookup: Lookup::default(),
         }
     }
 }
@@ -126,29 +205,16 @@ impl<K: Clone + Eq + Hash> Interner<K> {
             Ok(id) => return id,
             Err(slot) => slot,
         };
-        let id = u32::try_from(self.values.len())
-            .ok()
-            .filter(|&id| id != FREE)
-            .expect("interner overflow");
+        let id = next_id(self.values.len());
         self.values.push(own(key));
-        if 2 * self.values.len() > self.slots.len() {
-            self.rehash();
-        } else {
-            self.slots[slot] = id;
-        }
+        let values = &self.values;
+        self.lookup
+            .insert(slot, id, |hasher, i| hasher.hash_one(&values[i as usize]));
         id
     }
 
     fn get(&self, id: u32) -> Option<&K> {
         self.values.get(id as usize)
-    }
-
-    fn lookup<Q>(&self, key: &Q) -> Option<u32>
-    where
-        K: Borrow<Q>,
-        Q: ?Sized + Eq + Hash,
-    {
-        self.find(key).ok()
     }
 
     fn len(&self) -> usize {
@@ -161,32 +227,117 @@ impl<K: Clone + Eq + Hash> Interner<K> {
         K: Borrow<Q>,
         Q: ?Sized + Eq + Hash,
     {
-        let Some(mask) = self.slots.len().checked_sub(1) else {
-            return Err(0);
-        };
-        let mut i = self.hasher.hash_one(key) as usize & mask;
-        loop {
-            match self.slots[i] {
-                FREE => return Err(i),
-                id if self.values[id as usize].borrow() == key => return Ok(id),
-                _ => i = (i + 1) & mask,
-            }
+        let hash = self.lookup.hash(key);
+        self.lookup
+            .find(hash, |id| self.values[id as usize].borrow() == key)
+    }
+}
+
+/// Where a string's bytes lie in the arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    page: u32,
+    start: u32,
+    len: u32,
+}
+
+/// Every string's bytes end to end in pages, and a span per id (module
+/// docs). [`Arena::push`] is the only writer: it copies whole `&str`s
+/// into bytes no other string uses and never changes them afterwards,
+/// so every span covers the bytes of one `&str`.
+#[derive(Debug, Clone)]
+struct Arena {
+    /// Every page but the last is closed; a string never straddles two.
+    bytes: CowDir<[u8]>,
+    /// Bytes in use on the last page.
+    tail: usize,
+    /// String id → its bytes.
+    spans: CowVec<Span>,
+}
+
+impl Arena {
+    /// Copies `text` behind the last string — on a new page if the last
+    /// page has no room for it — as the next id.
+    fn push(&mut self, text: &str) {
+        let last = self.bytes.len().checked_sub(1);
+        if last.is_none_or(|last| self.bytes[last].len() - self.tail < text.len()) {
+            let size = text.len().max(BYTE_PAGE);
+            self.bytes.push(std::iter::repeat_n(0, size).collect());
+            self.tail = 0;
         }
+        let page = self.bytes.len() - 1;
+        let start = self.tail;
+        Arc::make_mut(self.bytes.leaf_mut(page))[start..start + text.len()]
+            .copy_from_slice(text.as_bytes());
+        self.tail += text.len();
+        let narrow = |n: usize| u32::try_from(n).expect("string arena overflow");
+        self.spans.push(Span {
+            page: narrow(page),
+            start: narrow(start),
+            len: narrow(text.len()),
+        });
     }
 
-    /// Doubles the lookup table and re-inserts every id.
-    fn rehash(&mut self) {
-        let size = (2 * self.slots.len()).max(16);
-        let mut slots = CowVec::new(SLOT_PAGE);
-        slots.grow_to(size, FREE);
-        for (id, value) in (0..).zip(self.values.iter()) {
-            let mut i = self.hasher.hash_one(value) as usize & (size - 1);
-            while slots[i] != FREE {
-                i = (i + 1) & (size - 1);
-            }
-            slots[i] = id;
+    /// The string with id `id`.
+    fn get(&self, id: u32) -> Option<&str> {
+        let span = *self.spans.get(id as usize)?;
+        let start = span.start as usize;
+        let text = &self.bytes[span.page as usize][start..start + span.len as usize];
+        // SAFETY: the span came from `push`, so it covers exactly the
+        // bytes of one `&str`, unchanged since (type docs).
+        Some(unsafe { std::str::from_utf8_unchecked(text) })
+    }
+}
+
+/// The string table: the arena and a lookup table of its ids (module
+/// docs).
+#[derive(Debug, Clone)]
+struct StringTable {
+    arena: Arena,
+    lookup: Lookup,
+}
+
+impl Default for StringTable {
+    fn default() -> Self {
+        StringTable {
+            arena: Arena {
+                bytes: CowDir::new(),
+                tail: 0,
+                spans: CowVec::new(VALUE_PAGE),
+            },
+            lookup: Lookup::default(),
         }
-        self.slots = slots;
+    }
+}
+
+impl StringTable {
+    /// The id of `key`, interning it when it is new.
+    fn intern(&mut self, key: &str) -> u32 {
+        let slot = match self.find(key) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = next_id(self.arena.spans.len());
+        self.arena.push(key);
+        let arena = &self.arena;
+        self.lookup.insert(slot, id, |hasher, i| {
+            hasher.hash_one(
+                arena
+                    .get(i)
+                    .expect("every id up to the new one is interned"),
+            )
+        });
+        id
+    }
+
+    fn get(&self, id: u32) -> Option<&str> {
+        self.arena.get(id)
+    }
+
+    /// `Ok(id)` of `key`, or `Err(slot)`: the free slot it would take.
+    fn find(&self, key: &str) -> Result<u32, usize> {
+        let hash = self.lookup.hash(key);
+        self.lookup.find(hash, |id| self.arena.get(id) == Some(key))
     }
 }
 
@@ -200,7 +351,7 @@ impl<K: Clone + Eq + Hash> Interner<K> {
 pub struct ValuePool {
     qnames: Interner<Arc<QName>>,
     /// Every string a document holds, once (module docs).
-    strings: Interner<Arc<str>>,
+    strings: StringTable,
 }
 
 impl ValuePool {
@@ -222,22 +373,22 @@ impl ValuePool {
     /// Looks up a name without interning (query-side: an XPath name test
     /// for a name that was never interned matches nothing).
     pub fn lookup_qname(&self, name: &QName) -> Option<QnId> {
-        self.qnames.lookup(name).map(QnId)
+        self.qnames.find(name).ok().map(QnId)
     }
 
     /// Interns a string into the string table, returning its id.
     pub fn intern_str(&mut self, value: &str) -> u32 {
-        self.strings.intern(value, |s: &str| Arc::from(s))
+        self.strings.intern(value)
     }
 
     /// The string behind a string-table id.
     pub fn string(&self, id: u32) -> Option<&str> {
-        self.strings.get(id).map(|s| &**s)
+        self.strings.get(id)
     }
 
     /// Looks up a string without interning.
     pub fn lookup_str(&self, value: &str) -> Option<u32> {
-        self.strings.lookup(value)
+        self.strings.find(value).ok()
     }
 
     /// Interns an attribute value.
@@ -505,11 +656,11 @@ impl ValueIndex {
         p: Posting,
         pre_of: impl Fn(u64) -> Option<u64>,
     ) {
-        self.exact.add(p, pre_of);
+        let at = self.exact.add(p, pre_of);
         if p.value == COMPLEX {
             return;
         }
-        let run = self.exact.count(p.key());
+        let run = self.exact.run_at(at, p.key());
         let s = per_name(&mut self.stats, p.qn);
         s.total_postings += 1;
         s.distinct_keys += u64::from(run == 1);
@@ -532,10 +683,13 @@ impl ValueIndex {
         p: Posting,
         pre_of: impl Fn(u64) -> Option<u64>,
     ) {
-        if !self.exact.remove(p, pre_of) || p.value == COMPLEX {
+        let Some(at) = self.exact.remove(p, pre_of) else {
+            return;
+        };
+        if p.value == COMPLEX {
             return;
         }
-        let emptied = self.exact.count(p.key()) == 0;
+        let emptied = !self.exact.key_next_to(at, p.key());
         let s = per_name(&mut self.stats, p.qn);
         s.total_postings -= 1;
         s.distinct_keys -= u64::from(emptied);
@@ -888,9 +1042,8 @@ mod tests {
         // Attribute values and node content share the one table …
         assert_eq!(p.intern_text("person0"), a.0);
         assert_eq!(p.intern_comment("person0"), a.0);
-        // … and its lookup table holds no second copy of the string.
-        let s = &p.strings.values[a.0 as usize];
-        assert_eq!(Arc::strong_count(s), 1);
+        // … and the arena holds each string's bytes once.
+        assert_eq!(p.strings.arena.tail, "first".len() + "person0".len());
     }
 
     #[test]
@@ -907,7 +1060,7 @@ mod tests {
         let mut p = ValuePool::new();
         let ids: Vec<u32> = (0..600).map(|i| p.intern_text(&format!("t{i}"))).collect();
         // Six doublings later the table is still at most half full …
-        assert!(p.strings.slots.len() >= 2 * p.strings.len());
+        assert!(p.strings.lookup.slots.len() >= 2 * p.strings.arena.spans.len());
         // … and every id still names its string and is found again.
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(p.text(*id), Some(format!("t{i}").as_str()));
@@ -931,8 +1084,9 @@ mod tests {
         assert_eq!(p.lookup_prop("shared"), snapshot.lookup_prop("shared"));
     }
 
-    /// A clone shares every page of both interners; a new string then
-    /// copies the last value page and one page of the lookup table.
+    /// A clone shares every page of the string table; a new string then
+    /// copies the last byte page, the last span page and one page of the
+    /// lookup table.
     #[test]
     fn a_pools_clone_shares_its_pages_until_an_intern() {
         let mut p = ValuePool::new();
@@ -940,22 +1094,50 @@ mod tests {
             p.intern_text(&format!("t{i}"));
         }
         let c = p.clone();
-        let (values, slots) = (p.strings.values.num_pages(), p.strings.slots.num_pages());
-        assert_eq!(
-            c.strings.values.shared_pages_with(&p.strings.values),
-            values
-        );
-        assert_eq!(c.strings.slots.shared_pages_with(&p.strings.slots), slots);
+        let (a, b) = (&p.strings, &c.strings);
+        let bytes = a.arena.bytes.len();
+        let spans = a.arena.spans.num_pages();
+        let slots = a.lookup.slots.num_pages();
+        assert_eq!(b.arena.bytes.shared_leaves_with(&a.arena.bytes), bytes);
+        assert_eq!(b.arena.spans.shared_pages_with(&a.arena.spans), spans);
+        assert_eq!(b.lookup.slots.shared_pages_with(&a.lookup.slots), slots);
         p.intern_text("one more");
-        assert_eq!(
-            c.strings.values.shared_pages_with(&p.strings.values),
-            values - 1
-        );
-        assert_eq!(
-            c.strings.slots.shared_pages_with(&p.strings.slots),
-            slots - 1
-        );
+        let (a, b) = (&p.strings, &c.strings);
+        assert_eq!(b.arena.bytes.shared_leaves_with(&a.arena.bytes), bytes - 1);
+        assert_eq!(b.arena.spans.shared_pages_with(&a.arena.spans), spans - 1);
+        assert_eq!(b.lookup.slots.shared_pages_with(&a.lookup.slots), slots - 1);
         assert_eq!(c.text(4999), Some("t4999"));
+        assert_eq!(c.lookup_str("one more"), None);
+    }
+
+    /// Strings fill a byte page end to end and never straddle two; a
+    /// string longer than a page gets a page of its own length.
+    #[test]
+    fn the_arena_packs_strings_and_gives_a_long_one_its_own_page() {
+        let mut p = ValuePool::new();
+        let half = "h".repeat(BYTE_PAGE / 2);
+        let long = "λ".repeat(BYTE_PAGE); // two bytes a char
+        let ids = [
+            p.intern_str(&half),
+            p.intern_str(""),
+            p.intern_str(&half[1..]),
+            p.intern_str("xy"), // no room left on page 0
+            p.intern_str(&long),
+            p.intern_str("z"),
+        ];
+        let pages: Vec<u32> = ids
+            .iter()
+            .map(|&id| p.strings.arena.spans[id as usize].page)
+            .collect();
+        assert_eq!(pages, [0, 0, 0, 1, 2, 3]);
+        assert_eq!(p.strings.arena.bytes[2].len(), long.len());
+        for (id, text) in ids
+            .iter()
+            .zip([&half[..], "", &half[1..], "xy", &long, "z"])
+        {
+            assert_eq!(p.string(*id), Some(text));
+            assert_eq!(p.lookup_str(text), Some(*id));
+        }
     }
 
     // -- content index ------------------------------------------------

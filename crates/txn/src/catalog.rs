@@ -30,6 +30,7 @@
 //!   manifest           "mbxq-catalog v1\n" + one "<id> <len>:<name>\n" per doc
 //!   manifest.tmp       (transient; a crashed manifest rewrite)
 //!   shard-<id>.wal     one WAL per document, first record = a named checkpoint
+//!   shard-<id>.wal-tmp (transient; a checkpoint's log before its rename)
 //! ```
 //!
 //! The manifest is the **commit point** of every create/drop/export:
@@ -40,7 +41,8 @@
 //! drops rewrite the manifest *before* deleting the WAL. Recovery
 //! therefore only ever sees (a) a manifest whose every entry has a
 //! replayable WAL, plus (b) possibly orphaned `shard-*.wal` files from
-//! a crashed create/drop — which [`Catalog::open`] deletes. Each
+//! a crashed create/drop, and checkpoint temp files of a checkpoint that
+//! never reached its rename — all of which [`Catalog::open`] deletes. Each
 //! shard's checkpoint dump carries its document name (see
 //! [`mbxq_storage::checkpoint::checkpoint_dump_identity`]), so a WAL
 //! file shuffled between shard slots fails recovery instead of loading
@@ -207,7 +209,8 @@ impl Catalog {
     /// XML. A leftover `manifest.tmp` (crashed rewrite) is discarded —
     /// the committed manifest is authoritative — and `shard-*.wal`
     /// files the manifest does not name (crashed creates, half-finished
-    /// drops, exported documents) are deleted.
+    /// drops, exported documents) are deleted, as is every
+    /// `shard-*.wal-tmp` (a checkpoint that never reached its rename).
     pub fn open(dir: &Path, config: CatalogConfig) -> Result<Catalog> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create catalog dir", e))?;
         let tmp = dir.join("manifest.tmp");
@@ -246,7 +249,10 @@ impl Catalog {
         // Orphaned WALs: files from a create that crashed before its
         // manifest commit, or a drop/export that removed the manifest
         // entry first. Either way the manifest says they are not part
-        // of the catalog.
+        // of the catalog. Checkpoint temp files (`shard-*.wal-tmp`) are
+        // left by a checkpoint that crashed or failed before its rename;
+        // no checkpoint runs before `open` returns, so every one is
+        // stale, a live shard's included.
         let live: std::collections::HashSet<PathBuf> =
             docs.iter().map(|e| shard_wal_path(dir, e.id)).collect();
         if let Ok(listing) = std::fs::read_dir(dir) {
@@ -254,7 +260,8 @@ impl Catalog {
                 let p = f.path();
                 let name = f.file_name();
                 let name = name.to_string_lossy();
-                if name.starts_with("shard-") && name.ends_with(".wal") && !live.contains(&p) {
+                let orphan = name.ends_with(".wal") && !live.contains(&p);
+                if name.starts_with("shard-") && (orphan || name.ends_with(".wal-tmp")) {
                     let _ = std::fs::remove_file(&p);
                 }
             }
@@ -1077,5 +1084,32 @@ mod tests {
         assert_eq!(pa, pb, "one pool for every shard");
         assert!(cat.pool_stats().spawned);
         assert_eq!(cat.pool_stats().threads, 2);
+    }
+
+    /// A checkpoint that crashed or failed before its rename leaves a
+    /// `shard-N.wal-tmp`; opening the catalog removes it, for a live
+    /// shard and for an id the manifest does not name, and keeps the
+    /// documents.
+    #[test]
+    fn open_removes_stale_checkpoint_temp_files() {
+        let dir = std::env::temp_dir().join(format!("mbxq-cat-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live_tmp = {
+            let cat = Catalog::open(&dir, cfg()).unwrap();
+            cat.create_doc("d", "<d><x/><x/></d>").unwrap();
+            let id = cat.inner.lock().unwrap().docs[0].id;
+            shard_wal_path(&dir, id).with_extension("wal-tmp")
+        };
+        let unknown_tmp = shard_wal_path(&dir, 77).with_extension("wal-tmp");
+        for tmp in [&live_tmp, &unknown_tmp] {
+            std::fs::write(tmp, "half a checkpoint").unwrap();
+        }
+        let cat = Catalog::open(&dir, cfg()).unwrap();
+        assert!(!live_tmp.exists(), "{} survived", live_tmp.display());
+        assert!(!unknown_tmp.exists(), "{} survived", unknown_tmp.display());
+        assert_eq!(cat.doc_names(), ["d"]);
+        assert_eq!(cat.query_nodes("d", "//x").unwrap().len(), 2);
+        drop(cat);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -29,27 +29,30 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Peak live heap while `PagedDoc::parse_str` runs, over the text length:
-/// measured 3.87 on XMark 0.05, plus 25 % headroom. (Through a tree of
+/// measured 3.65 on XMark 0.05, plus 25 % headroom. (Through a tree of
 /// the document it is above 20: the tree alone peaks at 14.4. With the
 /// content index's own copy of every value it was 8.64; with hash-map
-/// interners and per-key posting lists, 5.73.)
-const SHRED_BOUND: f64 = 4.85;
+/// interners and per-key posting lists, 5.73; with an `Arc<str>` per
+/// string instead of the byte arena, 3.87.)
+const SHRED_BOUND: f64 = 4.56;
 /// Peak live heap `to_xml` adds on top of the document, over the text
 /// length: measured 1.98 (the output `String` at its last doubling),
 /// plus 25 % headroom.
 const SERIALIZE_BOUND: f64 = 2.5;
 /// Live heap a loaded `PagedDoc` keeps once `parse_str` returns, over the
-/// text length: measured 3.19 on XMark 0.05, plus 25 % headroom. (With a
+/// text length: measured 2.97 on XMark 0.05, plus 25 % headroom. (With a
 /// second and third copy of every string, in the pool's lookup maps and
 /// the content index, and a node → rows map beside the attribute table,
-/// it was 7.19; with hash-map interners and per-key posting lists, 4.34.)
-const RETAINED_BOUND: f64 = 4.0;
+/// it was 7.19; with hash-map interners and per-key posting lists, 4.34;
+/// with an `Arc<str>` per string, 3.19.)
+const RETAINED_BOUND: f64 = 3.71;
 /// Peak live heap of `Catalog::create_partitioned` into three parts,
-/// over the text length: measured 5.47, plus 25 % headroom. (A
+/// over the text length: measured 5.22, plus 25 % headroom. (A
 /// whole-document tree and a cloned tree per part put it at 26.3; hash-map
 /// interners and per-key posting lists, 6.66; each part's genesis dump
-/// built as a string and copied into its log, 5.55.)
-const PARTITION_BOUND: f64 = 6.85;
+/// built as a string and copied into its log, 5.55; an `Arc<str>` per
+/// string, 5.47.)
+const PARTITION_BOUND: f64 = 6.53;
 /// Peak live heap `Shard::checkpoint` adds on top of the document after a
 /// few commits, over the text length: measured 1.83 (the dump), plus
 /// 25 % headroom. (With the dump still live while compacted bases were
