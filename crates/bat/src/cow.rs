@@ -27,8 +27,9 @@
 //!
 //! [`CowVec`] is a column of values on this directory, its leaves
 //! `Arc<[T]>` pages of a power-of-two number of values (the `node→pos`
-//! map, the level-summary column, the attribute table, the interners'
-//! values, spans and lookup tables); a writer that fills many values of
+//! map, both directions of the [`crate::PageMap`], the level-summary
+//! column, the attribute table, the interners' values, spans and lookup
+//! tables); a writer that fills many values of
 //! one page privatises it once through [`CowVec::page_mut`].
 //! [`CowSorted`] is a sorted sequence on it, its leaves `Arc<[T]>` runs
 //! of variable length (the indexes' posting lists); an insert or a
@@ -40,6 +41,12 @@
 //! is one of these three, so a version's clone, its commit and its drop
 //! cost the chunks and leaves it shares or writes, whatever the
 //! document's history.
+//!
+//! A version of a table is thus a list of **blocks** (directory, chunks,
+//! leaves), and [`Blocks`] is the one walker over them. Two versions
+//! share a block exactly when they hold the same address, so
+//! [`unshared`] is every sharing diagnostic, and a sum of block sizes is
+//! a table's heap.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -202,48 +209,6 @@ impl<L: ?Sized> CowDir<L> {
             .iter()
             .flat_map(|chunk| chunk.iter().map(|leaf| &**leaf))
     }
-
-    /// Number of leaves physically shared (same allocation, same index)
-    /// with `other`. A shared chunk counts whole without a look at its
-    /// leaves.
-    pub fn shared_leaves_with(&self, other: &CowDir<L>) -> usize {
-        self.chunks
-            .iter()
-            .zip(other.chunks.iter())
-            .map(|(a, b)| {
-                if Arc::ptr_eq(a, b) {
-                    a.len()
-                } else {
-                    a.iter()
-                        .zip(b.iter())
-                        .filter(|(x, y)| Arc::ptr_eq(x, y))
-                        .count()
-                }
-            })
-            .sum()
-    }
-
-    /// Number of chunks physically shared (same allocation, same index)
-    /// with `other`.
-    pub fn shared_chunks_with(&self, other: &CowDir<L>) -> usize {
-        self.chunks
-            .iter()
-            .zip(other.chunks.iter())
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
-
-    /// `(owned, total)` chunks: `owned` counts those no other clone
-    /// holds, which are what dropping this version releases (none while
-    /// another clone shares the whole directory).
-    pub fn owned_chunks(&self) -> (usize, usize) {
-        let owned = self
-            .chunks
-            .iter()
-            .filter(|c| Arc::strong_count(c) == 1 && Arc::strong_count(&self.chunks) == 1)
-            .count();
-        (owned, self.chunks.len())
-    }
 }
 
 impl<L: ?Sized> Index<usize> for CowDir<L> {
@@ -254,6 +219,87 @@ impl<L: ?Sized> Index<usize> for CowDir<L> {
         assert!(i < self.len, "leaf {i} out of bounds (len {})", self.len);
         self.leaf(i)
     }
+}
+
+/// Where a [`Block`] sits in its [`CowDir`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// The array of chunk pointers.
+    Directory,
+    /// A chunk of up to [`FANOUT`] leaf pointers.
+    Chunk,
+    /// A leaf: a page, a page of values, or a run of a sorted sequence.
+    Leaf,
+}
+
+/// One allocation of a copy-on-write table, as the block walker
+/// ([`Blocks`]) yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    /// Directory, chunk or leaf.
+    pub level: Level,
+    /// The chunk's or the leaf's index (0 for the directory).
+    pub index: usize,
+    /// The allocation's address: two versions share the block exactly
+    /// when they hold the same address.
+    pub addr: usize,
+    /// Bytes of the allocation, its two reference counts included.
+    pub bytes: usize,
+    /// Holders of the block (its strong count): clones of a directory,
+    /// directories of a chunk, chunks of a leaf.
+    pub owners: usize,
+}
+
+/// A table made of copy-on-write blocks: the one walker that accounting
+/// and sharing diagnostics read (module docs).
+pub trait Blocks {
+    /// Visits every block: the directory, then each chunk followed by
+    /// its leaves, in index order.
+    fn blocks(&self, visit: &mut dyn FnMut(Block));
+}
+
+impl<L: ?Sized> Blocks for CowDir<L> {
+    fn blocks(&self, visit: &mut dyn FnMut(Block)) {
+        visit(block(Level::Directory, 0, &self.chunks));
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            visit(block(Level::Chunk, c, chunk));
+            for (i, leaf) in chunk.iter().enumerate() {
+                visit(block(Level::Leaf, c * FANOUT + i, leaf));
+            }
+        }
+    }
+}
+
+/// The block `arc` points at. Its allocation is `Arc`'s: the strong and
+/// weak counts, then the value.
+fn block<T: ?Sized>(level: Level, index: usize, arc: &Arc<T>) -> Block {
+    let counts = std::alloc::Layout::new::<[usize; 2]>();
+    let (layout, _) = counts
+        .extend(std::alloc::Layout::for_value(&**arc))
+        .expect("the layout of an allocated value");
+    Block {
+        level,
+        index,
+        addr: Arc::as_ptr(arc).cast::<u8>() as usize,
+        bytes: layout.pad_to_align().size(),
+        owners: Arc::strong_count(arc),
+    }
+}
+
+/// The blocks of `new` that `old` does not hold, compared by address:
+/// what `new` allocated or privatised since the two were one version.
+pub fn unshared(new: &dyn Blocks, old: &dyn Blocks) -> Vec<Block> {
+    let mut held = std::collections::HashSet::new();
+    old.blocks(&mut |b| {
+        held.insert(b.addr);
+    });
+    let mut fresh = Vec::new();
+    new.blocks(&mut |b| {
+        if !held.contains(&b.addr) {
+            fresh.push(b);
+        }
+    });
+    fresh
 }
 
 /// A column of `T` values stored as shared, individually copy-on-write
@@ -303,11 +349,6 @@ impl<T: Clone> CowVec<T> {
     /// Whether the column holds no values.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of pages currently backing the column.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
     }
 
     /// Reads index `i`, or `None` past the end.
@@ -432,10 +473,11 @@ impl<T: Clone> CowVec<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         self.pages.iter().flatten().take(self.len)
     }
+}
 
-    /// Number of pages physically shared (same allocation) with `other`.
-    pub fn shared_pages_with(&self, other: &CowVec<T>) -> usize {
-        self.pages.shared_leaves_with(&other.pages)
+impl<T> Blocks for CowVec<T> {
+    fn blocks(&self, visit: &mut dyn FnMut(Block)) {
+        self.pages.blocks(visit);
     }
 }
 
@@ -685,11 +727,11 @@ impl<T: Copy> CowSorted<T> {
         }
         run
     }
+}
 
-    /// Number of leaves physically shared (same allocation, same index)
-    /// with `other`.
-    pub fn shared_leaves_with(&self, other: &CowSorted<T>) -> usize {
-        self.leaves.shared_leaves_with(&other.leaves)
+impl<T> Blocks for CowSorted<T> {
+    fn blocks(&self, visit: &mut dyn FnMut(Block)) {
+        self.leaves.blocks(visit);
     }
 }
 
@@ -737,11 +779,84 @@ mod tests {
         d
     }
 
+    /// Pages backing a column: its leaf blocks.
+    fn pages<T>(v: &CowVec<T>) -> usize {
+        let mut leaves = 0;
+        v.blocks(&mut |b| leaves += usize::from(b.level == Level::Leaf));
+        leaves
+    }
+
+    /// Blocks of `a` at `level` that `b` shares.
+    fn shared(a: &dyn Blocks, b: &dyn Blocks, level: Level) -> usize {
+        let mut total = 0;
+        a.blocks(&mut |blk| total += usize::from(blk.level == level));
+        total
+            - unshared(a, b)
+                .iter()
+                .filter(|blk| blk.level == level)
+                .count()
+    }
+
+    /// `(owned, total)` chunks: `owned` counts those no other clone
+    /// holds, which are what dropping this version releases (none while
+    /// another clone shares the whole directory).
+    fn chunks_held_alone(a: &dyn Blocks) -> (usize, usize) {
+        let (mut directory, mut owned, mut total) = (0, 0, 0);
+        a.blocks(&mut |b| match b.level {
+            Level::Directory => directory = b.owners,
+            Level::Chunk => {
+                total += 1;
+                owned += usize::from(directory == 1 && b.owners == 1);
+            }
+            Level::Leaf => {}
+        });
+        (owned, total)
+    }
+
     /// Leaves of `a` not shared with `b`, by index.
     fn private_leaves(a: &CowDir<[usize]>, b: &CowDir<[usize]>) -> Vec<usize> {
         (0..a.len())
             .filter(|&i| b.get(i).is_none_or(|l| !std::ptr::eq(l, &a[i])))
             .collect()
+    }
+
+    /// The walker yields the directory, then each chunk followed by its
+    /// leaves, each with the bytes of its allocation: two reference
+    /// counts and the value.
+    #[test]
+    fn the_walker_yields_every_block_with_its_allocation() {
+        let d = dir(FANOUT + 1);
+        let mut seen = Vec::new();
+        d.blocks(&mut |b| seen.push((b.level, b.index, b.bytes)));
+        let counts = 2 * std::mem::size_of::<usize>();
+        let pointer = std::mem::size_of::<Arc<[usize]>>(); // a fat pointer
+        let leaf = |i| (Level::Leaf, i, counts + std::mem::size_of::<usize>());
+        let mut want = vec![
+            (Level::Directory, 0, counts + 2 * pointer),
+            (Level::Chunk, 0, counts + FANOUT * pointer),
+        ];
+        want.extend((0..FANOUT).map(leaf));
+        want.extend([(Level::Chunk, 1, counts + pointer), leaf(FANOUT)]);
+        assert_eq!(seen, want);
+        // A column and a sorted sequence are their directory's blocks;
+        // an allocation is padded to the counts' alignment.
+        let padded = |n: usize| (counts + n).next_multiple_of(std::mem::align_of::<usize>());
+        let v = filled(4, 9, 0u8);
+        let mut leaves = Vec::new();
+        v.blocks(&mut |b| {
+            if b.level == Level::Leaf {
+                leaves.push(b.bytes)
+            }
+        });
+        assert_eq!(leaves, [padded(4); 3]);
+        let sorted = CowSorted::from_sorted(2, &[1u16, 2, 3]);
+        let mut runs = Vec::new();
+        sorted.blocks(&mut |b| {
+            if b.level == Level::Leaf {
+                runs.push(b.bytes)
+            }
+        });
+        assert_eq!(runs, [padded(4), padded(2)]);
     }
 
     #[test]
@@ -755,7 +870,7 @@ mod tests {
         }
         assert_eq!(v.get(9), Some(&90));
         assert_eq!(v.get(10), None);
-        assert_eq!(v.num_pages(), 3);
+        assert_eq!(pages(&v), 3);
         assert_eq!(v.iter().copied().sum::<u32>(), 450);
         assert_eq!(v.iter().count(), 10, "the filler past the end is not read");
     }
@@ -779,9 +894,9 @@ mod tests {
     fn clones_share_pages_until_written() {
         let mut a = filled(4, 12, 1u64);
         let b = a.clone();
-        assert_eq!(a.shared_pages_with(&b), 3);
+        assert_eq!(shared(&a, &b, Level::Leaf), 3);
         a[5] = 99; // page 1 privatized
-        assert_eq!(a.shared_pages_with(&b), 2);
+        assert_eq!(shared(&a, &b, Level::Leaf), 2);
         assert_eq!(b[5], 1, "the clone never sees the write");
         assert_eq!(a[5], 99);
         // Unwritten neighbors on the privatized page were copied over.
@@ -795,7 +910,7 @@ mod tests {
         a[0] = 1;
         a[1] = 2;
         a[7] = 3;
-        assert_eq!(a.shared_pages_with(&b), 1);
+        assert_eq!(shared(&a, &b, Level::Leaf), 1);
     }
 
     #[test]
@@ -805,13 +920,13 @@ mod tests {
             v.push(i);
         }
         assert_eq!(v.len(), 6);
-        assert_eq!(v.num_pages(), 2);
+        assert_eq!(pages(&v), 2);
         assert_eq!(v[5], 5);
         let w = v.clone();
         v.push(6); // grows the shared partial page: must privatize it
         assert_eq!(w.len(), 6);
         assert_eq!(v[6], 6);
-        assert_eq!(v.shared_pages_with(&w), 1);
+        assert_eq!(shared(&v, &w, Level::Leaf), 1);
     }
 
     #[test]
@@ -826,7 +941,7 @@ mod tests {
             v.iter().copied().collect::<Vec<_>>(),
             [0, 1, 2, 3, 4, 99, 5, 6, 7, 8, 9]
         );
-        assert_eq!(v.shared_pages_with(&base), 1, "page 0 stays shared");
+        assert_eq!(shared(&v, &base, Level::Leaf), 1, "page 0 stays shared");
         v.insert(11, 7); // at the end, opening a page
         v.insert(0, 5);
         assert_eq!(v.len(), 13);
@@ -883,7 +998,7 @@ mod tests {
         let base = v.clone();
         let page = v.page_mut(1);
         page.copy_from_slice(&[1, 2, 3, 4]);
-        assert_eq!(v.shared_pages_with(&base), 2);
+        assert_eq!(shared(&v, &base, Level::Leaf), 2);
         assert_eq!(v.page_mut(2).len(), 2, "the last page ends at the length");
         assert_eq!(
             v.iter().copied().collect::<Vec<_>>(),
@@ -927,11 +1042,15 @@ mod tests {
     fn a_clone_shares_every_chunk_and_copies_no_leaf() {
         let a = dir(3 * FANOUT + 5);
         let b = a.clone();
-        assert_eq!(a.shared_chunks_with(&b), 4);
-        assert_eq!(a.shared_leaves_with(&b), a.len());
-        assert_eq!(a.owned_chunks(), (0, 4));
+        assert_eq!(shared(&a, &b, Level::Chunk), 4);
+        assert_eq!(shared(&a, &b, Level::Leaf), a.len());
+        assert_eq!(chunks_held_alone(&a), (0, 4));
         drop(b);
-        assert_eq!(a.owned_chunks(), (4, 4), "the drop released every chunk");
+        assert_eq!(
+            chunks_held_alone(&a),
+            (4, 4),
+            "the drop released every chunk"
+        );
     }
 
     #[test]
@@ -940,9 +1059,9 @@ mod tests {
         let mut d = base.clone();
         let i = FANOUT + 7;
         Arc::make_mut(d.leaf_mut(i))[0] = 1000;
-        assert_eq!(d.shared_chunks_with(&base), 3);
+        assert_eq!(shared(&d, &base, Level::Chunk), 3);
         assert_eq!(private_leaves(&d, &base), [i]);
-        assert_eq!(d.owned_chunks(), (1, 4));
+        assert_eq!(chunks_held_alone(&d), (1, 4));
         // Every pointer the privatised chunk copied still shares its leaf.
         let chunk = &d.chunks[1];
         for (j, leaf) in chunk.iter().enumerate() {
@@ -952,7 +1071,7 @@ mod tests {
         assert_eq!((base[i][0], d[i][0]), (i, 1000));
         // A second write to the same chunk copies nothing more.
         Arc::make_mut(d.leaf_mut(FANOUT + 8))[0] = 2000;
-        assert_eq!(d.shared_chunks_with(&base), 3);
+        assert_eq!(shared(&d, &base, Level::Chunk), 3);
         assert_eq!(private_leaves(&d, &base), [i, i + 1]);
     }
 
@@ -962,8 +1081,8 @@ mod tests {
         let mut d = base.clone();
         d.push(Arc::from([99]));
         assert_eq!(d.len(), 2 * FANOUT + 4);
-        assert_eq!(d.shared_chunks_with(&base), 2);
-        assert_eq!(d.owned_chunks(), (1, 3));
+        assert_eq!(shared(&d, &base, Level::Chunk), 2);
+        assert_eq!(chunks_held_alone(&d), (1, 3));
         assert_eq!(private_leaves(&d, &base), [2 * FANOUT + 3]);
         assert_eq!(base.len(), 2 * FANOUT + 3, "the base never sees the push");
         assert!(base.get(2 * FANOUT + 3).is_none());
@@ -971,8 +1090,8 @@ mod tests {
         let mut e = dir(2 * FANOUT);
         let f = e.clone();
         e.push(Arc::from([7]));
-        assert_eq!(e.shared_chunks_with(&f), 2);
-        assert_eq!(e.owned_chunks(), (1, 3));
+        assert_eq!(shared(&e, &f, Level::Chunk), 2);
+        assert_eq!(chunks_held_alone(&e), (1, 3));
     }
 
     #[test]
@@ -985,14 +1104,10 @@ mod tests {
             v.iter().copied().collect::<Vec<_>>(),
             [1, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7]
         );
-        assert_eq!(
-            (v.num_pages(), w.len()),
-            (3, 1),
-            "the clone never sees the run"
-        );
+        assert_eq!((pages(&v), w.len()), (3, 1), "the clone never sees the run");
         v.grow_to(5, 0); // never shrinks
         assert_eq!(v.len(), 11);
-        assert_eq!(filled(8, 0, 0u8).num_pages(), 0);
+        assert_eq!(pages(&filled(8, 0, 0u8)), 0);
     }
 
     #[test]
@@ -1003,13 +1118,13 @@ mod tests {
         let mut expect: Vec<usize> = (0..base.len()).collect();
         expect.remove(FANOUT + 1);
         assert_eq!(d.iter().map(|l| l[0]).collect::<Vec<_>>(), expect);
-        assert_eq!(d.shared_chunks_with(&base), 1);
+        assert_eq!(shared(&d, &base, Level::Chunk), 1);
         d.remove(d.len() - 1);
         d.remove(0);
         assert_eq!(d.len(), base.len() - 3);
         let built = CowSorted::from_sorted(1, &(0..FANOUT + 2).collect::<Vec<_>>());
         assert_eq!(built.leaves.len(), FANOUT + 2);
-        assert_eq!(built.leaves.owned_chunks(), (2, 2));
+        assert_eq!(chunks_held_alone(&built), (2, 2));
     }
 
     /// `CowSorted` under an insert/remove mix equals a sorted `Vec`, and
@@ -1056,11 +1171,11 @@ mod tests {
     fn a_sorted_write_copies_one_leaf() {
         let base = CowSorted::from_sorted(4, &(0..64u32).collect::<Vec<_>>());
         let mut s = base.clone();
-        assert_eq!(s.shared_leaves_with(&base), 16);
+        assert_eq!(shared(&s, &base, Level::Leaf), 16);
         s.insert(21, |&e| e < 21); // into leaf 5
-        assert_eq!(s.shared_leaves_with(&base), 15);
+        assert_eq!(shared(&s, &base, Level::Leaf), 15);
         assert!(s.remove(&40, |&e| e < 40).is_some());
-        assert_eq!(s.shared_leaves_with(&base), 14);
+        assert_eq!(shared(&s, &base, Level::Leaf), 14);
         assert!(s.remove(&999, |&e| e < 999).is_none());
         assert!(CowSorted::<u8>::new(4)
             .runs_from(Cursor { leaf: 0, at: 0 })
@@ -1086,9 +1201,9 @@ mod tests {
         }
         // The chunk before the splice point stays shared; the rest were
         // rebuilt, and the base owns its own again.
-        assert_eq!(d.shared_chunks_with(&base), 1);
-        assert_eq!(d.owned_chunks(), (3, 4));
-        assert_eq!(base.owned_chunks(), (3, 4));
+        assert_eq!(shared(&d, &base, Level::Chunk), 1);
+        assert_eq!(chunks_held_alone(&d), (3, 4));
+        assert_eq!(chunks_held_alone(&base), (3, 4));
         // Splicing at either end works too.
         d.insert(0, Arc::from([7]));
         d.insert(d.len(), Arc::from([8]));

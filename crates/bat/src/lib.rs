@@ -13,25 +13,28 @@
 //! depends on:
 //!
 //! * [`VoidBat`] — a BAT with a virtual dense head (`seqbase ..`) and a
-//!   typed tail; supports positional select and positional join.
+//!   typed tail: a lookup by head oid is one array index.
 //! * [`PageMap`] — the *logical page order* indirection of §3: physical
 //!   pages of a base table presented in a different logical order, which is
 //!   how MonetDB's adaptive memory-mapping primitive makes appended
-//!   overflow pages appear "halfway" in the `pre/size/level` view.
+//!   overflow pages appear "halfway" in the `pre/size/level` view; both
+//!   directions are copy-on-write columns.
 //! * [`cow`] — the in-memory equivalent of MonetDB's copy-on-write
 //!   memory maps: [`CowDir`], a two-level directory of shared leaves
 //!   (the document's pages), [`CowVec`], a column of values on it (the
 //!   side tables and the interners), and [`CowSorted`], a sorted
 //!   sequence on it (the posting lists of the indexes). A clone copies
-//!   one pointer per [`FANOUT`] leaves and shares every leaf until one
-//!   side writes it.
+//!   one reference count and shares every leaf until one side writes
+//!   it. [`Blocks`] walks a table's blocks (directory, chunks, leaves)
+//!   by address and size: the one source of sharing diagnostics and
+//!   heap accounting.
 
 pub mod cow;
 pub mod pagemap;
 
 mod voidbat;
 
-pub use cow::{CowDir, CowSorted, CowVec, Cursor, FANOUT};
+pub use cow::{unshared, Block, Blocks, CowDir, CowSorted, CowVec, Cursor, Level, FANOUT};
 pub use pagemap::{PageId, PageMap};
 pub use voidbat::VoidBat;
 
@@ -53,13 +56,6 @@ pub enum BatError {
         /// Number of tuples in the BAT.
         count: usize,
     },
-    /// A page index did not exist in a [`PageMap`].
-    BadPage {
-        /// The page that was requested.
-        page: usize,
-        /// Number of pages that exist.
-        pages: usize,
-    },
 }
 
 impl core::fmt::Display for BatError {
@@ -74,9 +70,6 @@ impl core::fmt::Display for BatError {
                 "oid {oid} out of range [{seqbase}, {})",
                 seqbase + *count as Oid
             ),
-            BatError::BadPage { page, pages } => {
-                write!(f, "page {page} out of range (have {pages} pages)")
-            }
         }
     }
 }

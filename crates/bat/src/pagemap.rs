@@ -11,26 +11,42 @@
 //! * `pre → pos` when the query engine dereferences a view position, and
 //! * `pos → pre` ("swizzling", §3.1) when a node id is translated back to
 //!   a pre rank: `pre = pageOffset[pos >> S] << S | (pos & (2^S - 1))`.
+//!
+//! A page id or index out of range is a caller's bug, not data: the
+//! lookups answer `None` and a splice past the end panics, as the
+//! columns' own accesses do.
+//!
+//! Both directions are copy-on-write columns of `u32` ([`CowVec`]), like
+//! every other table of a document version: a clone shares them, and
+//! only a page appended or spliced in writes them (§3.2: a transaction's
+//! view of the table is a copy-on-write map of the base).
 
-use crate::{BatError, Result};
+use crate::cow::{Block, Blocks, CowVec};
 
 /// Identifier of a *physical* page (its index in physical append order).
 pub type PageId = usize;
 
+/// Entries per copy-on-write page of either direction.
+const MAP_PAGE: usize = 1024;
+
 /// A permutation between physical pages and logical page order.
 ///
 /// Maintains both directions so that `pre → pos` (view dereference) and
-/// `pos → pre` (node swizzle) are each a single array lookup plus
+/// `pos → pre` (node swizzle) are each a single column lookup plus
 /// shift/mask arithmetic, exactly as the paper describes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PageMap {
-    /// Tuples per logical page; a power of two so the swizzle is shift/mask.
-    page_size: usize,
+    /// log2 of the tuples per logical page, so the swizzle is shift/mask.
     shift: u32,
     /// logical page index → physical page id.
-    logical: Vec<PageId>,
+    logical: CowVec<u32>,
     /// physical page id → logical page index (the `pageOffset` table).
-    offset: Vec<usize>,
+    offset: CowVec<u32>,
+}
+
+/// A page id or logical index at the columns' width.
+fn narrow(page: usize) -> u32 {
+    u32::try_from(page).expect("a page map holds fewer than 2³² pages")
 }
 
 impl PageMap {
@@ -49,16 +65,10 @@ impl PageMap {
             "logical page size must be a power of two, got {page_size}"
         );
         PageMap {
-            page_size,
             shift: page_size.trailing_zeros(),
-            logical: Vec::new(),
-            offset: Vec::new(),
+            logical: CowVec::new(MAP_PAGE),
+            offset: CowVec::new(MAP_PAGE),
         }
-    }
-
-    /// Tuples per logical page.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Number of pages (physical == logical; the permutation is total).
@@ -66,17 +76,12 @@ impl PageMap {
         self.logical.len()
     }
 
-    /// Total tuple capacity covered by the map.
-    pub fn capacity(&self) -> usize {
-        self.num_pages() * self.page_size
-    }
-
     /// Appends a fresh physical page at the **end** of the logical order
     /// (initial shredding path). Returns its physical page id.
     pub fn append_page(&mut self) -> PageId {
         let phys = self.offset.len();
-        self.offset.push(self.logical.len());
-        self.logical.push(phys);
+        self.offset.push(narrow(self.logical.len()));
+        self.logical.push(narrow(phys));
         phys
     }
 
@@ -89,62 +94,38 @@ impl PageMap {
     /// O(#pages), *not* O(#tuples).
     ///
     /// Returns the new page's physical id.
-    pub fn insert_page_at(&mut self, at: usize) -> Result<PageId> {
-        if at > self.logical.len() {
-            return Err(BatError::BadPage {
-                page: at,
-                pages: self.logical.len(),
-            });
-        }
+    ///
+    /// # Panics
+    /// Panics if `at` is past the last page.
+    pub fn insert_page_at(&mut self, at: usize) -> PageId {
         let phys = self.offset.len();
-        self.logical.insert(at, phys);
+        self.logical.insert(at, narrow(phys));
         // Rebuild offsets for the shifted suffix.
-        self.offset.push(at);
-        for (lidx, &p) in self.logical.iter().enumerate().skip(at) {
-            self.offset[p] = lidx;
+        self.offset.push(narrow(at));
+        for lidx in at + 1..self.logical.len() {
+            self.offset[self.logical[lidx] as usize] = narrow(lidx);
         }
-        Ok(phys)
+        phys
     }
 
     /// Physical page id of the page at logical index `lp`.
     #[inline]
-    pub fn logical_to_physical(&self, lp: usize) -> Result<PageId> {
-        self.logical.get(lp).copied().ok_or(BatError::BadPage {
-            page: lp,
-            pages: self.logical.len(),
-        })
+    pub fn logical_to_physical(&self, lp: usize) -> Option<PageId> {
+        self.logical.get(lp).map(|&phys| phys as PageId)
     }
 
     /// Logical index of physical page `pp` (a `pageOffset` lookup).
     #[inline]
-    pub fn physical_to_logical(&self, pp: PageId) -> Result<usize> {
-        self.offset.get(pp).copied().ok_or(BatError::BadPage {
-            page: pp,
-            pages: self.offset.len(),
-        })
-    }
-
-    /// Translates a view position (`pre`-side) to a physical position
-    /// (`pos`-side): one lookup + shift/mask.
-    #[inline]
-    pub fn pre_to_pos(&self, pre: u64) -> Result<u64> {
-        let lp = (pre >> self.shift) as usize;
-        let phys = self.logical_to_physical(lp)?;
-        Ok(((phys as u64) << self.shift) | (pre & (self.page_size as u64 - 1)))
+    pub fn physical_to_logical(&self, pp: PageId) -> Option<usize> {
+        self.offset.get(pp).map(|&lp| lp as usize)
     }
 
     /// Swizzles a physical position to a view position:
     /// `pre = pageOffset[pos >> S] << S | (pos & (2^S - 1))` (§3.1).
     #[inline]
-    pub fn pos_to_pre(&self, pos: u64) -> Result<u64> {
-        let pp = (pos >> self.shift) as usize;
-        let lp = self.physical_to_logical(pp)?;
-        Ok(((lp as u64) << self.shift) | (pos & (self.page_size as u64 - 1)))
-    }
-
-    /// Iterates physical page ids in logical order.
-    pub fn pages_in_logical_order(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.logical.iter().copied()
+    pub fn pos_to_pre(&self, pos: u64) -> Option<u64> {
+        let lp = self.physical_to_logical((pos >> self.shift) as usize)?;
+        Some(((lp as u64) << self.shift) | (pos & ((1 << self.shift) - 1)))
     }
 
     /// Checks internal consistency: the two directions must be inverse
@@ -155,13 +136,27 @@ impl PageMap {
                 .logical
                 .iter()
                 .enumerate()
-                .all(|(lidx, &p)| self.offset.get(p) == Some(&lidx))
+                .all(|(lidx, &p)| self.offset.get(p as usize) == Some(&narrow(lidx)))
+    }
+}
+
+/// Both directions, the logical order first.
+impl Blocks for PageMap {
+    fn blocks(&self, visit: &mut dyn FnMut(Block)) {
+        self.logical.blocks(visit);
+        self.offset.blocks(visit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A view position's physical position, through the logical order.
+    fn pre_to_pos(m: &PageMap, pre: u64) -> Option<u64> {
+        let phys = m.logical_to_physical((pre >> m.shift) as usize)?;
+        Some(((phys as u64) << m.shift) | (pre & ((1 << m.shift) - 1)))
+    }
 
     #[test]
     #[should_panic(expected = "power of two")]
@@ -182,7 +177,7 @@ mod tests {
         }
         // Identity permutation: pre == pos.
         for p in 0..24 {
-            assert_eq!(m.pre_to_pos(p).unwrap(), p);
+            assert_eq!(pre_to_pos(&m, p).unwrap(), p);
             assert_eq!(m.pos_to_pre(p).unwrap(), p);
         }
     }
@@ -192,15 +187,15 @@ mod tests {
         let mut m = PageMap::new(4);
         m.append_page(); // phys 0, logical 0
         m.append_page(); // phys 1, logical 1
-        let new = m.insert_page_at(1).unwrap(); // phys 2 spliced at logical 1
+        let new = m.insert_page_at(1); // phys 2 spliced at logical 1
         assert_eq!(new, 2);
         assert_eq!(m.logical_to_physical(0).unwrap(), 0);
         assert_eq!(m.logical_to_physical(1).unwrap(), 2);
         assert_eq!(m.logical_to_physical(2).unwrap(), 1);
         assert!(m.check_consistency());
         // pre 4..8 now lives in physical page 2 → pos 8..12.
-        assert_eq!(m.pre_to_pos(4).unwrap(), 8);
-        assert_eq!(m.pre_to_pos(7).unwrap(), 11);
+        assert_eq!(pre_to_pos(&m, 4).unwrap(), 8);
+        assert_eq!(pre_to_pos(&m, 7).unwrap(), 11);
         // and the old physical page 1 shifted to pre 8..12.
         assert_eq!(m.pos_to_pre(4).unwrap(), 8);
         assert_eq!(m.pos_to_pre(8).unwrap(), 4);
@@ -210,11 +205,10 @@ mod tests {
     fn splice_at_bounds() {
         let mut m = PageMap::new(4);
         m.append_page();
-        assert!(m.insert_page_at(2).is_err());
-        m.insert_page_at(0).unwrap(); // prepend
+        m.insert_page_at(0); // prepend
         assert_eq!(m.logical_to_physical(0).unwrap(), 1);
         assert_eq!(m.logical_to_physical(1).unwrap(), 0);
-        m.insert_page_at(2).unwrap(); // append via splice
+        m.insert_page_at(2); // append via splice
         assert_eq!(m.logical_to_physical(2).unwrap(), 2);
         assert!(m.check_consistency());
     }
@@ -225,22 +219,23 @@ mod tests {
         for _ in 0..4 {
             m.append_page();
         }
-        m.insert_page_at(2).unwrap();
-        m.insert_page_at(0).unwrap();
-        m.insert_page_at(5).unwrap();
+        m.insert_page_at(2);
+        m.insert_page_at(0);
+        m.insert_page_at(5);
         assert!(m.check_consistency());
-        for pre in 0..(m.capacity() as u64) {
-            let pos = m.pre_to_pos(pre).unwrap();
+        for pre in 0..(m.num_pages() as u64 * 16) {
+            let pos = pre_to_pos(&m, pre).unwrap();
             assert_eq!(m.pos_to_pre(pos).unwrap(), pre);
         }
     }
 
     /// Any sequence of appends and splices keeps the permutation
-    /// consistent and the swizzle bijective. Randomized over an inline
-    /// SplitMix64 stream — `mbxq-bat` sits at the bottom of the crate
-    /// graph, so it cannot borrow the shared generator from
-    /// `mbxq-xmark::rng` without a dev-dependency cycle; seed reported
-    /// on failure.
+    /// consistent and the swizzle bijective, across the columns' page
+    /// boundaries and against a clone taken halfway, which never sees
+    /// the later writes. Randomized over an inline SplitMix64 stream —
+    /// `mbxq-bat` sits at the bottom of the crate graph, so it cannot
+    /// borrow the shared generator from `mbxq-xmark::rng` without a
+    /// dev-dependency cycle; seed reported on failure.
     #[test]
     fn random_splices_keep_bijection() {
         for seed in 0..64u64 {
@@ -252,32 +247,53 @@ mod tests {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                 (z ^ (z >> 31)) as usize
             };
-            let n_ops = 1 + next() % 23;
+            let n_ops = 1 + next() % 23 + if seed % 8 == 0 { MAP_PAGE } else { 0 };
             let mut m = PageMap::new(8);
-            for _ in 0..n_ops {
+            let mut halfway = None;
+            for op in 0..n_ops {
+                if op == n_ops / 2 {
+                    halfway = Some((m.clone(), m.num_pages()));
+                }
                 let op = next() % 16;
                 if op == 0 || m.num_pages() == 0 {
                     m.append_page();
                 } else {
                     let at = op % (m.num_pages() + 1);
-                    m.insert_page_at(at).unwrap();
+                    m.insert_page_at(at);
                 }
             }
-            assert!(m.check_consistency(), "seed {seed}");
-            let mut seen = std::collections::HashSet::new();
-            for pre in 0..m.capacity() as u64 {
-                let pos = m.pre_to_pos(pre).unwrap();
-                assert!(seen.insert(pos), "seed {seed}: pos {pos} duplicated");
-                assert_eq!(m.pos_to_pre(pos).unwrap(), pre, "seed {seed}");
+            for m in [Some(&m), halfway.as_ref().map(|(h, _)| h)]
+                .into_iter()
+                .flatten()
+            {
+                assert!(m.check_consistency(), "seed {seed}");
+                let mut seen = std::collections::HashSet::new();
+                for pre in 0..m.num_pages() as u64 * 8 {
+                    let pos = pre_to_pos(m, pre).unwrap();
+                    assert!(seen.insert(pos), "seed {seed}: pos {pos} duplicated");
+                    assert_eq!(m.pos_to_pre(pos).unwrap(), pre, "seed {seed}");
+                }
+            }
+            if let Some((h, pages)) = halfway {
+                assert_eq!(h.num_pages(), pages, "seed {seed}: the clone saw a write");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end")]
+    fn a_splice_past_the_last_page_panics() {
+        let mut m = PageMap::new(4);
+        m.append_page();
+        m.insert_page_at(2);
     }
 
     #[test]
     fn out_of_range_positions_error() {
         let mut m = PageMap::new(4);
         m.append_page();
-        assert!(m.pre_to_pos(4).is_err());
-        assert!(m.pos_to_pre(4).is_err());
+        assert!(pre_to_pos(&m, 4).is_none());
+        assert!(m.pos_to_pre(4).is_none());
+        assert!(m.physical_to_logical(1).is_none());
     }
 }

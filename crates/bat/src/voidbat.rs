@@ -32,19 +32,6 @@ impl<T> VoidBat<T> {
         }
     }
 
-    /// Creates a BAT from an existing tail vector with head `seqbase..`.
-    pub fn from_tail(seqbase: Oid, tail: Vec<T>) -> Self {
-        VoidBat { seqbase, tail }
-    }
-
-    /// Creates an empty BAT with pre-reserved tail capacity.
-    pub fn with_capacity(seqbase: Oid, cap: usize) -> Self {
-        VoidBat {
-            seqbase,
-            tail: Vec::with_capacity(cap),
-        }
-    }
-
     /// First oid of the virtual head sequence.
     pub fn seqbase(&self) -> Oid {
         self.seqbase
@@ -74,11 +61,6 @@ impl<T> VoidBat<T> {
         oid
     }
 
-    /// Appends many tuples at once (bulk load path of the shredder).
-    pub fn append_from<I: IntoIterator<Item = T>>(&mut self, values: I) {
-        self.tail.extend(values);
-    }
-
     /// Positional lookup: the tail value associated with head oid `oid`.
     pub fn find(&self, oid: Oid) -> Result<&T> {
         self.index_of(oid).map(|i| &self.tail[i])
@@ -106,29 +88,9 @@ impl<T> VoidBat<T> {
         Ok((oid - self.seqbase) as usize)
     }
 
-    /// Positional range select: tail values for head oids `lo..hi`
-    /// (clamped to the BAT's head range). This is MonetDB's positional
-    /// select — an O(1) slice, no scan.
-    pub fn positional_select(&self, lo: Oid, hi: Oid) -> &[T] {
-        let end = self.hseqend();
-        let lo = lo.clamp(self.seqbase, end);
-        let hi = hi.clamp(lo, end);
-        &self.tail[(lo - self.seqbase) as usize..(hi - self.seqbase) as usize]
-    }
-
     /// Direct slice access to the whole tail.
     pub fn tail(&self) -> &[T] {
         &self.tail
-    }
-
-    /// Mutable slice access to the whole tail (bulk update path).
-    pub fn tail_mut(&mut self) -> &mut [T] {
-        &mut self.tail
-    }
-
-    /// Consumes the BAT and returns its tail vector.
-    pub fn into_tail(self) -> Vec<T> {
-        self.tail
     }
 
     /// Iterates `(oid, &value)` pairs in head order.
@@ -147,29 +109,6 @@ impl<T> VoidBat<T> {
 }
 
 impl<T: Copy> VoidBat<T> {
-    /// Positional join (MonetDB `leftfetchjoin` with a void-headed right
-    /// operand): for every oid in `probe`, fetch the associated tail value.
-    ///
-    /// The cost is one array access per probe value — this is the operation
-    /// the updateable schema performs through the `node→pos` table each
-    /// time an attribute is looked up after an XPath step (§4.1).
-    pub fn positional_join(&self, probe: &[Oid]) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(probe.len());
-        for &oid in probe {
-            out.push(*self.find(oid)?);
-        }
-        Ok(out)
-    }
-
-    /// Like [`VoidBat::positional_join`] but skipping probe oids outside
-    /// the head range instead of failing.
-    pub fn positional_join_lenient(&self, probe: &[Oid]) -> Vec<T> {
-        probe
-            .iter()
-            .filter_map(|&oid| self.find(oid).ok().copied())
-            .collect()
-    }
-
     /// Returns the tail value at head oid `oid` by value.
     #[inline]
     pub fn get(&self, oid: Oid) -> Result<T> {
@@ -180,6 +119,15 @@ impl<T: Copy> VoidBat<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A BAT holding `tail` under the head `seqbase..`.
+    fn bat<T>(seqbase: Oid, tail: impl IntoIterator<Item = T>) -> VoidBat<T> {
+        let mut b = VoidBat::new(seqbase);
+        tail.into_iter().for_each(|v| {
+            b.append(v);
+        });
+        b
+    }
 
     #[test]
     fn empty_bat_has_no_tuples() {
@@ -211,43 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn positional_select_clamps() {
-        let b = VoidBat::from_tail(100, vec![0, 1, 2, 3, 4]);
-        assert_eq!(b.positional_select(101, 103), &[1, 2]);
-        assert_eq!(b.positional_select(0, 1000), &[0, 1, 2, 3, 4]);
-        assert_eq!(b.positional_select(200, 300), &[] as &[i32]);
-        // hi < lo clamps to empty
-        assert_eq!(b.positional_select(104, 101), &[] as &[i32]);
-    }
-
-    #[test]
-    fn positional_join_fetches_per_probe() {
-        let b = VoidBat::from_tail(0, vec![10u32, 20, 30]);
-        assert_eq!(
-            b.positional_join(&[2, 0, 1, 1]).unwrap(),
-            vec![30, 10, 20, 20]
-        );
-        assert!(b.positional_join(&[3]).is_err());
-        assert_eq!(b.positional_join_lenient(&[2, 9, 0]), vec![30, 10]);
-    }
-
-    #[test]
     fn iter_yields_head_tail_pairs() {
-        let b = VoidBat::from_tail(7, vec!['x', 'y']);
+        let b = bat(7, ['x', 'y']);
         let v: Vec<_> = b.iter().collect();
         assert_eq!(v, vec![(7, &'x'), (8, &'y')]);
     }
 
     #[test]
     fn find_mut_updates_in_place() {
-        let mut b = VoidBat::from_tail(0, vec![1, 2, 3]);
+        let mut b = bat(0, [1, 2, 3]);
         *b.find_mut(1).unwrap() = 99;
         assert_eq!(b.tail(), &[1, 99, 3]);
     }
 
     #[test]
     fn truncate_rolls_back_appends() {
-        let mut b = VoidBat::from_tail(0, vec![1, 2]);
+        let mut b = bat(0, [1, 2]);
         b.append(3);
         b.append(4);
         b.truncate(2);

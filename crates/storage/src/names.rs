@@ -31,7 +31,7 @@
 //! them before clearing their slots.
 
 use crate::values::QnId;
-use mbxq_bat::{CowSorted, CowVec, Cursor};
+use mbxq_bat::{Blocks, CowSorted, CowVec, Cursor};
 use std::cmp::Ordering;
 
 /// Entries per leaf of the posting sequences (a leaf splits at twice
@@ -213,16 +213,17 @@ impl DocOrdered {
         self.seq.iter()
     }
 
-    /// Number of leaves physically shared with `other`.
-    #[cfg(test)]
-    pub(crate) fn shared_leaves_with(&self, other: &DocOrdered) -> usize {
-        self.seq.shared_leaves_with(&other.seq)
+    /// The block walker's view: the posting sequence and the per-name
+    /// count column.
+    pub(crate) fn columns(&self) -> (&dyn Blocks, &dyn Blocks) {
+        (&self.seq, &self.named)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbxq_bat::Level;
 
     fn ident(n: u64) -> Option<u64> {
         Some(n)
@@ -305,9 +306,13 @@ mod tests {
         let postings: Vec<(u32, u64)> = (0..10 * LEAF as u64).map(|n| (n as u32 % 5, n)).collect();
         let idx = index(&postings);
         let mut snap = idx.clone();
-        assert_eq!(snap.shared_leaves_with(&idx), 10, "clone must share");
+        let private_leaves = |snap: &NameIndex| {
+            let fresh = mbxq_bat::unshared(snap.columns().0, idx.columns().0);
+            fresh.iter().filter(|b| b.level == Level::Leaf).count()
+        };
+        assert_eq!(private_leaves(&snap), 0, "clone must share");
         snap.add(named(3, 1_000_000), ident);
-        assert_eq!(snap.shared_leaves_with(&idx), 9, "a write copies one leaf");
+        assert_eq!(private_leaves(&snap), 1, "a write copies one leaf");
         assert_eq!(idx.count((QnId(3), 0)), 2 * LEAF as u64);
     }
 }

@@ -66,13 +66,12 @@
 //! allocation ([`crate::page`]; 19 bytes per slot).
 //!
 //! * **What a clone copies.** `PagedDoc::clone` bumps one reference
-//!   count per directory: the pages' and every side table's — the
-//!   columns, the value pool and the indexes, all on the same kind of
-//!   directory — however large the document and however many commits it
-//!   has seen. What else it copies is flat and small: the `pageOffset`
-//!   table (two words per page, no reference counts). All tuple data
-//!   stays shared with the clone until one side writes it. Dropping a
-//!   version releases only what it does not share.
+//!   count per table: the pages', the `pageOffset` map's two columns and
+//!   every side table's — the columns, the value pool and the indexes,
+//!   all on the same kind of directory — however large the document and
+//!   however many commits it has seen. It allocates nothing, and all
+//!   tuple data stays shared with the clone until one side writes it.
+//!   Dropping a version releases only what it does not share.
 //! * **What a write copies.** The first write to a table through a
 //!   version privatises its directory (one pointer and one reference
 //!   count per chunk). A write privatises the chunk holding its
@@ -87,7 +86,8 @@
 //!   every page. A page rewrite also writes its summary entry and the
 //!   `node→pos` entries of the tuples it moved, a `node→pos` page at a
 //!   time ([`CowVec::page_mut`]: one privatisation per page, not one
-//!   per entry).
+//!   per entry). Only a page appended or spliced in writes the
+//!   `pageOffset` columns.
 //! * **Where the swizzle happens.** `pre → page` is the directory itself
 //!   (`PagedDoc::slot`: chunk, then page — the same two dependent loads
 //!   as a `pageOffset` lookup followed by a page pointer), after which
@@ -103,12 +103,11 @@
 //! the current one and applying its operations, paying O(pages touched +
 //! ancestors delta-adjusted) instead of O(document), and publishes it by
 //! swapping one `Arc` under the store's short global lock. The side
-//! tables that are not divided into logical pages (`node→pos`, the
-//! level-summary column, the attribute table, the value pool) are
-//! [`CowVec`]s: columns on the
-//! same directory; the name and content indexes are sorted sequences
-//! on it ([`mbxq_bat::CowSorted`]), so a commit copies the index leaves
-//! it writes and nothing else.
+//! tables that are not divided into logical pages (`pageOffset`,
+//! `node→pos`, the level-summary column, the attribute table, the value
+//! pool) are [`CowVec`]s: columns on the same directory; the name and
+//! content indexes are sorted sequences on it ([`mbxq_bat::CowSorted`]),
+//! so a commit copies the index leaves it writes and nothing else.
 
 use crate::names::{NameIndex, Posting};
 use crate::page::{check_addressable, Page, Tuple, NO_NAME, NO_POS, NULL_LEVEL};
@@ -117,7 +116,7 @@ use crate::types::{Kind, NodeId, PageConfig, StorageError, ValueRef};
 use crate::values::{ContentIndex, NumRange, PropId, QnId, TextProbe, ValuePool};
 use crate::view::TreeView;
 use crate::Result;
-use mbxq_bat::{CowDir, CowVec, PageMap};
+use mbxq_bat::{unshared, Blocks, CowDir, CowVec, Level, PageMap};
 use mbxq_xml::Node;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -133,9 +132,9 @@ pub(crate) const DEAD_ROW: u64 = u64::MAX;
 
 /// A document in the updateable paged encoding.
 ///
-/// Cloning shares every page directory and side table and copies the
-/// flat `pageOffset` table — all tuple data is structurally shared with
-/// the clone until one side writes it (see the module docs).
+/// Cloning shares every table, the `pageOffset` map included, and
+/// allocates nothing: all tuple data is structurally shared with the
+/// clone until one side writes it (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PagedDoc {
     pub(crate) cfg: PageConfig,
@@ -175,7 +174,7 @@ fn node_pre(map: &PageMap, node_pos: &CowVec<u32>, node: u64) -> Option<u64> {
     if pos == NO_POS {
         return None;
     }
-    map.pos_to_pre(u64::from(pos)).ok()
+    map.pos_to_pre(u64::from(pos))
 }
 
 /// Size/occupancy statistics (for the §4.1 storage-overhead experiment).
@@ -189,8 +188,10 @@ pub struct PagedStats {
     pub used: u64,
     /// Unused slots.
     pub unused: u64,
-    /// Bytes of the base table + `pageOffset` + node/pos + attr tables,
-    /// from the widths of the columns as stored.
+    /// Bytes of the base table (its slots, page headers and page
+    /// pointers), the level-summary column, both `pageOffset` columns,
+    /// `node→pos` and the attribute table, from the widths of the
+    /// columns as stored.
     pub table_bytes: usize,
 }
 
@@ -283,7 +284,7 @@ impl PagedDoc {
     /// logical index `at` (case 2b of Figure 7). Returns its physical id.
     pub(crate) fn splice_physical_page(&mut self, at: usize) -> Result<usize> {
         self.check_room_for_page()?;
-        let page = self.map.insert_page_at(at)?;
+        let page = self.map.insert_page_at(at);
         self.pages.insert(at, Page::unused(self.cfg.page_size));
         self.min_levels.insert(at, NULL_LEVEL);
         Ok(page)
@@ -400,10 +401,7 @@ impl PagedDoc {
     /// `pageOffset` swizzle, done once per access.
     #[inline]
     pub(crate) fn locate(&self, pre: u64) -> Option<(usize, usize)> {
-        let phys = self
-            .map
-            .logical_to_physical((pre >> self.shift) as usize)
-            .ok()?;
+        let phys = self.map.logical_to_physical((pre >> self.shift) as usize)?;
         Some((phys, pre as usize & (self.cfg.page_size - 1)))
     }
 
@@ -518,7 +516,10 @@ impl PagedDoc {
         let pos = self
             .pos_of_node(node.0)
             .ok_or(StorageError::BadNode { node })?;
-        Ok(self.map.pos_to_pre(u64::from(pos))?)
+        Ok(self
+            .map
+            .pos_to_pre(u64::from(pos))
+            .expect("a placed node's page exists"))
     }
 
     /// Translates a pre rank to the node id stored there.
@@ -527,11 +528,6 @@ impl PagedDoc {
             pre,
             context: "resolving a node id",
         })
-    }
-
-    /// Mutable access to the value pool.
-    pub fn pool_mut(&mut self) -> &mut ValuePool {
-        &mut self.pool
     }
 
     /// Builds the element-name and content indexes from a scan of the
@@ -585,7 +581,7 @@ impl PagedDoc {
         let per_page = Page::header_bytes()
             + size_of::<u16>() // its level-summary entry
             + size_of::<Arc<Page>>()
-            + 2 * size_of::<usize>();
+            + 2 * size_of::<u32>(); // both pageOffset columns
         PagedStats {
             pages: self.pages.len(),
             capacity,
@@ -627,10 +623,48 @@ impl PagedDoc {
     /// exactly the number of logical pages the commit privatised (pages
     /// it appended included).
     pub fn shared_pages_with(&self, other: &PagedDoc) -> (usize, usize) {
-        let shared = (0..self.pages.len().min(other.pages.len()))
-            .filter(|&phys| std::ptr::eq(self.page(phys), other.page(phys)))
-            .count();
-        (shared, self.pages.len())
+        let fresh = unshared(&self.pages, &other.pages);
+        let private = fresh.iter().filter(|b| b.level == Level::Leaf).count();
+        (self.pages.len() - private, self.pages.len())
+    }
+
+    /// Visits every table of this version once, by name and columns:
+    /// the one list the block walker reads.
+    pub fn tables<'a>(&'a self, mut table: impl FnMut(&'static str, &[&'a dyn Blocks])) {
+        let (names, named) = self.name_index.columns();
+        let (attrs, texts) = (&self.content_index.attrs, &self.content_index.texts);
+        let [(attr_arms, attr_counts), (text_arms, text_counts)] =
+            [attrs, texts].map(|i| i.columns());
+        table("pages", &[&self.pages]);
+        table("level summaries", &[&self.min_levels]);
+        table("page map", &[&self.map]);
+        table("node→pos", &[&self.node_pos]);
+        table(
+            "attributes",
+            &[&self.attr_node, &self.attr_qn, &self.attr_prop],
+        );
+        table("pool", &self.pool.columns());
+        table("name index", &[names]);
+        table("content arms", &[attr_arms, text_arms].concat());
+        table(
+            "counts",
+            &[&[named][..], &attr_counts, &text_counts].concat(),
+        );
+    }
+
+    /// The heap this version's tables hold, in bytes per table in
+    /// [`PagedDoc::tables`] order, from the block walker: blocks shared
+    /// with other versions count in full.
+    pub fn heap_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut heap = Vec::new();
+        self.tables(|name, columns| {
+            let mut bytes = 0;
+            for column in columns {
+                column.blocks(&mut |b| bytes += b.bytes);
+            }
+            heap.push((name, bytes));
+        });
+        heap
     }
 }
 
@@ -999,11 +1033,42 @@ mod tests {
 
     // ---- the layout contract: what a clone shares, what a write copies ----
 
-    /// Physical pages of `new` not shared with `old`.
+    /// Physical pages of `new` not shared with `old`, from the blocks
+    /// of `new`'s page table that `old` does not hold.
     fn privatised(new: &PagedDoc, old: &PagedDoc) -> Vec<usize> {
-        (0..new.pages.len())
-            .filter(|&p| p >= old.pages.len() || !std::ptr::eq(old.page(p), new.page(p)))
-            .collect()
+        let fresh = unshared(&new.pages, &old.pages);
+        let logical = fresh.iter().filter(|b| b.level == Level::Leaf);
+        let mut phys: Vec<usize> = logical
+            .map(|b| new.map.logical_to_physical(b.index).unwrap())
+            .collect();
+        phys.sort_unstable();
+        phys
+    }
+
+    /// `(shared, total)` chunks of `new`'s page table against `old`'s.
+    fn shared_chunks(new: &PagedDoc, old: &PagedDoc) -> (usize, usize) {
+        let mut total = 0;
+        new.pages
+            .blocks(&mut |b| total += usize::from(b.level == Level::Chunk));
+        let fresh = unshared(&new.pages, &old.pages);
+        let private = fresh.iter().filter(|b| b.level == Level::Chunk).count();
+        (total - private, total)
+    }
+
+    /// `(owned, total)` chunks of `d`'s page table: `owned` counts those
+    /// no other version holds, which are what dropping `d` releases
+    /// (none while another version shares the whole directory).
+    fn chunks_held_alone(d: &PagedDoc) -> (usize, usize) {
+        let (mut directory, mut owned, mut total) = (0, 0, 0);
+        d.pages.blocks(&mut |b| match b.level {
+            Level::Directory => directory = b.owners,
+            Level::Chunk => {
+                total += 1;
+                owned += usize::from(directory == 1 && b.owners == 1);
+            }
+            Level::Leaf => {}
+        });
+        (owned, total)
     }
 
     /// A document of `pages` pages, each holding `<e/>` elements only.
@@ -1021,12 +1086,23 @@ mod tests {
         let c = d.clone();
         let n = d.stats().pages;
         assert_eq!(c.shared_pages_with(&d), (n, n));
+        assert!(privatised(&c, &d).is_empty());
+        // So is every block of every other table, the page map's too.
+        let mut base = Vec::new();
+        d.tables(|_, columns| base.push(columns.to_vec()));
+        let mut t = 0;
+        c.tables(|name, columns| {
+            for (new, old) in columns.iter().zip(&base[t]) {
+                assert!(unshared(*new, *old).is_empty(), "{name}");
+            }
+            t += 1;
+        });
         // The clone holds the directory, not the chunks or the pages:
         // dropping either version releases nothing the other needs.
-        assert_eq!(c.pages.shared_chunks_with(&d.pages), 3);
-        assert_eq!(d.pages.owned_chunks(), (0, 3));
+        assert_eq!(shared_chunks(&c, &d), (3, 3));
+        assert_eq!(chunks_held_alone(&d), (0, 3));
         drop(c);
-        assert_eq!(d.pages.owned_chunks(), (3, 3));
+        assert_eq!(chunks_held_alone(&d), (3, 3));
     }
 
     #[test]
@@ -1045,8 +1121,8 @@ mod tests {
         assert_eq!(d.shared_pages_with(&base), (2, 3));
         // The one chunk holding all three pages was privatised with the
         // write; `base` owns its own chunk alone again.
-        assert_eq!(d.pages.shared_chunks_with(&base.pages), 0);
-        assert_eq!(base.pages.owned_chunks(), (1, 1));
+        assert_eq!(shared_chunks(&d, &base), (0, 1));
+        assert_eq!(chunks_held_alone(&base), (1, 1));
         crate::invariants::check_paged(&d).unwrap();
         crate::invariants::check_paged(&base).unwrap();
         assert_eq!(base.string_value(0), "onetwothreefour");
@@ -1062,8 +1138,8 @@ mod tests {
         let node = d.pre_to_node(pre).unwrap();
         d.rename(node, &mbxq_xml::QName::local("r")).unwrap();
         assert_eq!(privatised(&d, &base), [40]);
-        assert_eq!(d.pages.shared_chunks_with(&base.pages), 2);
-        assert_eq!(d.pages.owned_chunks(), (1, 3));
+        assert_eq!(shared_chunks(&d, &base), (2, 3));
+        assert_eq!(chunks_held_alone(&d), (1, 3));
         crate::invariants::check_paged(&d).unwrap();
     }
 
@@ -1149,7 +1225,7 @@ mod tests {
             .insert(crate::InsertPosition::LastChildOf(c), &sub)
             .unwrap();
         assert_eq!(report.pages_added, 1);
-        assert_eq!(d.map.logical_to_physical(1), Ok(3), "spliced mid-order");
+        assert_eq!(d.map.logical_to_physical(1), Some(3), "spliced mid-order");
         // e, f, g, h were page 1 (now logical 2): deleting e empties it.
         let e = d.pre_to_node(16).unwrap();
         assert_eq!(d.delete(e).unwrap().deleted, 4);
@@ -1186,9 +1262,10 @@ mod tests {
         assert_eq!(column_widths, 19);
         let side = d.node_alloc_end() as usize * size_of::<u32>();
         // Header, summary entry, the (fat) page pointer, both directions
-        // of pageOffset.
+        // of pageOffset at the width of `node→pos`.
         let per_page =
-            size_of::<u32>() + size_of::<u16>() + size_of::<Arc<Page>>() + 2 * size_of::<usize>();
+            size_of::<u32>() + size_of::<u16>() + size_of::<Arc<Page>>() + 2 * size_of::<u32>();
+        assert_eq!(per_page, 30);
         assert_eq!(
             st.table_bytes - side - st.pages * per_page,
             st.capacity as usize * column_widths

@@ -625,7 +625,8 @@ impl PagedDoc {
         let (phys, i) = self
             .node_slot(target.0)
             .ok_or(StorageError::BadNode { node: target })?;
-        let pre = self.map.pos_to_pre(((phys << self.shift) + i) as u64)?;
+        let pre = self.map.pos_to_pre(((phys << self.shift) + i) as u64);
+        let pre = pre.expect("a placed node's page exists");
         Ok((pre, phys, i))
     }
 }

@@ -82,7 +82,7 @@
 use crate::names::{per_name, DocOrdered, Posting, LEAF, NAME_PAGE};
 use crate::page::{Tuple, NO_NAME};
 use crate::types::Kind;
-use mbxq_bat::{CowDir, CowSorted, CowVec};
+use mbxq_bat::{Blocks, CowDir, CowSorted, CowVec};
 use mbxq_xml::QName;
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -358,6 +358,21 @@ impl ValuePool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The block walker's view: the `qn` table's values and lookup
+    /// table, the string arena's bytes and spans and the string lookup
+    /// table. (The `qn` values are `Arc<QName>` pointers; the few names
+    /// behind them are not blocks.)
+    pub(crate) fn columns(&self) -> [&dyn Blocks; 5] {
+        let (qn, strings) = (&self.qnames, &self.strings);
+        [
+            &qn.values,
+            &qn.lookup.slots,
+            &strings.arena.bytes,
+            &strings.arena.spans,
+            &strings.lookup.slots,
+        ]
     }
 
     /// Interns a qualified name, returning its `qn` id.
@@ -649,6 +664,13 @@ impl Default for ValueIndex {
 }
 
 impl ValueIndex {
+    /// The block walker's view: the two arms, then the exact arm's
+    /// per-name counts and the degree statistics.
+    pub(crate) fn columns(&self) -> ([&dyn Blocks; 2], [&dyn Blocks; 2]) {
+        let (exact, named) = self.exact.columns();
+        ([exact, &self.numeric], [named, &self.stats])
+    }
+
     /// Adds the posting `p` of a placed node.
     pub(crate) fn add(
         &mut self,
@@ -1010,6 +1032,7 @@ pub(crate) fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbxq_bat::Level;
 
     #[test]
     fn qnames_intern_once() {
@@ -1094,18 +1117,20 @@ mod tests {
             p.intern_text(&format!("t{i}"));
         }
         let c = p.clone();
-        let (a, b) = (&p.strings, &c.strings);
-        let bytes = a.arena.bytes.len();
-        let spans = a.arena.spans.num_pages();
-        let slots = a.lookup.slots.num_pages();
-        assert_eq!(b.arena.bytes.shared_leaves_with(&a.arena.bytes), bytes);
-        assert_eq!(b.arena.spans.shared_pages_with(&a.arena.spans), spans);
-        assert_eq!(b.lookup.slots.shared_pages_with(&a.lookup.slots), slots);
+        // Leaves of the pool's columns (bytes, spans, lookup: 2..5) that
+        // `c` does not share with `p`.
+        let private = |p: &ValuePool, c: &ValuePool| -> Vec<usize> {
+            let (old, new) = (p.columns(), c.columns());
+            (2..5)
+                .map(|i| {
+                    let fresh = mbxq_bat::unshared(new[i], old[i]);
+                    fresh.iter().filter(|b| b.level == Level::Leaf).count()
+                })
+                .collect()
+        };
+        assert_eq!(private(&p, &c), [0, 0, 0]);
         p.intern_text("one more");
-        let (a, b) = (&p.strings, &c.strings);
-        assert_eq!(b.arena.bytes.shared_leaves_with(&a.arena.bytes), bytes - 1);
-        assert_eq!(b.arena.spans.shared_pages_with(&a.arena.spans), spans - 1);
-        assert_eq!(b.lookup.slots.shared_pages_with(&a.lookup.slots), slots - 1);
+        assert_eq!(private(&p, &c), [1, 1, 1]);
         assert_eq!(c.text(4999), Some("t4999"));
         assert_eq!(c.lookup_str("one more"), None);
     }
@@ -1251,16 +1276,14 @@ mod tests {
         let attrs = (0..2000).map(|node| Posting::new(QnId(0), v, node));
         idx.attrs = ValueIndex::from_doc_order(&pool, attrs.collect());
         let mut snap = idx.clone();
-        let leaves = 2000 / LEAF + 1;
-        assert_eq!(
-            snap.attrs.exact.shared_leaves_with(&idx.attrs.exact),
-            leaves
-        );
+        let private_leaves = |snap: &ContentIndex| {
+            let (new, old) = (snap.attrs.columns().0, idx.attrs.columns().0);
+            let fresh = mbxq_bat::unshared(new[0], old[0]);
+            fresh.iter().filter(|b| b.level == Level::Leaf).count()
+        };
+        assert_eq!(private_leaves(&snap), 0);
         snap.attrs.add(&pool, Posting::new(QnId(0), v, 5000), ident);
-        assert_eq!(
-            snap.attrs.exact.shared_leaves_with(&idx.attrs.exact),
-            leaves - 1
-        );
+        assert_eq!(private_leaves(&snap), 1);
         assert_eq!(idx.attr_eq_count(&pool, QnId(0), "v"), 2000);
     }
 

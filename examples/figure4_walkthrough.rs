@@ -3,10 +3,13 @@
 //! into logical pages of 8 tuples, then `<k><l/><m/></k>` is appended to
 //! `g`, and the physical table + the pre/size/level view are dumped at
 //! each step so the page splice and the automatic pre shifts are visible.
+//! It asserts the figure's result: `k` takes page 0's free slot, `l` and
+//! `m` spill into a page appended physically as page 2 and spliced in at
+//! logical position 1, and `size(a)` grows from 9 to 12.
 //!
 //! Run with: `cargo run --example figure4_walkthrough`
 
-use mbxq::{InsertPosition, PageConfig, PagedDoc, TreeView, XmlDocument};
+use mbxq::{InsertPosition, NodeId, PageConfig, PagedDoc, TreeView, XmlDocument};
 
 const PAPER_DOC: &str = "<a><b><c><d/><e/></c></b><f><g/><h><i/><j/></h></f></a>";
 
@@ -31,23 +34,35 @@ fn main() {
     );
 
     println!("--- physical layout (page 2 is new, spliced at logical 1) ---\n");
-    println!("{}", doc.dump_physical());
+    let physical = doc.dump_physical();
+    println!("{physical}");
+    assert_eq!((report.pages_added, report.inserted), (1, 3));
+    assert!(
+        physical.contains("physical page 2 (logical 1)"),
+        "the overflow page is appended physically and spliced in at logical 1"
+    );
 
     println!("--- pre/size/level view (pre of h..j shifted automatically) ---\n");
     println!("{}", doc.dump_view());
 
     // The headline numbers of Figure 3/4: ancestor sizes grew by the
     // insert volume, nothing else was rewritten.
-    let a_pre = doc.node_to_pre(doc.pre_to_node(0).unwrap()).unwrap();
+    let size = |node| TreeView::size(&doc, doc.node_to_pre(node).unwrap());
+    let (a, f) = (doc.pre_to_node(0).unwrap(), NodeId(5));
     println!(
         "size(a) = {} (was 9, +3), size(f) = {}, size(g) = {}",
-        TreeView::size(&doc, a_pre),
-        TreeView::size(&doc, doc.node_to_pre(mbxq::NodeId(5)).unwrap()),
-        TreeView::size(&doc, doc.node_to_pre(g).unwrap()),
+        size(a),
+        size(f),
+        size(g)
     );
-    println!(
-        "k sits at pre {} (page 0's free slot), l at pre {} (the spliced page)",
-        doc.node_to_pre(mbxq::NodeId(10)).unwrap(),
-        doc.node_to_pre(mbxq::NodeId(11)).unwrap(),
+    assert_eq!((size(a), size(f), size(g)), (12, 7, 3));
+    // k, l are the subtree's first two nodes (ids follow a..j).
+    let (k, l) = (
+        doc.node_to_pre(NodeId(10)).unwrap(),
+        doc.node_to_pre(NodeId(11)).unwrap(),
     );
+    println!("k sits at pre {k} (page 0's free slot), l at pre {l} (the spliced page)");
+    let page = |pre: u64| pre / cfg.page_size as u64;
+    assert_eq!((k, page(k)), (7, 0), "k takes page 0's free slot");
+    assert_eq!(page(l), 1, "l lands on the page spliced in at logical 1");
 }

@@ -1,17 +1,18 @@
-//! What cloning an updatable document allocates does not depend on its
+//! Cloning an updatable document allocates nothing, whatever its
 //! history.
 //!
 //! A commit builds its new version by cloning the current one, so the
-//! clone is on every commit's path. The pages, the columns beside them,
-//! the value pool and the name and content indexes are all copy-on-write
-//! directories whose clone shares them: a clone allocates only the two
-//! vectors of the `PageMap` (the logical order and the `pageOffset`
-//! table), however many values were interned and postings added or
-//! removed since the document was loaded. A side table that kept a
-//! private log of its changes since some maintenance point would copy
-//! that log into every clone; this test counts the allocations of one
-//! clone after long runs of each update kind and requires the count of
-//! a freshly loaded document.
+//! clone is on every commit's path. Every table of a version — the
+//! pages, both columns of the `pageOffset` map, the columns beside
+//! them, the value pool and the name and content indexes — is a
+//! copy-on-write directory whose clone shares it with one reference
+//! count, however many values were interned and postings added or
+//! removed since the document was loaded. A flat vector in a version
+//! would be copied, one allocation, into every clone; a side table that
+//! kept a private log of its changes since some maintenance point would
+//! copy that log. This test counts the allocations of one clone of a
+//! freshly loaded document, which must be none, and after long runs of
+//! each update kind, which must be the same.
 //!
 //! The binary holds this one test, under a counting global allocator:
 //! another test running in parallel would show up in the counts.
@@ -103,6 +104,7 @@ fn a_clone_allocates_the_same_whatever_the_history() {
         "allocations per clone: {loaded} loaded, {after_attrs} after 20 000 set_attribute, \
          {after_texts} after 20 000 update_value, {after_inserts} after 5 000 inserts"
     );
+    assert_eq!(loaded, 0, "a clone of a loaded document allocates nothing");
     assert_eq!(after_attrs, loaded, "after 20 000 distinct set_attribute");
     assert_eq!(after_texts, loaded, "after 20 000 text update_value");
     assert_eq!(after_inserts, loaded, "after 5 000 subtree inserts");

@@ -14,14 +14,16 @@
 //! log, so the log it writes is its only document-sized transient — the
 //! genesis checkpoint of a new document too. Recovery reads the dump in
 //! place in the log bytes, so it peaks at little more than the log and
-//! the document it builds.
+//! the document it builds. The heap a document's tables report through
+//! their block walker (`PagedDoc::heap_bytes`) is what the allocator
+//! sees it keep, after the load and after thousands of inserts.
 //!
 //! The binary holds this one test, under a counting global allocator
 //! that tracks live and peak-live bytes: another test running in parallel
 //! would show up in the counts.
 
 use mbxq_storage::serialize::to_xml;
-use mbxq_storage::{PageConfig, PagedDoc};
+use mbxq_storage::{InsertPosition, PageConfig, PagedDoc, TreeView};
 use mbxq_txn::recover::recover_shard;
 use mbxq_txn::{Catalog, CatalogConfig};
 use mbxq_xmark::XMarkConfig;
@@ -75,6 +77,10 @@ const RECOVER_BOUND: f64 = 1.44;
 /// 24.7 it averages here. A dump that outgrew that buffer would double
 /// it: from the earlier 24-byte estimate that measured 1.94.
 const DUMP_BOUND: f64 = 1.5;
+/// Largest relative gap between `PagedDoc::heap_bytes` and the live heap
+/// the allocator counts for the document. (Measured: the few `QName`s
+/// behind the `qn` table's pointers, which are not blocks.)
+const HEAP_BYTES_TOLERANCE: f64 = 0.02;
 
 struct Counting;
 
@@ -116,6 +122,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Relative gap between `doc.heap_bytes()` and the `live` bytes the
+/// allocator counts for it, after checking that no block is reached
+/// from two tables: the per-table parts sum to the bytes of the
+/// distinct blocks.
+fn heap_gap(doc: &PagedDoc, live: usize) -> f64 {
+    let heap = doc.heap_bytes();
+    let parts: usize = heap.iter().map(|&(_, bytes)| bytes).sum();
+    let (mut seen, mut distinct) = (std::collections::HashSet::new(), 0);
+    doc.tables(|_, columns| {
+        for column in columns {
+            column.blocks(&mut |b| {
+                if seen.insert(b.addr) {
+                    distinct += b.bytes;
+                }
+            });
+        }
+    });
+    assert_eq!(parts, distinct, "per-table parts of {heap:?}");
+    (parts as f64 - live as f64).abs() / live as f64
+}
+
 /// Runs `f` and returns its result with the peak of live heap bytes it
 /// added over what was live when it started.
 fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
@@ -132,8 +159,10 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
 
     let before = LIVE.load(Relaxed);
     let (doc, shred) = peak_of(|| PagedDoc::parse_str(&xml, PageConfig::new(256, 80).unwrap()));
-    let doc = doc.unwrap();
-    let retained = (LIVE.load(Relaxed) - before) as f64 / len;
+    let mut doc = doc.unwrap();
+    let doc_bytes = LIVE.load(Relaxed) - before;
+    let retained = doc_bytes as f64 / len;
+    let heap_gap_loaded = heap_gap(&doc, doc_bytes);
     let (text, serialize) = peak_of(|| to_xml(&doc).unwrap());
     let reloaded = PagedDoc::parse_str(&text, doc.config()).unwrap();
     assert_eq!(
@@ -141,17 +170,35 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
         doc.stats(),
         "the text reloads to the same layout"
     );
-    drop((reloaded, text, doc));
+    drop((reloaded, text));
+    let sub =
+        mbxq_xml::Document::parse_fragment("<bid at=\"7\"><price>42</price>note</bid>").unwrap();
+    let mut elements = Vec::new();
+    let mut p = 0;
+    while let Some(q) = doc.next_used_at_or_after(p) {
+        if doc.name_id(q).is_some() {
+            elements.push(doc.pre_to_node(q).unwrap());
+        }
+        p = q + 1;
+    }
+    let before_inserts = LIVE.load(Relaxed);
+    for i in 0..5_000 {
+        let target = elements[(i * 7) % elements.len()];
+        doc.insert(InsertPosition::LastChildOf(target), &sub)
+            .unwrap();
+    }
+    let grown = doc_bytes + LIVE.load(Relaxed) - before_inserts;
+    let heap_gap_inserted = heap_gap(&doc, grown);
+    drop((doc, elements, sub));
 
     let catalog = Catalog::in_memory(CatalogConfig::default());
     let (parts, partition) = peak_of(|| catalog.create_partitioned("x", &xml, 3));
     assert_eq!(parts.unwrap().len(), 3);
     let partition = partition as f64 / len;
 
-    let doc_bytes = retained * len;
     let (shard, genesis) = peak_of(|| catalog.create_doc("d", &xml).unwrap());
     let log_len = shard.wal_raw().unwrap().len() as f64;
-    let genesis = (genesis as f64 - doc_bytes) / log_len;
+    let genesis = (genesis as f64 - doc_bytes as f64) / log_len;
     for i in 0..8 {
         let mods = mbxq_xupdate::parse_modifications(&format!(
             "<xupdate:append select='/site/open_auctions/open_auction[@id=\"open_auction{i}\"]'>\
@@ -190,8 +237,18 @@ fn shredding_and_serializing_peak_at_a_small_multiple_of_the_text() {
          retained {retained:.2}x, partitioned load peak {partition:.2}x, \
          checkpoint peak {checkpoint:.2}x the text, dump peak {dump_peak:.2}x the dump, \
          genesis checkpoint {genesis:.2}x its log beyond the document, \
-         recovery peak {recover:.2}x the log and the document"
+         recovery peak {recover:.2}x the log and the document; heap_bytes off the live heap \
+         by {heap_gap_loaded:.4} loaded and {heap_gap_inserted:.4} after 5 000 inserts"
     );
+    for (when, gap) in [
+        ("loaded", heap_gap_loaded),
+        ("after inserts", heap_gap_inserted),
+    ] {
+        assert!(
+            gap < HEAP_BYTES_TOLERANCE,
+            "{when}: heap_bytes is {gap:.4} off the live heap (bound {HEAP_BYTES_TOLERANCE})"
+        );
+    }
     assert!(
         shred < SHRED_BOUND,
         "shredding peaked at {shred:.2}x the text (bound {SHRED_BOUND}x)"

@@ -354,3 +354,94 @@ fn commit_footprint_is_independent_of_document_size() {
         "(insert, value update) pages privatised must not depend on document size"
     );
 }
+
+/// Blocks of each table of `new` that `old` does not hold, as
+/// `(table, [directories, chunks, leaves])` in `PagedDoc::tables` order.
+fn privatised_blocks(new: &PagedDoc, old: &PagedDoc) -> Vec<(&'static str, [usize; 3])> {
+    use mbxq_bat::{Blocks, Level};
+    let mut old_tables: Vec<Vec<&dyn Blocks>> = Vec::new();
+    old.tables(|_, columns| old_tables.push(columns.to_vec()));
+    let mut out = Vec::new();
+    new.tables(|name, columns| {
+        let mut counts = [0; 3];
+        for (column, base) in columns.iter().zip(&old_tables[out.len()]) {
+            for b in mbxq_bat::unshared(*column, *base) {
+                let level = match b.level {
+                    Level::Directory => 0,
+                    Level::Chunk => 1,
+                    Level::Leaf => 2,
+                };
+                counts[level] += 1;
+            }
+        }
+        out.push((name, counts));
+    });
+    out
+}
+
+/// What three updates privatise, table by table, on XMark 0.05 (page
+/// size 256, fill 80 %): a marker append that fits its page, an append
+/// that overflows it and splices a page in (case 2b), and a subtree
+/// delete. Every other block stays shared with the base version. The
+/// `pageOffset` map's columns are written only by the splice. The pool's
+/// lookup tables place a new key by its hash under a per-table random
+/// seed, so the pool is pinned by the columns it writes (its
+/// directories) only.
+#[test]
+fn which_blocks_an_update_privatises_per_table() {
+    use mbxq::{XPath, XmlDocument};
+    use mbxq_storage::InsertCase;
+    let xml = mbxq_xmark::generate(&mbxq_xmark::XMarkConfig::scaled(0.05, 1));
+    let base = PagedDoc::parse_str(&xml, PageConfig::new(256, 80).unwrap()).unwrap();
+    let select = |path: &str| {
+        let pres = XPath::parse(path).unwrap().select_from_root(&base).unwrap();
+        base.pre_to_node(pres[0]).unwrap()
+    };
+    let auction = select("/site/open_auctions/open_auction[4]");
+    let append = |xml: &str| {
+        let mut d = base.clone();
+        let sub = XmlDocument::parse_fragment(xml).unwrap();
+        let report = d
+            .insert(InsertPosition::LastChildOf(auction), &sub)
+            .unwrap();
+        (d, report.case)
+    };
+    let (marked, case) = append(r#"<mark id="mk1"><date>01/02/2005</date></mark>"#);
+    assert_eq!(case, InsertCase::WithinPage);
+    let (spliced, case) = append(&format!("<mark>{}</mark>", "<b/>".repeat(120)));
+    assert_eq!(case, InsertCase::PageOverflow);
+    let mut deleted = base.clone();
+    deleted
+        .delete(select("/site/open_auctions/open_auction[4]/bidder[1]"))
+        .unwrap();
+
+    // [directories, chunks, leaves] per table.
+    let expect: [(&str, [[usize; 3]; 3]); 9] = [
+        // the target page and its ancestors' pages; a splice rebuilds
+        // the chunks behind the splice point
+        ("pages", [[1, 2, 3], [1, 9, 4], [1, 2, 3]]),
+        ("level summaries", [[1, 1, 1]; 3]),
+        ("page map", [[0, 0, 0], [2, 2, 2], [0, 0, 0]]),
+        ("node→pos", [[1, 2, 2], [1, 2, 2], [1, 1, 1]]),
+        ("attributes", [[3, 3, 3], [0, 0, 0], [0, 0, 0]]),
+        ("pool", [[5, 0, 0], [2, 0, 0], [0, 0, 0]]),
+        ("name index", [[1, 2, 2], [1, 1, 1], [1, 2, 5]]),
+        ("content arms", [[2, 3, 3], [1, 1, 1], [3, 4, 7]]),
+        ("counts", [[5, 5, 7], [3, 3, 3], [5, 5, 8]]),
+    ];
+    for (op, version) in [&marked, &spliced, &deleted].into_iter().enumerate() {
+        let got = privatised_blocks(version, &base);
+        let names: Vec<&str> = got.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, expect.map(|(n, _)| n));
+        for ((table, blocks), (_, want)) in got.into_iter().zip(expect) {
+            let want = want[op];
+            if table == "pool" {
+                assert_eq!(blocks[0], want[0], "op {op}: {table} directories");
+                assert!(blocks[2] >= blocks[0], "op {op}: {table} leaves");
+            } else {
+                assert_eq!(blocks, want, "op {op}: {table}");
+            }
+        }
+        mbxq_storage::invariants::check_paged(version).unwrap();
+    }
+}
