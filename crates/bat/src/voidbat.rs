@@ -32,11 +32,6 @@ impl<T> VoidBat<T> {
         }
     }
 
-    /// First oid of the virtual head sequence.
-    pub fn seqbase(&self) -> Oid {
-        self.seqbase
-    }
-
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.tail.len()
@@ -92,20 +87,6 @@ impl<T> VoidBat<T> {
     pub fn tail(&self) -> &[T] {
         &self.tail
     }
-
-    /// Iterates `(oid, &value)` pairs in head order.
-    pub fn iter(&self) -> impl Iterator<Item = (Oid, &T)> {
-        self.tail
-            .iter()
-            .enumerate()
-            .map(move |(i, v)| (self.seqbase + i as Oid, v))
-    }
-
-    /// Truncates the BAT to `len` tuples (used by transaction abort to
-    /// roll back appends).
-    pub fn truncate(&mut self, len: usize) {
-        self.tail.truncate(len);
-    }
 }
 
 impl<T: Copy> VoidBat<T> {
@@ -134,7 +115,6 @@ mod tests {
         let b: VoidBat<u32> = VoidBat::new(10);
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
-        assert_eq!(b.seqbase(), 10);
         assert_eq!(b.hseqend(), 10);
     }
 
@@ -159,26 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_head_tail_pairs() {
-        let b = bat(7, ['x', 'y']);
-        let v: Vec<_> = b.iter().collect();
-        assert_eq!(v, vec![(7, &'x'), (8, &'y')]);
-    }
-
-    #[test]
     fn find_mut_updates_in_place() {
         let mut b = bat(0, [1, 2, 3]);
         *b.find_mut(1).unwrap() = 99;
         assert_eq!(b.tail(), &[1, 99, 3]);
-    }
-
-    #[test]
-    fn truncate_rolls_back_appends() {
-        let mut b = bat(0, [1, 2]);
-        b.append(3);
-        b.append(4);
-        b.truncate(2);
-        assert_eq!(b.tail(), &[1, 2]);
-        assert_eq!(b.hseqend(), 2);
     }
 }

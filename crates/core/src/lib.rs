@@ -194,30 +194,6 @@ impl Database {
         Ok(())
     }
 
-    /// Loads an updateable document with a caller-supplied WAL and store
-    /// configuration (e.g. a file-backed WAL for durability).
-    pub fn load_with_wal(
-        &mut self,
-        name: &str,
-        xml: &str,
-        page: PageConfig,
-        wal: Wal,
-        config: StoreConfig,
-    ) -> Result<()> {
-        let doc = PagedDoc::parse_str(xml, page)?;
-        self.docs.insert(
-            name.to_string(),
-            DocHandle::Updatable(Arc::new(Shard::open(doc, wal, config))),
-        );
-        Ok(())
-    }
-
-    /// Registers an already-open transactional store under `name`.
-    pub fn attach_store(&mut self, name: &str, store: Arc<Shard>) {
-        self.docs
-            .insert(name.to_string(), DocHandle::Updatable(store));
-    }
-
     /// The names of all loaded documents.
     pub fn document_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.docs.keys().map(String::as_str).collect();

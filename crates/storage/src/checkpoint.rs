@@ -1,101 +1,58 @@
-//! Structure-preserving checkpoint serialization of a [`PagedDoc`].
+//! The tuple stream: the one format in which the log carries tuples —
+//! a checkpoint's whole document, and each inserted subtree. One entry
+//! per tuple in document order, then the attribute rows, strings
+//! length-prefixed ([`crate::codec`]):
 //!
-//! A checkpoint cannot round-trip through plain XML text: the parser
-//! coalesces adjacent text runs, but deletes legitimately leave adjacent
-//! *separate* text tuples behind (each with its own immutable node id
-//! that later WAL records may reference). Reparsing would then produce
-//! fewer tuples than the live document and recovery would desynchronize
-//! — fatally, since the checkpoint has already truncated the log.
+//! ```text
+//! E|T|M|P <node> <level> <name | text | comment | target data>
+//! A <node> <name> <value>     (attribute row of element <node>)
+//! ```
 //!
-//! So a checkpoint dumps the **tuple stream** instead: one entry per
-//! used tuple in document order carrying its node id, level, kind and
-//! content, followed by the attribute rows. Sizes are recomputed from
-//! the level sequence on load (the same postorder walk the shredder
-//! uses), the `node→pos` map is rebuilt over the checkpointed id
-//! allocation point, and the page layout is re-shredded at the
-//! configured fill factor. Strings travel length-prefixed (`len:bytes`),
-//! the same escaping-free convention as the WAL op encoding.
+//! A checkpoint carries the document's own node ids and levels (after an
+//! optional `D <name>` document identity); a [`Fragment`] counts them
+//! from its root, id 0 at level 0. Not XML text: its parser coalesces
+//! adjacent text runs (deletes leave them as separate tuples, each with
+//! a node id later WAL records may reference), drops empty text, and
+//! reads a comment holding `-->` as more nodes than it was.
 //!
-//! The dump is written to any byte sink ([`PagedDoc::write_checkpoint_dump`]):
-//! a WAL streams it straight into the log it is building, so no
-//! document-sized string of the dump exists on the way.
+//! One reader loads both, checking a single root, no level jumps, node
+//! ids in range and used once, attribute owners, and the declared tuple
+//! count; sizes are recomputed from the levels. A WAL streams a dump
+//! into the log it builds: no document-sized string of it exists.
 
+use crate::codec::{put_name, put_num, put_str, Cursor};
 use crate::page::{checked_level, narrow, Tuple, NO_NAME};
 use crate::paged::PagedDoc;
+use crate::shred::{self, AttrRow, Leaf, Sink};
 use crate::types::{Kind, PageConfig, StorageError};
-use crate::values::QnId;
+use crate::values::{QnId, ValuePool};
 use crate::Result;
-use mbxq_xml::QName;
+use mbxq_xml::{Node, QName};
 use std::io::{self, Write};
 
-/// Writes `v` in decimal, followed by `sep`.
-fn put_num<W: Write>(out: &mut W, v: u64, sep: u8) -> io::Result<()> {
-    let mut digits = [0u8; 21];
-    let mut i = digits.len() - 1;
-    digits[i] = sep;
-    let mut v = v;
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.write_all(&digits[i..])
-}
-
-fn put_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
-    put_num(out, s.len() as u64, b':')?;
-    out.write_all(s.as_bytes())?;
-    out.write_all(b" ")
-}
-
-/// [`put_str`] of the name's text form (`prefix:local`), written from
-/// its parts.
-fn put_name<W: Write>(out: &mut W, name: Option<&QName>) -> io::Result<()> {
-    let Some(name) = name else {
-        return put_str(out, "");
-    };
-    if name.prefix.is_empty() {
-        return put_str(out, &name.local);
-    }
-    put_num(out, (name.prefix.len() + 1 + name.local.len()) as u64, b':')?;
-    out.write_all(name.prefix.as_bytes())?;
-    out.write_all(b":")?;
-    out.write_all(name.local.as_bytes())?;
-    out.write_all(b" ")
-}
-
 /// Writes a tuple entry's head: `tag node level `.
-fn put_head<W: Write>(out: &mut W, tag: &[u8], node: u32, level: u16) -> io::Result<()> {
+fn put_head<W: Write>(out: &mut W, tag: &[u8], node: u64, level: u64) -> io::Result<()> {
     out.write_all(tag)?;
-    put_num(out, u64::from(node), b' ')?;
-    put_num(out, u64::from(level), b' ')
+    put_num(out, node, b' ')?;
+    put_num(out, level, b' ')
 }
 
-fn next_tok<'a>(rest: &mut &'a str) -> Option<&'a str> {
-    *rest = rest.trim_start();
-    if rest.is_empty() {
-        return None;
-    }
-    let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
-    let (tok, r) = rest.split_at(end);
-    *rest = r;
-    Some(tok)
+fn put_leaf<W: Write>(out: &mut W, node: u64, level: u64, leaf: Leaf<'_>) -> io::Result<()> {
+    let (tag, content, data) = match leaf {
+        Leaf::Text(text) => (b"T ", text, None),
+        Leaf::Comment(comment) => (b"M ", comment, None),
+        Leaf::Instruction { target, data } => (b"P ", target, Some(data)),
+    };
+    put_head(out, tag, node, level)?;
+    put_str(out, content, b" ")?;
+    data.map_or(Ok(()), |data| put_str(out, data, b" "))
 }
 
-fn take_str<'a>(rest: &mut &'a str) -> Option<&'a str> {
-    let r = rest.trim_start();
-    let colon = r.find(':')?;
-    let len: usize = r[..colon].parse().ok()?;
-    let start = colon + 1;
-    if r.len() < start + len {
-        return None;
-    }
-    let s = &r[start..start + len];
-    *rest = &r[start + len..];
-    Some(s)
+fn put_attr<W: Write>(out: &mut W, node: u64, name: Option<&QName>, value: &str) -> io::Result<()> {
+    out.write_all(b"A ")?;
+    put_num(out, node, b' ')?;
+    put_name(out, name, b" ")?;
+    put_str(out, value, b" ")
 }
 
 /// The document identity stamped into `dump` by
@@ -104,17 +61,228 @@ fn take_str<'a>(rest: &mut &'a str) -> Option<&'a str> {
 /// replaying, so a WAL file shuffled between shard slots is caught
 /// instead of silently loading the wrong document.
 pub fn checkpoint_dump_identity(dump: &str) -> Option<&str> {
-    let mut rest = dump;
-    if next_tok(&mut rest)? != "D" {
+    let mut cur = Cursor::new(dump);
+    if cur.token("entry tag").ok()? != "D" {
         return None;
     }
-    take_str(&mut rest)
+    cur.take_str("document identity").ok()
 }
 
 fn bad(message: impl Into<String>) -> StorageError {
     StorageError::InvalidTarget {
         message: message.into(),
     }
+}
+
+/// A subtree as an insert logs it: `tuples` entries in `text`, checked
+/// when staged — by the workspace, the re-apply and recovery alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fragment {
+    /// The tuple count (the node ids an insert of it takes).
+    pub tuples: u64,
+    /// The entries, then the attribute rows.
+    pub text: String,
+}
+
+impl Fragment {
+    /// Writes `root` as a fragment, walking it with an explicit stack.
+    pub fn of(root: &Node) -> Fragment {
+        let mut writer = FragmentWriter::default();
+        shred::walk_into(root, &mut writer).expect("the fragment writer refuses no event");
+        let text = [writer.entries, writer.attrs].concat();
+        Fragment {
+            tuples: writer.next,
+            text: String::from_utf8(text).expect("a fragment is made of str pieces"),
+        }
+    }
+}
+
+/// A [`Sink`] writing fragment entries; attribute rows go after them.
+#[derive(Default)]
+struct FragmentWriter {
+    entries: Vec<u8>,
+    attrs: Vec<u8>,
+    next: u64,
+    level: u64,
+}
+
+const IN_MEMORY: &str = "writing to a Vec cannot fail";
+
+impl Sink for FragmentWriter {
+    fn open(&mut self, name: &QName, attributes: &[(QName, String)]) -> Result<()> {
+        let node = self.next;
+        put_head(&mut self.entries, b"E ", node, self.level)
+            .and_then(|()| put_name(&mut self.entries, Some(name), b" "))
+            .expect(IN_MEMORY);
+        for (aname, avalue) in attributes {
+            put_attr(&mut self.attrs, node, Some(aname), avalue).expect(IN_MEMORY);
+        }
+        self.next += 1;
+        self.level += 1;
+        Ok(())
+    }
+
+    fn leaf(&mut self, leaf: Leaf<'_>) -> Result<()> {
+        put_leaf(&mut self.entries, self.next, self.level, leaf).expect(IN_MEMORY);
+        self.next += 1;
+        Ok(())
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.level -= 1;
+        Ok(())
+    }
+}
+
+/// The fewest bytes an entry takes (`E 0 0 0: `), which caps the tuple
+/// count a stream can carry before any of it is read.
+const MIN_ENTRY: u64 = 9;
+
+/// Reads a tuple stream into document-ordered tuples, sized from their
+/// levels, and attribute rows, interning names and values into `pool`.
+/// Node ids are offsets from `base`, each below `ids` and used once;
+/// levels are offsets from `level`; exactly `tuples` entries are
+/// expected. `what` names the stream in errors.
+pub(crate) fn read_stream(
+    pool: &mut ValuePool,
+    text: &str,
+    what: &str,
+    base: u64,
+    ids: u64,
+    level: u16,
+    tuples: u64,
+) -> Result<(Vec<Tuple>, Vec<AttrRow>)> {
+    let field = |f| bad(format!("{what}: bad or missing {f}"));
+    if tuples > text.len() as u64 / MIN_ENTRY {
+        return Err(bad(format!(
+            "{what} declares {tuples} tuples but its {} bytes hold fewer",
+            text.len()
+        )));
+    }
+    let mut staged: Vec<Tuple> = Vec::with_capacity(tuples as usize);
+    let mut attrs = Vec::new();
+    // A staged tuple claims its id's bit, which is how a repeated id is
+    // caught; an element's id is also marked as one, for the attribute
+    // rows to be checked against.
+    let words = usize::try_from(ids.div_ceil(64)).expect("ids fit the address space");
+    let (mut claimed, mut elements) = (vec![0u64; words], vec![0u64; words]);
+    let mut cur = Cursor::new(text);
+    while !cur.at_end() {
+        let tag = cur.token("entry tag").map_err(field)?;
+        if tag == "D" {
+            // Document identity (see `write_checkpoint_dump`): no tuple
+            // data; `checkpoint_dump_identity` reads it.
+            cur.take_str("document identity").map_err(field)?;
+            continue;
+        }
+        if tag == "A" {
+            let node = cur.num("attribute owner").map_err(field)?;
+            let name = cur.name("attribute name").map_err(field)?;
+            let value = cur.take_str("attribute value").map_err(field)?;
+            attrs.push((node, pool.intern_qname(&name), pool.intern_prop(value)));
+            continue;
+        }
+        let node = cur.num("node id").map_err(field)?;
+        let depth = cur.num("level").map_err(field)?;
+        let depth = usize::try_from(depth).unwrap_or(usize::MAX);
+        let lvl = checked_level(depth.saturating_add(usize::from(level)))?;
+        let (kind, name, value) = match tag {
+            "E" => {
+                let name = cur.name("element name").map_err(field)?;
+                (Kind::Element, pool.intern_qname(&name).0, NO_NAME)
+            }
+            "T" => {
+                let text = cur.take_str("text").map_err(field)?;
+                (Kind::Text, NO_NAME, pool.intern_text(text))
+            }
+            "M" => {
+                let comment = cur.take_str("comment").map_err(field)?;
+                (Kind::Comment, NO_NAME, pool.intern_comment(comment))
+            }
+            "P" => {
+                let target = cur.take_str("instruction target").map_err(field)?;
+                let data = cur.take_str("instruction data").map_err(field)?;
+                let value = pool.intern_instruction(target, data);
+                (Kind::ProcessingInstruction, NO_NAME, value)
+            }
+            other => return Err(bad(format!("unknown {what} entry '{other}'"))),
+        };
+        if node >= ids {
+            return Err(bad(format!(
+                "{what} node id {node} beyond allocation point {ids}"
+            )));
+        }
+        let (word, bit) = (node as usize / 64, 1 << (node % 64));
+        if claimed[word] & bit != 0 {
+            return Err(bad(format!("{what} node id {node} duplicated")));
+        }
+        claimed[word] |= bit;
+        if kind == Kind::Element {
+            elements[word] |= bit;
+        }
+        staged.push(Tuple {
+            size: 0,
+            level: lvl,
+            kind,
+            name,
+            value,
+            node: narrow("node ids", base.saturating_add(node))?,
+        });
+    }
+    if staged.is_empty() {
+        return Err(bad(format!("cannot load an empty {what}")));
+    }
+    if staged.len() as u64 != tuples {
+        return Err(bad(format!(
+            "{what} declares {tuples} tuples but carries {}",
+            staged.len()
+        )));
+    }
+    for row in &mut attrs {
+        let owner = row.0;
+        let is_element = owner < ids && elements[owner as usize / 64] & (1 << (owner % 64)) != 0;
+        if !is_element {
+            return Err(bad(format!("{what} attr row for non-element {owner}")));
+        }
+        row.0 = base + owner;
+    }
+
+    // Recompute sizes from the level sequence (used descendants only),
+    // validating tree shape as we go: an element is sized when the first
+    // tuple outside it arrives, like the shredder sizes it at its close.
+    let mut stack: Vec<usize> = Vec::new();
+    for i in 0..staged.len() {
+        let lvl = staged[i].level;
+        if i == 0 {
+            if lvl != level {
+                return Err(bad(format!("{what} does not start at its root level")));
+            }
+        } else {
+            while let Some(&top) = stack.last() {
+                if staged[top].level >= lvl {
+                    staged[top].size = (i - top - 1) as u32;
+                    stack.pop();
+                } else {
+                    break;
+                }
+            }
+            match stack.last() {
+                Some(&top) if staged[top].level + 1 == lvl => {}
+                Some(&top) => {
+                    return Err(bad(format!(
+                        "{what} level jump from {} to {lvl}",
+                        staged[top].level
+                    )))
+                }
+                None => return Err(bad(format!("{what} carries a second root"))),
+            }
+        }
+        stack.push(i);
+    }
+    for top in stack {
+        staged[top].size = (staged.len() - top - 1) as u32;
+    }
+    Ok((staged, attrs))
 }
 
 impl PagedDoc {
@@ -143,39 +311,32 @@ impl PagedDoc {
     ) -> io::Result<()> {
         if let Some(name) = doc_name {
             out.write_all(b"D ")?;
-            put_str(out, name)?;
+            put_str(out, name, b" ")?;
         }
         for t in self.used_tuples() {
-            match t.kind {
+            let (node, level) = (u64::from(t.node), u64::from(t.level));
+            let leaf = match t.kind {
                 Kind::Element => {
-                    put_head(out, b"E ", t.node, t.level)?;
-                    put_name(out, self.pool.qname(QnId(t.name)))?;
+                    put_head(out, b"E ", node, level)?;
+                    put_name(out, self.pool.qname(QnId(t.name)), b" ")?;
+                    continue;
                 }
-                Kind::Text => {
-                    put_head(out, b"T ", t.node, t.level)?;
-                    put_str(out, self.pool.text(t.value).unwrap_or(""))?;
-                }
-                Kind::Comment => {
-                    put_head(out, b"M ", t.node, t.level)?;
-                    put_str(out, self.pool.comment(t.value).unwrap_or(""))?;
-                }
+                Kind::Text => Leaf::Text(self.pool.text(t.value).unwrap_or("")),
+                Kind::Comment => Leaf::Comment(self.pool.comment(t.value).unwrap_or("")),
                 Kind::ProcessingInstruction => {
                     let (target, data) = self.pool.instruction(t.value).unwrap_or(("", ""));
-                    put_head(out, b"P ", t.node, t.level)?;
-                    put_str(out, target)?;
-                    put_str(out, data)?;
+                    Leaf::Instruction { target, data }
                 }
-            }
+            };
+            put_leaf(out, node, level, leaf)?;
         }
         // Attribute rows, owner-major in document order (a run's row
         // order is the attribute order).
         for t in self.used_tuples().filter(|t| t.kind == Kind::Element) {
             let node = u64::from(t.node);
             for r in self.attr_run(node, t.value) {
-                out.write_all(b"A ")?;
-                put_num(out, node, b' ')?;
-                put_name(out, self.pool.qname(self.attr_qn[r]))?;
-                put_str(out, self.pool.prop(self.attr_prop[r]).unwrap_or(""))?;
+                let value = self.pool.prop(self.attr_prop[r]).unwrap_or("");
+                put_attr(out, node, self.pool.qname(self.attr_qn[r]), value)?;
             }
         }
         Ok(())
@@ -186,8 +347,7 @@ impl PagedDoc {
     /// probes; a WAL streams the dump instead).
     pub fn checkpoint_dump(&self) -> String {
         let mut out = Vec::with_capacity(self.checkpoint_dump_size_hint());
-        self.write_checkpoint_dump(None, &mut out)
-            .expect("writing to a Vec cannot fail");
+        self.write_checkpoint_dump(None, &mut out).expect(IN_MEMORY);
         out.shrink_to_fit();
         String::from_utf8(out).expect("a dump is made of str pieces")
     }
@@ -206,154 +366,18 @@ impl PagedDoc {
     ) -> Result<Self> {
         let mut doc = Self::empty(cfg)?;
         // `node→pos` over the full checkpointed id space, every entry
-        // NULL until the layout below places the tuples. A staged tuple
-        // claims its id's bit, which is how a repeated id is caught.
+        // NULL until the layout below places the tuples.
         doc.reserve_node_ids(alloc_end)?;
-        let mut claimed = vec![0u64; doc.node_alloc_end().div_ceil(64) as usize];
-        // An entry takes at least 9 bytes (`E 0 0 0: `), which caps what
-        // a wrong count can make this reserve.
-        let capacity = usize::try_from(tuples).unwrap_or(usize::MAX);
-        let mut staged: Vec<Tuple> = Vec::with_capacity(capacity.min(dump.len() / 9));
-        let mut attrs = Vec::new();
-        let mut rest = dump;
-        while let Some(tag) = next_tok(&mut rest) {
-            if tag == "D" {
-                // Document-identity entry (see `write_checkpoint_dump`):
-                // carries no tuple data, callers read it separately via
-                // `checkpoint_dump_identity`.
-                take_str(&mut rest).ok_or_else(|| bad("checkpoint identity lacks a name"))?;
-                continue;
-            }
-            if tag == "A" {
-                let node = next_tok(&mut rest)
-                    .and_then(|t| t.parse::<u64>().ok())
-                    .ok_or_else(|| bad("checkpoint attr row lacks a node id"))?;
-                let name = take_str(&mut rest)
-                    .and_then(QName::parse)
-                    .ok_or_else(|| bad("checkpoint attr row carries a bad name"))?;
-                let value =
-                    take_str(&mut rest).ok_or_else(|| bad("checkpoint attr row lacks a value"))?;
-                let qn = doc.pool.intern_qname(&name);
-                let prop = doc.pool.intern_prop(value);
-                attrs.push((node, qn, prop));
-                continue;
-            }
-            let node = next_tok(&mut rest)
-                .and_then(|t| t.parse::<u64>().ok())
-                .ok_or_else(|| bad("checkpoint tuple lacks a node id"))?;
-            let level = next_tok(&mut rest)
-                .and_then(|t| t.parse::<usize>().ok())
-                .ok_or_else(|| bad("checkpoint tuple lacks a level"))?;
-            let level = checked_level(level)?;
-            let (kind, name, value) = match tag {
-                "E" => {
-                    let name = take_str(&mut rest)
-                        .and_then(QName::parse)
-                        .ok_or_else(|| bad("checkpoint element carries a bad name"))?;
-                    (Kind::Element, doc.pool.intern_qname(&name).0, NO_NAME)
-                }
-                "T" => {
-                    let text =
-                        take_str(&mut rest).ok_or_else(|| bad("checkpoint text lacks a value"))?;
-                    (Kind::Text, NO_NAME, doc.pool.intern_text(text))
-                }
-                "M" => {
-                    let c = take_str(&mut rest)
-                        .ok_or_else(|| bad("checkpoint comment lacks a value"))?;
-                    (Kind::Comment, NO_NAME, doc.pool.intern_comment(c))
-                }
-                "P" => {
-                    let target = take_str(&mut rest)
-                        .ok_or_else(|| bad("checkpoint instruction lacks a target"))?
-                        .to_string();
-                    let data = take_str(&mut rest)
-                        .ok_or_else(|| bad("checkpoint instruction lacks data"))?;
-                    (
-                        Kind::ProcessingInstruction,
-                        NO_NAME,
-                        doc.pool.intern_instruction(&target, data),
-                    )
-                }
-                other => return Err(bad(format!("unknown checkpoint entry '{other}'"))),
-            };
-            if node >= alloc_end {
-                return Err(bad(format!(
-                    "checkpoint node id {node} beyond allocation point {alloc_end}"
-                )));
-            }
-            let (word, bit) = (&mut claimed[node as usize / 64], 1 << (node % 64));
-            if *word & bit != 0 {
-                return Err(bad(format!("checkpoint node id {node} duplicated")));
-            }
-            *word |= bit;
-            staged.push(Tuple {
-                size: 0,
-                level,
-                kind,
-                name,
-                value,
-                node: narrow("node ids", node)?,
-            });
-        }
-        if staged.is_empty() {
-            return Err(bad("cannot load an empty checkpoint"));
-        }
-        if staged.len() as u64 != tuples {
-            return Err(bad(format!(
-                "checkpoint declares {tuples} tuples but its dump carries {}",
-                staged.len()
-            )));
-        }
-
-        // Recompute sizes from the level sequence (used descendants
-        // only), validating tree shape as we go: an element is sized when
-        // the first tuple outside it arrives, like the shredder sizes it
-        // at its close.
-        let mut stack: Vec<usize> = Vec::new();
-        for i in 0..staged.len() {
-            let lvl = staged[i].level;
-            if i == 0 {
-                if lvl != 0 {
-                    return Err(bad("checkpoint does not start at the root"));
-                }
-            } else {
-                while let Some(&top) = stack.last() {
-                    if staged[top].level >= lvl {
-                        staged[top].size = (i - top - 1) as u32;
-                        stack.pop();
-                    } else {
-                        break;
-                    }
-                }
-                match stack.last() {
-                    Some(&top) if staged[top].level + 1 == lvl => {}
-                    Some(&top) => {
-                        return Err(bad(format!(
-                            "checkpoint level jump from {} to {lvl}",
-                            staged[top].level
-                        )))
-                    }
-                    None => return Err(bad("checkpoint carries a second root")),
-                }
-            }
-            stack.push(i);
-        }
-        for top in stack {
-            staged[top].size = (staged.len() - top - 1) as u32;
-        }
-
+        let (staged, attrs) =
+            read_stream(&mut doc.pool, dump, "checkpoint", 0, alloc_end, 0, tuples)?;
         // Page layout at the configured fill factor.
         doc.lay_out_appended(&staged)?;
+        drop(staged);
         for (node, qn, prop) in attrs {
-            let owner = doc.node_slot(node).map(|(phys, i)| doc.page(phys).kind(i));
-            if owner != Some(Some(Kind::Element)) {
-                return Err(bad(format!("checkpoint attr row for non-element {node}")));
-            }
             doc.push_attr(node, qn, prop);
         }
         // The element-name and content indexes are derived state and
         // are rebuilt rather than serialized.
-        drop(staged);
         doc.build_indexes();
         Ok(doc)
     }

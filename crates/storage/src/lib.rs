@@ -44,6 +44,7 @@
 //! refinement.
 
 pub mod checkpoint;
+pub mod codec;
 pub mod dump;
 pub mod invariants;
 pub mod naive;
@@ -60,6 +61,7 @@ pub mod vacuum;
 pub mod values;
 pub mod view;
 
+pub use checkpoint::Fragment;
 pub use naive::{NaiveDoc, NaiveReport};
 pub use paged::{PagedDoc, PagedStats};
 pub use readonly::ReadOnlyDoc;

@@ -1281,10 +1281,10 @@ mod tests {
         };
         let mut d = figure4_doc();
         let g = d.pre_to_node(6).unwrap();
-        let sub = Document::parse_fragment("<k/>").unwrap();
+        let sub = crate::Fragment::of(&Document::parse_fragment("<k/>").unwrap());
         // Ids `2³²−2..2³²−1` would make 2³²−1 node ids.
         assert_eq!(
-            d.insert_with_base(crate::InsertPosition::LastChildOf(g), &sub, too_many - 1),
+            d.insert_fragment(crate::InsertPosition::LastChildOf(g), &sub, too_many - 1),
             Err(too_large("node ids"))
         );
         assert_eq!(d.reserve_node_ids(too_many), Err(too_large("node ids")));

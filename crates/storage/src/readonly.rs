@@ -116,12 +116,6 @@ impl ReadOnlyDoc {
         Ok(pre + size - level)
     }
 
-    /// Mutable access to the value pool (the shredder interns; queries
-    /// only read).
-    pub fn pool_mut(&mut self) -> &mut ValuePool {
-        &mut self.pool
-    }
-
     /// Approximate heap footprint of the tree + attribute tables in bytes
     /// (for the storage-overhead experiment; excludes the shared pool).
     pub fn table_bytes(&self) -> usize {

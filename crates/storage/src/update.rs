@@ -25,10 +25,11 @@
 //! `Page::rebuild_runs`, whose result is that page's entry in the
 //! summary column.
 
+use crate::checkpoint::{read_stream, Fragment};
 use crate::names::Posting;
 use crate::page::{checked_level, Page, Tuple, NO_NAME, NO_POS};
 use crate::paged::{set_node_pos, PagedDoc, DEAD_ROW};
-use crate::shred;
+use crate::shred::{self, AttrRow};
 use crate::types::{Kind, NodeId, StorageError};
 use crate::values::{classify, text_posting, QnId, TextKey};
 use crate::view::TreeView;
@@ -103,24 +104,34 @@ impl PagedDoc {
     /// report.
     pub fn insert(&mut self, position: InsertPosition, subtree: &Node) -> Result<InsertReport> {
         let base = self.node_alloc_end();
-        self.insert_with_base(position, subtree, base)
+        self.insert_staged(position, base, |doc, level| {
+            doc.stage(level, base, |st| shred::walk_into(subtree, st))
+        })
     }
 
-    /// Like [`PagedDoc::insert`], but the inserted tuples receive the
-    /// explicit node ids `first_node..first_node + n`.
-    ///
-    /// The transaction layer reserves id ranges from a shared counter at
-    /// staging time, so a transaction's private workspace, the commit
-    /// replay on the master document, and crash recovery all assign the
-    /// *same* ids — which later operations in the same transaction (or
-    /// WAL record) may reference. Ids below the current allocation point
-    /// must not collide with live nodes; gaps are padded with NULL
-    /// `node→pos` entries (deleted-looking ids that were never used).
-    pub fn insert_with_base(
+    /// Inserts a logged `fragment` with the node ids `first_node..`, which
+    /// the transaction layer reserves once so that the workspace, the
+    /// commit's re-apply and recovery all assign the ids later ops name.
+    /// They must not be live; gaps stay NULL in `node→pos`.
+    pub fn insert_fragment(
         &mut self,
         position: InsertPosition,
-        subtree: &Node,
+        fragment: &Fragment,
         first_node: u64,
+    ) -> Result<InsertReport> {
+        let (text, n) = (&fragment.text, fragment.tuples);
+        self.insert_staged(position, first_node, |doc, level| {
+            read_stream(&mut doc.pool, text, "fragment", first_node, n, level, n)
+        })
+    }
+
+    /// The placement body of both inserts: `stage` yields the tuples (ids
+    /// from `first_node`, levels from the one given) and attribute rows.
+    fn insert_staged(
+        &mut self,
+        position: InsertPosition,
+        first_node: u64,
+        stage: impl FnOnce(&mut Self, u16) -> Result<(Vec<Tuple>, Vec<AttrRow>)>,
     ) -> Result<InsertReport> {
         // Resolve target and placement in the current view.
         let (insert_pre, parent_pre, base_level) = self.resolve_insert(position)?;
@@ -132,14 +143,11 @@ impl PagedDoc {
             None => None,
         };
 
-        // Stage the new tuples and their attribute rows.
-        // Materialize the node→pos entries (NULL until placed below),
-        // padding any reservation gap with NULL entries; this is also
-        // the check that the new ids are addressable.
-        self.reserve_node_ids(first_node.saturating_add(subtree.tuple_count()))?;
-        let (staged, attrs) =
-            self.stage(base_level, first_node, |st| shred::walk_into(subtree, st))?;
+        // Materialize the staged ids' node→pos entries (NULL until placed
+        // below, padding any gap): also the check that they are addressable.
+        let (staged, attrs) = stage(self, base_level)?;
         let n = staged.len() as u64;
+        self.reserve_node_ids(first_node.saturating_add(n))?;
         for t in &staged {
             if self.node_pos[t.node as usize] != NO_POS {
                 return Err(StorageError::InvalidTarget {

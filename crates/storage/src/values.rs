@@ -566,18 +566,6 @@ pub struct DegreeStats {
     pub max_postings: u64,
 }
 
-impl DegreeStats {
-    /// Average postings per distinct key, rounded up (1 when empty) —
-    /// the expected-case figure the pessimistic bound is compared to.
-    pub fn avg_postings(&self) -> u64 {
-        if self.distinct_keys == 0 {
-            1
-        } else {
-            self.total_postings.div_ceil(self.distinct_keys)
-        }
-    }
-}
-
 /// Result of an element-text content probe: the `exact` arm is
 /// authoritative (string values match by construction); the `unindexed`
 /// arm lists the name's complex-content elements, which the caller must

@@ -53,6 +53,7 @@ use crate::recover::recover_shard;
 use crate::shard::Shard;
 use crate::wal::Wal;
 use crate::{CheckpointInfo, Result, StoreConfig, TxnError};
+use mbxq_storage::codec::{put_num, put_str, Cursor};
 use mbxq_storage::{NodeId, PageConfig, PagedDoc};
 use mbxq_xml::serialize::escape_attr;
 use mbxq_xml::{Event, Parser};
@@ -787,14 +788,16 @@ fn validate_plain_name(name: &str) -> Result<()> {
 /// fsync its data, rename over `manifest`, fsync the directory — the
 /// rename is the commit point, exactly like a WAL truncation.
 fn write_manifest(dir: &Path, docs: &[DocEntry]) -> Result<()> {
-    let mut out = String::from("mbxq-catalog v1\n");
+    let mut out = MANIFEST_HEADER.as_bytes().to_vec();
     for e in docs {
-        out.push_str(&format!("{} {}:{}\n", e.id, e.name.len(), e.name));
+        put_num(&mut out, e.id, b' ')
+            .and_then(|()| put_str(&mut out, &e.name, b"\n"))
+            .expect("writing to a Vec cannot fail");
     }
     let tmp = dir.join("manifest.tmp");
     let path = dir.join("manifest");
     let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("write manifest.tmp", e))?;
-    f.write_all(out.as_bytes())
+    f.write_all(&out)
         .map_err(|e| io_err("write manifest.tmp", e))?;
     f.sync_all().map_err(|e| io_err("sync manifest.tmp", e))?;
     drop(f);
@@ -805,40 +808,30 @@ fn write_manifest(dir: &Path, docs: &[DocEntry]) -> Result<()> {
     Ok(())
 }
 
-/// Parses the manifest into `(id, name)` entries in creation order.
+/// The manifest's first line.
+const MANIFEST_HEADER: &str = "mbxq-catalog v1\n";
+
+/// Parses the manifest (`<id> <len>:<name>\n` per entry, after the
+/// header) into `(id, name)` entries in creation order.
 fn decode_manifest(text: &str) -> Result<Vec<(u64, String)>> {
-    let corrupt = |message: &str| TxnError::CatalogIo {
+    let corrupt = |message: String| TxnError::CatalogIo {
         message: format!("manifest corrupt: {message}"),
     };
+    let missing = |field| corrupt(format!("bad or missing {field}"));
     let rest = text
-        .strip_prefix("mbxq-catalog v1\n")
-        .ok_or_else(|| corrupt("bad header"))?;
+        .strip_prefix(MANIFEST_HEADER)
+        .ok_or_else(|| corrupt("bad header".into()))?;
     let mut entries = Vec::new();
-    let mut rest = rest;
+    let mut cur = Cursor::new(rest);
     let mut seen = std::collections::HashSet::new();
-    while !rest.is_empty() {
-        let sp = rest.find(' ').ok_or_else(|| corrupt("entry lacks id"))?;
-        let id: u64 = rest[..sp].parse().map_err(|_| corrupt("bad id"))?;
-        rest = &rest[sp + 1..];
-        let colon = rest
-            .find(':')
-            .ok_or_else(|| corrupt("entry lacks name length"))?;
-        let len: usize = rest[..colon]
-            .parse()
-            .map_err(|_| corrupt("bad name length"))?;
-        rest = &rest[colon + 1..];
-        if rest.len() < len + 1 {
-            return Err(corrupt("truncated name"));
-        }
-        let name = rest[..len].to_string();
-        if rest.as_bytes()[len] != b'\n' {
-            return Err(corrupt("missing entry terminator"));
-        }
+    while !cur.at_end() {
+        let id = cur.num("shard id").map_err(missing)?;
+        let name = cur.take_str("document name").map_err(missing)?;
+        cur.byte(b'\n', "entry terminator").map_err(missing)?;
         if !seen.insert(id) {
-            return Err(corrupt("duplicate shard id"));
+            return Err(corrupt("duplicate shard id".into()));
         }
-        rest = &rest[len + 1..];
-        entries.push((id, name));
+        entries.push((id, name.to_string()));
     }
     Ok(entries)
 }

@@ -4,11 +4,17 @@
 //! `pre`/`pos`, which shift under updates), so a committed log replayed
 //! in commit order reproduces the exact same document and the exact same
 //! node-id allocation, regardless of how pre ranks moved in between.
+//!
+//! An op is a tag, numbers and length-prefixed strings
+//! ([`mbxq_storage::codec`]): it ends where its last field ends. An
+//! insert logs its subtree as a [`Fragment`] (the checkpoint's tuple
+//! grammar), which every apply stages from; no XML is written or parsed.
 
-use crate::{Result, TxnError};
-use mbxq_storage::{InsertPosition, NodeId, PagedDoc};
-use mbxq_xml::{Document, Node, QName};
-use std::fmt::Write as _;
+use crate::Result;
+use mbxq_storage::codec::{put_name, put_str, Cursor};
+use mbxq_storage::{Fragment, InsertPosition, NodeId, PagedDoc};
+use mbxq_xml::QName;
+use std::io::Write as _;
 
 /// One logical update operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +23,8 @@ pub enum Op {
     Insert {
         /// Placement relative to an existing node.
         position: InsertPosition,
-        /// The subtree to shred in.
-        subtree: Node,
+        /// The subtree, in the tuple-stream grammar it is logged in.
+        fragment: Fragment,
         /// First node id of the inserted range (reserved at staging
         /// time from the store's shared counter, so workspace, commit
         /// replay and recovery assign identical ids).
@@ -68,10 +74,10 @@ impl Op {
         match self {
             Op::Insert {
                 position,
-                subtree,
+                fragment,
                 first_node,
             } => {
-                let r = doc.insert_with_base(*position, subtree, *first_node)?;
+                let r = doc.insert_fragment(*position, fragment, *first_node)?;
                 Ok((r.inserted, 0, r.ancestors_updated as u64))
             }
             Op::Delete { node } => {
@@ -97,17 +103,15 @@ impl Op {
         }
     }
 
-    /// Serializes the op into the WAL text format (length-prefixed
-    /// strings; no escaping needed).
-    pub(crate) fn encode(&self, out: &mut String) {
-        fn put_str(out: &mut String, s: &str) {
-            let _ = write!(out, "{}:", s.len());
-            out.push_str(s);
-        }
-        match self {
+    /// Appends the op in the WAL text format: a tag, numbers and
+    /// length-prefixed strings ([`mbxq_storage::codec`]), so the reader
+    /// knows where the op ends whatever its strings hold. An insert's
+    /// fragment is copied in as one such string.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let written = match self {
             Op::Insert {
                 position,
-                subtree,
+                fragment,
                 first_node,
             } => {
                 let (tag, node, extra) = match position {
@@ -116,143 +120,116 @@ impl Op {
                     InsertPosition::LastChildOf(n) => ("lastchild", n.0, 0),
                     InsertPosition::ChildAt(n, k) => ("childat", n.0, *k as u64),
                 };
-                let mut xml = String::new();
-                mbxq_xml::serialize_node(subtree, &mut xml);
-                let _ = write!(out, "I {tag} {node} {extra} {first_node} ");
-                put_str(out, &xml);
+                let tuples = fragment.tuples;
+                write!(out, "F {tag} {node} {extra} {first_node} {tuples} ")
+                    .and_then(|()| put_str(out, &fragment.text, b""))
             }
-            Op::Delete { node } => {
-                let _ = write!(out, "D {}", node.0);
-            }
+            Op::Delete { node } => write!(out, "D {}", node.0),
             Op::UpdateValue { node, value } => {
-                let _ = write!(out, "V {} ", node.0);
-                put_str(out, value);
+                write!(out, "V {} ", node.0).and_then(|()| put_str(out, value, b""))
             }
             Op::Rename { node, name } => {
-                let _ = write!(out, "R {} ", node.0);
-                put_str(out, &name.to_string());
+                write!(out, "R {} ", node.0).and_then(|()| put_name(out, Some(name), b""))
             }
-            Op::SetAttr { node, name, value } => {
-                let _ = write!(out, "S {} ", node.0);
-                put_str(out, &name.to_string());
-                out.push(' ');
-                put_str(out, value);
-            }
+            Op::SetAttr { node, name, value } => write!(out, "S {} ", node.0)
+                .and_then(|()| put_name(out, Some(name), b" "))
+                .and_then(|()| put_str(out, value, b"")),
             Op::RemoveAttr { node, name } => {
-                let _ = write!(out, "X {} ", node.0);
-                put_str(out, &name.to_string());
+                write!(out, "X {} ", node.0).and_then(|()| put_name(out, Some(name), b""))
             }
-        }
+        };
+        written.expect("writing to a Vec cannot fail");
     }
 
-    /// Parses one encoded op.
-    pub(crate) fn decode(input: &str) -> Result<Op> {
-        let bad = |m: &str| {
-            TxnError::Wal(crate::wal::WalError::Corrupt {
-                message: m.to_string(),
-            })
-        };
-        let mut rest = input;
-        let mut next_token = || -> Result<&str> {
-            rest = rest.trim_start();
-            let end = rest.find(' ').unwrap_or(rest.len());
-            let (tok, r) = rest.split_at(end);
-            rest = r;
-            if tok.is_empty() {
-                Err(bad("truncated op"))
-            } else {
-                Ok(tok)
-            }
-        };
-        let kind = next_token()?.to_string();
-        let parse_u64 = |s: &str| s.parse::<u64>().map_err(|_| bad("bad number"));
-        // Length-prefixed string reader over `rest`.
-        fn take_str<'a>(rest: &mut &'a str) -> Option<&'a str> {
-            let r = rest.trim_start();
-            let colon = r.find(':')?;
-            let len: usize = r[..colon].parse().ok()?;
-            let start = colon + 1;
-            if r.len() < start + len {
-                return None;
-            }
-            let s = &r[start..start + len];
-            *rest = &r[start + len..];
-            Some(s)
-        }
-        match kind.as_str() {
-            "I" => {
-                let tag = next_token()?.to_string();
-                let node = NodeId(parse_u64(next_token()?)?);
-                let extra = parse_u64(next_token()?)? as usize;
-                let first_node = parse_u64(next_token()?)?;
-                let xml = take_str(&mut rest).ok_or_else(|| bad("bad insert payload"))?;
-                let subtree = Document::parse_fragment(xml)
-                    .map_err(|e| bad(&format!("bad subtree xml: {e}")))?;
-                let position = match tag.as_str() {
+    /// Reads the op at `cur`, leaving the cursor just behind it.
+    pub(crate) fn read(cur: &mut Cursor<'_>) -> std::result::Result<Op, String> {
+        let field = |f| format!("bad or missing {f}");
+        let op = match cur.token("op tag").map_err(field)? {
+            "F" => {
+                let tag = cur.token("insert position").map_err(field)?;
+                let node = NodeId(cur.num("insert target").map_err(field)?);
+                let extra = cur.num("child position").map_err(field)?;
+                let first_node = cur.num("first node id").map_err(field)?;
+                let tuples = cur.num("fragment tuple count").map_err(field)?;
+                let text = cur.take_str("fragment").map_err(field)?;
+                let position = match tag {
                     "before" => InsertPosition::Before(node),
                     "after" => InsertPosition::After(node),
                     "lastchild" => InsertPosition::LastChildOf(node),
-                    "childat" => InsertPosition::ChildAt(node, extra),
-                    other => return Err(bad(&format!("bad insert tag '{other}'"))),
+                    "childat" => InsertPosition::ChildAt(
+                        node,
+                        usize::try_from(extra).map_err(|_| "bad child position")?,
+                    ),
+                    other => return Err(format!("bad insert position '{other}'")),
                 };
-                Ok(Op::Insert {
+                Op::Insert {
                     position,
-                    subtree,
+                    fragment: Fragment {
+                        tuples,
+                        text: text.to_string(),
+                    },
                     first_node,
-                })
+                }
             }
-            "D" => Ok(Op::Delete {
-                node: NodeId(parse_u64(next_token()?)?),
-            }),
-            "V" => {
-                let node = NodeId(parse_u64(next_token()?)?);
-                let value = take_str(&mut rest).ok_or_else(|| bad("bad value payload"))?;
-                Ok(Op::UpdateValue {
-                    node,
-                    value: value.to_string(),
-                })
+            "I" => {
+                return Err("an insert logged as XML text (op tag I), a form no longer \
+                     read: replay this log with the release that wrote it"
+                    .into())
             }
-            "R" => {
-                let node = NodeId(parse_u64(next_token()?)?);
-                let name = take_str(&mut rest).ok_or_else(|| bad("bad rename payload"))?;
-                Ok(Op::Rename {
-                    node,
-                    name: QName::parse(name).ok_or_else(|| bad("bad qname"))?,
-                })
-            }
-            "S" => {
-                let node = NodeId(parse_u64(next_token()?)?);
-                let name = take_str(&mut rest).ok_or_else(|| bad("bad attr name"))?;
-                let name = QName::parse(name).ok_or_else(|| bad("bad qname"))?;
-                let value = take_str(&mut rest).ok_or_else(|| bad("bad attr value"))?;
-                Ok(Op::SetAttr {
-                    node,
-                    name,
-                    value: value.to_string(),
-                })
-            }
-            "X" => {
-                let node = NodeId(parse_u64(next_token()?)?);
-                let name = take_str(&mut rest).ok_or_else(|| bad("bad attr name"))?;
-                Ok(Op::RemoveAttr {
-                    node,
-                    name: QName::parse(name).ok_or_else(|| bad("bad qname"))?,
-                })
-            }
-            other => Err(bad(&format!("unknown op kind '{other}'"))),
-        }
+            "D" => Op::Delete {
+                node: NodeId(cur.num("node id").map_err(field)?),
+            },
+            "V" => Op::UpdateValue {
+                node: NodeId(cur.num("node id").map_err(field)?),
+                value: cur.take_str("value").map_err(field)?.to_string(),
+            },
+            "R" => Op::Rename {
+                node: NodeId(cur.num("node id").map_err(field)?),
+                name: cur.name("element name").map_err(field)?,
+            },
+            "S" => Op::SetAttr {
+                node: NodeId(cur.num("node id").map_err(field)?),
+                name: cur.name("attribute name").map_err(field)?,
+                value: cur.take_str("attribute value").map_err(field)?.to_string(),
+            },
+            "X" => Op::RemoveAttr {
+                node: NodeId(cur.num("node id").map_err(field)?),
+                name: cur.name("attribute name").map_err(field)?,
+            },
+            other => return Err(format!("unknown op kind '{other}'")),
+        };
+        Ok(op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbxq_xml::Document;
+
+    fn encoded(op: &Op) -> String {
+        let mut out = Vec::new();
+        op.encode(&mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    fn decode(text: &str) -> std::result::Result<Op, String> {
+        let mut cur = Cursor::new(text);
+        let op = Op::read(&mut cur)?;
+        if !cur.at_end() {
+            return Err("trailing bytes".into());
+        }
+        Ok(op)
+    }
 
     fn round_trip(op: Op) {
-        let mut s = String::new();
-        op.encode(&mut s);
-        let back = Op::decode(&s).unwrap();
+        let s = encoded(&op);
+        let back = decode(&s).unwrap();
         assert_eq!(op, back, "encoded as: {s}");
+    }
+
+    fn fragment(xml: &str) -> Fragment {
+        Fragment::of(&Document::parse_fragment(xml).unwrap())
     }
 
     #[test]
@@ -275,33 +252,78 @@ mod tests {
             node: NodeId(3),
             name: QName::local("id"),
         });
-        let subtree = Document::parse_fragment("<k a=\"1\"><l/>text<m/></k>").unwrap();
         round_trip(Op::Insert {
             position: InsertPosition::ChildAt(NodeId(9), 2),
-            subtree: subtree.clone(),
+            fragment: fragment("<k a=\"1\"><l/>text<m/></k>"),
             first_node: 100,
         });
         round_trip(Op::Insert {
             position: InsertPosition::After(NodeId(1)),
-            subtree,
+            fragment: fragment("<k/>"),
             first_node: 0,
         });
+    }
+
+    /// The bytes of every op kind, pinned: the ops other than an insert
+    /// are written as they were before inserts logged fragments.
+    #[test]
+    fn the_op_bytes_are_pinned() {
+        let ops = [
+            (Op::Delete { node: NodeId(5) }, "D 5"),
+            (
+                Op::UpdateValue {
+                    node: NodeId(2),
+                    value: "a b".into(),
+                },
+                "V 2 3:a b",
+            ),
+            (
+                Op::SetAttr {
+                    node: NodeId(3),
+                    name: QName::prefixed("p", "id"),
+                    value: "v".into(),
+                },
+                "S 3 4:p:id 1:v",
+            ),
+            (
+                Op::Insert {
+                    position: InsertPosition::LastChildOf(NodeId(4)),
+                    fragment: fragment("<k a=\"1\">t<!--c--></k>"),
+                    first_node: 12,
+                },
+                "F lastchild 4 0 12 3 42:E 0 0 1:k T 1 1 1:t M 2 1 1:c A 0 1:a 1:1 ",
+            ),
+        ];
+        for (op, bytes) in ops {
+            assert_eq!(encoded(&op), bytes);
+            round_trip(op);
+        }
     }
 
     #[test]
     fn payload_with_xmlish_content_survives() {
         round_trip(Op::UpdateValue {
             node: NodeId(1),
-            value: "</fake> <xml & entities>".into(),
+            value: "</fake> <xml & entities> \u{1f} sep".into(),
         });
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Op::decode("").is_err());
-        assert!(Op::decode("Z 1").is_err());
-        assert!(Op::decode("D notanumber").is_err());
-        assert!(Op::decode("V 3 99:short").is_err());
-        assert!(Op::decode("I sideways 1 0 9 4:<x/>").is_err());
+        assert!(decode("").is_err());
+        assert!(decode("Z 1").is_err());
+        assert!(decode("D notanumber").is_err());
+        assert!(decode("V 3 99:short").is_err());
+        // A length that ends inside a character: refused, not a panic.
+        assert!(decode("V 1 1:\u{e9}").is_err());
+        assert!(decode("F sideways 1 0 9 1 10:E 0 0 1:x ").is_err());
+    }
+
+    /// A log written before inserts logged fragments is refused by name,
+    /// not misread.
+    #[test]
+    fn an_insert_in_the_old_xml_form_is_refused_by_name() {
+        let err = decode("I lastchild 4 0 12 4:<x/>").unwrap_err();
+        assert!(err.contains("XML text (op tag I)"), "{err}");
     }
 }

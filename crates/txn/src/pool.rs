@@ -42,11 +42,6 @@ impl QueryPool {
         }
     }
 
-    /// The configured width (what [`QueryPool::get`] would spawn).
-    pub fn configured_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Whether the worker threads have been spawned yet.
     pub fn spawned(&self) -> bool {
         self.inner.get().is_some()

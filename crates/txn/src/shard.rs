@@ -16,7 +16,7 @@ use crate::{
     group, locks, op::Op, AncestorLockMode, CheckpointInfo, CommitInfo, GroupCommitStats,
     PlanCacheStats, Result, StoreConfig, TxnError, TxnId,
 };
-use mbxq_storage::{ArcCell, InsertPosition, NodeId, PagedDoc, StorageError, TreeView};
+use mbxq_storage::{ArcCell, Fragment, InsertPosition, NodeId, PagedDoc, StorageError, TreeView};
 use mbxq_xml::Node;
 use mbxq_xpath::XPath;
 use std::collections::HashMap;
@@ -262,12 +262,6 @@ impl Shard {
         self.wal.lock().unwrap().crash_after_bytes(limit);
     }
 
-    /// Runs `f` with the committed document (convenience for queries that
-    /// do not need a long-lived snapshot).
-    pub fn with_doc<R>(&self, f: impl FnOnce(&PagedDoc) -> R) -> R {
-        f(&self.snapshot())
-    }
-
     /// Number of logical pages currently locked by in-flight write
     /// transactions (diagnostic; the regression tests for the
     /// commit-path lock leak assert on it).
@@ -471,12 +465,6 @@ impl Shard {
     /// catalog return the *same* pool.
     pub fn query_pool(&self) -> Option<&mbxq_xpath::WorkerPool> {
         self.pool.get()
-    }
-
-    /// The pool handle itself (shared-ownership form of
-    /// [`Shard::query_pool`]).
-    pub fn pool_handle(&self) -> &Arc<QueryPool> {
-        &self.pool
     }
 
     /// Adds the shard's pool to `opts` unless the caller already chose
@@ -742,13 +730,16 @@ impl WriteTxn<'_> {
             | InsertPosition::ChildAt(n, _) => n,
         };
         self.lock_for_write(target)?;
-        // Reserve the id range from the shared counter so every replay
-        // of this op allocates identically.
-        let n = subtree.tuple_count();
-        let first_node = self.shard.next_node.fetch_add(n, Ordering::Relaxed);
+        // Written once, as the fragment every apply stages from; its id
+        // range comes from the shared counter, so every replay agrees.
+        let fragment = Fragment::of(subtree);
+        let first_node = self
+            .shard
+            .next_node
+            .fetch_add(fragment.tuples, Ordering::Relaxed);
         self.stage(Op::Insert {
             position,
-            subtree: subtree.clone(),
+            fragment,
             first_node,
         })?;
         Ok(())

@@ -10,6 +10,11 @@
 //! appended, so a record acknowledged after a restart never sits behind
 //! bytes recovery stops at.
 //!
+//! Tuples travel in one format, the checkpoint's tuple stream
+//! ([`mbxq_storage::checkpoint`]): a checkpoint record's payload, and an
+//! insert op's fragment. A commit record's ops are read one after
+//! another, each ending where its last field ends ([`crate::op`]).
+//!
 //! A checkpoint record is **streamed**: [`Wal::begin_checkpoint`] hands
 //! out a [`CheckpointWriter`] that the dump is written into — on the
 //! file backend a temp file through a buffer, on the memory backend the
@@ -29,6 +34,7 @@
 
 use crate::op::Op;
 use crate::TxnId;
+use mbxq_storage::codec::Cursor;
 use std::borrow::Cow;
 use std::io::{self, BufRead as _, Read as _, Seek as _, Write};
 use std::path::{Path, PathBuf};
@@ -101,24 +107,6 @@ pub enum WalRecord<'a> {
         /// bytes when decoded.
         dump: Cow<'a, str>,
     },
-}
-
-impl WalRecord<'_> {
-    /// The record with its payload owned.
-    pub fn into_owned(self) -> WalRecord<'static> {
-        match self {
-            WalRecord::Commit { txn, ops } => WalRecord::Commit { txn, ops },
-            WalRecord::Checkpoint {
-                alloc_end,
-                tuples,
-                dump,
-            } => WalRecord::Checkpoint {
-                alloc_end,
-                tuples,
-                dump: Cow::Owned(dump.into_owned()),
-            },
-        }
-    }
 }
 
 enum Backend {
@@ -518,14 +506,6 @@ impl Wal {
             Backend::File(_, path) => std::fs::read(path).map_err(io_error),
         }
     }
-
-    /// Decodes all complete records; a torn trailing record is ignored
-    /// (it never committed).
-    pub fn read_all(&self) -> Result<Vec<WalRecord<'static>>, WalError> {
-        let raw = self.raw()?;
-        let records = decode_log(&raw)?;
-        Ok(records.into_iter().map(WalRecord::into_owned).collect())
-    }
 }
 
 /// Record wire format (text; payload lengths are explicit, so payloads
@@ -536,20 +516,20 @@ impl Wal {
 /// C <alloc-end> <tuple-count> <byte-len-of-payload: 20 digits, zero-padded>\n<payload>\n
 /// ```
 ///
-/// A commit payload is the ops joined by `\x1f`; a checkpoint payload is
-/// the tuple dump. The trailing `\n` completes the record; recovery only
-/// accepts records whose full payload is present. A checkpoint's length
-/// is fixed-width because its header is written before the streamed
-/// dump and the length patched in after it; the decoder reads a length
-/// of any width, so a log whose checkpoint header carries the earlier
-/// variable-width length still recovers.
+/// A commit payload is the ops in order, separated by `\x1f`; a
+/// checkpoint payload is the tuple dump. The trailing `\n` completes the
+/// record; recovery only accepts records whose full payload is present.
+/// A checkpoint's length is fixed-width because its header is written
+/// before the streamed dump and the length patched in after it; the
+/// decoder reads a length of any width, so a log whose checkpoint header
+/// carries the earlier variable-width length still recovers.
 fn encode_record(record: &WalRecord<'_>) -> Vec<u8> {
     let (header, payload) = match record {
         WalRecord::Commit { txn, ops } => {
-            let mut payload = String::new();
+            let mut payload = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 if i > 0 {
-                    payload.push('\u{1f}');
+                    payload.push(b'\x1f');
                 }
                 op.encode(&mut payload);
             }
@@ -562,12 +542,12 @@ fn encode_record(record: &WalRecord<'_>) -> Vec<u8> {
             dump,
         } => (
             checkpoint_header(*alloc_end, *tuples, dump.len()),
-            Cow::Borrowed(&**dump),
+            Cow::Borrowed(dump.as_bytes()),
         ),
     };
     let mut out = Vec::with_capacity(header.len() + payload.len() + 1);
     out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(payload.as_bytes());
+    out.extend_from_slice(&payload);
     out.push(b'\n');
     out
 }
@@ -609,13 +589,6 @@ enum Frame {
     Garbage,
 }
 
-fn number(field: &[u8]) -> Option<u64> {
-    if field.is_empty() || !field.iter().all(u8::is_ascii_digit) {
-        return None;
-    }
-    std::str::from_utf8(field).ok()?.parse().ok()
-}
-
 /// Parses the header line at the start of `bytes`.
 fn parse_header(bytes: &[u8]) -> Frame {
     let window = &bytes[..bytes.len().min(MAX_HEADER)];
@@ -632,29 +605,31 @@ fn parse_header(bytes: &[u8]) -> Frame {
             Frame::Garbage
         };
     };
-    let mut fields = window[..nl].split(|&b| b == b' ');
-    let (Some([tag @ (b'W' | b'C')]), Some(a), Some(b), Some(len), None) = (
-        fields.next(),
-        fields.next(),
-        fields.next(),
-        fields.next(),
-        fields.next(),
-    ) else {
-        return Frame::Garbage;
+    let read = |line: &str| {
+        let mut cur = Cursor::new(line);
+        let tag = match cur.token("record tag") {
+            Ok("W") => b'W',
+            Ok("C") => b'C',
+            _ => return None,
+        };
+        let (a, b, len) = (
+            cur.num("a").ok()?,
+            cur.num("b").ok()?,
+            cur.num("length").ok()?,
+        );
+        let len = usize::try_from(len).ok()?;
+        cur.at_end().then_some(Header {
+            tag,
+            a,
+            b,
+            len,
+            size: nl + 1,
+        })
     };
-    let (Some(a), Some(b), Some(len)) = (number(a), number(b), number(len)) else {
-        return Frame::Garbage;
-    };
-    let Ok(len) = usize::try_from(len) else {
-        return Frame::Garbage;
-    };
-    Frame::Header(Header {
-        tag: *tag,
-        a,
-        b,
-        len,
-        size: nl + 1,
-    })
+    match std::str::from_utf8(&window[..nl]).ok().and_then(read) {
+        Some(header) => Frame::Header(header),
+        None => Frame::Garbage,
+    }
 }
 
 /// The complete records at the head of a log buffer, each with its
@@ -712,21 +687,19 @@ pub fn decode_log(raw: &[u8]) -> Result<Vec<WalRecord<'_>>, WalError> {
             continue;
         }
         let (txn, op_count) = (header.a, header.b);
+        let corrupt = |message: String| WalError::Corrupt {
+            message: format!("record of txn {txn}: {message}"),
+        };
         let mut ops = Vec::with_capacity(usize::try_from(op_count).unwrap_or(0).min(payload.len()));
-        if !payload.is_empty() {
-            for chunk in payload.split('\u{1f}') {
-                ops.push(Op::decode(chunk).map_err(|e| WalError::Corrupt {
-                    message: format!("record of txn {txn}: {e}"),
-                })?);
-            }
+        let mut cur = Cursor::new(payload);
+        while !cur.at_end() {
+            ops.push(Op::read(&mut cur).map_err(corrupt)?);
         }
         if ops.len() as u64 != op_count {
-            return Err(WalError::Corrupt {
-                message: format!(
-                    "record of txn {txn} declares {op_count} ops but carries {}",
-                    ops.len()
-                ),
-            });
+            return Err(corrupt(format!(
+                "declares {op_count} ops but carries {}",
+                ops.len()
+            )));
         }
         records.push(WalRecord::Commit { txn, ops });
     }
@@ -779,6 +752,33 @@ fn decodable_prefix(file: &std::fs::File, file_len: u64, path: &Path) -> Result<
 mod tests {
     use super::*;
     use mbxq_storage::NodeId;
+
+    impl Wal {
+        /// Decodes all complete records, owned.
+        pub(crate) fn read_all(&self) -> Result<Vec<WalRecord<'static>>, WalError> {
+            let raw = self.raw()?;
+            let records = decode_log(&raw)?;
+            Ok(records.into_iter().map(WalRecord::into_owned).collect())
+        }
+    }
+
+    impl WalRecord<'_> {
+        /// The record with its payload owned.
+        pub(crate) fn into_owned(self) -> WalRecord<'static> {
+            match self {
+                WalRecord::Commit { txn, ops } => WalRecord::Commit { txn, ops },
+                WalRecord::Checkpoint {
+                    alloc_end,
+                    tuples,
+                    dump,
+                } => WalRecord::Checkpoint {
+                    alloc_end,
+                    tuples,
+                    dump: Cow::Owned(dump.into_owned()),
+                },
+            }
+        }
+    }
 
     fn sample_record(txn: TxnId) -> WalRecord<'static> {
         WalRecord::Commit {

@@ -516,16 +516,6 @@ impl XPath {
         &self.source
     }
 
-    /// The rewritten logical plan.
-    pub fn logical_plan(&self) -> &plan::Scalar {
-        &self.logical
-    }
-
-    /// The physical plan.
-    pub fn physical_plan(&self) -> &physical::PhysScalar {
-        &self.physical
-    }
-
     /// Renders the rewritten logical plan.
     pub fn explain(&self) -> String {
         explain::logical(&self.logical)

@@ -203,14 +203,26 @@ fn parse_content(content: &[Node]) -> Result<Content> {
                 } else if is_xu(name, "text") {
                     Node::Text(node.string_value())
                 } else if is_xu(name, "comment") {
-                    Node::Comment(node.string_value())
+                    // XML 1.0 §2.5: no `--` in a comment, no `-` at its end.
+                    let comment = node.string_value();
+                    if comment.contains("--") || comment.ends_with('-') {
+                        return Err(parse_err(format!(
+                            "comment {comment:?} holds '--' or ends in '-'"
+                        )));
+                    }
+                    Node::Comment(comment)
                 } else if is_xu(name, "processing-instruction") {
                     let target = attr(node, "name").ok_or_else(|| {
                         parse_err("<xupdate:processing-instruction> requires a name")
                     })?;
+                    // XML 1.0 §2.6: the data ends at the first `?>`.
+                    let data = node.string_value();
+                    if data.contains("?>") {
+                        return Err(parse_err(format!("instruction data {data:?} holds '?>'")));
+                    }
                     Node::ProcessingInstruction {
                         target: target.to_string(),
-                        data: node.string_value(),
+                        data,
                     }
                 } else if name.prefix == "xupdate" {
                     return Err(parse_err(format!(
@@ -311,5 +323,36 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    fn constructor_error(content: &str) -> String {
+        let script = format!("<xupdate:append select=\"/a\">{content}</xupdate:append>");
+        match parse_modifications(&script) {
+            Err(XUpdateError::Parse { message }) => message,
+            other => panic!("{content}: {other:?}"),
+        }
+    }
+
+    /// XML 1.0 §2.5: `--` may not occur in a comment, nor may it end in
+    /// `-` (its close would then read `--->`).
+    #[test]
+    fn a_comment_holding_a_double_hyphen_or_ending_in_one_is_refused() {
+        for content in ["x--&gt;y", "a--b", "tail-"] {
+            let err = constructor_error(&format!("<xupdate:comment>{content}</xupdate:comment>"));
+            assert!(err.contains("holds '--'"), "{err}");
+        }
+        assert!(parse_modifications(
+            "<xupdate:append select=\"/a\"><xupdate:comment>a-b</xupdate:comment></xupdate:append>"
+        )
+        .is_ok());
+    }
+
+    /// XML 1.0 §2.6: an instruction's data ends at the first `?>`.
+    #[test]
+    fn instruction_data_holding_its_close_is_refused() {
+        let err = constructor_error(
+            "<xupdate:processing-instruction name=\"p\">a?&gt;b</xupdate:processing-instruction>",
+        );
+        assert!(err.contains("'?>'"), "{err}");
     }
 }

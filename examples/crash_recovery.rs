@@ -24,9 +24,9 @@ fn main() {
 
     let cfg = PageConfig::new(64, 80).unwrap();
 
-    // Phase 1: run transactions against a file-backed WAL; the third one
-    // crashes mid-append (injected).
-    {
+    // Phase 1: run transactions against a file-backed WAL; the fourth
+    // one crashes mid-append (injected).
+    let committed = {
         let doc = PagedDoc::parse_str(CHECKPOINT, cfg).unwrap();
         let wal = Wal::file(&wal_path).expect("open wal file");
         let store = Shard::open(doc, wal, StoreConfig::default());
@@ -47,6 +47,24 @@ fn main() {
             println!("txn {} committed", i + 1);
         }
 
+        // An XUpdate that replaces an element's content with a text node
+        // and appends two adjacent text nodes: each insert is logged as a
+        // tuple-stream fragment, and recovery must stage back exactly the
+        // tuples (and node ids) the live commit did.
+        let mut t = store.begin();
+        let mods = mbxq::parse_modifications(
+            "<xupdate:modifications xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+             <xupdate:update select=\"//account[@id='a1']/balance\">75</xupdate:update>\
+             <xupdate:append select=\"//account[@id='a1']\"><note>\
+             <xupdate:text>paid </xupdate:text><xupdate:text>in full</xupdate:text>\
+             </note></xupdate:append></xupdate:modifications>",
+        )
+        .unwrap();
+        t.execute_xupdate(&mods).unwrap();
+        t.commit().expect("commit lands in the WAL");
+        println!("txn 3 committed (a content update and two adjacent texts)");
+        let committed = store.snapshot().checkpoint_dump();
+
         // Arm the crash: the next commit record is torn after 25 bytes.
         let (doc, mut wal) = store.into_parts();
         wal.crash_after_bytes(wal.len_bytes() + 25);
@@ -59,11 +77,12 @@ fn main() {
         t.insert(InsertPosition::LastChildOf(accounts[0]), &frag)
             .unwrap();
         match t.commit() {
-            Err(e) => println!("txn 3 crashed during the commit I/O: {e}"),
+            Err(e) => println!("txn 4 crashed during the commit I/O: {e}"),
             Ok(_) => unreachable!("crash was injected"),
         }
         // Process "dies" here; the torn record sits in the file.
-    }
+        committed
+    };
 
     // Phase 2: recovery from checkpoint + WAL file.
     let wal_bytes = std::fs::read(&wal_path).expect("wal survives the crash");
@@ -89,7 +108,14 @@ fn main() {
         }
         other => panic!("unexpected value {other:?}"),
     }
-    assert_eq!(recovered.used_count(), 1 + 1 + 3 * 3);
+    // Ledger, accounts, three accounts with a balance and its text, and
+    // the note with its two text nodes.
+    assert_eq!(recovered.used_count(), 1 + 1 + 3 * 3 + 3);
+    assert_eq!(
+        recovered.checkpoint_dump(),
+        committed,
+        "recovered tuple for tuple, node ids included"
+    );
     assert!(!mbxq_storage::serialize::to_xml(&recovered)
         .unwrap()
         .contains("doomed"));
@@ -116,7 +142,7 @@ fn main() {
         t.insert(InsertPosition::LastChildOf(accounts[0]), &frag)
             .unwrap();
         t.commit().expect("commit after the restart");
-        println!("txn 4 committed after the restart");
+        println!("txn 5 committed after the restart");
         store.into_parts().0
     };
     let wal_bytes = std::fs::read(&wal_path).expect("wal survives");
@@ -126,7 +152,7 @@ fn main() {
         mbxq_storage::serialize::to_xml(&recovered).unwrap(),
         "the commit acknowledged after the restart survives the next one"
     );
-    println!("a second restart recovers txn 4 too.");
+    println!("a second restart recovers txn 5 too.");
 
     // Phase 3: checkpoint. The WAL would otherwise grow (and recovery
     // replay) without bound; `Shard::checkpoint` serializes the current

@@ -75,7 +75,8 @@ fn sixty_thousand_levels_on_a_512_kib_stack() {
             drop((doc, mods));
 
             // The same append through a transactional document: the
-            // commit clones the fragment and logs it as XML text.
+            // transaction writes the fragment once as a tuple stream,
+            // which its workspace, the commit and the WAL all share.
             let mut db = mbxq::Database::new();
             db.load("d", "<r><a/></r>", mbxq::StorageMode::default_updatable())
                 .unwrap();

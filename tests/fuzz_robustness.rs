@@ -150,6 +150,13 @@ fn wal_decoder_never_panics_on_recordish_text() {
         "\u{1f}",
         "<x/>",
         ":",
+        "F ",
+        "E ",
+        "T ",
+        "A ",
+        "0 ",
+        "1:x ",
+        "\u{e9}",
     ];
     for case in 0..256u64 {
         let input = concat_parts(&mut TestRng::new(0xF_5001 + case), PARTS, 20);
