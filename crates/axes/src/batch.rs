@@ -371,7 +371,8 @@ pub fn scan_ranges_arm<V: TreeView + ?Sized>(
     }
 }
 
-fn scan_resolved<V: TreeView + ?Sized>(
+/// [`scan_range_arm`] with the node test already resolved.
+pub(crate) fn scan_resolved<V: TreeView + ?Sized>(
     view: &V,
     lo: u64,
     hi: u64,

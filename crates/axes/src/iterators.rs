@@ -6,47 +6,41 @@
 //! the exact mechanics §2.2 describes for finding "all children of a node
 //! prex … checking the first child prey = prex+1 and skipping to its
 //! siblings prey = prey + size[prey] + 1".
+//!
+//! Children and following siblings are one loop on the view's sibling
+//! hop, [`TreeView::next_at_level_or_above`]: from just behind a node it
+//! is the next node at that node's level (a sibling) or the first slot
+//! past the parent's region (the end), and the loop moves on by the
+//! sibling's `size` hop. Where unused slots make that hop land short,
+//! inside the sibling's subtree, the next hop finishes it — on the paged
+//! schema by a scan of the level-summary column, never by a
+//! `region_end` per node.
 
 use mbxq_storage::TreeView;
 
 /// Iterates the direct children of the used node at `pre`, in document
 /// order.
 pub fn children<'a, V: TreeView + ?Sized>(view: &'a V, pre: u64) -> impl Iterator<Item = u64> + 'a {
-    let lvl = view.level(pre);
-    let mut p = pre + 1;
-    let mut done = lvl.is_none();
+    siblings_from(view, pre + 1, view.level(pre).map(|l| l + 1))
+}
+
+/// The nodes at level `lvl` from `from` on, each reached by the sibling
+/// hop from the one before, up to the first shallower node (module
+/// docs). Empty when `lvl` is `None`.
+fn siblings_from<V: TreeView + ?Sized>(
+    view: &V,
+    from: u64,
+    lvl: Option<u16>,
+) -> impl Iterator<Item = u64> + '_ {
+    let mut p = from;
     std::iter::from_fn(move || {
-        if done {
+        let lvl = lvl?;
+        let q = view.next_at_level_or_above(p, lvl);
+        if view.level(q) != Some(lvl) {
             return None;
         }
-        let parent_lvl = lvl.expect("checked above");
-        loop {
-            let q = match view.next_used_at_or_after(p) {
-                Some(q) => q,
-                None => {
-                    done = true;
-                    return None;
-                }
-            };
-            match view.level(q) {
-                Some(ql) if ql == parent_lvl + 1 => {
-                    // Next sibling candidate: jump the child's region.
-                    // (`region_end` handles interior holes.)
-                    p = view.region_end(q);
-                    return Some(q);
-                }
-                Some(ql) if ql > parent_lvl + 1 => {
-                    // Deeper node — can happen when a size jump landed
-                    // short inside a fragmented subtree; jump again.
-                    p = q + view.size(q) + 1;
-                }
-                _ => {
-                    // Left the parent's region.
-                    done = true;
-                    return None;
-                }
-            }
-        }
+        p = q + view.size(q) + 1;
+        Some(q)
     })
 }
 
@@ -90,43 +84,7 @@ pub fn following_siblings<'a, V: TreeView + ?Sized>(
     view: &'a V,
     pre: u64,
 ) -> impl Iterator<Item = u64> + 'a {
-    let lvl = view.level(pre);
-    let mut p = if lvl.is_some() {
-        view.region_end(pre)
-    } else {
-        0
-    };
-    let mut done = lvl.is_none();
-    std::iter::from_fn(move || {
-        if done {
-            return None;
-        }
-        let my_lvl = lvl.expect("checked above");
-        loop {
-            let q = match view.next_used_at_or_after(p) {
-                Some(q) => q,
-                None => {
-                    done = true;
-                    return None;
-                }
-            };
-            match view.level(q) {
-                Some(ql) if ql == my_lvl => {
-                    p = view.region_end(q);
-                    return Some(q);
-                }
-                Some(ql) if ql > my_lvl => {
-                    // Short landing inside a fragmented preceding
-                    // subtree; keep jumping.
-                    p = q + view.size(q) + 1;
-                }
-                _ => {
-                    done = true;
-                    return None;
-                }
-            }
-        }
-    })
+    siblings_from(view, pre + view.size(pre) + 1, view.level(pre))
 }
 
 #[cfg(test)]

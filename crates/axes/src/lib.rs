@@ -140,48 +140,78 @@ pub fn step_with<V: TreeView + ?Sized>(
     test: &NodeTest,
     arm: KernelArm,
 ) -> Vec<u64> {
+    let mut out = Vec::new();
+    step_probed(
+        view,
+        context,
+        axis,
+        test,
+        &Probe::resolve(view, test),
+        arm,
+        &mut out,
+    );
+    out
+}
+
+/// [`step_with`] with the node test already resolved against `view`
+/// (the per-node loops compare interned ids, not names), writing the
+/// result into `out`, which must be empty — so a loop-lifted step
+/// resolves its test once and reuses one buffer for all its groups.
+pub(crate) fn step_probed<V: TreeView + ?Sized>(
+    view: &V,
+    context: &[u64],
+    axis: Axis,
+    test: &NodeTest,
+    probe: &Probe,
+    arm: KernelArm,
+    out: &mut Vec<u64>,
+) {
     debug_assert!(context.windows(2).all(|w| w[0] < w[1]), "context sorted");
-    // The per-node loops below compare interned ids, not names.
-    let probe = Probe::resolve(view, test);
+    debug_assert!(out.is_empty(), "the step writes a fresh result");
     let matches = |p: u64| probe.matches(view, test, p);
+    // The per-node results of the child, parent and sibling axes
+    // interleave or repeat only where context nodes nest or share a
+    // parent: their concatenation is put back in document order.
+    let sort_dedup = |out: &mut Vec<u64>| {
+        out.sort_unstable();
+        out.dedup();
+    };
     match axis {
-        Axis::SelfAxis => context.iter().copied().filter(|&p| matches(p)).collect(),
+        Axis::SelfAxis => out.extend(context.iter().copied().filter(|&p| matches(p))),
         Axis::Child => {
-            let mut out = Vec::new();
             for &c in context {
                 out.extend(children(view, c).filter(|&p| matches(p)));
             }
-            // Children of distinct (sorted) context nodes can interleave
-            // only when one context node is an ancestor of another.
-            out.sort_unstable();
-            out.dedup();
-            out
+            sort_dedup(out);
         }
-        Axis::Descendant => staircase_descendant(view, context, test, false, arm),
-        Axis::DescendantOrSelf => staircase_descendant(view, context, test, true, arm),
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            // Prune covered context nodes, then scan each surviving
+            // region once: document order, no duplicates by
+            // construction. The region scans run as columnar batch
+            // loops (see [`batch`]).
+            let or_self = axis == Axis::DescendantOrSelf;
+            for (lo, hi) in batch::descendant_scan_ranges(view, context, or_self) {
+                batch::scan_resolved(view, lo, hi, test, probe, arm, out);
+            }
+        }
         Axis::Parent => {
-            let mut out: Vec<u64> = context
-                .iter()
-                .filter_map(|&c| view.parent_of(c))
-                .filter(|&p| matches(p))
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
+            out.extend(
+                context
+                    .iter()
+                    .filter_map(|&c| view.parent_of(c))
+                    .filter(|&p| matches(p)),
+            );
+            sort_dedup(out);
         }
-        Axis::Ancestor => staircase_ancestor(view, context, matches, false),
-        Axis::AncestorOrSelf => staircase_ancestor(view, context, matches, true),
+        Axis::Ancestor => staircase_ancestor(view, context, matches, false, out),
+        Axis::AncestorOrSelf => staircase_ancestor(view, context, matches, true, out),
         Axis::FollowingSibling => {
-            let mut out = Vec::new();
             for &c in context {
                 out.extend(following_siblings(view, c).filter(|&p| matches(p)));
             }
-            out.sort_unstable();
-            out.dedup();
-            out
+            sort_dedup(out);
         }
         Axis::PrecedingSibling => {
-            let mut out = Vec::new();
             for &c in context {
                 if let Some(parent) = view.parent_of(c) {
                     out.extend(
@@ -191,89 +221,71 @@ pub fn step_with<V: TreeView + ?Sized>(
                     );
                 }
             }
-            out.sort_unstable();
-            out.dedup();
-            out
+            sort_dedup(out);
         }
-        Axis::Following => staircase_following(view, context, test, arm),
-        Axis::Preceding => staircase_preceding(view, context, matches),
+        Axis::Following => {
+            // `following(x)` = everything at or after `region_end(x)`.
+            // For a context *set* the first context node alone yields
+            // the union (its following region contains every other's),
+            // the maximal pruning of \[GvKT03\]: one range scan.
+            if let Some(&first) = context.first() {
+                let lo = view.region_end(first);
+                batch::scan_resolved(view, lo, view.pre_end(), test, probe, arm, out);
+            }
+        }
+        Axis::Preceding => staircase_preceding(view, context, matches, out),
     }
 }
 
-/// Descendant staircase join: prune covered context nodes, then scan each
-/// surviving region once. Results come out in document order with no
-/// duplicates by construction. The region scans run as columnar batch
-/// loops (see [`batch`]) — pruning here, filtering there.
-fn staircase_descendant<V: TreeView + ?Sized>(
-    view: &V,
-    context: &[u64],
-    test: &NodeTest,
-    or_self: bool,
-    arm: KernelArm,
-) -> Vec<u64> {
-    let ranges = batch::descendant_scan_ranges(view, context, or_self);
-    let mut out = Vec::new();
-    batch::scan_ranges_arm(view, &ranges, test, arm, &mut out);
-    out
-}
-
 /// Ancestor staircase join: walk each context node's parent chain, but
-/// stop as soon as a chain reaches a node already known to be an ancestor
-/// (everything above it was collected by an earlier chain) — the
-/// staircase pruning for the ancestor axis.
+/// stop as soon as it reaches a node the previous context node's chain
+/// already holds (everything above it was collected then) — the
+/// staircase pruning for the ancestor axis. The context is in document
+/// order, so an ancestor an earlier chain collected that is an ancestor
+/// of this node lies on the *previous* chain too: that chain, a stack
+/// ordered root first, is all the walk needs to remember. Each chain
+/// adds its fresh ancestors, all behind everything collected before, so
+/// the output comes out in document order without a sort.
 fn staircase_ancestor<V: TreeView + ?Sized>(
     view: &V,
     context: &[u64],
     matches: impl Fn(u64) -> bool,
     or_self: bool,
-) -> Vec<u64> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
+    out: &mut Vec<u64>,
+) {
+    let mut chain: Vec<u64> = Vec::new();
+    let mut fresh = Vec::new();
     for &c in context {
-        if or_self && seen.insert(c) && matches(c) {
-            out.push(c);
+        fresh.clear();
+        if or_self {
+            fresh.push(c);
         }
+        let mut met = false;
         let mut p = view.parent_of(c);
         while let Some(a) = p {
-            if !seen.insert(a) {
+            // Chain entries behind `a` are not ancestors of `c`: an
+            // ancestor behind `a` would have been reached before it.
+            while chain.last().is_some_and(|&s| s > a) {
+                chain.pop();
+            }
+            if chain.last() == Some(&a) {
+                met = true;
                 break;
             }
+            fresh.push(a);
+            p = view.parent_of(a);
+        }
+        if !met {
+            chain.clear();
+        }
+        for &a in fresh.iter().rev() {
+            chain.push(a);
             if matches(a) {
                 out.push(a);
             }
-            p = view.parent_of(a);
         }
     }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Following staircase join. XPath: `following(x)` = all nodes after `x`
-/// in document order except `x`'s descendants — i.e. everything at or
-/// after `region_end(x)`. For a context *set*, the union is achieved by
-/// the **first** context node alone (its following-region contains every
-/// other's), the maximal pruning of \[GvKT03\]: one sequential scan,
-/// which runs as a single chunk-kernel range scan.
-fn staircase_following<V: TreeView + ?Sized>(
-    view: &V,
-    context: &[u64],
-    test: &NodeTest,
-    arm: KernelArm,
-) -> Vec<u64> {
-    let Some(&first) = context.first() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    batch::scan_range_arm(
-        view,
-        view.region_end(first),
-        view.pre_end(),
-        test,
-        arm,
-        &mut out,
-    );
-    out
+    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "document order");
 }
 
 /// Preceding staircase join. XPath: `preceding(x)` = all nodes whose
@@ -285,11 +297,11 @@ fn staircase_preceding<V: TreeView + ?Sized>(
     view: &V,
     context: &[u64],
     matches: impl Fn(u64) -> bool,
-) -> Vec<u64> {
+    out: &mut Vec<u64>,
+) {
     let Some(&last) = context.last() else {
-        return Vec::new();
+        return;
     };
-    let mut out = Vec::new();
     let mut p = 0u64;
     while let Some(q) = view.next_used_at_or_after(p) {
         if q >= last {
@@ -306,7 +318,6 @@ fn staircase_preceding<V: TreeView + ?Sized>(
         // descended into by simply continuing the scan.
         p = q + 1;
     }
-    out
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! MonetDB/XQuery its interactive XMark times (§1). The XMark query
 //! plans in `mbxq-xmark` use this form for their nested `for` clauses.
 
-use crate::{step_with, Axis, KernelArm, NodeTest};
+use crate::batch::Probe;
+use crate::{step_probed, Axis, KernelArm, NodeTest};
 use mbxq_storage::TreeView;
 
 /// A loop-lifted context: parallel `(iter, pre)` columns, sorted by
@@ -179,6 +180,10 @@ pub fn step_lifted_with<V: TreeView + ?Sized>(
     test: &NodeTest,
     arm: KernelArm,
 ) -> ContextSeq {
+    // The test resolves once for the whole relation, and one buffer
+    // takes every group's result in turn.
+    let probe = Probe::resolve(view, test);
+    let mut group = Vec::new();
     let mut out = ContextSeq::new();
     let mut start = 0usize;
     while start < ctx.len() {
@@ -187,10 +192,18 @@ pub fn step_lifted_with<V: TreeView + ?Sized>(
         while end < ctx.len() && ctx.iters[end] == iter {
             end += 1;
         }
-        let result = step_with(view, &ctx.pres[start..end], axis, test, arm);
-        for pre in result {
-            out.push(iter, pre);
-        }
+        group.clear();
+        step_probed(
+            view,
+            &ctx.pres[start..end],
+            axis,
+            test,
+            &probe,
+            arm,
+            &mut group,
+        );
+        out.iters.extend(std::iter::repeat_n(iter, group.len()));
+        out.pres.extend_from_slice(&group);
         start = end;
     }
     out

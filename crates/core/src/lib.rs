@@ -289,12 +289,7 @@ fn eval_output<V: TreeView>(view: &V, path: &XPath) -> Result<QueryOutput> {
         }
         Value::Attrs(attrs) => attrs
             .iter()
-            .filter_map(|&(owner, qn)| {
-                view.attributes(owner)
-                    .into_iter()
-                    .find(|&(n, _)| n == qn)
-                    .and_then(|(_, p)| view.pool().prop(p).map(str::to_string))
-            })
+            .filter_map(|&(owner, qn)| view.attr_str(owner, qn).map(str::to_string))
             .collect(),
         // XPath string() rendering (integers without a decimal point,
         // NaN/±Infinity spelled out) — one implementation, in mbxq-xpath.

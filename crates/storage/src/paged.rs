@@ -43,11 +43,14 @@
 //! page directory, a [`CowVec`] of its own — and not a word in each
 //! page, so a walk over a thousand pages' summaries reads a few cache
 //! lines of one column instead of one allocation per page.
-//! [`TreeView::region_end`] scans the rest of the page the hop landed in
-//! for the first used slot with `level <= level(pre)`, then scans the
-//! column for the first later page whose summary is not above
-//! `level(pre)`, then scans inside that page alone;
-//! [`TreeView::parent_of`] is the mirror image going backward. Both are
+//! [`TreeView::next_at_level_or_above`] scans the rest of the page
+//! `from` lies in for the first used slot with `level <= lvl`, then
+//! scans the column for the first later page whose summary is not above
+//! `lvl`, then scans inside that page alone. It is the sibling hop of
+//! the child and sibling walks, and [`TreeView::region_end`] is that
+//! hop from behind the node's `size` hop, stepped back to the last used
+//! slot before it; [`TreeView::parent_of`] is the mirror image going
+//! backward. Each is
 //! O(pages spanned) in column entries plus O(page size) in slots — the
 //! order of the `pageOffset` splice the paper already accepts — and a
 //! position is *computed* from a small aggregate instead of *found* by
@@ -439,38 +442,10 @@ impl PagedDoc {
         Page::make_mut(self.pages.leaf_mut(lp))
     }
 
-    /// First used slot at or after view position `from` whose level is
-    /// `<= lvl` — where a region of that level ends — or `pre_end()`.
-    /// After the rest of `from`'s page, the pages whose level summary is
-    /// above `lvl` are skipped by a scan of the summary column, and only
-    /// the page it stops at is loaded. (Unused slots are NULL — above
-    /// every level — in the `level` column, so the scans need no
-    /// liveness test.)
-    fn next_used_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
-        let (lp, offset) = (
-            (from >> self.shift) as usize,
-            from as usize & (self.cfg.page_size - 1),
-        );
-        let hit = |l: &u16| *l <= lvl;
-        if lp < self.pages.len() && self.min_levels[lp] <= lvl {
-            if let Some(i) = self.pages[lp].levels()[offset..].iter().position(hit) {
-                return ((lp << self.shift) + offset + i) as u64;
-            }
-        }
-        let mut from = lp + 1;
-        while let Some(q) = self.min_levels.position_from(from, hit) {
-            if let Some(i) = self.pages[q].levels().iter().position(hit) {
-                return ((q << self.shift) + i) as u64;
-            }
-            from = q + 1;
-        }
-        self.pre_end()
-    }
-
     /// Last used slot before view position `before` whose level is
     /// `< lvl` — the parent of a level-`lvl` node at `before` — skipping
     /// whole pages on the summary column like
-    /// [`PagedDoc::next_used_at_level_or_above`].
+    /// [`TreeView::next_at_level_or_above`].
     fn prev_used_below_level(&self, before: u64, lvl: u16) -> Option<u64> {
         let last = before.checked_sub(1)?;
         let (lp, len) = (
@@ -755,6 +730,18 @@ impl TreeView for PagedDoc {
         }
     }
 
+    /// Searches the element's attribute run in place, with no `Vec`.
+    fn attr_str(&self, pre: u64, qn: QnId) -> Option<&str> {
+        let (page, i) = self.used_slot(pre)?;
+        if page.kind(i) != Some(Kind::Element) {
+            return None;
+        }
+        let row = self
+            .attr_run(u64::from(page.nodes()[i]), page.values()[i])
+            .find(|&r| self.attr_qn[r] == qn)?;
+        self.pool.prop(self.attr_prop[row])
+    }
+
     fn pool(&self) -> &ValuePool {
         &self.pool
     }
@@ -852,6 +839,32 @@ impl TreeView for PagedDoc {
         }
     }
 
+    /// After the rest of `from`'s page, the pages whose level summary is
+    /// above `lvl` are skipped by a scan of the summary column, and only
+    /// the page it stops at is loaded. (Unused slots are NULL — above
+    /// every level — in the `level` column, so the scans need no
+    /// liveness test.)
+    fn next_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
+        let (lp, offset) = (
+            (from >> self.shift) as usize,
+            from as usize & (self.cfg.page_size - 1),
+        );
+        let hit = |l: &u16| *l <= lvl;
+        if lp < self.pages.len() && self.min_levels[lp] <= lvl {
+            if let Some(i) = self.pages[lp].levels()[offset..].iter().position(hit) {
+                return ((lp << self.shift) + offset + i) as u64;
+            }
+        }
+        let mut from = lp + 1;
+        while let Some(q) = self.min_levels.position_from(from, hit) {
+            if let Some(i) = self.pages[q].levels().iter().position(hit) {
+                return ((q << self.shift) + i) as u64;
+            }
+            from = q + 1;
+        }
+        self.pre_end()
+    }
+
     /// O(pages spanned + page size): hop over the region by `size`
     /// (exact when the region has no unused slot, short otherwise —
     /// `size` counts used tuples only), then finish on the page level
@@ -861,7 +874,7 @@ impl TreeView for PagedDoc {
             return pre + 1;
         };
         let hop = pre + u64::from(page.sizes()[i]) + 1;
-        let boundary = self.next_used_at_level_or_above(hop, page.levels()[i]);
+        let boundary = self.next_at_level_or_above(hop, page.levels()[i]);
         // Every used slot in `pre+1..boundary` is a descendant; the
         // region ends behind the last of them.
         self.prev_used_at_or_before(boundary - 1)

@@ -224,6 +224,18 @@ impl TreeView for ReadOnlyDoc {
             .collect()
     }
 
+    /// One binary search for the owner's first row, then a forward
+    /// scan of its rows.
+    fn attr_str(&self, pre: u64, qn: QnId) -> Option<&str> {
+        let owners = self.attr_owner.tail();
+        let names = self.attr_qn.tail();
+        let first = owners.partition_point(|&o| o < pre);
+        let row = (first..owners.len())
+            .take_while(|&r| owners[r] == pre)
+            .find(|&r| names[r] == qn)?;
+        self.pool.prop(self.attr_prop.tail()[row])
+    }
+
     fn pool(&self) -> &ValuePool {
         &self.pool
     }
@@ -310,6 +322,21 @@ impl TreeView for ReadOnlyDoc {
     fn region_end(&self, pre: u64) -> u64 {
         // Hole-free: the classic O(1) jump.
         pre + self.size(pre) + 1
+    }
+
+    fn next_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
+        // Hole-free: a sibling walk's `size` hop lands exactly on the
+        // next sibling or past the parent's region, so one level check
+        // answers; from elsewhere each hop skips a deeper subtree whole.
+        let (levels, sizes) = (self.level.tail(), self.size.tail());
+        let mut p = from;
+        while let Some(&l) = levels.get(p as usize) {
+            if l <= lvl {
+                return p;
+            }
+            p += u64::from(sizes[p as usize]) + 1;
+        }
+        self.pre_end()
     }
 
     fn parent_of(&self, pre: u64) -> Option<u64> {

@@ -19,16 +19,32 @@
 //!
 //! # Region navigation
 //!
-//! [`TreeView::region_end`] and [`TreeView::parent_of`] have default
-//! implementations that only use the per-slot accessors: exact on every
-//! schema, and cheap on a dense one (`pre + size + 1` *is* the region
-//! end). With unused slots the hop lands short by the region's holes and
-//! the default finishes slot run by slot run — O(unused slots in the
+//! [`TreeView::region_end`], [`TreeView::parent_of`] and the sibling hop
+//! [`TreeView::next_at_level_or_above`] have default implementations
+//! that only use the per-slot accessors: exact on every schema, and
+//! cheap on a dense one (`pre + size + 1` *is* the region end). With
+//! unused slots the hop lands short by the region's holes and the
+//! defaults finish slot run by slot run — O(unused slots in the
 //! region), and `parent_of` is O(preceding slots). The paged schema
-//! therefore overrides both on a per-page level summary (see
-//! [`crate::paged`]) and the read-only schema stores a parent column;
-//! the defaults remain the implementation of the chunk-less schemas and
-//! the reference the tests compare against.
+//! therefore overrides all three on a per-page level summary (see
+//! [`crate::paged`]); the read-only schema stores a parent column and
+//! reads the hop off its dense columns. The defaults remain the
+//! implementation of the chunk-less schemas and the reference the tests
+//! compare against.
+//!
+//! A child or following-sibling walk is one loop on the hop: from just
+//! behind a node, `next_at_level_or_above(from, L)` is the next node at
+//! level `L` or the end of the parent's region, and the walk moves on
+//! by that node's `size` hop; a hop that lands short inside a subtree
+//! with holes is finished by the next call, not by a `region_end` per
+//! node.
+//!
+//! # Attribute reads
+//!
+//! [`TreeView::attr_str`] is the one attribute read by name: by interned
+//! id, borrowed from the pool, with no `Vec` of the element's
+//! attributes. [`TreeView::attribute_value`] is its by-`QName`, owned
+//! wrapper.
 
 use crate::types::{Kind, NodeId, ValueRef};
 use crate::values::{DegreeStats, NumRange, PropId, QnId, TextProbe, ValuePool};
@@ -132,6 +148,18 @@ pub trait TreeView: Sync {
     /// Attributes `(name, value)` of the element at `pre`, in document
     /// order. Empty for non-elements.
     fn attributes(&self, pre: u64) -> Vec<(QnId, PropId)>;
+
+    /// The value of the attribute named `qn` on the element at `pre`,
+    /// borrowed from the pool; `None` when the node carries no such
+    /// attribute (non-elements and unused slots carry none). The one
+    /// attribute read by name every reader goes through: a caller
+    /// resolves the name to a [`QnId`] once and reads by id per row.
+    /// The default searches [`TreeView::attributes`]; both storage
+    /// schemas read their attribute columns in place instead.
+    fn attr_str(&self, pre: u64, qn: QnId) -> Option<&str> {
+        let (_, prop) = self.attributes(pre).into_iter().find(|&(n, _)| n == qn)?;
+        self.pool().prop(prop)
+    }
 
     /// The shared interned side tables.
     fn pool(&self) -> &ValuePool;
@@ -333,6 +361,27 @@ pub trait TreeView: Sync {
         }
     }
 
+    /// The first used slot at or after `from` whose level is `<= lvl`,
+    /// or `pre_end()` when there is none (`lvl` is a node's level, below
+    /// the NULL of unused slots). Called with `from` just behind a node
+    /// of level `lvl` (or behind its first size hop), it is the sibling
+    /// hop: the answer is the node's next sibling when its level is
+    /// `lvl`, and otherwise the first slot past its parent's region.
+    /// The default skips each used slot deeper than `lvl` with its
+    /// subtree by the `size` hop, which lands short by the subtree's
+    /// unused slots at worst, never past a shallower node; the paged
+    /// schema scans its level-summary column instead.
+    fn next_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
+        let mut p = from;
+        while let Some(q) = self.next_used_at_or_after(p) {
+            match self.level(q) {
+                Some(l) if l <= lvl => return q,
+                _ => p = q + self.size(q) + 1,
+            }
+        }
+        self.pre_end()
+    }
+
     /// The parent of the used node at `pre`: the nearest preceding used
     /// slot with a smaller level. The default walks back one used slot
     /// at a time (O(preceding siblings' subtrees)); both storage
@@ -421,12 +470,10 @@ pub trait TreeView: Sync {
         out
     }
 
-    /// Attribute value of `name` on the element at `pre`, if present.
+    /// Attribute value of `name` on the element at `pre`, if present:
+    /// [`TreeView::attr_str`] by name, owned.
     fn attribute_value(&self, pre: u64, name: &mbxq_xml::QName) -> Option<String> {
-        let qn = self.pool().lookup_qname(name)?;
-        self.attributes(pre)
-            .into_iter()
-            .find(|(n, _)| *n == qn)
-            .and_then(|(_, p)| self.pool().prop(p).map(str::to_string))
+        self.attr_str(pre, self.pool().lookup_qname(name)?)
+            .map(str::to_string)
     }
 }

@@ -121,10 +121,10 @@ fn sel<V: TreeView>(view: &V, opts: &EvalOptions<'_>, path: &str) -> Result<Vec<
     Ok(XPath::parse(path)?.select_from_root_opts(view, opts)?)
 }
 
-/// Resolves an element name against the view's pool — once per query,
-/// so the per-node loops compare interned ids instead of building and
-/// string-comparing a `QName` per visited child. `None`: no element
-/// carries the name.
+/// Resolves an element or attribute name against the view's pool —
+/// once per query, so the per-node loops compare interned ids instead
+/// of building and string-comparing a `QName` per visited node. `None`:
+/// no node carries the name.
 fn qn<V: TreeView>(view: &V, name: &str) -> Option<QnId> {
     view.pool().lookup_qname(&QName::local(name))
 }
@@ -143,8 +143,8 @@ fn children_named<V: TreeView>(view: &V, pre: u64, name: Option<QnId>) -> Vec<u6
         .collect()
 }
 
-fn attr<V: TreeView>(view: &V, pre: u64, name: &str) -> Option<String> {
-    view.attribute_value(pre, &QName::local(name))
+fn attr<V: TreeView>(view: &V, pre: u64, name: Option<QnId>) -> Option<&str> {
+    view.attr_str(pre, name?)
 }
 
 fn num<V: TreeView>(view: &V, pre: u64) -> f64 {
@@ -234,6 +234,7 @@ fn q4<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
     let bidder_qn = qn(view, "bidder");
     let personref_qn = qn(view, "personref");
     let initial_qn = qn(view, "initial");
+    let person_qn = qn(view, "person");
     let auctions = sel(view, opts, "/site/open_auctions/open_auction")?;
     let mut f = Fnv::new();
     let mut rows = 0;
@@ -242,7 +243,7 @@ fn q4<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
         let mut qualifies = false;
         for b in children_named(view, a, bidder_qn) {
             if let Some(pref) = child_named(view, b, personref_qn) {
-                match attr(view, pref, "person").as_deref() {
+                match attr(view, pref, person_qn) {
                     Some("person1") => saw_first = true,
                     Some("person2") if saw_first => {
                         qualifies = true;
@@ -300,11 +301,12 @@ fn person_index<V: TreeView>(
     view: &V,
     opts: &EvalOptions<'_>,
 ) -> Result<Vec<(String, u64)>, QueryError> {
+    let id_qn = qn(view, "id");
     let persons = sel(view, opts, "/site/people/person")?;
     let mut out = Vec::with_capacity(persons.len());
     for &p in &persons {
-        if let Some(id) = attr(view, p, "id") {
-            out.push((id, p));
+        if let Some(id) = attr(view, p, id_qn) {
+            out.push((id.to_string(), p));
         }
     }
     Ok(out)
@@ -314,11 +316,12 @@ fn person_index<V: TreeView>(
 /// person ↔ closed_auction buyer).
 fn q8<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
     let name_qn = qn(view, "name");
+    let person_qn = qn(view, "person");
     let buyers = sel(view, opts, "/site/closed_auctions/closed_auction/buyer")?;
     let mut bought: HashMap<String, usize> = HashMap::new();
     for &b in &buyers {
-        if let Some(id) = attr(view, b, "person") {
-            *bought.entry(id).or_default() += 1;
+        if let Some(id) = attr(view, b, person_qn) {
+            *bought.entry(id.to_string()).or_default() += 1;
         }
     }
     let persons = person_index(view, opts)?;
@@ -339,23 +342,27 @@ fn q9<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Quer
     let name_qn = qn(view, "name");
     let buyer_qn = qn(view, "buyer");
     let itemref_qn = qn(view, "itemref");
+    let (id_qn, person_qn, item_qn) = (qn(view, "id"), qn(view, "person"), qn(view, "item"));
     // European item id → name.
     let eu_items = sel(view, opts, "/site/regions/europe/item")?;
     let mut eu: HashMap<String, String> = HashMap::new();
     for &i in &eu_items {
-        if let (Some(id), Some(name)) = (attr(view, i, "id"), child_named(view, i, name_qn)) {
-            eu.insert(id, view.string_value(name));
+        if let (Some(id), Some(name)) = (attr(view, i, id_qn), child_named(view, i, name_qn)) {
+            eu.insert(id.to_string(), view.string_value(name));
         }
     }
     // buyer person id → european item names bought.
     let closed = sel(view, opts, "/site/closed_auctions/closed_auction")?;
     let mut bought: HashMap<String, Vec<String>> = HashMap::new();
     for &c in &closed {
-        let buyer = child_named(view, c, buyer_qn).and_then(|b| attr(view, b, "person"));
-        let item = child_named(view, c, itemref_qn).and_then(|i| attr(view, i, "item"));
+        let buyer = child_named(view, c, buyer_qn).and_then(|b| attr(view, b, person_qn));
+        let item = child_named(view, c, itemref_qn).and_then(|i| attr(view, i, item_qn));
         if let (Some(buyer), Some(item)) = (buyer, item) {
-            if let Some(name) = eu.get(&item) {
-                bought.entry(buyer).or_default().push(name.clone());
+            if let Some(name) = eu.get(item) {
+                bought
+                    .entry(buyer.to_string())
+                    .or_default()
+                    .push(name.clone());
             }
         }
     }
@@ -386,13 +393,14 @@ fn q10<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let emailaddress_qn = qn(view, "emailaddress");
     let gender_qn = qn(view, "gender");
     let interest_qn = qn(view, "interest");
+    let (income_qn, category_qn) = (qn(view, "income"), qn(view, "category"));
     let persons = sel(view, opts, "/site/people/person")?;
     let mut groups: HashMap<String, Vec<String>> = HashMap::new();
     for &p in &persons {
         let Some(profile) = child_named(view, p, profile_qn) else {
             continue;
         };
-        let income = attr(view, profile, "income").unwrap_or_default();
+        let income = attr(view, profile, income_qn).unwrap_or_default();
         let name = child_named(view, p, name_qn)
             .map(|x| view.string_value(x))
             .unwrap_or_default();
@@ -404,8 +412,11 @@ fn q10<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
             .unwrap_or_default();
         let record = format!("{name}|{email}|{income}|{gender}");
         for interest in children_named(view, profile, interest_qn) {
-            if let Some(cat) = attr(view, interest, "category") {
-                groups.entry(cat).or_default().push(record.clone());
+            if let Some(cat) = attr(view, interest, category_qn) {
+                groups
+                    .entry(cat.to_string())
+                    .or_default()
+                    .push(record.clone());
             }
         }
     }
@@ -428,6 +439,7 @@ fn q10<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// auction.initial; sort + binary search instead of O(P·A)).
 fn q11<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
     let profile_qn = qn(view, "profile");
+    let income_qn = qn(view, "income");
     let mut initials: Vec<f64> = sel(view, opts, "/site/open_auctions/open_auction/initial")?
         .iter()
         .map(|&p| num(view, p))
@@ -437,7 +449,7 @@ fn q11<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let mut f = Fnv::new();
     for &p in &persons {
         let income = child_named(view, p, profile_qn)
-            .and_then(|pr| attr(view, pr, "income"))
+            .and_then(|pr| attr(view, pr, income_qn))
             .and_then(|s| s.parse::<f64>().ok());
         let n = match income {
             Some(inc) => initials.partition_point(|&i| i * 5000.0 < inc),
@@ -451,6 +463,7 @@ fn q11<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// Q12: like Q11 but only for persons with income over 50000.
 fn q12<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
     let profile_qn = qn(view, "profile");
+    let income_qn = qn(view, "income");
     let mut initials: Vec<f64> = sel(view, opts, "/site/open_auctions/open_auction/initial")?
         .iter()
         .map(|&p| num(view, p))
@@ -461,7 +474,7 @@ fn q12<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let mut rows = 0;
     for &p in &persons {
         let Some(inc) = child_named(view, p, profile_qn)
-            .and_then(|pr| attr(view, pr, "income"))
+            .and_then(|pr| attr(view, pr, income_qn))
             .and_then(|s| s.parse::<f64>().ok())
         else {
             continue;
@@ -573,6 +586,7 @@ fn q15<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// an upward step back to the auction).
 fn q16<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
     let seller_qn = qn(view, "seller");
+    let person_qn = qn(view, "person");
     let keywords = sel(
         view,
         opts,
@@ -584,8 +598,8 @@ fn q16<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
     let mut rows = 0;
     for &a in &auctions {
         if let Some(seller) = child_named(view, a, seller_qn) {
-            if let Some(id) = attr(view, seller, "person") {
-                f.feed(&id);
+            if let Some(id) = attr(view, seller, person_qn) {
+                f.feed(id);
                 rows += 1;
             }
         }
@@ -642,11 +656,12 @@ fn q19<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, Que
 /// complementary predicates).
 fn q20<V: TreeView>(view: &V, opts: &EvalOptions<'_>) -> Result<QueryResult, QueryError> {
     let profile_qn = qn(view, "profile");
+    let income_qn = qn(view, "income");
     let persons = sel(view, opts, "/site/people/person")?;
     let (mut high, mut mid, mut low, mut none) = (0usize, 0, 0, 0);
     for &p in &persons {
         match child_named(view, p, profile_qn)
-            .and_then(|pr| attr(view, pr, "income"))
+            .and_then(|pr| attr(view, pr, income_qn))
             .and_then(|s| s.parse::<f64>().ok())
         {
             Some(i) if i >= 100_000.0 => high += 1,

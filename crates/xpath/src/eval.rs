@@ -74,8 +74,9 @@ impl Value {
             Value::Nodes(ns) => ns.first().map_or(String::new(), |&p| view.string_value(p)),
             Value::Attrs(a) => a
                 .first()
-                .and_then(|&(owner, qn)| attr_value(view, owner, qn))
-                .unwrap_or_default(),
+                .and_then(|&(owner, qn)| view.attr_str(owner, qn))
+                .unwrap_or_default()
+                .to_string(),
             Value::Number(n) => format_number(*n),
             Value::Boolean(b) => b.to_string(),
             Value::Str(s) => s.clone(),
@@ -103,7 +104,7 @@ impl Value {
             Value::Nodes(ns) => ns.iter().map(|&p| view.string_value(p)).collect(),
             Value::Attrs(a) => a
                 .iter()
-                .map(|&(owner, qn)| attr_value(view, owner, qn).unwrap_or_default())
+                .map(|&(owner, qn)| view.attr_str(owner, qn).unwrap_or_default().to_string())
                 .collect(),
             other => vec![other.to_str(view)],
         }
@@ -126,13 +127,6 @@ impl Value {
             }),
         }
     }
-}
-
-pub(crate) fn attr_value<V: TreeView + ?Sized>(view: &V, owner: u64, qn: QnId) -> Option<String> {
-    view.attributes(owner)
-        .into_iter()
-        .find(|&(n, _)| n == qn)
-        .and_then(|(_, p)| view.pool().prop(p).map(str::to_string))
 }
 
 /// XPath 1.0 string→number coercion. Delegates to the storage crate's
@@ -341,16 +335,24 @@ pub(crate) fn lifted_attributes<V: TreeView + ?Sized>(
     name: Option<&mbxq_xml::QName>,
 ) -> AttrSeq {
     let mut out = AttrSeq::new();
-    for (iter, owner) in input.iter() {
-        for (qn, _) in view.attributes(owner) {
-            let keep = match name {
-                Some(want) => view.pool().qname(qn).is_some_and(|q| q == want),
-                None => true,
-            };
-            if keep {
+    let Some(name) = name else {
+        for (iter, owner) in input.iter() {
+            for (qn, _) in view.attributes(owner) {
                 out.iters.push(iter);
                 out.attrs.push((owner, qn));
             }
+        }
+        return out;
+    };
+    // A named step resolves its name once and reads one attribute by id
+    // per owner; a name no node carries selects nothing.
+    let Some(qn) = view.pool().lookup_qname(name) else {
+        return out;
+    };
+    for (iter, owner) in input.iter() {
+        if view.attr_str(owner, qn).is_some() {
+            out.iters.push(iter);
+            out.attrs.push((owner, qn));
         }
     }
     out
@@ -824,9 +826,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                                 .of_iter(i as u32)
                                 .iter()
                                 .map(|&(owner, qn)| {
-                                    str_to_number(
-                                        &attr_value(self.view, owner, qn).unwrap_or_default(),
-                                    )
+                                    str_to_number(self.view.attr_str(owner, qn).unwrap_or_default())
                                 })
                                 .sum(),
                         })
@@ -1841,7 +1841,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 ValueSource::SelfValue => Value::Nodes(vec![p]),
                 ValueSource::Attr(a) => Value::Attrs(
                     pool.lookup_qname(a)
-                        .filter(|&aqn| self.view.attributes(p).iter().any(|&(qn, _)| qn == aqn))
+                        .filter(|&aqn| self.view.attr_str(p, aqn).is_some())
                         .map(|aqn| (p, aqn))
                         .into_iter()
                         .collect(),
@@ -1887,9 +1887,7 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                     // twin of "no attribute → no match".
                     let vals: Vec<f64> = pres
                         .iter()
-                        .map(|&p| {
-                            attr_value(self.view, p, aqn).map_or(f64::NAN, |v| str_to_number(&v))
-                        })
+                        .map(|&p| self.view.attr_str(p, aqn).map_or(f64::NAN, str_to_number))
                         .collect();
                     self.note_simd();
                     let mut keep = Vec::new();
@@ -1906,7 +1904,9 @@ impl<V: TreeView + ?Sized> Exec<'_, V> {
                 Some(aqn) => pres
                     .iter()
                     .map(|&p| {
-                        attr_value(self.view, p, aqn).is_some_and(|v| cmp_value(&v, &pred.cmp))
+                        self.view
+                            .attr_str(p, aqn)
+                            .is_some_and(|v| cmp_value(v, &pred.cmp))
                     })
                     .collect(),
             },

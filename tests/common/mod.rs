@@ -308,6 +308,12 @@ impl<V: TreeView> TreeView for Counting<'_, V> {
     fn parent_of(&self, pre: u64) -> Option<u64> {
         self.hit().parent_of(pre)
     }
+    fn next_at_level_or_above(&self, from: u64, lvl: u16) -> u64 {
+        self.hit().next_at_level_or_above(from, lvl)
+    }
+    fn attr_str(&self, pre: u64, qn: mbxq_storage::QnId) -> Option<&str> {
+        self.hit().attr_str(pre, qn)
+    }
 }
 
 /// Structural-predicate paths over XMark: existence and non-existence

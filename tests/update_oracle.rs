@@ -199,8 +199,8 @@ fn assert_windowed_probes_match(up: &PagedDoc, rng: &mut TestRng, case: u64) {
     }
 }
 
-/// What a [`summaries_equal_default_walks`] check saw, so the test can
-/// prove it exercised the shapes the page summaries must get right.
+/// What a [`random_edit_sequences`] run saw, so a test can prove it
+/// exercised the shapes the page summaries must get right.
 #[derive(Debug, Default)]
 struct ShapesSeen {
     empty_pages: usize,
@@ -209,43 +209,44 @@ struct ShapesSeen {
     regions_ending_at_document_end: usize,
 }
 
-/// `PagedDoc::region_end`/`parent_of` (page level summaries) must equal
-/// the trait-default slot walks for every used `pre`, and the deep
-/// checker must accept every page's summary.
-fn assert_summaries_match(up: &PagedDoc, seen: &mut ShapesSeen, context: &str) {
-    mbxq_storage::invariants::check_paged(up).unwrap_or_else(|e| panic!("{context}: {e}"));
-    let reference = DefaultWalk(up);
-    let page_size = up.config().page_size as u64;
-    let mut p = 0;
-    while let Some(q) = up.next_used_at_or_after(p) {
-        let end = up.region_end(q);
-        assert_eq!(end, reference.region_end(q), "{context}: region_end({q})");
-        assert_eq!(
-            up.parent_of(q),
-            reference.parent_of(q),
-            "{context}: parent_of({q})"
-        );
-        if end == up.pre_end() {
-            seen.regions_ending_at_document_end += 1;
-        } else if end % page_size == 0 {
-            seen.regions_ending_on_a_page_boundary += 1;
+impl ShapesSeen {
+    fn note(&mut self, up: &PagedDoc) {
+        let page_size = up.config().page_size as u64;
+        let mut p = 0;
+        while let Some(q) = up.next_used_at_or_after(p) {
+            let end = up.region_end(q);
+            if end == up.pre_end() {
+                self.regions_ending_at_document_end += 1;
+            } else if end % page_size == 0 {
+                self.regions_ending_on_a_page_boundary += 1;
+            }
+            p = q + 1;
         }
-        p = q + 1;
+        self.empty_pages += (0..up.stats().pages)
+            .filter(|&page| up.free_in_page(page) as u64 == page_size)
+            .count();
     }
-    seen.empty_pages += (0..up.stats().pages)
-        .filter(|&page| up.free_in_page(page) as u64 == page_size)
-        .count();
+
+    fn assert_every_shape(&self) {
+        assert!(
+            self.empty_pages > 0
+                && self.overflow_inserts > 0
+                && self.regions_ending_on_a_page_boundary > 0
+                && self.regions_ending_at_document_end > 0,
+            "the seeds no longer reach every shape: {self:?}"
+        );
+    }
 }
 
-/// Seeded property test for the per-page level summaries: random
-/// insert / delete / vacuum / checkpoint-reload batches over small and
-/// completely filled pages, checked after every step against the
-/// default walks.
-#[test]
-fn summaries_equal_default_walks() {
+/// Seeded random insert / delete / set-attribute / vacuum /
+/// checkpoint-reload sequences over small and completely filled pages:
+/// `check` sees every case's fresh document and the document after
+/// every step (holes, spliced pages, emptied pages and moved attribute
+/// runs included), with a context naming the case and step.
+fn random_edit_sequences(seed: u64, mut check: impl FnMut(&PagedDoc, &str)) -> ShapesSeen {
     let mut seen = ShapesSeen::default();
     for case in 0..48u64 {
-        let mut rng = TestRng::new(0x5A11 + case);
+        let mut rng = TestRng::new(seed + case);
         let cfg = [
             PageConfig::new(4, 50).unwrap(),
             PageConfig::new(4, 100).unwrap(),
@@ -254,11 +255,11 @@ fn summaries_equal_default_walks() {
             PageConfig::new(64, 80).unwrap(),
         ][rng.below(5)];
         let mut up = PagedDoc::from_tree(&rand_tree(&mut rng, 4, 4), cfg).expect("shred paged");
-        assert_summaries_match(&up, &mut seen, &format!("case {case}: fresh"));
+        check(&up, &format!("case {case}: fresh"));
+        seen.note(&up);
         for step in 0..(4 + rng.below(12)) {
-            let context = format!("case {case} step {step}");
             let target = nth_node(&up, rng.below(1 << 16)).expect("document is never empty");
-            match rng.below(10) {
+            match rng.below(11) {
                 0..=4 => {
                     let sub = rand_tree(&mut rng, 3, 4);
                     let position = match rng.below(3) {
@@ -278,6 +279,12 @@ fn summaries_equal_default_walks() {
                 8 => {
                     up.vacuum().expect("vacuum");
                 }
+                9 => {
+                    // Moves the element's run to the table's end unless
+                    // it is the last run; non-elements refuse.
+                    let name = QName::local(rand_name(&mut rng));
+                    let _ = up.set_attribute(target, &name, &rand_text(&mut rng));
+                }
                 _ => {
                     up = PagedDoc::from_checkpoint_dump(
                         &up.checkpoint_dump(),
@@ -288,16 +295,100 @@ fn summaries_equal_default_walks() {
                     .expect("checkpoint reload");
                 }
             }
-            assert_summaries_match(&up, &mut seen, &context);
+            check(&up, &format!("case {case} step {step}"));
+            seen.note(&up);
         }
     }
-    assert!(
-        seen.empty_pages > 0
-            && seen.overflow_inserts > 0
-            && seen.regions_ending_on_a_page_boundary > 0
-            && seen.regions_ending_at_document_end > 0,
-        "the seeds no longer reach every shape: {seen:?}"
-    );
+    seen
+}
+
+/// Seeded property test for the per-page level summaries:
+/// `PagedDoc::region_end`/`parent_of` must equal the trait-default slot
+/// walks for every used `pre`, and the deep checker must accept every
+/// page's summary.
+#[test]
+fn summaries_equal_default_walks() {
+    let seen = random_edit_sequences(0x5A11, |up, context| {
+        mbxq_storage::invariants::check_paged(up).unwrap_or_else(|e| panic!("{context}: {e}"));
+        let reference = DefaultWalk(up);
+        let mut p = 0;
+        while let Some(q) = up.next_used_at_or_after(p) {
+            assert_eq!(
+                up.region_end(q),
+                reference.region_end(q),
+                "{context}: region_end({q})"
+            );
+            assert_eq!(
+                up.parent_of(q),
+                reference.parent_of(q),
+                "{context}: parent_of({q})"
+            );
+            p = q + 1;
+        }
+    });
+    seen.assert_every_shape();
+}
+
+/// `attr_str` against `attributes()` and the pool, for every name the
+/// random trees use and every used slot of `view`.
+fn assert_attr_reads<V: TreeView + ?Sized>(view: &V, context: &str) {
+    let pool = view.pool();
+    let names: Vec<_> = ["a", "b", "c", "item", "name", "x"]
+        .iter()
+        .filter_map(|&n| pool.lookup_qname(&QName::local(n)))
+        .collect();
+    let mut p = 0;
+    while let Some(q) = view.next_used_at_or_after(p) {
+        let attributes = view.attributes(q);
+        for &qn in &names {
+            let expected = attributes
+                .iter()
+                .find(|&&(n, _)| n == qn)
+                .map(|&(_, prop)| pool.prop(prop).unwrap());
+            assert_eq!(view.attr_str(q, qn), expected, "{context}: attr_str({q})");
+        }
+        p = q + 1;
+    }
+}
+
+/// Seeded property test for the sibling hop and the attribute read:
+/// after every random edit, `children` and `following_siblings` (one
+/// loop on `next_at_level_or_above`) equal the same walks through the
+/// trait defaults for every used node, and `attr_str` equals a search
+/// of `attributes()` on the paged document, the default body, and the
+/// read-only and naive shreddings of the same document.
+#[test]
+fn sibling_hops_and_attribute_reads_equal_default_walks() {
+    let seen = random_edit_sequences(0x51B1, |up, context| {
+        let reference = DefaultWalk(up);
+        let mut p = 0;
+        while let Some(q) = up.next_used_at_or_after(p) {
+            for lvl in [0, 1, 2, 3] {
+                assert_eq!(
+                    up.next_at_level_or_above(q, lvl),
+                    reference.next_at_level_or_above(q, lvl),
+                    "{context}: next_at_level_or_above({q}, {lvl})"
+                );
+            }
+            assert_eq!(
+                mbxq_axes::children(up, q).collect::<Vec<_>>(),
+                mbxq_axes::children(&reference, q).collect::<Vec<_>>(),
+                "{context}: children({q})"
+            );
+            assert_eq!(
+                mbxq_axes::following_siblings(up, q).collect::<Vec<_>>(),
+                mbxq_axes::following_siblings(&reference, q).collect::<Vec<_>>(),
+                "{context}: following_siblings({q})"
+            );
+            p = q + 1;
+        }
+        assert_attr_reads(up, context);
+        assert_attr_reads(&reference, context);
+        let xml = to_xml(up).unwrap();
+        assert_attr_reads(&mbxq::ReadOnlyDoc::parse_str(&xml).unwrap(), context);
+        assert_attr_reads(&NaiveDoc::parse_str(&xml).unwrap(), context);
+    });
+    seen.assert_every_shape();
 }
 
 /// A commit's footprint is the pages it touches, not the document: the
